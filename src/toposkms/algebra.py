@@ -219,11 +219,12 @@ def projection_lattice(v: Context):
     return out
 
 
-def lattice_projection(v: Context, indices) -> Projection:
+def lattice_projection(v: Context, indices,
+                       tol: TolerancePolicy = DEFAULT_TOL) -> Projection:
     m = np.zeros((v.dim, v.dim), dtype=np.complex128)
     for i in indices:
         m = m + v.blocks[i].matrix
-    return Projection(m)
+    return Projection(m, tol)
 
 
 def algebra_element_coefficients(v: Context, a, tol: TolerancePolicy = DEFAULT_TOL):

@@ -244,7 +244,8 @@ def run_external_c1(scn: Scenario, rep: Report, outcomes: dict) -> None:
                 residual=crep.max_residual, eps=eps)
         else:
             ok = False
-            for e in crep.entries:
+            for e in sorted(crep.entries,
+                            key=lambda e: (e.subobject, e.context_id, e.t)):
                 if abs(e.lhs - e.rhs) > eps:
                     rep.add("external-c1",
                             f"{nm} @ {e.context_id}, t={fmtf(e.t)}",

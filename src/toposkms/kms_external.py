@@ -94,17 +94,6 @@ class AutomorphismFlow:
         return [(float(t), self.unitary(t)) for t in t_values]
 
 
-def flow_element(flow: AutomorphismFlow, t: float):
-    """The automorphism at parameter t as a callable on matrices."""
-    u = flow.unitary(t)
-    ud = dagger(u)
-
-    def alpha(a):
-        return u @ as_complex_matrix(a) @ ud
-
-    return alpha
-
-
 def gibbs_state(h, beta: float, tol: TolerancePolicy = DEFAULT_TOL) -> State:
     """exp(-beta H) / tr(exp(-beta H)), computed in the eigenbasis with
     the largest weight factored out for stability."""

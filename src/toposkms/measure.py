@@ -333,7 +333,7 @@ class AbstractMeasure:
             v = self.poset.context(cid)
             if not subset or len(subset) == v.k:
                 continue
-            out.append((s_inverse(subset, v).matrix, value))
+            out.append((s_inverse(subset, v, self.tol).matrix, value))
         return out
 
 
@@ -345,7 +345,7 @@ def measure_table_of_state(state: State, poset: ContextPoset,
     for v in poset.contexts:
         for mask in range(1 << v.k):
             subset = frozenset(i for i in range(v.k) if mask & (1 << i))
-            p = s_inverse(subset, v)
+            p = s_inverse(subset, v, tol)
             table[(v.id, subset)] = float(
                 np.real(np.trace(state.matrix @ p.matrix)))
     return AbstractMeasure(poset, table, tol)

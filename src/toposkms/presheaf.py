@@ -97,9 +97,10 @@ def s_map(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> frozenset:
     return indices
 
 
-def s_inverse(indices, v: Context) -> Projection:
+def s_inverse(indices, v: Context,
+              tol: TolerancePolicy = DEFAULT_TOL) -> Projection:
     """Inverse isomorphism: block sum over a character subset."""
-    return lattice_projection(v, indices)
+    return lattice_projection(v, indices, tol)
 
 
 def outer_daseinisation(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> Projection:
@@ -112,7 +113,7 @@ def outer_daseinisation(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> Pr
     pm = as_matrix(p)
     keep = [i for i, q in enumerate(v.blocks)
             if frob(q.matrix @ pm) > tol.eps_order]
-    return lattice_projection(v, keep)
+    return lattice_projection(v, keep, tol)
 
 
 def outer_daseinisation_bruteforce(p, v: Context,
@@ -128,7 +129,7 @@ def outer_daseinisation_bruteforce(p, v: Context,
                 best = (key, indices)
     if best is None:
         raise NotInLattice("no lattice element dominates p (identity should)")
-    return lattice_projection(v, best[1])
+    return lattice_projection(v, best[1], tol)
 
 
 @dataclass
@@ -176,7 +177,7 @@ class ClopenSubobject:
 
     def projection_at(self, context_id: str) -> Projection:
         v = self.presheaf.poset.context(context_id)
-        return s_inverse(self.components[context_id], v)
+        return s_inverse(self.components[context_id], v, self.presheaf.tol)
 
     def restricted_to(self, top_context_id: str) -> "ClopenSubobject":
         keep = set(self.presheaf.below(top_context_id)) & self.domain
@@ -207,9 +208,11 @@ def complete_downward(presheaf: SpectralPresheaf, assignments: dict,
     explicitly assigned characters).
     """
     poset = presheaf.poset
-    domain = set()
+    lower = set()
     for c in assignments:
-        domain.update(presheaf.below(c))
+        lower.update(presheaf.below(c))
+    # poset index order, so the component order is the same in every process
+    domain = [v.id for v in poset.contexts if v.id in lower]
     comps = {c: set(assignments.get(c, ())) for c in domain}
     for large in domain:
         src = set(assignments.get(large, ()))

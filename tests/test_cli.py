@@ -1,8 +1,13 @@
 """End-to-end CLI behaviour: exit codes, report files, golden stdout."""
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import toposkms
 from toposkms.cli import main
 
 
@@ -105,6 +110,32 @@ def test_reruns_are_byte_identical(scenario_dir, tmp_path, capfd):
     for fname in ("report.json", "report.csv", "summary.md"):
         assert ((tmp_path / "a" / fname).read_bytes()
                 == (tmp_path / "b" / fname).read_bytes())
+
+
+RUN_CORPUS = """
+import pathlib, sys
+from toposkms.cli import main
+for path in sorted(pathlib.Path(sys.argv[1]).glob("*.json")):
+    main(["run", "--scenario", str(path),
+          "--out-dir", str(pathlib.Path(sys.argv[2]) / path.stem)])
+"""
+
+
+def test_reports_are_identical_across_hash_seeds(scenario_dir, tmp_path):
+    # set and dict order follows PYTHONHASHSEED, which is fixed within one
+    # interpreter; only separate processes can show a dependence on it
+    src = str(pathlib.Path(toposkms.__file__).resolve().parents[1])
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", RUN_CORPUS, str(scenario_dir),
+                        str(tmp_path / seed)],
+                       env=env, check=True, capture_output=True)
+    files = sorted(p.relative_to(tmp_path / "1")
+                   for p in (tmp_path / "1").rglob("*") if p.is_file())
+    assert len(files) == 3 * len(list(scenario_dir.glob("*.json")))
+    for f in files:
+        assert (tmp_path / "1" / f).read_bytes() \
+            == (tmp_path / "2" / f).read_bytes(), f
 
 
 def test_dasein_subcommand(scenario_dir, capfd):

@@ -1,14 +1,19 @@
 """GNS construction, modular operators, and the conjugation on contexts."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from toposkms.algebra import build_poset, context_from_operators, contexts_equal
 from toposkms.errors import NotCyclicSeparating, ToposKMSError
 from toposkms.kms_external import check_C1, check_C2, gibbs_state
 from toposkms.measure import State
 from toposkms.modular import (
+    AntilinearOp,
     AntiunitaryJ,
     GNSSpace,
+    _matrix_units,
     check_order_continuity,
     commutant_swap_check,
     expected_delta_spectrum,
@@ -99,6 +104,67 @@ def test_commutant_swap(rng):
     assert rep.max_right_residual <= 1e-10
     assert rep.max_residual <= 1e-10
     assert rep.checked == 81  # all ordered basis pairs
+
+
+def dense_swap_oracle(state, basis, data):
+    """The commutant-swap residuals with pi(B) = B (x) 1 formed as a dense
+    n^2 x n^2 matrix and multiplied out: (max commutator, max right
+    residual, pairs checked)."""
+    gns = GNSSpace(state)
+    swapped = []
+    worst_right = 0.0
+    for b in basis:
+        lhs = data.j.m @ np.conj(gns.pi_matrix(b) @ data.j.m)
+        worst_right = max(worst_right,
+                          frob(lhs - gns.right_matrix(dagger(b))))
+        swapped.append(lhs)
+    worst_comm = 0.0
+    for sw in swapped:
+        for b in basis:
+            pb = gns.pi_matrix(b)
+            worst_comm = max(worst_comm, frob(sw @ pb - pb @ sw))
+    return worst_comm, worst_right, len(basis) ** 2
+
+
+def residuals(rep):
+    return rep.max_commutator, rep.max_right_residual, rep.checked
+
+
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_commutant_swap_matches_dense_oracle(n, seed):
+    rng = np.random.default_rng(seed)
+    state = State(0.8 * random_density(rng, n) + 0.2 * np.eye(n) / n)
+    data = tomita_operators(state)
+    units = _matrix_units(n)
+
+    # products with 0/1 entries are exact, so the residuals are identical
+    assert residuals(commutant_swap_check(state, data=data)) \
+        == dense_swap_oracle(state, units, data)
+
+    # a random spanning set, one element longer than a basis; the gap is
+    # measured against the size of the commutator terms, n ||B||^2
+    basis = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+             for _ in range(n * n + 1)]
+    scale = n * max(frob(b) for b in basis) ** 2
+    got = residuals(commutant_swap_check(state, basis=basis, data=data))
+    want = dense_swap_oracle(state, basis, data)
+    assert got[2] == want[2] == (n * n + 1) ** 2
+    for g, w in zip(got[:2], want[:2]):
+        assert abs(g - w) <= 1e-12 * scale
+
+    # a rank-deficient set leaves Omega non-cyclic
+    deficient = units[:-1] + [units[0] + units[1]]
+    with pytest.raises(NotCyclicSeparating):
+        commutant_swap_check(state, basis=deficient, data=data)
+
+    # a J perturbed by 1e-6 no longer swaps into the commutant
+    noise = rng.normal(size=data.j.m.shape) + 1j * rng.normal(
+        size=data.j.m.shape)
+    bad = replace(data, j=AntilinearOp(data.j.m + 1e-6 * noise))
+    got = commutant_swap_check(state, data=bad)
+    assert residuals(got) == dense_swap_oracle(state, units, bad)
+    assert got.max_commutator > 1e-10
+    assert got.max_right_residual > 1e-10
 
 
 def test_commutant_swap_rejects_degenerate_basis(rng):

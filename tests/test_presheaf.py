@@ -3,10 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from toposkms.algebra import Context
 from toposkms.errors import (
     DomainMismatch,
     EnumerationTooLarge,
     NotClosedUnderRestriction,
+    NotProjection,
 )
 from toposkms.numerics import frob, proj_join, proj_leq
 from toposkms.presheaf import (
@@ -25,6 +27,8 @@ from toposkms.presheaf import (
     subobject_join,
     subobject_meet,
 )
+
+from toposkms.tolerances import DEFAULT_TOL
 
 from conftest import P12SYM, random_projection
 
@@ -227,3 +231,20 @@ def test_restricted_to_shrinks_domain(c3_gibbs):
     cut = s1.restricted_to("Vex")
     assert cut.domain == frozenset({"Vex"})
     assert cut.component("Vex") == s1.component("Vex")
+
+
+def test_lattice_sums_honour_the_scenario_tolerance():
+    # a block 1e-9 away from Hermitian passes a loosened policy, so the
+    # lattice sums over it must be validated under that policy as well
+    loose = DEFAULT_TOL.override(eps_herm=1e-8, eps_idem=1e-8)
+    q = np.diag([1.0, 0.0, 0.0])
+    q[0, 1] = 1e-9
+    v = Context([q, np.diag([0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])],
+                "V", tol=loose)
+    p = np.diag([1.0, 0.0, 0.0])
+    with pytest.raises(NotProjection):
+        outer_daseinisation(p, v)
+    fast = outer_daseinisation(p, v, loose)
+    for d in (fast, outer_daseinisation_bruteforce(p, v, loose),
+              s_inverse(s_map(fast.matrix, v, loose), v, loose)):
+        assert d.rank == 1
