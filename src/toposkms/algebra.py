@@ -100,6 +100,18 @@ class Context:
     def span_basis(self):
         return [b.matrix for b in self.blocks]
 
+    def block_sum(self, indices) -> np.ndarray:
+        """Dense sum of the blocks with the given indices, in their order."""
+        m = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for i in indices:
+            m = m + self.blocks[i].matrix
+        return m
+
+    def weights(self, m) -> np.ndarray:
+        """Block weights Re tr(m Q_i); for a density matrix, the state on
+        this context (Q_i is Hermitian, so tr(m Q_i) = <Q_i, m>_HS)."""
+        return np.array([np.vdot(b.matrix, m).real for b in self.blocks])
+
     def __repr__(self):
         return f"Context(id={self.id!r}, dim={self.dim}, k={self.k})"
 
@@ -212,19 +224,13 @@ def projection_lattice(v: Context):
     out = []
     for mask in range(1 << v.k):
         indices = frozenset(i for i in range(v.k) if mask & (1 << i))
-        m = np.zeros((v.dim, v.dim), dtype=np.complex128)
-        for i in indices:
-            m = m + v.blocks[i].matrix
-        out.append((indices, m))
+        out.append((indices, v.block_sum(indices)))
     return out
 
 
 def lattice_projection(v: Context, indices,
                        tol: TolerancePolicy = DEFAULT_TOL) -> Projection:
-    m = np.zeros((v.dim, v.dim), dtype=np.complex128)
-    for i in indices:
-        m = m + v.blocks[i].matrix
-    return Projection(m, tol)
+    return Projection(v.block_sum(indices), tol)
 
 
 def algebra_element_coefficients(v: Context, a, tol: TolerancePolicy = DEFAULT_TOL):
@@ -308,10 +314,7 @@ def includes(v_prime: Context, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -
             return False
         assignment[i] = homes[0]
     for j, qp in enumerate(v_prime.blocks):
-        total = np.zeros((v.dim, v.dim), dtype=np.complex128)
-        for i, home in assignment.items():
-            if home == j:
-                total += v.blocks[i].matrix
+        total = v.block_sum([i for i, home in assignment.items() if home == j])
         if frob(total - qp.matrix) > max(tol.eps_order * v.k, tol.eps_order):
             return False
     return True
@@ -412,6 +415,30 @@ class ContextPoset:
                 return v.id
         return None
 
+    def image(self, u, context_id: str, tol: TolerancePolicy | None = None):
+        """Where conjugation by u moves a poset context.
+
+        Returns (target id, relabel): the id of the poset context equal to
+        U V U*, and relabel[i] = the index of the target block nearest to
+        U Q_i U*.  The target id is None when the moved context is not in
+        the poset; relabel is None when it is, but some block has no
+        target block within max(10 eps_order, eps_order).
+        """
+        tol = tol or self.tol
+        v = self.context(context_id)
+        target_id = self.find_equal(apply_automorphism(u, v, tol))
+        if target_id is None:
+            return None, None
+        um = np.asarray(u, dtype=np.complex128)
+        moved = um @ np.array(v.span_basis()) @ dagger(um)
+        targets = np.array(self.context(target_id).span_basis())
+        dists = np.linalg.norm(moved[:, None] - targets[None], axis=(2, 3))
+        relabel = dists.argmin(axis=1)
+        if dists[np.arange(v.k), relabel].max() > max(10 * tol.eps_order,
+                                                      tol.eps_order):
+            return target_id, None
+        return target_id, tuple(int(j) for j in relabel)
+
     def lower_set(self, context_id: str):
         j = self.index_of(context_id)
         return [self.contexts[i].id for i in range(len(self.contexts)) if self.leq[i, j]]
@@ -450,12 +477,7 @@ def _coarse_grainings(v: Context, tol: TolerancePolicy):
             groups.setdefault(g, []).append(i)
         if len(groups) in (1, v.k):
             continue  # trivial algebra, or the context itself
-        blocks = []
-        for g in sorted(groups):
-            m = np.zeros((v.dim, v.dim), dtype=np.complex128)
-            for i in groups[g]:
-                m = m + v.blocks[i].matrix
-            blocks.append(Projection(m, tol))
+        blocks = [Projection(v.block_sum(groups[g]), tol) for g in sorted(groups)]
         out.append(Context(blocks, None, tol))
     return out
 
@@ -493,13 +515,8 @@ def meet_context(v1: Context, v2: Context, tol: TolerancePolicy = DEFAULT_TOL):
         return None
     blocks = []
     for members in comps.values():
-        m = np.zeros((v1.dim, v1.dim), dtype=np.complex128)
-        m2 = np.zeros_like(m)
-        for side, idx in members:
-            if side == 0:
-                m = m + v1.blocks[idx].matrix
-            else:
-                m2 = m2 + v2.blocks[idx].matrix
+        m = v1.block_sum([idx for side, idx in members if side == 0])
+        m2 = v2.block_sum([idx for side, idx in members if side == 1])
         if frob(m - m2) > max(tol.eps_order * (v1.k + v2.k), tol.eps_order):
             return None  # not a common coarse-graining; intersection trivial
         blocks.append(Projection(m, tol))

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    ContextPoset,
-    apply_automorphism,
-    context_from_operators,
-    contexts_equal,
-)
+from .algebra import ContextPoset, context_from_operators, contexts_equal
 from .errors import (
     AmbiguousMatch,
     DomainMismatch,
@@ -34,7 +29,7 @@ from .errors import (
     NotHermitian,
     PosetNotClosed,
 )
-from .measure import State, measure_of
+from .measure import State, measure_of, section_values, weight_sum
 from .numerics import (
     as_complex_matrix,
     dagger,
@@ -46,8 +41,8 @@ from .presheaf import (
     ClopenSubobject,
     SpectralPresheaf,
     complete_downward,
+    dasein_indices,
     enumerate_subobjects,
-    outer_daseinisation,
     pullback,
 )
 from .tolerances import DEFAULT_TOL, TolerancePolicy
@@ -110,38 +105,27 @@ def flow_saturated_family(presheaf: SpectralPresheaf, base_context_id: str,
     """The flow-equivariant sub-object generated by a block set.
 
     Each (t, U) carries the base component to the poset context equal to
-    U V U* through the block correspondence Q_i -> U Q_i U*; the result
-    is completed downward.  Two group elements landing on the same
-    context must induce the same component (checked), and every image
+    U V U* through the block correspondence Q_i -> U Q_i U*
+    (ContextPoset.image); the result is completed downward.  Two group
+    elements landing on the same context must induce the same component
+    (checked), and every image
     must already belong to the poset (PosetNotClosed otherwise).
     """
     tol = tol or presheaf.tol
     poset = presheaf.poset
-    base = poset.context(base_context_id)
     base_indices = frozenset(int(i) for i in base_indices)
     assignments = {}
     seen_from = {}
-    pairs = [(0.0, np.eye(base.dim, dtype=np.complex128))]
-    pairs += [(float(t), np.asarray(u, dtype=np.complex128))
-              for t, u in unitaries]
+    pairs = [(0.0, np.eye(poset.context(base_context_id).dim))]
+    pairs += [(float(t), u) for t, u in unitaries]
     for t, u in pairs:
-        moved = apply_automorphism(u, base, tol)
-        target_id = poset.find_equal(moved)
+        target_id, relabel = poset.image(u, base_context_id, tol)
         if target_id is None:
             raise PosetNotClosed(
                 f"orbit of {base_context_id} leaves the poset at t={t!r}"
             )
-        target = poset.context(target_id)
-        relabel = {}
-        for i, q in enumerate(base.blocks):
-            moved_q = u @ q.matrix @ dagger(u)
-            dists = [frob(moved_q - r.matrix) for r in target.blocks]
-            j = int(np.argmin(dists))
-            if dists[j] > max(10 * tol.eps_order, tol.eps_order):
-                raise PosetNotClosed(
-                    f"block correspondence failed at t={t!r}"
-                )
-            relabel[i] = j
+        if relabel is None:
+            raise PosetNotClosed(f"block correspondence failed at t={t!r}")
         component = frozenset(relabel[i] for i in base_indices)
         if target_id in assignments:
             if assignments[target_id] != component:
@@ -194,12 +178,13 @@ def check_C1(state: State, flow: AutomorphismFlow, subobjects, t_grid,
     """Invariance of the measure under the flow.
 
     For each sub-object S, context V and parameter t the two sides are
-        lhs = tr(rho P_{S_V})        rhs = tr(rho P_{S at alpha_t V}).
-    The flowed component is looked up in the poset when the moved
-    context is present in the domain of S; otherwise, for
-    flow-equivariant families, it is evaluated directly as
-    U_t P_{S_V} U_t*.  When both routes exist they are compared and the
-    gap reported.
+        lhs = tr(rho P_{S_V})        rhs = tr(rho P_{S at alpha_t V}),
+    both block-weight sums.  The flowed component is looked up in the
+    poset ("poset" path) when the moved context is in the domain of S;
+    otherwise, for flow-equivariant families, whose flowed component is
+    U_t P_{S_V} U_t*, rhs = tr(U_t* rho U_t P_{S_V}) ("direct" path).
+    When both routes exist, the Frobenius distance between the two
+    projections is reported as the consistency gap.
     """
     if isinstance(subobjects, ClopenSubobject):
         subobjects = [subobjects]
@@ -208,30 +193,31 @@ def check_C1(state: State, flow: AutomorphismFlow, subobjects, t_grid,
     for sub in subobjects:
         tol_s = tol or sub.presheaf.tol
         poset = sub.presheaf.poset
+        comps = sub.components
+        here = section_values(state.matrix, sub)
         for t in t_grid:
             u = flow.unitary(t)
-            ud = dagger(u)
-            for cid in sub.components:
+            pulled = dagger(u) @ state.matrix @ u
+            for cid in comps:
                 v = poset.context(cid)
-                p_here = sub.projection_at(cid).matrix
-                lhs = float(np.real(np.trace(state.matrix @ p_here)))
-                moved = apply_automorphism(u, v, tol_s)
-                target_id = poset.find_equal(moved)
-                p_direct = (u @ p_here @ ud) if sub.flow_equivariant else None
-                if target_id is not None and target_id in sub.components:
-                    p_moved = sub.projection_at(target_id).matrix
+                target_id, _ = poset.image(u, cid, tol_s)
+                if target_id in comps:
+                    rhs = here[target_id]
                     path = "poset"
-                    if p_direct is not None:
-                        gap = max(gap, frob(p_moved - p_direct))
-                elif p_direct is not None:
-                    p_moved = p_direct
+                    if sub.flow_equivariant:
+                        moved = u @ v.block_sum(comps[cid]) @ dagger(u)
+                        target = poset.context(target_id)
+                        gap = max(gap, frob(target.block_sum(comps[target_id])
+                                            - moved))
+                elif sub.flow_equivariant:
+                    rhs = weight_sum(v.weights(pulled), comps[cid])
                     path = "direct"
                 else:
                     raise PosetNotClosed(
                         f"context {cid} flows out of the domain at t={t!r} "
                         f"and the family is not flow-equivariant"
                     )
-                rhs = float(np.real(np.trace(state.matrix @ p_moved)))
+                lhs = here[cid]
                 entries.append(C1Entry(subobject=sub.name or "S", t=float(t),
                                        context_id=cid, lhs=lhs, rhs=rhs,
                                        path=path))
@@ -379,14 +365,14 @@ class TruthObject:
         self._enumerations = {}
 
     def tau(self, sub: ClopenSubobject, context_id: str) -> float:
-        below = set(self.presheaf.below(context_id))
-        if not below <= sub.domain:
+        below = self.presheaf.below(context_id)
+        if not set(below) <= sub.domain:
             raise DomainMismatch(
                 f"sub-object is not defined on the lower set of {context_id}"
             )
-        section = measure_of(self.state, sub.restricted_to(context_id),
-                             self.tol)
-        return section.minimum()
+        poset = self.presheaf.poset
+        return min(weight_sum(poset.context(c).weights(self.state.matrix),
+                              sub.components[c]) for c in below)
 
     def contains(self, sub: ClopenSubobject, stage: StageVR) -> bool:
         return self.tau(sub, stage.context_id) >= stage.r
@@ -416,10 +402,8 @@ class TwistedTruthObject:
         self.tol = base.tol
 
     def _moved_stage(self, stage: StageVR) -> StageVR:
-        poset = self.presheaf.poset
-        v = poset.context(stage.context_id)
-        moved = apply_automorphism(self.unitary, v, self.tol)
-        target_id = poset.find_equal(moved)
+        target_id, _ = self.presheaf.poset.image(self.unitary,
+                                                 stage.context_id, self.tol)
         if target_id is None:
             raise PosetNotClosed(
                 f"stage context {stage.context_id} flows out of the poset"
@@ -469,21 +453,16 @@ class TruthValue:
 
 def truth_value(state: State, p, context_id: str, r: float,
                 presheaf: SpectralPresheaf,
-                tol: TolerancePolicy | None = None,
-                transport=None) -> TruthValue:
+                tol: TolerancePolicy | None = None) -> TruthValue:
     """Cutoff table of the outer approximation of p on the lower set of
-    the stage context.  `transport`, when given, is applied to the
-    approximating projection before taking the trace (used for flow
-    transport checks)."""
+    the stage context: V' -> min(r, mu of the daseinised blocks at V')."""
     tol = tol or presheaf.tol
     pm = as_complex_matrix(p)
     table = {}
     for cid in presheaf.below(context_id):
         v = presheaf.poset.context(cid)
-        d = outer_daseinisation(pm, v, tol).matrix
-        if transport is not None:
-            d = transport(d)
-        table[cid] = min(float(r), float(np.real(np.trace(state.matrix @ d))))
+        mu = weight_sum(v.weights(state.matrix), dasein_indices(pm, v, tol))
+        table[cid] = min(float(r), mu)
     return TruthValue(context_id=context_id, r=float(r), table=table)
 
 
@@ -510,15 +489,14 @@ def check_truth_value_invariance(state: State, flow: AutomorphismFlow, p,
                                  ) -> TruthInvarianceReport:
     """Compare the cutoff table of p with the table of the flowed
     proposition at the flowed stage, pulled back through the flow: the
-    transported table is V' -> min(r, tr(rho U_t d(p)_{V'} U_t*))."""
+    transported table is V' -> min(r, tr(rho U_t d(p)_{V'} U_t*)), the
+    table of the state U_t* rho U_t."""
     tol = tol or presheaf.tol
     base = truth_value(state, p, context_id, r, presheaf, tol)
     entries = []
     for t in t_grid:
-        u = flow.unitary(t)
-        ud = dagger(u)
-        moved = truth_value(state, p, context_id, r, presheaf, tol,
-                            transport=lambda d: u @ d @ ud)
+        pulled = state.conjugated(dagger(flow.unitary(t)), tol)
+        moved = truth_value(pulled, p, context_id, r, presheaf, tol)
         diffs = {c: abs(base.table[c] - moved.table[c]) for c in base.table}
         worst_ctx = max(diffs, key=diffs.get)
         entries.append(TruthInvarianceEntry(t=float(t),
@@ -734,13 +712,11 @@ def expectation_value(a, state: State, contexts=None,
             break
     if inserted:
         ctx_list = ctx_list + [eigctx]
+    weights = [v.weights(state.matrix) for v in ctx_list]
     total = 0.0
     for eigval, proj in spectral:
-        best = None
-        for v in ctx_list:
-            val = float(np.real(np.trace(
-                state.matrix @ outer_daseinisation(proj, v, tol).matrix)))
-            best = val if best is None else min(best, val)
+        best = min(weight_sum(w, dasein_indices(proj, v, tol))
+                   for v, w in zip(ctx_list, weights))
         total += eigval * best
     return ExpectationResult(value=total, trace_value=trace_value,
                              eigenvalues=[e for e, _ in spectral],

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Context, ContextPoset, apply_automorphism
+from .algebra import Context, ContextPoset
 from .errors import DomainMismatch, NotFaithful, PosetNotClosed
 from .kms_external import AutomorphismFlow, TruthObject
-from .measure import State
+from .measure import State, weight_sum
 from .numerics import dagger, frob, null_space
 from .presheaf import ClopenSubobject
 from .tolerances import DEFAULT_TOL, TolerancePolicy
@@ -222,22 +222,21 @@ def is_faithful_action(group: SampledGroup, context: Context,
 
 def _moved_value(state: State, sub: ClopenSubobject, u, context_id: str,
                  tol: TolerancePolicy) -> float:
-    """tr(rho P_{S at U V U*}), via poset lookup or, for flow-equivariant
-    families, direct conjugation."""
+    """tr(rho P_{S at U V U*}) as a block-weight sum: at the moved context
+    when the poset has it, else, for flow-equivariant families (moved
+    component U P_{S_V} U*), as tr(U* rho U P_{S_V})."""
     poset = sub.presheaf.poset
-    v = poset.context(context_id)
-    moved = apply_automorphism(u, v, tol)
-    target_id = poset.find_equal(moved)
-    if target_id is not None and target_id in sub.components:
-        p = sub.projection_at(target_id).matrix
+    target_id, _ = poset.image(u, context_id, tol)
+    if target_id in sub.components:
+        rho, cid = state.matrix, target_id
     elif sub.flow_equivariant:
-        p = u @ sub.projection_at(context_id).matrix @ dagger(u)
+        rho, cid = dagger(u) @ state.matrix @ u, context_id
     else:
         raise PosetNotClosed(
             f"context {context_id} moves out of the domain and the family "
             f"is not flow-equivariant"
         )
-    return float(np.real(np.trace(state.matrix @ p)))
+    return weight_sum(poset.context(cid).weights(rho), sub.components[cid])
 
 
 @dataclass
@@ -410,8 +409,7 @@ def breve_object(group: SampledGroup, poset: ContextPoset, context_id: str,
     fibers = {}
     for rep in dec.representatives:
         u = group.unitary(rep)
-        moved = apply_automorphism(u, v, tol)
-        fibers[rep] = fiber_fn(rep, u, poset.find_equal(moved))
+        fibers[rep] = fiber_fn(rep, u, poset.image(u, context_id, tol)[0])
     return BreveObject(context_id=context_id, decomposition=dec,
                        fibers=fibers)
 

@@ -2,10 +2,13 @@
 
 A density matrix assigns to each clopen sub-object the global section
 V -> tr(rho * P_{S_V}); these sections are order-reversing because outer
-restriction only grows the supporting projection.  The converse
-direction recovers a density matrix from an abstract measure table by
-least squares over the traceless Hermitian parametrization
-rho = I/n + sum_k c_k B_k.
+restriction only grows the supporting projection.  Every such value is
+read off the block weights of the state, tr(rho P_{S_V}) =
+sum_{i in S_V} tr(rho Q_i), without forming P_{S_V}.  A moved projection
+is handled by moving the state instead, tr(rho U P U*) = tr(U* rho U P),
+and contexts move through ContextPoset.image.  The converse direction
+recovers a density matrix from an abstract measure table by least squares
+over the traceless Hermitian parametrization rho = I/n + sum_k c_k B_k.
 """
 from __future__ import annotations
 
@@ -109,15 +112,25 @@ class GlobalSection:
         return frozenset(self.values.keys())
 
 
+def weight_sum(weights, indices) -> float:
+    """mu(S)(V) from the block weights of V: the sum over S_V in index
+    order."""
+    return float(sum(weights[i] for i in sorted(indices)))
+
+
+def section_values(matrix, sub: ClopenSubobject) -> dict:
+    """V -> sum_{i in S_V} Re tr(matrix Q_i) over the sub-object domain."""
+    poset = sub.presheaf.poset
+    return {cid: weight_sum(poset.context(cid).weights(matrix), comp)
+            for cid, comp in sub.components.items()}
+
+
 def measure_of(state: State, sub: ClopenSubobject,
                tol: TolerancePolicy | None = None) -> GlobalSection:
     """Section V -> tr(rho * P_{S_V}) over the sub-object domain."""
     tol = tol or sub.presheaf.tol
-    values = {}
-    for cid in sub.components:
-        p = sub.projection_at(cid)
-        values[cid] = float(np.real(np.trace(state.matrix @ p.matrix)))
-    return GlobalSection(sub.presheaf.poset, values, tol)
+    return GlobalSection(sub.presheaf.poset,
+                         section_values(state.matrix, sub), tol)
 
 
 @dataclass
@@ -234,35 +247,30 @@ def group_action_check(state: State, flow, sub: ClopenSubobject, t_values,
         lhs = tr(rho * U_t'* P_{S at U_t V U_t*} U_t)
         rhs = tr(U_t rho U_t* * P_{S_V})
     which agree for every sub-object exactly when the state is invariant
-    under the flow.  The component at the moved context is taken from the
-    poset when present, else (for flow-equivariant families) computed
-    directly as U_t P_{S_V} U_t*.
+    under the flow.  Both are block-weight sums of rho_t = U_t rho U_t*:
+    lhs at the moved context when the poset has it, else (for
+    flow-equivariant families, whose moved component is U_t P_{S_V} U_t*)
+    lhs = tr(rho P_{S_V}).
     """
-    from .algebra import apply_automorphism
-
     tol = tol or sub.presheaf.tol
     poset = sub.presheaf.poset
+    here = section_values(state.matrix, sub)
     entries = []
     for t in t_values:
         u = flow.unitary(t) if hasattr(flow, "unitary") else flow(t)
-        ud = dagger(u)
-        rho_t = u @ state.matrix @ ud
+        moved = section_values(u @ state.matrix @ dagger(u), sub)
         for cid in sub.components:
-            v = poset.context(cid)
-            p_here = sub.projection_at(cid).matrix
-            moved = apply_automorphism(u, v, tol)
-            target_id = poset.find_equal(moved)
-            if target_id is not None and target_id in sub.components:
-                p_moved = sub.projection_at(target_id).matrix
+            target_id, _ = poset.image(u, cid, tol)
+            if target_id in sub.components:
+                lhs = moved[target_id]
             elif sub.flow_equivariant:
-                p_moved = u @ p_here @ ud
+                lhs = here[cid]
             else:
                 raise PosetNotClosed(
                     f"moved context of {cid} at t={t!r} absent and the "
                     f"sub-object is not flow-equivariant"
                 )
-            lhs = float(np.real(np.trace(state.matrix @ ud @ p_moved @ u)))
-            rhs = float(np.real(np.trace(rho_t @ p_here)))
+            rhs = moved[cid]
             entries.append(GroupActionEntry(t=float(t), context_id=cid,
                                             lhs=lhs, rhs=rhs))
     worst = max((e.residual for e in entries), default=0.0)
@@ -343,11 +351,10 @@ def measure_table_of_state(state: State, poset: ContextPoset,
     context, value tr(rho * P_subset)."""
     table = {}
     for v in poset.contexts:
+        weights = v.weights(state.matrix)
         for mask in range(1 << v.k):
             subset = frozenset(i for i in range(v.k) if mask & (1 << i))
-            p = s_inverse(subset, v, tol)
-            table[(v.id, subset)] = float(
-                np.real(np.trace(state.matrix @ p.matrix)))
+            table[(v.id, subset)] = weight_sum(weights, subset)
     return AbstractMeasure(poset, table, tol)
 
 

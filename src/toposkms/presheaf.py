@@ -5,20 +5,25 @@ per minimal projection.  For V' <= V the restriction map sends the
 character of a V-block to the character of the unique V'-block above it.
 
 A clopen sub-object picks one subset of characters per context, closed
-under restriction.  The lattice isomorphism between P(V) and the clopen
-subsets at V sends a lattice projection P to {lambda : lambda(P) = 1} and
-a subset S back to the block sum over S.
+under restriction.  That set of block indices is the only form measure
+code reads: mu(S)(V) is a sum of block weights over S_V, and no matrix is
+formed.  The lattice isomorphism between P(V) and the clopen subsets at V
+sends a lattice projection P to {lambda : lambda(P) = 1} and a subset S
+back to the block sum over S; that dense sum is built only where a matrix
+is needed (C2, reconstruction, daseinisation output).
 
 Outer daseinisation approximates an arbitrary projection from above
 inside a context: the smallest lattice element dominating it.  The fast
 form keeps exactly the blocks with non-zero overlap; a brute-force 2^k
 scan is provided as an independent oracle.
+
+A unitary moves contexts through ContextPoset.image, which finds the
+moved context in the poset and the block correspondence; pullback reads
+components through that correspondence.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .algebra import (
     Context,
@@ -34,7 +39,7 @@ from .errors import (
     NotInLattice,
     PosetNotClosed,
 )
-from .numerics import Projection, as_matrix, dagger, frob, proj_leq
+from .numerics import Projection, as_matrix, frob, proj_leq
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 
@@ -89,10 +94,8 @@ def s_map(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> frozenset:
     """
     pm = as_matrix(p)
     indices = frozenset(i for i, q in enumerate(v.blocks) if proj_leq(q, pm, tol))
-    recon = np.zeros((v.dim, v.dim), dtype=np.complex128)
-    for i in indices:
-        recon = recon + v.blocks[i].matrix
-    if frob(recon - pm) > max(tol.eps_order * max(1, v.k), tol.eps_order):
+    gap = frob(v.block_sum(indices) - pm)
+    if gap > max(tol.eps_order * max(1, v.k), tol.eps_order):
         raise NotInLattice("projection is not an element of the context lattice")
     return indices
 
@@ -103,17 +106,22 @@ def s_inverse(indices, v: Context,
     return lattice_projection(v, indices, tol)
 
 
-def outer_daseinisation(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> Projection:
-    """Smallest lattice element of V dominating p.
+def dasein_indices(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> tuple:
+    """Blocks of the outer daseinisation of p at V, in index order.
 
     A block participates iff it overlaps p (||Q_i p||_F > eps_order):
     dropping any overlapping block breaks domination, and the overlapping
     sum already dominates.
     """
     pm = as_matrix(p)
-    keep = [i for i, q in enumerate(v.blocks)
-            if frob(q.matrix @ pm) > tol.eps_order]
-    return lattice_projection(v, keep, tol)
+    return tuple(i for i, q in enumerate(v.blocks)
+                 if frob(q.matrix @ pm) > tol.eps_order)
+
+
+def outer_daseinisation(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> Projection:
+    """Smallest lattice element of V dominating p: the block sum over
+    dasein_indices(p, V)."""
+    return lattice_projection(v, dasein_indices(p, v, tol), tol)
 
 
 def outer_daseinisation_bruteforce(p, v: Context,
@@ -240,12 +248,10 @@ def complete_downward(presheaf: SpectralPresheaf, assignments: dict,
 
 def daseinisation_subobject(p, presheaf: SpectralPresheaf, name: str = "",
                             tol: TolerancePolicy | None = None) -> ClopenSubobject:
-    """Global sub-object V -> s_map(outer daseinisation of p at V)."""
+    """Global sub-object V -> blocks of the outer daseinisation of p at V."""
     tol = tol or presheaf.tol
-    comps = {}
-    for v in presheaf.poset.contexts:
-        d = outer_daseinisation(p, v, tol)
-        comps[v.id] = s_map(d.matrix, v, tol)
+    comps = {v.id: frozenset(dasein_indices(p, v, tol))
+             for v in presheaf.poset.contexts}
     return ClopenSubobject(presheaf, comps, name=name)
 
 
@@ -368,43 +374,25 @@ def pullback(u, s: ClopenSubobject, tol: TolerancePolicy | None = None,
 
     The component at V is the component of s at the poset context equal
     to U V U*, relabeled through the block correspondence
-    Q_i -> U Q_i U*.  Every image context must lie in the domain of s
-    (PosetNotClosed otherwise).  By default the result lives on the
-    domain of s itself (appropriate for flow-closed domains); pass
-    `domain` to pull back onto a different lower set.
+    Q_i -> U Q_i U* (ContextPoset.image).  Every image context must lie
+    in the domain of s (PosetNotClosed otherwise).  By default the result
+    lives on the domain of s itself (appropriate for flow-closed domains);
+    pass `domain` to pull back onto a different lower set.
     """
-    from .algebra import apply_automorphism  # local import, no cycle
-
     ph = s.presheaf
     tol = tol or ph.tol
-    poset = ph.poset
     comps = {}
-    um = np.asarray(u, dtype=np.complex128)
     for cid in (domain if domain is not None else s.components):
-        v = poset.context(cid)
-        moved = apply_automorphism(um, v, tol)
-        target_id = poset.find_equal(moved)
-        if target_id is None or target_id not in s.components:
+        target_id, relabel = ph.poset.image(u, cid, tol)
+        if target_id not in s.components:
             raise PosetNotClosed(
                 f"image of {cid} under the automorphism is not in the domain"
             )
-        target = poset.context(target_id)
-        # correspondence: block i of v -> index of U Q_i U* among target blocks
-        relabel = {}
-        for i, q in enumerate(v.blocks):
-            moved_q = um @ q.matrix @ dagger(um)
-            best, best_d = None, None
-            for j, r in enumerate(target.blocks):
-                d = frob(moved_q - r.matrix)
-                if best_d is None or d < best_d:
-                    best, best_d = j, d
-            if best_d > max(tol.eps_order * 10, tol.eps_order):
-                raise PosetNotClosed(
-                    f"block correspondence failed between {cid} and {target_id}"
-                )
-            relabel[i] = best
-        comps[cid] = frozenset(
-            i for i in range(v.k) if relabel[i] in s.components[target_id]
-        )
+        if relabel is None:
+            raise PosetNotClosed(
+                f"block correspondence failed between {cid} and {target_id}"
+            )
+        comps[cid] = frozenset(i for i, j in enumerate(relabel)
+                               if j in s.components[target_id])
     return ClopenSubobject(ph, comps, name=name or f"pullback({s.name})",
                            flow_equivariant=s.flow_equivariant)

@@ -216,3 +216,27 @@ def test_underdetermined_reconstruction_is_informational(scenario_dir,
     rec = [e for e in doc["entries"] if e["check"] == "reconstruction"]
     assert any(e["verdict"] == "info" and "underdetermined" in e["location"]
                for e in rec)
+
+
+@pytest.mark.parametrize("broken", ["non-transitive", "non-antisymmetric"])
+def test_poset_suite_fails_on_a_broken_order(scenario_dir, broken):
+    from toposkms.cli import run_poset
+    from toposkms.reports import FAIL, Report
+    from toposkms.scenario import load_scenario
+
+    scn = load_scenario(scenario_dir / "example_c3.json")
+    leq = scn.poset.leq.copy()
+    # contexts comparable to nothing but themselves
+    a, b, c = [i for i in range(len(leq))
+               if leq[i].sum() == 1 and leq[:, i].sum() == 1][:3]
+    if broken == "non-transitive":
+        leq[a, b] = leq[b, c] = True     # a <= b <= c, but not a <= c
+    else:
+        leq[a, b] = leq[b, a] = True     # a <= b <= a with a != b
+    scn.poset.leq = leq
+    rep, outcomes = Report(), {}
+    run_poset(scn, rep, outcomes)
+    row = rep.entries[-1]
+    assert row.location.startswith("order axioms")
+    assert (row.lhs, row.residual, row.verdict) == (False, 1.0, FAIL)
+    assert outcomes["poset"] is False

@@ -3,8 +3,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from toposkms.algebra import build_poset, context_from_operators
-from toposkms.errors import Infeasible, InconsistentTable, NotAState, NotAdditive
+from toposkms.algebra import (
+    Context,
+    apply_automorphism,
+    build_poset,
+    context_from_operators,
+)
+from toposkms.errors import (
+    Infeasible,
+    InconsistentTable,
+    NotAState,
+    NotAdditive,
+    PosetNotClosed,
+)
+from toposkms.kms_external import check_C1
+from toposkms.kms_internal import SampledGroup, check_internal_C1
 from toposkms.measure import (
     AbstractMeasure,
     State,
@@ -13,18 +26,24 @@ from toposkms.measure import (
     measure_table_of_state,
     state_from_measure,
     verify_measure_properties,
+    weight_sum,
 )
+from toposkms.numerics import frob
 from toposkms.presheaf import (
+    ClopenSubobject,
+    SpectralPresheaf,
     complete_downward,
     daseinisation_subobject,
     empty_subobject,
     full_subobject,
     heyting_negation,
+    s_inverse,
     subobject_join,
 )
 
 from conftest import (
     GIBBS_MU_S1,
+    GRID5,
     build_c3,
     diagonal_context,
     random_density,
@@ -191,3 +210,136 @@ def test_infeasible_table_detected():
         table[(cid, frozenset({0, 1}))] = 1.0
     with pytest.raises(Infeasible):
         state_from_measure(AbstractMeasure(poset, table))
+
+
+# --------------------------------------------------------------------------
+# block-weight measures against dense products rho . P
+
+
+def _random_state(rng, n, rank):
+    g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    m = g @ g.conj().T
+    return State(m / np.trace(m).real)
+
+
+def _random_context(rng, n, k):
+    """k blocks spanned by a random partition of a random unitary's columns."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    cols = rng.permutation(n)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False))
+    return Context([q[:, part] @ q[:, part].conj().T
+                    for part in np.split(cols, cuts)], "V")
+
+
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       faithful=st.booleans())
+def test_block_weight_measure_matches_dense_oracle(n, seed, faithful):
+    rng = np.random.default_rng(seed)
+    state = _random_state(rng, n, n if faithful else int(rng.integers(1, n)))
+    v = _random_context(rng, n, int(rng.integers(2, n + 1)))
+    poset = build_poset([v])
+    psh = SpectralPresheaf(poset)
+    table = measure_table_of_state(state, poset).table
+    for mask in range(1 << v.k):
+        subset = frozenset(i for i in range(v.k) if mask & (1 << i))
+        dense = np.trace(state.matrix @ s_inverse(subset, v).matrix).real
+        sub = ClopenSubobject(psh, {"V": subset})
+        assert abs(weight_sum(v.weights(state.matrix), subset) - dense) <= 1e-12
+        assert abs(measure_of(state, sub).values["V"] - dense) <= 1e-12
+        assert abs(table[("V", subset)] - dense) <= 1e-12
+
+
+def _dense(sub, cid):
+    return s_inverse(sub.components[cid], sub.presheaf.poset.context(cid)).matrix
+
+
+def _moved_dense(sub, u, cid):
+    """(path, P_{S at U V U*}) as the dense matrix products would take it:
+    the poset component when the moved context is in the domain, else
+    U P_{S_V} U* for flow-equivariant families."""
+    poset = sub.presheaf.poset
+    target = poset.find_equal(apply_automorphism(u, poset.context(cid)))
+    if target in sub.components:
+        return "poset", _dense(sub, target)
+    if sub.flow_equivariant:
+        return "direct", u @ _dense(sub, cid) @ u.conj().T
+    raise PosetNotClosed(cid)
+
+
+def _tr(a, b):
+    return np.trace(a @ b).real
+
+
+def _c1_oracle(state, flow, sub, t_grid):
+    rows, gap = [], 0.0
+    for t in t_grid:
+        u = flow.unitary(t)
+        for cid in sub.components:
+            path, p_moved = _moved_dense(sub, u, cid)
+            p_here = _dense(sub, cid)
+            if path == "poset" and sub.flow_equivariant:
+                gap = max(gap, frob(p_moved - u @ p_here @ u.conj().T))
+            rows.append((float(t), cid, path, _tr(state.matrix, p_here),
+                         _tr(state.matrix, p_moved)))
+    return rows, gap
+
+
+def _group_action_oracle(state, flow, sub, t_grid):
+    rows = []
+    for t in t_grid:
+        u = flow.unitary(t)
+        rho_t = u @ state.matrix @ u.conj().T
+        for cid in sub.components:
+            _, p_moved = _moved_dense(sub, u, cid)
+            rows.append((_tr(state.matrix, u.conj().T @ p_moved @ u),
+                         _tr(rho_t, _dense(sub, cid))))
+    return rows
+
+
+def _internal_c1_oracle(state, sub, group):
+    return [[_tr(state.matrix, _moved_dense(sub, u, cid)[1])
+             for _, u in group.real_unitaries()]
+            for cid in sorted(sub.components)]
+
+
+@pytest.mark.parametrize("fixture", ["c3_gibbs", "c3_pure"])
+def test_flow_checks_match_dense_oracle(fixture, request):
+    c3 = request.getfixturevalue(fixture)
+    # off-grid parameters take the "direct" path, group samples the "poset" one
+    t_grid = list(c3.t_grid) + list(GRID5)
+    off_grid = SampledGroup(c3.flow, [0.0, 0.5, 1.0], validate=False)
+    paths = set()
+    for sub in c3.subs.values():
+        rep = check_C1(c3.state, c3.flow, sub, t_grid)
+        rows, gap = _c1_oracle(c3.state, c3.flow, sub, t_grid)
+        assert len(rep.entries) == len(rows)
+        for e, (t, cid, path, lhs, rhs) in zip(rep.entries, rows):
+            assert (e.t, e.context_id, e.path) == (t, cid, path)
+            assert abs(e.lhs - lhs) <= 1e-12 and abs(e.rhs - rhs) <= 1e-12
+        assert abs(rep.consistency_gap - gap) <= 1e-12
+        paths.update(e.path for e in rep.entries)
+
+        grep = group_action_check(c3.state, c3.flow, sub, t_grid)
+        want = _group_action_oracle(c3.state, c3.flow, sub, t_grid)
+        for e, (lhs, rhs) in zip(grep.entries, want, strict=True):
+            assert abs(e.lhs - lhs) <= 1e-12 and abs(e.rhs - rhs) <= 1e-12
+
+        for group in (c3.group, off_grid):
+            irep = check_internal_C1(c3.state, sub, group)
+            want = _internal_c1_oracle(c3.state, sub, group)
+            for e, vals in zip(irep.entries, want, strict=True):
+                got = [e.values[t] for t, _ in group.real_unitaries()]
+                assert np.max(np.abs(np.subtract(got, vals))) <= 1e-12
+    assert paths == {"poset", "direct"}
+
+    # a family that is not flow-equivariant and leaves its domain
+    local = complete_downward(c3.presheaf, {"Vex": {0}}, name="L")
+    for run in (lambda: check_C1(c3.state, c3.flow, local, t_grid),
+                lambda: _c1_oracle(c3.state, c3.flow, local, t_grid),
+                lambda: group_action_check(c3.state, c3.flow, local, t_grid),
+                lambda: _group_action_oracle(c3.state, c3.flow, local,
+                                             t_grid),
+                lambda: check_internal_C1(c3.state, local, c3.group),
+                lambda: _internal_c1_oracle(c3.state, local, c3.group)):
+        with pytest.raises(PosetNotClosed):
+            run()

@@ -70,10 +70,14 @@ def test_tomita_residuals(rng):
 def test_tomita_structural_identities():
     data = tomita_operators(gibbs_state(np.diag([0.0, 1.0, 2.0]), 1.0))
     n2 = data.dim ** 2
-    s_mat, j_mat = data.s, data.j
-    # Delta = S* S and S = J Delta^(1/2), acting antilinearly
-    delta_from_s = dagger(s_mat.m).conj() @ s_mat.m  # wrong on purpose?
     assert data.delta.shape == (n2, n2)
+    # Delta = S* S: the composite of two antilinear maps is linear.  S is
+    # real for this diagonal state, so a complex state is checked as well,
+    # where S^T S differs from S* S.
+    complex_data = tomita_operators(State(random_density(
+        np.random.default_rng(1), 3)))
+    for d in (data, complex_data):
+        assert frob(d.delta - d.s.adjoint().after_antilinear(d.s)) <= 1e-10
     # check via the operator identities instead of raw matrices
     assert data.residuals["polar"] <= 1e-12
     assert data.residuals["s_squared"] <= 1e-12
