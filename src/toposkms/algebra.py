@@ -9,7 +9,19 @@ block of V' is a sum of blocks of V.
 build_poset grows a finite poset from seed contexts by three optional
 closures: downward closure (all coarse-grainings), meet closure (pairwise
 algebra intersections) and group closure (images under a sampled
-one-parameter unitary group).
+one-parameter unitary group).  Candidates are deduplicated through a
+ContextIndex, which compares a candidate only with the contexts of the
+same signature (dimension, block count, ranks), in index order.
+
+ContextPoset computes the order and the restriction tables once.  For
+each context V, one matrix product of V's flattened blocks with every
+block of its dimension gives tr Q - Re<Q, Q'>, which equals
+||(1 - Q')Q||_F^2 for projections; a pair of blocks where it exceeds
+eps_order^2 by more than a slack measured on the blocks cannot pass
+proj_leq.  Only contexts V' in which every block of V keeps
+a candidate home get the exact test, block_map, which is also behind
+includes and coarse_graining_map; its block maps are stored as
+ContextPoset.block_maps and read by the spectral presheaf.
 """
 from __future__ import annotations
 
@@ -303,36 +315,44 @@ def bicommutant_check(v: Context, tol: TolerancePolicy = DEFAULT_TOL):
     return ok, len(comm)
 
 
-def includes(v_prime: Context, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """True iff V' is a sub-algebra of V (every V'-block sums V-blocks)."""
+def block_map(v_prime: Context, v: Context, tol: TolerancePolicy = DEFAULT_TOL):
+    """Map block-index of V -> block-index of V' when V' <= V, else None.
+
+    Exact: every V-block needs exactly one V'-block above it (proj_leq),
+    and every V'-block must equal the sum of the V-blocks sent to it.
+    """
     if v_prime.dim != v.dim:
         raise DimMismatch("contexts live in different dimensions")
-    assignment = {}
-    for i, q in enumerate(v.blocks):
+    out = []
+    for q in v.blocks:
         homes = [j for j, qp in enumerate(v_prime.blocks) if proj_leq(q, qp, tol)]
         if len(homes) != 1:
-            return False
-        assignment[i] = homes[0]
+            return None
+        out.append(homes[0])
     for j, qp in enumerate(v_prime.blocks):
-        total = v.block_sum([i for i, home in assignment.items() if home == j])
+        total = v.block_sum([i for i, home in enumerate(out) if home == j])
         if frob(total - qp.matrix) > max(tol.eps_order * v.k, tol.eps_order):
-            return False
-    return True
+            return None
+    return tuple(out)
+
+
+def includes(v_prime: Context, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+    """True iff V' is a sub-algebra of V (every V'-block sums V-blocks).
+
+    With coarse_graining_map, the per-pair form of the order that
+    ContextPoset computes in bulk; tests compare the two.
+    """
+    return block_map(v_prime, v, tol) is not None
 
 
 def coarse_graining_map(v: Context, v_prime: Context,
                         tol: TolerancePolicy = DEFAULT_TOL):
     """Map block-index of V -> block-index of V' (V' <= V). NotIncluded if
     the contexts are not comparable."""
-    if not includes(v_prime, v, tol):
+    out = block_map(v_prime, v, tol)
+    if out is None:
         raise NotIncluded(f"{v_prime.id} is not a coarse-graining of {v.id}")
-    out = []
-    for q in v.blocks:
-        for j, qp in enumerate(v_prime.blocks):
-            if proj_leq(q, qp, tol):
-                out.append(j)
-                break
-    return tuple(out)
+    return out
 
 
 def apply_automorphism(u, v: Context, tol: TolerancePolicy = DEFAULT_TOL,
@@ -361,18 +381,74 @@ def _set_partitions(k: int):
     yield from gen(1, 0) if k > 0 else iter(())
 
 
+class ContextIndex:
+    """Contexts in insertion order, bucketed by Context.signature().
+
+    find scans only the candidate's bucket, in index order, so it returns
+    the first index a linear contexts_equal scan would (contexts with
+    different signatures are never equal).
+    """
+
+    def __init__(self, tol: TolerancePolicy = DEFAULT_TOL, contexts=()):
+        self.tol = tol
+        self.contexts = []
+        self.buckets = {}
+        for v in contexts:
+            self.append(v)
+
+    def find(self, candidate: Context) -> int | None:
+        for i in self.buckets.get(candidate.signature(), ()):
+            if contexts_equal(self.contexts[i], candidate, self.tol):
+                return i
+        return None
+
+    def append(self, v: Context) -> int:
+        self.buckets.setdefault(v.signature(), []).append(len(self.contexts))
+        self.contexts.append(v)
+        return len(self.contexts) - 1
+
+
+def _order_slack(mats) -> float:
+    """Bound on |(tr Q - Re<Q, Q'>) - ||(1 - Q')Q||_F^2| over all pairs of
+    the given n x n blocks.
+
+    The two sides are equal for exact projections.  With h and e the
+    largest ||Q - Q*||_F and ||Q^2 - Q||_F among the blocks, expanding
+    ||(1 - Q')Q||^2 leaves four remainder traces, at most sqrt(n) h,
+    sqrt(n) e, sqrt(n) h and sqrt(n) (h + e).  The bound doubles their
+    sum (norm factors of 1 + O(h + e)) and adds n^2 1e-14 for rounding.
+    """
+    n = mats[0].shape[0]
+    h = max(frob(m - dagger(m)) for m in mats)
+    e = max(frob(m @ m - m) for m in mats)
+    return 2.0 * np.sqrt(n) * (3.0 * h + 2.0 * e) + n * n * 1e-14
+
+
 class ContextPoset:
     """A finite poset of contexts with the inclusion order precomputed.
 
     leq[i, j] is True iff contexts[i] <= contexts[j] (i is a
-    coarse-graining of j).  hasse lists cover pairs (child, parent).
-    orbit_provenance maps a context index added by group closure to
-    (t, base_index).
+    coarse-graining of j); block_maps[i, j] is then the map from block
+    indices of j to block indices of i (the restriction table).
+    strict_pairs is the (m, 2) array of the pairs (i, j), i != j, with
+    leq[i, j], in row-major order.  orbit_provenance maps a context index
+    added by group closure to (t, base_index).  leq and the tables are
+    fixed at construction.
+
+    The order is computed per context V: one product of V's flattened
+    blocks with the blocks of every context of V's dimension gives
+    d = tr Q - Re<Q, Q'> for each pair of blocks.  For projections d is
+    ||(1 - Q')Q||_F^2 up to a slack measured on the blocks (_order_slack),
+    so a pair with d > eps_order^2 + slack fails proj_leq and Q' cannot
+    be Q's home.  Only contexts V' in which every block of V keeps a
+    candidate home go to the exact check (block_map), so leq equals
+    all-pairs includes.
     """
 
     def __init__(self, contexts, tol: TolerancePolicy = DEFAULT_TOL,
                  closure_flags=None, orbit_provenance=None):
-        self.contexts = list(contexts)
+        self._index = ContextIndex(tol, contexts)
+        self.contexts = self._index.contexts
         self.tol = tol
         self.by_id = {v.id: i for i, v in enumerate(self.contexts)}
         if len(self.by_id) != len(self.contexts):
@@ -380,22 +456,37 @@ class ContextPoset:
         self.closure_flags = dict(closure_flags or {})
         self.orbit_provenance = dict(orbit_provenance or {})
         n = len(self.contexts)
-        leq = np.zeros((n, n), dtype=bool)
-        for i, vi in enumerate(self.contexts):
-            for j, vj in enumerate(self.contexts):
-                if i == j:
-                    leq[i, j] = True
-                elif vi.dim == vj.dim and vi.k <= vj.k:
-                    leq[i, j] = includes(vi, vj, tol)
-        self.leq = leq
-        self.hasse = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not leq[i, j]:
-                    continue
-                if any(leq[i, m] and leq[m, j] and m not in (i, j) for m in range(n)):
-                    continue
-                self.hasse.append((i, j))
+        self.leq = np.eye(n, dtype=bool)
+        self.block_maps = {}
+        by_dim = {}
+        for i, v in enumerate(self.contexts):
+            by_dim.setdefault(v.dim, []).append(i)
+        for members in by_dim.values():
+            self._order_within(members)
+        self.strict_pairs = np.argwhere(self.leq & ~np.eye(n, dtype=bool))
+
+    def _order_within(self, members) -> None:
+        """Fill leq and block_maps among the contexts of one dimension."""
+        ctxs = [self.contexts[i] for i in members]
+        ks = np.array([v.k for v in ctxs])
+        starts = np.concatenate(([0], np.cumsum(ks)[:-1]))
+        mats = [b.matrix for v in ctxs for b in v.blocks]
+        traces = np.array([m.trace().real for m in mats])
+        bound = self.tol.eps_order ** 2 + _order_slack(mats)
+        # real and imaginary parts side by side: Re<Q, Q'> is a real dot
+        flat = np.array([m.reshape(-1) for m in mats]).view(np.float64)
+        for b, j in enumerate(members):
+            rows = slice(starts[b], starts[b] + ks[b])
+            d = traces[rows, None] - flat[rows] @ flat.T
+            homes = np.logical_or.reduceat(d <= bound, starts, axis=1)
+            cand = homes.all(axis=0) & (ks <= ks[b])
+            cand[b] = False
+            for a in np.flatnonzero(cand):
+                i = members[a]
+                m = block_map(self.contexts[i], self.contexts[j], self.tol)
+                if m is not None:
+                    self.leq[i, j] = True
+                    self.block_maps[i, j] = m
 
     def __len__(self):
         return len(self.contexts)
@@ -410,10 +501,8 @@ class ContextPoset:
 
     def find_equal(self, candidate: Context) -> str | None:
         """Id of a poset context equal to the candidate, or None."""
-        for v in self.contexts:
-            if contexts_equal(v, candidate, self.tol):
-                return v.id
-        return None
+        i = self._index.find(candidate)
+        return None if i is None else self.contexts[i].id
 
     def image(self, u, context_id: str, tol: TolerancePolicy | None = None):
         """Where conjugation by u moves a poset context.
@@ -441,30 +530,21 @@ class ContextPoset:
 
     def lower_set(self, context_id: str):
         j = self.index_of(context_id)
-        return [self.contexts[i].id for i in range(len(self.contexts)) if self.leq[i, j]]
+        return [self.contexts[i].id for i in np.flatnonzero(self.leq[:, j])]
 
     def is_lower_set(self, ids) -> bool:
-        idx = {self.index_of(c) for c in ids}
-        for j in idx:
-            for i in range(len(self.contexts)):
-                if self.leq[i, j] and i not in idx:
-                    return False
-        return True
+        inside = np.zeros(len(self.contexts), dtype=bool)
+        inside[[self.index_of(c) for c in ids]] = True
+        return not (self.leq[:, inside].any(axis=1) & ~inside).any()
 
     def comparable_pairs(self):
-        """(smaller_id, larger_id) for every strict inclusion."""
-        n = len(self.contexts)
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.leq[i, j]:
-                    out.append((self.contexts[i].id, self.contexts[j].id))
-        return out
+        """(smaller_id, larger_id) for every strict inclusion, row-major."""
+        return [(self.contexts[i].id, self.contexts[j].id)
+                for i, j in self.strict_pairs.tolist()]
 
     def maximal_ids(self):
-        n = len(self.contexts)
-        return [self.contexts[i].id for i in range(n)
-                if not any(self.leq[i, j] for j in range(n) if j != i)]
+        above = self.leq.sum(axis=1) - self.leq.diagonal()
+        return [self.contexts[i].id for i in np.flatnonzero(above == 0)]
 
 
 def _coarse_grainings(v: Context, tol: TolerancePolicy):
@@ -534,21 +614,22 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
     closure sweeps (needed for non-closing sample grids).  Exceeding
     max_contexts raises PosetTooLarge.
     """
-    contexts: list[Context] = []
+    index = ContextIndex(tol)
+    contexts = index.contexts
     provenance = {}
 
     def add(candidate: Context, prov=None) -> int:
-        for i, v in enumerate(contexts):
-            if contexts_equal(v, candidate, tol):
-                return i
+        found = index.find(candidate)
+        if found is not None:
+            return found
         if len(contexts) >= max_contexts:
             raise PosetTooLarge(
                 f"poset exceeded max_contexts={max_contexts} during closure"
             )
-        contexts.append(candidate)
+        i = index.append(candidate)
         if prov is not None:
-            provenance[len(contexts) - 1] = prov
-        return len(contexts) - 1
+            provenance[i] = prov
+        return i
 
     for s in seeds:
         add(s)

@@ -93,14 +93,20 @@ class GlobalSection:
     tol: TolerancePolicy = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
-        for small_id, large_id in self.poset.comparable_pairs():
-            if small_id in self.values and large_id in self.values:
-                lo, hi = self.values[large_id], self.values[small_id]
-                if hi < lo - self.tol.eps_measure:
-                    raise PosetNotClosed(
-                        f"section increases from {small_id} to {large_id}: "
-                        f"{hi!r} < {lo!r}"
-                    )
+        # NaN marks contexts outside the domain; comparisons with it fail
+        vals = np.full(len(self.poset), np.nan)
+        for cid, x in self.values.items():
+            if cid in self.poset.by_id:
+                vals[self.poset.by_id[cid]] = x
+        pairs = self.poset.strict_pairs
+        bad = vals[pairs[:, 0]] < vals[pairs[:, 1]] - self.tol.eps_measure
+        if bad.any():
+            small_id, large_id = self.poset.comparable_pairs()[int(bad.argmax())]
+            lo, hi = self.values[large_id], self.values[small_id]
+            raise PosetNotClosed(
+                f"section increases from {small_id} to {large_id}: "
+                f"{hi!r} < {lo!r}"
+            )
 
     def __getitem__(self, context_id: str) -> float:
         return self.values[context_id]

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from .algebra import (
     Context,
     ContextPoset,
-    coarse_graining_map,
     lattice_projection,
     projection_lattice,
 )
@@ -49,34 +48,30 @@ class SpectralPresheaf:
     def __init__(self, poset: ContextPoset):
         self.poset = poset
         self.tol = poset.tol
-        # restriction[(larger_id, smaller_id)] : tuple, V-block -> V'-block
-        self.restriction = {}
-        for small_id, large_id in poset.comparable_pairs():
-            small = poset.context(small_id)
-            large = poset.context(large_id)
-            self.restriction[(large_id, small_id)] = coarse_graining_map(
-                large, small, self.tol
-            )
 
     def spectrum_size(self, context_id: str) -> int:
         return self.poset.context(context_id).k
+
+    def restriction(self, large_id: str, small_id: str) -> tuple:
+        """Restriction table V-block -> V'-block for V' < V, read from the
+        poset's block maps."""
+        by_id = self.poset.by_id
+        table = self.poset.block_maps.get((by_id.get(small_id), by_id.get(large_id)))
+        if table is None:
+            raise DomainMismatch(f"{small_id} is not below {large_id}")
+        return table
 
     def restrict(self, large_id: str, small_id: str, indices: frozenset) -> frozenset:
         """Image of a character subset of V under restriction to V' <= V."""
         if large_id == small_id:
             return frozenset(indices)
-        table = self.restriction.get((large_id, small_id))
-        if table is None:
-            raise DomainMismatch(f"{small_id} is not below {large_id}")
+        table = self.restriction(large_id, small_id)
         return frozenset(table[i] for i in indices)
 
     def restrict_character(self, large_id: str, small_id: str, index: int) -> int:
         if large_id == small_id:
             return index
-        table = self.restriction.get((large_id, small_id))
-        if table is None:
-            raise DomainMismatch(f"{small_id} is not below {large_id}")
-        return table[index]
+        return self.restriction(large_id, small_id)[index]
 
     def below(self, context_id: str):
         return self.poset.lower_set(context_id)

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from toposkms.algebra import (
     Context,
+    ContextIndex,
+    ContextPoset,
     algebra_element_coefficients,
     apply_automorphism,
     bicommutant_check,
@@ -31,6 +33,8 @@ from toposkms.errors import (
 from toposkms.kms_external import AutomorphismFlow
 from toposkms.kms_internal import SampledGroup
 from toposkms.numerics import frob
+from toposkms.presheaf import SpectralPresheaf
+from toposkms.tolerances import DEFAULT_TOL
 
 from conftest import P12SYM, diagonal_context
 
@@ -236,3 +240,122 @@ def test_random_two_block_contexts_compare_consistently(seed):
     # diagonal one, but both relations can never hold simultaneously
     assert not (includes(w, v) and includes(v, w))
     assert contexts_equal(v, v)
+
+
+def _rotated_partition(u, groups, context_id, tol):
+    """Context whose blocks are U diag(1_g) U* for the index groups g."""
+    n = u.shape[0]
+    blocks = []
+    for g in groups:
+        cols = u[:, sorted(g)]
+        blocks.append(cols @ cols.conj().T)
+    return Context(blocks, context_id, tol)
+
+
+def _random_unitary(rng, n):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, _ = np.linalg.qr(g)
+    return q
+
+
+def _nudged(v, rng, distance, context_id, tol):
+    """Copy of v rotated by exp(i s K), s chosen so that the largest block
+    moves by `distance` in Frobenius norm (first order in s)."""
+    k = rng.normal(size=(v.dim, v.dim)) + 1j * rng.normal(size=(v.dim, v.dim))
+    w, vecs = np.linalg.eigh((k + k.conj().T) / 2)
+
+    def moved(s):
+        u = (vecs * np.exp(1j * s * w)) @ vecs.conj().T
+        return [u @ b.matrix @ u.conj().T for b in v.blocks]
+
+    unit = max(frob(m - b.matrix) for m, b in zip(moved(1e-4), v.blocks)) / 1e-4
+    return Context(moved(distance / unit), context_id, tol)
+
+
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       eps_order=st.sampled_from([DEFAULT_TOL.eps_order, 1e-3]))
+def test_filtered_order_matches_all_pairs_includes(n, seed, eps_order):
+    """leq, block_maps, the restriction tables and bucketed lookup equal
+    all-pairs includes / coarse_graining_map and a linear contexts_equal
+    scan, on rotated contexts, their coarse-grainings, and copies moved
+    by 0.5 and 5 eps_order."""
+    tol = DEFAULT_TOL.override(eps_order=eps_order)
+    rng = np.random.default_rng(seed)
+    u = _random_unitary(rng, n)
+    labels = rng.integers(0, n, size=n)
+    labels[:2] = [0, 1]  # at least two blocks
+    fine = [set(np.flatnonzero(labels == c)) for c in np.unique(labels)]
+    contexts = [_rotated_partition(u, fine, "F", tol)]
+    for c in range(3):
+        merge = rng.integers(0, 2, size=len(fine))
+        merge[:2] = [0, 1]
+        coarse = [set().union(*(f for f, m in zip(fine, merge) if m == side))
+                  for side in (0, 1)]
+        contexts.append(_rotated_partition(u, coarse, f"C{c}", tol))
+    other = _random_unitary(rng, n)
+    contexts.append(_rotated_partition(other, fine, "G", tol))
+    for tag, factor in (("half", 0.5), ("five", 5.0)):
+        base = contexts[int(rng.integers(0, len(contexts)))]
+        contexts.append(_nudged(base, rng, factor * eps_order,
+                                f"{base.id}-{tag}-copy", tol))
+        contexts.append(_nudged(contexts[0], rng, factor * eps_order,
+                                f"F-{tag}", tol))
+
+    poset = ContextPoset(contexts, tol)
+    m = len(contexts)
+    expected = np.array([[includes(a, b, tol) for b in contexts]
+                         for a in contexts])
+    assert np.array_equal(poset.leq, expected | np.eye(m, dtype=bool))
+    strict = {(i, j) for i in range(m) for j in range(m)
+              if i != j and expected[i, j]}
+    assert set(poset.block_maps) == strict
+    assert [tuple(p) for p in poset.strict_pairs.tolist()] == sorted(strict)
+    presheaf = SpectralPresheaf(poset)
+    for i, j in strict:
+        table = coarse_graining_map(contexts[j], contexts[i], tol)
+        assert poset.block_maps[i, j] == table
+        assert presheaf.restriction(contexts[j].id, contexts[i].id) == table
+
+    def linear(pool, candidate):
+        return next((i for i, v in enumerate(pool)
+                     if contexts_equal(v, candidate, tol)), None)
+
+    candidates = contexts + [_nudged(v, rng, 0.5 * eps_order, f"probe{i}", tol)
+                             for i, v in enumerate(contexts[:3])]
+    index = ContextIndex(tol, contexts)
+    for c in candidates:
+        i = linear(contexts, c)
+        assert index.find(c) == i
+        assert poset.find_equal(c) == (None if i is None else contexts[i].id)
+    # build_poset's add keeps the first of each equal run, as a scan would
+    kept = []
+    for c in candidates:
+        if linear(kept, c) is None:
+            kept.append(c)
+    built = build_poset(candidates, tol=tol)
+    assert [v.id for v in built.contexts] == [v.id for v in kept]
+
+
+def _supports(v):
+    """Diagonal support of each block; the entries are exactly 0 or 1."""
+    return [frozenset(np.flatnonzero(np.diag(b.matrix) != 0).tolist())
+            for b in v.blocks]
+
+
+@pytest.mark.parametrize("n, count", [(4, 14), (5, 51)])
+def test_diagonal_poset_is_set_partition_refinement(n, count):
+    """Downward-closed diagonal C^n: Bell(n) - 1 contexts, ordered exactly
+    by refinement of the blocks' supports."""
+    poset = build_poset([diagonal_context(n, "D")], downward_closure=True)
+    assert len(poset) == count
+    parts = [_supports(v) for v in poset.contexts]
+    for p in parts:
+        assert sorted(x for block in p for x in block) == list(range(n))
+    for i, coarse in enumerate(parts):
+        for j, fine in enumerate(parts):
+            homes = [[c for c, big in enumerate(coarse) if small <= big]
+                     for small in fine]
+            refines = all(len(h) == 1 for h in homes)
+            assert poset.leq[i, j] == refines
+            if refines and i != j:
+                assert poset.block_maps[i, j] == tuple(h[0] for h in homes)
