@@ -26,7 +26,6 @@ ContextPoset.block_maps and read by the spectral presheaf.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +47,7 @@ from .numerics import (
     frob,
     hermitian_eig,
     is_unitary,
-    null_space,
     proj_leq,
-    vec,
 )
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
@@ -130,10 +127,16 @@ class Context:
 
 def contexts_equal(v1: Context, v2: Context, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Equality up to eps_order: fingerprint fast path, then greedy block
-    matching by minimal Frobenius distance."""
+    matching by minimal Frobenius distance.
+
+    The fingerprint rounds entries to 6 decimals, so equal fingerprints
+    only say which blocks to pair: the fast path still checks each pair
+    (same canonical index) against eps_order."""
     if v1.signature() != v2.signature():
         return False
-    if v1.fingerprint == v2.fingerprint:
+    if v1.fingerprint == v2.fingerprint and all(
+            frob(b.matrix - c.matrix) <= tol.eps_order
+            for b, c in zip(v1.blocks, v2.blocks)):
         return True
     unused = list(range(v2.k))
     for b in v1.blocks:
@@ -243,76 +246,6 @@ def projection_lattice(v: Context):
 def lattice_projection(v: Context, indices,
                        tol: TolerancePolicy = DEFAULT_TOL) -> Projection:
     return Projection(v.block_sum(indices), tol)
-
-
-def algebra_element_coefficients(v: Context, a, tol: TolerancePolicy = DEFAULT_TOL):
-    """Coefficients of a in the block basis; NotInAlgebra if a is outside
-    the span of the blocks (within eps_order)."""
-    m = as_complex_matrix(a)
-    coeffs = np.array([np.trace(b.matrix @ m) / b.rank for b in v.blocks])
-    resid = m - sum(c * b.matrix for c, b in zip(coeffs, v.blocks))
-    if frob(resid) > tol.eps_order * max(1.0, frob(m)):
-        raise NotInAlgebra("operator is not in the algebra spanned by the blocks")
-    return coeffs
-
-
-@dataclass(frozen=True)
-class Character:
-    """A point of the Gel'fand spectrum: evaluation against one block."""
-    context_id: str
-    index: int
-
-
-def spectrum(v: Context):
-    return [Character(v.id, i) for i in range(v.k)]
-
-
-def evaluate(v: Context, character: Character, a,
-             tol: TolerancePolicy = DEFAULT_TOL) -> complex:
-    """Value of the character on an algebra element (its block coefficient)."""
-    if character.context_id != v.id:
-        raise ContextMissing("character belongs to a different context")
-    coeffs = algebra_element_coefficients(v, a, tol)
-    return complex(coeffs[character.index])
-
-
-def commutant(matrices, n: int | None = None, rtol: float = 1e-10):
-    """Orthonormalized basis of {X : [X, B] = 0 for every given B}.
-
-    Solved as the joint null space of the stacked row-major superoperators
-    1 (x) B^T - B (x) 1.
-    """
-    mats = [as_complex_matrix(b) for b in matrices]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    n = n or mats[0].shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    rows = []
-    for b in mats:
-        rows.append(np.kron(eye, b.T) - np.kron(b, eye))
-    stacked = np.vstack(rows)
-    basis = null_space(stacked, rtol)
-    return [basis[:, j].reshape(n, n) for j in range(basis.shape[1])]
-
-
-def _span_projector(mats, n: int) -> np.ndarray:
-    """Orthogonal projector (in HS space) onto span of the given matrices."""
-    cols = np.column_stack([vec(m) for m in mats])
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 0.0)))
-    u = u[:, :rank]
-    return u @ dagger(u)
-
-
-def bicommutant_check(v: Context, tol: TolerancePolicy = DEFAULT_TOL):
-    """Verify V'' = V (span equality of HS projectors) and report dim V'."""
-    base = v.span_basis()
-    comm = commutant(base, v.dim)
-    bicomm = commutant(comm, v.dim)
-    p_v = _span_projector(base, v.dim)
-    p_bi = _span_projector(bicomm, v.dim)
-    ok = frob(p_v - p_bi) <= max(tol.eps_order * v.dim, 1e-7)
-    return ok, len(comm)
 
 
 def block_map(v_prime: Context, v: Context, tol: TolerancePolicy = DEFAULT_TOL):

@@ -169,9 +169,6 @@ class C1Report:
     def passed(self, eps: float) -> bool:
         return self.max_residual <= eps
 
-    def worst(self):
-        return max(self.entries, key=lambda e: e.residual, default=None)
-
 
 def check_C1(state: State, flow: AutomorphismFlow, subobjects, t_grid,
              tol: TolerancePolicy | None = None) -> C1Report:
@@ -251,10 +248,6 @@ class C2Report:
     max_boundary_residual: float
     max_strip_gap: float
     f_at_zero: complex
-
-    def passed(self, eps: float, strip_eps: float = 1e-10) -> bool:
-        return (self.max_boundary_residual <= eps
-                and self.max_strip_gap <= strip_eps)
 
 
 def _eigenseries_coefficients(state: State, flow: AutomorphismFlow, ps, pt):
@@ -441,15 +434,6 @@ class TruthValue:
     r: float
     table: dict
 
-    @property
-    def totally_true(self) -> bool:
-        return all(abs(v - self.r) <= 1e-12 for v in self.table.values())
-
-    def max_diff(self, other: "TruthValue") -> float:
-        if set(self.table) != set(other.table):
-            raise DomainMismatch("truth values live on different lower sets")
-        return max(abs(self.table[c] - other.table[c]) for c in self.table)
-
 
 def truth_value(state: State, p, context_id: str, r: float,
                 presheaf: SpectralPresheaf,
@@ -477,9 +461,6 @@ class TruthInvarianceEntry:
 class TruthInvarianceReport:
     entries: list
     max_residual: float
-
-    def passed(self, eps: float) -> bool:
-        return self.max_residual <= eps
 
 
 def check_truth_value_invariance(state: State, flow: AutomorphismFlow, p,
@@ -721,46 +702,3 @@ def expectation_value(a, state: State, contexts=None,
     return ExpectationResult(value=total, trace_value=trace_value,
                              eigenvalues=[e for e, _ in spectral],
                              inserted_context=inserted)
-
-
-@dataclass
-class ExpectationKMSEntry:
-    i: int
-    j: int
-    lhs: complex    # tr(rho P_i alpha_{i beta}(Q_j))
-    rhs: complex    # tr(rho Q_j P_i)
-
-    @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
-@dataclass
-class ExpectationKMSReport:
-    entries: list
-    max_residual: float
-
-    def passed(self, eps: float) -> bool:
-        return self.max_residual <= eps
-
-
-def check_expectation_kms(state: State, flow: AutomorphismFlow, a, b,
-                          tol: TolerancePolicy = DEFAULT_TOL
-                          ) -> ExpectationKMSReport:
-    """Product-form boundary condition on spectral projections: for each
-    pair (P_i of a, Q_j of b), tr(rho P_i alpha_{i beta}(Q_j)) must equal
-    tr(rho Q_j P_i)."""
-    if not state.is_faithful(tol):
-        raise NotFaithful("boundary comparison requires a faithful state")
-    pa = _spectral_projections(as_complex_matrix(a), tol)
-    pb = _spectral_projections(as_complex_matrix(b), tol)
-    rho = state.matrix
-    z = 1j * flow.beta
-    entries = []
-    for i, (_, p) in enumerate(pa):
-        for j, (_, q) in enumerate(pb):
-            lhs = complex(np.trace(rho @ p @ flow.apply_complex(z, q)))
-            rhs = complex(np.trace(rho @ q @ p))
-            entries.append(ExpectationKMSEntry(i=i, j=j, lhs=lhs, rhs=rhs))
-    worst = max((e.residual for e in entries), default=0.0)
-    return ExpectationKMSReport(entries=entries, max_residual=worst)

@@ -5,10 +5,9 @@ A sampled group is a finite parameter set closed under negation and the
 group law up to identity action (two parameters are identified when the
 corresponding conjugations agree, e.g. a full period of an integer
 spectrum).  Relative to a context V the samples decompose into orbits:
-g ~ g' when alpha_{g-g'} fixes every block of V.  Internal objects
-("breve" objects) carry one fiber per orbit representative; the internal
-measure of a sub-object is the per-representative family of values
-tr(rho P_{S at alpha_g V}).
+g ~ g' when alpha_{g-g'} fixes every block of V.  The internal measure
+of a sub-object at V is the family of values tr(rho P_{S at alpha_g V})
+over the samples.
 
 The internal first condition asks this family to be constant over the
 whole sample set; the second compares tr(rho P_T alpha_{g+i*gamma}(P_S))
@@ -24,7 +23,7 @@ import numpy as np
 
 from .algebra import Context, ContextPoset
 from .errors import DomainMismatch, NotFaithful, PosetNotClosed
-from .kms_external import AutomorphismFlow, TruthObject
+from .kms_external import AutomorphismFlow
 from .measure import State, weight_sum
 from .numerics import dagger, frob, null_space
 from .presheaf import ClopenSubobject
@@ -69,30 +68,8 @@ class SampledGroup:
         if validate:
             self._validate()
 
-    @classmethod
-    def cyclic(cls, flow: AutomorphismFlow, n_samples: int, period: float,
-               strip_gammas=None,
-               tol: TolerancePolicy = DEFAULT_TOL) -> "SampledGroup":
-        """n equally spaced samples of one period (the group law closes
-        whenever conjugation by the full period is the identity)."""
-        samples = [k * float(period) / n_samples for k in range(n_samples)]
-        return cls(flow, samples, strip_gammas, tol)
-
-    @property
-    def gammas(self):
-        return list(self.strip_gammas)
-
-    def strip_samples(self):
-        return [complex(t, g) for t in self.samples for g in self.strip_gammas]
-
     def __len__(self):
         return len(self.samples)
-
-    def unitary(self, t: float) -> np.ndarray:
-        for s, u in zip(self.samples, self._unitaries):
-            if abs(s - t) <= 1e-12:
-                return u
-        return self.flow.unitary(t)
 
     def real_unitaries(self):
         return list(zip(self.samples, self._unitaries))
@@ -181,10 +158,6 @@ class FaithfulnessReport:
     middle: list        # fixed sub-algebra strictly between
     fixes_all: list     # fixes every block
 
-    @property
-    def all_faithful_or_trivial(self) -> bool:
-        return not self.middle
-
 
 def faithful_automorphisms(group: SampledGroup, context: Context,
                            tol: TolerancePolicy = DEFAULT_TOL
@@ -212,14 +185,6 @@ def faithful_automorphisms(group: SampledGroup, context: Context,
                               middle=middle, fixes_all=fixes_all)
 
 
-def is_faithful_action(group: SampledGroup, context: Context,
-                       tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """True when every sample outside the fixed-point set acts with
-    scalar-only fixed sub-algebra and no sample lands in between."""
-    report = faithful_automorphisms(group, context, tol)
-    return not report.middle
-
-
 def _moved_value(state: State, sub: ClopenSubobject, u, context_id: str,
                  tol: TolerancePolicy) -> float:
     """tr(rho P_{S at U V U*}) as a block-weight sum: at the moved context
@@ -237,39 +202,6 @@ def _moved_value(state: State, sub: ClopenSubobject, u, context_id: str,
             f"is not flow-equivariant"
         )
     return weight_sum(poset.context(cid).weights(rho), sub.components[cid])
-
-
-@dataclass
-class BreveMeasure:
-    context_id: str
-    decomposition: OrbitDecomposition
-    values: dict            # orbit representative -> value
-    orbit_spread: float     # max in-orbit deviation (well-definedness)
-
-    @property
-    def spread(self) -> float:
-        vals = list(self.values.values())
-        return max(vals) - min(vals) if vals else 0.0
-
-
-def breve_measure(state: State, sub: ClopenSubobject, group: SampledGroup,
-                  context_id: str,
-                  tol: TolerancePolicy | None = None) -> BreveMeasure:
-    """The internal measure of a sub-object at a context: one value per
-    orbit representative, tr(rho P_{S at alpha_g V}).  Values within an
-    orbit are verified equal and the deviation reported."""
-    tol = tol or sub.presheaf.tol
-    v = sub.presheaf.poset.context(context_id)
-    dec = orbits(group, v, tol)
-    values = {}
-    in_orbit = 0.0
-    for orbit, rep in zip(dec.orbits, dec.representatives):
-        vals = [_moved_value(state, sub, group.unitary(t), context_id, tol)
-                for t in orbit]
-        values[rep] = vals[0]
-        in_orbit = max(in_orbit, max(vals) - min(vals))
-    return BreveMeasure(context_id=context_id, decomposition=dec,
-                        values=values, orbit_spread=in_orbit)
 
 
 @dataclass
@@ -291,9 +223,6 @@ class InternalC1Report:
 
     def passed(self, eps: float) -> bool:
         return self.max_spread <= eps
-
-    def worst(self):
-        return max(self.entries, key=lambda e: e.spread, default=None)
 
 
 def check_internal_C1(state: State, sub, group: SampledGroup,
@@ -386,59 +315,3 @@ def check_internal_C2(state: State, group: SampledGroup,
     return InternalC2Report(context_ids=list(context_ids), gamma=gamma,
                             mode="strip", entries=entries,
                             max_residual=worst)
-
-
-# --------------------------------------------------------------------------
-# breve objects: internal presheaves fibred over orbit representatives
-
-
-@dataclass
-class BreveObject:
-    context_id: str
-    decomposition: OrbitDecomposition
-    fibers: dict    # orbit representative -> payload
-
-
-def breve_object(group: SampledGroup, poset: ContextPoset, context_id: str,
-                 fiber_fn, tol: TolerancePolicy = DEFAULT_TOL) -> BreveObject:
-    """Generic internal object at a context: one fiber per orbit
-    representative, computed by fiber_fn(g, U_g, moved_context_id).
-    The moved context id is None when the orbit leaves the poset."""
-    v = poset.context(context_id)
-    dec = orbits(group, v, tol)
-    fibers = {}
-    for rep in dec.representatives:
-        u = group.unitary(rep)
-        fibers[rep] = fiber_fn(rep, u, poset.image(u, context_id, tol)[0])
-    return BreveObject(context_id=context_id, decomposition=dec,
-                       fibers=fibers)
-
-
-def breve_spectrum(group: SampledGroup, poset: ContextPoset, context_id: str,
-                   tol: TolerancePolicy = DEFAULT_TOL) -> BreveObject:
-    """Internal spectral object: the fiber at g is the character count
-    of the moved context (constant along the flow)."""
-    k = poset.context(context_id).k
-
-    def fiber(_g, _u, target_id):
-        return poset.context(target_id).k if target_id is not None else k
-
-    return breve_object(group, poset, context_id, fiber, tol)
-
-
-def breve_truth_thresholds(truth: TruthObject, sub: ClopenSubobject,
-                           group: SampledGroup, context_id: str,
-                           tol: TolerancePolicy | None = None) -> BreveObject:
-    """Internal truth thresholds: the fiber at g is tau(S, alpha_g V),
-    the membership threshold of the sub-object at the moved stage."""
-    tol = tol or truth.tol
-    poset = truth.presheaf.poset
-
-    def fiber(g, _u, target_id):
-        if target_id is None:
-            raise PosetNotClosed(
-                f"stage context {context_id} leaves the poset at g={g!r}"
-            )
-        return truth.tau(sub, target_id)
-
-    return breve_object(group, poset, context_id, fiber, tol)

@@ -62,9 +62,6 @@ class State:
     def is_faithful(self, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
         return bool(self.eigenvalues[0] > tol.eps_eig)
 
-    def expectation(self, a) -> float:
-        return float(np.real(np.trace(self.matrix @ as_complex_matrix(a))))
-
     @classmethod
     def pure(cls, vector, tol: TolerancePolicy = DEFAULT_TOL) -> "State":
         v = np.asarray(vector, dtype=np.complex128).reshape(-1)
@@ -73,10 +70,6 @@ class State:
             raise NotAState("zero vector")
         v = v / nrm
         return cls(np.outer(v, v.conj()), tol)
-
-    @classmethod
-    def maximally_mixed(cls, n: int) -> "State":
-        return cls(np.eye(n) / n)
 
     def conjugated(self, u, tol: TolerancePolicy = DEFAULT_TOL) -> "State":
         um = np.asarray(u, dtype=np.complex128)
@@ -113,9 +106,6 @@ class GlobalSection:
 
     def minimum(self) -> float:
         return min(self.values.values())
-
-    def domain(self):
-        return frozenset(self.values.keys())
 
 
 def weight_sum(weights, indices) -> float:
@@ -240,9 +230,6 @@ class GroupActionEntry:
 class GroupActionReport:
     entries: list
     max_residual: float
-
-    def passed(self, threshold: float) -> bool:
-        return self.max_residual <= threshold
 
 
 def group_action_check(state: State, flow, sub: ClopenSubobject, t_values,

@@ -67,9 +67,6 @@ class AntilinearOp:
     def after_linear(self, l) -> "AntilinearOp":
         return AntilinearOp(self.m @ np.conj(np.asarray(l)))
 
-    def is_antiunitary(self, eps: float = 1e-10) -> bool:
-        return is_unitary(self.m, eps)
-
 
 class GNSSpace:
     """The representation of M_n on its Hilbert-Schmidt space built from
@@ -116,25 +113,6 @@ class GNSSpace:
         cutoff = max(1.0, float(s[0])) * 1e-12 * n * n
         return int(np.sum(s > cutoff))
 
-    def is_cyclic_separating(self) -> bool:
-        return self.cyclic_rank() == self.n * self.n
-
-    def vector_state(self) -> State:
-        """The vector state of Omega on M_(n^2)."""
-        return State(np.outer(self.omega_vec, np.conj(self.omega_vec)),
-                     self.tol)
-
-    def lifted_generator(self, h) -> np.ndarray:
-        """Generator of the lifted flow on the Hilbert-Schmidt space:
-        exp(it H~) vec(x) = vec(exp(itH) x exp(-itH))."""
-        hm = as_complex_matrix(h)
-        eye = np.eye(self.n, dtype=np.complex128)
-        return np.kron(hm, eye) - np.kron(eye, hm.T)
-
-    def lift_flow(self, flow: AutomorphismFlow) -> AutomorphismFlow:
-        return AutomorphismFlow(self.lifted_generator(flow.h), flow.beta,
-                                flow.convention, self.tol)
-
 
 @dataclass
 class ModularData:
@@ -145,10 +123,6 @@ class ModularData:
     delta: np.ndarray            # n^2 x n^2 positive matrix
     delta_spectrum: np.ndarray   # ascending
     residuals: dict
-
-    def delta_power(self, p: float) -> np.ndarray:
-        w, u = np.linalg.eigh(self.delta)
-        return (u * np.power(np.clip(w, 1e-300, None), p)) @ dagger(u)
 
     @property
     def max_residual(self) -> float:
@@ -279,9 +253,6 @@ class CommutantSwapReport:
     @property
     def max_residual(self) -> float:
         return max(self.max_commutator, self.max_right_residual)
-
-    def passed(self, eps: float) -> bool:
-        return self.max_residual <= eps
 
 
 def _matrix_units(n: int):

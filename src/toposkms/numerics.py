@@ -2,8 +2,7 @@
 
 Everything downstream (contexts, presheaves, flows, modular data) sits on
 the routines here: a deterministically phase-fixed Hermitian
-eigendecomposition, entire functions of Hermitian matrices evaluated at
-complex arguments, and the projection lattice primitives (order test,
+eigendecomposition and the projection lattice primitives (order test,
 meet via a null space, join by De Morgan).
 
 Matrices are plain complex128 ndarrays; a Projection wraps one after
@@ -67,17 +66,6 @@ def hermitian_eig(a, tol: TolerancePolicy = DEFAULT_TOL):
     return w, u
 
 
-def entire_function_of(h, z: complex, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """exp(i z H) for Hermitian H and any complex z, via the eigenbasis.
-
-    For real z the result is unitary; for purely imaginary z = iy it is
-    positive-definite Hermitian (exp(-y H)).
-    """
-    w, u = hermitian_eig(h, tol)
-    phases = np.exp(1j * complex(z) * w)
-    return (u * phases) @ dagger(u)
-
-
 class Projection:
     """A validated orthogonal projection matrix.
 
@@ -118,10 +106,6 @@ class Projection:
 
 def as_matrix(p) -> np.ndarray:
     return p.matrix if isinstance(p, Projection) else as_complex_matrix(p)
-
-
-def identity_projection(n: int) -> Projection:
-    return Projection(np.eye(n, dtype=np.complex128))
 
 
 def zero_projection(n: int) -> Projection:

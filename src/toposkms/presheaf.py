@@ -76,11 +76,6 @@ class SpectralPresheaf:
     def below(self, context_id: str):
         return self.poset.lower_set(context_id)
 
-    def strictly_above(self, context_id: str):
-        i = self.poset.index_of(context_id)
-        return [v.id for j, v in enumerate(self.poset.contexts)
-                if j != i and self.poset.leq[i, j]]
-
 
 def s_map(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> frozenset:
     """Lattice isomorphism P(V) -> clopen subsets: indices of blocks under P.

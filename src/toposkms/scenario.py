@@ -22,18 +22,14 @@ from .presheaf import (
     SpectralPresheaf,
     daseinisation_subobject,
 )
+from .suites import SUITES
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 MAX_DIM = 16
 
-DEFAULT_CHECKS = [
-    "poset", "presheaf", "measure", "external-c1", "external-c2",
-    "truth", "equivalence", "internal-c1", "internal-c2",
-    "modular", "reconstruction",
-]
-
-# fixed execution order; the CLI filters but never reorders
-CHECK_ORDER = {name: i for i, name in enumerate(DEFAULT_CHECKS)}
+# every suite, in execution order; a scenario's checks are filtered from
+# this list, never reordered
+DEFAULT_CHECKS = list(SUITES)
 
 
 def _as_number(x, what: str) -> float:
@@ -231,20 +227,24 @@ def _resolve_subobjects(cfg, presheaf, group, projections, dim, tol):
     return subs
 
 
-def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario:
-    """Parse, validate and materialize a scenario."""
-    if isinstance(path_or_dict, dict):
-        raw = path_or_dict
-    else:
-        try:
-            with open(path_or_dict, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ScenarioError(f"cannot read scenario: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"malformed JSON: {exc}") from exc
+def read_scenario(path) -> dict:
+    """The JSON object of a scenario file, not yet validated."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be an object")
+    return raw
+
+
+def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario:
+    """Parse, validate and materialize a scenario."""
+    raw = (path_or_dict if isinstance(path_or_dict, dict)
+           else read_scenario(path_or_dict))
 
     dim = raw.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
@@ -274,10 +274,10 @@ def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario
     if checks == "all":
         checks = list(DEFAULT_CHECKS)
     if (not isinstance(checks, list)
-            or any(c not in CHECK_ORDER for c in checks)):
+            or any(c not in DEFAULT_CHECKS for c in checks)):
         raise ScenarioError(
             f"checks must be a sub-list of {DEFAULT_CHECKS}")
-    checks = sorted(set(checks), key=CHECK_ORDER.__getitem__)
+    checks = [c for c in DEFAULT_CHECKS if c in checks]
 
     hamiltonian = None
     if "hamiltonian" in raw:

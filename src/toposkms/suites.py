@@ -1,0 +1,536 @@
+"""The check suites of `toposkms run`, in one registry.
+
+SUITES maps each suite name to its runner, in execution order, which is
+the order of definition below: poset -> presheaf -> measure -> external
+C1/C2 -> truth -> equivalences -> internal C1/C2 -> modular ->
+reconstruction.  A runner takes (scenario, report), appends its rows and
+returns the suite's outcome: True or False, or None when nothing ran.
+A suite that needs optional Scenario fields declares them; when one is
+None or empty the suite writes a single INFO row `skipped: needs ...`
+instead of running.
+"""
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+from .errors import AmbiguousMatch, NotFaithful, PosetNotClosed, ToposKMSError
+from .kms_external import (
+    StageVR,
+    TruthObject,
+    check_C1,
+    check_C2,
+    check_truth_value_invariance,
+    expectation_value,
+    mu_equivalent,
+    strong_mu_equivalence,
+    twist,
+)
+from .kms_internal import (
+    check_internal_C1,
+    check_internal_C2,
+    faithful_automorphisms,
+    fixed_point_subgroup,
+    orbits,
+)
+from .measure import (
+    group_action_check,
+    measure_table_of_state,
+    state_from_measure,
+    verify_measure_properties,
+)
+from .modular import (
+    commutant_swap_check,
+    expected_delta_spectrum,
+    modular_flow,
+    tomita_operators,
+)
+from .presheaf import (
+    ClopenSubobject,
+    complete_downward,
+    outer_daseinisation,
+    outer_daseinisation_bruteforce,
+    s_map,
+)
+from .reports import ERROR, FAIL, INFO, PASS
+
+SUITES = {}
+
+
+def suite(name: str, needs=()):
+    """Register the decorated runner as suite `name`, guarded by the
+    Scenario fields it needs."""
+
+    def register(run):
+        @functools.wraps(run)
+        def runner(scn, rep):
+            if any(_absent(getattr(scn, f)) for f in needs):
+                rep.add(name, f"skipped: needs {', '.join(needs)}",
+                        verdict=INFO)
+                return None
+            return run(scn, rep)
+
+        runner.needs = needs
+        SUITES[name] = runner
+        return runner
+
+    return register
+
+
+def _absent(value) -> bool:
+    return value is None or (isinstance(value, (list, dict)) and not value)
+
+
+def fmtf(t: float) -> str:
+    return ("%g" % t)
+
+
+# --------------------------------------------------------------------------
+# seeded samplers shared by presheaf / measure suites
+
+
+def _random_projection(rng, n: int) -> np.ndarray:
+    k = int(rng.integers(1, n))
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(m)
+    return q[:, :k] @ q[:, :k].conj().T
+
+
+def _random_subobject(rng, presheaf, name: str):
+    poset = presheaf.poset
+    assignments = {}
+    for cid in poset.maximal_ids():
+        v = poset.context(cid)
+        picks = frozenset(
+            i for i in range(v.k) if rng.random() < 0.5
+        )
+        assignments[cid] = picks
+    return complete_downward(presheaf, assignments, name=name)
+
+
+def _on_common_domain(a, b):
+    """Both sub-objects restricted to the intersection of their domains
+    (an intersection of lower sets is a lower set)."""
+    common = set(a.components) & set(b.components)
+    if not common:
+        return None
+    return (
+        ClopenSubobject(a.presheaf, {c: a.components[c] for c in common},
+                        name=a.name),
+        ClopenSubobject(b.presheaf, {c: b.components[c] for c in common},
+                        name=b.name),
+    )
+
+
+# --------------------------------------------------------------------------
+# the suites, in execution order
+
+
+@suite("poset")
+def run_poset(scn, rep):
+    poset = scn.poset
+    rep.add("poset", "contexts", lhs=len(poset.contexts), verdict=INFO)
+    rep.add("poset", "maximal", lhs=",".join(sorted(poset.maximal_ids())),
+            verdict=INFO)
+    rep.add("poset", "comparable pairs",
+            lhs=len(list(poset.comparable_pairs())), verdict=INFO)
+    # order axioms on the computed relation
+    leq = poset.leq
+    reflexive = leq.diagonal().all()
+    antisym = not (leq & leq.T & ~np.eye(len(leq), dtype=bool)).any()
+    transitive = ((leq @ leq) <= leq).all()  # boolean product: paths of length 2
+    ok = bool(reflexive and antisym and transitive)
+    rep.add("poset", "order axioms (reflexive, antisymmetric, transitive)",
+            lhs=ok, residual=0.0 if ok else 1.0,
+            verdict=PASS if ok else FAIL)
+    return ok
+
+
+@suite("presheaf")
+def run_presheaf(scn, rep):
+    psh = scn.presheaf
+    poset = scn.poset
+    # functoriality: restricting in two steps equals restricting directly
+    bad = 0
+    total = 0
+    ids = [v.id for v in poset.contexts]
+    for large in ids:
+        for mid in psh.below(large):
+            if mid == large:
+                continue
+            for small in psh.below(mid):
+                if small == mid:
+                    continue
+                full = frozenset(range(poset.context(large).k))
+                via = psh.restrict(mid, small, psh.restrict(large, mid, full))
+                direct = psh.restrict(large, small, full)
+                total += 1
+                if via != direct:
+                    bad += 1
+    rep.add("presheaf", f"restriction functoriality on {total} chains",
+            residual=float(bad), verdict=PASS if bad == 0 else FAIL)
+
+    # seeded daseinisation against the exhaustive lattice scan
+    rng = np.random.default_rng(scn.seed)
+    mismatches = 0
+    trials = 0
+    for _ in range(12):
+        p = _random_projection(rng, scn.dim)
+        for v in poset.contexts:
+            fast = outer_daseinisation(p, v, scn.tol)
+            brute = outer_daseinisation_bruteforce(p, v, scn.tol)
+            trials += 1
+            if s_map(fast.matrix, v, scn.tol) != s_map(brute.matrix, v,
+                                                       scn.tol):
+                mismatches += 1
+    rep.add("presheaf", f"daseinisation = lattice minimum on {trials} cases",
+            residual=float(mismatches),
+            verdict=PASS if mismatches == 0 else FAIL)
+    return bad == 0 and mismatches == 0
+
+
+@suite("measure")
+def run_measure(scn, rep):
+    rng = np.random.default_rng(scn.seed + 1)
+    named = [scn.subobjects[k] for k in sorted(scn.subobjects)]
+    pool = list(named)
+    while len(pool) < 8:
+        pool.append(_random_subobject(rng, scn.presheaf,
+                                      name=f"R{len(pool)}"))
+    pairs = []
+    for i, a in enumerate(pool):
+        for b in pool[i + 1:]:
+            joint = _on_common_domain(a, b)
+            if joint is not None:
+                pairs.append(joint)
+    mrep = verify_measure_properties(scn.state, scn.presheaf, pairs,
+                                     tol=scn.tol)
+    eps = scn.tol.eps_measure
+    for field in ("normalization", "empty", "monotonicity", "modularity",
+                  "order_reversal", "complement_meet"):
+        rep.add_pass_fail("measure", f"{field} over {mrep.pairs_checked} pairs",
+                          residual=getattr(mrep, field), eps=eps)
+    rep.add("measure", "max mu(S v ~S) defect (strictness witness)",
+            lhs=mrep.strictness_witness, verdict=INFO)
+    ok = mrep.passed
+
+    if scn.flow is not None and scn.t_grid and named:
+        for sub in named:
+            try:
+                grep = group_action_check(scn.state, scn.flow, sub,
+                                          scn.t_grid, tol=scn.tol)
+            except PosetNotClosed:
+                rep.add("measure",
+                        f"group action of {sub.name} skipped: orbit leaves "
+                        "the poset", verdict=INFO)
+                continue
+            e = rep.add_pass_fail(
+                "measure", f"group action compatibility of {sub.name}",
+                residual=grep.max_residual, eps=eps)
+            ok = ok and e.verdict == PASS
+    return ok
+
+
+@suite("external-c1", needs=("flow", "t_grid", "subobjects"))
+def run_external_c1(scn, rep):
+    eps = scn.tol.eps_measure
+    ok = True
+    ran = 0
+    for nm in sorted(scn.subobjects):
+        sub = scn.subobjects[nm]
+        try:
+            crep = check_C1(scn.state, scn.flow, [sub], scn.t_grid,
+                            tol=scn.tol)
+        except PosetNotClosed:
+            rep.add("external-c1",
+                    f"{nm} skipped: orbit leaves the poset and the family "
+                    "is not flow-equivariant", verdict=INFO)
+            continue
+        ran += 1
+        rep.add("external-c1", f"{nm} poset-lookup vs direct gap",
+                lhs=crep.consistency_gap, verdict=INFO)
+        if crep.passed(eps):
+            rep.add_pass_fail(
+                "external-c1",
+                f"{nm} max residual over {len(crep.entries)} (V, t)",
+                residual=crep.max_residual, eps=eps)
+        else:
+            ok = False
+            for e in sorted(crep.entries,
+                            key=lambda e: (e.subobject, e.context_id, e.t)):
+                if abs(e.lhs - e.rhs) > eps:
+                    rep.add("external-c1",
+                            f"{nm} @ {e.context_id}, t={fmtf(e.t)}",
+                            lhs=e.lhs, rhs=e.rhs,
+                            residual=abs(e.lhs - e.rhs), verdict=FAIL)
+    return ok if ran else None
+
+
+@suite("external-c2", needs=("flow", "pairs"))
+def run_external_c2(scn, rep):
+    t_samples = scn.t_grid or [0.0]
+    ok = True
+    eps = max(scn.tol.eps_measure, 1e-8)
+    for a, b in scn.pairs:
+        sub_s, sub_t = scn.subobjects[a], scn.subobjects[b]
+        shared = sorted(set(sub_s.components) & set(sub_t.components))
+        if scn.c2_context is not None:
+            cids = [scn.c2_context] if scn.c2_context in shared else []
+        else:
+            maximal = set(scn.poset.maximal_ids())
+            cids = [c for c in shared if c in maximal] or shared[:1]
+        for cid in cids:
+            try:
+                c2 = check_C2(scn.state, scn.flow, sub_s, sub_t, cid,
+                              t_samples, tol=scn.tol)
+            except NotFaithful as exc:
+                rep.add_error("external-c2", f"({a},{b}) @ {cid}", exc)
+                ok = False
+                continue
+            e1 = rep.add_pass_fail(
+                "external-c2", f"boundary ({a},{b}) @ {cid}",
+                residual=c2.max_boundary_residual, eps=eps)
+            e2 = rep.add_pass_fail(
+                "external-c2", f"strip analyticity ({a},{b}) @ {cid}",
+                residual=c2.max_strip_gap, eps=1e-10)
+            ok = ok and e1.verdict == PASS and e2.verdict == PASS
+    return ok
+
+
+@suite("truth", needs=("r_queries",))
+def run_truth(scn, rep):
+    truth = TruthObject(scn.state, scn.presheaf, tol=scn.tol)
+    stages = ([scn.truth_stage] if scn.truth_stage
+              else sorted(scn.poset.maximal_ids()))
+    ok = True
+    for cid in stages:
+        for r in scn.r_queries:
+            stage = StageVR(cid, r)
+            members = truth.members_at(stage)
+            rep.add("truth", f"members @ ({cid}, r={fmtf(r)})",
+                    lhs=len(members), verdict=INFO)
+            for nm in sorted(scn.subobjects):
+                sub = scn.subobjects[nm]
+                if cid not in sub.components:
+                    continue
+                inside = truth.contains(sub, stage)
+                tau = truth.tau(sub, cid)
+                rep.add("truth",
+                        f"{nm} in truth object @ ({cid}, r={fmtf(r)})",
+                        lhs=("yes" if inside else "no"), rhs=tau,
+                        verdict=INFO)
+
+    # cutoff-table invariance for every named projection
+    if scn.flow is not None and scn.t_grid:
+        eps = scn.tol.eps_measure
+        for pname in sorted(scn.projections):
+            p = scn.projections[pname]
+            for cid in stages:
+                for r in scn.r_queries:
+                    inv = check_truth_value_invariance(
+                        scn.state, scn.flow, p, cid, r, scn.presheaf,
+                        scn.t_grid, tol=scn.tol)
+                    e = rep.add_pass_fail(
+                        "truth",
+                        f"cutoff invariance of {pname} @ ({cid}, r={fmtf(r)})",
+                        residual=inv.max_residual, eps=eps)
+                    ok = ok and e.verdict == PASS
+
+    # expectation identity on the named projections
+    eps_exp = max(scn.tol.eps_measure, 1e-10)
+    for pname in sorted(scn.projections):
+        p = scn.projections[pname]
+        try:
+            res = expectation_value(p, scn.state,
+                                    contexts=list(scn.poset.contexts),
+                                    tol=scn.tol)
+        except ToposKMSError as exc:
+            rep.add_error("truth", f"expectation of {pname}", exc)
+            ok = False
+            continue
+        e = rep.add_pass_fail(
+            "truth", f"E({pname}) = tr(rho {pname})",
+            residual=res.residual, eps=eps_exp,
+            lhs=res.value, rhs=res.trace_value)
+        ok = ok and e.verdict == PASS
+    return ok
+
+
+@suite("equivalence", needs=("flow", "t_grid", "r_queries"))
+def run_equivalence(scn, rep):
+    truth = TruthObject(scn.state, scn.presheaf, tol=scn.tol)
+    stages = ([scn.truth_stage] if scn.truth_stage
+              else sorted(scn.poset.maximal_ids()))
+    ok = True
+    for t in scn.t_grid:
+        if t == 0.0:
+            continue
+        twisted = twist(truth, scn.flow, t)
+        stage_objs = []
+        for cid in stages:
+            for r in scn.r_queries:
+                stage_objs.append(StageVR(cid, r))
+        for stage in stage_objs:
+            try:
+                res = mu_equivalent(scn.state, truth, twisted, stage,
+                                    tol=scn.tol)
+            except ToposKMSError as exc:
+                rep.add_error(
+                    "equivalence",
+                    f"weak @ ({stage.context_id}, r={fmtf(stage.r)}), "
+                    f"t={fmtf(t)}", exc)
+                ok = False
+                continue
+            e = rep.add(
+                "equivalence",
+                f"weak @ ({stage.context_id}, r={fmtf(stage.r)}), t={fmtf(t)}",
+                lhs=res.size_a, rhs=res.size_b, residual=res.max_gap,
+                verdict=PASS if res.equivalent else FAIL)
+            ok = ok and e.verdict == PASS
+        try:
+            sres = strong_mu_equivalence(scn.state, truth, twisted,
+                                         stage_objs, tol=scn.tol)
+            e = rep.add(
+                "equivalence", f"strong matching, t={fmtf(t)}",
+                lhs=len(sres.matchings), residual=sres.naturality_gap,
+                verdict=PASS if sres.equivalent else FAIL)
+            ok = ok and e.verdict == PASS
+        except AmbiguousMatch as exc:
+            rep.add("equivalence",
+                    f"strong matching, t={fmtf(t)}: ambiguous at stage "
+                    f"{exc.stage} ({len(exc.candidates)} candidates)",
+                    verdict=ERROR)
+            ok = False
+    return ok
+
+
+@suite("internal-c1", needs=("group", "subobjects"))
+def run_internal_c1(scn, rep):
+    fixed = fixed_point_subgroup(scn.group, scn.poset, tol=scn.tol)
+    rep.add("internal-c1", "fixed-point subgroup over poset",
+            lhs=",".join(fmtf(t) for t in fixed), verdict=INFO)
+    for v in scn.seed_contexts:
+        cid = scn.poset.find_equal(v)
+        dec = orbits(scn.group, scn.poset.context(cid), tol=scn.tol)
+        fa = faithful_automorphisms(scn.group, scn.poset.context(cid),
+                                    tol=scn.tol)
+        rep.add("internal-c1", f"orbits @ {cid}", lhs=dec.count,
+                rhs=f"faithful={len(fa.faithful)},fixes_all={len(fa.fixes_all)}",
+                verdict=INFO)
+    subs = [scn.subobjects[k] for k in sorted(scn.subobjects)]
+    crep = check_internal_C1(scn.state, subs, scn.group, tol=scn.tol)
+    eps = scn.tol.eps_measure
+    if crep.passed(eps):
+        rep.add_pass_fail(
+            "internal-c1",
+            f"orbit constancy over {len(crep.entries)} (S, V)",
+            residual=crep.max_spread, eps=eps)
+    else:
+        for e in crep.entries:
+            if e.spread > eps:
+                rep.add("internal-c1", f"{e.subobject} @ {e.context_id}",
+                        residual=e.spread, verdict=FAIL)
+    return crep.passed(eps)
+
+
+@suite("internal-c2", needs=("group", "pairs"))
+def run_internal_c2(scn, rep):
+    eps = max(scn.tol.eps_measure, 1e-8)
+    ok = True
+    for a, b in scn.pairs:
+        sub_s, sub_t = scn.subobjects[a], scn.subobjects[b]
+        try:
+            c2 = check_internal_C2(scn.state, scn.group, sub_s, sub_t,
+                                   tol=scn.tol)
+        except NotFaithful as exc:
+            rep.add_error("internal-c2", f"strip ({a},{b})", exc)
+            ok = False
+            continue
+        e = rep.add_pass_fail(
+            "internal-c2",
+            f"strip gamma={fmtf(c2.gamma)} ({a},{b}) over "
+            f"{len(c2.context_ids)} contexts",
+            residual=c2.max_residual, eps=eps)
+        ok = ok and e.verdict == PASS
+
+        # at gamma = 0 the check is internal C1 on (S, T), kept as constancy
+        degen = check_internal_C2(scn.state, scn.group, sub_s, sub_t,
+                                  gamma=0.0, tol=scn.tol)
+        c1 = degen.constancy
+        agree = degen.passed(scn.tol.eps_measure) == c1.passed(
+            scn.tol.eps_measure)
+        e = rep.add(
+            "internal-c2",
+            f"gamma=0 degeneration matches internal C1 ({a},{b})",
+            lhs="pass" if degen.passed(scn.tol.eps_measure) else "fail",
+            rhs="pass" if c1.passed(scn.tol.eps_measure) else "fail",
+            residual=degen.max_residual,
+            verdict=PASS if agree else FAIL)
+        ok = ok and e.verdict == PASS
+    return ok
+
+
+@suite("modular")
+def run_modular(scn, rep):
+    eps = 1e-10
+    try:
+        data = tomita_operators(scn.state, tol=scn.tol)
+    except ToposKMSError as exc:
+        rep.add_error("modular", "tomita operators", exc)
+        return False
+    for key in sorted(data.residuals):
+        rep.add_pass_fail("modular", key, residual=data.residuals[key],
+                          eps=eps)
+    expected = expected_delta_spectrum(scn.state)
+    gap = float(np.max(np.abs(np.sort(data.delta_spectrum) -
+                              np.sort(expected))))
+    rep.add_pass_fail("modular", "delta spectrum = {a_i/a_j}",
+                      residual=gap, eps=eps)
+    swap = commutant_swap_check(scn.state, tol=scn.tol, data=data)
+    rep.add_pass_fail("modular", "commutant swap", residual=swap.max_residual,
+                      eps=eps)
+
+    ok = all(e.verdict != FAIL for e in rep.entries if e.check == "modular")
+    if scn.flow is not None:
+        mflow = modular_flow(scn.state, beta=scn.beta, convention="modular")
+        worst = 0.0
+        for t in (scn.t_grid or [0.5, 1.0]):
+            um, uh = mflow.unitary(t), scn.flow.unitary(t)
+            phase = np.trace(um.conj().T @ uh) / scn.dim
+            if abs(phase) > 1e-12:
+                phase /= abs(phase)
+                worst = max(worst, float(np.linalg.norm(uh - phase * um)))
+            else:
+                worst = max(worst, float(np.linalg.norm(uh - um)))
+        e = rep.add_pass_fail(
+            "modular", "modular flow = hamiltonian flow (up to phase)",
+            residual=worst, eps=1e-9)
+        ok = ok and e.verdict == PASS
+    return ok
+
+
+@suite("reconstruction")
+def run_reconstruction(scn, rep):
+    table = measure_table_of_state(scn.state, scn.poset, tol=scn.tol)
+    try:
+        res = state_from_measure(table, dim=scn.dim, tol=scn.tol)
+    except ToposKMSError as exc:
+        rep.add_error("reconstruction", "state from measure", exc)
+        return False
+    rep.add("reconstruction", "spanned dimensions",
+            lhs=res.spanned_dim, rhs=scn.dim * scn.dim - 1,
+            verdict=INFO)
+    rep.add("reconstruction", "underdetermined",
+            lhs=res.underdetermined, verdict=INFO)
+    if res.underdetermined:
+        rep.add("reconstruction",
+                "round trip skipped: measure table does not span",
+                verdict=INFO)
+        return True
+    gap = float(np.linalg.norm(scn.state.matrix - res.state.matrix))
+    e = rep.add_pass_fail("reconstruction", "round-trip |rho - rho'|_F",
+                          residual=gap, eps=1e-8)
+    rep.add("reconstruction", "fit residual", lhs=res.fit_residual,
+            verdict=INFO)
+    return e.verdict == PASS

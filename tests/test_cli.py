@@ -71,8 +71,8 @@ def test_check_subset_flag_filters_suites(scenario_dir, tmp_path, capfd):
 
 def test_single_suite_subcommands(scenario_dir, tmp_path, capfd):
     code, _, _ = run_cli(
-        capfd, "measure", "--scenario", str(scenario_dir / "example_c3.json"),
-        "--out-dir", str(tmp_path / "rep"))
+        capfd, "run", "--scenario", str(scenario_dir / "example_c3.json"),
+        "--checks", "measure", "--out-dir", str(tmp_path / "rep"))
     assert code == 0
     doc = json.loads((tmp_path / "rep" / "report.json").read_text())
     assert {e["check"] for e in doc["entries"]} == {"measure"}
@@ -220,7 +220,7 @@ def test_underdetermined_reconstruction_is_informational(scenario_dir,
 
 @pytest.mark.parametrize("broken", ["non-transitive", "non-antisymmetric"])
 def test_poset_suite_fails_on_a_broken_order(scenario_dir, broken):
-    from toposkms.cli import run_poset
+    from toposkms.suites import run_poset
     from toposkms.reports import FAIL, Report
     from toposkms.scenario import load_scenario
 
@@ -234,9 +234,9 @@ def test_poset_suite_fails_on_a_broken_order(scenario_dir, broken):
     else:
         leq[a, b] = leq[b, a] = True     # a <= b <= a with a != b
     scn.poset.leq = leq
-    rep, outcomes = Report(), {}
-    run_poset(scn, rep, outcomes)
+    rep = Report()
+    outcome = run_poset(scn, rep)
     row = rep.entries[-1]
     assert row.location.startswith("order axioms")
     assert (row.lhs, row.residual, row.verdict) == (False, 1.0, FAIL)
-    assert outcomes["poset"] is False
+    assert outcome is False

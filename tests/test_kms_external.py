@@ -12,7 +12,6 @@ from toposkms.kms_external import (
     TruthObject,
     check_C1,
     check_C2,
-    check_expectation_kms,
     check_truth_value_invariance,
     expectation_value,
     gibbs_state,
@@ -168,9 +167,9 @@ def test_truth_members_count(c3_gibbs):
 def test_truth_value_transport(c3_gibbs):
     tv = truth_value(c3_gibbs.state, np.diag([1.0, 0.0, 0.0]), "Vdiag", 0.3,
                      c3_gibbs.presheaf)
-    assert tv.totally_true
-    assert tv.max_diff(tv) == 0.0
     assert set(tv.table) == set(c3_gibbs.poset.lower_set("Vdiag"))
+    # the measure is at least r below Vdiag, so every cutoff is r itself
+    assert all(v == tv.r == 0.3 for v in tv.table.values())
 
 
 def test_cutoff_invariance_gibbs(c3_gibbs):
@@ -206,13 +205,6 @@ def test_expectation_identity(c3_gibbs):
                              contexts=list(c3_gibbs.poset.contexts))
     assert rep2.inserted_context
     assert abs(rep2.value - rep2.trace_value) <= 1e-10
-
-
-def test_expectation_kms_identity(c3_gibbs):
-    a = np.diag([1.0, 0.0, 0.0])
-    b = np.array([[0.0, 1.0, 0], [1.0, 0.0, 0], [0, 0, 0]])
-    rep = check_expectation_kms(c3_gibbs.state, c3_gibbs.flow, a, b)
-    assert rep.max_residual <= 1e-10
 
 
 def test_twisted_truth_is_mu_equivalent(c3_gibbs):

@@ -8,12 +8,9 @@ from toposkms.numerics import (
     Projection,
     as_complex_matrix,
     dagger,
-    entire_function_of,
     frob,
     hermitian_eig,
-    identity_projection,
     is_hermitian,
-    is_unitary,
     null_space,
     proj_join,
     proj_leq,
@@ -39,7 +36,6 @@ def test_projection_validates_idempotence():
 
 def test_identity_and_zero():
     n = 4
-    assert frob(identity_projection(n).matrix - np.eye(n)) == 0.0
     assert frob(zero_projection(n).matrix) == 0.0
 
 
@@ -114,22 +110,6 @@ def test_hermitian_eig_reconstructs(rng):
 def test_hermitian_eig_rejects_nonhermitian():
     with pytest.raises(NotHermitian):
         hermitian_eig(np.array([[0.0, 1.0], [2.0, 0.0]]))
-
-
-def test_entire_function_unitary_on_real_axis():
-    h = np.diag([0.0, 1.0, 2.0])
-    u = entire_function_of(h, 1.3)
-    assert is_unitary(u)
-    # group law on the real axis
-    u2 = entire_function_of(h, 0.7)
-    assert frob(u @ u2 - entire_function_of(h, 2.0)) < 1e-12
-
-
-def test_entire_function_imaginary_argument_is_positive():
-    h = np.diag([0.0, 1.0, 2.0])
-    m = entire_function_of(h, 1j)
-    assert is_hermitian(m, DEFAULT_TOL)
-    assert frob(m - np.diag(np.exp([0.0, -1.0, -2.0]))) < 1e-12
 
 
 @given(seed=st.integers(0, 2**31 - 1))

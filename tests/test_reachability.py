@@ -1,0 +1,143 @@
+"""No package code that only tests reach.
+
+The package sources are parsed, not imported.  Starting from the entry
+points (`toposkms` itself, the report pipeline the benchmark drives, the
+functions the benchmark tracer wraps) and from the declared oracles and
+acceptance code below, every Name and Attribute identifier is followed
+to every definition of that name.  The walk is by name only, so it
+over-approximates what runs; a definition it does not reach is certainly
+dead outside the tests.
+
+Module-level statements run at import and count as reached.  A function
+registered by a package decorator (e.g. `suites.suite`) is reached with
+that decorator, and the dunder methods of a class with the class.
+Annotations are skipped: naming a type is not using it.
+"""
+import ast
+import importlib.util
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "toposkms"
+SPANS = ROOT / "perfbench" / "spans.py"
+
+ENTRY_POINTS = ("cli.main", "cli.execute", "scenario.load_scenario")
+
+# definitions kept although no entry point reaches them, with the reason
+DECLARED = {
+    # acceptance criterion 9: J-maps on context posets are order-preserving
+    # exactly when continuous for the lower-set topologies
+    "modular.AntiunitaryJ": "criterion 9",
+    "modular.swap_unitary": "criterion 9",
+    "modular.jmap_on_contexts": "criterion 9",
+    "modular.JMapReport": "criterion 9",
+    "modular.check_order_continuity": "criterion 9",
+    "modular.OrderContinuityReport": "criterion 9",
+    "modular._all_lower_sets": "criterion 9",
+    "errors.InvalidImage": "criterion 9",
+    # property-test oracles for the fast paths
+    "algebra.includes": "oracle for the bulk order of ContextPoset",
+    "algebra.coarse_graining_map": "oracle for ContextPoset.block_maps",
+    "errors.NotIncluded": "raised by coarse_graining_map",
+    "presheaf.outer_daseinisation_bruteforce":
+        "oracle for outer_daseinisation (criterion 4)",
+    "modular.GNSSpace.pi_matrix": "oracle for the structured swap products",
+    "modular.GNSSpace.right_matrix":
+        "oracle for the structured swap products",
+    "numerics.proj_meet": "oracle in test_daseinisation_join_identity",
+    "numerics.proj_join": "oracle in test_daseinisation_join_identity",
+    "numerics.zero_projection": "oracle in test_daseinisation_join_identity",
+}
+
+
+def _identifiers(nodes) -> set:
+    """Name and Attribute identifiers under the nodes, annotations skipped."""
+    out = set()
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        for field, value in ast.iter_fields(node):
+            if field in ("annotation", "returns"):
+                continue
+            if isinstance(value, ast.AST):
+                stack.append(value)
+            elif isinstance(value, list):
+                stack.extend(v for v in value if isinstance(v, ast.AST))
+    return out
+
+
+def _is_def(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+
+
+def package_graph():
+    """(uses, decorators, import_time): the identifiers each definition
+    uses, the identifiers in its decorators, and those used at import."""
+    uses, decorators, import_time = {}, {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not _is_def(node):
+                import_time |= _identifiers([node])
+                continue
+            key = f"{module}.{node.name}"
+            decorators[key] = _identifiers(node.decorator_list)
+            import_time |= decorators[key]
+            if isinstance(node, ast.ClassDef):
+                members = [n for n in node.body if _is_def(n)]
+                rest = [n for n in node.body if not _is_def(n)]
+                uses[key] = _identifiers(rest + node.bases + node.keywords)
+                for m in members:
+                    uses[f"{key}.{m.name}"] = _identifiers([m])
+            else:
+                uses[key] = _identifiers([node])
+    return uses, decorators, import_time
+
+
+def traced_targets():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [f"{mod}.{name}" for mod, name in module.TARGETS]
+
+
+def reached(uses, decorators, import_time, roots) -> set:
+    """Keys of the definitions the name walk reaches."""
+    by_name = {}
+    for key in uses:
+        by_name.setdefault(key.rsplit(".", 1)[1], []).append(key)
+    registered = {}
+    for key, names in decorators.items():
+        for name in names:
+            for deco in by_name.get(name, ()):
+                registered.setdefault(deco, []).append(key)
+    seen = set()
+    todo = list(roots) + [k for n in import_time for k in by_name.get(n, ())]
+    while todo:
+        key = todo.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        todo.extend(k for n in uses[key] for k in by_name.get(n, ()))
+        todo.extend(registered.get(key, ()))
+        # a class brings its implicitly called dunder methods
+        todo.extend(k for k in uses if k.startswith(key + ".__"))
+    return seen
+
+
+def test_declared_and_traced_names_exist():
+    uses, _, _ = package_graph()
+    for key in list(DECLARED) + traced_targets() + list(ENTRY_POINTS):
+        assert key in uses, key
+
+
+def test_every_definition_is_reached():
+    uses, decorators, import_time = package_graph()
+    roots = list(ENTRY_POINTS) + traced_targets() + list(DECLARED)
+    seen = reached(uses, decorators, import_time, roots)
+    assert sorted(set(uses) - seen) == []

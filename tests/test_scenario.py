@@ -1,17 +1,21 @@
 """Scenario parsing: defaults, echo, and rejection of malformed input."""
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
 
+from toposkms.cli import execute
 from toposkms.errors import ScenarioError
+from toposkms.reports import INFO, Report
 from toposkms.scenario import (
     DEFAULT_CHECKS,
     load_scenario,
     parse_matrix,
     parse_operator,
 )
+from toposkms.suites import SUITES
 
 MINIMAL = {
     "dim": 2,
@@ -166,3 +170,40 @@ def test_full_corpus_parses(scenario_dir):
         assert scn.resolved["poset"]["size"] == len(scn.poset.contexts)
         # the echo round-trips through JSON
         assert json.loads(json.dumps(scn.resolved)) == scn.resolved
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_a_suite_missing_a_needed_field_writes_one_skip_row(name):
+    # MINIMAL has no flow, group, sub-objects, pairs or r queries
+    run = SUITES[name]
+    rep = Report()
+    outcome = run(load_scenario(scn_dict(checks=[name])), rep)
+    if not run.needs:
+        assert outcome in (True, False)
+        return
+    assert outcome is None
+    assert [(e.check, e.location, e.verdict) for e in rep.entries] == [
+        (name, f"skipped: needs {', '.join(run.needs)}", INFO)]
+
+
+FLOW = {
+    "hamiltonian": {"diag": [0, 1]},
+    "projections": {"E0": {"diag": [1, 0]}},
+    "subobjects": {"A": {"dasein": "E0"}},
+}
+
+
+@pytest.mark.parametrize("extra, c1_suites_run", [
+    ({}, 0),
+    (dict(FLOW, t_grid=[0.0, 1.0]), 1),                        # external only
+    (dict(FLOW, group={"samples": [0.0, math.pi]}), 1),        # internal only
+    (dict(FLOW, t_grid=[0.0, 1.0], group={"samples": [0.0, math.pi]}), 2),
+])
+def test_the_invariant_row_needs_both_c1_outcomes(extra, c1_suites_run):
+    scn = load_scenario(scn_dict(checks=["external-c1", "internal-c1"],
+                                 **extra))
+    rep = execute(scn)
+    skipped = [e for e in rep.entries if e.location.startswith("skipped")]
+    assert len(skipped) == 2 - c1_suites_run
+    invariant = [e for e in rep.entries if e.check == "invariant"]
+    assert len(invariant) == (c1_suites_run == 2)
