@@ -1,27 +1,28 @@
 """Abelian von Neumann sub-algebras of M_n and the poset they form.
 
-A context is a finite-dimensional abelian *-algebra given by its minimal
-projections: a partition of the identity into k >= 2 orthogonal blocks
-(the trivial algebra C.1 is excluded).  Contexts are ordered by algebra
-inclusion, which for partitions means coarse-graining: V' <= V iff every
-block of V' is a sum of blocks of V.
+A context is given by its minimal projections, k >= 2 orthogonal blocks
+summing to 1 (C.1 is excluded).  A maximal context is an orthonormal
+basis up to phase and permutation, and every other context is a
+coarse-graining of one.  So a Context is an n x n unitary frame Y with
+its columns grouped by block, plus the block label of each column;
+Q_i = Y_i Y_i* is formed only where a dense matrix is needed.
+Context(blocks) is the input boundary, which validates each block once
+as a Projection; a coarse-graining merges labels on the same frame,
+U V U* is (U Y, labels) and a meet merges labels along the overlap graph.
 
-build_poset grows a finite poset from seed contexts by three optional
-closures: downward closure (all coarse-grainings), meet closure (pairwise
-algebra intersections) and group closure (images under a sampled
-one-parameter unitary group).  Candidates are deduplicated through a
-ContextIndex, which compares a candidate only with the contexts of the
-same signature (dimension, block count, ranks), in index order.
+Every comparison reads the overlap table O[a, b] = tr(Q'_a Q_b), which
+is |Y'* Y|^2 summed by labels.  Block b's home is the row of its largest
+overlap, and the rest of the column, its off-home mass
+||(1 - Q'_home) Q_b||_F^2, is a sum of small terms with no cancellation.
+V' <= V iff every block of V has off-home mass <= eps_order^2 (proj_leq's
+threshold), and the homes are the block map.  V' = V iff k' = k and the
+bound is eps_order^2 / 2, i.e. ||Q'_home - Q_b||_F <= eps_order.
 
-ContextPoset computes the order and the restriction tables once.  For
-each context V, one matrix product of V's flattened blocks with every
-block of its dimension gives tr Q - Re<Q, Q'>, which equals
-||(1 - Q')Q||_F^2 for projections; a pair of blocks where it exceeds
-eps_order^2 by more than a slack measured on the blocks cannot pass
-proj_leq.  Only contexts V' in which every block of V keeps
-a candidate home get the exact test, block_map, which is also behind
-includes and coarse_graining_map; its block maps are stored as
-ContextPoset.block_maps and read by the spectral presheaf.
+build_poset closes seed contexts under coarse-graining, meets and a
+sampled unitary group; ContextIndex deduplicates them and ContextPoset
+orders them, with one product per signature bucket of stacked frames.
+block_map, includes, coarse_graining_map and contexts_equal work on
+dense blocks: they are the oracles the tests hold the frame path to.
 """
 from __future__ import annotations
 
@@ -55,20 +56,37 @@ from .tolerances import DEFAULT_TOL, TolerancePolicy
 MAX_LATTICE_BLOCKS = 20
 
 
-def _rounded_bytes(m: np.ndarray, decimals: int = 6) -> bytes:
-    r = np.round(m.real, decimals) + 0.0  # +0.0 normalizes -0.0
-    i = np.round(m.imag, decimals) + 0.0
-    return r.tobytes() + i.tobytes()
+def _overlaps(rows, row_starts, frame, col_starts) -> np.ndarray:
+    """Overlap tables O[..., a, b] = tr(Q'_a Q_b) between the blocks of
+    the frames `rows` (one n x n frame, or a stack of frames with equal
+    labels) and the blocks of `frame`: |Y'* Y|^2 summed by labels."""
+    p = np.abs(np.swapaxes(rows.conj(), -1, -2) @ frame) ** 2
+    return np.add.reduceat(np.add.reduceat(p, row_starts, axis=-2),
+                           col_starts, axis=-1)
+
+
+def _homes(o, bound: float):
+    """(placed, home) for each column b of overlap tables o[..., a, b]:
+    home[b] is the row of the largest overlap, and placed[b] says that
+    the rest of the column, the off-home mass, is at most bound."""
+    home = o.argmax(axis=-2)
+    rest = o.copy()
+    np.put_along_axis(rest, home[..., None, :], 0.0, axis=-2)
+    return rest.sum(axis=-2) <= bound, home
 
 
 class Context:
-    """An abelian sub-algebra of M_n, stored as its minimal projections.
+    """An abelian sub-algebra of M_n: a unitary frame and block labels.
 
-    blocks are kept in a canonical order (rank, then rounded entries) so
-    that fingerprints and character indexing are deterministic.
+    labels[c] is the block of frame column c; ranks[i] and starts[i] are
+    the column count and first column of block i.  Blocks are kept in a
+    canonical order (rank, then the rounded entries of Q_i) so that
+    fingerprints and character indexing are deterministic.  Context(blocks)
+    validates input projections; on_frame trusts a unitary frame.
     """
 
-    __slots__ = ("blocks", "dim", "id", "fingerprint")
+    __slots__ = ("frame", "labels", "ranks", "starts", "dim", "id",
+                 "fingerprint")
 
     def __init__(self, blocks, context_id: str | None = None,
                  tol: TolerancePolicy = DEFAULT_TOL):
@@ -78,80 +96,109 @@ class Context:
         dim = blocks[0].dim
         if any(b.dim != dim for b in blocks):
             raise DimMismatch("blocks have inconsistent dimensions")
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for a in blocks:
-            total += a.matrix
+        total = sum(b.matrix for b in blocks)
         if frob(total - np.eye(dim)) > max(tol.eps_idem * 10 * len(blocks), 1e-9):
             raise NotInAlgebra("blocks do not sum to the identity")
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                if frob(blocks[i].matrix @ blocks[j].matrix) > tol.eps_order:
-                    raise NotInAlgebra("blocks are not pairwise orthogonal")
-        blocks.sort(key=lambda b: (b.rank, _rounded_bytes(b.matrix)))
-        self.blocks = tuple(blocks)
-        self.dim = dim
+        if any(b.rank == 0 for b in blocks):
+            raise NotInAlgebra("a block is the zero projection")
+        # the range of each block: eigenvectors of its rank largest eigenvalues
+        frame = np.hstack([np.linalg.eigh(b.matrix)[1][:, dim - b.rank:]
+                           for b in blocks])
+        self._canonical(frame, np.repeat(np.arange(len(blocks)),
+                                         [b.rank for b in blocks]), context_id)
+        cross = _overlaps(self.frame, self.starts, self.frame, self.starts)
+        if (cross - np.diag(cross.diagonal())).max() > tol.eps_order ** 2:
+            raise NotInAlgebra("blocks are not pairwise orthogonal")
+
+    @classmethod
+    def on_frame(cls, frame, labels, context_id: str | None = None) -> "Context":
+        """The context whose block g is spanned by the columns labelled g
+        of a unitary frame; nothing is validated."""
+        v = cls.__new__(cls)
+        v._canonical(frame, np.asarray(labels), context_id)
+        return v
+
+    def _canonical(self, frame, labels, context_id) -> None:
+        groups = []
+        for g in sorted(set(labels.tolist())):
+            cols = np.flatnonzero(labels == g)
+            q = frame[:, cols] @ dagger(frame[:, cols])
+            # entries rounded to 6 decimals; +0.0 normalizes -0.0
+            rounded = [np.round(part, 6) + 0.0 for part in (q.real, q.imag)]
+            groups.append(((cols.size, b"".join(r.tobytes() for r in rounded)), cols))
+        groups.sort(key=lambda group: group[0])
+        self.frame = frame[:, np.concatenate([cols for _, cols in groups])]
+        self.frame.flags.writeable = False
+        self.ranks = tuple(rank for (rank, _), _ in groups)
+        self.labels = np.repeat(np.arange(len(groups)), self.ranks)
+        self.starts = np.flatnonzero(np.diff(self.labels, prepend=-1))
+        self.dim = frame.shape[0]
         h = hashlib.sha1()
-        h.update(f"{dim}:{len(blocks)}".encode())
-        for b in self.blocks:
-            h.update(str(b.rank).encode())
-            h.update(_rounded_bytes(b.matrix))
+        h.update(f"{self.dim}:{len(groups)}".encode())
+        for (rank, rounded), _ in groups:
+            h.update(str(rank).encode())
+            h.update(rounded)
         self.fingerprint = h.hexdigest()
         self.id = context_id if context_id is not None else "V" + self.fingerprint[:10]
 
     @property
     def k(self) -> int:
-        return len(self.blocks)
+        return len(self.ranks)
 
     def signature(self):
-        """Cheap invariant used to bucket candidates for equality tests."""
-        return (self.dim, self.k, tuple(b.rank for b in self.blocks))
+        """Cheap invariant used to bucket candidates for equality tests;
+        contexts with equal signatures have equal labels."""
+        return (self.dim, self.k, self.ranks)
 
-    def span_basis(self):
-        return [b.matrix for b in self.blocks]
+    def block(self, i: int) -> np.ndarray:
+        """Dense Q_i = Y_i Y_i*."""
+        y = self.frame[:, self.starts[i]:self.starts[i] + self.ranks[i]]
+        return y @ dagger(y)
 
     def block_sum(self, indices) -> np.ndarray:
-        """Dense sum of the blocks with the given indices, in their order."""
-        m = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for i in indices:
-            m = m + self.blocks[i].matrix
-        return m
+        """Dense sum of the blocks with the given indices."""
+        keep = np.zeros(self.k, dtype=bool)
+        keep[list(indices)] = True
+        y = self.frame[:, keep[self.labels]]
+        return y @ dagger(y)
 
     def weights(self, m) -> np.ndarray:
-        """Block weights Re tr(m Q_i); for a density matrix, the state on
-        this context (Q_i is Hermitian, so tr(m Q_i) = <Q_i, m>_HS)."""
-        return np.array([np.vdot(b.matrix, m).real for b in self.blocks])
+        """Block weights Re tr(m Q_i), the label sums of Re diag(Y* m Y);
+        for a density matrix, the state on this context."""
+        diag = np.einsum("ij,ij->j", self.frame.conj(), m @ self.frame).real
+        return np.add.reduceat(diag, self.starts)
 
     def __repr__(self):
         return f"Context(id={self.id!r}, dim={self.dim}, k={self.k})"
 
 
 def contexts_equal(v1: Context, v2: Context, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """Equality up to eps_order: fingerprint fast path, then greedy block
-    matching by minimal Frobenius distance.
-
-    The fingerprint rounds entries to 6 decimals, so equal fingerprints
-    only say which blocks to pair: the fast path still checks each pair
-    (same canonical index) against eps_order."""
+    """Oracle for equality up to eps_order: greedy matching of the dense
+    blocks of equal rank by Frobenius distance."""
     if v1.signature() != v2.signature():
         return False
-    if v1.fingerprint == v2.fingerprint and all(
-            frob(b.matrix - c.matrix) <= tol.eps_order
-            for b, c in zip(v1.blocks, v2.blocks)):
-        return True
+    b2 = [v2.block(j) for j in range(v2.k)]
     unused = list(range(v2.k))
-    for b in v1.blocks:
-        best, best_d = None, None
+    for i in range(v1.k):
+        b, best, best_d = v1.block(i), None, None
         for j in unused:
-            c = v2.blocks[j]
-            if c.rank != b.rank:
+            if v2.ranks[j] != v1.ranks[i]:
                 continue
-            d = frob(b.matrix - c.matrix)
+            d = frob(b - b2[j])
             if best_d is None or d < best_d:
                 best, best_d = j, d
         if best is None or best_d > tol.eps_order:
             return False
         unused.remove(best)
     return True
+
+
+def fixes_blocks(u, v: Context, distance: float) -> bool:
+    """True iff ||U Q_b U* - Q_b||_F <= distance for every block b: block b
+    of (U Y, labels) has its home in Q_b, with off-home mass <= distance^2/2."""
+    placed, home = _homes(_overlaps(v.frame, v.starts, u @ v.frame, v.starts),
+                          distance ** 2 / 2)
+    return bool(placed.all() and (home == np.arange(v.k)).all())
 
 
 def _hermitian_parts(a: np.ndarray):
@@ -179,7 +226,8 @@ def context_from_operators(ops, context_id: str | None = None,
 
     Each operator is split into commuting Hermitian real/imaginary parts;
     each part refines the current joint eigenspace partition.  Degenerate
-    eigenvalues are clustered at eps_eig * max(1, ||A||_F).
+    eigenvalues are clustered at eps_eig * max(1, ||A||_F).  The joint
+    eigenspaces are the frame of the result.
     """
     mats = [as_complex_matrix(a) for a in ops]
     if not mats:
@@ -218,22 +266,24 @@ def context_from_operators(ops, context_id: str | None = None,
 
     if len(subspaces) < 2:
         raise TrivialAlgebra("operators generate only the trivial algebra C.1")
-    blocks = [Projection(y @ dagger(y), tol) for y in subspaces]
-    ctx = Context(blocks, context_id, tol)
+    ctx = Context.on_frame(np.hstack(subspaces),
+                           np.repeat(np.arange(len(subspaces)),
+                                     [y.shape[1] for y in subspaces]),
+                           context_id)
     # every input operator must be recovered from the block expansion
+    y = ctx.frame
     for a in mats:
-        coeffs = [np.trace(b.matrix @ a) / b.rank for b in ctx.blocks]
-        resid = a - sum(c * b.matrix for c, b in zip(coeffs, ctx.blocks))
+        diag = np.einsum("ij,ij->j", y.conj(), a @ y)
+        coeffs = np.add.reduceat(diag, ctx.starts) / np.array(ctx.ranks)
+        resid = a - (y * coeffs[ctx.labels]) @ dagger(y)
         if frob(resid) > max(tol.eps_eig * max(1.0, frob(a)) * n, 1e-8):
             raise NonCommuting("refinement failed to diagonalize an operator")
     return ctx
 
 
 def projection_lattice(v: Context):
-    """All 2^k subset-sum projections of the context, as (indices, matrix).
-
-    Ordered by subset bitmask; guarded against k > MAX_LATTICE_BLOCKS.
-    """
+    """All 2^k subset-sum projections of the context, as (indices, matrix),
+    by subset bitmask; guarded against k > MAX_LATTICE_BLOCKS."""
     if v.k > MAX_LATTICE_BLOCKS:
         raise LatticeTooLarge(f"2^{v.k} lattice elements exceed the enumeration guard")
     out = []
@@ -249,53 +299,55 @@ def lattice_projection(v: Context, indices,
 
 
 def block_map(v_prime: Context, v: Context, tol: TolerancePolicy = DEFAULT_TOL):
-    """Map block-index of V -> block-index of V' when V' <= V, else None.
+    """Oracle: map block-index of V -> block-index of V' when V' <= V,
+    else None, from the dense blocks.
 
-    Exact: every V-block needs exactly one V'-block above it (proj_leq),
-    and every V'-block must equal the sum of the V-blocks sent to it.
+    Every V-block needs exactly one V'-block above it (proj_leq), and
+    every V'-block must equal the sum of the V-blocks sent to it.
     """
     if v_prime.dim != v.dim:
         raise DimMismatch("contexts live in different dimensions")
     out = []
-    for q in v.blocks:
-        homes = [j for j, qp in enumerate(v_prime.blocks) if proj_leq(q, qp, tol)]
+    for i in range(v.k):
+        q = v.block(i)
+        homes = [j for j in range(v_prime.k) if proj_leq(q, v_prime.block(j), tol)]
         if len(homes) != 1:
             return None
         out.append(homes[0])
-    for j, qp in enumerate(v_prime.blocks):
+    for j in range(v_prime.k):
         total = v.block_sum([i for i, home in enumerate(out) if home == j])
-        if frob(total - qp.matrix) > max(tol.eps_order * v.k, tol.eps_order):
+        if frob(total - v_prime.block(j)) > max(tol.eps_order * v.k, tol.eps_order):
             return None
     return tuple(out)
 
 
 def includes(v_prime: Context, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """True iff V' is a sub-algebra of V (every V'-block sums V-blocks).
-
-    With coarse_graining_map, the per-pair form of the order that
-    ContextPoset computes in bulk; tests compare the two.
-    """
+    """Oracle: True iff V' is a sub-algebra of V (every V'-block sums
+    V-blocks); tests compare it with ContextPoset.leq."""
     return block_map(v_prime, v, tol) is not None
 
 
 def coarse_graining_map(v: Context, v_prime: Context,
                         tol: TolerancePolicy = DEFAULT_TOL):
-    """Map block-index of V -> block-index of V' (V' <= V). NotIncluded if
-    the contexts are not comparable."""
+    """Oracle: map block-index of V -> block-index of V' (V' <= V).
+    NotIncluded if the contexts are not comparable."""
     out = block_map(v_prime, v, tol)
     if out is None:
         raise NotIncluded(f"{v_prime.id} is not a coarse-graining of {v.id}")
     return out
 
 
-def apply_automorphism(u, v: Context, tol: TolerancePolicy = DEFAULT_TOL,
-                       context_id: str | None = None) -> Context:
-    """Image context with blocks U Q_i U*; U must be unitary within 1e-10."""
+def _unitary(u) -> np.ndarray:
     um = as_complex_matrix(u)
     if not is_unitary(um, 1e-10):
         raise NotUnitary("automorphism matrix is not unitary within 1e-10")
-    blocks = [Projection(um @ b.matrix @ dagger(um), tol) for b in v.blocks]
-    return Context(blocks, context_id, tol)
+    return um
+
+
+def apply_automorphism(u, v: Context, context_id: str | None = None) -> Context:
+    """Image context U V U*, the frame U Y with V's labels; U must be
+    unitary within 1e-10."""
+    return Context.on_frame(_unitary(u) @ v.frame, v.labels, context_id)
 
 
 def _set_partitions(k: int):
@@ -317,44 +369,54 @@ def _set_partitions(k: int):
 class ContextIndex:
     """Contexts in insertion order, bucketed by Context.signature().
 
-    find scans only the candidate's bucket, in index order, so it returns
-    the first index a linear contexts_equal scan would (contexts with
-    different signatures are never equal).
+    A bucket shares its labels, so its frames are stacked and one product
+    gives a probe's overlap tables with all of them.  find returns the
+    first index a linear contexts_equal scan would.
     """
 
     def __init__(self, tol: TolerancePolicy = DEFAULT_TOL, contexts=()):
         self.tol = tol
         self.contexts = []
         self.buckets = {}
+        self._stacks = {}
         for v in contexts:
             self.append(v)
 
-    def find(self, candidate: Context) -> int | None:
-        for i in self.buckets.get(candidate.signature(), ()):
-            if contexts_equal(self.contexts[i], candidate, self.tol):
-                return i
-        return None
-
     def append(self, v: Context) -> int:
         self.buckets.setdefault(v.signature(), []).append(len(self.contexts))
+        self._stacks.pop(v.signature(), None)
         self.contexts.append(v)
         return len(self.contexts) - 1
 
+    def placements(self, frame, v: Context, bound: float, signatures):
+        """[(index, overlap table, homes)] of the contexts V' with the
+        given signatures in which every block of V's labels on `frame`
+        has a home with off-home mass at most bound, in index order."""
+        out = []
+        for sig in signatures:
+            members = self.buckets.get(sig)
+            if not members:
+                continue
+            if sig not in self._stacks:
+                self._stacks[sig] = np.array([self.contexts[i].frame
+                                              for i in members])
+            o = _overlaps(self._stacks[sig], self.contexts[members[0]].starts,
+                          frame, v.starts)
+            placed, home = _homes(o, bound)
+            out.extend((members[a], o[a], home[a])
+                       for a in np.flatnonzero(placed.all(axis=1)))
+        return sorted(out, key=lambda hit: hit[0])
 
-def _order_slack(mats) -> float:
-    """Bound on |(tr Q - Re<Q, Q'>) - ||(1 - Q')Q||_F^2| over all pairs of
-    the given n x n blocks.
+    def locate(self, frame, v: Context):
+        """(index, overlap table) of the first context equal to V's labels
+        on `frame`, or None."""
+        hits = self.placements(frame, v, self.tol.eps_order ** 2 / 2,
+                               [v.signature()])
+        return hits[0][:2] if hits else None
 
-    The two sides are equal for exact projections.  With h and e the
-    largest ||Q - Q*||_F and ||Q^2 - Q||_F among the blocks, expanding
-    ||(1 - Q')Q||^2 leaves four remainder traces, at most sqrt(n) h,
-    sqrt(n) e, sqrt(n) h and sqrt(n) (h + e).  The bound doubles their
-    sum (norm factors of 1 + O(h + e)) and adds n^2 1e-14 for rounding.
-    """
-    n = mats[0].shape[0]
-    h = max(frob(m - dagger(m)) for m in mats)
-    e = max(frob(m @ m - m) for m in mats)
-    return 2.0 * np.sqrt(n) * (3.0 * h + 2.0 * e) + n * n * 1e-14
+    def find(self, candidate: Context) -> int | None:
+        hit = self.locate(candidate.frame, candidate)
+        return None if hit is None else hit[0]
 
 
 class ContextPoset:
@@ -368,14 +430,9 @@ class ContextPoset:
     added by group closure to (t, base_index).  leq and the tables are
     fixed at construction.
 
-    The order is computed per context V: one product of V's flattened
-    blocks with the blocks of every context of V's dimension gives
-    d = tr Q - Re<Q, Q'> for each pair of blocks.  For projections d is
-    ||(1 - Q')Q||_F^2 up to a slack measured on the blocks (_order_slack),
-    so a pair with d > eps_order^2 + slack fails proj_leq and Q' cannot
-    be Q's home.  Only contexts V' in which every block of V keeps a
-    candidate home go to the exact check (block_map), so leq equals
-    all-pairs includes.
+    For each V, one product per signature bucket gives the overlap tables
+    of every V' with V; V' <= V where every block of V has off-home mass
+    at most eps_order^2, and the homes are block_maps.
     """
 
     def __init__(self, contexts, tol: TolerancePolicy = DEFAULT_TOL,
@@ -391,35 +448,15 @@ class ContextPoset:
         n = len(self.contexts)
         self.leq = np.eye(n, dtype=bool)
         self.block_maps = {}
-        by_dim = {}
-        for i, v in enumerate(self.contexts):
-            by_dim.setdefault(v.dim, []).append(i)
-        for members in by_dim.values():
-            self._order_within(members)
-        self.strict_pairs = np.argwhere(self.leq & ~np.eye(n, dtype=bool))
-
-    def _order_within(self, members) -> None:
-        """Fill leq and block_maps among the contexts of one dimension."""
-        ctxs = [self.contexts[i] for i in members]
-        ks = np.array([v.k for v in ctxs])
-        starts = np.concatenate(([0], np.cumsum(ks)[:-1]))
-        mats = [b.matrix for v in ctxs for b in v.blocks]
-        traces = np.array([m.trace().real for m in mats])
-        bound = self.tol.eps_order ** 2 + _order_slack(mats)
-        # real and imaginary parts side by side: Re<Q, Q'> is a real dot
-        flat = np.array([m.reshape(-1) for m in mats]).view(np.float64)
-        for b, j in enumerate(members):
-            rows = slice(starts[b], starts[b] + ks[b])
-            d = traces[rows, None] - flat[rows] @ flat.T
-            homes = np.logical_or.reduceat(d <= bound, starts, axis=1)
-            cand = homes.all(axis=0) & (ks <= ks[b])
-            cand[b] = False
-            for a in np.flatnonzero(cand):
-                i = members[a]
-                m = block_map(self.contexts[i], self.contexts[j], self.tol)
-                if m is not None:
+        for j, v in enumerate(self.contexts):
+            coarser = [s for s in self._index.buckets
+                       if s[0] == v.dim and s[1] <= v.k]
+            for i, _, home in self._index.placements(
+                    v.frame, v, tol.eps_order ** 2, coarser):
+                if i != j:
                     self.leq[i, j] = True
-                    self.block_maps[i, j] = m
+                    self.block_maps[i, j] = tuple(home.tolist())
+        self.strict_pairs = np.argwhere(self.leq & ~np.eye(n, dtype=bool))
 
     def __len__(self):
         return len(self.contexts)
@@ -438,28 +475,19 @@ class ContextPoset:
         return None if i is None else self.contexts[i].id
 
     def image(self, u, context_id: str, tol: TolerancePolicy | None = None):
-        """Where conjugation by u moves a poset context.
-
-        Returns (target id, relabel): the id of the poset context equal to
-        U V U*, and relabel[i] = the index of the target block nearest to
-        U Q_i U*.  The target id is None when the moved context is not in
-        the poset; relabel is None when it is, but some block has no
-        target block within max(10 eps_order, eps_order).
-        """
+        """(target id, relabel) for the poset context equal to U V U* =
+        (U Y, labels), with relabel[i] the target block that is the home
+        of U Q_i U*.  The id is None when the moved context is not in the
+        poset; relabel is None when some block is farther than
+        10 eps_order from its home."""
         tol = tol or self.tol
         v = self.context(context_id)
-        target_id = self.find_equal(apply_automorphism(u, v, tol))
-        if target_id is None:
+        hit = self._index.locate(_unitary(u) @ v.frame, v)
+        if hit is None:
             return None, None
-        um = np.asarray(u, dtype=np.complex128)
-        moved = um @ np.array(v.span_basis()) @ dagger(um)
-        targets = np.array(self.context(target_id).span_basis())
-        dists = np.linalg.norm(moved[:, None] - targets[None], axis=(2, 3))
-        relabel = dists.argmin(axis=1)
-        if dists[np.arange(v.k), relabel].max() > max(10 * tol.eps_order,
-                                                      tol.eps_order):
-            return target_id, None
-        return target_id, tuple(int(j) for j in relabel)
+        placed, home = _homes(hit[1], (10 * tol.eps_order) ** 2 / 2)
+        return self.contexts[hit[0]].id, (tuple(home.tolist()) if placed.all()
+                                          else None)
 
     def lower_set(self, context_id: str):
         j = self.index_of(context_id)
@@ -480,60 +508,35 @@ class ContextPoset:
         return [self.contexts[i].id for i in np.flatnonzero(above == 0)]
 
 
-def _coarse_grainings(v: Context, tol: TolerancePolicy):
+def _coarse_grainings(v: Context):
     """All proper coarse-grainings of a context (excluding the trivial
-    one-block merge), as new Contexts."""
+    one-block merge), as label merges on its frame."""
     out = []
     for rgs in _set_partitions(v.k):
-        groups = {}
-        for i, g in enumerate(rgs):
-            groups.setdefault(g, []).append(i)
-        if len(groups) in (1, v.k):
+        if max(rgs) + 1 in (1, v.k):
             continue  # trivial algebra, or the context itself
-        blocks = [Projection(v.block_sum(groups[g]), tol) for g in sorted(groups)]
-        out.append(Context(blocks, None, tol))
+        out.append(Context.on_frame(v.frame, np.array(rgs)[v.labels]))
     return out
 
 
 def meet_context(v1: Context, v2: Context, tol: TolerancePolicy = DEFAULT_TOL):
     """Intersection algebra V1 ∧ V2, or None when it is trivial.
 
-    Blocks are the connected components of the block-overlap graph
-    (an edge wherever ||Q R||_F > eps_order).
+    Its blocks are the components of the block-overlap graph (an edge
+    where ||Q R||_F^2 = tr(Q R) > eps_order^2), merged as labels on V1's
+    frame.  A component's V1 and V2 sums differ only by the overlaps
+    across components, at most k1 k2 eps_order^2 in all.
     """
     if v1.dim != v2.dim:
         raise DimMismatch("contexts live in different dimensions")
-    nodes = [(0, i) for i in range(v1.k)] + [(1, j) for j in range(v2.k)]
-    parent = {nd: nd for nd in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for i in range(v1.k):
-        for j in range(v2.k):
-            if frob(v1.blocks[i].matrix @ v2.blocks[j].matrix) > tol.eps_order:
-                union((0, i), (1, j))
-    comps = {}
-    for nd in nodes:
-        comps.setdefault(find(nd), []).append(nd)
-    if len(comps) < 2:
+    edges = _overlaps(v1.frame, v1.starts, v2.frame, v2.starts) > tol.eps_order ** 2
+    linked = edges @ edges.T  # V1 blocks that overlap a common V2 block
+    group = np.arange(v1.k)
+    for _ in range(v1.k):  # each block takes the least label it is linked to
+        group = np.where(linked, group, v1.k).min(axis=1)
+    if len(set(group.tolist())) < 2:
         return None
-    blocks = []
-    for members in comps.values():
-        m = v1.block_sum([idx for side, idx in members if side == 0])
-        m2 = v2.block_sum([idx for side, idx in members if side == 1])
-        if frob(m - m2) > max(tol.eps_order * (v1.k + v2.k), tol.eps_order):
-            return None  # not a common coarse-graining; intersection trivial
-        blocks.append(Projection(m, tol))
-    return Context(blocks, None, tol)
+    return Context.on_frame(v1.frame, group[v1.labels])
 
 
 def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = False,
@@ -546,6 +549,9 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
     closure to a fixpoint; a positive integer bounds the number of
     closure sweeps (needed for non-closing sample grids).  Exceeding
     max_contexts raises PosetTooLarge.
+
+    Downward closure expands each context once, and skips the contexts
+    it added: their coarse-grainings are coarse-grainings of their parent.
     """
     index = ContextIndex(tol)
     contexts = index.contexts
@@ -571,17 +577,24 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
     if group is not None:
         group_pairs = [(t, u) for t, u in group.real_unitaries() if t != 0.0]
 
+    cursor = 0  # contexts before the cursor went through a downward step
+    closed = set()  # indices added as coarse-grainings of an expanded context
     changed = True
     sweeps = 0
     while changed:
         changed = False
         sweeps += 1
         if downward_closure:
-            for v in list(contexts):
-                for w in _coarse_grainings(v, tol):
-                    before = len(contexts)
+            end = len(contexts)
+            for idx in range(cursor, end):
+                if idx in closed:
+                    continue
+                before = len(contexts)
+                for w in _coarse_grainings(contexts[idx]):
                     add(w)
-                    changed = changed or len(contexts) > before
+                closed.update(range(before, len(contexts)))
+                changed = changed or len(contexts) > before
+            cursor = end
         if meet_closure:
             snapshot = list(contexts)
             for i in range(len(snapshot)):
@@ -594,7 +607,7 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
         if group_pairs and (group_depth is None or sweeps <= group_depth):
             for idx, v in enumerate(list(contexts)):
                 for t, u in group_pairs:
-                    w = apply_automorphism(u, v, tol)
+                    w = apply_automorphism(u, v)
                     before = len(contexts)
                     base = provenance.get(idx)
                     # track provenance back to the original (t composes)
@@ -602,7 +615,7 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
                         prov = (t + base[0], base[1])
                     else:
                         prov = (t, idx)
-                    k = add(w, prov)
+                    add(w, prov)
                     changed = changed or len(contexts) > before
         if group_pairs and group_depth is not None and sweeps >= group_depth \
                 and not downward_closure and not meet_closure:

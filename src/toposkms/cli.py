@@ -131,7 +131,7 @@ def _cmd_dasein(args) -> int:
         desc = "0"
     else:
         desc = " + ".join(f"Q{i}" for i in indices)
-    rank = sum(v.blocks[i].rank for i in indices)
+    rank = sum(v.ranks[i] for i in indices)
     print(f"dasein({args.P}) @ {cid} = {desc}  (rank {rank} of {v.dim})")
     return 0
 

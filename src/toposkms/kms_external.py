@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ContextPoset, context_from_operators, contexts_equal
+from .algebra import ContextIndex, ContextPoset, context_from_operators
 from .errors import (
     AmbiguousMatch,
     DomainMismatch,
@@ -414,7 +414,7 @@ class TwistedTruthObject:
 
     def contains(self, sub: ClopenSubobject, stage: StageVR) -> bool:
         key = sub.restricted_to(stage.context_id).canonical_key()
-        return any(key == m.canonical_key() for m in self.members_at(stage))
+        return key in {m.canonical_key() for m in self.members_at(stage)}
 
 
 def twist(truth: TruthObject, flow: AutomorphismFlow, t: float) -> TwistedTruthObject:
@@ -618,14 +618,16 @@ def strong_mu_equivalence(state: State, truth_a, truth_b, stages,
             ma_small, mb_small = members[small]
             match_big = dict(matchings[big])
             match_small = dict(matchings[small])
-            keys_small_a = [s.canonical_key() for s in ma_small]
+            # first index of each key, as list.index would give
+            index_small_a = {}
+            for ia, s in enumerate(ma_small):
+                index_small_a.setdefault(s.canonical_key(), ia)
             keys_small_b = [s.canonical_key() for s in mb_small]
             for i, j in match_big.items():
                 ra = ma_big[i].restricted_to(small.context_id).canonical_key()
                 rb = mb_big[j].restricted_to(small.context_id).canonical_key()
-                try:
-                    ia = keys_small_a.index(ra)
-                except ValueError:
+                ia = index_small_a.get(ra)
+                if ia is None:
                     bad += 1
                     continue
                 if match_small.get(ia) is None:
@@ -686,11 +688,7 @@ def expectation_value(a, state: State, contexts=None,
     ctx_list = list(contexts.contexts) if isinstance(contexts, ContextPoset) \
         else list(contexts or [])
     eigctx = context_from_operators([am], context_id="eig", tol=tol)
-    inserted = True
-    for v in ctx_list:
-        if contexts_equal(v, eigctx, tol):
-            inserted = False
-            break
+    inserted = ContextIndex(tol, ctx_list).find(eigctx) is None
     if inserted:
         ctx_list = ctx_list + [eigctx]
     weights = [v.weights(state.matrix) for v in ctx_list]

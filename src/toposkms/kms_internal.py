@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Context, ContextPoset
+from .algebra import Context, ContextPoset, fixes_blocks
 from .errors import DomainMismatch, NotFaithful, PosetNotClosed
 from .kms_external import AutomorphismFlow
 from .measure import State, weight_sum
@@ -98,20 +98,8 @@ def fixed_point_subgroup(group: SampledGroup, contexts,
     if isinstance(contexts, ContextPoset):
         contexts = contexts.contexts
     contexts = list(contexts)
-    fixed = []
-    for t, u in group.real_unitaries():
-        ud = dagger(u)
-        ok = True
-        for v in contexts:
-            for q in v.blocks:
-                if frob(u @ q.matrix @ ud - q.matrix) > 10 * tol.eps_order:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            fixed.append(t)
-    return fixed
+    return [t for t, u in group.real_unitaries()
+            if all(fixes_blocks(u, v, 10 * tol.eps_order) for v in contexts)]
 
 
 @dataclass
@@ -136,10 +124,7 @@ def orbits(group: SampledGroup, context: Context,
         placed = False
         for cls in classes:
             _, u0 = cls[0]
-            w = u @ dagger(u0)
-            wd = dagger(w)
-            if all(frob(w @ q.matrix @ wd - q.matrix) <= 10 * tol.eps_order
-                   for q in context.blocks):
+            if fixes_blocks(u @ dagger(u0), context, 10 * tol.eps_order):
                 cls.append((t, u))
                 placed = True
                 break
@@ -167,13 +152,11 @@ def faithful_automorphisms(group: SampledGroup, context: Context,
     (the action is faithful on V), dimension k means every block is
     fixed; anything in between lands in the middle set."""
     k = context.k
+    blocks = [context.block(i) for i in range(k)]
     faithful, middle, fixes_all = [], [], []
     for t, u in group.real_unitaries():
         ud = dagger(u)
-        cols = []
-        for q in context.blocks:
-            cols.append((u @ q.matrix @ ud - q.matrix).reshape(-1))
-        b = np.stack(cols, axis=1)
+        b = np.stack([(u @ q @ ud - q).reshape(-1) for q in blocks], axis=1)
         dim_fixed = null_space(b, tol.eps_eig).shape[1]
         if dim_fixed <= 1:
             faithful.append(t)

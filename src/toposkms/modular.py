@@ -375,7 +375,7 @@ class AntiunitaryJ:
 
     def image_context(self, v: Context, tol: TolerancePolicy = DEFAULT_TOL
                       ) -> Context:
-        blocks = [self.conjugate_operator(q.matrix) for q in v.blocks]
+        blocks = [self.conjugate_operator(v.block(i)) for i in range(v.k)]
         try:
             return Context(blocks, tol=tol)
         except Exception as exc:  # pragma: no cover - mathematically impossible

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import (
     Context,
     ContextPoset,
@@ -38,7 +40,7 @@ from .errors import (
     NotInLattice,
     PosetNotClosed,
 )
-from .numerics import Projection, as_matrix, frob, proj_leq
+from .numerics import Projection, as_matrix, dagger, frob, proj_leq
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 
@@ -83,7 +85,10 @@ def s_map(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> frozenset:
     NotInLattice if p is not a subset sum of the blocks.
     """
     pm = as_matrix(p)
-    indices = frozenset(i for i, q in enumerate(v.blocks) if proj_leq(q, pm, tol))
+    # ||(1 - P) Q_i||_F^2 = ||(1 - P) Y_i||_F^2, summed over block i's columns
+    outside = np.add.reduceat(np.linalg.norm(v.frame - pm @ v.frame, axis=0) ** 2,
+                              v.starts)
+    indices = frozenset(np.flatnonzero(outside <= tol.eps_order ** 2).tolist())
     gap = frob(v.block_sum(indices) - pm)
     if gap > max(tol.eps_order * max(1, v.k), tol.eps_order):
         raise NotInLattice("projection is not an element of the context lattice")
@@ -99,13 +104,14 @@ def s_inverse(indices, v: Context,
 def dasein_indices(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> tuple:
     """Blocks of the outer daseinisation of p at V, in index order.
 
-    A block participates iff it overlaps p (||Q_i p||_F > eps_order):
-    dropping any overlapping block breaks domination, and the overlapping
-    sum already dominates.
+    A block participates iff it overlaps p (||Q_i p||_F = ||Y_i* p||_F >
+    eps_order): dropping any overlapping block breaks domination, and the
+    overlapping sum already dominates.
     """
     pm = as_matrix(p)
-    return tuple(i for i, q in enumerate(v.blocks)
-                 if frob(q.matrix @ pm) > tol.eps_order)
+    overlap = np.add.reduceat(np.linalg.norm(dagger(v.frame) @ pm, axis=1) ** 2,
+                              v.starts)
+    return tuple(np.flatnonzero(overlap > tol.eps_order ** 2).tolist())
 
 
 def outer_daseinisation(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> Projection:

@@ -94,7 +94,7 @@ def test_criterion_01_worked_example_reproduced_exactly():
         assert c3.presheaf.spectrum_size("Vex") == 2
         assert c3.presheaf.spectrum_size("Vdiag") == 3
         # the rank-1 generator is the symmetric projection onto span{e0+e1}
-        assert frob(c3.vex.blocks[0].matrix - P12SYM) <= 1e-12
+        assert frob(c3.vex.block(0) - P12SYM) <= 1e-12
         mu1 = measure_of(c3.state, c3.subs["S1"]).values["Vex"]
         mu2 = measure_of(c3.state, c3.subs["S2"]).values["Vex"]
         assert abs(mu1 - 0.4) <= 1e-12

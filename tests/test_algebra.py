@@ -50,9 +50,9 @@ def test_blocks_sort_rank_first():
     # the example context lists its rank-one block before the rank-two one
     vex = context_from_operators([P12SYM], "Vex")
     assert vex.k == 2
-    ranks = [int(round(np.trace(b.matrix).real)) for b in vex.blocks]
+    ranks = [int(round(np.trace(vex.block(i)).real)) for i in range(vex.k)]
     assert ranks == [1, 2]
-    assert frob(vex.blocks[0].matrix - P12SYM) < 1e-12
+    assert frob(vex.block(0) - P12SYM) < 1e-12
 
 
 def test_block_order_is_input_independent():
@@ -60,8 +60,8 @@ def test_block_order_is_input_independent():
     b = Context([np.diag([0, 1.0, 1]), np.diag([1.0, 0, 0])], "B")
     assert contexts_equal(a, b)
     assert a.signature() == b.signature()
-    for ba, bb in zip(a.blocks, b.blocks):
-        assert np.array_equal(ba.matrix, bb.matrix)
+    for i in range(a.k):
+        assert np.array_equal(a.block(i), b.block(i))
 
 
 def test_context_from_operators_recovers_eigenblocks():
@@ -91,7 +91,7 @@ def test_projection_lattice_size():
 def test_lattice_projection_sums_blocks():
     v = diagonal_context(3, "V")
     p = lattice_projection(v, {0, 2})
-    expected = v.blocks[0].matrix + v.blocks[2].matrix
+    expected = v.block(0) + v.block(2)
     assert frob(p.matrix - expected) < 1e-12
 
 
@@ -111,7 +111,7 @@ def test_apply_automorphism_preserves_structure():
     vex = context_from_operators([P12SYM], "Vex")
     moved = apply_automorphism(flow.unitary(0.7), vex)
     assert moved.k == vex.k
-    ranks = [int(round(np.trace(b.matrix).real)) for b in moved.blocks]
+    ranks = [int(round(np.trace(moved.block(i)).real)) for i in range(moved.k)]
     assert ranks == [1, 2]
     assert not contexts_equal(moved, vex)
     # t = 2*pi returns to the start for integer spectrum
@@ -236,19 +236,37 @@ def _nudged(v, rng, distance, context_id, tol):
 
     def moved(s):
         u = (vecs * np.exp(1j * s * w)) @ vecs.conj().T
-        return [u @ b.matrix @ u.conj().T for b in v.blocks]
+        return [u @ v.block(i) @ u.conj().T for i in range(v.k)]
 
-    unit = max(frob(m - b.matrix) for m, b in zip(moved(1e-4), v.blocks)) / 1e-4
+    unit = max(frob(m - v.block(i)) for i, m in enumerate(moved(1e-4))) / 1e-4
     return Context(moved(distance / unit), context_id, tol)
+
+
+def _block_swap(u, groups, rng):
+    """U P U* for a column permutation P that sends each group of
+    `groups` onto a group of the same size: it maps the rotated partition
+    onto itself and permutes its blocks."""
+    by_size = {}
+    for g in groups:
+        by_size.setdefault(len(g), []).append(sorted(g))
+    p = np.zeros((u.shape[0], u.shape[0]))
+    for same in by_size.values():
+        for src, j in zip(same, rng.permutation(len(same))):
+            p[same[j], src] = 1.0
+    return u @ p @ u.conj().T
 
 
 @given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
        eps_order=st.sampled_from([DEFAULT_TOL.eps_order, 1e-3]))
 def test_filtered_order_matches_all_pairs_includes(n, seed, eps_order):
-    """leq, block_maps, the restriction tables and bucketed lookup equal
-    all-pairs includes / coarse_graining_map and a linear contexts_equal
-    scan, on rotated contexts, their coarse-grainings, and copies moved
-    by 0.5 and 5 eps_order."""
+    """The frame path against the dense oracles.  leq, block_maps and the
+    restriction tables equal all-pairs includes / coarse_graining_map;
+    lookup equals a linear contexts_equal scan; image equals that scan on
+    the dense U Q_i U* plus the nearest dense block.  The contexts are
+    rotated partitions, their coarse-grainings, a boundary-built image,
+    and copies moved by 0.5, 1.2 and 5 eps_order (1.2 eps_order is within
+    the order's bound on off-home mass, eps_order^2, but not within
+    equality's, eps_order^2 / 2)."""
     tol = DEFAULT_TOL.override(eps_order=eps_order)
     rng = np.random.default_rng(seed)
     u = _random_unitary(rng, n)
@@ -264,12 +282,16 @@ def test_filtered_order_matches_all_pairs_includes(n, seed, eps_order):
         contexts.append(_rotated_partition(u, coarse, f"C{c}", tol))
     other = _random_unitary(rng, n)
     contexts.append(_rotated_partition(other, fine, "G", tol))
-    for tag, factor in (("half", 0.5), ("five", 5.0)):
+    for tag, factor in (("half", 0.5), ("over", 1.2), ("five", 5.0)):
         base = contexts[int(rng.integers(0, len(contexts)))]
         contexts.append(_nudged(base, rng, factor * eps_order,
                                 f"{base.id}-{tag}-copy", tol))
         contexts.append(_nudged(contexts[0], rng, factor * eps_order,
                                 f"F-{tag}", tol))
+    rot = _random_unitary(rng, n)
+    f = contexts[0]
+    contexts.append(Context([rot @ f.block(i) @ rot.conj().T
+                             for i in range(f.k)], "rotF", tol))
 
     poset = ContextPoset(contexts, tol)
     m = len(contexts)
@@ -305,11 +327,42 @@ def test_filtered_order_matches_all_pairs_includes(n, seed, eps_order):
     built = build_poset(candidates, tol=tol)
     assert [v.id for v in built.contexts] == [v.id for v in kept]
 
+    def dense_image(w, v):
+        moved = [w @ v.block(i) @ w.conj().T for i in range(v.k)]
+        i = linear(contexts, Context(moved, "moved", tol))
+        if i is None:
+            return None, None
+        t = contexts[i]
+        dists = np.array([[frob(q - t.block(j)) for j in range(t.k)]
+                          for q in moved])
+        relabel = dists.argmin(axis=1)
+        if dists[np.arange(v.k), relabel].max() > 10 * eps_order:
+            return t.id, None
+        return t.id, tuple(relabel.tolist())
+
+    for w in (_block_swap(u, fine, rng), rot):
+        for v in contexts:
+            assert poset.image(w, v.id) == dense_image(w, v), v.id
+
+    # a meet merges labels along the overlap graph: F and a
+    # coarse-graining of F meet in the coarse-graining
+    for c in contexts[1:4]:
+        assert contexts_equal(meet_context(f, c, tol), c, tol)
+        assert contexts_equal(meet_context(c, f, tol), c, tol)
+    # downward closure merges labels on F's frame: Bell(k) - 1 contexts,
+    # the coarse contexts among them, ordered as includes orders them
+    closed = build_poset([f], downward_closure=True, tol=tol)
+    bell = [1, 1, 2, 5, 15]
+    assert len(closed) == bell[f.k] - 1
+    assert all(closed.find_equal(c) is not None for c in contexts[1:4])
+    assert np.array_equal(closed.leq, [[includes(a, b, tol) for b in closed.contexts]
+                                       for a in closed.contexts])
+
 
 def _supports(v):
     """Diagonal support of each block; the entries are exactly 0 or 1."""
-    return [frozenset(np.flatnonzero(np.diag(b.matrix) != 0).tolist())
-            for b in v.blocks]
+    return [frozenset(np.flatnonzero(np.diag(v.block(i)) != 0).tolist())
+            for i in range(v.k)]
 
 
 @pytest.mark.parametrize("n, count", [(4, 14), (5, 51)])

@@ -1,10 +1,13 @@
 """End-to-end CLI behaviour: exit codes, report files, golden stdout."""
+import csv
+import hashlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import toposkms
@@ -136,6 +139,57 @@ def test_reports_are_identical_across_hash_seeds(scenario_dir, tmp_path):
     for f in files:
         assert (tmp_path / "1" / f).read_bytes() \
             == (tmp_path / "2" / f).read_bytes(), f
+
+
+# sha256 of the JSON list of (check, location, verdict) rows of each
+# corpus report.csv: residual digits may move, but not the context ids,
+# the rows, their order or the verdicts
+REPORT_STRUCTURE = {
+    "example_c3": "33a81134ec66d924c8b2aa166d50dad6b94c07e1861e1f529f06158578025555",
+    "gibbs_external": "e7cf3e82ca1ae3be4b2ccbdccc987e1ddd1925910c9f2382a748420011d52cfd",
+    "gibbs_internal": "84584e638a1f6a265c0d36bfc7f9bb392682234257a86b28a437cbf98c9e8775",
+    "modular_suite": "42afa24a2432053d08256776b184da5ff4bcfe5e930180bd4f0d0364b5411cce",
+    "negative_control": "d08a74ca140f1b34d57c35ead4e6d888749deb6f618a6ca6226b0f3072814313",
+    "reconstruction": "d6226eaf44608f3fa040bfbf309fe82504c249fa2596eb3e413ccb0d1ccecaea",
+    "underdetermined": "e3d14c8836dfebb54f4929afde841f7f2795eb21e8d5d18cca0f5ee1eee3e5bb",
+}
+
+
+def test_corpus_report_structure_is_pinned(scenario_dir, tmp_path, capfd):
+    assert sorted(p.stem for p in scenario_dir.glob("*.json")) \
+        == sorted(REPORT_STRUCTURE)
+    for name, digest in REPORT_STRUCTURE.items():
+        run_cli(capfd, "run", "--scenario", str(scenario_dir / f"{name}.json"),
+                "--out-dir", str(tmp_path / name))
+        with open(tmp_path / name / "report.csv", newline="",
+                  encoding="utf-8") as fh:
+            rows = [(r[0], r[1], r[5]) for r in csv.reader(fh)]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() \
+            == digest, name
+
+
+D1, D2, D3 = {"diag": [1, 0, 0]}, {"diag": [0, 1, 0]}, {"diag": [0, 0, 1]}
+# the projection onto e2 + 0.005 e1: its sum with D1 and D3 is within the
+# loosened eps_idem of the identity, but it is not orthogonal to D1
+TILTED = (np.outer([0.005, 1, 0], [0.005, 1, 0]) / (1 + 0.005 ** 2)).tolist()
+
+
+@pytest.mark.parametrize("blocks, extra, message", [
+    ([D1, TILTED, D3], ["--tol", "eps_idem=1e-3"], "not pairwise orthogonal"),
+    ([D1, D2], [], "do not sum to the identity"),
+    ([D1, {"diag": [0, 0.5, 1]}], [], "not idempotent"),
+    ([{"diag": [1, 1, 1]}], [], "at least two blocks"),
+])
+def test_invalid_context_blocks_exit_2(tmp_path, capfd, blocks, extra, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "name": "bad", "dim": 3, "state": {"spectrum": [0.5, 0.3, 0.2]},
+        "contexts": {"Vbad": {"blocks": blocks}}, "checks": ["poset"],
+    }), encoding="utf-8")
+    code, _, err = run_cli(capfd, "run", "--scenario", str(path),
+                           "--out-dir", str(tmp_path / "rep"), *extra)
+    assert code == 2
+    assert "context Vbad invalid: " in err and message in err
 
 
 def test_dasein_subcommand(scenario_dir, capfd):

@@ -234,17 +234,19 @@ def test_restricted_to_shrinks_domain(c3_gibbs):
 
 
 def test_lattice_sums_honour_the_scenario_tolerance():
-    # a block 1e-9 away from Hermitian passes a loosened policy, so the
-    # lattice sums over it must be validated under that policy as well
+    # a block 1e-9 away from Hermitian passes the input boundary only
+    # under a loosened policy; the context keeps the block's range as its
+    # frame, so the lattice sums over it are projections under either one
     loose = DEFAULT_TOL.override(eps_herm=1e-8, eps_idem=1e-8)
     q = np.diag([1.0, 0.0, 0.0])
     q[0, 1] = 1e-9
-    v = Context([q, np.diag([0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])],
-                "V", tol=loose)
-    p = np.diag([1.0, 0.0, 0.0])
+    blocks = [q, np.diag([0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])]
     with pytest.raises(NotProjection):
-        outer_daseinisation(p, v)
+        Context(blocks, "V")
+    v = Context(blocks, "V", tol=loose)
+    p = np.diag([1.0, 0.0, 0.0])
     fast = outer_daseinisation(p, v, loose)
-    for d in (fast, outer_daseinisation_bruteforce(p, v, loose),
+    for d in (outer_daseinisation(p, v), fast,
+              outer_daseinisation_bruteforce(p, v, loose),
               s_inverse(s_map(fast.matrix, v, loose), v, loose)):
         assert d.rank == 1

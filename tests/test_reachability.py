@@ -38,6 +38,10 @@ DECLARED = {
     # property-test oracles for the fast paths
     "algebra.includes": "oracle for the bulk order of ContextPoset",
     "algebra.coarse_graining_map": "oracle for ContextPoset.block_maps",
+    "algebra.block_map":
+        "dense oracle behind includes and coarse_graining_map",
+    "algebra.contexts_equal":
+        "dense oracle for ContextIndex.find, find_equal and image",
     "errors.NotIncluded": "raised by coarse_graining_map",
     "presheaf.outer_daseinisation_bruteforce":
         "oracle for outer_daseinisation (criterion 4)",
