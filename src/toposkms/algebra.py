@@ -426,25 +426,21 @@ class ContextPoset:
     coarse-graining of j); block_maps[i, j] is then the map from block
     indices of j to block indices of i (the restriction table).
     strict_pairs is the (m, 2) array of the pairs (i, j), i != j, with
-    leq[i, j], in row-major order.  orbit_provenance maps a context index
-    added by group closure to (t, base_index).  leq and the tables are
-    fixed at construction.
+    leq[i, j], in row-major order.  leq and the tables are fixed at
+    construction.
 
     For each V, one product per signature bucket gives the overlap tables
     of every V' with V; V' <= V where every block of V has off-home mass
     at most eps_order^2, and the homes are block_maps.
     """
 
-    def __init__(self, contexts, tol: TolerancePolicy = DEFAULT_TOL,
-                 closure_flags=None, orbit_provenance=None):
+    def __init__(self, contexts, tol: TolerancePolicy = DEFAULT_TOL):
         self._index = ContextIndex(tol, contexts)
         self.contexts = self._index.contexts
         self.tol = tol
         self.by_id = {v.id: i for i, v in enumerate(self.contexts)}
         if len(self.by_id) != len(self.contexts):
             raise ContextMissing("duplicate context ids in poset")
-        self.closure_flags = dict(closure_flags or {})
-        self.orbit_provenance = dict(orbit_provenance or {})
         n = len(self.contexts)
         self.leq = np.eye(n, dtype=bool)
         self.block_maps = {}
@@ -489,13 +485,15 @@ class ContextPoset:
         return self.contexts[hit[0]].id, (tuple(home.tolist()) if placed.all()
                                           else None)
 
-    def lower_set(self, context_id: str):
-        j = self.index_of(context_id)
-        return [self.contexts[i].id for i in np.flatnonzero(self.leq[:, j])]
+    def ids(self, inside) -> list:
+        """Ids of the contexts in a boolean mask, in index order."""
+        return [self.contexts[i].id for i in np.flatnonzero(inside)]
 
-    def is_lower_set(self, ids) -> bool:
-        inside = np.zeros(len(self.contexts), dtype=bool)
-        inside[[self.index_of(c) for c in ids]] = True
+    def lower_set(self, context_id: str):
+        return self.ids(self.leq[:, self.index_of(context_id)])
+
+    def is_lower_set(self, inside) -> bool:
+        """True iff the contexts in a boolean mask form a lower set."""
         return not (self.leq[:, inside].any(axis=1) & ~inside).any()
 
     def comparable_pairs(self):
@@ -505,7 +503,7 @@ class ContextPoset:
 
     def maximal_ids(self):
         above = self.leq.sum(axis=1) - self.leq.diagonal()
-        return [self.contexts[i].id for i in np.flatnonzero(above == 0)]
+        return self.ids(above == 0)
 
 
 def _coarse_grainings(v: Context):
@@ -555,9 +553,8 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
     """
     index = ContextIndex(tol)
     contexts = index.contexts
-    provenance = {}
 
-    def add(candidate: Context, prov=None) -> int:
+    def add(candidate: Context) -> int:
         found = index.find(candidate)
         if found is not None:
             return found
@@ -565,17 +562,14 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
             raise PosetTooLarge(
                 f"poset exceeded max_contexts={max_contexts} during closure"
             )
-        i = index.append(candidate)
-        if prov is not None:
-            provenance[i] = prov
-        return i
+        return index.append(candidate)
 
     for s in seeds:
         add(s)
 
-    group_pairs = []
+    unitaries = []
     if group is not None:
-        group_pairs = [(t, u) for t, u in group.real_unitaries() if t != 0.0]
+        unitaries = [u for t, u in group.real_unitaries() if t != 0.0]
 
     cursor = 0  # contexts before the cursor went through a downward step
     closed = set()  # indices added as coarse-grainings of an expanded context
@@ -604,28 +598,14 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
                         before = len(contexts)
                         add(w)
                         changed = changed or len(contexts) > before
-        if group_pairs and (group_depth is None or sweeps <= group_depth):
-            for idx, v in enumerate(list(contexts)):
-                for t, u in group_pairs:
-                    w = apply_automorphism(u, v)
+        if unitaries and (group_depth is None or sweeps <= group_depth):
+            for v in list(contexts):
+                for u in unitaries:
                     before = len(contexts)
-                    base = provenance.get(idx)
-                    # track provenance back to the original (t composes)
-                    if base is not None:
-                        prov = (t + base[0], base[1])
-                    else:
-                        prov = (t, idx)
-                    add(w, prov)
+                    add(apply_automorphism(u, v))
                     changed = changed or len(contexts) > before
-        if group_pairs and group_depth is not None and sweeps >= group_depth \
+        if unitaries and group_depth is not None and sweeps >= group_depth \
                 and not downward_closure and not meet_closure:
             break
 
-    return ContextPoset(contexts, tol,
-                        closure_flags={
-                            "downward_closure": downward_closure,
-                            "meet_closure": meet_closure,
-                            "group_closure": bool(group_pairs),
-                            "group_depth": group_depth,
-                        },
-                        orbit_provenance=provenance)
+    return ContextPoset(contexts, tol)

@@ -170,9 +170,8 @@ def _cmd_example_c3(args) -> int:
     truth = TruthObject(state, psh)
     stage = StageVR("V", r)
     subs = {
-        "S1": ClopenSubobject(psh, {"V": frozenset({0})}, name="S1"),
-        "S2": ClopenSubobject(psh, {"V": frozenset({1})}, name="S2"),
-        "S12": ClopenSubobject(psh, {"V": frozenset({0, 1})}, name="S12"),
+        name: ClopenSubobject.from_components(psh, {"V": blocks}, name=name)
+        for name, blocks in (("S1", {0}), ("S2", {1}), ("S12", {0, 1}))
     }
     expected = {"S1": mu1 >= r, "S2": mu2 >= r, "S12": True}
     mismatch = []

@@ -29,7 +29,7 @@ from .errors import (
     NotHermitian,
     PosetNotClosed,
 )
-from .measure import State, measure_of, section_values, weight_sum
+from .measure import State, weight_sum
 from .numerics import (
     as_complex_matrix,
     dagger,
@@ -53,7 +53,7 @@ CONVENTIONS = ("hamiltonian", "modular")
 class AutomorphismFlow:
     """alpha_t = conjugation by exp(itH), extended entirely in t."""
 
-    __slots__ = ("h", "beta", "convention", "dim", "_eigvals", "_eigvecs")
+    __slots__ = ("beta", "convention", "dim", "_eigvals", "_eigvecs")
 
     def __init__(self, h, beta: float = 1.0, convention: str = "hamiltonian",
                  tol: TolerancePolicy = DEFAULT_TOL):
@@ -64,7 +64,6 @@ class AutomorphismFlow:
             raise ValueError(f"unknown convention {convention!r}")
         if beta <= 0:
             raise ValueError("beta must be positive")
-        self.h = hm
         self.beta = float(beta)
         self.convention = convention
         self.dim = hm.shape[0]
@@ -189,35 +188,35 @@ def check_C1(state: State, flow: AutomorphismFlow, subobjects, t_grid,
     gap = 0.0
     for sub in subobjects:
         tol_s = tol or sub.presheaf.tol
-        poset = sub.presheaf.poset
-        comps = sub.components
-        here = section_values(state.matrix, sub)
+        ph = sub.presheaf
+        poset = ph.poset
+        here = sub.measure(ph.weights(state.matrix))
         for t in t_grid:
             u = flow.unitary(t)
-            pulled = dagger(u) @ state.matrix @ u
-            for cid in comps:
-                v = poset.context(cid)
-                target_id, _ = poset.image(u, cid, tol_s)
-                if target_id in comps:
-                    rhs = here[target_id]
+            pulled = (sub.measure(ph.weights(dagger(u) @ state.matrix @ u))
+                      if sub.flow_equivariant else None)
+            for i in np.flatnonzero(sub.domain):
+                v = poset.contexts[i]
+                target_id, _ = poset.image(u, v.id, tol_s)
+                target = poset.by_id.get(target_id)
+                if target is not None and sub.domain[target]:
+                    rhs = here[target]
                     path = "poset"
                     if sub.flow_equivariant:
-                        moved = u @ v.block_sum(comps[cid]) @ dagger(u)
-                        target = poset.context(target_id)
-                        gap = max(gap, frob(target.block_sum(comps[target_id])
-                                            - moved))
+                        moved = u @ v.block_sum(sub.component(v.id)) @ dagger(u)
+                        gap = max(gap, frob(poset.contexts[target].block_sum(
+                            sub.component(target_id)) - moved))
                 elif sub.flow_equivariant:
-                    rhs = weight_sum(v.weights(pulled), comps[cid])
+                    rhs = pulled[i]
                     path = "direct"
                 else:
                     raise PosetNotClosed(
-                        f"context {cid} flows out of the domain at t={t!r} "
+                        f"context {v.id} flows out of the domain at t={t!r} "
                         f"and the family is not flow-equivariant"
                     )
-                lhs = here[cid]
                 entries.append(C1Entry(subobject=sub.name or "S", t=float(t),
-                                       context_id=cid, lhs=lhs, rhs=rhs,
-                                       path=path))
+                                       context_id=v.id, lhs=float(here[i]),
+                                       rhs=float(rhs), path=path))
     worst = max((e.residual for e in entries), default=0.0)
     return C1Report(entries=entries, max_residual=worst, consistency_gap=gap,
                     convention=flow.convention)
@@ -355,17 +354,17 @@ class TruthObject:
         self.presheaf = presheaf
         self.tol = tol or presheaf.tol
         self.cap = cap
+        self.weights = presheaf.weights(state.matrix)
         self._enumerations = {}
 
     def tau(self, sub: ClopenSubobject, context_id: str) -> float:
-        below = self.presheaf.below(context_id)
-        if not set(below) <= sub.domain:
+        poset = self.presheaf.poset
+        below = poset.leq[:, poset.index_of(context_id)]
+        if (below & ~sub.domain).any():
             raise DomainMismatch(
                 f"sub-object is not defined on the lower set of {context_id}"
             )
-        poset = self.presheaf.poset
-        return min(weight_sum(poset.context(c).weights(self.state.matrix),
-                              sub.components[c]) for c in below)
+        return float(sub.measure(self.weights)[below].min())
 
     def contains(self, sub: ClopenSubobject, stage: StageVR) -> bool:
         return self.tau(sub, stage.context_id) >= stage.r
@@ -405,7 +404,8 @@ class TwistedTruthObject:
 
     def members_at(self, stage: StageVR):
         moved = self._moved_stage(stage)
-        domain = self.presheaf.below(stage.context_id)
+        poset = self.presheaf.poset
+        domain = poset.leq[:, poset.index_of(stage.context_id)]
         out = []
         for s in self.base.members_at(moved):
             out.append(pullback(self.unitary, s, self.tol, domain=domain))
@@ -443,7 +443,7 @@ def truth_value(state: State, p, context_id: str, r: float,
     tol = tol or presheaf.tol
     pm = as_complex_matrix(p)
     table = {}
-    for cid in presheaf.below(context_id):
+    for cid in presheaf.poset.lower_set(context_id):
         v = presheaf.poset.context(cid)
         mu = weight_sum(v.weights(state.matrix), dasein_indices(pm, v, tol))
         table[cid] = min(float(r), mu)
@@ -491,14 +491,13 @@ def check_truth_value_invariance(state: State, flow: AutomorphismFlow, p,
 # mu-equivalence of truth objects
 
 
-def _section_of(state: State, sub: ClopenSubobject, tol) -> dict:
-    return measure_of(state, sub, tol).values
-
-
-def _section_gap(a: dict, b: dict) -> float:
-    if set(a) != set(b):
+def _section_gap(a, b) -> float:
+    """Largest difference of two measure sections (ClopenSubobject.measure,
+    NaN outside the domain); inf when the domains differ."""
+    inside = ~np.isnan(a)
+    if not np.array_equal(inside, ~np.isnan(b)):
         return float("inf")
-    return max(abs(a[c] - b[c]) for c in a)
+    return float(np.abs(a - b)[inside].max())
 
 
 @dataclass
@@ -523,8 +522,9 @@ def mu_equivalent(state: State, truth_a, truth_b, stage: StageVR,
     if len(members_a) != len(members_b):
         return MuEquivalenceResult(False, stage, float("inf"),
                                    len(members_a), len(members_b))
-    secs_a = [_section_of(state, s, tol) for s in members_a]
-    secs_b = [_section_of(state, s, tol) for s in members_b]
+    weights = truth_a.presheaf.weights(state.matrix)
+    secs_a = [s.measure(weights) for s in members_a]
+    secs_b = [s.measure(weights) for s in members_b]
     used = [False] * len(secs_b)
     worst = 0.0
     for sa in secs_a:
@@ -566,6 +566,7 @@ def strong_mu_equivalence(state: State, truth_a, truth_b, stages,
     eps = tol.eps_measure if eps is None else eps
     matchings = {}
     members = {}
+    weights = truth_a.presheaf.weights(state.matrix)
     for stage in stages:
         ma = truth_a.members_at(stage)
         mb = truth_b.members_at(stage)
@@ -575,8 +576,8 @@ def strong_mu_equivalence(state: State, truth_a, truth_b, stages,
                 False, matchings, 0,
                 detail=f"member counts differ at {stage}: "
                        f"{len(ma)} vs {len(mb)}")
-        secs_a = [_section_of(state, s, tol) for s in ma]
-        secs_b = [_section_of(state, s, tol) for s in mb]
+        secs_a = [s.measure(weights) for s in ma]
+        secs_b = [s.measure(weights) for s in mb]
         pairing = []
         taken = set()
         for i, sa in enumerate(secs_a):
@@ -605,14 +606,15 @@ def strong_mu_equivalence(state: State, truth_a, truth_b, stages,
         matchings[stage] = pairing
 
     # naturality: restriction of stages commutes with the matching
-    ph = truth_a.presheaf
+    poset = truth_a.presheaf.poset
     bad = 0
     stage_list = list(stages)
     for big in stage_list:
         for small in stage_list:
             if big == small or abs(big.r - small.r) > 0:
                 continue
-            if small.context_id not in ph.below(big.context_id):
+            if not poset.leq[poset.index_of(small.context_id),
+                             poset.index_of(big.context_id)]:
                 continue
             ma_big, mb_big = members[big]
             ma_small, mb_small = members[small]

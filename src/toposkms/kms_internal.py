@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import Context, ContextPoset, fixes_blocks
 from .errors import DomainMismatch, NotFaithful, PosetNotClosed
 from .kms_external import AutomorphismFlow
-from .measure import State, weight_sum
+from .measure import State
 from .numerics import dagger, frob, null_space
 from .presheaf import ClopenSubobject
 from .tolerances import DEFAULT_TOL, TolerancePolicy
@@ -168,23 +168,21 @@ def faithful_automorphisms(group: SampledGroup, context: Context,
                               middle=middle, fixes_all=fixes_all)
 
 
-def _moved_value(state: State, sub: ClopenSubobject, u, context_id: str,
+def _moved_value(sub: ClopenSubobject, here, pulled, u, context_id: str,
                  tol: TolerancePolicy) -> float:
-    """tr(rho P_{S at U V U*}) as a block-weight sum: at the moved context
-    when the poset has it, else, for flow-equivariant families (moved
-    component U P_{S_V} U*), as tr(U* rho U P_{S_V})."""
+    """tr(rho P_{S at U V U*}) from the measures of S: `here` for rho at
+    the moved context when the domain has it, else, for flow-equivariant
+    families (moved component U P_{S_V} U*), `pulled` for U* rho U at V."""
     poset = sub.presheaf.poset
-    target_id, _ = poset.image(u, context_id, tol)
-    if target_id in sub.components:
-        rho, cid = state.matrix, target_id
-    elif sub.flow_equivariant:
-        rho, cid = dagger(u) @ state.matrix @ u, context_id
-    else:
-        raise PosetNotClosed(
-            f"context {context_id} moves out of the domain and the family "
-            f"is not flow-equivariant"
-        )
-    return weight_sum(poset.context(cid).weights(rho), sub.components[cid])
+    target = poset.by_id.get(poset.image(u, context_id, tol)[0])
+    if target is not None and sub.domain[target]:
+        return float(here[target])
+    if sub.flow_equivariant:
+        return float(pulled[poset.index_of(context_id)])
+    raise PosetNotClosed(
+        f"context {context_id} moves out of the domain and the family "
+        f"is not flow-equivariant"
+    )
 
 
 @dataclass
@@ -217,10 +215,14 @@ def check_internal_C1(state: State, sub, group: SampledGroup,
     entries = []
     for s in subs:
         tol_s = tol or s.presheaf.tol
-        for cid in sorted(s.components):
-            values = {}
-            for t, u in group.real_unitaries():
-                values[t] = _moved_value(state, s, u, cid, tol_s)
+        ph = s.presheaf
+        here = s.measure(ph.weights(state.matrix))
+        moved = [(t, u, s.measure(ph.weights(dagger(u) @ state.matrix @ u))
+                  if s.flow_equivariant else None)
+                 for t, u in group.real_unitaries()]
+        for cid in sorted(ph.poset.ids(s.domain)):
+            values = {t: _moved_value(s, here, pulled, u, cid, tol_s)
+                      for t, u, pulled in moved}
             entries.append(InternalC1Entry(subobject=s.name or "S",
                                            context_id=cid, values=values))
     worst = max((e.spread for e in entries), default=0.0)
@@ -269,7 +271,8 @@ def check_internal_C2(state: State, group: SampledGroup,
     flow = group.flow
     tol = tol or sub_s.presheaf.tol
     if context_ids is None:
-        context_ids = sorted(set(sub_s.components) & set(sub_t.components))
+        context_ids = sorted(sub_s.presheaf.poset.ids(sub_s.domain
+                                                      & sub_t.domain))
     gamma = flow.beta if gamma is None else float(gamma)
 
     if abs(gamma) <= 1e-14:

@@ -4,7 +4,11 @@ A density matrix assigns to each clopen sub-object the global section
 V -> tr(rho * P_{S_V}); these sections are order-reversing because outer
 restriction only grows the supporting projection.  Every such value is
 read off the block weights of the state, tr(rho P_{S_V}) =
-sum_{i in S_V} tr(rho Q_i), without forming P_{S_V}.  A moved projection
+sum_{i in S_V} tr(rho Q_i), without forming P_{S_V}: the weights of every
+context lie on the presheaf's flat character axis
+(SpectralPresheaf.weights), and ClopenSubobject.measure sums them over
+the sub-object's mask at all contexts at once.  A check holding a state
+computes its weights once.  A moved projection
 is handled by moving the state instead, tr(rho U P U*) = tr(U* rho U P),
 and contexts move through ContextPoset.image.  The converse direction
 recovers a density matrix from an abstract measure table by least squares
@@ -104,29 +108,21 @@ class GlobalSection:
     def __getitem__(self, context_id: str) -> float:
         return self.values[context_id]
 
-    def minimum(self) -> float:
-        return min(self.values.values())
-
 
 def weight_sum(weights, indices) -> float:
-    """mu(S)(V) from the block weights of V: the sum over S_V in index
-    order."""
+    """tr(rho P) for the block sum P over the given indices of one
+    context, from its block weights: the sum in index order."""
     return float(sum(weights[i] for i in sorted(indices)))
-
-
-def section_values(matrix, sub: ClopenSubobject) -> dict:
-    """V -> sum_{i in S_V} Re tr(matrix Q_i) over the sub-object domain."""
-    poset = sub.presheaf.poset
-    return {cid: weight_sum(poset.context(cid).weights(matrix), comp)
-            for cid, comp in sub.components.items()}
 
 
 def measure_of(state: State, sub: ClopenSubobject,
                tol: TolerancePolicy | None = None) -> GlobalSection:
     """Section V -> tr(rho * P_{S_V}) over the sub-object domain."""
     tol = tol or sub.presheaf.tol
-    return GlobalSection(sub.presheaf.poset,
-                         section_values(state.matrix, sub), tol)
+    poset = sub.presheaf.poset
+    values = sub.measure(sub.presheaf.weights(state.matrix))[sub.domain]
+    return GlobalSection(poset, dict(zip(poset.ids(sub.domain),
+                                         values.tolist())), tol)
 
 
 @dataclass
@@ -143,6 +139,11 @@ class MeasurePropertyReport:
     passed: bool
 
 
+def _worst(values, start: float) -> float:
+    """Largest of start and the values, NaN (outside a domain) ignored."""
+    return float(np.fmax.reduce(np.ravel(values), initial=start))
+
+
 def verify_measure_properties(state: State, presheaf: SpectralPresheaf,
                               pairs, tol: TolerancePolicy | None = None,
                               eps: float | None = None) -> MeasurePropertyReport:
@@ -152,56 +153,37 @@ def verify_measure_properties(state: State, presheaf: SpectralPresheaf,
     union domain, monotonicity through meet and join, the modular law
     mu(SvT) + mu(S^T) = mu(S) + mu(T) stage-wise, order-reversal of every
     section, and the complement laws mu(S ^ ~S) = 0, mu(S v ~S) <= 1
-    (recording how far below 1 the join gets).
+    (recording how far below 1 the join gets).  Every measure is read
+    from one set of flat block weights of the state.
     """
     tol = tol or presheaf.tol
     eps = tol.eps_measure if eps is None else eps
-    res_norm = res_empty = res_mono = res_mod = res_rev = 0.0
-    res_cmeet = 0.0
+    res_mono = res_mod = res_rev = res_cmeet = 0.0
     cjoin_max = 0.0
     strict = 0.0
+    weights = presheaf.weights(state.matrix)
+    small, large = presheaf.poset.strict_pairs.T
 
-    full = measure_of(state, full_subobject(presheaf), tol)
-    empty = measure_of(state, empty_subobject(presheaf), tol)
-    res_norm = max((abs(v - 1.0) for v in full.values.values()), default=0.0)
-    res_empty = max((abs(v) for v in empty.values.values()), default=0.0)
-
-    def order_reversal_violation(section):
-        worst = 0.0
-        for small_id, large_id in presheaf.poset.comparable_pairs():
-            if small_id in section.values and large_id in section.values:
-                worst = max(worst, section.values[large_id]
-                            - section.values[small_id])
-        return worst
+    res_norm = _worst(np.abs(full_subobject(presheaf).measure(weights) - 1.0), 0.0)
+    res_empty = _worst(np.abs(empty_subobject(presheaf).measure(weights)), 0.0)
 
     n_pairs = 0
     for s, t in pairs:
         n_pairs += 1
-        meet = subobject_meet(s, t)
-        join = subobject_join(s, t)
-        ms = measure_of(state, s, tol)
-        mt = measure_of(state, t, tol)
-        mmeet = measure_of(state, meet, tol)
-        mjoin = measure_of(state, join, tol)
-        for cid in ms.values:
-            res_mono = max(res_mono,
-                           mmeet.values[cid] - ms.values[cid],
-                           mmeet.values[cid] - mt.values[cid],
-                           ms.values[cid] - mjoin.values[cid],
-                           mt.values[cid] - mjoin.values[cid])
-            res_mod = max(res_mod, abs(mjoin.values[cid] + mmeet.values[cid]
-                                       - ms.values[cid] - mt.values[cid]))
-        for sec in (ms, mt, mmeet, mjoin):
-            res_rev = max(res_rev, order_reversal_violation(sec))
+        ms, mt, mmeet, mjoin = (x.measure(weights) for x in (
+            s, t, subobject_meet(s, t), subobject_join(s, t)))
+        res_mono = _worst([mmeet - ms, mmeet - mt, ms - mjoin, mt - mjoin],
+                          res_mono)
+        res_mod = _worst(np.abs(mjoin + mmeet - ms - mt), res_mod)
+        for mu in (ms, mt, mmeet, mjoin):
+            res_rev = _worst(mu[large] - mu[small], res_rev)
         neg = heyting_negation(s)
-        mneg_meet = measure_of(state, subobject_meet(s, neg), tol)
-        mneg_join = measure_of(state, subobject_join(s, neg), tol)
-        res_cmeet = max(res_cmeet,
-                        max(abs(v) for v in mneg_meet.values.values()))
-        for v in mneg_join.values.values():
-            cjoin_max = max(cjoin_max, v)
-            strict = max(strict, 1.0 - v)
-        if any(v > 1.0 + eps for v in mneg_join.values.values()):
+        mneg_meet = subobject_meet(s, neg).measure(weights)
+        mneg_join = subobject_join(s, neg).measure(weights)
+        res_cmeet = _worst(np.abs(mneg_meet), res_cmeet)
+        cjoin_max = _worst(mneg_join, cjoin_max)
+        strict = _worst(1.0 - mneg_join, strict)
+        if (mneg_join > 1.0 + eps).any():
             res_norm = max(res_norm, cjoin_max - 1.0)
 
     passed = max(res_norm, res_empty, res_mono, res_mod, res_rev,
@@ -246,26 +228,27 @@ def group_action_check(state: State, flow, sub: ClopenSubobject, t_values,
     lhs = tr(rho P_{S_V}).
     """
     tol = tol or sub.presheaf.tol
-    poset = sub.presheaf.poset
-    here = section_values(state.matrix, sub)
+    ph = sub.presheaf
+    poset = ph.poset
+    here = sub.measure(ph.weights(state.matrix))
     entries = []
     for t in t_values:
         u = flow.unitary(t) if hasattr(flow, "unitary") else flow(t)
-        moved = section_values(u @ state.matrix @ dagger(u), sub)
-        for cid in sub.components:
-            target_id, _ = poset.image(u, cid, tol)
-            if target_id in sub.components:
-                lhs = moved[target_id]
+        moved = sub.measure(ph.weights(u @ state.matrix @ dagger(u)))
+        for i in np.flatnonzero(sub.domain):
+            cid = poset.contexts[i].id
+            target = poset.by_id.get(poset.image(u, cid, tol)[0])
+            if target is not None and sub.domain[target]:
+                lhs = moved[target]
             elif sub.flow_equivariant:
-                lhs = here[cid]
+                lhs = here[i]
             else:
                 raise PosetNotClosed(
                     f"moved context of {cid} at t={t!r} absent and the "
                     f"sub-object is not flow-equivariant"
                 )
-            rhs = moved[cid]
             entries.append(GroupActionEntry(t=float(t), context_id=cid,
-                                            lhs=lhs, rhs=rhs))
+                                            lhs=float(lhs), rhs=float(moved[i])))
     worst = max((e.residual for e in entries), default=0.0)
     return GroupActionReport(entries=entries, max_residual=worst)
 

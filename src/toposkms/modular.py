@@ -478,7 +478,8 @@ def check_order_continuity(j: AntiunitaryJ, poset: ContextPoset,
     ideals = _all_lower_sets(poset, cap)
     continuous = True
     for ideal in ideals:
-        preimage = frozenset(c for c in mapping if mapping[c] in ideal)
+        preimage = np.array([mapping[v.id] in ideal for v in poset.contexts],
+                            dtype=bool)
         if not poset.is_lower_set(preimage):
             continuous = False
             break

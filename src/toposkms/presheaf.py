@@ -3,19 +3,25 @@
 The component at a context V is the Gel'fand spectrum of V: one character
 per minimal projection.  For V' <= V the restriction map sends the
 character of a V-block to the character of the unique V'-block above it.
+SpectralPresheaf puts the characters of all contexts on one flat axis and
+stores the restriction maps as edges on it, one per strict pair and
+block of the larger context.
 
-A clopen sub-object picks one subset of characters per context, closed
-under restriction.  That set of block indices is the only form measure
-code reads: mu(S)(V) is a sum of block weights over S_V, and no matrix is
-formed.  The lattice isomorphism between P(V) and the clopen subsets at V
-sends a lattice projection P to {lambda : lambda(P) = 1} and a subset S
-back to the block sum over S; that dense sum is built only where a matrix
-is needed (C2, reconstruction, daseinisation output).
+A clopen sub-object picks one subset of characters per context of a
+lower set, closed under restriction.  It is a boolean mask over the flat
+axis plus a boolean mask of its domain; the closure check, meet, join,
+Heyting negation and downward completion are gathers and scatters over
+the edges.  That mask is the only form measure code reads:
+mu(S)(V) is a sum of block weights over S_V, for every context at once,
+and no matrix is formed.  The lattice isomorphism between P(V) and the
+clopen subsets at V sends a lattice projection P to {lambda : lambda(P) = 1}
+and a subset S back to the block sum over S; that dense sum is built only
+where a matrix is needed (C2, reconstruction, daseinisation output).
 
 Outer daseinisation approximates an arbitrary projection from above
 inside a context: the smallest lattice element dominating it.  The fast
 form keeps exactly the blocks with non-zero overlap; a brute-force 2^k
-scan is provided as an independent oracle.
+scan over dense lattice elements is provided as an independent oracle.
 
 A unitary moves contexts through ContextPoset.image, which finds the
 moved context in the poset and the block correspondence; pullback reads
@@ -23,7 +29,7 @@ components through that correspondence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 
 import numpy as np
 
@@ -45,38 +51,96 @@ from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 
 class SpectralPresheaf:
-    """Spectra and restriction tables over a fixed context poset."""
+    """Every context's characters on one flat axis, and the restriction
+    maps as edges on it.
+
+    Context i owns the characters offsets[i] .. offsets[i + 1] - 1, one
+    per block in block order; owner and slot give each character's
+    context and block.  For every strict pair V' < V and every block b of
+    V there is one edge src -> dst, from b's character to the character
+    of its home block in V' (ContextPoset.block_maps).  The strict pairs
+    are transitive, so the edges out of a character reach its restriction
+    at every smaller context and a single gather or scatter over them
+    covers every chain.  width is the largest spectrum, the row length of
+    rows(); id_order lists the contexts by id, the order of canonical keys.
+    """
 
     def __init__(self, poset: ContextPoset):
         self.poset = poset
         self.tol = poset.tol
+        ks = np.array([v.k for v in poset.contexts], dtype=np.intp)
+        self.offsets = np.concatenate(([0], np.cumsum(ks))).astype(np.intp)
+        self.owner = np.repeat(np.arange(len(ks)), ks)
+        self.slot = _ragged(ks)
+        self.width = int(ks.max(initial=0))
+        ids = [v.id for v in poset.contexts]
+        self.id_order = np.array(sorted(range(len(ids)), key=ids.__getitem__),
+                                 dtype=np.intp)
+        pairs = poset.strict_pairs
+        sizes = ks[pairs[:, 1]]
+        homes = np.fromiter(
+            itertools.chain.from_iterable(poset.block_maps[i, j]
+                                          for i, j in pairs.tolist()),
+            dtype=np.intp, count=int(sizes.sum()))
+        self.src = np.repeat(self.offsets[pairs[:, 1]], sizes) + _ragged(sizes)
+        self.dst = np.repeat(self.offsets[pairs[:, 0]], sizes) + homes
 
-    def spectrum_size(self, context_id: str) -> int:
-        return self.poset.context(context_id).k
+    def weights(self, m) -> np.ndarray:
+        """Flat block weights Re tr(m Q_i) of every context
+        (Context.weights, concatenated)."""
+        return np.concatenate([v.weights(m) for v in self.poset.contexts])
 
-    def restriction(self, large_id: str, small_id: str) -> tuple:
-        """Restriction table V-block -> V'-block for V' < V, read from the
-        poset's block maps."""
-        by_id = self.poset.by_id
-        table = self.poset.block_maps.get((by_id.get(small_id), by_id.get(large_id)))
-        if table is None:
-            raise DomainMismatch(f"{small_id} is not below {large_id}")
-        return table
+    def rows(self, flat, fill) -> np.ndarray:
+        """A flat per-character array laid out one row per context,
+        padded with fill to the widest context."""
+        out = np.full((len(self.poset), self.width), fill,
+                      dtype=np.asarray(flat).dtype)
+        out[self.owner, self.slot] = flat
+        return out
 
-    def restrict(self, large_id: str, small_id: str, indices: frozenset) -> frozenset:
-        """Image of a character subset of V under restriction to V' <= V."""
-        if large_id == small_id:
-            return frozenset(indices)
-        table = self.restriction(large_id, small_id)
-        return frozenset(table[i] for i in indices)
+    def broken_chains(self):
+        """(chains, broken): the number of strict chains small < mid <
+        large, and of those on which some character of `large` restricted
+        through `mid` lands on another character of `small` than
+        restricted directly, compared per character on the edges."""
+        n = len(self.poset)
+        strict = self.poset.leq & ~np.eye(n, dtype=bool)
+        # image[x, c]: the restriction of character x to context c, or -1
+        image = np.full((self.offsets[-1], n), -1, dtype=np.int32)
+        image[self.src, self.owner[self.dst]] = self.dst
+        broken = 0
+        for mid in range(n):
+            above = np.flatnonzero(image[:, mid] >= 0)
+            below = np.flatnonzero(strict[:, mid])
+            if not (above.size and below.size):
+                continue
+            wrong = (image[np.ix_(image[above, mid], below)]
+                     != image[np.ix_(above, below)])
+            # characters of one context are adjacent on the axis
+            first = np.flatnonzero(np.diff(self.owner[above], prepend=-1))
+            broken += int(np.logical_or.reduceat(wrong, first, axis=0).sum())
+        return int(strict.sum(axis=0) @ strict.sum(axis=1)), broken
 
-    def restrict_character(self, large_id: str, small_id: str, index: int) -> int:
-        if large_id == small_id:
-            return index
-        return self.restriction(large_id, small_id)[index]
+    def mask_of(self, components: dict):
+        """(character mask, context mask) of the input format context id
+        -> character indices; DomainMismatch for an index out of range."""
+        mask = np.zeros(self.offsets[-1], dtype=bool)
+        contexts = np.zeros(len(self.poset), dtype=bool)
+        for cid, indices in components.items():
+            i = self.poset.index_of(cid)
+            indices = np.array(sorted(indices), dtype=np.intp)
+            if indices.size and not (0 <= indices[0]
+                                     and indices[-1] < self.poset.contexts[i].k):
+                raise DomainMismatch(f"character index out of range at {cid}")
+            contexts[i] = True
+            mask[self.offsets[i] + indices] = True
+        return mask, contexts
 
-    def below(self, context_id: str):
-        return self.poset.lower_set(context_id)
+
+def _ragged(sizes) -> np.ndarray:
+    """Concatenated aranges 0 .. size - 1 for each size."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
 
 def s_map(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> frozenset:
@@ -121,79 +185,108 @@ def outer_daseinisation(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> Pr
 
 
 def outer_daseinisation_bruteforce(p, v: Context,
-                                   tol: TolerancePolicy = DEFAULT_TOL) -> Projection:
-    """Independent oracle: scan all 2^k lattice elements for the minimum
-    above p (minimal rank among dominating elements, then smallest subset)."""
+                                   tol: TolerancePolicy = DEFAULT_TOL) -> tuple:
+    """Independent oracle: scan all 2^k dense lattice elements for the
+    minimum above p (minimal rank among dominating elements, then
+    smallest subset); returns its block indices in index order."""
     pm = as_matrix(p)
     best = None
     for indices, m in projection_lattice(v):
         if proj_leq(pm, m, tol):
             key = (len(indices), tuple(sorted(indices)))
-            if best is None or key < best[0]:
-                best = (key, indices)
+            if best is None or key < best:
+                best = key
     if best is None:
         raise NotInLattice("no lattice element dominates p (identity should)")
-    return lattice_projection(v, best[1], tol)
+    return best[1]
 
 
-@dataclass
 class ClopenSubobject:
-    """A clopen sub-object of the spectral presheaf on a lower-set domain.
+    """A clopen sub-object of the spectral presheaf: a boolean mask over
+    the presheaf's characters and a boolean mask of its domain, a lower
+    set of contexts.
 
-    components maps context id -> frozenset of character indices.
-    flow_equivariant marks families built by transporting a single
-    lattice projection along a unitary orbit, for which the component at
-    a conjugated context is the conjugated block set; checks may then
-    evaluate the family at off-poset contexts.
+    Every construction checks that the mask lies on the domain, that the
+    domain is a lower set, and, in one gather over the restriction edges,
+    that the mask is closed under restriction.  from_components reads the
+    input format, context id -> character indices.  flow_equivariant
+    marks families built by transporting a single lattice projection
+    along a unitary orbit, for which the component at a conjugated
+    context is the conjugated block set; checks may then evaluate the
+    family at off-poset contexts.
     """
 
-    presheaf: SpectralPresheaf
-    components: dict
-    name: str = ""
-    flow_equivariant: bool = False
+    __slots__ = ("presheaf", "mask", "domain", "name", "flow_equivariant")
 
-    def __post_init__(self):
-        self.components = {k: frozenset(v) for k, v in self.components.items()}
-        if not self.presheaf.poset.is_lower_set(self.components.keys()):
+    def __init__(self, presheaf: SpectralPresheaf, mask, domain,
+                 name: str = "", flow_equivariant: bool = False):
+        self.presheaf = presheaf
+        self.mask = np.array(mask, dtype=bool)
+        self.domain = np.array(domain, dtype=bool)
+        self.mask.flags.writeable = self.domain.flags.writeable = False
+        self.name = name
+        self.flow_equivariant = flow_equivariant
+        ph = presheaf
+        if (self.mask.shape != ph.owner.shape
+                or self.domain.shape != (len(ph.poset),)
+                or (self.mask & ~self.domain[ph.owner]).any()):
+            raise DomainMismatch("sub-object characters outside its domain")
+        if not ph.poset.is_lower_set(self.domain):
             raise DomainMismatch("sub-object domain is not a lower set")
-        self.validate_closure()
+        leaves = self.mask[ph.src] & ~self.mask[ph.dst]
+        if leaves.any():
+            e = int(leaves.argmax())
+            large, small = (ph.poset.contexts[ph.owner[x]].id
+                            for x in (ph.src[e], ph.dst[e]))
+            raise NotClosedUnderRestriction(
+                f"restriction {large} -> {small} leaves the sub-object")
 
-    @property
-    def domain(self):
-        return frozenset(self.components.keys())
-
-    def validate_closure(self):
-        ph = self.presheaf
-        for large in self.components:
-            for small in ph.below(large):
-                if small == large or small not in self.components:
-                    continue
-                image = ph.restrict(large, small, self.components[large])
-                if not image <= self.components[small]:
-                    raise NotClosedUnderRestriction(
-                        f"restriction {large} -> {small} leaves the sub-object"
-                    )
+    @classmethod
+    def from_components(cls, presheaf: SpectralPresheaf, components: dict,
+                        name: str = "") -> "ClopenSubobject":
+        """The sub-object with the given components, context id ->
+        character indices; its domain is the set of keys."""
+        return cls(presheaf, *presheaf.mask_of(components), name=name)
 
     def component(self, context_id: str) -> frozenset:
-        if context_id not in self.components:
+        i = self.presheaf.poset.index_of(context_id)
+        if not self.domain[i]:
             raise DomainMismatch(f"context {context_id!r} outside sub-object domain")
-        return self.components[context_id]
+        lo, hi = self.presheaf.offsets[i:i + 2]
+        return frozenset(np.flatnonzero(self.mask[lo:hi]).tolist())
 
     def projection_at(self, context_id: str) -> Projection:
         v = self.presheaf.poset.context(context_id)
-        return s_inverse(self.components[context_id], v, self.presheaf.tol)
+        return s_inverse(self.component(context_id), v, self.presheaf.tol)
+
+    def measure(self, weights) -> np.ndarray:
+        """mu(S)(V) = sum of the flat block weights over S_V at every
+        context V, NaN outside the domain.  Each sum is a cumulative sum
+        along the context's row, left to right in block order, so it
+        equals weight_sum over S_V to the last bit (np.add.reduceat would
+        add the first weight to a pairwise sum of the rest)."""
+        ph = self.presheaf
+        sums = ph.rows(np.where(self.mask, weights, 0.0), 0.0).cumsum(axis=1)
+        return np.where(self.domain, sums[:, -1], np.nan)
 
     def restricted_to(self, top_context_id: str) -> "ClopenSubobject":
-        keep = set(self.presheaf.below(top_context_id)) & self.domain
-        return ClopenSubobject(
-            self.presheaf,
-            {c: self.components[c] for c in keep},
-            name=self.name,
-            flow_equivariant=self.flow_equivariant,
-        )
+        poset = self.presheaf.poset
+        keep = self.domain & poset.leq[:, poset.index_of(top_context_id)]
+        return ClopenSubobject(self.presheaf,
+                               self.mask & keep[self.presheaf.owner], keep,
+                               name=self.name,
+                               flow_equivariant=self.flow_equivariant)
 
     def canonical_key(self):
-        return tuple(sorted((c, tuple(sorted(s))) for c, s in self.components.items()))
+        """Hashable key.  On a fixed domain its order is the order of the
+        lists of (context id, sorted indices) over the domain in id order:
+        per context, the sorted indices padded with -1."""
+        ph = self.presheaf
+        rows = np.sort(ph.rows(np.where(self.mask, ph.slot, ph.width),
+                               ph.width), axis=1)
+        rows[rows == ph.width] = -1
+        order = ph.id_order[self.domain[ph.id_order]]
+        return self.domain.tobytes(), tuple(rows[order].ravel().tolist())
 
     def __eq__(self, other):
         return (isinstance(other, ClopenSubobject)
@@ -205,108 +298,60 @@ class ClopenSubobject:
 
 def complete_downward(presheaf: SpectralPresheaf, assignments: dict,
                       name: str = "") -> ClopenSubobject:
-    """Smallest clopen sub-object containing the given partial components.
+    """Smallest clopen sub-object containing the given partial components
+    (context id -> character indices).
 
-    The domain is the lower set generated by the assigned contexts; each
-    lower context receives the union of all restricted images (plus any
-    explicitly assigned characters).
+    The domain is the lower set generated by the assigned contexts, and
+    every assigned character adds its restriction at every smaller
+    context: one scatter over the transitive edge list.
     """
-    poset = presheaf.poset
-    lower = set()
-    for c in assignments:
-        lower.update(presheaf.below(c))
-    # poset index order, so the component order is the same in every process
-    domain = [v.id for v in poset.contexts if v.id in lower]
-    comps = {c: set(assignments.get(c, ())) for c in domain}
-    for large in domain:
-        src = set(assignments.get(large, ()))
-        if not src:
-            continue
-        for small in presheaf.below(large):
-            if small == large:
-                continue
-            comps[small].update(presheaf.restrict(large, small, frozenset(src)))
-    # iterate in case unions create new forced restrictions (they do not for
-    # functorial tables, but be safe)
-    changed = True
-    while changed:
-        changed = False
-        for large in domain:
-            for small in presheaf.below(large):
-                if small == large:
-                    continue
-                image = presheaf.restrict(large, small, frozenset(comps[large]))
-                if not image <= comps[small]:
-                    comps[small].update(image)
-                    changed = True
-    return ClopenSubobject(presheaf, comps, name=name)
+    mask, assigned = presheaf.mask_of(assignments)
+    domain = presheaf.poset.leq[:, assigned].any(axis=1)
+    mask[presheaf.dst[mask[presheaf.src]]] = True
+    return ClopenSubobject(presheaf, mask, domain, name=name)
 
 
 def daseinisation_subobject(p, presheaf: SpectralPresheaf, name: str = "",
                             tol: TolerancePolicy | None = None) -> ClopenSubobject:
     """Global sub-object V -> blocks of the outer daseinisation of p at V."""
     tol = tol or presheaf.tol
-    comps = {v.id: frozenset(dasein_indices(p, v, tol))
-             for v in presheaf.poset.contexts}
-    return ClopenSubobject(presheaf, comps, name=name)
+    return ClopenSubobject.from_components(
+        presheaf, {v.id: dasein_indices(p, v, tol)
+                   for v in presheaf.poset.contexts}, name=name)
 
 
 def full_subobject(presheaf: SpectralPresheaf) -> ClopenSubobject:
-    return ClopenSubobject(
-        presheaf,
-        {v.id: frozenset(range(v.k)) for v in presheaf.poset.contexts},
-        name="Sigma",
-    )
+    return ClopenSubobject(presheaf, np.ones(presheaf.offsets[-1], dtype=bool),
+                           np.ones(len(presheaf.poset), dtype=bool), name="Sigma")
 
 
 def empty_subobject(presheaf: SpectralPresheaf) -> ClopenSubobject:
-    return ClopenSubobject(
-        presheaf,
-        {v.id: frozenset() for v in presheaf.poset.contexts},
-        name="0",
-    )
+    return ClopenSubobject(presheaf, np.zeros(presheaf.offsets[-1], dtype=bool),
+                           np.ones(len(presheaf.poset), dtype=bool), name="0")
 
 
 def subobject_meet(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobject:
-    if s.domain != t.domain:
+    if not np.array_equal(s.domain, t.domain):
         raise DomainMismatch("meet needs equal domains")
-    return ClopenSubobject(
-        s.presheaf,
-        {c: s.components[c] & t.components[c] for c in s.components},
-        name=f"({s.name}^{t.name})" if s.name or t.name else "",
-    )
+    return ClopenSubobject(s.presheaf, s.mask & t.mask, s.domain,
+                           name=f"({s.name}^{t.name})" if s.name or t.name else "")
 
 
 def subobject_join(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobject:
-    if s.domain != t.domain:
+    if not np.array_equal(s.domain, t.domain):
         raise DomainMismatch("join needs equal domains")
-    return ClopenSubobject(
-        s.presheaf,
-        {c: s.components[c] | t.components[c] for c in s.components},
-        name=f"({s.name}v{t.name})" if s.name or t.name else "",
-    )
+    return ClopenSubobject(s.presheaf, s.mask | t.mask, s.domain,
+                           name=f"({s.name}v{t.name})" if s.name or t.name else "")
 
 
 def heyting_negation(s: ClopenSubobject) -> ClopenSubobject:
     """Heyting complement: a character survives at W iff none of its
     restrictions (including at W itself) lies in the sub-object."""
     ph = s.presheaf
-    comps = {}
-    for large in s.components:
-        keep = []
-        k = ph.spectrum_size(large)
-        for idx in range(k):
-            hit = False
-            for small in ph.below(large):
-                if small not in s.components:
-                    continue
-                if ph.restrict_character(large, small, idx) in s.components[small]:
-                    hit = True
-                    break
-            if not hit:
-                keep.append(idx)
-        comps[large] = frozenset(keep)
-    return ClopenSubobject(ph, comps, name=f"(~{s.name})" if s.name else "")
+    hit = s.mask.copy()
+    hit[ph.src[s.mask[ph.dst]]] = True
+    return ClopenSubobject(ph, s.domain[ph.owner] & ~hit, s.domain,
+                           name=f"(~{s.name})" if s.name else "")
 
 
 def enumerate_subobjects(presheaf: SpectralPresheaf, top_context_id: str,
@@ -314,51 +359,41 @@ def enumerate_subobjects(presheaf: SpectralPresheaf, top_context_id: str,
     """All clopen sub-objects on the lower set of a context.
 
     Contexts are processed from the top downward; at each context every
-    superset of the union of restricted images from already-chosen larger
-    contexts is a valid choice.  Raises EnumerationTooLarge past cap.
+    superset of the restrictions of the characters already chosen at
+    larger contexts is a valid choice.  Raises EnumerationTooLarge past
+    cap.
     """
     poset = presheaf.poset
-    domain = presheaf.below(top_context_id)
-    # order: larger contexts first (descending by number of contexts below
-    # them inside the domain), deterministic tie-break on id
-    dom_set = set(domain)
-
-    def height(cid):
-        return len([c for c in presheaf.below(cid) if c in dom_set])
-
-    order = sorted(domain, key=lambda c: (-height(c), c))
+    domain = poset.leq[:, poset.index_of(top_context_id)]
+    # larger contexts first (more contexts below them), ties by id
+    height = poset.leq[domain].sum(axis=0)
+    order = sorted(np.flatnonzero(domain),
+                   key=lambda i: (-height[i], poset.contexts[i].id))
+    into = presheaf.owner[presheaf.dst]
+    landing = {i: np.flatnonzero(into == i) for i in order}
+    mask = np.zeros(presheaf.offsets[-1], dtype=bool)
     results = []
-    chosen = {}
-
-    def lower_bound(cid):
-        forced = set()
-        for large in order:
-            if large == cid or large not in chosen:
-                continue
-            if cid in presheaf.below(large):
-                forced.update(presheaf.restrict(large, cid, chosen[large]))
-        return forced
 
     def rec(pos):
         if pos == len(order):
-            results.append(ClopenSubobject(
-                presheaf, {c: frozenset(v) for c, v in chosen.items()}
-            ))
+            results.append(ClopenSubobject(presheaf, mask, domain))
             if len(results) > cap:
                 raise EnumerationTooLarge(
                     f"more than {cap} clopen sub-objects on the lower set of "
                     f"{top_context_id}"
                 )
             return
-        cid = order[pos]
-        k = presheaf.spectrum_size(cid)
-        forced = lower_bound(cid)
-        free = [i for i in range(k) if i not in forced]
-        for mask in range(1 << len(free)):
-            extra = {free[i] for i in range(len(free)) if mask & (1 << i)}
-            chosen[cid] = frozenset(forced | extra)
+        i = order[pos]
+        lo, hi = presheaf.offsets[i:i + 2]
+        edges = landing[i]
+        forced = np.zeros(hi - lo, dtype=bool)
+        forced[presheaf.dst[edges[mask[presheaf.src[edges]]]] - lo] = True
+        free = np.flatnonzero(~forced)
+        for bits in range(1 << len(free)):
+            mask[lo:hi] = forced
+            mask[lo + free[(bits >> np.arange(free.size)) & 1 == 1]] = True
             rec(pos + 1)
-        del chosen[cid]
+        mask[lo:hi] = False
 
     rec(0)
     return results
@@ -370,17 +405,22 @@ def pullback(u, s: ClopenSubobject, tol: TolerancePolicy | None = None,
 
     The component at V is the component of s at the poset context equal
     to U V U*, relabeled through the block correspondence
-    Q_i -> U Q_i U* (ContextPoset.image).  Every image context must lie
-    in the domain of s (PosetNotClosed otherwise).  By default the result
-    lives on the domain of s itself (appropriate for flow-closed domains);
-    pass `domain` to pull back onto a different lower set.
+    Q_i -> U Q_i U* (ContextPoset.image): one gather of s's mask.  Every
+    image context must lie in the domain of s (PosetNotClosed otherwise).
+    By default the result lives on the domain of s itself (appropriate
+    for flow-closed domains); pass `domain`, a boolean mask of contexts,
+    to pull back onto a different lower set.
     """
     ph = s.presheaf
+    poset = ph.poset
     tol = tol or ph.tol
-    comps = {}
-    for cid in (domain if domain is not None else s.components):
-        target_id, relabel = ph.poset.image(u, cid, tol)
-        if target_id not in s.components:
+    domain = s.domain if domain is None else domain
+    source = np.zeros(ph.offsets[-1], dtype=np.intp)
+    for i in np.flatnonzero(domain):
+        cid = poset.contexts[i].id
+        target_id, relabel = poset.image(u, cid, tol)
+        target = poset.by_id.get(target_id)
+        if target is None or not s.domain[target]:
             raise PosetNotClosed(
                 f"image of {cid} under the automorphism is not in the domain"
             )
@@ -388,7 +428,7 @@ def pullback(u, s: ClopenSubobject, tol: TolerancePolicy | None = None,
             raise PosetNotClosed(
                 f"block correspondence failed between {cid} and {target_id}"
             )
-        comps[cid] = frozenset(i for i, j in enumerate(relabel)
-                               if j in s.components[target_id])
-    return ClopenSubobject(ph, comps, name=name or f"pullback({s.name})",
+        source[ph.offsets[i]:ph.offsets[i + 1]] = ph.offsets[target] + np.array(relabel)
+    return ClopenSubobject(ph, s.mask[source] & domain[ph.owner], domain,
+                           name=name or f"pullback({s.name})",
                            flow_equivariant=s.flow_equivariant)

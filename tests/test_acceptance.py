@@ -91,8 +91,8 @@ def test_criterion_01_worked_example_reproduced_exactly():
         t0 = time.monotonic()
         c3 = build_c3(np.diag([0.5, 0.3, 0.2]))
         # two characters over the generated context, three over the diagonal
-        assert c3.presheaf.spectrum_size("Vex") == 2
-        assert c3.presheaf.spectrum_size("Vdiag") == 3
+        assert c3.poset.context("Vex").k == 2
+        assert c3.poset.context("Vdiag").k == 3
         # the rank-1 generator is the symmetric projection onto span{e0+e1}
         assert frob(c3.vex.block(0) - P12SYM) <= 1e-12
         mu1 = measure_of(c3.state, c3.subs["S1"]).values["Vex"]
@@ -154,7 +154,7 @@ def test_criterion_04_daseinisation_fast_equals_bruteforce(diag4):
             for v in diag4.poset.contexts:
                 fast = outer_daseinisation(p, v)
                 brute = outer_daseinisation_bruteforce(p, v)
-                assert s_map(fast.matrix, v) == s_map(brute.matrix, v)
+                assert s_map(fast.matrix, v) == frozenset(brute)
                 checked += 1
         assert checked == 210 * len(diag4.poset.contexts)
         assert checked >= 200
@@ -185,7 +185,7 @@ def test_criterion_05_measure_property_suite(diag4, c3_gibbs):
                                 "W")
         neg = heyting_negation(sub)
         mu = measure_of(c3_gibbs.state, subobject_join(sub, neg))
-        assert mu.minimum() < 1.0 - 1e-3
+        assert min(mu.values.values()) < 1.0 - 1e-3
         strict = verify_measure_properties(c3_gibbs.state, c3_gibbs.presheaf,
                                            [(sub, neg)])
         assert strict.strictness_witness < 1.0 - 1e-3

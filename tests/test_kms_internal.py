@@ -136,7 +136,7 @@ def test_internal_c2_strip_for_gibbs(c3_gibbs):
     assert rep.passed(1e-8)
     # entries carry both sides per (context, sample)
     assert {e.context_id for e in rep.entries} <= set(
-        c3_gibbs.subs["S1"].domain)
+        c3_gibbs.poset.ids(c3_gibbs.subs["S1"].domain))
 
 
 def test_internal_c2_strip_needs_faithful_state(c3_pure):

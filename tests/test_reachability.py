@@ -8,6 +8,9 @@ to every definition of that name.  The walk is by name only, so it
 over-approximates what runs; a definition it does not reach is certainly
 dead outside the tests.
 
+The same holds for state: every attribute a package method stores on
+`self` must be read, as an attribute, somewhere in the package.
+
 Module-level statements run at import and count as reached.  A function
 registered by a package decorator (e.g. `suites.suite`) is reached with
 that decorator, and the dunder methods of a class with the class.
@@ -45,6 +48,8 @@ DECLARED = {
     "errors.NotIncluded": "raised by coarse_graining_map",
     "presheaf.outer_daseinisation_bruteforce":
         "oracle for outer_daseinisation (criterion 4)",
+    "presheaf.s_map": "reads dense daseinisation output back as block "
+                      "indices in criterion 4 and the join identity",
     "modular.GNSSpace.pi_matrix": "oracle for the structured swap products",
     "modular.GNSSpace.right_matrix":
         "oracle for the structured swap products",
@@ -145,3 +150,25 @@ def test_every_definition_is_reached():
     roots = list(ENTRY_POINTS) + traced_targets() + list(DECLARED)
     seen = reached(uses, decorators, import_time, roots)
     assert sorted(set(uses) - seen) == []
+
+
+def stored_and_read():
+    """({attribute: module} stored on `self`, attribute names read) over
+    the package sources."""
+    stored, read = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                stored.setdefault(node.attr, path.stem)
+    return stored, read
+
+
+def test_every_stored_attribute_is_read():
+    stored, read = stored_and_read()
+    assert stored
+    assert sorted(f"{module}.{attr}" for attr, module in stored.items()
+                  if attr not in read) == []
