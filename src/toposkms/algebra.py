@@ -470,18 +470,17 @@ class ContextPoset:
         i = self._index.find(candidate)
         return None if i is None else self.contexts[i].id
 
-    def image(self, u, context_id: str, tol: TolerancePolicy | None = None):
+    def image(self, u, context_id: str):
         """(target id, relabel) for the poset context equal to U V U* =
         (U Y, labels), with relabel[i] the target block that is the home
         of U Q_i U*.  The id is None when the moved context is not in the
         poset; relabel is None when some block is farther than
         10 eps_order from its home."""
-        tol = tol or self.tol
         v = self.context(context_id)
         hit = self._index.locate(_unitary(u) @ v.frame, v)
         if hit is None:
             return None, None
-        placed, home = _homes(hit[1], (10 * tol.eps_order) ** 2 / 2)
+        placed, home = _homes(hit[1], (10 * self.tol.eps_order) ** 2 / 2)
         return self.contexts[hit[0]].id, (tuple(home.tolist()) if placed.all()
                                           else None)
 

@@ -84,9 +84,6 @@ class AutomorphismFlow:
         right = (u * np.exp(-1j * complex(z) * self._eigvals)) @ dagger(u)
         return left @ as_complex_matrix(a) @ right
 
-    def real_unitaries(self, t_values):
-        return [(float(t), self.unitary(t)) for t in t_values]
-
 
 def gibbs_state(h, beta: float, tol: TolerancePolicy = DEFAULT_TOL) -> State:
     """exp(-beta H) / tr(exp(-beta H)), computed in the eigenbasis with
@@ -99,33 +96,36 @@ def gibbs_state(h, beta: float, tol: TolerancePolicy = DEFAULT_TOL) -> State:
 
 
 def flow_saturated_family(presheaf: SpectralPresheaf, base_context_id: str,
-                          base_indices, unitaries, name: str = "",
-                          tol: TolerancePolicy | None = None) -> ClopenSubobject:
+                          base_indices, unitaries,
+                          name: str = "") -> ClopenSubobject:
     """The flow-equivariant sub-object generated by a block set.
 
     Each (t, U) carries the base component to the poset context equal to
     U V U* through the block correspondence Q_i -> U Q_i U*
-    (ContextPoset.image); the result is completed downward.  Two group
-    elements landing on the same context must induce the same component
-    (checked), and every image
-    must already belong to the poset (PosetNotClosed otherwise).
+    (SpectralPresheaf.action); the result is completed downward.  A base
+    index out of range raises DomainMismatch; two group elements landing
+    on the same context must induce the same component (DomainMismatch
+    otherwise), and every image must already belong to the poset
+    (PosetNotClosed otherwise).
     """
-    tol = tol or presheaf.tol
     poset = presheaf.poset
-    base_indices = frozenset(int(i) for i in base_indices)
+    chars, base = presheaf.mask_of({base_context_id: base_indices})
+    i = poset.index_of(base_context_id)
     assignments = {}
     seen_from = {}
-    pairs = [(0.0, np.eye(poset.context(base_context_id).dim))]
+    pairs = [(0.0, np.eye(poset.contexts[i].dim))]
     pairs += [(float(t), u) for t, u in unitaries]
     for t, u in pairs:
-        target_id, relabel = poset.image(u, base_context_id, tol)
-        if target_id is None:
+        target, to = presheaf.action(u, base)
+        if target[i] < 0:
             raise PosetNotClosed(
                 f"orbit of {base_context_id} leaves the poset at t={t!r}"
             )
-        if relabel is None:
+        if (to[base[presheaf.owner]] < 0).any():
             raise PosetNotClosed(f"block correspondence failed at t={t!r}")
-        component = frozenset(relabel[i] for i in base_indices)
+        target_id = poset.contexts[target[i]].id
+        component = frozenset(
+            (to[chars] - presheaf.offsets[target[i]]).tolist())
         if target_id in assignments:
             if assignments[target_id] != component:
                 raise DomainMismatch(
@@ -169,54 +169,46 @@ class C1Report:
         return self.max_residual <= eps
 
 
-def check_C1(state: State, flow: AutomorphismFlow, subobjects, t_grid,
-             tol: TolerancePolicy | None = None) -> C1Report:
+def check_C1(state: State, flow: AutomorphismFlow, subobjects,
+             t_grid) -> C1Report:
     """Invariance of the measure under the flow.
 
     For each sub-object S, context V and parameter t the two sides are
         lhs = tr(rho P_{S_V})        rhs = tr(rho P_{S at alpha_t V}),
-    both block-weight sums.  The flowed component is looked up in the
-    poset ("poset" path) when the moved context is in the domain of S;
-    otherwise, for flow-equivariant families, whose flowed component is
-    U_t P_{S_V} U_t*, rhs = tr(U_t* rho U_t P_{S_V}) ("direct" path).
-    When both routes exist, the Frobenius distance between the two
-    projections is reported as the consistency gap.
+    both block-weight sums.  ClopenSubobject.moved reads the flowed
+    component from the poset ("poset" path) when the moved context is in
+    the domain of S; otherwise, for flow-equivariant families, whose
+    flowed component is U_t P_{S_V} U_t*, rhs = tr(U_t* rho U_t P_{S_V})
+    ("direct" path).  When both routes exist, the Frobenius distance
+    between the two projections is reported as the consistency gap.
     """
     if isinstance(subobjects, ClopenSubobject):
         subobjects = [subobjects]
     entries = []
     gap = 0.0
     for sub in subobjects:
-        tol_s = tol or sub.presheaf.tol
         ph = sub.presheaf
         poset = ph.poset
+
+        def dense(j):
+            return poset.contexts[j].block_sum(
+                sub.component(poset.contexts[j].id))
+
         here = sub.measure(ph.weights(state.matrix))
         for t in t_grid:
             u = flow.unitary(t)
-            pulled = (sub.measure(ph.weights(dagger(u) @ state.matrix @ u))
-                      if sub.flow_equivariant else None)
+            target, _ = ph.action(u, sub.domain)
+            rhs, on_poset = sub.moved(here, target,
+                                      dagger(u) @ state.matrix @ u)
             for i in np.flatnonzero(sub.domain):
-                v = poset.contexts[i]
-                target_id, _ = poset.image(u, v.id, tol_s)
-                target = poset.by_id.get(target_id)
-                if target is not None and sub.domain[target]:
-                    rhs = here[target]
-                    path = "poset"
-                    if sub.flow_equivariant:
-                        moved = u @ v.block_sum(sub.component(v.id)) @ dagger(u)
-                        gap = max(gap, frob(poset.contexts[target].block_sum(
-                            sub.component(target_id)) - moved))
-                elif sub.flow_equivariant:
-                    rhs = pulled[i]
-                    path = "direct"
-                else:
-                    raise PosetNotClosed(
-                        f"context {v.id} flows out of the domain at t={t!r} "
-                        f"and the family is not flow-equivariant"
-                    )
-                entries.append(C1Entry(subobject=sub.name or "S", t=float(t),
-                                       context_id=v.id, lhs=float(here[i]),
-                                       rhs=float(rhs), path=path))
+                if on_poset[i] and sub.flow_equivariant:
+                    gap = max(gap, frob(dense(target[i])
+                                        - u @ dense(i) @ dagger(u)))
+                entries.append(C1Entry(
+                    subobject=sub.name or "S", t=float(t),
+                    context_id=poset.contexts[i].id, lhs=float(here[i]),
+                    rhs=float(rhs[i]),
+                    path="poset" if on_poset[i] else "direct"))
     worst = max((e.residual for e in entries), default=0.0)
     return C1Report(entries=entries, max_residual=worst, consistency_gap=gap,
                     convention=flow.convention)
@@ -227,25 +219,12 @@ def check_C1(state: State, flow: AutomorphismFlow, subobjects, t_grid,
 
 
 @dataclass
-class C2BoundaryEntry:
-    t: float
-    upper: complex        # F(t + i beta)
-    swapped: complex      # tr(rho alpha_t(P_S) P_T)
-
-    @property
-    def residual(self) -> float:
-        return abs(self.upper - self.swapped)
-
-
-@dataclass
 class C2Report:
     context_id: str
     beta: float
     convention: str
-    boundary: list
-    strip_points: list    # (z, matrix value, eigenseries value)
-    max_boundary_residual: float
-    max_strip_gap: float
+    max_boundary_residual: float  # F(t + i beta) vs the swapped order
+    max_strip_gap: float          # matrix vs eigenseries in the strip
     f_at_zero: complex
 
 
@@ -295,19 +274,14 @@ def check_C2(state: State, flow: AutomorphismFlow, sub_s: ClopenSubobject,
     def f_series(z: complex) -> complex:
         return complex(np.sum(coeffs * np.exp(1j * complex(z) * freqs)))
 
-    boundary = []
-    for t in t_samples:
-        z = float(t) + 1j * beta
-        upper = f_matrix(z)
-        swapped = complex(np.trace(rho @ flow.apply(t, ps) @ pt))
-        boundary.append(C2BoundaryEntry(t=float(t), upper=upper,
-                                        swapped=swapped))
+    boundary = [abs(f_matrix(float(t) + 1j * beta)
+                    - complex(np.trace(rho @ flow.apply(t, ps) @ pt)))
+                for t in t_samples]
 
     ts = [float(t) for t in t_samples] or [0.0]
     t_lo, t_hi = min(ts), max(ts)
     if t_hi - t_lo < 1e-12:
         t_lo, t_hi = t_lo - 1.0, t_hi + 1.0
-    strip_points = []
     gap = 0.0
     half = max(n_strip // 2, 1)
     for i in range(n_strip):
@@ -317,17 +291,13 @@ def check_C2(state: State, flow: AutomorphismFlow, sub_s: ClopenSubobject,
         else:
             frac = (i - half) / max(n_strip - half - 1, 1)
             z = complex(t_lo + (t_hi - t_lo) * frac, beta / 2.0)
-        mv, sv = f_matrix(z), f_series(z)
-        gap = max(gap, abs(mv - sv))
-        strip_points.append((z, mv, sv))
+        gap = max(gap, abs(f_matrix(z) - f_series(z)))
 
     return C2Report(
         context_id=context_id,
         beta=beta,
         convention=flow.convention,
-        boundary=boundary,
-        strip_points=strip_points,
-        max_boundary_residual=max((e.residual for e in boundary), default=0.0),
+        max_boundary_residual=max(boundary, default=0.0),
         max_strip_gap=gap,
         f_at_zero=f_matrix(0.0),
     )
@@ -393,22 +363,16 @@ class TwistedTruthObject:
         self.state = base.state
         self.tol = base.tol
 
-    def _moved_stage(self, stage: StageVR) -> StageVR:
-        target_id, _ = self.presheaf.poset.image(self.unitary,
-                                                 stage.context_id, self.tol)
+    def members_at(self, stage: StageVR):
+        poset = self.presheaf.poset
+        target_id, _ = poset.image(self.unitary, stage.context_id)
         if target_id is None:
             raise PosetNotClosed(
                 f"stage context {stage.context_id} flows out of the poset"
             )
-        return StageVR(target_id, stage.r)
-
-    def members_at(self, stage: StageVR):
-        moved = self._moved_stage(stage)
-        poset = self.presheaf.poset
         domain = poset.leq[:, poset.index_of(stage.context_id)]
-        out = []
-        for s in self.base.members_at(moved):
-            out.append(pullback(self.unitary, s, self.tol, domain=domain))
+        out = [pullback(self.unitary, s, domain=domain)
+               for s in self.base.members_at(StageVR(target_id, stage.r))]
         out.sort(key=lambda s: s.canonical_key())
         return out
 
@@ -428,11 +392,23 @@ def twist(truth: TruthObject, flow: AutomorphismFlow, t: float) -> TwistedTruthO
 @dataclass
 class TruthValue:
     """The degree to which 'the proposition holds at least to level r'
-    is settled at each context below the stage: V' -> min(r, mu)."""
+    is settled at each context below the stage: V' -> min(r, mu), mu the
+    measure of outer, the outer daseinisation of the proposition on the
+    lower set of the stage."""
 
     context_id: str
     r: float
+    outer: ClopenSubobject
     table: dict
+
+
+def _cutoffs(outer: ClopenSubobject, matrix, r: float) -> dict:
+    """V' -> min(r, mu(outer)(V') under a density matrix), over the
+    domain of outer in index order."""
+    poset = outer.presheaf.poset
+    mu = outer.measure(outer.presheaf.weights(matrix, outer.domain))
+    return {poset.contexts[i].id: min(r, float(mu[i]))
+            for i in np.flatnonzero(outer.domain)}
 
 
 def truth_value(state: State, p, context_id: str, r: float,
@@ -441,13 +417,12 @@ def truth_value(state: State, p, context_id: str, r: float,
     """Cutoff table of the outer approximation of p on the lower set of
     the stage context: V' -> min(r, mu of the daseinised blocks at V')."""
     tol = tol or presheaf.tol
-    pm = as_complex_matrix(p)
-    table = {}
-    for cid in presheaf.poset.lower_set(context_id):
-        v = presheaf.poset.context(cid)
-        mu = weight_sum(v.weights(state.matrix), dasein_indices(pm, v, tol))
-        table[cid] = min(float(r), mu)
-    return TruthValue(context_id=context_id, r=float(r), table=table)
+    poset = presheaf.poset
+    outer = ClopenSubobject.from_components(
+        presheaf, {cid: dasein_indices(p, poset.context(cid), tol)
+                   for cid in poset.lower_set(context_id)})
+    return TruthValue(context_id=context_id, r=float(r), outer=outer,
+                      table=_cutoffs(outer, state.matrix, float(r)))
 
 
 @dataclass
@@ -471,14 +446,13 @@ def check_truth_value_invariance(state: State, flow: AutomorphismFlow, p,
     """Compare the cutoff table of p with the table of the flowed
     proposition at the flowed stage, pulled back through the flow: the
     transported table is V' -> min(r, tr(rho U_t d(p)_{V'} U_t*)), the
-    table of the state U_t* rho U_t."""
-    tol = tol or presheaf.tol
+    table of the state U_t* rho U_t on the same daseinised mask."""
     base = truth_value(state, p, context_id, r, presheaf, tol)
     entries = []
     for t in t_grid:
-        pulled = state.conjugated(dagger(flow.unitary(t)), tol)
-        moved = truth_value(pulled, p, context_id, r, presheaf, tol)
-        diffs = {c: abs(base.table[c] - moved.table[c]) for c in base.table}
+        u = flow.unitary(t)
+        moved = _cutoffs(base.outer, dagger(u) @ state.matrix @ u, base.r)
+        diffs = {c: abs(base.table[c] - moved[c]) for c in base.table}
         worst_ctx = max(diffs, key=diffs.get)
         entries.append(TruthInvarianceEntry(t=float(t),
                                             residual=diffs[worst_ctx],
@@ -551,7 +525,6 @@ class StrongMuEquivalenceResult:
     equivalent: bool
     matchings: dict          # stage -> list of (index in A, index in B)
     naturality_gap: int      # number of squares that fail to commute
-    detail: str = ""
 
 
 def strong_mu_equivalence(state: State, truth_a, truth_b, stages,
@@ -572,10 +545,7 @@ def strong_mu_equivalence(state: State, truth_a, truth_b, stages,
         mb = truth_b.members_at(stage)
         members[stage] = (ma, mb)
         if len(ma) != len(mb):
-            return StrongMuEquivalenceResult(
-                False, matchings, 0,
-                detail=f"member counts differ at {stage}: "
-                       f"{len(ma)} vs {len(mb)}")
+            return StrongMuEquivalenceResult(False, matchings, 0)
         secs_a = [s.measure(weights) for s in ma]
         secs_b = [s.measure(weights) for s in mb]
         pairing = []
@@ -584,9 +554,7 @@ def strong_mu_equivalence(state: State, truth_a, truth_b, stages,
             hits = [j for j, sb in enumerate(secs_b)
                     if _section_gap(sa, sb) <= eps]
             if not hits:
-                return StrongMuEquivalenceResult(
-                    False, matchings, 0,
-                    detail=f"member {i} unmatched at {stage}")
+                return StrongMuEquivalenceResult(False, matchings, 0)
             distinct = {mb[j].canonical_key() for j in hits}
             if len(distinct) > 1:
                 raise AmbiguousMatch(
@@ -598,9 +566,7 @@ def strong_mu_equivalence(state: State, truth_a, truth_b, stages,
                 )
             j = hits[0]
             if j in taken:
-                return StrongMuEquivalenceResult(
-                    False, matchings, 0,
-                    detail=f"matching not injective at {stage}")
+                return StrongMuEquivalenceResult(False, matchings, 0)
             taken.add(j)
             pairing.append((i, j))
         matchings[stage] = pairing

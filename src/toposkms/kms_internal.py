@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Context, ContextPoset, fixes_blocks
-from .errors import DomainMismatch, NotFaithful, PosetNotClosed
+from .errors import DomainMismatch, NotFaithful
 from .kms_external import AutomorphismFlow
 from .measure import State
 from .numerics import dagger, frob, null_space
@@ -168,23 +168,6 @@ def faithful_automorphisms(group: SampledGroup, context: Context,
                               middle=middle, fixes_all=fixes_all)
 
 
-def _moved_value(sub: ClopenSubobject, here, pulled, u, context_id: str,
-                 tol: TolerancePolicy) -> float:
-    """tr(rho P_{S at U V U*}) from the measures of S: `here` for rho at
-    the moved context when the domain has it, else, for flow-equivariant
-    families (moved component U P_{S_V} U*), `pulled` for U* rho U at V."""
-    poset = sub.presheaf.poset
-    target = poset.by_id.get(poset.image(u, context_id, tol)[0])
-    if target is not None and sub.domain[target]:
-        return float(here[target])
-    if sub.flow_equivariant:
-        return float(pulled[poset.index_of(context_id)])
-    raise PosetNotClosed(
-        f"context {context_id} moves out of the domain and the family "
-        f"is not flow-equivariant"
-    )
-
-
 @dataclass
 class InternalC1Entry:
     subobject: str
@@ -206,25 +189,24 @@ class InternalC1Report:
         return self.max_spread <= eps
 
 
-def check_internal_C1(state: State, sub, group: SampledGroup,
-                      tol: TolerancePolicy | None = None) -> InternalC1Report:
+def check_internal_C1(state: State, sub,
+                      group: SampledGroup) -> InternalC1Report:
     """Constancy of the internal measure: at every context of the
-    sub-object domain the values tr(rho P_{S at alpha_g V}) must agree
-    over the whole sample set."""
+    sub-object domain the values tr(rho P_{S at alpha_g V})
+    (ClopenSubobject.moved) must agree over the whole sample set."""
     subs = [sub] if isinstance(sub, ClopenSubobject) else list(sub)
     entries = []
     for s in subs:
-        tol_s = tol or s.presheaf.tol
         ph = s.presheaf
         here = s.measure(ph.weights(state.matrix))
-        moved = [(t, u, s.measure(ph.weights(dagger(u) @ state.matrix @ u))
-                  if s.flow_equivariant else None)
+        moved = [(t, s.moved(here, ph.action(u, s.domain)[0],
+                             dagger(u) @ state.matrix @ u)[0])
                  for t, u in group.real_unitaries()]
-        for cid in sorted(ph.poset.ids(s.domain)):
-            values = {t: _moved_value(s, here, pulled, u, cid, tol_s)
-                      for t, u, pulled in moved}
-            entries.append(InternalC1Entry(subobject=s.name or "S",
-                                           context_id=cid, values=values))
+        for i in sorted(np.flatnonzero(s.domain),
+                        key=lambda i: ph.poset.contexts[i].id):
+            entries.append(InternalC1Entry(
+                subobject=s.name or "S", context_id=ph.poset.contexts[i].id,
+                values={t: float(values[i]) for t, values in moved}))
     worst = max((e.spread for e in entries), default=0.0)
     return InternalC1Report(entries=entries, max_spread=worst)
 
@@ -276,7 +258,7 @@ def check_internal_C2(state: State, group: SampledGroup,
     gamma = flow.beta if gamma is None else float(gamma)
 
     if abs(gamma) <= 1e-14:
-        constancy = check_internal_C1(state, [sub_s, sub_t], group, tol)
+        constancy = check_internal_C1(state, [sub_s, sub_t], group)
         entries = [e for e in constancy.entries
                    if e.context_id in set(context_ids)]
         worst = max((e.spread for e in entries), default=0.0)

@@ -9,8 +9,9 @@ context lie on the presheaf's flat character axis
 (SpectralPresheaf.weights), and ClopenSubobject.measure sums them over
 the sub-object's mask at all contexts at once.  A check holding a state
 computes its weights once.  A moved projection
-is handled by moving the state instead, tr(rho U P U*) = tr(U* rho U P),
-and contexts move through ContextPoset.image.  The converse direction
+is handled by moving the state instead, tr(rho U P U*) = tr(U* rho U P);
+contexts move through SpectralPresheaf.action, and
+ClopenSubobject.moved reads mu(S) at the moved contexts.  The converse direction
 recovers a density matrix from an abstract measure table by least squares
 over the traceless Hermitian parametrization rho = I/n + sum_k c_k B_k.
 """
@@ -75,10 +76,6 @@ class State:
         v = v / nrm
         return cls(np.outer(v, v.conj()), tol)
 
-    def conjugated(self, u, tol: TolerancePolicy = DEFAULT_TOL) -> "State":
-        um = np.asarray(u, dtype=np.complex128)
-        return State(um @ self.matrix @ dagger(um), tol)
-
 
 @dataclass
 class GlobalSection:
@@ -133,7 +130,6 @@ class MeasurePropertyReport:
     modularity: float
     order_reversal: float
     complement_meet: float
-    complement_join_max: float
     strictness_witness: float  # largest observed 1 - mu(S v ~S); > 0 = strict
     pairs_checked: int
     passed: bool
@@ -191,7 +187,7 @@ def verify_measure_properties(state: State, presheaf: SpectralPresheaf,
     return MeasurePropertyReport(
         normalization=res_norm, empty=res_empty, monotonicity=res_mono,
         modularity=res_mod, order_reversal=res_rev,
-        complement_meet=res_cmeet, complement_join_max=cjoin_max,
+        complement_meet=res_cmeet,
         strictness_witness=strict, pairs_checked=n_pairs, passed=passed,
     )
 
@@ -214,8 +210,8 @@ class GroupActionReport:
     max_residual: float
 
 
-def group_action_check(state: State, flow, sub: ClopenSubobject, t_values,
-                       tol: TolerancePolicy | None = None) -> GroupActionReport:
+def group_action_check(state: State, flow, sub: ClopenSubobject,
+                       t_values) -> GroupActionReport:
     """Compare the pulled-back measure with the measure of the moved state.
 
     For each context V and parameter t the two sides are
@@ -223,32 +219,19 @@ def group_action_check(state: State, flow, sub: ClopenSubobject, t_values,
         rhs = tr(U_t rho U_t* * P_{S_V})
     which agree for every sub-object exactly when the state is invariant
     under the flow.  Both are block-weight sums of rho_t = U_t rho U_t*:
-    lhs at the moved context when the poset has it, else (for
-    flow-equivariant families, whose moved component is U_t P_{S_V} U_t*)
-    lhs = tr(rho P_{S_V}).
+    lhs at the moved context (ClopenSubobject.moved, whose pulled state
+    U_t* rho_t U_t is rho itself).
     """
-    tol = tol or sub.presheaf.tol
     ph = sub.presheaf
-    poset = ph.poset
-    here = sub.measure(ph.weights(state.matrix))
     entries = []
     for t in t_values:
-        u = flow.unitary(t) if hasattr(flow, "unitary") else flow(t)
+        u = flow.unitary(t)
         moved = sub.measure(ph.weights(u @ state.matrix @ dagger(u)))
+        lhs, _ = sub.moved(moved, ph.action(u, sub.domain)[0], state.matrix)
         for i in np.flatnonzero(sub.domain):
-            cid = poset.contexts[i].id
-            target = poset.by_id.get(poset.image(u, cid, tol)[0])
-            if target is not None and sub.domain[target]:
-                lhs = moved[target]
-            elif sub.flow_equivariant:
-                lhs = here[i]
-            else:
-                raise PosetNotClosed(
-                    f"moved context of {cid} at t={t!r} absent and the "
-                    f"sub-object is not flow-equivariant"
-                )
-            entries.append(GroupActionEntry(t=float(t), context_id=cid,
-                                            lhs=float(lhs), rhs=float(moved[i])))
+            entries.append(GroupActionEntry(
+                t=float(t), context_id=ph.poset.contexts[i].id,
+                lhs=float(lhs[i]), rhs=float(moved[i])))
     worst = max((e.residual for e in entries), default=0.0)
     return GroupActionReport(entries=entries, max_residual=worst)
 
@@ -362,8 +345,6 @@ class ReconstructionResult:
     fit_residual: float       # max |tr(rho_hat P) - value| over table rows
     spanned_dim: int          # rank of the design matrix (<= n^2 - 1)
     underdetermined: bool
-    min_eigenvalue: float     # before clipping
-    clip_magnitude: float     # total weight removed by clipping
 
 
 def state_from_measure(measure: AbstractMeasure, dim: int | None = None,
@@ -410,9 +391,7 @@ def state_from_measure(measure: AbstractMeasure, dim: int | None = None,
         raise Infeasible(
             f"no density matrix fits the table: minimal eigenvalue {min_eig!r}"
         )
-    clipped = np.clip(w, 0.0, None)
-    clip_mag = float(np.sum(clipped - w))
-    rho_hat = (u * clipped) @ dagger(u)
+    rho_hat = (u * np.clip(w, 0.0, None)) @ dagger(u)
     rho_hat = rho_hat / float(np.real(np.trace(rho_hat)))
     state = State(rho_hat, tol)
     fit_res = max(abs(float(np.real(np.trace(state.matrix @ p))) - val)
@@ -422,6 +401,4 @@ def state_from_measure(measure: AbstractMeasure, dim: int | None = None,
         fit_residual=fit_res,
         spanned_dim=int(rank),
         underdetermined=bool(rank < n * n - 1),
-        min_eigenvalue=min_eig,
-        clip_magnitude=clip_mag,
     )

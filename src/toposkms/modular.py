@@ -440,7 +440,6 @@ def _all_lower_sets(poset: ContextPoset, cap: int = 100_000):
 @dataclass
 class OrderContinuityReport:
     order_preserving: bool
-    order_reflecting: bool
     continuous: bool       # preimages of lower sets are lower sets
     lower_sets_checked: int
     verdicts_agree: bool   # order preservation vs continuity
@@ -465,15 +464,12 @@ def check_order_continuity(j: AntiunitaryJ, poset: ContextPoset,
     idx = {v.id: i for i, v in enumerate(poset.contexts)}
 
     preserving = True
-    reflecting = True
     for a in poset.contexts:
         for b in poset.contexts:
             le_ab = bool(poset.leq[idx[a.id], idx[b.id]])
             le_img = bool(poset.leq[idx[mapping[a.id]], idx[mapping[b.id]]])
             if le_ab and not le_img:
                 preserving = False
-            if le_img and not le_ab:
-                reflecting = False
 
     ideals = _all_lower_sets(poset, cap)
     continuous = True
@@ -486,7 +482,6 @@ def check_order_continuity(j: AntiunitaryJ, poset: ContextPoset,
 
     return OrderContinuityReport(
         order_preserving=preserving,
-        order_reflecting=reflecting,
         continuous=continuous,
         lower_sets_checked=len(ideals),
         verdicts_agree=(preserving == continuous),

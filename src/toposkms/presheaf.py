@@ -23,9 +23,11 @@ inside a context: the smallest lattice element dominating it.  The fast
 form keeps exactly the blocks with non-zero overlap; a brute-force 2^k
 scan over dense lattice elements is provided as an independent oracle.
 
-A unitary moves contexts through ContextPoset.image, which finds the
-moved context in the poset and the block correspondence; pullback reads
-components through that correspondence.
+A unitary acts on the presheaf through one pair of index arrays,
+SpectralPresheaf.action: the poset index of each moved context and the
+character each character is carried to (ContextPoset.image, context by
+context).  pullback is one gather of a mask through the characters, and
+ClopenSubobject.moved is the one rule for mu(S) at a moved context.
 """
 from __future__ import annotations
 
@@ -85,10 +87,16 @@ class SpectralPresheaf:
         self.src = np.repeat(self.offsets[pairs[:, 1]], sizes) + _ragged(sizes)
         self.dst = np.repeat(self.offsets[pairs[:, 0]], sizes) + homes
 
-    def weights(self, m) -> np.ndarray:
-        """Flat block weights Re tr(m Q_i) of every context
-        (Context.weights, concatenated)."""
-        return np.concatenate([v.weights(m) for v in self.poset.contexts])
+    def weights(self, m, inside=None) -> np.ndarray:
+        """Flat block weights Re tr(m Q_i) (Context.weights) at the
+        contexts of the boolean mask `inside`, every context by default,
+        and 0 elsewhere."""
+        out = np.zeros(self.offsets[-1])
+        everywhere = np.ones(len(self.poset), dtype=bool)
+        for i in np.flatnonzero(everywhere if inside is None else inside):
+            out[self.offsets[i]:self.offsets[i + 1]] = (
+                self.poset.contexts[i].weights(m))
+        return out
 
     def rows(self, flat, fill) -> np.ndarray:
         """A flat per-character array laid out one row per context,
@@ -120,6 +128,26 @@ class SpectralPresheaf:
             first = np.flatnonzero(np.diff(self.owner[above], prepend=-1))
             broken += int(np.logical_or.reduceat(wrong, first, axis=0).sum())
         return int(strict.sum(axis=0) @ strict.sum(axis=1)), broken
+
+    def action(self, u, domain):
+        """(target, to) of the automorphism V -> U V U* on the contexts of
+        a boolean mask, by ContextPoset.image.  target[i] is the index of
+        the poset context equal to U V_i U*, -1 where the poset has none;
+        to[x] is the character that character x is carried to (U Q U* lies
+        in its block), -1 outside the mask, off the poset, or where some
+        block of the context is not placed."""
+        poset = self.poset
+        target = np.full(len(poset), -1, dtype=np.intp)
+        to = np.full(self.offsets[-1], -1, dtype=np.intp)
+        for i in np.flatnonzero(domain):
+            target_id, relabel = poset.image(u, poset.contexts[i].id)
+            if target_id is None:
+                continue
+            target[i] = poset.by_id[target_id]
+            if relabel is not None:
+                to[self.offsets[i]:self.offsets[i + 1]] = (
+                    self.offsets[target[i]] + np.array(relabel))
+        return target, to
 
     def mask_of(self, components: dict):
         """(character mask, context mask) of the input format context id
@@ -269,6 +297,34 @@ class ClopenSubobject:
         sums = ph.rows(np.where(self.mask, weights, 0.0), 0.0).cumsum(axis=1)
         return np.where(self.domain, sums[:, -1], np.nan)
 
+    def reaches(self, target) -> np.ndarray:
+        """Context mask of the V whose moved context target[V]
+        (SpectralPresheaf.action) lies in the domain."""
+        # target -1 reads the last context, and is masked out
+        return (target >= 0) & self.domain[target]
+
+    def moved(self, here, target, pulled_state):
+        """(values, on_poset): mu(S) at U V U* for every context V of the
+        domain, NaN elsewhere, with target from SpectralPresheaf.action.
+
+        here is mu(S) of a state; where U V U* lies in the domain the value
+        is here at it (on_poset).  Elsewhere a flow-equivariant family's
+        component is U P_{S_V} U*, and its measure is mu(S)(V) of the
+        pulled density matrix U* rho U, computed only then; any other
+        family raises PosetNotClosed."""
+        on_poset = self.domain & self.reaches(target)
+        values = np.where(on_poset, here[target], np.nan)
+        off = self.domain & ~on_poset
+        if off.any():
+            if not self.flow_equivariant:
+                raise PosetNotClosed(
+                    f"context {self.presheaf.poset.contexts[off.argmax()].id} "
+                    f"moves out of the domain and the family is not "
+                    f"flow-equivariant")
+            values[off] = self.measure(
+                self.presheaf.weights(pulled_state, off))[off]
+        return values, on_poset
+
     def restricted_to(self, top_context_id: str) -> "ClopenSubobject":
         poset = self.presheaf.poset
         keep = self.domain & poset.leq[:, poset.index_of(top_context_id)]
@@ -399,36 +455,33 @@ def enumerate_subobjects(presheaf: SpectralPresheaf, top_context_id: str,
     return results
 
 
-def pullback(u, s: ClopenSubobject, tol: TolerancePolicy | None = None,
-             name: str = "", domain=None) -> ClopenSubobject:
+def pullback(u, s: ClopenSubobject, name: str = "",
+             domain=None) -> ClopenSubobject:
     """Pullback of a sub-object along the automorphism V -> U V U*.
 
     The component at V is the component of s at the poset context equal
     to U V U*, relabeled through the block correspondence
-    Q_i -> U Q_i U* (ContextPoset.image): one gather of s's mask.  Every
-    image context must lie in the domain of s (PosetNotClosed otherwise).
-    By default the result lives on the domain of s itself (appropriate
-    for flow-closed domains); pass `domain`, a boolean mask of contexts,
-    to pull back onto a different lower set.
+    Q_i -> U Q_i U* (SpectralPresheaf.action): one gather of s's mask.
+    Every image context must lie in the domain of s (PosetNotClosed
+    otherwise).  By default the result lives on the domain of s itself
+    (appropriate for flow-closed domains); pass `domain`, a boolean mask
+    of contexts, to pull back onto a different lower set.
     """
     ph = s.presheaf
-    poset = ph.poset
-    tol = tol or ph.tol
     domain = s.domain if domain is None else domain
-    source = np.zeros(ph.offsets[-1], dtype=np.intp)
-    for i in np.flatnonzero(domain):
-        cid = poset.contexts[i].id
-        target_id, relabel = poset.image(u, cid, tol)
-        target = poset.by_id.get(target_id)
-        if target is None or not s.domain[target]:
-            raise PosetNotClosed(
-                f"image of {cid} under the automorphism is not in the domain"
-            )
-        if relabel is None:
-            raise PosetNotClosed(
-                f"block correspondence failed between {cid} and {target_id}"
-            )
-        source[ph.offsets[i]:ph.offsets[i + 1]] = ph.offsets[target] + np.array(relabel)
-    return ClopenSubobject(ph, s.mask[source] & domain[ph.owner], domain,
+    target, to = ph.action(u, domain)
+    inside = domain[ph.owner]
+    away = domain & ~s.reaches(target)
+    if away.any():
+        raise PosetNotClosed(
+            f"image of {ph.poset.contexts[away.argmax()].id} under the "
+            f"automorphism is not in the domain")
+    unplaced = inside & (to < 0)
+    if unplaced.any():
+        raise PosetNotClosed(
+            f"block correspondence failed at "
+            f"{ph.poset.contexts[ph.owner[unplaced.argmax()]].id}")
+    # to is -1 outside the domain: those reads are masked out
+    return ClopenSubobject(ph, s.mask[to] & inside, domain,
                            name=name or f"pullback({s.name})",
                            flow_equivariant=s.flow_equivariant)

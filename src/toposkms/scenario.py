@@ -93,7 +93,6 @@ def parse_vector(spec, what: str, dim: int) -> np.ndarray:
 class Scenario:
     """A parsed scenario plus every model object the checks need."""
 
-    raw: dict
     resolved: dict
     name: str
     dim: int
@@ -216,7 +215,7 @@ def _resolve_subobjects(cfg, presheaf, group, projections, dim, tol):
                 pairs = [(t, u) for t, u in group.real_unitaries()]
                 subs[name] = flow_saturated_family(
                     presheaf, s["context"], set(s["blocks"]), pairs,
-                    name=name, tol=tol)
+                    name=name)
             else:
                 raise ScenarioError(
                     f"subobject {name} needs 'dasein' or 'saturated'")
@@ -418,7 +417,7 @@ def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario
     }
 
     return Scenario(
-        raw=raw, resolved=resolved, name=name, dim=dim, seed=seed, beta=beta,
+        resolved=resolved, name=name, dim=dim, seed=seed, beta=beta,
         convention=convention, tol=tol, checks=checks, state=state,
         hamiltonian=hamiltonian, flow=flow, group=group,
         projections=projections, seed_contexts=seeds, poset=poset,

@@ -197,7 +197,7 @@ def run_measure(scn, rep):
         for sub in named:
             try:
                 grep = group_action_check(scn.state, scn.flow, sub,
-                                          scn.t_grid, tol=scn.tol)
+                                          scn.t_grid)
             except PosetNotClosed:
                 rep.add("measure",
                         f"group action of {sub.name} skipped: orbit leaves "
@@ -218,8 +218,7 @@ def run_external_c1(scn, rep):
     for nm in sorted(scn.subobjects):
         sub = scn.subobjects[nm]
         try:
-            crep = check_C1(scn.state, scn.flow, [sub], scn.t_grid,
-                            tol=scn.tol)
+            crep = check_C1(scn.state, scn.flow, [sub], scn.t_grid)
         except PosetNotClosed:
             rep.add("external-c1",
                     f"{nm} skipped: orbit leaves the poset and the family "
@@ -397,7 +396,7 @@ def run_internal_c1(scn, rep):
                 rhs=f"faithful={len(fa.faithful)},fixes_all={len(fa.fixes_all)}",
                 verdict=INFO)
     subs = [scn.subobjects[k] for k in sorted(scn.subobjects)]
-    crep = check_internal_C1(scn.state, subs, scn.group, tol=scn.tol)
+    crep = check_internal_C1(scn.state, subs, scn.group)
     eps = scn.tol.eps_measure
     if crep.passed(eps):
         rep.add_pass_fail(

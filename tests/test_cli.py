@@ -192,6 +192,19 @@ def test_invalid_context_blocks_exit_2(tmp_path, capfd, blocks, extra, message):
     assert "context Vbad invalid: " in err and message in err
 
 
+@pytest.mark.parametrize("blocks", [[5], [-1]])
+def test_saturated_blocks_out_of_range_exit_2(scenario_dir, tmp_path, capfd,
+                                              blocks):
+    doc = json.loads((scenario_dir / "gibbs_external.json").read_text())
+    doc["subobjects"]["S1"]["saturated"]["blocks"] = blocks
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(capfd, "run", "--scenario", str(path),
+                           "--out-dir", str(tmp_path / "rep"))
+    assert code == 2
+    assert "subobject S1 invalid: " in err and "out of range" in err
+
+
 def test_dasein_subcommand(scenario_dir, capfd):
     code, out, _ = run_cli(
         capfd, "dasein", "--scenario", str(scenario_dir / "example_c3.json"),

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from toposkms.errors import AmbiguousMatch, NotFaithful
+from toposkms.errors import (
+    AmbiguousMatch,
+    DomainMismatch,
+    NotFaithful,
+    PosetNotClosed,
+)
 from toposkms.kms_external import (
     AutomorphismFlow,
     StageVR,
@@ -14,6 +19,7 @@ from toposkms.kms_external import (
     check_C2,
     check_truth_value_invariance,
     expectation_value,
+    flow_saturated_family,
     gibbs_state,
     mu_equivalent,
     strong_mu_equivalence,
@@ -30,6 +36,21 @@ def test_gibbs_weights_frozen():
     diag = np.diag(state.matrix).real
     assert np.allclose(sorted(diag, reverse=True), GIBBS_WEIGHTS, atol=1e-15)
     assert abs(np.trace(state.matrix) - 1.0) < 1e-12
+
+
+def test_flow_saturated_family_error_paths(c3_gibbs):
+    psh = c3_gibbs.presheaf
+    c, s = math.cos(0.3), math.sin(0.3)
+    rotation = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+    with pytest.raises(PosetNotClosed, match="leaves the poset"):
+        flow_saturated_family(psh, "Vdiag", {0}, [(1.0, rotation)])
+    # a transposition of two basis vectors carries Vdiag onto itself and
+    # moves every block but one, so the identity and it disagree there
+    swap = np.eye(3)[[1, 0, 2]]
+    moved = [b for b, home in enumerate(c3_gibbs.poset.image(swap, "Vdiag")[1])
+             if home != b]
+    with pytest.raises(DomainMismatch, match="inconsistent components"):
+        flow_saturated_family(psh, "Vdiag", {moved[0]}, [(1.0, swap)])
 
 
 def test_flow_is_a_one_parameter_group():

@@ -11,6 +11,7 @@ from toposkms.errors import (
     EnumerationTooLarge,
     NotClosedUnderRestriction,
     NotProjection,
+    PosetNotClosed,
 )
 from toposkms.numerics import frob, proj_join, proj_leq
 from toposkms.presheaf import (
@@ -229,6 +230,14 @@ def test_pullback_along_flow_unitary(c3_gibbs):
     moved = pullback(u, s1)
     # the saturated family is carried onto itself by design
     assert moved.canonical_key() == s1.canonical_key()
+
+
+def test_pullback_out_of_the_domain_raises(c3_gibbs):
+    # S1 lives on the orbit of the example context; the identity carries
+    # Vdiag to itself, outside that domain
+    everywhere = np.ones(len(c3_gibbs.poset), dtype=bool)
+    with pytest.raises(PosetNotClosed, match="Vdiag"):
+        pullback(np.eye(3), c3_gibbs.subs["S1"], domain=everywhere)
 
 
 def test_restricted_to_shrinks_domain(c3_gibbs):

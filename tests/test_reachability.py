@@ -9,7 +9,11 @@ over-approximates what runs; a definition it does not reach is certainly
 dead outside the tests.
 
 The same holds for state: every attribute a package method stores on
-`self` must be read, as an attribute, somewhere in the package.
+`self` must be read, as an attribute, somewhere in the package, and
+every field of a package dataclass must be read somewhere in the
+package, the tests or the benchmark.  A string constant equal to a field
+name counts as a read of it, since report code reads fields by name
+through getattr.
 
 Module-level statements run at import and count as reached.  A function
 registered by a package decorator (e.g. `suites.suite`) is reached with
@@ -23,6 +27,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "toposkms"
 SPANS = ROOT / "perfbench" / "spans.py"
+READERS = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
 
 ENTRY_POINTS = ("cli.main", "cli.execute", "scenario.load_scenario")
 
@@ -167,8 +172,42 @@ def stored_and_read():
     return stored, read
 
 
+def dataclass_fields():
+    """["module.Class.field"] of the annotated fields of the package's
+    dataclasses."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ClassDef)
+                    and "dataclass" in _identifiers(node.decorator_list)):
+                out.extend(f"{path.stem}.{node.name}.{item.target.id}"
+                           for item in node.body
+                           if isinstance(item, ast.AnnAssign))
+    return out
+
+
+def names_read(roots) -> set:
+    """Attribute names loaded, and string constants, in the Python files
+    under the roots."""
+    out = set()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                                  ast.Load):
+                    out.add(node.attr)
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    out.add(node.value)
+    return out
+
+
 def test_every_stored_attribute_is_read():
     stored, read = stored_and_read()
     assert stored
     assert sorted(f"{module}.{attr}" for attr, module in stored.items()
                   if attr not in read) == []
+    fields = dataclass_fields()
+    assert fields
+    read = names_read(READERS)
+    assert [f for f in fields if f.rsplit(".", 1)[1] not in read] == []
