@@ -18,11 +18,11 @@ import numpy as np
 from . import __version__
 from .algebra import Context, ContextPoset
 from .errors import ScenarioError, ToposKMSError
-from .kms_external import StageVR, TruthObject, gibbs_state
+from .kms_external import StageVR, TruthObject
 from .measure import State
 from .presheaf import ClopenSubobject, SpectralPresheaf, dasein_indices
 from .reports import ERROR, FAIL, INFO, PASS, Report
-from .scenario import Scenario, load_scenario, parse_matrix, read_scenario
+from .scenario import Scenario, load_scenario, read_scenario
 from .suites import SUITES, fmtf
 
 
@@ -71,8 +71,10 @@ def _add_common(p: argparse.ArgumentParser, scenario_required=True) -> None:
                    default=None, help="flow convention override")
 
 
-def _scenario_from_args(args, forced_checks=None) -> Scenario:
-    raw = read_scenario(args.scenario)
+def _scenario_from_args(args, forced_checks=None, raw=None) -> Scenario:
+    """The scenario of --scenario, or the given raw dict, with the
+    command-line overrides applied, validated once by load_scenario."""
+    raw = read_scenario(args.scenario) if raw is None else raw
     if forced_checks is not None:
         raw["checks"] = list(forced_checks)
     elif args.checks:
@@ -186,22 +188,23 @@ def _cmd_example_c3(args) -> int:
     return 0
 
 
-def _parse_diag_or_matrix(text: str, what: str) -> np.ndarray:
+def _operator_spec(text: str, what: str) -> dict:
+    """diag(...) or a JSON matrix, as a scenario operator."""
     text = text.strip()
     if text.startswith("diag(") and text.endswith(")"):
         inner = text[len("diag("):-1]
         try:
-            vals = [float(x) for x in inner.split(",") if x.strip()]
+            return {"diag": [float(x) for x in inner.split(",") if x.strip()]}
         except ValueError as exc:
             raise ScenarioError(f"{what}: {exc}") from exc
-        if not vals:
-            raise ScenarioError(f"{what}: empty diag()")
-        return np.diag(vals).astype(np.complex128)
     try:
-        return parse_matrix(json.loads(text), what)
+        m = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{what} must be diag(...) or a JSON matrix: {exc}") from exc
+    if not isinstance(m, list):
+        raise ScenarioError(f"{what} must be diag(...) or a JSON matrix")
+    return {"matrix": m}
 
 
 def _cmd_modular(args) -> int:
@@ -209,32 +212,26 @@ def _cmd_modular(args) -> int:
         return _cmd_run(args, forced_checks=["modular"])
     if args.H is None:
         raise ScenarioError("modular needs --scenario or --H")
-    h = _parse_diag_or_matrix(args.H, "--H")
+    h = _operator_spec(args.H, "--H")
     if args.state == "gibbs":
-        state = gibbs_state(h, args.beta)
+        state = {"gibbs": True}
     elif args.state.startswith("diag:"):
         try:
-            vals = [float(x) for x in args.state[len("diag:"):].split(",")]
+            state = {"spectrum": [float(x) for x in
+                                  args.state[len("diag:"):].split(",")]}
         except ValueError as exc:
             raise ScenarioError(f"--state: {exc}") from exc
-        state = State(np.diag(vals).astype(np.complex128))
     else:
         raise ScenarioError("--state must be 'gibbs' or 'diag:a,b,...'")
 
-    scn_dict = {
+    scn = _scenario_from_args(args, forced_checks=["modular"], raw={
         "name": "modular-inline",
-        "dim": h.shape[0],
+        "dim": len(h["diag"] if "diag" in h else h["matrix"]),
         "beta": args.beta,
-        "hamiltonian": {"matrix": [[[float(x.real), float(x.imag)]
-                                    for x in row] for row in h]},
-        "state": {"matrix": [[[float(x.real), float(x.imag)] for x in row]
-                             for row in state.matrix]},
-        "contexts": {"V0": {"generated_by": [{"matrix":
-                    [[[float(x.real), float(x.imag)] for x in row]
-                     for row in h]}]}},
-        "checks": ["modular"],
-    }
-    scn = load_scenario(scn_dict)
+        "hamiltonian": h,
+        "state": state,
+        "contexts": {"V0": {"generated_by": [h]}},
+    })
     rep = execute(scn)
     for e in rep.entries:
         print(f"{e.location}: residual={e.row()[4]} [{e.verdict}]")

@@ -49,11 +49,21 @@ from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 CONVENTIONS = ("hamiltonian", "modular")
 
+# points of the strip 0 <= Im z <= beta where check_C2 matches the matrix
+# evaluation of F against its eigenfrequency series
+C2_STRIP_POINTS = 20
+
+# most clopen sub-objects a truth object enumerates on one lower set
+TRUTH_ENUMERATION_CAP = 100_000
+
 
 class AutomorphismFlow:
-    """alpha_t = conjugation by exp(itH), extended entirely in t."""
+    """alpha_t = conjugation by exp(itH), extended entirely in t.
 
-    __slots__ = ("beta", "convention", "dim", "_eigvals", "_eigvecs")
+    tol is the policy the generator was validated against; checks on the
+    sampled group read it from here."""
+
+    __slots__ = ("beta", "convention", "dim", "tol", "_eigvals", "_eigvecs")
 
     def __init__(self, h, beta: float = 1.0, convention: str = "hamiltonian",
                  tol: TolerancePolicy = DEFAULT_TOL):
@@ -67,6 +77,7 @@ class AutomorphismFlow:
         self.beta = float(beta)
         self.convention = convention
         self.dim = hm.shape[0]
+        self.tol = tol
         self._eigvals, self._eigvecs = hermitian_eig(hm, tol)
 
     def unitary(self, t: float) -> np.ndarray:
@@ -247,19 +258,16 @@ def _eigenseries_coefficients(state: State, flow: AutomorphismFlow, ps, pt):
 
 
 def check_C2(state: State, flow: AutomorphismFlow, sub_s: ClopenSubobject,
-             sub_t: ClopenSubobject, context_id: str, t_samples,
-             n_strip: int = 20,
-             tol: TolerancePolicy | None = None) -> C2Report:
+             sub_t: ClopenSubobject, context_id: str, t_samples) -> C2Report:
     """Two-point boundary condition at a context.
 
     F(z) = tr(rho P_{T_V} alpha_z(P_{S_V})) is entire; the check compares
     F(t + i beta) against tr(rho alpha_t(P_{S_V}) P_{T_V}) on the sample
     grid, and witnesses analyticity by matching the matrix evaluation
-    against the closed-form eigenfrequency series at n_strip points of
-    the strip 0 <= Im z <= beta.  The state must be faithful.
+    against the closed-form eigenfrequency series at C2_STRIP_POINTS
+    points of the strip 0 <= Im z <= beta.  The state must be faithful.
     """
-    tol = tol or sub_s.presheaf.tol
-    if not state.is_faithful(tol):
+    if not state.is_faithful():
         raise NotFaithful("boundary comparison requires a faithful state")
     ps = sub_s.projection_at(context_id).matrix
     pt = sub_t.projection_at(context_id).matrix
@@ -283,13 +291,13 @@ def check_C2(state: State, flow: AutomorphismFlow, sub_s: ClopenSubobject,
     if t_hi - t_lo < 1e-12:
         t_lo, t_hi = t_lo - 1.0, t_hi + 1.0
     gap = 0.0
-    half = max(n_strip // 2, 1)
-    for i in range(n_strip):
+    half = C2_STRIP_POINTS // 2
+    for i in range(C2_STRIP_POINTS):
         if i < half:
             frac = i / max(half - 1, 1)
             z = complex(t_lo + (t_hi - t_lo) * frac, beta * frac)
         else:
-            frac = (i - half) / max(n_strip - half - 1, 1)
+            frac = (i - half) / max(C2_STRIP_POINTS - half - 1, 1)
             z = complex(t_lo + (t_hi - t_lo) * frac, beta / 2.0)
         gap = max(gap, abs(f_matrix(z) - f_series(z)))
 
@@ -318,12 +326,8 @@ class TruthObject:
     stays >= r on the whole lower set.  Membership thresholds are exact:
     tau(S, V) = min_{V' <= V} mu(S)(V') and S is in iff tau >= r."""
 
-    def __init__(self, state: State, presheaf: SpectralPresheaf,
-                 cap: int = 100_000, tol: TolerancePolicy | None = None):
-        self.state = state
+    def __init__(self, state: State, presheaf: SpectralPresheaf):
         self.presheaf = presheaf
-        self.tol = tol or presheaf.tol
-        self.cap = cap
         self.weights = presheaf.weights(state.matrix)
         self._enumerations = {}
 
@@ -341,7 +345,8 @@ class TruthObject:
 
     def _all_subobjects(self, context_id: str):
         if context_id not in self._enumerations:
-            subs = enumerate_subobjects(self.presheaf, context_id, self.cap)
+            subs = enumerate_subobjects(self.presheaf, context_id,
+                                        TRUTH_ENUMERATION_CAP)
             subs.sort(key=lambda s: s.canonical_key())
             self._enumerations[context_id] = subs
         return self._enumerations[context_id]
@@ -355,34 +360,33 @@ class TwistedTruthObject:
     """The truth object transported along a flow element: members at
     (V, r) are the pullbacks of the members at (alpha_t V, r)."""
 
-    def __init__(self, base: TruthObject, t: float, unitary):
+    def __init__(self, base: TruthObject, unitary):
         self.base = base
-        self.t = float(t)
         self.unitary = np.asarray(unitary, dtype=np.complex128)
         self.presheaf = base.presheaf
-        self.state = base.state
-        self.tol = base.tol
 
     def members_at(self, stage: StageVR):
+        """One action of the unitary on the stage's lower set gives the
+        moved stage context and the characters every member is pulled
+        back through."""
         poset = self.presheaf.poset
-        target_id, _ = poset.image(self.unitary, stage.context_id)
-        if target_id is None:
+        i = poset.index_of(stage.context_id)
+        domain = poset.leq[:, i]
+        action = self.presheaf.action(self.unitary, domain)
+        target = action[0][i]
+        if target < 0:
             raise PosetNotClosed(
                 f"stage context {stage.context_id} flows out of the poset"
             )
-        domain = poset.leq[:, poset.index_of(stage.context_id)]
-        out = [pullback(self.unitary, s, domain=domain)
-               for s in self.base.members_at(StageVR(target_id, stage.r))]
+        moved = StageVR(poset.contexts[target].id, stage.r)
+        out = [pullback(self.unitary, s, domain=domain, action=action)
+               for s in self.base.members_at(moved)]
         out.sort(key=lambda s: s.canonical_key())
         return out
 
-    def contains(self, sub: ClopenSubobject, stage: StageVR) -> bool:
-        key = sub.restricted_to(stage.context_id).canonical_key()
-        return key in {m.canonical_key() for m in self.members_at(stage)}
-
 
 def twist(truth: TruthObject, flow: AutomorphismFlow, t: float) -> TwistedTruthObject:
-    return TwistedTruthObject(truth, t, flow.unitary(t))
+    return TwistedTruthObject(truth, flow.unitary(t))
 
 
 # --------------------------------------------------------------------------
@@ -412,14 +416,13 @@ def _cutoffs(outer: ClopenSubobject, matrix, r: float) -> dict:
 
 
 def truth_value(state: State, p, context_id: str, r: float,
-                presheaf: SpectralPresheaf,
-                tol: TolerancePolicy | None = None) -> TruthValue:
+                presheaf: SpectralPresheaf) -> TruthValue:
     """Cutoff table of the outer approximation of p on the lower set of
-    the stage context: V' -> min(r, mu of the daseinised blocks at V')."""
-    tol = tol or presheaf.tol
+    the stage context: V' -> min(r, mu of the daseinised blocks at V'),
+    daseinised under the presheaf's policy."""
     poset = presheaf.poset
     outer = ClopenSubobject.from_components(
-        presheaf, {cid: dasein_indices(p, poset.context(cid), tol)
+        presheaf, {cid: dasein_indices(p, poset.context(cid), presheaf.tol)
                    for cid in poset.lower_set(context_id)})
     return TruthValue(context_id=context_id, r=float(r), outer=outer,
                       table=_cutoffs(outer, state.matrix, float(r)))
@@ -440,14 +443,13 @@ class TruthInvarianceReport:
 
 def check_truth_value_invariance(state: State, flow: AutomorphismFlow, p,
                                  context_id: str, r: float,
-                                 presheaf: SpectralPresheaf, t_grid,
-                                 tol: TolerancePolicy | None = None
+                                 presheaf: SpectralPresheaf, t_grid
                                  ) -> TruthInvarianceReport:
     """Compare the cutoff table of p with the table of the flowed
     proposition at the flowed stage, pulled back through the flow: the
     transported table is V' -> min(r, tr(rho U_t d(p)_{V'} U_t*)), the
     table of the state U_t* rho U_t on the same daseinised mask."""
-    base = truth_value(state, p, context_id, r, presheaf, tol)
+    base = truth_value(state, p, context_id, r, presheaf)
     entries = []
     for t in t_grid:
         u = flow.unitary(t)
@@ -483,14 +485,12 @@ class MuEquivalenceResult:
     size_b: int
 
 
-def mu_equivalent(state: State, truth_a, truth_b, stage: StageVR,
-                  eps: float | None = None,
-                  tol: TolerancePolicy | None = None) -> MuEquivalenceResult:
+def mu_equivalent(state: State, truth_a, truth_b,
+                  stage: StageVR) -> MuEquivalenceResult:
     """Weak equivalence at a stage: the multisets of measure sections of
-    the two member lists coincide within eps (some bijection preserves
-    sections; ties allowed)."""
-    tol = tol or truth_a.tol
-    eps = tol.eps_measure if eps is None else eps
+    the two member lists coincide within the state's eps_measure (some
+    bijection preserves sections; ties allowed)."""
+    eps = state.tol.eps_measure
     members_a = truth_a.members_at(stage)
     members_b = truth_b.members_at(stage)
     if len(members_a) != len(members_b):
@@ -527,16 +527,14 @@ class StrongMuEquivalenceResult:
     naturality_gap: int      # number of squares that fail to commute
 
 
-def strong_mu_equivalence(state: State, truth_a, truth_b, stages,
-                          eps: float | None = None,
-                          tol: TolerancePolicy | None = None
-                          ) -> StrongMuEquivalenceResult:
+def strong_mu_equivalence(state: State, truth_a, truth_b,
+                          stages) -> StrongMuEquivalenceResult:
     """Strong equivalence: at every stage the measure sections match the
-    members of the two truth objects one-to-one (AmbiguousMatch if some
-    section is shared by several members), and the induced matching
-    commutes with restriction of stages to smaller contexts."""
-    tol = tol or truth_a.tol
-    eps = tol.eps_measure if eps is None else eps
+    members of the two truth objects one-to-one, within the state's
+    eps_measure (AmbiguousMatch if some section is shared by several
+    members), and the induced matching commutes with restriction of
+    stages to smaller contexts."""
+    eps = state.tol.eps_measure
     matchings = {}
     members = {}
     weights = truth_a.presheaf.weights(state.matrix)
@@ -636,13 +634,13 @@ def _spectral_projections(a, tol: TolerancePolicy):
     return out
 
 
-def expectation_value(a, state: State, contexts=None,
-                      tol: TolerancePolicy = DEFAULT_TOL) -> ExpectationResult:
+def expectation_value(a, state: State, contexts=None) -> ExpectationResult:
     """Expectation of a Hermitian operator recovered from measures of
     outer approximations: each spectral projection contributes its
     eigenvalue times the minimum of its measure over all contexts.  The
     eigencontext of the operator is inserted so the minimum is attained
-    exactly at tr(rho P_i)."""
+    exactly at tr(rho P_i).  Thresholds are the state's."""
+    tol = state.tol
     am = as_complex_matrix(a)
     if not is_hermitian(am, tol):
         raise NotHermitian("expectation values need a Hermitian operator")

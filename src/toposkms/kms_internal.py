@@ -27,7 +27,6 @@ from .kms_external import AutomorphismFlow
 from .measure import State
 from .numerics import dagger, frob, null_space
 from .presheaf import ClopenSubobject
-from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 
 def same_action(u, v, eps: float = 1e-9) -> bool:
@@ -45,10 +44,11 @@ class SampledGroup:
     gamma in [0, beta] that extend it into the complex plane.
 
     The gamma = 0 copies of the real samples always belong to the
-    extension, so the sampled group sits inside its own strip."""
+    extension, so the sampled group sits inside its own strip.  Checks
+    on the group read the flow's policy, flow.tol."""
 
     def __init__(self, flow: AutomorphismFlow, samples, strip_gammas=None,
-                 tol: TolerancePolicy = DEFAULT_TOL, validate: bool = True):
+                 validate: bool = True):
         self.flow = flow
         self.samples = [float(t) for t in samples]
         if not any(abs(t) <= 1e-12 for t in self.samples):
@@ -64,7 +64,6 @@ class SampledGroup:
         if self.strip_gammas[0] < 0 or self.strip_gammas[-1] > flow.beta + 1e-12:
             raise DomainMismatch("strip offsets must lie in [0, beta]")
         self._unitaries = [flow.unitary(t) for t in self.samples]
-        self.tol = tol
         if validate:
             self._validate()
 
@@ -91,15 +90,15 @@ class SampledGroup:
                     )
 
 
-def fixed_point_subgroup(group: SampledGroup, contexts,
-                         tol: TolerancePolicy = DEFAULT_TOL):
+def fixed_point_subgroup(group: SampledGroup, contexts):
     """Sample parameters whose conjugation fixes every block of every
     given context (pass a ContextPoset or an iterable of contexts)."""
     if isinstance(contexts, ContextPoset):
         contexts = contexts.contexts
     contexts = list(contexts)
+    distance = 10 * group.flow.tol.eps_order
     return [t for t, u in group.real_unitaries()
-            if all(fixes_blocks(u, v, 10 * tol.eps_order) for v in contexts)]
+            if all(fixes_blocks(u, v, distance) for v in contexts)]
 
 
 @dataclass
@@ -113,18 +112,18 @@ class OrbitDecomposition:
         return len(self.orbits)
 
 
-def orbits(group: SampledGroup, context: Context,
-           tol: TolerancePolicy = DEFAULT_TOL) -> OrbitDecomposition:
+def orbits(group: SampledGroup, context: Context) -> OrbitDecomposition:
     """Partition the samples: g ~ g' when alpha_{g - g'} fixes every
     block of the context (computed as U_g U_g'^* directly, so the
     difference need not be a sample)."""
     pairs = group.real_unitaries()
+    distance = 10 * group.flow.tol.eps_order
     classes = []
     for t, u in pairs:
         placed = False
         for cls in classes:
             _, u0 = cls[0]
-            if fixes_blocks(u @ dagger(u0), context, 10 * tol.eps_order):
+            if fixes_blocks(u @ dagger(u0), context, distance):
                 cls.append((t, u))
                 placed = True
                 break
@@ -144,9 +143,8 @@ class FaithfulnessReport:
     fixes_all: list     # fixes every block
 
 
-def faithful_automorphisms(group: SampledGroup, context: Context,
-                           tol: TolerancePolicy = DEFAULT_TOL
-                           ) -> FaithfulnessReport:
+def faithful_automorphisms(group: SampledGroup,
+                           context: Context) -> FaithfulnessReport:
     """Classify each sample by the dimension of the fixed sub-algebra
     {A in V : alpha_g(A) = A}: dimension 1 means only scalars survive
     (the action is faithful on V), dimension k means every block is
@@ -157,7 +155,7 @@ def faithful_automorphisms(group: SampledGroup, context: Context,
     for t, u in group.real_unitaries():
         ud = dagger(u)
         b = np.stack([(u @ q @ ud - q).reshape(-1) for q in blocks], axis=1)
-        dim_fixed = null_space(b, tol.eps_eig).shape[1]
+        dim_fixed = null_space(b, group.flow.tol.eps_eig).shape[1]
         if dim_fixed <= 1:
             faithful.append(t)
         elif dim_fixed >= k:
@@ -238,8 +236,8 @@ class InternalC2Report:
 
 def check_internal_C2(state: State, group: SampledGroup,
                       sub_s: ClopenSubobject, sub_t: ClopenSubobject,
-                      context_ids=None, gamma: float | None = None,
-                      tol: TolerancePolicy | None = None) -> InternalC2Report:
+                      context_ids=None,
+                      gamma: float | None = None) -> InternalC2Report:
     """Boundary condition over the sampled group: for every sample g and
     every shared context, tr(rho P_T alpha_{g + i gamma}(P_S)) is compared
     with tr(rho alpha_g(P_S) P_T).  gamma defaults to the flow temperature.
@@ -251,7 +249,6 @@ def check_internal_C2(state: State, group: SampledGroup,
     reports the constancy spread, so its verdict matches
     check_internal_C1 on the same inputs."""
     flow = group.flow
-    tol = tol or sub_s.presheaf.tol
     if context_ids is None:
         context_ids = sorted(sub_s.presheaf.poset.ids(sub_s.domain
                                                       & sub_t.domain))
@@ -266,7 +263,7 @@ def check_internal_C2(state: State, group: SampledGroup,
                                 mode="constancy", entries=entries,
                                 max_residual=worst, constancy=constancy)
 
-    if not state.is_faithful(tol):
+    if not state.is_faithful():
         raise NotFaithful("boundary comparison requires a faithful state")
     rho = state.matrix
     entries = []

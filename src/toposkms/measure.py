@@ -17,7 +17,7 @@ over the traceless Hermitian parametrization rho = I/n + sum_k c_k B_k.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +45,12 @@ from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 
 class State:
-    """Density matrix: Hermitian, unit trace, positive semi-definite."""
+    """Density matrix: Hermitian, unit trace, positive semi-definite.
 
-    __slots__ = ("matrix", "dim", "eigenvalues")
+    tol is the policy the matrix was validated against; checks on the
+    state (faithfulness, the modular data) read it from here."""
+
+    __slots__ = ("matrix", "dim", "eigenvalues", "tol")
 
     def __init__(self, matrix, tol: TolerancePolicy = DEFAULT_TOL):
         m = as_complex_matrix(matrix)
@@ -63,9 +66,10 @@ class State:
         self.matrix.setflags(write=False)
         self.dim = m.shape[0]
         self.eigenvalues = w
+        self.tol = tol
 
-    def is_faithful(self, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-        return bool(self.eigenvalues[0] > tol.eps_eig)
+    def is_faithful(self) -> bool:
+        return bool(self.eigenvalues[0] > self.tol.eps_eig)
 
     @classmethod
     def pure(cls, vector, tol: TolerancePolicy = DEFAULT_TOL) -> "State":
@@ -80,11 +84,11 @@ class State:
 @dataclass
 class GlobalSection:
     """A real-valued assignment on contexts, checked order-reversing:
-    smaller contexts carry larger (or equal) values."""
+    smaller contexts carry larger (or equal) values, within the poset's
+    eps_measure."""
 
     poset: ContextPoset
     values: dict
-    tol: TolerancePolicy = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
         # NaN marks contexts outside the domain; comparisons with it fail
@@ -93,7 +97,7 @@ class GlobalSection:
             if cid in self.poset.by_id:
                 vals[self.poset.by_id[cid]] = x
         pairs = self.poset.strict_pairs
-        bad = vals[pairs[:, 0]] < vals[pairs[:, 1]] - self.tol.eps_measure
+        bad = vals[pairs[:, 0]] < vals[pairs[:, 1]] - self.poset.tol.eps_measure
         if bad.any():
             small_id, large_id = self.poset.comparable_pairs()[int(bad.argmax())]
             lo, hi = self.values[large_id], self.values[small_id]
@@ -112,14 +116,12 @@ def weight_sum(weights, indices) -> float:
     return float(sum(weights[i] for i in sorted(indices)))
 
 
-def measure_of(state: State, sub: ClopenSubobject,
-               tol: TolerancePolicy | None = None) -> GlobalSection:
+def measure_of(state: State, sub: ClopenSubobject) -> GlobalSection:
     """Section V -> tr(rho * P_{S_V}) over the sub-object domain."""
-    tol = tol or sub.presheaf.tol
     poset = sub.presheaf.poset
     values = sub.measure(sub.presheaf.weights(state.matrix))[sub.domain]
     return GlobalSection(poset, dict(zip(poset.ids(sub.domain),
-                                         values.tolist())), tol)
+                                         values.tolist())))
 
 
 @dataclass
@@ -141,19 +143,18 @@ def _worst(values, start: float) -> float:
 
 
 def verify_measure_properties(state: State, presheaf: SpectralPresheaf,
-                              pairs, tol: TolerancePolicy | None = None,
-                              eps: float | None = None) -> MeasurePropertyReport:
+                              pairs) -> MeasurePropertyReport:
     """Check the measure axioms on a list of sub-object pairs.
 
     For each (S, T): normalization of the full/empty sub-objects on the
     union domain, monotonicity through meet and join, the modular law
     mu(SvT) + mu(S^T) = mu(S) + mu(T) stage-wise, order-reversal of every
     section, and the complement laws mu(S ^ ~S) = 0, mu(S v ~S) <= 1
-    (recording how far below 1 the join gets).  Every measure is read
-    from one set of flat block weights of the state.
+    (recording how far below 1 the join gets), each within the
+    presheaf's eps_measure.  Every measure is read from one set of flat
+    block weights of the state.
     """
-    tol = tol or presheaf.tol
-    eps = tol.eps_measure if eps is None else eps
+    eps = presheaf.tol.eps_measure
     res_mono = res_mod = res_rev = res_cmeet = 0.0
     cjoin_max = 0.0
     strict = 0.0
@@ -246,14 +247,15 @@ class AbstractMeasure:
 
     Construction checks intra-context coherence where the table allows:
     normalization on the full set, vanishing on the empty set, and
-    additivity over disjoint unions present in the table.
+    additivity over disjoint unions present in the table, within the
+    poset's eps_measure.
     """
 
     poset: ContextPoset
     table: dict
-    tol: TolerancePolicy = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
+        eps = self.poset.tol.eps_measure
         cleaned = {}
         for (cid, subset), value in self.table.items():
             v = self.poset.context(cid)  # raises ContextMissing
@@ -261,15 +263,15 @@ class AbstractMeasure:
             if subset and (min(subset) < 0 or max(subset) >= v.k):
                 raise DimMismatch(f"character index out of range for {cid}")
             value = float(value)
-            if value < -self.tol.eps_measure or value > 1 + self.tol.eps_measure:
+            if value < -eps or value > 1 + eps:
                 raise NotAdditive(f"value {value!r} outside [0, 1]")
             cleaned[(cid, subset)] = value
         self.table = cleaned
         for (cid, subset), value in self.table.items():
             v = self.poset.context(cid)
-            if len(subset) == v.k and abs(value - 1.0) > self.tol.eps_measure:
+            if len(subset) == v.k and abs(value - 1.0) > eps:
                 raise NotAdditive(f"full set at {cid} has value {value!r}")
-            if not subset and abs(value) > self.tol.eps_measure:
+            if not subset and abs(value) > eps:
                 raise NotAdditive(f"empty set at {cid} has value {value!r}")
         self._check_additivity()
 
@@ -286,7 +288,7 @@ class AbstractMeasure:
                     union = a | b
                     if union in rows:
                         gap = abs(rows[union] - rows[a] - rows[b])
-                        if gap > 10 * self.tol.eps_measure:
+                        if gap > 10 * self.poset.tol.eps_measure:
                             raise NotAdditive(
                                 f"additivity fails at {cid}: "
                                 f"{sorted(a)} + {sorted(b)}"
@@ -300,12 +302,11 @@ class AbstractMeasure:
             v = self.poset.context(cid)
             if not subset or len(subset) == v.k:
                 continue
-            out.append((s_inverse(subset, v, self.tol).matrix, value))
+            out.append((s_inverse(subset, v, self.poset.tol).matrix, value))
         return out
 
 
-def measure_table_of_state(state: State, poset: ContextPoset,
-                           tol: TolerancePolicy = DEFAULT_TOL) -> AbstractMeasure:
+def measure_table_of_state(state: State, poset: ContextPoset) -> AbstractMeasure:
     """The full measure table of a state: every character subset of every
     context, value tr(rho * P_subset)."""
     table = {}
@@ -314,7 +315,7 @@ def measure_table_of_state(state: State, poset: ContextPoset,
         for mask in range(1 << v.k):
             subset = frozenset(i for i in range(v.k) if mask & (1 << i))
             table[(v.id, subset)] = weight_sum(weights, subset)
-    return AbstractMeasure(poset, table, tol)
+    return AbstractMeasure(poset, table)
 
 
 def _traceless_hermitian_basis(n: int):
@@ -347,8 +348,7 @@ class ReconstructionResult:
     underdetermined: bool
 
 
-def state_from_measure(measure: AbstractMeasure, dim: int | None = None,
-                       tol: TolerancePolicy | None = None) -> ReconstructionResult:
+def state_from_measure(measure: AbstractMeasure) -> ReconstructionResult:
     """Least-squares density matrix matching an abstract measure table.
 
     Cross-context consistency is enforced first: rows whose block-sum
@@ -357,13 +357,14 @@ def state_from_measure(measure: AbstractMeasure, dim: int | None = None,
     Hermitian basis, so the trace constraint is exact.  Eigenvalues in
     [-1e-6, 0) are clipped and the state renormalized; anything lower is
     Infeasible.  The result flags an underdetermined fit when the rows
-    span fewer than n^2 - 1 traceless directions.
+    span fewer than n^2 - 1 traceless directions.  n is the dimension of
+    the table's contexts, and the thresholds are the poset's.
     """
-    tol = tol or measure.tol
+    tol = measure.poset.tol
     rows = measure.projections()
     if not rows:
         raise InconsistentTable("table has no informative rows")
-    n = dim or rows[0][0].shape[0]
+    n = rows[0][0].shape[0]
     for i, (p, val) in enumerate(rows):
         if p.shape[0] != n:
             raise DimMismatch("mixed dimensions in measure table")

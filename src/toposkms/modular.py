@@ -72,11 +72,10 @@ class GNSSpace:
     """The representation of M_n on its Hilbert-Schmidt space built from
     a state: Omega = rho^(1/2), pi(A) = left multiplication."""
 
-    def __init__(self, state: State, tol: TolerancePolicy = DEFAULT_TOL):
+    def __init__(self, state: State):
         self.state = state
-        self.tol = tol
         self.n = state.dim
-        w, u = hermitian_eig(state.matrix, tol)
+        w, u = hermitian_eig(state.matrix, state.tol)
         self.rho_eigvals = w
         self._u = u
         self.omega = (u * np.sqrt(np.clip(w, 0.0, None))) @ dagger(u)
@@ -129,8 +128,7 @@ class ModularData:
         return max(self.residuals.values())
 
 
-def tomita_operators(state: State, tol: TolerancePolicy = DEFAULT_TOL
-                     ) -> ModularData:
+def tomita_operators(state: State) -> ModularData:
     """Solve S(A Omega) = A* Omega on the matrix units, then split off
     Delta = S*S and J = S Delta^(-1/2).
 
@@ -140,7 +138,7 @@ def tomita_operators(state: State, tol: TolerancePolicy = DEFAULT_TOL
     Delta(x) = rho x rho^(-1), J(x) = x*, S(x) = rho^(-1/2) x* rho^(1/2).
     Residuals of all of these travel with the result.
     """
-    gns = GNSSpace(state, tol)
+    gns = GNSSpace(state)
     n = gns.n
     n2 = n * n
     if gns.cyclic_rank() < n2:
@@ -222,24 +220,24 @@ def expected_delta_spectrum(state: State) -> np.ndarray:
 
 
 def modular_flow(state: State, beta: float = 1.0,
-                 convention: str = "modular",
-                 tol: TolerancePolicy = DEFAULT_TOL) -> AutomorphismFlow:
+                 convention: str = "modular") -> AutomorphismFlow:
     """The flow generated by the state itself.
 
     Under the modular convention the generator is -(1/beta) log rho and
     the flow carries temperature beta (conjugation by rho^(-it/beta));
     under the hamiltonian convention the generator is -log rho at unit
     temperature.  Both agree with the flow of the physical Hamiltonian
-    whenever the state is its Gibbs state at matching temperature.
+    whenever the state is its Gibbs state at matching temperature.  The
+    flow carries the state's policy.
     """
-    if not state.is_faithful(tol):
+    if not state.is_faithful():
         raise NotFaithful("the modular flow needs a faithful state")
-    w, u = hermitian_eig(state.matrix, tol)
+    w, u = hermitian_eig(state.matrix, state.tol)
     log_rho = (u * np.log(w)) @ dagger(u)
     if convention == "modular":
-        return AutomorphismFlow(-log_rho / beta, beta, "modular", tol)
+        return AutomorphismFlow(-log_rho / beta, beta, "modular", state.tol)
     if convention == "hamiltonian":
-        return AutomorphismFlow(-log_rho, 1.0, "hamiltonian", tol)
+        return AutomorphismFlow(-log_rho, 1.0, "hamiltonian", state.tol)
     raise ValueError(f"unknown convention {convention!r}")
 
 
@@ -270,7 +268,6 @@ _SWAP_BLOCK = 4
 
 
 def commutant_swap_check(state: State, basis=None,
-                         tol: TolerancePolicy = DEFAULT_TOL,
                          data: ModularData | None = None
                          ) -> CommutantSwapReport:
     """J pi(A) J lands in the commutant of the left action: it commutes
@@ -293,7 +290,7 @@ def commutant_swap_check(state: State, basis=None,
     would cost 2 n^10).  Every pair (A, B) is still checked through the
     Frobenius norm of its full commutator matrix.
     """
-    data = data or tomita_operators(state, tol)
+    data = data or tomita_operators(state)
     n = state.dim
     n2 = n * n
     if basis is None:
@@ -355,7 +352,7 @@ class AntiunitaryJ:
 
     __slots__ = ("w", "dim")
 
-    def __init__(self, w, tol: TolerancePolicy = DEFAULT_TOL):
+    def __init__(self, w):
         wm = as_complex_matrix(w)
         if not is_unitary(wm, 1e-10):
             raise NotUnitary("antiunitary part is not unitary")
@@ -398,12 +395,12 @@ class JMapReport:
     injective: bool
 
 
-def jmap_on_contexts(j: AntiunitaryJ, poset: ContextPoset,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> JMapReport:
-    """The induced map V -> J V J on the poset, where defined."""
+def jmap_on_contexts(j: AntiunitaryJ, poset: ContextPoset) -> JMapReport:
+    """The induced map V -> J V J on the poset, where defined, under the
+    poset's policy."""
     mapping = {}
     for v in poset.contexts:
-        img = j.image_context(v, tol)
+        img = j.image_context(v, poset.tol)
         mapping[v.id] = poset.find_equal(img)
     images = [m for m in mapping.values() if m is not None]
     return JMapReport(
@@ -450,14 +447,13 @@ class OrderContinuityReport:
 
 
 def check_order_continuity(j: AntiunitaryJ, poset: ContextPoset,
-                           tol: TolerancePolicy = DEFAULT_TOL,
                            cap: int = 100_000) -> OrderContinuityReport:
     """Exhaustive comparison of two readings of 'the symmetry respects
     coarse-graining': (a) V' <= V implies J V' J <= J V J on all
     comparable pairs, and (b) the induced self-map is continuous for the
     lower-set topology (preimage of every lower set is a lower set).
     The two verdicts must agree; the report records both."""
-    report = jmap_on_contexts(j, poset, tol)
+    report = jmap_on_contexts(j, poset)
     if not report.total:
         raise PosetNotClosed("the poset is not closed under the symmetry")
     mapping = report.mapping

@@ -367,12 +367,12 @@ def complete_downward(presheaf: SpectralPresheaf, assignments: dict,
     return ClopenSubobject(presheaf, mask, domain, name=name)
 
 
-def daseinisation_subobject(p, presheaf: SpectralPresheaf, name: str = "",
-                            tol: TolerancePolicy | None = None) -> ClopenSubobject:
-    """Global sub-object V -> blocks of the outer daseinisation of p at V."""
-    tol = tol or presheaf.tol
+def daseinisation_subobject(p, presheaf: SpectralPresheaf,
+                            name: str = "") -> ClopenSubobject:
+    """Global sub-object V -> blocks of the outer daseinisation of p at V,
+    under the presheaf's policy."""
     return ClopenSubobject.from_components(
-        presheaf, {v.id: dasein_indices(p, v, tol)
+        presheaf, {v.id: dasein_indices(p, v, presheaf.tol)
                    for v in presheaf.poset.contexts}, name=name)
 
 
@@ -455,8 +455,8 @@ def enumerate_subobjects(presheaf: SpectralPresheaf, top_context_id: str,
     return results
 
 
-def pullback(u, s: ClopenSubobject, name: str = "",
-             domain=None) -> ClopenSubobject:
+def pullback(u, s: ClopenSubobject, name: str = "", domain=None,
+             action=None) -> ClopenSubobject:
     """Pullback of a sub-object along the automorphism V -> U V U*.
 
     The component at V is the component of s at the poset context equal
@@ -465,11 +465,13 @@ def pullback(u, s: ClopenSubobject, name: str = "",
     Every image context must lie in the domain of s (PosetNotClosed
     otherwise).  By default the result lives on the domain of s itself
     (appropriate for flow-closed domains); pass `domain`, a boolean mask
-    of contexts, to pull back onto a different lower set.
+    of contexts, to pull back onto a different lower set.  Sub-objects
+    pulled back onto one domain can share its action, passed as
+    `action`, the (target, to) of SpectralPresheaf.action(u, domain).
     """
     ph = s.presheaf
     domain = s.domain if domain is None else domain
-    target, to = ph.action(u, domain)
+    target, to = action or ph.action(u, domain)
     inside = domain[ph.owner]
     away = domain & ~s.reaches(target)
     if away.any():

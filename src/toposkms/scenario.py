@@ -23,7 +23,7 @@ from .presheaf import (
     daseinisation_subobject,
 )
 from .suites import SUITES
-from .tolerances import DEFAULT_TOL, TolerancePolicy
+from .tolerances import TolerancePolicy
 
 MAX_DIM = 16
 
@@ -185,7 +185,7 @@ def _resolve_contexts(cfg, projections, dim, tol):
     return out
 
 
-def _resolve_subobjects(cfg, presheaf, group, projections, dim, tol):
+def _resolve_subobjects(cfg, presheaf, group, projections, dim):
     from .kms_external import flow_saturated_family
 
     subs = {}
@@ -205,8 +205,7 @@ def _resolve_subobjects(cfg, presheaf, group, projections, dim, tol):
                     p = projections[p]
                 else:
                     p = parse_operator(p, f"subobject {name}", dim)
-                subs[name] = daseinisation_subobject(p, presheaf, name=name,
-                                                     tol=tol)
+                subs[name] = daseinisation_subobject(p, presheaf, name=name)
             elif "saturated" in spec:
                 s = spec["saturated"]
                 if group is None:
@@ -264,8 +263,8 @@ def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario
     if not isinstance(tol_cfg, dict):
         raise ScenarioError("tolerances must be an object")
     try:
-        tol = DEFAULT_TOL.override(**{k: _as_number(v, f"tolerances.{k}")
-                                      for k, v in tol_cfg.items()})
+        tol = TolerancePolicy().override(
+            **{k: _as_number(v, f"tolerances.{k}") for k, v in tol_cfg.items()})
     except KeyError as exc:
         raise ScenarioError(f"unknown tolerance key: {exc}") from exc
 
@@ -329,7 +328,7 @@ def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario
         if gammas is not None:
             gammas = [_as_number(g, "group.strip_gammas") for g in gammas]
         try:
-            group = SampledGroup(flow, samples, strip_gammas=gammas, tol=tol)
+            group = SampledGroup(flow, samples, strip_gammas=gammas)
         except ToposKMSError as exc:
             raise ScenarioError(f"group grid invalid: {exc}") from exc
 
@@ -348,7 +347,7 @@ def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario
         )
         if group_closure and flow is not None and t_grid:
             extra = SampledGroup(flow, sorted({0.0, *t_grid, *(-t for t in t_grid)}),
-                                 strip_gammas=[0.0], tol=tol, validate=False)
+                                 strip_gammas=[0.0], validate=False)
             poset = build_poset(
                 list(poset.contexts),
                 downward_closure=downward,
@@ -363,7 +362,7 @@ def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario
         raise ScenarioError(f"poset construction failed: {exc}") from exc
 
     subobjects = _resolve_subobjects(raw.get("subobjects"), presheaf, group,
-                                     projections, dim, tol)
+                                     projections, dim)
 
     pairs = raw.get("pairs")
     if pairs is None:

@@ -182,8 +182,7 @@ def run_measure(scn, rep):
             joint = _on_common_domain(a, b)
             if joint is not None:
                 pairs.append(joint)
-    mrep = verify_measure_properties(scn.state, scn.presheaf, pairs,
-                                     tol=scn.tol)
+    mrep = verify_measure_properties(scn.state, scn.presheaf, pairs)
     eps = scn.tol.eps_measure
     for field in ("normalization", "empty", "monotonicity", "modularity",
                   "order_reversal", "complement_meet"):
@@ -260,7 +259,7 @@ def run_external_c2(scn, rep):
         for cid in cids:
             try:
                 c2 = check_C2(scn.state, scn.flow, sub_s, sub_t, cid,
-                              t_samples, tol=scn.tol)
+                              t_samples)
             except NotFaithful as exc:
                 rep.add_error("external-c2", f"({a},{b}) @ {cid}", exc)
                 ok = False
@@ -277,7 +276,7 @@ def run_external_c2(scn, rep):
 
 @suite("truth", needs=("r_queries",))
 def run_truth(scn, rep):
-    truth = TruthObject(scn.state, scn.presheaf, tol=scn.tol)
+    truth = TruthObject(scn.state, scn.presheaf)
     stages = ([scn.truth_stage] if scn.truth_stage
               else sorted(scn.poset.maximal_ids()))
     ok = True
@@ -307,7 +306,7 @@ def run_truth(scn, rep):
                 for r in scn.r_queries:
                     inv = check_truth_value_invariance(
                         scn.state, scn.flow, p, cid, r, scn.presheaf,
-                        scn.t_grid, tol=scn.tol)
+                        scn.t_grid)
                     e = rep.add_pass_fail(
                         "truth",
                         f"cutoff invariance of {pname} @ ({cid}, r={fmtf(r)})",
@@ -320,8 +319,7 @@ def run_truth(scn, rep):
         p = scn.projections[pname]
         try:
             res = expectation_value(p, scn.state,
-                                    contexts=list(scn.poset.contexts),
-                                    tol=scn.tol)
+                                    contexts=list(scn.poset.contexts))
         except ToposKMSError as exc:
             rep.add_error("truth", f"expectation of {pname}", exc)
             ok = False
@@ -336,7 +334,7 @@ def run_truth(scn, rep):
 
 @suite("equivalence", needs=("flow", "t_grid", "r_queries"))
 def run_equivalence(scn, rep):
-    truth = TruthObject(scn.state, scn.presheaf, tol=scn.tol)
+    truth = TruthObject(scn.state, scn.presheaf)
     stages = ([scn.truth_stage] if scn.truth_stage
               else sorted(scn.poset.maximal_ids()))
     ok = True
@@ -350,8 +348,7 @@ def run_equivalence(scn, rep):
                 stage_objs.append(StageVR(cid, r))
         for stage in stage_objs:
             try:
-                res = mu_equivalent(scn.state, truth, twisted, stage,
-                                    tol=scn.tol)
+                res = mu_equivalent(scn.state, truth, twisted, stage)
             except ToposKMSError as exc:
                 rep.add_error(
                     "equivalence",
@@ -367,7 +364,7 @@ def run_equivalence(scn, rep):
             ok = ok and e.verdict == PASS
         try:
             sres = strong_mu_equivalence(scn.state, truth, twisted,
-                                         stage_objs, tol=scn.tol)
+                                         stage_objs)
             e = rep.add(
                 "equivalence", f"strong matching, t={fmtf(t)}",
                 lhs=len(sres.matchings), residual=sres.naturality_gap,
@@ -384,14 +381,13 @@ def run_equivalence(scn, rep):
 
 @suite("internal-c1", needs=("group", "subobjects"))
 def run_internal_c1(scn, rep):
-    fixed = fixed_point_subgroup(scn.group, scn.poset, tol=scn.tol)
+    fixed = fixed_point_subgroup(scn.group, scn.poset)
     rep.add("internal-c1", "fixed-point subgroup over poset",
             lhs=",".join(fmtf(t) for t in fixed), verdict=INFO)
     for v in scn.seed_contexts:
         cid = scn.poset.find_equal(v)
-        dec = orbits(scn.group, scn.poset.context(cid), tol=scn.tol)
-        fa = faithful_automorphisms(scn.group, scn.poset.context(cid),
-                                    tol=scn.tol)
+        dec = orbits(scn.group, scn.poset.context(cid))
+        fa = faithful_automorphisms(scn.group, scn.poset.context(cid))
         rep.add("internal-c1", f"orbits @ {cid}", lhs=dec.count,
                 rhs=f"faithful={len(fa.faithful)},fixes_all={len(fa.fixes_all)}",
                 verdict=INFO)
@@ -418,8 +414,7 @@ def run_internal_c2(scn, rep):
     for a, b in scn.pairs:
         sub_s, sub_t = scn.subobjects[a], scn.subobjects[b]
         try:
-            c2 = check_internal_C2(scn.state, scn.group, sub_s, sub_t,
-                                   tol=scn.tol)
+            c2 = check_internal_C2(scn.state, scn.group, sub_s, sub_t)
         except NotFaithful as exc:
             rep.add_error("internal-c2", f"strip ({a},{b})", exc)
             ok = False
@@ -433,7 +428,7 @@ def run_internal_c2(scn, rep):
 
         # at gamma = 0 the check is internal C1 on (S, T), kept as constancy
         degen = check_internal_C2(scn.state, scn.group, sub_s, sub_t,
-                                  gamma=0.0, tol=scn.tol)
+                                  gamma=0.0)
         c1 = degen.constancy
         agree = degen.passed(scn.tol.eps_measure) == c1.passed(
             scn.tol.eps_measure)
@@ -452,7 +447,7 @@ def run_internal_c2(scn, rep):
 def run_modular(scn, rep):
     eps = 1e-10
     try:
-        data = tomita_operators(scn.state, tol=scn.tol)
+        data = tomita_operators(scn.state)
     except ToposKMSError as exc:
         rep.add_error("modular", "tomita operators", exc)
         return False
@@ -464,7 +459,7 @@ def run_modular(scn, rep):
                               np.sort(expected))))
     rep.add_pass_fail("modular", "delta spectrum = {a_i/a_j}",
                       residual=gap, eps=eps)
-    swap = commutant_swap_check(scn.state, tol=scn.tol, data=data)
+    swap = commutant_swap_check(scn.state, data=data)
     rep.add_pass_fail("modular", "commutant swap", residual=swap.max_residual,
                       eps=eps)
 
@@ -489,9 +484,9 @@ def run_modular(scn, rep):
 
 @suite("reconstruction")
 def run_reconstruction(scn, rep):
-    table = measure_table_of_state(scn.state, scn.poset, tol=scn.tol)
+    table = measure_table_of_state(scn.state, scn.poset)
     try:
-        res = state_from_measure(table, dim=scn.dim, tol=scn.tol)
+        res = state_from_measure(table)
     except ToposKMSError as exc:
         rep.add_error("reconstruction", "state from measure", exc)
         return False

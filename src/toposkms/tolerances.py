@@ -3,6 +3,14 @@
 All comparisons in the package go through a TolerancePolicy so that a
 scenario file (or a CLI --tol flag) can tighten or loosen individual
 thresholds without touching code.
+
+A policy lives on the object it validated: a State, an AutomorphismFlow
+and a ContextPoset (with its SpectralPresheaf) each keep the `tol` they
+were built with, and checks read it from their inputs: state.tol,
+presheaf.tol, group.flow.tol, measure.poset.tol.  Only the input
+boundaries (constructors of contexts, states, flows and posets) and the
+primitives on a bare Context or matrix take a `tol`, defaulting to
+DEFAULT_TOL.
 """
 from __future__ import annotations
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, report files, golden stdout."""
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 
 import toposkms
 from toposkms.cli import main
+from toposkms.tolerances import DEFAULT_TOL, TolerancePolicy
 
 
 def run_cli(capfd, *argv):
@@ -141,6 +143,39 @@ def test_reports_are_identical_across_hash_seeds(scenario_dir, tmp_path):
             == (tmp_path / "2" / f).read_bytes(), f
 
 
+def test_no_check_falls_back_to_the_default_policy(scenario_dir, tmp_path,
+                                                    capfd):
+    # with every tolerance given, no report may depend on DEFAULT_TOL: a
+    # check that reads it instead of the policy of its inputs changes the
+    # report when DEFAULT_TOL changes
+    explicit = {k: f.default
+                for k, f in TolerancePolicy.__dataclass_fields__.items()}
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    for path in scenario_dir.glob("*.json"):
+        raw = json.loads(path.read_text())
+        raw["tolerances"] = explicit
+        (scenarios / path.name).write_text(json.dumps(raw), encoding="utf-8")
+    saved = dataclasses.asdict(DEFAULT_TOL)
+    for side in ("default", "moved"):
+        try:
+            if side == "moved":
+                for k in saved:
+                    object.__setattr__(DEFAULT_TOL, k, 0.25)
+            for path in sorted(scenarios.glob("*.json")):
+                run_cli(capfd, "run", "--scenario", str(path),
+                        "--out-dir", str(tmp_path / side / path.stem))
+        finally:
+            for k, v in saved.items():
+                object.__setattr__(DEFAULT_TOL, k, v)
+    files = sorted(p.relative_to(tmp_path / "default")
+                   for p in (tmp_path / "default").rglob("*") if p.is_file())
+    assert len(files) == 3 * len(list(scenario_dir.glob("*.json")))
+    for f in files:
+        assert (tmp_path / "default" / f).read_bytes() \
+            == (tmp_path / "moved" / f).read_bytes(), f
+
+
 # sha256 of the JSON list of (check, location, verdict) rows of each
 # corpus report.csv: residual digits may move, but not the context ids,
 # the rows, their order or the verdicts
@@ -252,7 +287,7 @@ def test_example_c3_rejects_bad_weights(capfd):
     assert code == 2 and "sum to 1" in err
 
 
-def test_modular_subcommand(capfd):
+def test_modular_subcommand(tmp_path, capfd):
     code, out, _ = run_cli(capfd, "modular", "--state", "gibbs",
                            "--H", "diag(0,1,2)", "--beta", "1.0")
     assert code == 0
@@ -262,6 +297,40 @@ def test_modular_subcommand(capfd):
     code, _, err = run_cli(capfd, "modular", "--state",
                            "[[1,0],[0,0]]", "--H", "diag(0,1)")
     assert code == 2
+    # the inline model takes the overrides a scenario file takes, and its
+    # state is validated like a scenario's
+    for extra in (["--tol", "nonsense_key=1"], ["--tol", "eps_herm"],
+                  ["--state", "diag:0.5,0.6,-0.1"],
+                  ["--state", "diag:0.5,0.5"]):
+        code, _, err = run_cli(capfd, "modular", "--H", "diag(0.1,0.5,0.9)",
+                               *extra)
+        assert code == 2 and "input error" in err, extra
+    code, _, _ = run_cli(capfd, "modular", "--H", "diag(0.1,0.5,0.9)",
+                         "--state", "diag:0.5,0.3,0.2", "--seed", "7",
+                         "--convention", "modular", "--tol", "eps_eig=1e-7",
+                         "--out-dir", str(tmp_path / "rep"))
+    doc = json.loads((tmp_path / "rep" / "report.json").read_text())
+    assert doc["scenario"]["seed"] == 7
+    assert doc["scenario"]["convention"] == "modular"
+    assert doc["scenario"]["tolerances"]["eps_eig"] == 1e-7
+    assert doc["scenario"]["state"]["spectrum"] == [0.5, 0.3, 0.2]
+
+
+def test_modular_flow_reads_the_scenario_policy(scenario_dir, tmp_path,
+                                                capfd):
+    # a state Hermitian within eps_herm = 1e-6 but not within the default
+    # 1e-10: the modular flow is built under the scenario's policy
+    raw = json.loads((scenario_dir / "modular_suite.json").read_text())
+    raw["state"]["matrix"][0][1] = [0, 1e-8]
+    raw["tolerances"] = {"eps_herm": 1e-6}
+    path = tmp_path / "eps_herm.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    run_cli(capfd, "run", "--scenario", str(path),
+            "--out-dir", str(tmp_path / "rep"))
+    doc = json.loads((tmp_path / "rep" / "report.json").read_text())
+    verdicts = {e["location"]: e["verdict"] for e in doc["entries"]}
+    assert verdicts["modular flow = hamiltonian flow (up to phase)"] == "pass"
+    assert "error" not in verdicts.values()
 
 
 def test_internal_scenarios_pass(scenario_dir, tmp_path, capfd):
