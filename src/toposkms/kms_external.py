@@ -248,13 +248,8 @@ def _eigenseries_coefficients(state: State, flow: AutomorphismFlow, ps, pt):
     ps_t = dagger(u) @ ps @ u
     pt_t = dagger(u) @ pt @ u
     a = rho_t @ pt_t
-    n = lam.shape[0]
-    freqs, coeffs = [], []
-    for k in range(n):
-        for l in range(n):
-            freqs.append(lam[k] - lam[l])
-            coeffs.append(a[l, k] * ps_t[k, l])
-    return np.asarray(freqs), np.asarray(coeffs)
+    # entry (k, l): frequency lam_k - lam_l, coefficient a_lk (ps_t)_kl
+    return (lam[:, None] - lam[None, :]).ravel(), (a.T * ps_t).ravel()
 
 
 def check_C2(state: State, flow: AutomorphismFlow, sub_s: ClopenSubobject,
@@ -269,8 +264,9 @@ def check_C2(state: State, flow: AutomorphismFlow, sub_s: ClopenSubobject,
     """
     if not state.is_faithful():
         raise NotFaithful("boundary comparison requires a faithful state")
-    ps = sub_s.projection_at(context_id).matrix
-    pt = sub_t.projection_at(context_id).matrix
+    v = sub_s.presheaf.poset.context(context_id)
+    ps = v.block_sum(sub_s.component(context_id))
+    pt = v.block_sum(sub_t.component(context_id))
     beta = flow.beta
     rho = state.matrix
 

@@ -268,8 +268,9 @@ def check_internal_C2(state: State, group: SampledGroup,
     rho = state.matrix
     entries = []
     for cid in context_ids:
-        ps = sub_s.projection_at(cid).matrix
-        pt = sub_t.projection_at(cid).matrix
+        v = sub_s.presheaf.poset.context(cid)
+        ps = v.block_sum(sub_s.component(cid))
+        pt = v.block_sum(sub_t.component(cid))
         for g in group.samples:
             twisted = flow.apply_complex(complex(g, gamma), ps)
             lhs = complex(np.trace(rho @ pt @ twisted))

@@ -8,12 +8,13 @@ sum_{i in S_V} tr(rho Q_i), without forming P_{S_V}: the weights of every
 context lie on the presheaf's flat character axis
 (SpectralPresheaf.weights), and ClopenSubobject.measure sums them over
 the sub-object's mask at all contexts at once.  A check holding a state
-computes its weights once.  A moved projection
-is handled by moving the state instead, tr(rho U P U*) = tr(U* rho U P);
-contexts move through SpectralPresheaf.action, and
-ClopenSubobject.moved reads mu(S) at the moved contexts.  The converse direction
-recovers a density matrix from an abstract measure table by least squares
-over the traceless Hermitian parametrization rho = I/n + sum_k c_k B_k.
+computes its weights once.  A moved projection is handled by moving the
+state instead, tr(rho U P U*) = tr(U* rho U P); contexts move through
+SpectralPresheaf.action, and ClopenSubobject.moved reads mu(S) at the
+moved contexts.  The converse direction recovers a density matrix from
+an abstract measure table by least squares over the traceless Hermitian
+parametrization rho = I/n + sum_k c_k B_k, whose design matrix is the
+block weights of the basis elements B_k: no P_S is formed there either.
 """
 from __future__ import annotations
 
@@ -30,14 +31,13 @@ from .errors import (
     NotAState,
     PosetNotClosed,
 )
-from .numerics import as_complex_matrix, dagger, frob, is_hermitian
+from .numerics import as_complex_matrix, dagger, is_hermitian
 from .presheaf import (
     ClopenSubobject,
     SpectralPresheaf,
     empty_subobject,
     full_subobject,
     heyting_negation,
-    s_inverse,
     subobject_join,
     subobject_meet,
 )
@@ -294,17 +294,6 @@ class AbstractMeasure:
                                 f"{sorted(a)} + {sorted(b)}"
                             )
 
-    def projections(self):
-        """Pairs (block-sum projection matrix, value), one per table row
-        with a non-trivial subset."""
-        out = []
-        for (cid, subset), value in self.table.items():
-            v = self.poset.context(cid)
-            if not subset or len(subset) == v.k:
-                continue
-            out.append((s_inverse(subset, v, self.poset.tol).matrix, value))
-        return out
-
 
 def measure_table_of_state(state: State, poset: ContextPoset) -> AbstractMeasure:
     """The full measure table of a state: every character subset of every
@@ -348,55 +337,74 @@ class ReconstructionResult:
     underdetermined: bool
 
 
+def _check_consistency(coords, ranks, values, tol) -> None:
+    """InconsistentTable for the first pair of rows, in row order, with
+    equal projections and values more than 10 eps_measure apart.
+
+    Projections of different rank are at least 1 apart, farther than any
+    eps_order < 1; for equal ranks ||P - Q||_F^2 = ||a_P - a_Q||^2 / 2
+    (tr(B_k B_l) = 2 delta_kl), a sum of squared coordinate differences,
+    so nothing cancels.
+    """
+    for i in range(len(values)):
+        later = np.flatnonzero(ranks[i + 1:] == ranks[i]) + i + 1
+        dist2 = ((coords[later] - coords[i]) ** 2).sum(axis=1) / 2
+        clash = later[(dist2 <= tol.eps_order ** 2)
+                      & (np.abs(values[later] - values[i]) > 10 * tol.eps_measure)]
+        if clash.size:
+            raise InconsistentTable(
+                f"equal projections carry values {float(values[i])!r} and "
+                f"{float(values[clash[0]])!r}")
+
+
 def state_from_measure(measure: AbstractMeasure) -> ReconstructionResult:
     """Least-squares density matrix matching an abstract measure table.
 
-    Cross-context consistency is enforced first: rows whose block-sum
-    projections coincide must carry equal values (InconsistentTable).
     The fit runs over rho = I/n + sum_k c_k B_k with a traceless
-    Hermitian basis, so the trace constraint is exact.  Eigenvalues in
-    [-1e-6, 0) are clipped and the state renormalized; anything lower is
-    Infeasible.  The result flags an underdetermined fit when the rows
-    span fewer than n^2 - 1 traceless directions.  n is the dimension of
-    the table's contexts, and the thresholds are the poset's.
+    Hermitian basis, so the trace constraint is exact.  Row (V, S) of the
+    design matrix is read off block weights, tr(B_k P_S) = sum_{i in S}
+    Context.weights(B_k)[i], with target value - rank(S)/n.  First, on the
+    same coordinates, rows whose projections coincide must carry equal
+    values (InconsistentTable).  Eigenvalues in [-1e-6, 0) are clipped
+    and the state renormalized; anything lower is Infeasible.  The result
+    flags an underdetermined fit when the rows span fewer than n^2 - 1
+    traceless directions.  n is the dimension of the table's contexts,
+    and the thresholds are the poset's.
     """
     tol = measure.poset.tol
-    rows = measure.projections()
+    rows = [(measure.poset.context(cid), sorted(subset), value)
+            for (cid, subset), value in measure.table.items()]
+    rows = [row for row in rows if 0 < len(row[1]) < row[0].k]
     if not rows:
         raise InconsistentTable("table has no informative rows")
-    n = rows[0][0].shape[0]
-    for i, (p, val) in enumerate(rows):
-        if p.shape[0] != n:
-            raise DimMismatch("mixed dimensions in measure table")
-        for q, val2 in rows[i + 1:]:
-            if frob(p - q) <= tol.eps_order and abs(val - val2) > 10 * tol.eps_measure:
-                raise InconsistentTable(
-                    f"equal projections carry values {val!r} and {val2!r}"
-                )
+    n = rows[0][0].dim
+    if any(v.dim != n for v, _, _ in rows):
+        raise DimMismatch("mixed dimensions in measure table")
 
     basis = _traceless_hermitian_basis(n)
-    a = np.zeros((len(rows), len(basis)))
-    b = np.zeros(len(rows))
-    for r, (p, val) in enumerate(rows):
-        b[r] = val - float(np.real(np.trace(p))) / n
-        for k, bk in enumerate(basis):
-            a[r, k] = float(np.real(np.trace(bk @ p)))
-    coeff, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    rho = np.eye(n, dtype=np.complex128) / n
-    for c, bk in zip(coeff, basis):
-        rho = rho + c * bk
+    contexts = {v.id: v for v, _, _ in rows}
+    # per context, the block weights of the basis, (n^2 - 1, k)
+    columns = {cid: np.array([v.weights(bk) for bk in basis])
+               for cid, v in contexts.items()}
+    a = np.array([columns[v.id][:, subset].sum(axis=1)
+                  for v, subset, _ in rows])
+    ranks = np.array([sum(v.ranks[i] for i in subset) for v, subset, _ in rows])
+    values = np.array([value for _, _, value in rows])
+    _check_consistency(a, ranks, values, tol)
+    coeff, _, rank, _ = np.linalg.lstsq(a, values - ranks / n, rcond=None)
+    rho = sum((c * bk for c, bk in zip(coeff, basis)),
+              np.eye(n, dtype=np.complex128) / n)
 
     w, u = np.linalg.eigh(rho)
-    min_eig = float(w[0])
-    if min_eig < -1e-6:
-        raise Infeasible(
-            f"no density matrix fits the table: minimal eigenvalue {min_eig!r}"
-        )
+    if w[0] < -1e-6:
+        raise Infeasible("no density matrix fits the table: minimal "
+                         f"eigenvalue {float(w[0])!r}")
     rho_hat = (u * np.clip(w, 0.0, None)) @ dagger(u)
     rho_hat = rho_hat / float(np.real(np.trace(rho_hat)))
     state = State(rho_hat, tol)
-    fit_res = max(abs(float(np.real(np.trace(state.matrix @ p))) - val)
-                  for p, val in rows)
+    fitted = {cid: v.weights(state.matrix) for cid, v in contexts.items()}
+    fit_res = max(abs(weight_sum(fitted[v.id], subset) - value)
+                  for v, subset, value in rows)
     return ReconstructionResult(
         state=state,
         fit_residual=fit_res,

@@ -15,8 +15,9 @@ the edges.  That mask is the only form measure code reads:
 mu(S)(V) is a sum of block weights over S_V, for every context at once,
 and no matrix is formed.  The lattice isomorphism between P(V) and the
 clopen subsets at V sends a lattice projection P to {lambda : lambda(P) = 1}
-and a subset S back to the block sum over S; that dense sum is built only
-where a matrix is needed (C2, reconstruction, daseinisation output).
+and a subset S back to the block sum over S (Context.block_sum); that
+dense sum is built only where a matrix is needed, for C2 and the
+daseinisation output.  Reconstruction reads block weights too.
 
 Outer daseinisation approximates an arbitrary projection from above
 inside a context: the smallest lattice element dominating it.  The fast
@@ -187,12 +188,6 @@ def s_map(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> frozenset:
     return indices
 
 
-def s_inverse(indices, v: Context,
-              tol: TolerancePolicy = DEFAULT_TOL) -> Projection:
-    """Inverse isomorphism: block sum over a character subset."""
-    return lattice_projection(v, indices, tol)
-
-
 def dasein_indices(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> tuple:
     """Blocks of the outer daseinisation of p at V, in index order.
 
@@ -282,10 +277,6 @@ class ClopenSubobject:
             raise DomainMismatch(f"context {context_id!r} outside sub-object domain")
         lo, hi = self.presheaf.offsets[i:i + 2]
         return frozenset(np.flatnonzero(self.mask[lo:hi]).tolist())
-
-    def projection_at(self, context_id: str) -> Projection:
-        v = self.presheaf.poset.context(context_id)
-        return s_inverse(self.component(context_id), v, self.presheaf.tol)
 
     def measure(self, weights) -> np.ndarray:
         """mu(S)(V) = sum of the flat block weights over S_V at every

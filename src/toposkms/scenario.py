@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,20 +33,21 @@ MAX_DIM = 16
 DEFAULT_CHECKS = list(SUITES)
 
 
-def _as_number(x, what: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ScenarioError(f"{what} must be a real number, got {x!r}")
+def _as_number(x, what: str, positive: bool = False) -> float:
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or not abs(x) <= sys.float_info.max):
+        raise ScenarioError(f"{what} must be a finite real number, got {x!r}")
+    if positive and x <= 0:
+        raise ScenarioError(f"{what} must be positive, got {x!r}")
     return float(x)
 
 
 def _as_scalar(x, what: str) -> complex:
-    """A JSON scalar: real number or [re, im] pair."""
+    """A JSON scalar: finite real number or [re, im] pair."""
+    if isinstance(x, list) and len(x) == 2:
+        return complex(_as_number(x[0], what), _as_number(x[1], what))
     if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return complex(x)
-    if (isinstance(x, list) and len(x) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in x)):
-        return complex(x[0], x[1])
+        return complex(_as_number(x, what))
     raise ScenarioError(f"{what} must be a number or [re, im] pair, got {x!r}")
 
 
@@ -254,7 +256,7 @@ def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ScenarioError("seed must be an integer")
-    beta = _as_number(raw.get("beta", 1.0), "beta")
+    beta = _as_number(raw.get("beta", 1.0), "beta", positive=True)
     convention = raw.get("convention", "hamiltonian")
     if convention not in CONVENTIONS:
         raise ScenarioError(f"convention must be one of {CONVENTIONS}")
@@ -264,7 +266,8 @@ def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario
         raise ScenarioError("tolerances must be an object")
     try:
         tol = TolerancePolicy().override(
-            **{k: _as_number(v, f"tolerances.{k}") for k, v in tol_cfg.items()})
+            **{k: _as_number(v, f"tolerances.{k}", positive=True)
+               for k, v in tol_cfg.items()})
     except KeyError as exc:
         raise ScenarioError(f"unknown tolerance key: {exc}") from exc
 

@@ -247,7 +247,7 @@ def run_external_c1(scn, rep):
 def run_external_c2(scn, rep):
     t_samples = scn.t_grid or [0.0]
     ok = True
-    eps = max(scn.tol.eps_measure, 1e-8)
+    eps = max(scn.tol.eps_measure, scn.tol.eps_order)
     for a, b in scn.pairs:
         sub_s, sub_t = scn.subobjects[a], scn.subobjects[b]
         shared = sorted(scn.poset.ids(sub_s.domain & sub_t.domain))
@@ -269,7 +269,7 @@ def run_external_c2(scn, rep):
                 residual=c2.max_boundary_residual, eps=eps)
             e2 = rep.add_pass_fail(
                 "external-c2", f"strip analyticity ({a},{b}) @ {cid}",
-                residual=c2.max_strip_gap, eps=1e-10)
+                residual=c2.max_strip_gap, eps=scn.tol.eps_herm)
             ok = ok and e1.verdict == PASS and e2.verdict == PASS
     return ok
 
@@ -314,7 +314,7 @@ def run_truth(scn, rep):
                     ok = ok and e.verdict == PASS
 
     # expectation identity on the named projections
-    eps_exp = max(scn.tol.eps_measure, 1e-10)
+    eps_exp = max(scn.tol.eps_measure, scn.tol.eps_herm)
     for pname in sorted(scn.projections):
         p = scn.projections[pname]
         try:
@@ -409,7 +409,7 @@ def run_internal_c1(scn, rep):
 
 @suite("internal-c2", needs=("group", "pairs"))
 def run_internal_c2(scn, rep):
-    eps = max(scn.tol.eps_measure, 1e-8)
+    eps = max(scn.tol.eps_measure, scn.tol.eps_order)
     ok = True
     for a, b in scn.pairs:
         sub_s, sub_t = scn.subobjects[a], scn.subobjects[b]
@@ -445,7 +445,7 @@ def run_internal_c2(scn, rep):
 
 @suite("modular")
 def run_modular(scn, rep):
-    eps = 1e-10
+    eps = scn.tol.eps_herm
     try:
         data = tomita_operators(scn.state)
     except ToposKMSError as exc:
@@ -477,7 +477,7 @@ def run_modular(scn, rep):
                 worst = max(worst, float(np.linalg.norm(uh - um)))
         e = rep.add_pass_fail(
             "modular", "modular flow = hamiltonian flow (up to phase)",
-            residual=worst, eps=1e-9)
+            residual=worst, eps=scn.tol.eps_measure)
         ok = ok and e.verdict == PASS
     return ok
 
@@ -502,7 +502,7 @@ def run_reconstruction(scn, rep):
         return True
     gap = float(np.linalg.norm(scn.state.matrix - res.state.matrix))
     e = rep.add_pass_fail("reconstruction", "round-trip |rho - rho'|_F",
-                          residual=gap, eps=1e-8)
+                          residual=gap, eps=scn.tol.eps_order)
     rep.add("reconstruction", "fit residual", lhs=res.fit_residual,
             verdict=INFO)
     return e.verdict == PASS

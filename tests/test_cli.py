@@ -333,6 +333,76 @@ def test_modular_flow_reads_the_scenario_policy(scenario_dir, tmp_path,
     assert "error" not in verdicts.values()
 
 
+def test_every_verdict_threshold_reads_the_scenario_policy(scenario_dir,
+                                                          tmp_path, capfd):
+    # a state Hermitian only within eps_herm = 1e-6: its Tomita rows are
+    # judged at the scenario's eps_herm, not at a fixed 1e-10
+    raw = json.loads((scenario_dir / "modular_suite.json").read_text())
+    raw["state"]["matrix"][0][1] = [0, 1e-8]
+    raw["tolerances"] = {"eps_herm": 1e-6}
+    path = tmp_path / "eps_herm.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, _, _ = run_cli(capfd, "run", "--scenario", str(path),
+                         "--out-dir", str(tmp_path / "rep"))
+    doc = json.loads((tmp_path / "rep" / "report.json").read_text())
+    verdicts = {e["location"]: e["verdict"] for e in doc["entries"]}
+    assert verdicts["closed_form_delta"] == "pass"
+    assert code == 0, verdicts
+
+
+@pytest.mark.parametrize("name, edit, extra, field", [
+    ("example_c3", {}, ["--tol", "eps_measure=inf"], "tolerances.eps_measure"),
+    ("example_c3", {}, ["--tol", "eps_measure=nan"], "tolerances.eps_measure"),
+    ("example_c3", {}, ["--tol", "eps_order=-1"], "tolerances.eps_order"),
+    ("example_c3", {"tolerances": {"eps_herm": 0}}, [], "tolerances.eps_herm"),
+    ("gibbs_external", {"beta": -1}, [], "beta"),
+    ("gibbs_external", {"beta": 0}, [], "beta"),
+    ("gibbs_external", {"beta": float("nan")}, [], "beta"),
+    ("gibbs_external", {"t_grid": [float("inf")]}, [], "t_grid"),
+    ("gibbs_external", {"r_queries": [float("nan")]}, [], "r_queries"),
+    ("gibbs_external", {"hamiltonian": {"diag": [0, float("nan"), 2]}}, [],
+     "hamiltonian.diag"),
+])
+def test_non_finite_or_non_positive_numbers_exit_2(scenario_dir, tmp_path,
+                                                   capfd, name, edit, extra,
+                                                   field):
+    raw = json.loads((scenario_dir / f"{name}.json").read_text())
+    raw.update(edit)
+    path = tmp_path / "bad.json"
+    # json writes NaN and Infinity, and reads them back as floats
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, _, err = run_cli(capfd, "run", "--scenario", str(path),
+                           "--checks", "poset,measure,truth",
+                           "--out-dir", str(tmp_path / "rep"), *extra)
+    assert code == 2 and f"input error: {field} must be " in err, err
+
+
+def test_projections_are_validated_only_at_the_input_boundary(
+        scenario_dir, monkeypatch):
+    # Context(blocks) validates each input block once; no later step
+    # re-validates a lattice element as a dense Projection
+    from toposkms import numerics
+    from toposkms.cli import execute
+    from toposkms.scenario import load_scenario
+
+    calls = []
+    init = numerics.Projection.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(numerics.Projection, "__init__", counting)
+    blocks = 0
+    for path in sorted(scenario_dir.glob("*.json")):
+        raw = json.loads(path.read_text())
+        blocks += sum(len(spec.get("blocks", ()))
+                      for spec in raw["contexts"].values())
+        execute(load_scenario(path))
+    assert blocks > 0
+    assert len(calls) == blocks
+
+
 def test_internal_scenarios_pass(scenario_dir, tmp_path, capfd):
     code, out, _ = run_cli(
         capfd, "run", "--scenario",

@@ -135,6 +135,27 @@ def test_c2_boundary_for_gibbs(c3_gibbs):
             assert rep.beta == 1.0
 
 
+def test_eigenseries_coefficients_match_the_double_loop():
+    # the broadcast forms the loop's products in the loop's order; NumPy's
+    # vectorised complex product may round differently from the scalar one
+    from toposkms.kms_external import _eigenseries_coefficients
+
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = (g + g.conj().T) / 2
+    flow, state = AutomorphismFlow(h, beta=0.7), gibbs_state(h, 0.7)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    ps, pt = q[:, :2] @ q[:, :2].conj().T, q[:, 1:2] @ q[:, 1:2].conj().T
+    u, lam = flow._eigvecs, flow._eigvals
+    ps_t = u.conj().T @ ps @ u
+    a = (u.conj().T @ state.matrix @ u) @ (u.conj().T @ pt @ u)
+    freqs, coeffs = _eigenseries_coefficients(state, flow, ps, pt)
+    assert np.array_equal(freqs, [lam[k] - lam[l]
+                                  for k in range(4) for l in range(4)])
+    want = np.array([a[l, k] * ps_t[k, l] for k in range(4) for l in range(4)])
+    assert (np.abs(coeffs - want) <= 4 * np.finfo(float).eps * np.abs(want)).all()
+
+
 def test_c2_value_at_zero_is_the_meet_measure(c3_gibbs):
     from toposkms.measure import measure_of
     from toposkms.presheaf import subobject_meet

@@ -8,6 +8,7 @@ from toposkms.algebra import (
     apply_automorphism,
     build_poset,
     context_from_operators,
+    lattice_projection,
 )
 from toposkms.errors import (
     Infeasible,
@@ -21,6 +22,7 @@ from toposkms.kms_internal import SampledGroup, check_internal_C1
 from toposkms.measure import (
     AbstractMeasure,
     State,
+    _traceless_hermitian_basis,
     group_action_check,
     measure_of,
     measure_table_of_state,
@@ -29,6 +31,7 @@ from toposkms.measure import (
     weight_sum,
 )
 from toposkms.numerics import frob
+from toposkms.scenario import load_scenario
 from toposkms.presheaf import (
     ClopenSubobject,
     SpectralPresheaf,
@@ -37,7 +40,6 @@ from toposkms.presheaf import (
     empty_subobject,
     full_subobject,
     heyting_negation,
-    s_inverse,
     subobject_join,
 )
 
@@ -211,6 +213,98 @@ def test_infeasible_table_detected():
         state_from_measure(AbstractMeasure(poset, table))
 
 
+def _dense_reconstruction(measure):
+    """Oracle: the reconstruction on dense block sums, with a pairwise
+    Frobenius scan for equal projections and a design matrix of traces.
+    Returns (rho, rank of the design matrix)."""
+    tol = measure.poset.tol
+    rows = []
+    for (cid, subset), value in measure.table.items():
+        v = measure.poset.context(cid)
+        if subset and len(subset) < v.k:
+            rows.append((lattice_projection(v, subset, tol).matrix, value))
+    n = rows[0][0].shape[0]
+    for i, (p, val) in enumerate(rows):
+        for q, val2 in rows[i + 1:]:
+            if frob(p - q) <= tol.eps_order and abs(val - val2) > 10 * tol.eps_measure:
+                raise InconsistentTable(
+                    f"equal projections carry values {val!r} and {val2!r}")
+    basis = _traceless_hermitian_basis(n)
+    a = np.array([[np.trace(bk @ p).real for bk in basis] for p, _ in rows])
+    b = np.array([val - np.trace(p).real / n for p, val in rows])
+    coeff, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    rho = np.eye(n) / n + sum(c * bk for c, bk in zip(coeff, basis))
+    w, u = np.linalg.eigh(rho)
+    if w[0] < -1e-6:
+        raise Infeasible(f"minimal eigenvalue {w[0]!r}")
+    rho = (u * np.clip(w, 0.0, None)) @ u.conj().T
+    return rho / np.trace(rho).real, rank
+
+
+def _outcome(reconstruct, measure):
+    try:
+        return "fit", reconstruct(measure)
+    except InconsistentTable as exc:
+        return "inconsistent", str(exc)
+    except Infeasible:
+        return "infeasible", None
+
+
+def _rotated_c4():
+    """Downward-closed diagonal C^4 poset in a random frame, seeded with
+    a second context whose rank-2 block gets its own basis, so that equal
+    projections of different contexts differ in their last bits."""
+    rng = np.random.default_rng(4)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    e = [np.outer(u[:, i], u[:, i].conj()) for i in range(4)]
+    seeds = [Context(e, "Vdiag"), Context([e[0] + e[1], e[2], e[3]], "W")]
+    poset = build_poset(seeds, downward_closure=True)
+    return "rotated C^4", poset, State(random_density(rng, 4))
+
+
+def test_reconstruction_verdicts_match_the_dense_oracle(scenario_dir):
+    # partial tables of singleton rows (no union row, so no NotAdditive),
+    # with one to three values shifted below, just above and far above
+    # the 10 eps_measure consistency threshold
+    models = [_rotated_c4()]
+    for path in sorted(scenario_dir.glob("*.json")):
+        scn = load_scenario(path)
+        models.append((path.stem, scn.poset, scn.state))
+    kinds = []
+    for name, poset, state in models:
+        rows = [((v.id, frozenset({i})), w)
+                for v in poset.contexts
+                for i, w in enumerate(v.weights(state.matrix))]
+        # every row moved by its own amount: a row clashes with each later
+        # equal row, and the message names the first of them
+        tables = [{key: w + 1e-7 * r if w < 0.5 else w - 1e-7 * r
+                   for r, (key, w) in enumerate(rows)}]
+        for shift in (5e-9, 1e-7, 0.05):
+            for seed in range(7):
+                rng = np.random.default_rng([seed, len(rows)])
+                table = dict(rows)
+                count = int(rng.integers(1, min(3, len(rows)) + 1))
+                for r in rng.choice(len(rows), count, replace=False):
+                    key, w = rows[r]
+                    table[key] = w + shift if w < 0.5 else w - shift
+                tables.append(table)
+        for table in tables:
+            measure = AbstractMeasure(poset, table)
+            kind, got = _outcome(state_from_measure, measure)
+            want = _outcome(_dense_reconstruction, measure)
+            kinds.append(kind)
+            if kind == "fit":
+                rho, rank = want[1]
+                assert want[0] == "fit", (name, want)
+                n = state.dim
+                assert got.spanned_dim == rank
+                assert got.underdetermined == (rank < n * n - 1)
+                assert np.linalg.norm(got.state.matrix - rho) <= 1e-9
+            else:
+                assert (kind, got) == want, name
+    assert set(kinds) == {"fit", "inconsistent", "infeasible"}
+
+
 # --------------------------------------------------------------------------
 # block-weight measures against dense products rho . P
 
@@ -241,7 +335,7 @@ def test_block_weight_measure_matches_dense_oracle(n, seed, faithful):
     table = measure_table_of_state(state, poset).table
     for mask in range(1 << v.k):
         subset = frozenset(i for i in range(v.k) if mask & (1 << i))
-        dense = np.trace(state.matrix @ s_inverse(subset, v).matrix).real
+        dense = np.trace(state.matrix @ lattice_projection(v, subset).matrix).real
         sub = ClopenSubobject.from_components(psh, {"V": subset})
         direct = weight_sum(v.weights(state.matrix), subset)
         assert abs(direct - dense) <= 1e-12
@@ -255,7 +349,7 @@ def _ids(sub):
 
 
 def _dense(sub, cid):
-    return s_inverse(sub.component(cid), sub.presheaf.poset.context(cid)).matrix
+    return lattice_projection(sub.presheaf.poset.context(cid), sub.component(cid)).matrix
 
 
 def _moved_dense(sub, u, cid):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from toposkms.algebra import Context, build_poset
+from toposkms.algebra import Context, build_poset, lattice_projection
 from toposkms.errors import (
     DomainMismatch,
     EnumerationTooLarge,
@@ -26,7 +26,6 @@ from toposkms.presheaf import (
     outer_daseinisation,
     outer_daseinisation_bruteforce,
     pullback,
-    s_inverse,
     s_map,
     subobject_join,
     subobject_meet,
@@ -84,7 +83,7 @@ def test_s_map_s_inverse_roundtrip(c3_gibbs):
     for v in poset.contexts:
         for bits in range(2 ** v.k):
             idx = frozenset(i for i in range(v.k) if bits >> i & 1)
-            p = s_inverse(idx, v)
+            p = lattice_projection(v, idx)
             assert s_map(p.matrix, v) == idx
 
 
@@ -130,7 +129,7 @@ def test_daseinisation_is_smallest_dominating_member(diag4, rng):
         # dominate p
         idx = s_map(d.matrix, v)
         for drop in idx:
-            q = s_inverse(idx - {drop}, v)
+            q = lattice_projection(v, idx - {drop})
             assert not proj_leq(p, q.matrix)
 
 
@@ -266,7 +265,7 @@ def test_lattice_sums_honour_the_scenario_tolerance():
     p = np.diag([1.0, 0.0, 0.0])
     fast = outer_daseinisation(p, v, loose)
     for d in (outer_daseinisation(p, v), fast,
-              s_inverse(s_map(fast.matrix, v, loose), v, loose)):
+              lattice_projection(v, s_map(fast.matrix, v, loose), loose)):
         assert d.rank == 1
     brute = outer_daseinisation_bruteforce(p, v, loose)
     assert frozenset(brute) == s_map(fast.matrix, v, loose)
