@@ -282,15 +282,15 @@ def context_from_operators(ops, context_id: str | None = None,
 
 
 def projection_lattice(v: Context):
-    """All 2^k subset-sum projections of the context, as (indices, matrix),
-    by subset bitmask; guarded against k > MAX_LATTICE_BLOCKS."""
+    """(bits, stack): all 2^k subset sums of the blocks of the context.
+    Row s of the (2^k, k) boolean subset matrix holds the bits of s, and
+    stack[s] is the dense sum of the blocks Q_i with bits[s, i]; guarded
+    against k > MAX_LATTICE_BLOCKS."""
     if v.k > MAX_LATTICE_BLOCKS:
         raise LatticeTooLarge(f"2^{v.k} lattice elements exceed the enumeration guard")
-    out = []
-    for mask in range(1 << v.k):
-        indices = frozenset(i for i in range(v.k) if mask & (1 << i))
-        out.append((indices, v.block_sum(indices)))
-    return out
+    bits = (np.arange(1 << v.k)[:, None] >> np.arange(v.k)) & 1 == 1
+    blocks = np.stack([v.block(i) for i in range(v.k)])
+    return bits, np.tensordot(bits.astype(float), blocks, axes=1)
 
 
 def lattice_projection(v: Context, indices,

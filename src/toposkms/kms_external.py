@@ -368,14 +368,13 @@ class TwistedTruthObject:
         poset = self.presheaf.poset
         i = poset.index_of(stage.context_id)
         domain = poset.leq[:, i]
-        action = self.presheaf.action(self.unitary, domain)
-        target = action[0][i]
+        target = self.presheaf.action(self.unitary, domain)[0][i]
         if target < 0:
             raise PosetNotClosed(
                 f"stage context {stage.context_id} flows out of the poset"
             )
         moved = StageVR(poset.contexts[target].id, stage.r)
-        out = [pullback(self.unitary, s, domain=domain, action=action)
+        out = [pullback(self.unitary, s, domain=domain)
                for s in self.base.members_at(moved)]
         out.sort(key=lambda s: s.canonical_key())
         return out

@@ -29,9 +29,9 @@ from .numerics import dagger, frob, null_space
 from .presheaf import ClopenSubobject
 
 
-def same_action(u, v, eps: float = 1e-9) -> bool:
+def same_action(u, v, eps: float) -> bool:
     """True when two unitaries implement the same conjugation, i.e.
-    differ by a global phase."""
+    differ by a global phase: ||V* U - phase 1||_F <= eps max(1, n |phase|)."""
     n = u.shape[0]
     w = dagger(v) @ u
     phase = np.trace(w) / n
@@ -74,7 +74,8 @@ class SampledGroup:
         return list(zip(self.samples, self._unitaries))
 
     def _has_action(self, u) -> bool:
-        return any(same_action(u, v) for v in self._unitaries)
+        return any(same_action(u, v, self.flow.tol.eps_measure)
+                   for v in self._unitaries)
 
     def _validate(self):
         for t, u in zip(self.samples, self._unitaries):

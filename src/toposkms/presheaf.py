@@ -21,13 +21,17 @@ daseinisation output.  Reconstruction reads block weights too.
 
 Outer daseinisation approximates an arbitrary projection from above
 inside a context: the smallest lattice element dominating it.  The fast
-form keeps exactly the blocks with non-zero overlap; a brute-force 2^k
-scan over dense lattice elements is provided as an independent oracle.
+form keeps exactly the blocks with non-zero overlap.  The independent
+oracle stays dense: it stacks the 2^k dense lattice elements of a
+context once and tests all of them against a stack of projections in
+one batched product, with proj_leq's threshold.
 
 A unitary acts on the presheaf through one pair of index arrays,
 SpectralPresheaf.action: the poset index of each moved context and the
 character each character is carried to (ContextPoset.image, context by
-context).  pullback is one gather of a mask through the characters, and
+context).  It is computed once per (unitary, domain) and kept on the
+presheaf, so C1, the group action, internal C1 and pullback share it.
+pullback is one gather of a mask through the characters, and
 ClopenSubobject.moved is the one rule for mu(S) at a moved context.
 """
 from __future__ import annotations
@@ -43,13 +47,14 @@ from .algebra import (
     projection_lattice,
 )
 from .errors import (
+    DimMismatch,
     DomainMismatch,
     EnumerationTooLarge,
     NotClosedUnderRestriction,
     NotInLattice,
     PosetNotClosed,
 )
-from .numerics import Projection, as_matrix, dagger, frob, proj_leq
+from .numerics import Projection, as_matrix, dagger, frob
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 
@@ -87,6 +92,7 @@ class SpectralPresheaf:
             dtype=np.intp, count=int(sizes.sum()))
         self.src = np.repeat(self.offsets[pairs[:, 1]], sizes) + _ragged(sizes)
         self.dst = np.repeat(self.offsets[pairs[:, 0]], sizes) + homes
+        self._actions = {}
 
     def weights(self, m, inside=None) -> np.ndarray:
         """Flat block weights Re tr(m Q_i) (Context.weights) at the
@@ -136,7 +142,12 @@ class SpectralPresheaf:
         the poset context equal to U V_i U*, -1 where the poset has none;
         to[x] is the character that character x is carried to (U Q U* lies
         in its block), -1 outside the mask, off the poset, or where some
-        block of the context is not placed."""
+        block of the context is not placed.  Computed once per (U, mask)
+        and kept on the presheaf; the arrays are read-only."""
+        domain = np.asarray(domain, dtype=bool)
+        key = (np.asarray(u, dtype=np.complex128).tobytes(), domain.tobytes())
+        if key in self._actions:
+            return self._actions[key]
         poset = self.poset
         target = np.full(len(poset), -1, dtype=np.intp)
         to = np.full(self.offsets[-1], -1, dtype=np.intp)
@@ -148,6 +159,8 @@ class SpectralPresheaf:
             if relabel is not None:
                 to[self.offsets[i]:self.offsets[i + 1]] = (
                     self.offsets[target[i]] + np.array(relabel))
+        target.flags.writeable = to.flags.writeable = False
+        self._actions[key] = target, to
         return target, to
 
     def mask_of(self, components: dict):
@@ -207,21 +220,38 @@ def outer_daseinisation(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> Pr
     return lattice_projection(v, dasein_indices(p, v, tol), tol)
 
 
-def outer_daseinisation_bruteforce(p, v: Context,
-                                   tol: TolerancePolicy = DEFAULT_TOL) -> tuple:
-    """Independent oracle: scan all 2^k dense lattice elements for the
-    minimum above p (minimal rank among dominating elements, then
-    smallest subset); returns its block indices in index order."""
-    pm = as_matrix(p)
-    best = None
-    for indices, m in projection_lattice(v):
-        if proj_leq(pm, m, tol):
-            key = (len(indices), tuple(sorted(indices)))
-            if best is None or key < best:
-                best = key
-    if best is None:
+def outer_daseinisation_bruteforce(ps, v: Context,
+                                   tol: TolerancePolicy = DEFAULT_TOL) -> list:
+    """Independent oracle for a stack of projections ps, shape (m, n, n):
+    scan all 2^k dense lattice elements L of V (projection_lattice) for
+    the minimum above each p, the fewest blocks among the dominating
+    elements, then the smallest sorted indices.  Domination is proj_leq's
+    test, ||(1 - L) p||_F <= eps_order, for every (L, p) in one product.
+    Returns one tuple of block indices, in index order, per projection."""
+    ps = np.asarray(ps, dtype=np.complex128)
+    if ps.ndim != 3 or ps.shape[1:] != (v.dim, v.dim):
+        raise DimMismatch(f"expected a stack of {v.dim} x {v.dim} matrices, "
+                          f"got shape {ps.shape}")
+    if not np.isfinite(ps).all():
+        raise ValueError("matrix contains non-finite entries")
+    bits, lattice = projection_lattice(v)
+    # (1 - L) p for every pair, over slices of the lattice that hold the
+    # product to about 2^20 entries (16 MB; a 16-block context has 2^16
+    # elements), and its Frobenius norm summed over the real and imaginary
+    # parts in place, with no temporary of the product's size
+    step = max(1, (1 << 20) // max(1, ps.size))
+    norms = []
+    for lo in range(0, len(lattice), step):
+        parts = ((np.eye(v.dim) - lattice[lo:lo + step])[:, None]
+                 @ ps[None]).view(np.float64)
+        norms.append(np.sqrt(np.einsum("...ij,...ij->...", parts, parts)))
+    dominates = np.concatenate(norms) <= tol.eps_order
+    if not dominates.any(axis=0).all():
         raise NotInLattice("no lattice element dominates p (identity should)")
-    return best[1]
+    keys = [(len(ix), ix) for ix in (tuple(np.flatnonzero(b).tolist())
+                                      for b in bits)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [keys[order[s]][1] for s in dominates[order].argmax(axis=0)]
 
 
 class ClopenSubobject:
@@ -446,8 +476,8 @@ def enumerate_subobjects(presheaf: SpectralPresheaf, top_context_id: str,
     return results
 
 
-def pullback(u, s: ClopenSubobject, name: str = "", domain=None,
-             action=None) -> ClopenSubobject:
+def pullback(u, s: ClopenSubobject, name: str = "",
+             domain=None) -> ClopenSubobject:
     """Pullback of a sub-object along the automorphism V -> U V U*.
 
     The component at V is the component of s at the poset context equal
@@ -456,13 +486,11 @@ def pullback(u, s: ClopenSubobject, name: str = "", domain=None,
     Every image context must lie in the domain of s (PosetNotClosed
     otherwise).  By default the result lives on the domain of s itself
     (appropriate for flow-closed domains); pass `domain`, a boolean mask
-    of contexts, to pull back onto a different lower set.  Sub-objects
-    pulled back onto one domain can share its action, passed as
-    `action`, the (target, to) of SpectralPresheaf.action(u, domain).
+    of contexts, to pull back onto a different lower set.
     """
     ph = s.presheaf
     domain = s.domain if domain is None else domain
-    target, to = action or ph.action(u, domain)
+    target, to = ph.action(u, domain)
     inside = domain[ph.owner]
     away = domain & ~s.reaches(target)
     if away.any():

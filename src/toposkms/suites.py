@@ -153,15 +153,13 @@ def run_presheaf(scn, rep):
 
     # seeded daseinisation against the exhaustive lattice scan
     rng = np.random.default_rng(scn.seed)
+    ps = np.stack([_random_projection(rng, scn.dim) for _ in range(12)])
     mismatches = 0
-    trials = 0
-    for _ in range(12):
-        p = _random_projection(rng, scn.dim)
-        for v in poset.contexts:
-            trials += 1
-            if dasein_indices(p, v, scn.tol) != outer_daseinisation_bruteforce(
-                    p, v, scn.tol):
-                mismatches += 1
+    for v in poset.contexts:
+        brute = outer_daseinisation_bruteforce(ps, v, scn.tol)
+        mismatches += sum(dasein_indices(p, v, scn.tol) != b
+                          for p, b in zip(ps, brute))
+    trials = len(ps) * len(poset.contexts)
     rep.add("presheaf", f"daseinisation = lattice minimum on {trials} cases",
             residual=float(mismatches),
             verdict=PASS if mismatches == 0 else FAIL)

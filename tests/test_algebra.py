@@ -84,8 +84,11 @@ def test_meet_of_incomparable_contexts():
 
 def test_projection_lattice_size():
     v = diagonal_context(3, "V")
-    lat = projection_lattice(v)
-    assert len(lat) == 2 ** 3
+    bits, stack = projection_lattice(v)
+    assert bits.shape == (2 ** 3, 3) and stack.shape == (2 ** 3, 3, 3)
+    for row, m in zip(bits, stack):
+        assert frob(m - v.block_sum(np.flatnonzero(row))) < 1e-12
+    assert not bits[0].any() and bits[-1].all()
 
 
 def test_lattice_projection_sums_blocks():

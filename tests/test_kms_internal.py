@@ -14,8 +14,9 @@ from toposkms.kms_internal import (
     orbits,
     same_action,
 )
-from toposkms.kms_external import check_C1
+from toposkms.kms_external import AutomorphismFlow, check_C1
 from toposkms.presheaf import daseinisation_subobject
+from toposkms.tolerances import DEFAULT_TOL
 
 from conftest import GRID5
 
@@ -84,8 +85,21 @@ def test_faithfulness_classification(c3_gibbs):
 
 def test_same_action_ignores_phase():
     u = np.diag([1.0, 1.0, 1.0])
-    assert same_action(u, np.exp(0.7j) * u)
-    assert not same_action(u, np.diag([1.0, 1.0, -1.0]))
+    assert same_action(u, np.exp(0.7j) * u, 1e-9)
+    assert not same_action(u, np.diag([1.0, 1.0, -1.0]), 1e-9)
+
+
+def test_group_closure_reads_the_flow_policy(c3_gibbs):
+    # one sample 1e-7 off the cyclic grid: its negation misses the grid
+    # by about 1.4e-7 in Frobenius norm, outside the default eps_measure
+    # of 1e-9 and inside a loosened 1e-6
+    samples = [k * TWO_PI / 5 for k in range(5)]
+    samples[1] += 1e-7
+    with pytest.raises(DomainMismatch, match="negation"):
+        SampledGroup(c3_gibbs.flow, samples)
+    loose = AutomorphismFlow(c3_gibbs.h, beta=c3_gibbs.beta,
+                             tol=DEFAULT_TOL.override(eps_measure=1e-6))
+    assert len(SampledGroup(loose, samples)) == 5
 
 
 def test_internal_c1_passes_for_gibbs(c3_gibbs):

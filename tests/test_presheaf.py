@@ -1,18 +1,26 @@
 """Spectral presheaf restrictions, clopen sub-objects, and approximation."""
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from toposkms.algebra import Context, build_poset, lattice_projection
+from toposkms.algebra import (
+    Context,
+    ContextPoset,
+    build_poset,
+    lattice_projection,
+)
 from toposkms.errors import (
+    DimMismatch,
     DomainMismatch,
     EnumerationTooLarge,
     NotClosedUnderRestriction,
     NotProjection,
     PosetNotClosed,
 )
+from toposkms.kms_external import AutomorphismFlow, check_C1, gibbs_state
 from toposkms.numerics import frob, proj_join, proj_leq
 from toposkms.presheaf import (
     ClopenSubobject,
@@ -110,13 +118,106 @@ def test_daseinisation_coarsens_strictly(c3_gibbs):
 
 
 def test_daseinisation_fast_equals_bruteforce(diag4, rng):
-    poset = diag4.poset
-    for _ in range(12):
-        p = random_projection(rng, 4)
-        for v in poset.contexts:
+    ps = np.stack([random_projection(rng, 4) for _ in range(12)])
+    for v in diag4.poset.contexts:
+        brute = outer_daseinisation_bruteforce(ps, v)
+        assert len(brute) == len(ps)
+        for p, indices in zip(ps, brute):
             fast = outer_daseinisation(p, v)
-            brute = outer_daseinisation_bruteforce(p, v)
-            assert s_map(fast.matrix, v) == frozenset(brute)
+            assert s_map(fast.matrix, v) == frozenset(indices)
+
+
+def lattice_minimum_by_loop(p, v, tol=DEFAULT_TOL):
+    """Reference for the batched oracle: one dense subset sum and one
+    proj_leq per lattice element, by subset bitmask; the minimum above p
+    by (number of blocks, sorted indices)."""
+    best = None
+    for mask in range(1 << v.k):
+        indices = tuple(i for i in range(v.k) if mask & (1 << i))
+        if proj_leq(p, v.block_sum(indices), tol):
+            key = (len(indices), indices)
+            if best is None or key < best:
+                best = key
+    return best[1]
+
+
+def _projection_under(rng, v, indices, angle):
+    """A random projection of random rank inside the lattice element of V
+    summing the given blocks (that element itself when the rank is full),
+    then turned by exp(i angle H) for a random unit-norm Hermitian H."""
+    y = v.frame[:, np.isin(v.labels, indices)]
+    r = y.shape[1]
+    g = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+    cols = y @ np.linalg.qr(g)[0][:, :int(rng.integers(1, r + 1))]
+    h = rng.normal(size=(v.dim, v.dim)) + 1j * rng.normal(size=(v.dim, v.dim))
+    w, q = np.linalg.eigh(h + h.conj().T)
+    cols = (q * np.exp(1j * angle * w / np.linalg.norm(w))) @ q.conj().T @ cols
+    return cols @ cols.conj().T
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6),
+       tilt=st.sampled_from([0.0, 0.5, 0.99, 1.01, 2.0]))
+def test_batched_oracle_matches_the_loop(diag4, c3_gibbs, seed, m, tilt):
+    """The stacked scan against the per-element loop, on the diagonal C^4
+    poset and the C^3 example contexts.  Each projection lies under a
+    random lattice element of a random context, so its minimum is rarely
+    the identity, and is turned by about tilt * eps_order out of that
+    range, next to proj_leq's threshold."""
+    rng = np.random.default_rng(seed)
+    for poset in (diag4.poset, c3_gibbs.poset):
+        ps = []
+        for _ in range(m):
+            w = poset.contexts[int(rng.integers(len(poset)))]
+            some = rng.permutation(w.k)[:int(rng.integers(1, w.k + 1))]
+            ps.append(_projection_under(rng, w, some,
+                                        tilt * DEFAULT_TOL.eps_order))
+        ps = np.stack(ps)
+        for v in poset.contexts:
+            assert (outer_daseinisation_bruteforce(ps, v)
+                    == [lattice_minimum_by_loop(p, v) for p in ps])
+
+
+def test_batched_oracle_breaks_ties_by_smallest_indices():
+    # under a loose eps_order both blocks the vector spans dominate it on
+    # their own; the lower index wins although block 1 is the closer one
+    loose = DEFAULT_TOL.override(eps_order=0.9)
+    v = diagonal_context(3, "V")
+    psi = 0.6 * v.frame[:, 0] + 0.8 * v.frame[:, 1]
+    p = np.outer(psi, psi.conj())
+    assert proj_leq(p, v.block(0), loose) and proj_leq(p, v.block(1), loose)
+    assert lattice_minimum_by_loop(p, v, loose) == (0,)
+    assert outer_daseinisation_bruteforce(p[None], v, loose) == [(0,)]
+    assert outer_daseinisation_bruteforce(p[None], v) == [(0, 1)]
+    # {2} and {0, 1} dominate, no single block of 0 and 1 does: fewer
+    # blocks win over smaller indices (and over the smaller bitmask)
+    psi = v.frame @ np.sqrt([0.15, 0.15, 0.7])
+    p = np.outer(psi, psi.conj())
+    assert lattice_minimum_by_loop(p, v, loose) == (2,)
+    assert outer_daseinisation_bruteforce(p[None], v, loose) == [(2,)]
+
+
+def test_batched_oracle_slices_a_large_product(diag4):
+    # 4,200 projections against the 16 elements of the top context take
+    # two slices of the lattice; twelve at a time take one
+    rng = np.random.default_rng(11)
+    v = max(diag4.poset.contexts, key=lambda c: c.k)
+    ps = np.stack([_projection_under(rng, v, rng.permutation(4)[:2], 0.0)
+                   for _ in range(4200)])
+    assert (outer_daseinisation_bruteforce(ps, v)
+            == [b for lo in range(0, len(ps), 12)
+                for b in outer_daseinisation_bruteforce(ps[lo:lo + 12], v)])
+
+
+def test_batched_oracle_checks_its_stack():
+    v = diagonal_context(3, "V")
+    with pytest.raises(DimMismatch):
+        outer_daseinisation_bruteforce(np.eye(3), v)
+    with pytest.raises(DimMismatch):
+        outer_daseinisation_bruteforce(np.eye(4)[None], v)
+    bad = np.eye(3)[None].copy()
+    bad[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        outer_daseinisation_bruteforce(bad, v)
 
 
 def test_daseinisation_is_smallest_dominating_member(diag4, rng):
@@ -267,7 +368,8 @@ def test_lattice_sums_honour_the_scenario_tolerance():
     for d in (outer_daseinisation(p, v), fast,
               lattice_projection(v, s_map(fast.matrix, v, loose), loose)):
         assert d.rank == 1
-    brute = outer_daseinisation_bruteforce(p, v, loose)
+    [brute] = outer_daseinisation_bruteforce(p[None], v, loose)
+    assert brute == lattice_minimum_by_loop(p, v, loose)
     assert frozenset(brute) == s_map(fast.matrix, v, loose)
     assert sum(v.ranks[i] for i in brute) == 1
 
@@ -341,6 +443,45 @@ def test_mask_operations_match_the_definitions(seed, diag4):
         assert neg.component(v.id) == keep
 
     assert pullback(np.eye(4), sub) == sub
+
+
+def test_action_is_kept_per_unitary_and_domain(c3_gibbs):
+    psh = c3_gibbs.presheaf
+    u = c3_gibbs.flow.unitary(0.7)
+    domain = c3_gibbs.subs["S1"].domain
+    target, to = psh.action(u, domain)
+    again = psh.action(u.copy(), domain.copy())
+    assert again[0] is target and again[1] is to
+    fresh = SpectralPresheaf(c3_gibbs.poset).action(u, domain)
+    assert np.array_equal(target, fresh[0]) and np.array_equal(to, fresh[1])
+    for a in (target, to):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    everywhere = np.ones(len(c3_gibbs.poset), dtype=bool)
+    assert not np.array_equal(psh.action(u, everywhere)[1], to)
+
+
+def test_check_c1_moves_each_context_once_per_t(monkeypatch):
+    poset = build_poset([diagonal_context(4, "D4")], downward_closure=True)
+    psh = SpectralPresheaf(poset)
+    rng = np.random.default_rng(5)
+    subs = [daseinisation_subobject(random_projection(rng, 4), psh, name)
+            for name in ("DA", "DB")]
+    h = np.diag([0.0, 1.0, 2.0, 3.0])
+    calls = Counter()
+    image = ContextPoset.image
+
+    def counted(self, u, context_id):
+        calls[np.asarray(u).tobytes(), context_id] += 1
+        return image(self, u, context_id)
+
+    monkeypatch.setattr(ContextPoset, "image", counted)
+    t_grid = (0.0, 0.5, 1.3)
+    rep = check_C1(gibbs_state(h, 1.0), AutomorphismFlow(h), subs, t_grid)
+    assert len(rep.entries) == 2 * len(t_grid) * len(poset)
+    assert len(calls) == len(t_grid) * len(poset)
+    assert set(calls.values()) == {1}
 
 
 def test_canonical_key_orders_like_sorted_components(diag4):

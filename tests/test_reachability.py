@@ -51,8 +51,6 @@ DECLARED = {
     "algebra.contexts_equal":
         "dense oracle for ContextIndex.find, find_equal and image",
     "errors.NotIncluded": "raised by coarse_graining_map",
-    "presheaf.outer_daseinisation_bruteforce":
-        "oracle for outer_daseinisation (criterion 4)",
     "presheaf.s_map": "reads dense daseinisation output back as block "
                       "indices in criterion 4 and the join identity",
     "modular.GNSSpace.pi_matrix": "oracle for the structured swap products",
@@ -155,6 +153,13 @@ def test_every_definition_is_reached():
     roots = list(ENTRY_POINTS) + traced_targets() + list(DECLARED)
     seen = reached(uses, decorators, import_time, roots)
     assert sorted(set(uses) - seen) == []
+
+
+def test_declared_names_are_not_reached():
+    """A declared name that an entry point reaches is a stale entry."""
+    uses, decorators, import_time = package_graph()
+    seen = reached(uses, decorators, import_time, ENTRY_POINTS)
+    assert sorted(seen & set(DECLARED)) == []
 
 
 def stored_and_read():
