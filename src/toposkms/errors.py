@@ -111,8 +111,9 @@ class Infeasible(ToposKMSError):
 class AmbiguousMatch(ToposKMSError):
     """A measure-matching between truth-object members is not unique.
 
-    Carries the stage and the list of candidate member ids so reports can
-    surface the ambiguity instead of silently picking one.
+    Carries the stage and the candidates, the distinct member mask rows
+    that share one measure section, so reports can surface the
+    ambiguity instead of silently picking one.
     """
 
     def __init__(self, message, stage=None, candidates=None):

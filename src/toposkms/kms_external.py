@@ -14,6 +14,11 @@ value at the flowed context; C2 extends t -> tr(rho P_T alpha_t(P_S)) to
 the strip 0 <= Im z <= beta and compares the upper boundary with the
 order-swapped correlation.  Gibbs states at the flow temperature satisfy
 both exactly.
+
+A truth object lists its members at a stage as the rows of one mask
+stack; its twist along a flow element pulls the whole stack back in one
+gather, and the weak and strong equivalences compare the two stacks'
+measure sections row by row.
 """
 from __future__ import annotations
 
@@ -52,9 +57,6 @@ CONVENTIONS = ("hamiltonian", "modular")
 # points of the strip 0 <= Im z <= beta where check_C2 matches the matrix
 # evaluation of F against its eigenfrequency series
 C2_STRIP_POINTS = 20
-
-# most clopen sub-objects a truth object enumerates on one lower set
-TRUTH_ENUMERATION_CAP = 100_000
 
 
 class AutomorphismFlow:
@@ -320,12 +322,15 @@ class StageVR:
 class TruthObject:
     """T^{rho,r}_V: clopen sub-objects of Sigma|_(down V) whose measure
     stays >= r on the whole lower set.  Membership thresholds are exact:
-    tau(S, V) = min_{V' <= V} mu(S)(V') and S is in iff tau >= r."""
+    tau(S, V) = min_{V' <= V} mu(S)(V') and S is in iff tau >= r.  The
+    members at a stage are the rows of one read-only mask stack on the
+    lower set of V (enumerate_subobjects, pruned as it goes), kept per
+    stage."""
 
     def __init__(self, state: State, presheaf: SpectralPresheaf):
         self.presheaf = presheaf
         self.weights = presheaf.weights(state.matrix)
-        self._enumerations = {}
+        self._members = {}
 
     def tau(self, sub: ClopenSubobject, context_id: str) -> float:
         poset = self.presheaf.poset
@@ -339,17 +344,13 @@ class TruthObject:
     def contains(self, sub: ClopenSubobject, stage: StageVR) -> bool:
         return self.tau(sub, stage.context_id) >= stage.r
 
-    def _all_subobjects(self, context_id: str):
-        if context_id not in self._enumerations:
-            subs = enumerate_subobjects(self.presheaf, context_id,
-                                        TRUTH_ENUMERATION_CAP)
-            subs.sort(key=lambda s: s.canonical_key())
-            self._enumerations[context_id] = subs
-        return self._enumerations[context_id]
-
-    def members_at(self, stage: StageVR):
-        return [s for s in self._all_subobjects(stage.context_id)
-                if self.tau(s, stage.context_id) >= stage.r]
+    def members_at(self, stage: StageVR) -> np.ndarray:
+        if stage not in self._members:
+            rows = enumerate_subobjects(self.presheaf, stage.context_id,
+                                        self.weights, stage.r)
+            rows.flags.writeable = False
+            self._members[stage] = rows
+        return self._members[stage]
 
 
 class TwistedTruthObject:
@@ -361,10 +362,9 @@ class TwistedTruthObject:
         self.unitary = np.asarray(unitary, dtype=np.complex128)
         self.presheaf = base.presheaf
 
-    def members_at(self, stage: StageVR):
+    def members_at(self, stage: StageVR) -> np.ndarray:
         """One action of the unitary on the stage's lower set gives the
-        moved stage context and the characters every member is pulled
-        back through."""
+        moved stage context, and one gather pulls every member back."""
         poset = self.presheaf.poset
         i = poset.index_of(stage.context_id)
         domain = poset.leq[:, i]
@@ -374,10 +374,9 @@ class TwistedTruthObject:
                 f"stage context {stage.context_id} flows out of the poset"
             )
         moved = StageVR(poset.contexts[target].id, stage.r)
-        out = [pullback(self.unitary, s, domain=domain)
-               for s in self.base.members_at(moved)]
-        out.sort(key=lambda s: s.canonical_key())
-        return out
+        return pullback(self.presheaf, self.unitary,
+                        self.base.members_at(moved), poset.leq[:, target],
+                        domain)
 
 
 def twist(truth: TruthObject, flow: AutomorphismFlow, t: float) -> TwistedTruthObject:
@@ -462,13 +461,14 @@ def check_truth_value_invariance(state: State, flow: AutomorphismFlow, p,
 # mu-equivalence of truth objects
 
 
-def _section_gap(a, b) -> float:
-    """Largest difference of two measure sections (ClopenSubobject.measure,
-    NaN outside the domain); inf when the domains differ."""
-    inside = ~np.isnan(a)
-    if not np.array_equal(inside, ~np.isnan(b)):
-        return float("inf")
-    return float(np.abs(a - b)[inside].max())
+def _stage_sections(weights, truth, stage: StageVR):
+    """(members, sections): the member rows of a truth object at a stage
+    and their measures on the lower set of the stage context, one
+    (N, lower set) array (SpectralPresheaf.sections)."""
+    poset = truth.presheaf.poset
+    rows = truth.members_at(stage)
+    below = poset.leq[:, poset.index_of(stage.context_id)]
+    return rows, truth.presheaf.sections(rows, weights)[:, below]
 
 
 @dataclass
@@ -483,36 +483,27 @@ class MuEquivalenceResult:
 def mu_equivalent(state: State, truth_a, truth_b,
                   stage: StageVR) -> MuEquivalenceResult:
     """Weak equivalence at a stage: the multisets of measure sections of
-    the two member lists coincide within the state's eps_measure (some
-    bijection preserves sections; ties allowed)."""
+    the two member stacks coincide within the state's eps_measure (some
+    bijection preserves sections; ties allowed).  Each member of A in
+    turn takes the unused member of B with the nearest section (the
+    first on ties), the largest difference over the lower set."""
     eps = state.tol.eps_measure
-    members_a = truth_a.members_at(stage)
-    members_b = truth_b.members_at(stage)
-    if len(members_a) != len(members_b):
-        return MuEquivalenceResult(False, stage, float("inf"),
-                                   len(members_a), len(members_b))
     weights = truth_a.presheaf.weights(state.matrix)
-    secs_a = [s.measure(weights) for s in members_a]
-    secs_b = [s.measure(weights) for s in members_b]
-    used = [False] * len(secs_b)
+    _, secs_a = _stage_sections(weights, truth_a, stage)
+    _, secs_b = _stage_sections(weights, truth_b, stage)
+    sizes = len(secs_a), len(secs_b)
+    if sizes[0] != sizes[1]:
+        return MuEquivalenceResult(False, stage, float("inf"), *sizes)
+    unused = np.ones(len(secs_b), dtype=bool)
     worst = 0.0
     for sa in secs_a:
-        best_j, best_gap = None, None
-        for j, sb in enumerate(secs_b):
-            if used[j]:
-                continue
-            g = _section_gap(sa, sb)
-            if best_gap is None or g < best_gap:
-                best_j, best_gap = j, g
-        if best_gap is None or best_gap > eps:
-            return MuEquivalenceResult(False, stage,
-                                       best_gap if best_gap is not None
-                                       else float("inf"),
-                                       len(members_a), len(members_b))
-        used[best_j] = True
-        worst = max(worst, best_gap)
-    return MuEquivalenceResult(True, stage, worst,
-                               len(members_a), len(members_b))
+        gaps = np.where(unused, np.abs(secs_b - sa).max(axis=1), np.inf)
+        j = int(gaps.argmin())
+        if gaps[j] > eps:
+            return MuEquivalenceResult(False, stage, float(gaps[j]), *sizes)
+        unused[j] = False
+        worst = max(worst, float(gaps[j]))
+    return MuEquivalenceResult(True, stage, worst, *sizes)
 
 
 @dataclass
@@ -527,29 +518,28 @@ def strong_mu_equivalence(state: State, truth_a, truth_b,
     """Strong equivalence: at every stage the measure sections match the
     members of the two truth objects one-to-one, within the state's
     eps_measure (AmbiguousMatch if some section is shared by several
-    members), and the induced matching commutes with restriction of
-    stages to smaller contexts."""
+    distinct member rows), and the induced matching commutes with
+    restriction of stages to smaller contexts: the restricted rows of a
+    matched pair at the larger stage, looked up by their mask bytes,
+    must be matched at the smaller one."""
     eps = state.tol.eps_measure
+    presheaf = truth_a.presheaf
+    weights = presheaf.weights(state.matrix)
     matchings = {}
     members = {}
-    weights = truth_a.presheaf.weights(state.matrix)
     for stage in stages:
-        ma = truth_a.members_at(stage)
-        mb = truth_b.members_at(stage)
+        ma, secs_a = _stage_sections(weights, truth_a, stage)
+        mb, secs_b = _stage_sections(weights, truth_b, stage)
         members[stage] = (ma, mb)
         if len(ma) != len(mb):
             return StrongMuEquivalenceResult(False, matchings, 0)
-        secs_a = [s.measure(weights) for s in ma]
-        secs_b = [s.measure(weights) for s in mb]
         pairing = []
         taken = set()
         for i, sa in enumerate(secs_a):
-            hits = [j for j, sb in enumerate(secs_b)
-                    if _section_gap(sa, sb) <= eps]
-            if not hits:
+            hits = np.flatnonzero(np.abs(secs_b - sa).max(axis=1) <= eps)
+            if not hits.size:
                 return StrongMuEquivalenceResult(False, matchings, 0)
-            distinct = {mb[j].canonical_key() for j in hits}
-            if len(distinct) > 1:
+            if len({mb[j].tobytes() for j in hits}) > 1:
                 raise AmbiguousMatch(
                     f"measure section of member {i} at stage "
                     f"({stage.context_id}, r={stage.r}) matches "
@@ -557,7 +547,7 @@ def strong_mu_equivalence(state: State, truth_a, truth_b,
                     stage=stage,
                     candidates=[mb[j] for j in hits],
                 )
-            j = hits[0]
+            j = int(hits[0])
             if j in taken:
                 return StrongMuEquivalenceResult(False, matchings, 0)
             taken.add(j)
@@ -565,36 +555,27 @@ def strong_mu_equivalence(state: State, truth_a, truth_b,
         matchings[stage] = pairing
 
     # naturality: restriction of stages commutes with the matching
-    poset = truth_a.presheaf.poset
+    poset = presheaf.poset
     bad = 0
-    stage_list = list(stages)
-    for big in stage_list:
-        for small in stage_list:
-            if big == small or abs(big.r - small.r) > 0:
+    for big in stages:
+        for small in stages:
+            if big == small or big.r != small.r:
                 continue
-            if not poset.leq[poset.index_of(small.context_id),
-                             poset.index_of(big.context_id)]:
+            lo, hi = (poset.index_of(x.context_id) for x in (small, big))
+            if not poset.leq[lo, hi]:
                 continue
+            keep = poset.leq[presheaf.owner, lo]
             ma_big, mb_big = members[big]
             ma_small, mb_small = members[small]
-            match_big = dict(matchings[big])
             match_small = dict(matchings[small])
-            # first index of each key, as list.index would give
+            # first index of each row, as list.index would give
             index_small_a = {}
-            for ia, s in enumerate(ma_small):
-                index_small_a.setdefault(s.canonical_key(), ia)
-            keys_small_b = [s.canonical_key() for s in mb_small]
-            for i, j in match_big.items():
-                ra = ma_big[i].restricted_to(small.context_id).canonical_key()
-                rb = mb_big[j].restricted_to(small.context_id).canonical_key()
-                ia = index_small_a.get(ra)
-                if ia is None:
-                    bad += 1
-                    continue
-                if match_small.get(ia) is None:
-                    bad += 1
-                    continue
-                if keys_small_b[match_small[ia]] != rb:
+            for ia, row in enumerate(ma_small):
+                index_small_a.setdefault(row.tobytes(), ia)
+            for i, j in matchings[big]:
+                ra, rb = ((m & keep).tobytes() for m in (ma_big[i], mb_big[j]))
+                jb = match_small.get(index_small_a.get(ra))
+                if jb is None or mb_small[jb].tobytes() != rb:
                     bad += 1
     return StrongMuEquivalenceResult(bool(bad == 0), matchings, bad)
 

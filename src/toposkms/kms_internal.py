@@ -40,29 +40,15 @@ def same_action(u, v, eps: float) -> bool:
 
 class SampledGroup:
     """A finite sample of a one-parameter group, closed up to identity
-    action under negation and addition, together with the strip offsets
-    gamma in [0, beta] that extend it into the complex plane.
+    action under negation and addition.  Checks on the group read the
+    flow's policy, flow.tol."""
 
-    The gamma = 0 copies of the real samples always belong to the
-    extension, so the sampled group sits inside its own strip.  Checks
-    on the group read the flow's policy, flow.tol."""
-
-    def __init__(self, flow: AutomorphismFlow, samples, strip_gammas=None,
+    def __init__(self, flow: AutomorphismFlow, samples,
                  validate: bool = True):
         self.flow = flow
         self.samples = [float(t) for t in samples]
         if not any(abs(t) <= 1e-12 for t in self.samples):
             raise DomainMismatch("sampled group must contain 0")
-        if strip_gammas is None:
-            strip_gammas = [0.0, flow.beta]
-        self.strip_gammas = sorted(float(g) for g in strip_gammas)
-        if not any(abs(g) <= 1e-12 for g in self.strip_gammas):
-            raise DomainMismatch(
-                "strip offsets must include 0 so the group lies in its "
-                "own extension"
-            )
-        if self.strip_gammas[0] < 0 or self.strip_gammas[-1] > flow.beta + 1e-12:
-            raise DomainMismatch("strip offsets must lie in [0, beta]")
         self._unitaries = [flow.unitary(t) for t in self.samples]
         if validate:
             self._validate()

@@ -19,6 +19,11 @@ and a subset S back to the block sum over S (Context.block_sum); that
 dense sum is built only where a matrix is needed, for C2 and the
 daseinisation output.  Reconstruction reads block weights too.
 
+A family of sub-objects on one domain is a mask stack, one row per
+member, as enumerate_subobjects returns the members of a truth object;
+SpectralPresheaf.sections sums block weights for a whole stack at once,
+by the same cumulative rule as a single mask.
+
 Outer daseinisation approximates an arbitrary projection from above
 inside a context: the smallest lattice element dominating it.  The fast
 form keeps exactly the blocks with non-zero overlap.  The independent
@@ -31,7 +36,7 @@ SpectralPresheaf.action: the poset index of each moved context and the
 character each character is carried to (ContextPoset.image, context by
 context).  It is computed once per (unitary, domain) and kept on the
 presheaf, so C1, the group action, internal C1 and pullback share it.
-pullback is one gather of a mask through the characters, and
+pullback is one gather of a mask stack through the characters, and
 ClopenSubobject.moved is the one rule for mu(S) at a moved context.
 """
 from __future__ import annotations
@@ -57,6 +62,10 @@ from .errors import (
 from .numerics import Projection, as_matrix, dagger, frob
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
+# most nodes, candidate components at one context, enumerate_subobjects
+# visits on one lower set
+ENUMERATION_NODE_CAP = 1_000_000
+
 
 class SpectralPresheaf:
     """Every context's characters on one flat axis, and the restriction
@@ -69,8 +78,8 @@ class SpectralPresheaf:
     of its home block in V' (ContextPoset.block_maps).  The strict pairs
     are transitive, so the edges out of a character reach its restriction
     at every smaller context and a single gather or scatter over them
-    covers every chain.  width is the largest spectrum, the row length of
-    rows(); id_order lists the contexts by id, the order of canonical keys.
+    covers every chain.  width is the largest spectrum, the row length
+    sections() lays each context out on.
     """
 
     def __init__(self, poset: ContextPoset):
@@ -81,9 +90,6 @@ class SpectralPresheaf:
         self.owner = np.repeat(np.arange(len(ks)), ks)
         self.slot = _ragged(ks)
         self.width = int(ks.max(initial=0))
-        ids = [v.id for v in poset.contexts]
-        self.id_order = np.array(sorted(range(len(ids)), key=ids.__getitem__),
-                                 dtype=np.intp)
         pairs = poset.strict_pairs
         sizes = ks[pairs[:, 1]]
         homes = np.fromiter(
@@ -105,13 +111,15 @@ class SpectralPresheaf:
                 self.poset.contexts[i].weights(m))
         return out
 
-    def rows(self, flat, fill) -> np.ndarray:
-        """A flat per-character array laid out one row per context,
-        padded with fill to the widest context."""
-        out = np.full((len(self.poset), self.width), fill,
-                      dtype=np.asarray(flat).dtype)
-        out[self.owner, self.slot] = flat
-        return out
+    def sections(self, masks, weights) -> np.ndarray:
+        """mu at every context of each mask of a stack (..., characters):
+        the flat weights over the mask summed per context, laid out one
+        row per context and added cumulatively left to right in block
+        order (block_sums), so each equals weight_sum over the component
+        to the last bit."""
+        rows = np.zeros(np.shape(masks)[:-1] + (len(self.poset), self.width))
+        rows[..., self.owner, self.slot] = np.where(masks, weights, 0.0)
+        return block_sums(rows)
 
     def broken_chains(self):
         """(chains, broken): the number of strict chains small < mid <
@@ -120,17 +128,27 @@ class SpectralPresheaf:
         restricted directly, compared per character on the edges."""
         n = len(self.poset)
         strict = self.poset.leq & ~np.eye(n, dtype=bool)
-        # image[x, c]: the restriction of character x to context c, or -1
-        image = np.full((self.offsets[-1], n), -1, dtype=np.int32)
-        image[self.src, self.owner[self.dst]] = self.dst
+        into = self.owner[self.dst]
+        # the restriction of character x to a smaller context c is the dst
+        # of the one edge keyed x * n + c; every strict pair has its edges
+        keys = self.src * n + into
+        order = np.argsort(keys)
+
+        def image(x, c):
+            return self.dst[order[np.searchsorted(keys, x * n + c,
+                                                  sorter=order)]]
+
+        by_mid = np.lexsort((self.src, into))
+        bounds = np.searchsorted(into[by_mid], np.arange(n + 1))
         broken = 0
         for mid in range(n):
-            above = np.flatnonzero(image[:, mid] >= 0)
+            edges = by_mid[bounds[mid]:bounds[mid + 1]]
+            above = self.src[edges]
             below = np.flatnonzero(strict[:, mid])
             if not (above.size and below.size):
                 continue
-            wrong = (image[np.ix_(image[above, mid], below)]
-                     != image[np.ix_(above, below)])
+            wrong = (image(self.dst[edges][:, None], below)
+                     != image(above[:, None], below))
             # characters of one context are adjacent on the axis
             first = np.flatnonzero(np.diff(self.owner[above], prepend=-1))
             broken += int(np.logical_or.reduceat(wrong, first, axis=0).sum())
@@ -177,6 +195,20 @@ class SpectralPresheaf:
             contexts[i] = True
             mask[self.offsets[i] + indices] = True
         return mask, contexts
+
+
+def _reaches(domain, target) -> np.ndarray:
+    """Context mask of the V whose moved context target[V]
+    (SpectralPresheaf.action) lies in the context mask domain."""
+    # target -1 reads the last context, and is masked out
+    return (target >= 0) & domain[target]
+
+
+def block_sums(rows) -> np.ndarray:
+    """Sums along the last axis, one cumulative pass left to right: the
+    one rule every measure of a component is added by (np.add.reduceat
+    would add the first entry to a pairwise sum of the rest)."""
+    return np.cumsum(rows, axis=-1)[..., -1]
 
 
 def _ragged(sizes) -> np.ndarray:
@@ -310,19 +342,9 @@ class ClopenSubobject:
 
     def measure(self, weights) -> np.ndarray:
         """mu(S)(V) = sum of the flat block weights over S_V at every
-        context V, NaN outside the domain.  Each sum is a cumulative sum
-        along the context's row, left to right in block order, so it
-        equals weight_sum over S_V to the last bit (np.add.reduceat would
-        add the first weight to a pairwise sum of the rest)."""
-        ph = self.presheaf
-        sums = ph.rows(np.where(self.mask, weights, 0.0), 0.0).cumsum(axis=1)
-        return np.where(self.domain, sums[:, -1], np.nan)
-
-    def reaches(self, target) -> np.ndarray:
-        """Context mask of the V whose moved context target[V]
-        (SpectralPresheaf.action) lies in the domain."""
-        # target -1 reads the last context, and is masked out
-        return (target >= 0) & self.domain[target]
+        context V (SpectralPresheaf.sections), NaN outside the domain."""
+        return np.where(self.domain,
+                        self.presheaf.sections(self.mask, weights), np.nan)
 
     def moved(self, here, target, pulled_state):
         """(values, on_poset): mu(S) at U V U* for every context V of the
@@ -333,7 +355,7 @@ class ClopenSubobject:
         component is U P_{S_V} U*, and its measure is mu(S)(V) of the
         pulled density matrix U* rho U, computed only then; any other
         family raises PosetNotClosed."""
-        on_poset = self.domain & self.reaches(target)
+        on_poset = self.domain & _reaches(self.domain, target)
         values = np.where(on_poset, here[target], np.nan)
         off = self.domain & ~on_poset
         if off.any():
@@ -345,32 +367,6 @@ class ClopenSubobject:
             values[off] = self.measure(
                 self.presheaf.weights(pulled_state, off))[off]
         return values, on_poset
-
-    def restricted_to(self, top_context_id: str) -> "ClopenSubobject":
-        poset = self.presheaf.poset
-        keep = self.domain & poset.leq[:, poset.index_of(top_context_id)]
-        return ClopenSubobject(self.presheaf,
-                               self.mask & keep[self.presheaf.owner], keep,
-                               name=self.name,
-                               flow_equivariant=self.flow_equivariant)
-
-    def canonical_key(self):
-        """Hashable key.  On a fixed domain its order is the order of the
-        lists of (context id, sorted indices) over the domain in id order:
-        per context, the sorted indices padded with -1."""
-        ph = self.presheaf
-        rows = np.sort(ph.rows(np.where(self.mask, ph.slot, ph.width),
-                               ph.width), axis=1)
-        rows[rows == ph.width] = -1
-        order = ph.id_order[self.domain[ph.id_order]]
-        return self.domain.tobytes(), tuple(rows[order].ravel().tolist())
-
-    def __eq__(self, other):
-        return (isinstance(other, ClopenSubobject)
-                and self.canonical_key() == other.canonical_key())
-
-    def __hash__(self):
-        return hash(self.canonical_key())
 
 
 def complete_downward(presheaf: SpectralPresheaf, assignments: dict,
@@ -432,77 +428,106 @@ def heyting_negation(s: ClopenSubobject) -> ClopenSubobject:
 
 
 def enumerate_subobjects(presheaf: SpectralPresheaf, top_context_id: str,
-                         cap: int = 1_000_000):
-    """All clopen sub-objects on the lower set of a context.
+                         weights, r: float) -> np.ndarray:
+    """The clopen sub-objects S on the lower set of a context with
+    mu(S)(V') >= r at every V' of it, under the flat block weights, as
+    the rows of one (N, characters) boolean array.
 
-    Contexts are processed from the top downward; at each context every
-    superset of the restrictions of the characters already chosen at
-    larger contexts is a valid choice.  Raises EnumerationTooLarge past
-    cap.
+    Contexts are walked from the top downward, larger first (ties by id),
+    so every context above V' is chosen before V': the choices at V' are
+    the supersets of the restrictions of the characters already chosen,
+    and the component is final once chosen.  mu(S)(V') is then added by
+    block_sums, as in sections, and a branch is cut as soon as it falls
+    below r.  Each candidate component at a context is one visited node;
+    past ENUMERATION_NODE_CAP of them the walk raises EnumerationTooLarge.
+    Rows come in walk order, the candidates at a context by increasing
+    bit pattern of its free blocks.  The walk runs on Python integers as
+    bitsets of the flat axis.
     """
     poset = presheaf.poset
+    offsets = presheaf.offsets.tolist()
     domain = poset.leq[:, poset.index_of(top_context_id)]
     # larger contexts first (more contexts below them), ties by id
     height = poset.leq[domain].sum(axis=0)
-    order = sorted(np.flatnonzero(domain),
+    order = sorted(np.flatnonzero(domain).tolist(),
                    key=lambda i: (-height[i], poset.contexts[i].id))
-    into = presheaf.owner[presheaf.dst]
-    landing = {i: np.flatnonzero(into == i) for i in order}
-    mask = np.zeros(presheaf.offsets[-1], dtype=bool)
-    results = []
+    # every restriction of a character of the domain, as one bitset
+    down = [0] * len(presheaf.owner)
+    inside = domain[presheaf.owner[presheaf.src]]
+    for x, y in zip(presheaf.src[inside].tolist(),
+                    presheaf.dst[inside].tolist()):
+        down[x] |= 1 << y
+    choices = {}
 
-    def rec(pos):
+    def options(i, forced):
+        """(component, restrictions) of each candidate at context i over
+        the forced blocks with mu >= r, both as bitsets of the flat axis."""
+        lo, k = offsets[i], offsets[i + 1] - offsets[i]
+        free = np.array([b for b in range(k) if not forced >> b & 1],
+                        dtype=np.int64)
+        picks = (np.arange(1 << free.size)[:, None]
+                 >> np.arange(free.size)) & 1
+        comps = forced | (picks << free).sum(axis=1)
+        blocks = (comps[:, None] >> np.arange(k)) & 1 == 1
+        keep = block_sums(np.where(blocks, weights[lo:lo + k], 0.0)) >= r
+        out = []
+        for c, row in zip(comps[keep].tolist(), blocks[keep]):
+            reach = 0
+            for b in np.flatnonzero(row).tolist():
+                reach |= down[lo + b]
+            out.append((c << lo, reach))
+        return out
+
+    rows = []
+    visited = 0
+    stack = [(0, 0, 0)]   # (depth in order, chosen, restrictions of chosen)
+    while stack:
+        pos, chosen, reach = stack.pop()
         if pos == len(order):
-            results.append(ClopenSubobject(presheaf, mask, domain))
-            if len(results) > cap:
-                raise EnumerationTooLarge(
-                    f"more than {cap} clopen sub-objects on the lower set of "
-                    f"{top_context_id}"
-                )
-            return
+            rows.append(chosen)
+            continue
         i = order[pos]
-        lo, hi = presheaf.offsets[i:i + 2]
-        edges = landing[i]
-        forced = np.zeros(hi - lo, dtype=bool)
-        forced[presheaf.dst[edges[mask[presheaf.src[edges]]]] - lo] = True
-        free = np.flatnonzero(~forced)
-        for bits in range(1 << len(free)):
-            mask[lo:hi] = forced
-            mask[lo + free[(bits >> np.arange(free.size)) & 1 == 1]] = True
-            rec(pos + 1)
-        mask[lo:hi] = False
+        k = offsets[i + 1] - offsets[i]
+        forced = (reach >> offsets[i]) & ((1 << k) - 1)
+        visited += 1 << (k - bin(forced).count("1"))
+        if visited > ENUMERATION_NODE_CAP:
+            raise EnumerationTooLarge(
+                f"more than {ENUMERATION_NODE_CAP} nodes visited enumerating "
+                f"the truth object on the lower set of {top_context_id}")
+        if (i, forced) not in choices:
+            choices[i, forced] = options(i, forced)
+        stack.extend((pos + 1, chosen | c, reach | below)
+                     for c, below in reversed(choices[i, forced]))
+    width = (len(presheaf.owner) + 7) // 8
+    packed = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in rows),
+                           dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=len(presheaf.owner),
+                         bitorder="little").astype(bool)
 
-    rec(0)
-    return results
 
+def pullback(presheaf: SpectralPresheaf, u, masks, source,
+             domain) -> np.ndarray:
+    """Pullback of a stack of sub-object masks (..., characters) on the
+    context mask `source` along the automorphism V -> U V U*, onto the
+    lower set `domain`.
 
-def pullback(u, s: ClopenSubobject, name: str = "",
-             domain=None) -> ClopenSubobject:
-    """Pullback of a sub-object along the automorphism V -> U V U*.
-
-    The component at V is the component of s at the poset context equal
-    to U V U*, relabeled through the block correspondence
-    Q_i -> U Q_i U* (SpectralPresheaf.action): one gather of s's mask.
-    Every image context must lie in the domain of s (PosetNotClosed
-    otherwise).  By default the result lives on the domain of s itself
-    (appropriate for flow-closed domains); pass `domain`, a boolean mask
-    of contexts, to pull back onto a different lower set.
+    The component at V is the component at the poset context equal to
+    U V U*, relabeled through the block correspondence Q_i -> U Q_i U*
+    (SpectralPresheaf.action): one gather of every row.  Every image
+    context must lie in source and every block must be placed
+    (PosetNotClosed otherwise).
     """
-    ph = s.presheaf
-    domain = s.domain if domain is None else domain
-    target, to = ph.action(u, domain)
-    inside = domain[ph.owner]
-    away = domain & ~s.reaches(target)
+    target, to = presheaf.action(u, domain)
+    inside = domain[presheaf.owner]
+    away = domain & ~_reaches(source, target)
     if away.any():
         raise PosetNotClosed(
-            f"image of {ph.poset.contexts[away.argmax()].id} under the "
+            f"image of {presheaf.poset.contexts[away.argmax()].id} under the "
             f"automorphism is not in the domain")
     unplaced = inside & (to < 0)
     if unplaced.any():
         raise PosetNotClosed(
             f"block correspondence failed at "
-            f"{ph.poset.contexts[ph.owner[unplaced.argmax()]].id}")
+            f"{presheaf.poset.contexts[presheaf.owner[unplaced.argmax()]].id}")
     # to is -1 outside the domain: those reads are masked out
-    return ClopenSubobject(ph, s.mask[to] & inside, domain,
-                           name=name or f"pullback({s.name})",
-                           flow_equivariant=s.flow_equivariant)
+    return np.asarray(masks)[..., to] & inside

@@ -327,11 +327,8 @@ def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario
         samples = [
             _as_number(t, "group.samples") for t in group_cfg.get("samples", [])
         ]
-        gammas = group_cfg.get("strip_gammas")
-        if gammas is not None:
-            gammas = [_as_number(g, "group.strip_gammas") for g in gammas]
         try:
-            group = SampledGroup(flow, samples, strip_gammas=gammas)
+            group = SampledGroup(flow, samples)
         except ToposKMSError as exc:
             raise ScenarioError(f"group grid invalid: {exc}") from exc
 
@@ -350,7 +347,7 @@ def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario
         )
         if group_closure and flow is not None and t_grid:
             extra = SampledGroup(flow, sorted({0.0, *t_grid, *(-t for t in t_grid)}),
-                                 strip_gammas=[0.0], validate=False)
+                                 validate=False)
             poset = build_poset(
                 list(poset.contexts),
                 downward_closure=downward,
@@ -406,7 +403,6 @@ def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario
         },
         "group": None if group is None else {
             "samples": group.samples,
-            "strip_gammas": group.strip_gammas,
         },
         "t_grid": t_grid,
         "r_queries": r_queries,

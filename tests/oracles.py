@@ -1,0 +1,191 @@
+"""Test-side references for truth objects and their equivalences.
+
+Every clopen sub-object on a lower set is built and validated one at a
+time, with no pruning, then filtered by tau; members are listed in the
+order of their sorted components; pullback reads ContextPoset.image
+context by context; and the weak and strong matchings compare members
+one pair at a time.  The package reads the same definitions off one mask
+stack per stage (kms_external.TruthObject, TwistedTruthObject,
+mu_equivalent, strong_mu_equivalence).
+"""
+import functools
+
+import numpy as np
+
+from toposkms.errors import AmbiguousMatch
+from toposkms.presheaf import ClopenSubobject
+
+
+@functools.lru_cache(maxsize=64)
+def all_subobjects(presheaf, top_context_id):
+    """Every clopen sub-object on the lower set of a context: contexts
+    from the top down, every superset of the forced restrictions.  Kept
+    per (presheaf, context); the sub-objects are read-only."""
+    poset = presheaf.poset
+    domain = poset.leq[:, poset.index_of(top_context_id)]
+    height = poset.leq[domain].sum(axis=0)
+    order = sorted(np.flatnonzero(domain),
+                   key=lambda i: (-height[i], poset.contexts[i].id))
+    landing = {i: np.flatnonzero(presheaf.owner[presheaf.dst] == i)
+               for i in order}
+    mask = np.zeros(presheaf.offsets[-1], dtype=bool)
+    results = []
+
+    def rec(pos):
+        if pos == len(order):
+            results.append(ClopenSubobject(presheaf, mask, domain))
+            return
+        i = order[pos]
+        lo, hi = presheaf.offsets[i:i + 2]
+        edges = landing[i]
+        forced = np.zeros(hi - lo, dtype=bool)
+        forced[presheaf.dst[edges[mask[presheaf.src[edges]]]] - lo] = True
+        free = np.flatnonzero(~forced)
+        for bits in range(1 << len(free)):
+            mask[lo:hi] = forced
+            mask[lo + free[(bits >> np.arange(free.size)) & 1 == 1]] = True
+            rec(pos + 1)
+        mask[lo:hi] = False
+
+    rec(0)
+    return tuple(results)
+
+
+def sorted_components(sub):
+    """The components of a sub-object, context id -> sorted indices,
+    in id order: the order members are listed in."""
+    poset = sub.presheaf.poset
+    return tuple((cid, tuple(sorted(sub.component(cid))))
+                 for cid in sorted(poset.ids(sub.domain)))
+
+
+def tau(sub, weights, context_id):
+    poset = sub.presheaf.poset
+    below = poset.leq[:, poset.index_of(context_id)]
+    return float(sub.measure(weights)[below].min())
+
+
+def members(state, presheaf, stage):
+    """The members of T^{rho,r}_V, filtered from all sub-objects."""
+    weights = presheaf.weights(state.matrix)
+    subs = [s for s in all_subobjects(presheaf, stage.context_id)
+            if tau(s, weights, stage.context_id) >= stage.r]
+    return sorted(subs, key=sorted_components)
+
+
+def pulled_back(u, subs, context_id):
+    """Each sub-object on the lower set of the image of a context,
+    pulled back onto the lower set of the context: the component at V
+    holds block b iff the image context's component holds the block
+    that U Q_b U* lies in."""
+    out = []
+    for s in subs:
+        poset = s.presheaf.poset
+        parts = {}
+        for cid in poset.lower_set(context_id):
+            target, relabel = poset.image(u, cid)
+            have = s.component(target)
+            parts[cid] = {b for b, c in enumerate(relabel) if c in have}
+        out.append(ClopenSubobject.from_components(s.presheaf, parts))
+    return sorted(out, key=sorted_components)
+
+
+def twisted_members(state, presheaf, u, stage, source=members):
+    """Members of the twisted truth object at a stage: the members at
+    the moved stage context, pulled back."""
+    target, _ = presheaf.poset.image(u, stage.context_id)
+    moved = type(stage)(target, stage.r)
+    return pulled_back(u, source(state, presheaf, moved), stage.context_id)
+
+
+def section_gap(a, b):
+    inside = ~np.isnan(a)
+    if not np.array_equal(inside, ~np.isnan(b)):
+        return float("inf")
+    return float(np.abs(a - b)[inside].max())
+
+
+def _key(sub):
+    return sub.domain.tobytes(), sub.mask.tobytes()
+
+
+def _restricted(sub, context_id):
+    poset = sub.presheaf.poset
+    keep = sub.domain & poset.leq[:, poset.index_of(context_id)]
+    return ClopenSubobject(sub.presheaf, sub.mask & keep[sub.presheaf.owner],
+                           keep)
+
+
+def weak(state, presheaf, members_a, members_b):
+    """(equivalent, max_gap, size_a, size_b) of the greedy matching."""
+    eps = state.tol.eps_measure
+    sizes = len(members_a), len(members_b)
+    if sizes[0] != sizes[1]:
+        return False, float("inf"), *sizes
+    weights = presheaf.weights(state.matrix)
+    secs_a = [s.measure(weights) for s in members_a]
+    secs_b = [s.measure(weights) for s in members_b]
+    used = [False] * len(secs_b)
+    worst = 0.0
+    for sa in secs_a:
+        best_j, best_gap = None, None
+        for j, sb in enumerate(secs_b):
+            if used[j]:
+                continue
+            g = section_gap(sa, sb)
+            if best_gap is None or g < best_gap:
+                best_j, best_gap = j, g
+        if best_gap is None or best_gap > eps:
+            return (False, float("inf") if best_gap is None else best_gap,
+                    *sizes)
+        used[best_j] = True
+        worst = max(worst, best_gap)
+    return True, worst, *sizes
+
+
+def strong(state, presheaf, by_stage_a, by_stage_b, stages):
+    """(equivalent, naturality_gap) of the pairwise hit lists, or
+    AmbiguousMatch; by_stage_* map each stage to its member list."""
+    eps = state.tol.eps_measure
+    weights = presheaf.weights(state.matrix)
+    matchings = {}
+    for stage in stages:
+        ma, mb = by_stage_a[stage], by_stage_b[stage]
+        if len(ma) != len(mb):
+            return False, 0
+        secs_b = [s.measure(weights) for s in mb]
+        pairing, taken = [], set()
+        for i, s in enumerate(ma):
+            sa = s.measure(weights)
+            hits = [j for j, sb in enumerate(secs_b)
+                    if section_gap(sa, sb) <= eps]
+            if not hits:
+                return False, 0
+            if len({_key(mb[j]) for j in hits}) > 1:
+                raise AmbiguousMatch("ambiguous", stage=stage,
+                                     candidates=[mb[j] for j in hits])
+            if hits[0] in taken:
+                return False, 0
+            taken.add(hits[0])
+            pairing.append((i, hits[0]))
+        matchings[stage] = pairing
+    poset = presheaf.poset
+    bad = 0
+    for big in stages:
+        for small in stages:
+            if big == small or big.r != small.r:
+                continue
+            if not poset.leq[poset.index_of(small.context_id),
+                             poset.index_of(big.context_id)]:
+                continue
+            keys_a = [_key(s) for s in by_stage_a[small]]
+            keys_b = [_key(s) for s in by_stage_b[small]]
+            match_small = dict(matchings[small])
+            for i, j in matchings[big]:
+                ra = _key(_restricted(by_stage_a[big][i], small.context_id))
+                rb = _key(_restricted(by_stage_b[big][j], small.context_id))
+                ia = keys_a.index(ra) if ra in keys_a else None
+                if (ia is None or match_small.get(ia) is None
+                        or keys_b[match_small[ia]] != rb):
+                    bad += 1
+    return bad == 0, bad

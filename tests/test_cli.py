@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -446,3 +447,33 @@ def test_poset_suite_fails_on_a_broken_order(scenario_dir, broken):
     assert row.location.startswith("order axioms")
     assert (row.lhs, row.residual, row.verdict) == (False, 1.0, FAIL)
     assert outcome is False
+
+
+def test_truth_on_the_diagonal_c5_poset_fails_closed(tmp_path, capfd):
+    # the pruned truth object on the 52-context poset still holds close
+    # to a million members: the node cap ends the walk in seconds and the
+    # suite writes an error row
+    n = 5
+    path = tmp_path / "diag5.json"
+    path.write_text(json.dumps({
+        "name": "diag5", "dim": n, "beta": 1.0,
+        "hamiltonian": {"diag": [float(i) for i in range(n)]},
+        "state": {"gibbs": True},
+        "projections": {f"E{i}": {"diag": np.eye(n)[i].tolist()}
+                        for i in range(n)},
+        "contexts": {"Vdiag": {"blocks": [f"E{i}" for i in range(n)]}},
+        "poset": {"downward_closure": True, "meet_closure": False,
+                  "group_closure": False},
+        "r_queries": [0.5], "truth_stage": "Vdiag", "checks": ["truth"],
+    }), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _ = run_cli(capfd, "run", "--scenario", str(path),
+                           "--checks", "truth",
+                           "--out-dir", str(tmp_path / "rep"))
+    assert time.perf_counter() - start < 20
+    assert code == 1 and "1 error" in out
+    with open(tmp_path / "rep" / "report.csv", newline="",
+              encoding="utf-8") as fh:
+        [row] = [r for r in csv.reader(fh) if r[5] == "error"]
+    assert row[0] == "truth"
+    assert "EnumerationTooLarge" in row[1] and "nodes visited" in row[1]

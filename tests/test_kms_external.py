@@ -15,6 +15,7 @@ from toposkms.kms_external import (
     AutomorphismFlow,
     StageVR,
     TruthObject,
+    TwistedTruthObject,
     check_C1,
     check_C2,
     check_truth_value_invariance,
@@ -27,7 +28,9 @@ from toposkms.kms_external import (
     twist,
 )
 from toposkms.numerics import frob, is_unitary
+from toposkms.presheaf import ClopenSubobject, complete_downward
 
+import oracles
 from conftest import GIBBS_WEIGHTS, GRID5, build_c3
 
 
@@ -279,3 +282,151 @@ def test_degenerate_state_reports_ambiguity():
                               [StageVR("Vdiag", 0.3)])
     assert exc.value.stage.context_id == "Vdiag"
     assert len(exc.value.candidates) >= 2
+    # the candidates are distinct member rows of the twisted truth object
+    rows = {row.tobytes() for row in tw.members_at(exc.value.stage)}
+    candidates = {row.tobytes() for row in exc.value.candidates}
+    assert len(candidates) >= 2 and candidates <= rows
+
+
+# --------------------------------------------------------------------------
+# the mask-stack truth objects against the member-by-member oracles
+
+
+def _swap(n, a, b):
+    u = np.eye(n)
+    u[[a, b]] = u[[b, a]]
+    return u
+
+
+def _production_members(state, presheaf, stage):
+    """Members as the package lists them, one validated sub-object per
+    row, in the oracle's order: only the matching is then compared."""
+    domain = presheaf.poset.leq[:, presheaf.poset.index_of(stage.context_id)]
+    rows = TruthObject(state, presheaf).members_at(stage)
+    return sorted((ClopenSubobject(presheaf, row, domain) for row in rows),
+                  key=oracles.sorted_components)
+
+
+def _against_oracle(state, presheaf, u, stages, source=oracles.members):
+    """Member sets, weak and strong verdicts, sizes, naturality gap and
+    AmbiguousMatch stage of the mask-stack path equal the oracle's; the
+    weak max_gap agrees within eps_measure.  Returns the outcome."""
+    eps = state.tol.eps_measure
+    truth = TruthObject(state, presheaf)
+    tw = TwistedTruthObject(truth, u)
+    ref_a = {st_: source(state, presheaf, st_) for st_ in stages}
+    ref_b = {st_: oracles.twisted_members(state, presheaf, u, st_, source)
+             for st_ in stages}
+    weak = []
+    for stage in stages:
+        for got, ref in ((truth.members_at(stage), ref_a[stage]),
+                         (tw.members_at(stage), ref_b[stage])):
+            assert len(got) == len(ref)
+            assert ({row.tobytes() for row in got}
+                    == {s.mask.tobytes() for s in ref})
+        res = mu_equivalent(state, truth, tw, stage)
+        equivalent, gap, size_a, size_b = oracles.weak(
+            state, presheaf, ref_a[stage], ref_b[stage])
+        assert (res.equivalent, res.size_a, res.size_b) == (
+            equivalent, size_a, size_b)
+        if equivalent:
+            assert abs(res.max_gap - gap) <= eps
+        else:
+            assert res.max_gap > eps and gap > eps
+        weak.append(equivalent)
+    try:
+        want = oracles.strong(state, presheaf, ref_a, ref_b, stages)
+    except AmbiguousMatch as exc:
+        with pytest.raises(AmbiguousMatch) as got:
+            strong_mu_equivalence(state, truth, tw, stages)
+        assert got.value.stage == exc.stage
+        return weak, "ambiguous"
+    res = strong_mu_equivalence(state, truth, tw, stages)
+    assert (res.equivalent, res.naturality_gap) == want
+    return weak, want
+
+
+@pytest.mark.parametrize("which", ["gibbs", "example", "mixed"])
+def test_truth_objects_match_the_oracle_on_c3(which, c3_gibbs, c3_example):
+    model = {"gibbs": c3_gibbs, "example": c3_example}.get(which) \
+        or build_c3(np.eye(3) / 3)
+    ids = [v.id for v in model.poset.contexts]
+    outcomes = set()
+    for t in (math.pi / 2, math.pi):
+        stages = [StageVR(cid, r) for cid in ids for r in (0.3, 0.5, 0.7)]
+        weak, strong = _against_oracle(model.state, model.presheaf,
+                                       model.flow.unitary(t), stages)
+        outcomes.add(strong)
+    # the Gibbs state tells the members of every stage apart by their
+    # sections; the example and the maximally mixed state do not
+    assert ("ambiguous" in outcomes) == (which != "gibbs")
+
+
+@pytest.mark.parametrize("h", [(0.0, 1.0, 2.0, 3.0), (0.0, 0.0, 1.0, 2.0)])
+def test_truth_objects_match_the_oracle_on_three_block_contexts(h, diag4):
+    state = gibbs_state(np.diag(h), 1.0)
+    poset = diag4.poset
+    ids = [v.id for v in poset.contexts if v.k <= 3]
+    outcomes = []
+    for u in (_swap(4, 0, 1), _swap(4, 1, 2),
+              AutomorphismFlow(np.diag(h)).unitary(0.7)):
+        stages = [StageVR(cid, r) for cid in ids for r in (0.3, 0.5)]
+        outcomes.append(_against_oracle(state, diag4.presheaf, u, stages))
+    # the diagonal flow moves no diagonal context; the swap of the two
+    # lowest levels is a symmetry of the degenerate Hamiltonian only
+    assert all(outcomes[2][0])
+    if h[0] == h[1]:
+        assert all(outcomes[0][0]) and outcomes[0][1] == "ambiguous"
+        assert not all(outcomes[1][0])
+    else:
+        assert not all(outcomes[0][0]) and outcomes[0][1] == (False, 0)
+        assert outcomes[2][1] == (True, 0)
+
+
+def test_truth_object_matching_matches_the_oracle_on_the_top(diag4):
+    # the unpruned oracle would build 1.3 million sub-objects here, so the
+    # members come from the package and the twist and the matchings from
+    # the oracle
+    state = gibbs_state(np.diag([0.0, 0.0, 1.0, 2.0]), 1.0)
+    stages = [StageVR("D4", r) for r in (0.7, 0.8)]
+    weak, _ = _against_oracle(state, diag4.presheaf, _swap(4, 0, 1), stages,
+                              source=_production_members)
+    assert all(weak)
+    weak, _ = _against_oracle(state, diag4.presheaf, _swap(4, 1, 2),
+                              stages[1:], source=_production_members)
+    assert not any(weak)
+
+
+@pytest.fixture(scope="module")
+def c4_truth(diag4):
+    """The truth object of a Gibbs state on the diagonal C^4 poset."""
+    return TruthObject(gibbs_state(np.diag([0.0, 1.0, 2.0, 3.0]), 1.0),
+                       diag4.presheaf)
+
+
+@given(seed=st.integers(0, 2**32 - 1), r=st.sampled_from([0.3, 0.5, 0.7]))
+def test_pruned_members_are_exactly_the_sub_objects_above_r(seed, r, diag4,
+                                                            c4_truth):
+    """On the top of the diagonal C^4 poset, a random sub-object is a row
+    of members_at exactly when tau >= r."""
+    rng = np.random.default_rng(seed)
+    psh, poset, truth = diag4.presheaf, diag4.poset, c4_truth
+    rows = {row.tobytes() for row in truth.members_at(StageVR("D4", r))}
+    for _ in range(20):
+        assigned = {v.id: {b for b in range(v.k) if rng.random() < 0.4}
+                    for v in poset.contexts if rng.random() < 0.3}
+        assigned.setdefault("D4", set())
+        sub = complete_downward(psh, assigned)
+        assert (sub.mask.tobytes() in rows) == (truth.tau(sub, "D4") >= r)
+
+
+def test_truth_is_exact_on_the_diagonal_c4_poset(diag4, c4_truth):
+    truth = c4_truth
+    stage = StageVR("D4", 0.5)
+    rows = truth.members_at(stage)
+    assert rows.shape == (9920, diag4.presheaf.offsets[-1])
+    assert truth.members_at(stage) is rows and not rows.flags.writeable
+    domain = np.ones(len(diag4.poset), dtype=bool)
+    for row in rows:
+        assert truth.tau(ClopenSubobject(diag4.presheaf, row, domain),
+                         "D4") >= 0.5

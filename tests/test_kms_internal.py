@@ -28,24 +28,9 @@ def test_group_samples_must_contain_zero(c3_gibbs):
         SampledGroup(c3_gibbs.flow, [0.5, 1.0])
 
 
-def test_strip_offsets_default_to_the_full_strip(c3_gibbs):
-    group = SampledGroup(c3_gibbs.flow, [0.0, 1.0], validate=False)
-    assert group.strip_gammas == [0.0, 1.0]  # beta = 1
-
-
 def test_samples_must_close_under_the_group_law(c3_gibbs):
     with pytest.raises(DomainMismatch):
         SampledGroup(c3_gibbs.flow, [0.0, 1.0])
-
-
-def test_strip_offsets_validated(c3_gibbs):
-    with pytest.raises(DomainMismatch):
-        SampledGroup(c3_gibbs.flow, [0.0], strip_gammas=[0.5, 1.0])
-    with pytest.raises(DomainMismatch):
-        SampledGroup(c3_gibbs.flow, [0.0], strip_gammas=[0.0, 1.5])
-    group = SampledGroup(c3_gibbs.flow, [0.0],
-                         strip_gammas=[0.0, 0.25, 1.0])
-    assert group.strip_gammas == [0.0, 0.25, 1.0]
 
 
 def test_cyclic_group_closes(c3_gibbs):

@@ -22,6 +22,7 @@ from toposkms.errors import (
 )
 from toposkms.kms_external import AutomorphismFlow, check_C1, gibbs_state
 from toposkms.numerics import frob, proj_join, proj_leq
+from toposkms import presheaf as presheaf_module
 from toposkms.presheaf import (
     ClopenSubobject,
     SpectralPresheaf,
@@ -43,6 +44,7 @@ from toposkms.suites import SUITES
 from toposkms.tolerances import DEFAULT_TOL
 
 from conftest import P12SYM, diagonal_context, random_projection
+from oracles import all_subobjects
 
 
 def _characters(psh, cid):
@@ -84,6 +86,28 @@ def test_restriction_is_functorial(c3_gibbs, diag4):
                     via = maps[small, mid][maps[mid, large][index]]
                     assert via == maps[small, large][index]
         assert psh.broken_chains() == (chains, 0)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_broken_chains_counts_like_the_tables(seed):
+    """The edge-key lookup of broken_chains against a chain-by-chain,
+    character-by-character reading of randomly corrupted tables."""
+    rng = np.random.default_rng(seed)
+    poset = build_poset([diagonal_context(4, "D4")], downward_closure=True)
+    maps = poset.block_maps
+    for pair in rng.permutation(sorted(maps))[:3].tolist():
+        k = poset.contexts[pair[0]].k
+        maps[tuple(pair)] = tuple(rng.integers(k, size=len(maps[tuple(pair)]))
+                                  .tolist())
+    chains = broken = 0
+    for small, mid in maps:
+        for large in range(len(poset)):
+            if (mid, large) in maps:
+                chains += 1
+                broken += any(maps[small, mid][maps[mid, large][b]]
+                              != maps[small, large][b]
+                              for b in range(poset.contexts[large].k))
+    assert SpectralPresheaf(poset).broken_chains() == (chains, broken)
 
 
 def test_s_map_s_inverse_roundtrip(c3_gibbs):
@@ -293,18 +317,28 @@ def test_meet_join_are_componentwise(c3_gibbs):
                                     | subs["S2"].component(cid))
 
 
+def _restricted(sub, context_id):
+    """The sub-object cut to its contexts below context_id."""
+    psh = sub.presheaf
+    keep = sub.domain & psh.poset.leq[:, psh.poset.index_of(context_id)]
+    return ClopenSubobject(psh, sub.mask & keep[psh.owner], keep)
+
+
+def _same(s, t):
+    return (np.array_equal(s.mask, t.mask)
+            and np.array_equal(s.domain, t.domain))
+
+
 def test_meet_requires_equal_domains(c3_gibbs):
     s1 = c3_gibbs.subs["S1"]
     with pytest.raises(DomainMismatch):
-        subobject_meet(s1, s1.restricted_to("Vex"))
+        subobject_meet(s1, _restricted(s1, "Vex"))
 
 
 def test_heyting_negation_laws(c3_gibbs):
     psh = c3_gibbs.presheaf
-    assert heyting_negation(empty_subobject(psh)).canonical_key() == \
-        full_subobject(psh).canonical_key()
-    assert heyting_negation(full_subobject(psh)).canonical_key() == \
-        empty_subobject(psh).canonical_key()
+    assert _same(heyting_negation(empty_subobject(psh)), full_subobject(psh))
+    assert _same(heyting_negation(full_subobject(psh)), empty_subobject(psh))
     s1 = c3_gibbs.subs["S1"]
     neg = heyting_negation(s1)
     # intuitionistic: S meet (not S) is empty, but the join may fall short
@@ -312,42 +346,55 @@ def test_heyting_negation_laws(c3_gibbs):
     assert all(len(m.component(cid)) == 0 for cid in psh.poset.ids(m.domain))
 
 
-def test_enumerate_subobjects_counts(c3_gibbs):
-    subs = list(enumerate_subobjects(c3_gibbs.presheaf, "Vex"))
-    assert len(subs) == 4  # single two-point stage
-    subs = list(enumerate_subobjects(c3_gibbs.presheaf, "Vdiag"))
-    assert len(subs) == 95
-    with pytest.raises(EnumerationTooLarge):
-        list(enumerate_subobjects(c3_gibbs.presheaf, "Vdiag", cap=10))
+def test_enumerate_subobjects_counts(c3_gibbs, monkeypatch):
+    psh = c3_gibbs.presheaf
+    weights = psh.weights(c3_gibbs.state.matrix)
+    # with no threshold every sub-object is a member
+    assert enumerate_subobjects(psh, "Vex", weights, -np.inf).shape == (
+        4, psh.offsets[-1])  # single two-point stage
+    every = enumerate_subobjects(psh, "Vdiag", weights, -np.inf)
+    assert len(every) == len({row.tobytes() for row in every}) == 95
+    # the empty component at Vex is cut, and with it one sub-object
+    assert len(enumerate_subobjects(psh, "Vex", weights, 0.3)) == 3
+    monkeypatch.setattr(presheaf_module, "ENUMERATION_NODE_CAP", 10)
+    with pytest.raises(EnumerationTooLarge, match="nodes visited"):
+        enumerate_subobjects(psh, "Vdiag", weights, -np.inf)
 
 
 def test_pullback_along_flow_unitary(c3_gibbs):
     import math
 
-    flow = c3_gibbs.flow
-    s1 = c3_gibbs.subs["S1"]
-    u = flow.unitary(math.pi / 2)
-    moved = pullback(u, s1)
-    # the saturated family is carried onto itself by design
-    assert moved.canonical_key() == s1.canonical_key()
+    psh = c3_gibbs.presheaf
+    s1, s2 = c3_gibbs.subs["S1"], c3_gibbs.subs["S2"]
+    u = c3_gibbs.flow.unitary(math.pi / 2)
+    # the saturated families are carried onto themselves by design, and a
+    # stack is pulled back row by row
+    assert np.array_equal(pullback(psh, u, s1.mask, s1.domain, s1.domain),
+                          s1.mask)
+    stack = np.stack([s1.mask, s2.mask, s1.mask & s2.mask])
+    assert np.array_equal(pullback(psh, u, stack, s1.domain, s1.domain),
+                          stack)
 
 
 def test_pullback_out_of_the_domain_raises(c3_gibbs):
     # S1 lives on the orbit of the example context; the identity carries
     # Vdiag to itself, outside that domain
+    psh = c3_gibbs.presheaf
+    s1 = c3_gibbs.subs["S1"]
     everywhere = np.ones(len(c3_gibbs.poset), dtype=bool)
     with pytest.raises(PosetNotClosed, match="Vdiag"):
-        pullback(np.eye(3), c3_gibbs.subs["S1"], domain=everywhere)
+        pullback(psh, np.eye(3), s1.mask, s1.domain, everywhere)
 
 
 def test_restricted_to_shrinks_domain(c3_gibbs):
     # the saturated family lives on the four-context orbit of the example
-    # context, not on the whole poset
+    # context, not on the whole poset; cut to the lower set of Vex, its
+    # mask is still a sub-object
     poset = c3_gibbs.poset
     s1 = c3_gibbs.subs["S1"]
     assert s1.domain.sum() == 4
     assert "Vdiag" not in poset.ids(s1.domain)
-    cut = s1.restricted_to("Vex")
+    cut = _restricted(s1, "Vex")
     assert poset.ids(cut.domain) == ["Vex"]
     assert cut.component("Vex") == s1.component("Vex")
 
@@ -442,7 +489,8 @@ def test_mask_operations_match_the_definitions(seed, diag4):
                         for i in comp if (i, j) in maps)}
         assert neg.component(v.id) == keep
 
-    assert pullback(np.eye(4), sub) == sub
+    assert np.array_equal(
+        pullback(psh, np.eye(4), sub.mask, sub.domain, sub.domain), sub.mask)
 
 
 def test_action_is_kept_per_unitary_and_domain(c3_gibbs):
@@ -484,17 +532,16 @@ def test_check_c1_moves_each_context_once_per_t(monkeypatch):
     assert set(calls.values()) == {1}
 
 
-def test_canonical_key_orders_like_sorted_components(diag4):
-    # truth-object members are listed in this order, and the greedy
-    # matching of mu_equivalent reads it
-    poset = diag4.poset
+def test_enumeration_lists_each_subobject_once(diag4):
+    # with no threshold the rows are every sub-object on the lower set of
+    # a three-block context, once each, in the order of the unpruned walk
+    psh, poset = diag4.presheaf, diag4.poset
     top = next(v.id for v in poset.contexts if v.k == 3)
-    subs = enumerate_subobjects(diag4.presheaf, top)
-
-    def reference(s):
-        return tuple((c, tuple(sorted(s.component(c))))
-                     for c in sorted(poset.ids(s.domain)))
-
-    assert len(set(subs)) == len(subs) == 95
-    assert ([reference(s) for s in sorted(subs, key=ClopenSubobject.canonical_key)]
-            == sorted(map(reference, subs)))
+    weights = np.full(psh.offsets[-1], 0.25)
+    rows = enumerate_subobjects(psh, top, weights, -np.inf)
+    reference = all_subobjects(psh, top)
+    assert len({row.tobytes() for row in rows}) == len(rows) == 95
+    assert np.array_equal(rows, [s.mask for s in reference])
+    domain = poset.leq[:, poset.index_of(top)]
+    for row in rows:
+        ClopenSubobject(psh, row, domain)
