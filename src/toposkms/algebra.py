@@ -337,17 +337,19 @@ def coarse_graining_map(v: Context, v_prime: Context,
     return out
 
 
-def _unitary(u) -> np.ndarray:
+def _unitary(u, tol: TolerancePolicy) -> np.ndarray:
     um = as_complex_matrix(u)
-    if not is_unitary(um, 1e-10):
-        raise NotUnitary("automorphism matrix is not unitary within 1e-10")
+    if not is_unitary(um, tol.eps_herm):
+        raise NotUnitary(
+            f"automorphism matrix is not unitary within {tol.eps_herm}")
     return um
 
 
-def apply_automorphism(u, v: Context, context_id: str | None = None) -> Context:
+def apply_automorphism(u, v: Context, context_id: str | None = None,
+                       tol: TolerancePolicy = DEFAULT_TOL) -> Context:
     """Image context U V U*, the frame U Y with V's labels; U must be
-    unitary within 1e-10."""
-    return Context.on_frame(_unitary(u) @ v.frame, v.labels, context_id)
+    unitary within tol.eps_herm."""
+    return Context.on_frame(_unitary(u, tol) @ v.frame, v.labels, context_id)
 
 
 def _set_partitions(k: int):
@@ -477,7 +479,7 @@ class ContextPoset:
         poset; relabel is None when some block is farther than
         10 eps_order from its home."""
         v = self.context(context_id)
-        hit = self._index.locate(_unitary(u) @ v.frame, v)
+        hit = self._index.locate(_unitary(u, self.tol) @ v.frame, v)
         if hit is None:
             return None, None
         placed, home = _homes(hit[1], (10 * self.tol.eps_order) ** 2 / 2)
@@ -601,7 +603,7 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
             for v in list(contexts):
                 for u in unitaries:
                     before = len(contexts)
-                    add(apply_automorphism(u, v))
+                    add(apply_automorphism(u, v, tol=tol))
                     changed = changed or len(contexts) > before
         if unitaries and group_depth is not None and sweeps >= group_depth \
                 and not downward_closure and not meet_closure:

@@ -32,6 +32,31 @@ MAX_DIM = 16
 # this list, never reordered
 DEFAULT_CHECKS = list(SUITES)
 
+# the keys each level of a scenario may hold; any other key is refused, so
+# a misspelt key cannot silently drop a check's input
+TOP_KEYS = frozenset({
+    "name", "dim", "seed", "beta", "convention", "tolerances", "checks",
+    "hamiltonian", "state", "projections", "contexts", "poset", "group",
+    "t_grid", "r_queries", "subobjects", "pairs", "c2_context",
+    "truth_stage"})
+STATE_KEYS = frozenset({"matrix", "pure", "spectrum", "basis", "gibbs"})
+POSET_KEYS = frozenset({"downward_closure", "meet_closure", "group_closure",
+                        "group_depth", "max_contexts"})
+GROUP_KEYS = frozenset({"samples"})
+CONTEXT_KEYS = frozenset({"blocks", "generated_by"})
+SUBOBJECT_KEYS = frozenset({"dasein", "saturated"})
+SATURATED_KEYS = frozenset({"context", "blocks"})
+
+
+def _known_keys(spec, keys: frozenset, what: str) -> None:
+    """spec must be an object holding only keys from the set."""
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{what} must be an object")
+    unknown = sorted(set(spec) - keys)
+    if unknown:
+        raise ScenarioError(
+            f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+
 
 def _as_number(x, what: str, positive: bool = False) -> float:
     if (isinstance(x, bool) or not isinstance(x, (int, float))
@@ -120,8 +145,7 @@ class Scenario:
 
 
 def _resolve_state(spec, dim, hamiltonian, beta, tol) -> tuple[State, dict]:
-    if not isinstance(spec, dict):
-        raise ScenarioError("state must be an object")
+    _known_keys(spec, STATE_KEYS, "state")
     try:
         if "matrix" in spec:
             return State(parse_matrix(spec["matrix"], "state.matrix", dim),
@@ -159,8 +183,7 @@ def _resolve_contexts(cfg, projections, dim, tol):
         raise ScenarioError("contexts must be a non-empty object")
     out = []
     for name, spec in cfg.items():
-        if not isinstance(spec, dict):
-            raise ScenarioError(f"context {name} must be an object")
+        _known_keys(spec, CONTEXT_KEYS, f"context {name}")
         try:
             if "blocks" in spec:
                 blocks = [
@@ -196,6 +219,7 @@ def _resolve_subobjects(cfg, presheaf, group, projections, dim):
     if not isinstance(cfg, dict):
         raise ScenarioError("subobjects must be an object")
     for name, spec in cfg.items():
+        _known_keys(spec, SUBOBJECT_KEYS, f"subobject {name}")
         try:
             if "dasein" in spec:
                 p = spec["dasein"]
@@ -210,6 +234,7 @@ def _resolve_subobjects(cfg, presheaf, group, projections, dim):
                 subs[name] = daseinisation_subobject(p, presheaf, name=name)
             elif "saturated" in spec:
                 s = spec["saturated"]
+                _known_keys(s, SATURATED_KEYS, f"subobject {name} saturated")
                 if group is None:
                     raise ScenarioError(
                         f"subobject {name} needs a group for saturation")
@@ -245,6 +270,7 @@ def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario
     """Parse, validate and materialize a scenario."""
     raw = (path_or_dict if isinstance(path_or_dict, dict)
            else read_scenario(path_or_dict))
+    _known_keys(raw, TOP_KEYS, "scenario")
 
     dim = raw.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
@@ -303,8 +329,7 @@ def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario
     seeds = _resolve_contexts(raw.get("contexts"), projections, dim, tol)
 
     poset_cfg = raw.get("poset", {})
-    if not isinstance(poset_cfg, dict):
-        raise ScenarioError("poset must be an object")
+    _known_keys(poset_cfg, POSET_KEYS, "poset")
     downward = bool(poset_cfg.get("downward_closure", True))
     meets = bool(poset_cfg.get("meet_closure", True))
     group_closure = bool(poset_cfg.get("group_closure", flow is not None))
@@ -322,6 +347,7 @@ def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario
     group = None
     group_cfg = raw.get("group")
     if group_cfg is not None:
+        _known_keys(group_cfg, GROUP_KEYS, "group")
         if flow is None:
             raise ScenarioError("group requires a hamiltonian")
         samples = [

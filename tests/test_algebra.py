@@ -22,6 +22,7 @@ from toposkms.algebra import (
 from toposkms.errors import (
     ContextMissing,
     NotInAlgebra,
+    NotUnitary,
     PosetTooLarge,
     TrivialAlgebra,
 )
@@ -120,6 +121,35 @@ def test_apply_automorphism_preserves_structure():
     # t = 2*pi returns to the start for integer spectrum
     back = apply_automorphism(flow.unitary(2 * math.pi), vex)
     assert contexts_equal(back, vex)
+
+
+class _OneUnitary:
+    """A group sample of a single matrix, for build_poset."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def real_unitaries(self):
+        return [(1.0, self.u)]
+
+
+def test_unitarity_is_checked_against_the_policy():
+    # ||U* U - 1||_F is about 2e-9: refused at the default eps_herm of
+    # 1e-10, accepted at 1e-8, wherever a context is moved
+    u = np.diag([1.0 + 1e-9, 1.0, 1.0])
+    loose = DEFAULT_TOL.override(eps_herm=1e-8)
+    vex = context_from_operators([P12SYM], "Vex")
+    with pytest.raises(NotUnitary):
+        apply_automorphism(u, vex)
+    assert contexts_equal(apply_automorphism(u, vex, tol=loose), vex)
+    with pytest.raises(NotUnitary):
+        build_poset([vex]).image(u, "Vex")
+    assert build_poset([vex], tol=loose).image(u, "Vex")[0] == "Vex"
+    with pytest.raises(NotUnitary):
+        build_poset([vex], group=_OneUnitary(u), group_depth=1)
+    poset = build_poset([vex], group=_OneUnitary(u), group_depth=1,
+                        tol=loose)
+    assert [v.id for v in poset.contexts] == ["Vex"]
 
 
 def test_c3_poset_closure_shape(c3_gibbs):

@@ -241,6 +241,30 @@ def test_saturated_blocks_out_of_range_exit_2(scenario_dir, tmp_path, capfd,
     assert "subobject S1 invalid: " in err and "out of range" in err
 
 
+@pytest.mark.parametrize("where, key, message", [
+    ((), "t_gird", "unknown scenario key(s): 't_gird'"),
+    (("group",), "strip_gammas", "unknown group key(s): 'strip_gammas'"),
+    (("state",), "gibs", "unknown state key(s): 'gibs'"),
+    (("poset",), "max_context", "unknown poset key(s): 'max_context'"),
+    (("contexts", "Vdiag"), "block", "unknown context Vdiag key(s): 'block'"),
+    (("subobjects", "S1"), "dasien", "unknown subobject S1 key(s): 'dasien'"),
+    (("subobjects", "S1", "saturated"), "block",
+     "unknown subobject S1 saturated key(s): 'block'"),
+])
+def test_unknown_scenario_keys_exit_2(scenario_dir, tmp_path, capfd, where,
+                                      key, message):
+    doc = json.loads((scenario_dir / "gibbs_internal.json").read_text())
+    spec = doc
+    for part in where:
+        spec = spec[part]
+    spec[key] = [0.0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(capfd, "run", "--scenario", str(path),
+                           "--out-dir", str(tmp_path / "rep"))
+    assert code == 2 and f"input error: {message}" in err, err
+
+
 def test_dasein_subcommand(scenario_dir, capfd):
     code, out, _ = run_cli(
         capfd, "dasein", "--scenario", str(scenario_dir / "example_c3.json"),

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from toposkms.algebra import build_poset, context_from_operators, contexts_equal
-from toposkms.errors import NotCyclicSeparating, ToposKMSError
+from toposkms.errors import ToposKMSError
 from toposkms.kms_external import check_C1, check_C2, gibbs_state
 from toposkms.measure import State
 from toposkms.modular import (
     AntilinearOp,
     AntiunitaryJ,
     GNSSpace,
-    _matrix_units,
     check_order_continuity,
     commutant_swap_check,
     expected_delta_spectrum,
@@ -103,35 +102,48 @@ def test_tomita_requires_faithful_state():
 
 def test_commutant_swap(rng):
     rep = commutant_swap_check(State(random_density(rng, 3)))
-    assert rep.cyclic_rank == 9
     assert rep.max_commutator <= 1e-10
     assert rep.max_right_residual <= 1e-10
     assert rep.max_residual <= 1e-10
     assert rep.checked == 81  # all ordered basis pairs
 
 
-def dense_swap_oracle(state, basis, data):
-    """The commutant-swap residuals with pi(B) = B (x) 1 formed as a dense
-    n^2 x n^2 matrix and multiplied out: (max commutator, max right
-    residual, pairs checked)."""
+def dense_swap_oracle(state, data):
+    """The commutant-swap residuals with pi(E_kl) = E_kl (x) 1 formed as a
+    dense n^2 x n^2 matrix and every commutator multiplied out: (max
+    commutator, max right residual, pairs checked)."""
     gns = GNSSpace(state)
+    n = state.dim
+    units = []
+    for k in range(n):
+        for l in range(n):
+            e = np.zeros((n, n))
+            e[k, l] = 1.0
+            units.append(e)
     swapped = []
     worst_right = 0.0
-    for b in basis:
-        lhs = data.j.m @ np.conj(gns.pi_matrix(b) @ data.j.m)
+    for e in units:
+        lhs = data.j.m @ np.conj(gns.pi_matrix(e) @ data.j.m)
         worst_right = max(worst_right,
-                          frob(lhs - gns.right_matrix(dagger(b))))
+                          frob(lhs - gns.right_matrix(dagger(e))))
         swapped.append(lhs)
     worst_comm = 0.0
     for sw in swapped:
-        for b in basis:
-            pb = gns.pi_matrix(b)
-            worst_comm = max(worst_comm, frob(sw @ pb - pb @ sw))
-    return worst_comm, worst_right, len(basis) ** 2
+        for e in units:
+            pe = gns.pi_matrix(e)
+            worst_comm = max(worst_comm, frob(sw @ pe - pe @ sw))
+    return worst_comm, worst_right, len(units) ** 2
 
 
-def residuals(rep):
-    return rep.max_commutator, rep.max_right_residual, rep.checked
+def assert_matches_oracle(state, data):
+    """The block-norm residuals equal the dense ones up to the order in
+    which the same squares are summed."""
+    rep = commutant_swap_check(state, data=data)
+    want = dense_swap_oracle(state, data)
+    assert rep.checked == want[2] == state.dim ** 4
+    for g, w in zip((rep.max_commutator, rep.max_right_residual), want[:2]):
+        assert abs(g - w) <= 1e-14 * w
+    return rep
 
 
 @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
@@ -139,45 +151,25 @@ def test_commutant_swap_matches_dense_oracle(n, seed):
     rng = np.random.default_rng(seed)
     state = State(0.8 * random_density(rng, n) + 0.2 * np.eye(n) / n)
     data = tomita_operators(state)
-    units = _matrix_units(n)
-
-    # products with 0/1 entries are exact, so the residuals are identical
-    assert residuals(commutant_swap_check(state, data=data)) \
-        == dense_swap_oracle(state, units, data)
-
-    # a random spanning set, one element longer than a basis; the gap is
-    # measured against the size of the commutator terms, n ||B||^2
-    basis = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-             for _ in range(n * n + 1)]
-    scale = n * max(frob(b) for b in basis) ** 2
-    got = residuals(commutant_swap_check(state, basis=basis, data=data))
-    want = dense_swap_oracle(state, basis, data)
-    assert got[2] == want[2] == (n * n + 1) ** 2
-    for g, w in zip(got[:2], want[:2]):
-        assert abs(g - w) <= 1e-12 * scale
-
-    # a rank-deficient set leaves Omega non-cyclic
-    deficient = units[:-1] + [units[0] + units[1]]
-    with pytest.raises(NotCyclicSeparating):
-        commutant_swap_check(state, basis=deficient, data=data)
+    assert_matches_oracle(state, data)
 
     # a J perturbed by 1e-6 no longer swaps into the commutant
-    noise = rng.normal(size=data.j.m.shape) + 1j * rng.normal(
-        size=data.j.m.shape)
+    shape = data.j.m.shape
+    noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     bad = replace(data, j=AntilinearOp(data.j.m + 1e-6 * noise))
-    got = commutant_swap_check(state, data=bad)
-    assert residuals(got) == dense_swap_oracle(state, units, bad)
+    got = assert_matches_oracle(state, bad)
     assert got.max_commutator > 1e-10
     assert got.max_right_residual > 1e-10
 
-
-def test_commutant_swap_rejects_degenerate_basis(rng):
-    # a basis spanning only the diagonal subalgebra leaves the vector
-    # non-cyclic, which the check must refuse rather than certify
-    state = State(random_density(rng, 2))
-    basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    with pytest.raises(NotCyclicSeparating):
-        commutant_swap_check(state, basis=basis)
+    # nor does a J perturbed in a single n x n block
+    p, q = rng.integers(n, size=2)
+    one_block = np.zeros(shape, dtype=complex)
+    one_block[p * n:(p + 1) * n, q * n:(q + 1) * n] = \
+        noise[p * n:(p + 1) * n, q * n:(q + 1) * n]
+    bad = replace(data, j=AntilinearOp(data.j.m + 1e-6 * one_block))
+    got = assert_matches_oracle(state, bad)
+    assert got.max_commutator > 1e-10
+    assert got.max_right_residual > 1e-10
 
 
 def test_modular_flow_matches_hamiltonian_flow_for_gibbs(c3_gibbs):

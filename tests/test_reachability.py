@@ -4,9 +4,11 @@ The package sources are parsed, not imported.  Starting from the entry
 points (`toposkms` itself, the report pipeline the benchmark drives, the
 functions the benchmark tracer wraps) and from the declared oracles and
 acceptance code below, every Name and Attribute identifier is followed
-to every definition of that name.  The walk is by name only, so it
-over-approximates what runs; a definition it does not reach is certainly
-dead outside the tests.
+to every definition of that name.  Inside a class, `self.X` and `cls.X`
+lead only to the class's own member X when the class defines one; every
+other identifier is followed by name alone.  The walk over-approximates
+what runs, so a definition it does not reach is certainly dead outside
+the tests.
 
 The same holds for state: every attribute a package method stores on
 `self` must be read, as an attribute, somewhere in the package, and
@@ -53,23 +55,30 @@ DECLARED = {
     "errors.NotIncluded": "raised by coarse_graining_map",
     "presheaf.s_map": "reads dense daseinisation output back as block "
                       "indices in criterion 4 and the join identity",
-    "modular.GNSSpace.pi_matrix": "oracle for the structured swap products",
+    "modular.GNSSpace.pi_matrix":
+        "dense oracle for the block-norm commutators",
     "modular.GNSSpace.right_matrix":
-        "oracle for the structured swap products",
+        "dense oracle for the block-norm commutators",
     "numerics.proj_meet": "oracle in test_daseinisation_join_identity",
     "numerics.proj_join": "oracle in test_daseinisation_join_identity",
     "numerics.zero_projection": "oracle in test_daseinisation_join_identity",
 }
 
 
-def _identifiers(nodes) -> set:
-    """Name and Attribute identifiers under the nodes, annotations skipped."""
+def _identifiers(nodes, owner: str = "", own=frozenset()) -> set:
+    """Name and Attribute identifiers under the nodes, annotations skipped.
+    `self.X` and `cls.X` with X in `own`, the members of the class keyed
+    `owner`, come out as the member's key `owner.X` instead of X."""
     out = set()
     stack = list(nodes)
     while stack:
         node = stack.pop()
         if isinstance(node, ast.Name):
             out.add(node.id)
+        elif (isinstance(node, ast.Attribute) and node.attr in own
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("self", "cls")):
+            out.add(f"{owner}.{node.attr}")
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         for field, value in ast.iter_fields(node):
@@ -87,13 +96,15 @@ def _is_def(node) -> bool:
                              ast.ClassDef))
 
 
-def package_graph():
-    """(uses, decorators, import_time): the identifiers each definition
-    uses, the identifiers in its decorators, and those used at import."""
+def package_graph(sources=None):
+    """(uses, decorators, import_time) over {module: source}, by default
+    the package: the identifiers each definition uses, the identifiers
+    in its decorators, and those used at import."""
+    sources = sources or {path.stem: path.read_text(encoding="utf-8")
+                          for path in PACKAGE.glob("*.py")}
     uses, decorators, import_time = {}, {}, set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        module = path.stem
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, text in sorted(sources.items()):
+        for node in ast.parse(text).body:
             if not _is_def(node):
                 import_time |= _identifiers([node])
                 continue
@@ -104,8 +115,9 @@ def package_graph():
                 members = [n for n in node.body if _is_def(n)]
                 rest = [n for n in node.body if not _is_def(n)]
                 uses[key] = _identifiers(rest + node.bases + node.keywords)
+                own = {m.name for m in members}
                 for m in members:
-                    uses[f"{key}.{m.name}"] = _identifiers([m])
+                    uses[f"{key}.{m.name}"] = _identifiers([m], key, own)
             else:
                 uses[key] = _identifiers([node])
     return uses, decorators, import_time
@@ -119,10 +131,12 @@ def traced_targets():
 
 
 def reached(uses, decorators, import_time, roots) -> set:
-    """Keys of the definitions the name walk reaches."""
+    """Keys of the definitions the walk reaches.  An identifier with a dot
+    is the key of a class member; any other is followed by name."""
     by_name = {}
     for key in uses:
         by_name.setdefault(key.rsplit(".", 1)[1], []).append(key)
+        by_name[key] = [key]
     registered = {}
     for key, names in decorators.items():
         for name in names:
@@ -140,6 +154,43 @@ def reached(uses, decorators, import_time, roots) -> set:
         # a class brings its implicitly called dunder methods
         todo.extend(k for k in uses if k.startswith(key + ".__"))
     return seen
+
+
+TOY = """
+class Flow:
+    def unitary(self, t):
+        return t
+
+    def run(self):
+        return self.unitary(1.0)
+
+
+class Group:
+    def __init__(self):
+        self.samples = [0.0]
+
+    def unitary(self, t):
+        return -t
+
+
+def main():
+    return Flow().run(), Group().samples
+"""
+
+
+def test_self_members_lead_to_their_own_class():
+    """Group.unitary is dead: Flow.run calls its own class's unitary.  A
+    walk by name alone reaches it through the identifier `unitary`."""
+    uses, decorators, import_time = package_graph({"toy": TOY})
+    by_name_only = {key: {n.rsplit(".", 1)[-1] for n in names}
+                    for key, names in uses.items()}
+
+    def dead(graph):
+        return sorted(set(graph) - reached(graph, decorators, import_time,
+                                           ["toy.main"]))
+
+    assert dead(by_name_only) == []
+    assert dead(uses) == ["toy.Group.unitary"]
 
 
 def test_declared_and_traced_names_exist():
