@@ -19,7 +19,7 @@ threshold), and the homes are the block map.  V' = V iff k' = k and the
 bound is eps_order^2 / 2, i.e. ||Q'_home - Q_b||_F <= eps_order.
 
 build_poset closes seed contexts under coarse-graining, meets and a
-sampled unitary group; ContextIndex deduplicates them and ContextPoset
+list of unitaries; ContextIndex deduplicates them and ContextPoset
 orders them, with one product per signature bucket of stacked frames.
 block_map, includes, coarse_graining_map and contexts_equal work on
 dense blocks: they are the oracles the tests hold the frame path to.
@@ -539,15 +539,13 @@ def meet_context(v1: Context, v2: Context, tol: TolerancePolicy = DEFAULT_TOL):
 
 
 def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = False,
-                group=None, group_depth: int | None = None, max_contexts: int = 500,
+                unitaries=(), group_depth: int = 1, max_contexts: int = 500,
                 tol: TolerancePolicy = DEFAULT_TOL) -> ContextPoset:
     """Grow a poset from seed contexts under the requested closures.
 
-    group may be a kms_internal.SampledGroup or any object with
-    .real_unitaries() -> [(t, U)].  group_depth=None iterates group
-    closure to a fixpoint; a positive integer bounds the number of
-    closure sweeps (needed for non-closing sample grids).  Exceeding
-    max_contexts raises PosetTooLarge.
+    Group closure adds U V U* for every unitary U of the list and every
+    context V, in group_depth sweeps (a bound, so sample grids that do
+    not close still end).  Exceeding max_contexts raises PosetTooLarge.
 
     Downward closure expands each context once, and skips the contexts
     it added: their coarse-grainings are coarse-grainings of their parent.
@@ -567,10 +565,6 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
 
     for s in seeds:
         add(s)
-
-    unitaries = []
-    if group is not None:
-        unitaries = [u for t, u in group.real_unitaries() if t != 0.0]
 
     cursor = 0  # contexts before the cursor went through a downward step
     closed = set()  # indices added as coarse-grainings of an expanded context
@@ -599,13 +593,13 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
                         before = len(contexts)
                         add(w)
                         changed = changed or len(contexts) > before
-        if unitaries and (group_depth is None or sweeps <= group_depth):
+        if unitaries and sweeps <= group_depth:
             for v in list(contexts):
                 for u in unitaries:
                     before = len(contexts)
                     add(apply_automorphism(u, v, tol=tol))
                     changed = changed or len(contexts) > before
-        if unitaries and group_depth is not None and sweeps >= group_depth \
+        if unitaries and sweeps >= group_depth \
                 and not downward_closure and not meet_closure:
             break
 

@@ -254,21 +254,40 @@ def _eigenseries_coefficients(state: State, flow: AutomorphismFlow, ps, pt):
     return (lam[:, None] - lam[None, :]).ravel(), (a.T * ps_t).ravel()
 
 
+def boundary_residuals(state: State, flow: AutomorphismFlow,
+                       sub_s: ClopenSubobject, sub_t: ClopenSubobject,
+                       context_id: str, t_samples):
+    """(P_{S_V}, P_{T_V}, residuals): the two components at a context as
+    dense projections, and for each real t the gap between the two sides
+    of the boundary condition, |F(t + i beta) - tr(rho alpha_t(P_{S_V})
+    P_{T_V})| with F(z) = tr(rho P_{T_V} alpha_z(P_{S_V})).  Callers
+    refuse a state that is not faithful."""
+    v = sub_s.presheaf.poset.context(context_id)
+    ps = v.block_sum(sub_s.component(context_id))
+    pt = v.block_sum(sub_t.component(context_id))
+    rho = state.matrix
+    return ps, pt, [
+        abs(complex(np.trace(rho @ pt @ flow.apply_complex(
+            float(t) + 1j * flow.beta, ps)))
+            - complex(np.trace(rho @ flow.apply(t, ps) @ pt)))
+        for t in t_samples]
+
+
 def check_C2(state: State, flow: AutomorphismFlow, sub_s: ClopenSubobject,
              sub_t: ClopenSubobject, context_id: str, t_samples) -> C2Report:
     """Two-point boundary condition at a context.
 
     F(z) = tr(rho P_{T_V} alpha_z(P_{S_V})) is entire; the check compares
     F(t + i beta) against tr(rho alpha_t(P_{S_V}) P_{T_V}) on the sample
-    grid, and witnesses analyticity by matching the matrix evaluation
-    against the closed-form eigenfrequency series at C2_STRIP_POINTS
-    points of the strip 0 <= Im z <= beta.  The state must be faithful.
+    grid (boundary_residuals), and witnesses analyticity by matching the
+    matrix evaluation against the closed-form eigenfrequency series at
+    C2_STRIP_POINTS points of the strip 0 <= Im z <= beta.  The state
+    must be faithful.
     """
     if not state.is_faithful():
         raise NotFaithful("boundary comparison requires a faithful state")
-    v = sub_s.presheaf.poset.context(context_id)
-    ps = v.block_sum(sub_s.component(context_id))
-    pt = v.block_sum(sub_t.component(context_id))
+    ps, pt, boundary = boundary_residuals(state, flow, sub_s, sub_t,
+                                          context_id, t_samples)
     beta = flow.beta
     rho = state.matrix
 
@@ -279,10 +298,6 @@ def check_C2(state: State, flow: AutomorphismFlow, sub_s: ClopenSubobject,
 
     def f_series(z: complex) -> complex:
         return complex(np.sum(coeffs * np.exp(1j * complex(z) * freqs)))
-
-    boundary = [abs(f_matrix(float(t) + 1j * beta)
-                    - complex(np.trace(rho @ flow.apply(t, ps) @ pt)))
-                for t in t_samples]
 
     ts = [float(t) for t in t_samples] or [0.0]
     t_lo, t_hi = min(ts), max(ts)

@@ -10,10 +10,14 @@ of a sub-object at V is the family of values tr(rho P_{S at alpha_g V})
 over the samples.
 
 The internal first condition asks this family to be constant over the
-whole sample set; the second compares tr(rho P_T alpha_{g+i*gamma}(P_S))
-with tr(rho alpha_g(P_S) P_T) at gamma = beta.  At gamma = 0 both sides
-of the defining diagram collapse to the measure of the same meet, so the
-degenerate check reduces to the first condition and shares its verdict.
+whole sample set.  The second is the external boundary comparison
+(kms_external.boundary_residuals) read over the samples: tr(rho P_T
+alpha_{g + i beta}(P_S)) against tr(rho alpha_g(P_S) P_T) at every
+context S and T share.  At strip height 0 both sides of the defining
+diagram collapse to the measure of the same meet, and what is left is
+the first condition on S and T; its spread on the shared contexts
+(InternalC1Report.spread_on) must share the verdict of the spread on
+all of them.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ import numpy as np
 
 from .algebra import Context, ContextPoset, fixes_blocks
 from .errors import DomainMismatch, NotFaithful
-from .kms_external import AutomorphismFlow
+from .kms_external import AutomorphismFlow, boundary_residuals
 from .measure import State
 from .numerics import dagger, frob, null_space
 from .presheaf import ClopenSubobject
@@ -43,27 +47,12 @@ class SampledGroup:
     action under negation and addition.  Checks on the group read the
     flow's policy, flow.tol."""
 
-    def __init__(self, flow: AutomorphismFlow, samples,
-                 validate: bool = True):
+    def __init__(self, flow: AutomorphismFlow, samples):
         self.flow = flow
         self.samples = [float(t) for t in samples]
         if not any(abs(t) <= 1e-12 for t in self.samples):
             raise DomainMismatch("sampled group must contain 0")
         self._unitaries = [flow.unitary(t) for t in self.samples]
-        if validate:
-            self._validate()
-
-    def __len__(self):
-        return len(self.samples)
-
-    def real_unitaries(self):
-        return list(zip(self.samples, self._unitaries))
-
-    def _has_action(self, u) -> bool:
-        return any(same_action(u, v, self.flow.tol.eps_measure)
-                   for v in self._unitaries)
-
-    def _validate(self):
         for t, u in zip(self.samples, self._unitaries):
             if not self._has_action(dagger(u)):
                 raise DomainMismatch(
@@ -75,6 +64,16 @@ class SampledGroup:
                     raise DomainMismatch(
                         "sample set is not closed under the group law"
                     )
+
+    def __len__(self):
+        return len(self.samples)
+
+    def real_unitaries(self):
+        return list(zip(self.samples, self._unitaries))
+
+    def _has_action(self, u) -> bool:
+        return any(same_action(u, v, self.flow.tol.eps_measure)
+                   for v in self._unitaries)
 
 
 def fixed_point_subgroup(group: SampledGroup, contexts):
@@ -173,6 +172,12 @@ class InternalC1Report:
     def passed(self, eps: float) -> bool:
         return self.max_spread <= eps
 
+    def spread_on(self, context_ids) -> float:
+        """The largest spread at the given contexts."""
+        keep = set(context_ids)
+        return max((e.spread for e in self.entries if e.context_id in keep),
+                   default=0.0)
+
 
 def check_internal_C1(state: State, sub,
                       group: SampledGroup) -> InternalC1Report:
@@ -197,74 +202,28 @@ def check_internal_C1(state: State, sub,
 
 
 @dataclass
-class InternalC2Entry:
-    context_id: str
-    g: float
-    lhs: complex    # tr(rho P_T alpha_{g + i gamma}(P_S))
-    rhs: complex    # tr(rho alpha_g(P_S) P_T)
-
-    @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
-@dataclass
 class InternalC2Report:
     context_ids: list
-    gamma: float
-    mode: str       # "strip" or "constancy"
-    entries: list
+    gamma: float    # the strip height, the flow's beta
     max_residual: float
-    constancy: InternalC1Report | None = None
 
     def passed(self, eps: float) -> bool:
         return self.max_residual <= eps
 
 
 def check_internal_C2(state: State, group: SampledGroup,
-                      sub_s: ClopenSubobject, sub_t: ClopenSubobject,
-                      context_ids=None,
-                      gamma: float | None = None) -> InternalC2Report:
-    """Boundary condition over the sampled group: for every sample g and
-    every shared context, tr(rho P_T alpha_{g + i gamma}(P_S)) is compared
-    with tr(rho alpha_g(P_S) P_T).  gamma defaults to the flow temperature.
-
-    The strip degenerates at gamma = 0: both sides of the defining diagram
-    become meets of the same pair of sub-objects and agree identically, and
-    what survives is the requirement that the measures of S and T are
-    constant along the sampled orbits.  That degenerate mode therefore
-    reports the constancy spread, so its verdict matches
-    check_internal_C1 on the same inputs."""
-    flow = group.flow
-    if context_ids is None:
-        context_ids = sorted(sub_s.presheaf.poset.ids(sub_s.domain
-                                                      & sub_t.domain))
-    gamma = flow.beta if gamma is None else float(gamma)
-
-    if abs(gamma) <= 1e-14:
-        constancy = check_internal_C1(state, [sub_s, sub_t], group)
-        entries = [e for e in constancy.entries
-                   if e.context_id in set(context_ids)]
-        worst = max((e.spread for e in entries), default=0.0)
-        return InternalC2Report(context_ids=list(context_ids), gamma=0.0,
-                                mode="constancy", entries=entries,
-                                max_residual=worst, constancy=constancy)
-
+                      sub_s: ClopenSubobject,
+                      sub_t: ClopenSubobject) -> InternalC2Report:
+    """Boundary condition over the sampled group: at every context S and
+    T share, the external C2 boundary comparison (boundary_residuals)
+    over the samples of the group.  The state must be faithful."""
     if not state.is_faithful():
         raise NotFaithful("boundary comparison requires a faithful state")
-    rho = state.matrix
-    entries = []
-    for cid in context_ids:
-        v = sub_s.presheaf.poset.context(cid)
-        ps = v.block_sum(sub_s.component(cid))
-        pt = v.block_sum(sub_t.component(cid))
-        for g in group.samples:
-            twisted = flow.apply_complex(complex(g, gamma), ps)
-            lhs = complex(np.trace(rho @ pt @ twisted))
-            rhs = complex(np.trace(rho @ flow.apply(g, ps) @ pt))
-            entries.append(InternalC2Entry(context_id=cid, g=float(g),
-                                           lhs=lhs, rhs=rhs))
-    worst = max((e.residual for e in entries), default=0.0)
-    return InternalC2Report(context_ids=list(context_ids), gamma=gamma,
-                            mode="strip", entries=entries,
+    context_ids = sorted(sub_s.presheaf.poset.ids(sub_s.domain
+                                                  & sub_t.domain))
+    worst = max((r for cid in context_ids
+                 for r in boundary_residuals(state, group.flow, sub_s, sub_t,
+                                             cid, group.samples)[2]),
+                default=0.0)
+    return InternalC2Report(context_ids=context_ids, gamma=group.flow.beta,
                             max_residual=worst)

@@ -8,7 +8,6 @@ raise ScenarioError, which the CLI maps to exit code 2.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -65,6 +64,24 @@ def _as_number(x, what: str, positive: bool = False) -> float:
     if positive and x <= 0:
         raise ScenarioError(f"{what} must be positive, got {x!r}")
     return float(x)
+
+
+def _as_flag(x, what: str) -> bool:
+    if not isinstance(x, bool):
+        raise ScenarioError(f"{what} must be true or false, got {x!r}")
+    return x
+
+
+def _as_count(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+        raise ScenarioError(f"{what} must be a positive integer, got {x!r}")
+    return x
+
+
+def _as_list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ScenarioError(f"{what} must be a list, got {x!r}")
+    return x
 
 
 def _as_scalar(x, what: str) -> complex:
@@ -154,7 +171,8 @@ def _resolve_state(spec, dim, hamiltonian, beta, tol) -> tuple[State, dict]:
             v = parse_vector(spec["pure"], "state.pure", dim)
             return State.pure(v, tol=tol), {"pure": spec["pure"]}
         if "spectrum" in spec:
-            w = [_as_number(x, "state.spectrum") for x in spec["spectrum"]]
+            w = [_as_number(x, "state.spectrum")
+                 for x in _as_list(spec["spectrum"], "state.spectrum")]
             if len(w) != dim:
                 raise ScenarioError(
                     f"state.spectrum needs {dim} entries, got {len(w)}")
@@ -189,14 +207,15 @@ def _resolve_contexts(cfg, projections, dim, tol):
                 blocks = [
                     projections[b] if isinstance(b, str)
                     else parse_operator(b, f"context {name} block", dim)
-                    for b in spec["blocks"]
+                    for b in _as_list(spec["blocks"], f"context {name} blocks")
                 ]
                 out.append(Context(blocks, context_id=name, tol=tol))
             elif "generated_by" in spec:
                 ops = [
                     projections[b] if isinstance(b, str)
                     else parse_operator(b, f"context {name} generator", dim)
-                    for b in spec["generated_by"]
+                    for b in _as_list(spec["generated_by"],
+                                      f"context {name} generated_by")
                 ]
                 out.append(context_from_operators(ops, context_id=name, tol=tol))
             else:
@@ -238,10 +257,10 @@ def _resolve_subobjects(cfg, presheaf, group, projections, dim):
                 if group is None:
                     raise ScenarioError(
                         f"subobject {name} needs a group for saturation")
-                pairs = [(t, u) for t, u in group.real_unitaries()]
                 subs[name] = flow_saturated_family(
-                    presheaf, s["context"], set(s["blocks"]), pairs,
-                    name=name)
+                    presheaf, s["context"],
+                    set(_as_list(s["blocks"], f"subobject {name} blocks")),
+                    group.real_unitaries(), name=name)
             else:
                 raise ScenarioError(
                     f"subobject {name} needs 'dasein' or 'saturated'")
@@ -266,7 +285,7 @@ def read_scenario(path) -> dict:
     return raw
 
 
-def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario:
+def load_scenario(path_or_dict) -> Scenario:
     """Parse, validate and materialize a scenario."""
     raw = (path_or_dict if isinstance(path_or_dict, dict)
            else read_scenario(path_or_dict))
@@ -321,28 +340,27 @@ def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario
         except ToposKMSError as exc:
             raise ScenarioError(f"hamiltonian invalid: {exc}") from exc
 
+    projections = raw.get("projections", {})
+    if not isinstance(projections, dict):
+        raise ScenarioError("projections must be an object")
     projections = {
         pname: parse_operator(spec, f"projection {pname}", dim)
-        for pname, spec in raw.get("projections", {}).items()
+        for pname, spec in projections.items()
     }
 
     seeds = _resolve_contexts(raw.get("contexts"), projections, dim, tol)
 
     poset_cfg = raw.get("poset", {})
     _known_keys(poset_cfg, POSET_KEYS, "poset")
-    downward = bool(poset_cfg.get("downward_closure", True))
-    meets = bool(poset_cfg.get("meet_closure", True))
-    group_closure = bool(poset_cfg.get("group_closure", flow is not None))
-    group_depth = int(poset_cfg.get("group_depth", 1))
-    max_contexts = int(poset_cfg.get("max_contexts", 200))
-    if max_contexts_env is None:
-        max_contexts_env = os.environ.get("TOPOSKMS_MAX_CONTEXTS")
-    if max_contexts_env:
-        try:
-            max_contexts = int(max_contexts_env)
-        except ValueError as exc:
-            raise ScenarioError(
-                f"TOPOSKMS_MAX_CONTEXTS must be an integer: {exc}") from exc
+    downward = _as_flag(poset_cfg.get("downward_closure", True),
+                        "poset.downward_closure")
+    meets = _as_flag(poset_cfg.get("meet_closure", True), "poset.meet_closure")
+    group_closure = _as_flag(poset_cfg.get("group_closure", flow is not None),
+                             "poset.group_closure")
+    group_depth = _as_count(poset_cfg.get("group_depth", 1),
+                            "poset.group_depth")
+    max_contexts = _as_count(poset_cfg.get("max_contexts", 200),
+                             "poset.max_contexts")
 
     group = None
     group_cfg = raw.get("group")
@@ -350,35 +368,37 @@ def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario
         _known_keys(group_cfg, GROUP_KEYS, "group")
         if flow is None:
             raise ScenarioError("group requires a hamiltonian")
-        samples = [
-            _as_number(t, "group.samples") for t in group_cfg.get("samples", [])
-        ]
+        samples = [_as_number(t, "group.samples")
+                   for t in _as_list(group_cfg.get("samples", []),
+                                     "group.samples")]
         try:
             group = SampledGroup(flow, samples)
         except ToposKMSError as exc:
             raise ScenarioError(f"group grid invalid: {exc}") from exc
 
-    t_grid = [_as_number(t, "t_grid") for t in raw.get("t_grid", [])]
-    r_queries = [_as_number(r, "r_queries") for r in raw.get("r_queries", [])]
+    t_grid = [_as_number(t, "t_grid")
+              for t in _as_list(raw.get("t_grid", []), "t_grid")]
+    r_queries = [_as_number(r, "r_queries")
+                 for r in _as_list(raw.get("r_queries", []), "r_queries")]
 
     try:
         poset = build_poset(
             seeds,
             downward_closure=downward,
             meet_closure=meets,
-            group=group if group_closure else None,
+            unitaries=([u for t, u in group.real_unitaries() if t != 0.0]
+                       if group_closure and group is not None else []),
             group_depth=group_depth,
             max_contexts=max_contexts,
             tol=tol,
         )
         if group_closure and flow is not None and t_grid:
-            extra = SampledGroup(flow, sorted({0.0, *t_grid, *(-t for t in t_grid)}),
-                                 validate=False)
             poset = build_poset(
                 list(poset.contexts),
                 downward_closure=downward,
                 meet_closure=meets,
-                group=extra,
+                unitaries=[flow.unitary(t) for t in sorted(
+                    {*t_grid, *(-t for t in t_grid)}) if t != 0.0],
                 group_depth=group_depth,
                 max_contexts=max_contexts,
                 tol=tol,
@@ -394,7 +414,7 @@ def load_scenario(path_or_dict, max_contexts_env: str | None = None) -> Scenario
     if pairs is None:
         names = sorted(subobjects)
         pairs = [[a, b] for a in names for b in names if a != b]
-    for p in pairs:
+    for p in _as_list(pairs, "pairs"):
         if (not isinstance(p, list) or len(p) != 2
                 or any(q not in subobjects for q in p)):
             raise ScenarioError(f"pair {p} references unknown subobjects")

@@ -424,19 +424,19 @@ def run_internal_c2(scn, rep):
             residual=c2.max_residual, eps=eps)
         ok = ok and e.verdict == PASS
 
-        # at gamma = 0 the check is internal C1 on (S, T), kept as constancy
-        degen = check_internal_C2(scn.state, scn.group, sub_s, sub_t,
-                                  gamma=0.0)
-        c1 = degen.constancy
-        agree = degen.passed(scn.tol.eps_measure) == c1.passed(
-            scn.tol.eps_measure)
+        # at gamma = 0 the check is internal C1 on (S, T) at their shared
+        # contexts, whose verdict must match internal C1 on all of theirs
+        c1 = check_internal_C1(scn.state, [sub_s, sub_t], scn.group)
+        degen = c1.spread_on(c2.context_ids)
+        held = degen <= scn.tol.eps_measure
+        c1_held = c1.passed(scn.tol.eps_measure)
         e = rep.add(
             "internal-c2",
             f"gamma=0 degeneration matches internal C1 ({a},{b})",
-            lhs="pass" if degen.passed(scn.tol.eps_measure) else "fail",
-            rhs="pass" if c1.passed(scn.tol.eps_measure) else "fail",
-            residual=degen.max_residual,
-            verdict=PASS if agree else FAIL)
+            lhs="pass" if held else "fail",
+            rhs="pass" if c1_held else "fail",
+            residual=degen,
+            verdict=PASS if held == c1_held else FAIL)
         ok = ok and e.verdict == PASS
     return ok
 

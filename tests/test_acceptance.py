@@ -261,20 +261,16 @@ def test_criterion_07_internal_kms(c3_gibbs, c3_pure):
 
         c2 = check_internal_C2(c3_gibbs.state, c3_gibbs.group,
                                c3_gibbs.subs["S1"], c3_gibbs.subs["S2"])
-        assert c2.mode == "strip"
         assert c2.max_residual <= 1e-8
 
-        # gamma = 0 collapses the analytic condition onto constancy and
-        # must share its verdict on both the positive and negative model
-        degen = check_internal_C2(c3_gibbs.state, c3_gibbs.group,
-                                  c3_gibbs.subs["S1"], c3_gibbs.subs["S2"],
-                                  gamma=0.0)
-        assert degen.mode == "constancy"
-        assert degen.passed(1e-9) == (good.max_spread <= 1e-9)
-        degen_bad = check_internal_C2(c3_pure.state, c3_pure.group,
-                                      c3_pure.subs["S1"],
-                                      c3_pure.subs["S2"], gamma=0.0)
-        assert degen_bad.passed(1e-9) == (bad.max_spread <= 1e-9) == False
+        # gamma = 0 collapses the analytic condition onto constancy of S
+        # and T on their shared contexts, which must share the verdict of
+        # constancy on all their contexts, positive and negative model
+        for model, verdict in ((c3_gibbs, True), (c3_pure, False)):
+            s1, s2 = model.subs["S1"], model.subs["S2"]
+            pair = check_internal_C1(model.state, [s1, s2], model.group)
+            degen = pair.spread_on(model.poset.ids(s1.domain & s2.domain))
+            assert (degen <= 1e-9) == pair.passed(1e-9) == verdict
 
 
 def test_criterion_08_modular_suite(c3_gibbs):

@@ -27,7 +27,6 @@ from toposkms.errors import (
     TrivialAlgebra,
 )
 from toposkms.kms_external import AutomorphismFlow
-from toposkms.kms_internal import SampledGroup
 from toposkms.numerics import frob
 from toposkms.presheaf import SpectralPresheaf
 from toposkms.tolerances import DEFAULT_TOL
@@ -123,16 +122,6 @@ def test_apply_automorphism_preserves_structure():
     assert contexts_equal(back, vex)
 
 
-class _OneUnitary:
-    """A group sample of a single matrix, for build_poset."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def real_unitaries(self):
-        return [(1.0, self.u)]
-
-
 def test_unitarity_is_checked_against_the_policy():
     # ||U* U - 1||_F is about 2e-9: refused at the default eps_herm of
     # 1e-10, accepted at 1e-8, wherever a context is moved
@@ -146,9 +135,8 @@ def test_unitarity_is_checked_against_the_policy():
         build_poset([vex]).image(u, "Vex")
     assert build_poset([vex], tol=loose).image(u, "Vex")[0] == "Vex"
     with pytest.raises(NotUnitary):
-        build_poset([vex], group=_OneUnitary(u), group_depth=1)
-    poset = build_poset([vex], group=_OneUnitary(u), group_depth=1,
-                        tol=loose)
+        build_poset([vex], unitaries=[u], group_depth=1)
+    poset = build_poset([vex], unitaries=[u], group_depth=1, tol=loose)
     assert [v.id for v in poset.contexts] == ["Vex"]
 
 
@@ -225,10 +213,10 @@ def test_poset_size_cap():
 
 def test_group_closure_adds_orbit_images():
     flow = AutomorphismFlow(np.diag([0.0, 1.0, 2.0]))
-    group = SampledGroup(flow, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2,
-                                2 * math.pi])
+    unitaries = [flow.unitary(t) for t in (math.pi / 2, math.pi,
+                                           3 * math.pi / 2, 2 * math.pi)]
     vex = context_from_operators([P12SYM], "Vex")
-    poset = build_poset([vex], group=group, group_depth=1)
+    poset = build_poset([vex], unitaries=unitaries, group_depth=1)
     assert len(poset.contexts) == 4  # t = 0 and t = 2*pi coincide
 
 

@@ -265,6 +265,50 @@ def test_unknown_scenario_keys_exit_2(scenario_dir, tmp_path, capfd, where,
     assert code == 2 and f"input error: {message}" in err, err
 
 
+@pytest.mark.parametrize("where, key, value, message", [
+    (("poset",), "meet_closure", "false",
+     "poset.meet_closure must be true or false, got 'false'"),
+    (("poset",), "downward_closure", 1,
+     "poset.downward_closure must be true or false, got 1"),
+    (("poset",), "group_closure", None,
+     "poset.group_closure must be true or false, got None"),
+    (("poset",), "group_depth", "x",
+     "poset.group_depth must be a positive integer, got 'x'"),
+    (("poset",), "group_depth", 0,
+     "poset.group_depth must be a positive integer, got 0"),
+    (("poset",), "group_depth", True,
+     "poset.group_depth must be a positive integer, got True"),
+    (("poset",), "max_contexts", 2.5,
+     "poset.max_contexts must be a positive integer, got 2.5"),
+    (("poset",), "max_contexts", -3,
+     "poset.max_contexts must be a positive integer, got -3"),
+    ((), "t_grid", 5, "t_grid must be a list, got 5"),
+    ((), "r_queries", 5, "r_queries must be a list, got 5"),
+    ((), "pairs", 5, "pairs must be a list, got 5"),
+    (("group",), "samples", 5, "group.samples must be a list, got 5"),
+    ((), "projections", [], "projections must be an object"),
+    (("contexts", "Vdiag"), "blocks", 5,
+     "context Vdiag invalid: context Vdiag blocks must be a list, got 5"),
+    (("subobjects", "S1", "saturated"), "blocks", 5,
+     "subobject S1 blocks must be a list, got 5"),
+    ((), "state", {"spectrum": 5},
+     "state does not validate: state.spectrum must be a list, got 5"),
+])
+def test_malformed_scenario_values_exit_2(scenario_dir, tmp_path, capfd,
+                                          where, key, value, message):
+    doc = json.loads((scenario_dir / "gibbs_internal.json").read_text())
+    spec = doc
+    for part in where:
+        spec = spec[part]
+    spec[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(capfd, "run", "--scenario", str(path),
+                           "--out-dir", str(tmp_path / "rep"))
+    assert code == 2 and f"input error: {message}" in err, err
+    assert "Traceback" not in err
+
+
 def test_dasein_subcommand(scenario_dir, capfd):
     code, out, _ = run_cli(
         capfd, "dasein", "--scenario", str(scenario_dir / "example_c3.json"),

@@ -14,7 +14,7 @@ from toposkms.kms_internal import (
     orbits,
     same_action,
 )
-from toposkms.kms_external import AutomorphismFlow, check_C1
+from toposkms.kms_external import AutomorphismFlow, check_C1, check_C2
 from toposkms.presheaf import daseinisation_subobject
 from toposkms.tolerances import DEFAULT_TOL
 
@@ -127,15 +127,26 @@ def test_daseinised_rank_one_families_coarsen_to_identity(c3_pure):
 
 
 def test_internal_c2_strip_for_gibbs(c3_gibbs):
-    rep = check_internal_C2(c3_gibbs.state, c3_gibbs.group,
-                            c3_gibbs.subs["S1"], c3_gibbs.subs["S2"])
-    assert rep.mode == "strip"
-    assert rep.gamma == 1.0  # defaults to beta
+    s1, s2 = c3_gibbs.subs["S1"], c3_gibbs.subs["S2"]
+    rep = check_internal_C2(c3_gibbs.state, c3_gibbs.group, s1, s2)
+    assert rep.gamma == 1.0  # the flow's beta
     assert rep.max_residual <= 1e-8
     assert rep.passed(1e-8)
-    # entries carry both sides per (context, sample)
-    assert {e.context_id for e in rep.entries} <= set(
-        c3_gibbs.poset.ids(c3_gibbs.subs["S1"].domain))
+    assert rep.context_ids == sorted(c3_gibbs.poset.ids(s1.domain
+                                                        & s2.domain))
+    assert rep.context_ids
+
+
+def test_internal_c2_is_external_c2_over_the_samples(c3_gibbs):
+    # the same boundary comparison, so the same residuals bit for bit
+    for a, b in (("S1", "S2"), ("S2", "S12"), ("S12", "S1")):
+        s, t = c3_gibbs.subs[a], c3_gibbs.subs[b]
+        rep = check_internal_C2(c3_gibbs.state, c3_gibbs.group, s, t)
+        external = [check_C2(c3_gibbs.state, c3_gibbs.flow, s, t, cid,
+                             t_samples=c3_gibbs.group.samples)
+                    for cid in rep.context_ids]
+        assert rep.max_residual == max(
+            c2.max_boundary_residual for c2 in external)
 
 
 def test_internal_c2_strip_needs_faithful_state(c3_pure):
@@ -146,24 +157,13 @@ def test_internal_c2_strip_needs_faithful_state(c3_pure):
 
 def test_internal_c2_degenerates_to_constancy(c3_gibbs, c3_pure):
     # at gamma = 0 both legs of the diagram reduce to the same meet, so
-    # the check collapses onto the first condition and shares its verdict
-    good = check_internal_C2(c3_gibbs.state, c3_gibbs.group,
-                             c3_gibbs.subs["S1"], c3_gibbs.subs["S2"],
-                             gamma=0.0)
-    assert good.mode == "constancy"
-    assert good.constancy is not None
-    c1 = check_internal_C1(c3_gibbs.state,
-                           [c3_gibbs.subs["S1"], c3_gibbs.subs["S2"]],
-                           c3_gibbs.group)
-    assert good.passed(1e-9) == (c1.max_spread <= 1e-9) == True
-
-    bad = check_internal_C2(c3_pure.state, c3_pure.group,
-                            c3_pure.subs["S1"], c3_pure.subs["S2"],
-                            gamma=0.0)
-    c1_bad = check_internal_C1(c3_pure.state,
-                               [c3_pure.subs["S1"], c3_pure.subs["S2"]],
-                               c3_pure.group)
-    assert bad.passed(1e-9) == (c1_bad.max_spread <= 1e-9) == False
+    # the check collapses onto the first condition on the shared contexts
+    # and shares the verdict of the first condition on all of them
+    for model, verdict in ((c3_gibbs, True), (c3_pure, False)):
+        s1, s2 = model.subs["S1"], model.subs["S2"]
+        shared = model.poset.ids(s1.domain & s2.domain)
+        c1 = check_internal_C1(model.state, [s1, s2], model.group)
+        assert (c1.spread_on(shared) <= 1e-9) == c1.passed(1e-9) == verdict
 
 
 def test_external_c1_implies_internal_c1(c3_gibbs, c3_pure):

@@ -406,7 +406,8 @@ def test_flow_checks_match_dense_oracle(fixture, request):
     c3 = request.getfixturevalue(fixture)
     # off-grid parameters take the "direct" path, group samples the "poset" one
     t_grid = list(c3.t_grid) + list(GRID5)
-    off_grid = SampledGroup(c3.flow, [0.0, 0.5, 1.0], validate=False)
+    # a closed group whose images of Vex leave the poset: "direct" path
+    off_grid = SampledGroup(c3.flow, [0.0, 2 * np.pi / 3, 4 * np.pi / 3])
     paths = set()
     for sub in c3.subs.values():
         rep = check_C1(c3.state, c3.flow, sub, t_grid)

@@ -149,7 +149,7 @@ def test_named_stages_must_exist_in_the_poset():
         load_scenario(scn_dict(truth_stage="Vmissing"))
 
 
-def test_environment_cap_overrides_the_scenario_cap():
+def test_the_scenario_cap_bounds_the_poset():
     d = scn_dict(
         dim=3,
         state={"matrix": [[0.5, 0, 0], [0, 0.3, 0], [0, 0, 0.2]]},
@@ -158,9 +158,9 @@ def test_environment_cap_overrides_the_scenario_cap():
     )
     assert len(load_scenario(d).poset.contexts) == 4
     with pytest.raises(ScenarioError, match="poset construction failed"):
-        load_scenario(d, max_contexts_env="3")
-    with pytest.raises(ScenarioError, match="integer"):
-        load_scenario(d, max_contexts_env="three")
+        load_scenario(dict(d, poset={"max_contexts": 3}))
+    assert len(load_scenario(dict(d, poset={"max_contexts": 4}))
+               .poset.contexts) == 4
 
 
 def test_full_corpus_parses(scenario_dir):
