@@ -543,64 +543,70 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
                 tol: TolerancePolicy = DEFAULT_TOL) -> ContextPoset:
     """Grow a poset from seed contexts under the requested closures.
 
-    Group closure adds U V U* for every unitary U of the list and every
-    context V, in group_depth sweeps (a bound, so sample grids that do
-    not close still end).  Exceeding max_contexts raises PosetTooLarge.
+    unitaries is a list of phases, each a list of unitaries.  Group
+    closure runs the phases in turn on one index: a phase adds U V U*
+    for every unitary U of it and every context V, in group_depth sweeps
+    (a bound, so sample grids that do not close still end), and the
+    next phase starts once the downward and meet closures of this one
+    are complete.  Exceeding max_contexts raises PosetTooLarge.
 
     Downward closure expands each context once, and skips the contexts
     it added: their coarse-grainings are coarse-grainings of their parent.
+    A meet pass pairs only contexts of which at least one arrived since
+    the previous pass; older pairs would only find their meet again.
     """
     index = ContextIndex(tol)
     contexts = index.contexts
 
-    def add(candidate: Context) -> int:
-        found = index.find(candidate)
-        if found is not None:
-            return found
+    def add(candidate: Context) -> bool:
+        """True when the candidate is new and appended."""
+        if index.find(candidate) is not None:
+            return False
         if len(contexts) >= max_contexts:
             raise PosetTooLarge(
                 f"poset exceeded max_contexts={max_contexts} during closure"
             )
-        return index.append(candidate)
+        index.append(candidate)
+        return True
 
     for s in seeds:
         add(s)
 
     cursor = 0  # contexts before the cursor went through a downward step
     closed = set()  # indices added as coarse-grainings of an expanded context
-    changed = True
-    sweeps = 0
-    while changed:
-        changed = False
-        sweeps += 1
-        if downward_closure:
-            end = len(contexts)
-            for idx in range(cursor, end):
-                if idx in closed:
-                    continue
-                before = len(contexts)
-                for w in _coarse_grainings(contexts[idx]):
-                    add(w)
-                closed.update(range(before, len(contexts)))
-                changed = changed or len(contexts) > before
-            cursor = end
-        if meet_closure:
-            snapshot = list(contexts)
-            for i in range(len(snapshot)):
-                for j in range(i + 1, len(snapshot)):
-                    w = meet_context(snapshot[i], snapshot[j], tol)
-                    if w is not None:
-                        before = len(contexts)
-                        add(w)
-                        changed = changed or len(contexts) > before
-        if unitaries and sweeps <= group_depth:
-            for v in list(contexts):
-                for u in unitaries:
+    paired = 0  # contexts before this index were paired by a meet pass
+    for phase in list(unitaries) or [()]:
+        changed = True
+        sweeps = 0
+        while changed:
+            changed = False
+            sweeps += 1
+            if downward_closure:
+                end = len(contexts)
+                for idx in range(cursor, end):
+                    if idx in closed:
+                        continue
                     before = len(contexts)
-                    add(apply_automorphism(u, v, tol=tol))
+                    for w in _coarse_grainings(contexts[idx]):
+                        add(w)
+                    closed.update(range(before, len(contexts)))
                     changed = changed or len(contexts) > before
-        if unitaries and sweeps >= group_depth \
-                and not downward_closure and not meet_closure:
-            break
+                cursor = end
+            if meet_closure:
+                snapshot = list(contexts)
+                for i in range(len(snapshot)):
+                    for j in range(max(i + 1, paired), len(snapshot)):
+                        w = meet_context(snapshot[i], snapshot[j], tol)
+                        if w is not None and add(w):
+                            changed = True
+                paired = len(snapshot)
+            if phase and sweeps <= group_depth:
+                for v in list(contexts):
+                    for u in phase:
+                        if add(apply_automorphism(u, v, tol=tol)):
+                            changed = True
+            if phase and sweeps >= group_depth \
+                    and not downward_closure and not meet_closure:
+                break
 
     return ContextPoset(contexts, tol)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ContextIndex, ContextPoset, context_from_operators
+from .algebra import ContextIndex, context_from_operators
 from .errors import (
     AmbiguousMatch,
     DomainMismatch,
@@ -34,7 +34,7 @@ from .errors import (
     NotHermitian,
     PosetNotClosed,
 )
-from .measure import State, weight_sum
+from .measure import FlowReport, State, weight_sum
 from .numerics import (
     as_complex_matrix,
     dagger,
@@ -157,74 +157,38 @@ def flow_saturated_family(presheaf: SpectralPresheaf, base_context_id: str,
 # condition C1
 
 
-@dataclass
-class C1Entry:
-    subobject: str
-    t: float
-    context_id: str
-    lhs: float
-    rhs: float
-    path: str  # "poset" or "direct"
-
-    @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
-@dataclass
-class C1Report:
-    entries: list
-    max_residual: float
-    consistency_gap: float  # poset lookup vs direct evaluation, where both exist
-    convention: str
-
-    def passed(self, eps: float) -> bool:
-        return self.max_residual <= eps
-
-
-def check_C1(state: State, flow: AutomorphismFlow, subobjects,
-             t_grid) -> C1Report:
+def check_C1(state: State, flow: AutomorphismFlow, sub: ClopenSubobject,
+             t_grid) -> FlowReport:
     """Invariance of the measure under the flow.
 
-    For each sub-object S, context V and parameter t the two sides are
+    At each parameter t and context V of the domain of S the two sides
+    are
         lhs = tr(rho P_{S_V})        rhs = tr(rho P_{S at alpha_t V}),
-    both block-weight sums.  ClopenSubobject.moved reads the flowed
-    component from the poset ("poset" path) when the moved context is in
-    the domain of S; otherwise, for flow-equivariant families, whose
-    flowed component is U_t P_{S_V} U_t*, rhs = tr(U_t* rho U_t P_{S_V})
-    ("direct" path).  When both routes exist, the Frobenius distance
-    between the two projections is reported as the consistency gap.
+    both block-weight sums (ClopenSubobject.orbit).  ClopenSubobject.moved
+    reads the flowed component from the poset (on_poset) when the moved
+    context is in the domain of S; otherwise, for flow-equivariant
+    families, whose flowed component is U_t P_{S_V} U_t*, rhs =
+    tr(U_t* rho U_t P_{S_V}) (the "direct" path).  When both routes
+    exist, the Frobenius distance between the two projections is
+    reported as the consistency gap.
     """
-    if isinstance(subobjects, ClopenSubobject):
-        subobjects = [subobjects]
-    entries = []
+    ph = sub.presheaf
+    poset = ph.poset
+    unitaries = [flow.unitary(t) for t in t_grid]
+    here, rhs, on_poset = sub.orbit(state.matrix, unitaries)
+
+    def dense(j):
+        return poset.contexts[j].block_sum(
+            sub.component(poset.contexts[j].id))
+
     gap = 0.0
-    for sub in subobjects:
-        ph = sub.presheaf
-        poset = ph.poset
-
-        def dense(j):
-            return poset.contexts[j].block_sum(
-                sub.component(poset.contexts[j].id))
-
-        here = sub.measure(ph.weights(state.matrix))
-        for t in t_grid:
-            u = flow.unitary(t)
-            target, _ = ph.action(u, sub.domain)
-            rhs, on_poset = sub.moved(here, target,
-                                      dagger(u) @ state.matrix @ u)
-            for i in np.flatnonzero(sub.domain):
-                if on_poset[i] and sub.flow_equivariant:
-                    gap = max(gap, frob(dense(target[i])
-                                        - u @ dense(i) @ dagger(u)))
-                entries.append(C1Entry(
-                    subobject=sub.name or "S", t=float(t),
-                    context_id=poset.contexts[i].id, lhs=float(here[i]),
-                    rhs=float(rhs[i]),
-                    path="poset" if on_poset[i] else "direct"))
-    worst = max((e.residual for e in entries), default=0.0)
-    return C1Report(entries=entries, max_residual=worst, consistency_gap=gap,
-                    convention=flow.convention)
+    inside = np.flatnonzero(sub.domain)
+    for u, hits in zip(unitaries, on_poset & sub.flow_equivariant):
+        target = ph.action(u, sub.domain)[0]
+        for i in inside[hits]:
+            gap = max(gap, frob(dense(target[i]) - u @ dense(i) @ dagger(u)))
+    return FlowReport(t_grid, poset.ids(sub.domain), here, rhs,
+                      on_poset=on_poset, consistency_gap=gap)
 
 
 # --------------------------------------------------------------------------
@@ -402,74 +366,32 @@ def twist(truth: TruthObject, flow: AutomorphismFlow, t: float) -> TwistedTruthO
 # truth values as cutoff tables
 
 
-@dataclass
-class TruthValue:
-    """The degree to which 'the proposition holds at least to level r'
-    is settled at each context below the stage: V' -> min(r, mu), mu the
-    measure of outer, the outer daseinisation of the proposition on the
-    lower set of the stage."""
+def check_truth_value_invariance(state: State, flow: AutomorphismFlow, p,
+                                 context_id: str, r: float,
+                                 presheaf: SpectralPresheaf, t_grid
+                                 ) -> FlowReport:
+    """Compare the cutoff table of p with the table of the flowed
+    proposition at the flowed stage, pulled back through the flow.
 
-    context_id: str
-    r: float
-    outer: ClopenSubobject
-    table: dict
-
-
-def _cutoffs(outer: ClopenSubobject, matrix, r: float) -> dict:
-    """V' -> min(r, mu(outer)(V') under a density matrix), over the
-    domain of outer in index order."""
-    poset = outer.presheaf.poset
-    mu = outer.measure(outer.presheaf.weights(matrix, outer.domain))
-    return {poset.contexts[i].id: min(r, float(mu[i]))
-            for i in np.flatnonzero(outer.domain)}
-
-
-def truth_value(state: State, p, context_id: str, r: float,
-                presheaf: SpectralPresheaf) -> TruthValue:
-    """Cutoff table of the outer approximation of p on the lower set of
-    the stage context: V' -> min(r, mu of the daseinised blocks at V'),
-    daseinised under the presheaf's policy."""
+    The table is V' -> min(r, mu of the outer daseinisation of p at V'),
+    over the lower set of the stage context, daseinised under the
+    presheaf's policy (lhs).  The transported table is V' -> min(r,
+    tr(rho U_t d(p)_{V'} U_t*)), the table of the state U_t* rho U_t on
+    the same daseinised mask (rhs, one row per t)."""
     poset = presheaf.poset
     outer = ClopenSubobject.from_components(
         presheaf, {cid: dasein_indices(p, poset.context(cid), presheaf.tol)
                    for cid in poset.lower_set(context_id)})
-    return TruthValue(context_id=context_id, r=float(r), outer=outer,
-                      table=_cutoffs(outer, state.matrix, float(r)))
 
+    def cutoffs(matrix):
+        mu = outer.measure(presheaf.weights(matrix, outer.domain))
+        return np.minimum(float(r), mu[outer.domain])
 
-@dataclass
-class TruthInvarianceEntry:
-    t: float
-    residual: float
-    worst_context: str
-
-
-@dataclass
-class TruthInvarianceReport:
-    entries: list
-    max_residual: float
-
-
-def check_truth_value_invariance(state: State, flow: AutomorphismFlow, p,
-                                 context_id: str, r: float,
-                                 presheaf: SpectralPresheaf, t_grid
-                                 ) -> TruthInvarianceReport:
-    """Compare the cutoff table of p with the table of the flowed
-    proposition at the flowed stage, pulled back through the flow: the
-    transported table is V' -> min(r, tr(rho U_t d(p)_{V'} U_t*)), the
-    table of the state U_t* rho U_t on the same daseinised mask."""
-    base = truth_value(state, p, context_id, r, presheaf)
-    entries = []
-    for t in t_grid:
-        u = flow.unitary(t)
-        moved = _cutoffs(base.outer, dagger(u) @ state.matrix @ u, base.r)
-        diffs = {c: abs(base.table[c] - moved[c]) for c in base.table}
-        worst_ctx = max(diffs, key=diffs.get)
-        entries.append(TruthInvarianceEntry(t=float(t),
-                                            residual=diffs[worst_ctx],
-                                            worst_context=worst_ctx))
-    worst = max((e.residual for e in entries), default=0.0)
-    return TruthInvarianceReport(entries=entries, max_residual=worst)
+    rhs = np.array([cutoffs(dagger(u) @ state.matrix @ u)
+                    for u in map(flow.unitary, t_grid)]
+                   ).reshape(len(t_grid), int(outer.domain.sum()))
+    return FlowReport(t_grid, poset.ids(outer.domain), cutoffs(state.matrix),
+                      rhs)
 
 
 # --------------------------------------------------------------------------
@@ -625,12 +547,13 @@ def _spectral_projections(a, tol: TolerancePolicy):
     return out
 
 
-def expectation_value(a, state: State, contexts=None) -> ExpectationResult:
+def expectation_value(a, state: State, contexts: list) -> ExpectationResult:
     """Expectation of a Hermitian operator recovered from measures of
     outer approximations: each spectral projection contributes its
-    eigenvalue times the minimum of its measure over all contexts.  The
-    eigencontext of the operator is inserted so the minimum is attained
-    exactly at tr(rho P_i).  Thresholds are the state's."""
+    eigenvalue times the minimum of its measure over the list of
+    contexts.  The eigencontext of the operator is inserted so the
+    minimum is attained exactly at tr(rho P_i).  Thresholds are the
+    state's."""
     tol = state.tol
     am = as_complex_matrix(a)
     if not is_hermitian(am, tol):
@@ -642,12 +565,9 @@ def expectation_value(a, state: State, contexts=None) -> ExpectationResult:
                                  trace_value=trace_value,
                                  eigenvalues=[spectral[0][0]],
                                  inserted_context=False)
-    ctx_list = list(contexts.contexts) if isinstance(contexts, ContextPoset) \
-        else list(contexts or [])
     eigctx = context_from_operators([am], context_id="eig", tol=tol)
-    inserted = ContextIndex(tol, ctx_list).find(eigctx) is None
-    if inserted:
-        ctx_list = ctx_list + [eigctx]
+    inserted = ContextIndex(tol, contexts).find(eigctx) is None
+    ctx_list = contexts + [eigctx] if inserted else contexts
     weights = [v.weights(state.matrix) for v in ctx_list]
     total = 0.0
     for eigval, proj in spectral:

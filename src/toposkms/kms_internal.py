@@ -16,7 +16,7 @@ alpha_{g + i beta}(P_S)) against tr(rho alpha_g(P_S) P_T) at every
 context S and T share.  At strip height 0 both sides of the defining
 diagram collapse to the measure of the same meet, and what is left is
 the first condition on S and T; its spread on the shared contexts
-(InternalC1Report.spread_on) must share the verdict of the spread on
+(FlowReport.spread_on) must share the verdict of the spread on
 all of them.
 """
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .algebra import Context, ContextPoset, fixes_blocks
 from .errors import DomainMismatch, NotFaithful
 from .kms_external import AutomorphismFlow, boundary_residuals
-from .measure import State
+from .measure import FlowReport, State
 from .numerics import dagger, frob, null_space
 from .presheaf import ClopenSubobject
 
@@ -76,15 +76,12 @@ class SampledGroup:
                    for v in self._unitaries)
 
 
-def fixed_point_subgroup(group: SampledGroup, contexts):
+def fixed_point_subgroup(group: SampledGroup, poset: ContextPoset):
     """Sample parameters whose conjugation fixes every block of every
-    given context (pass a ContextPoset or an iterable of contexts)."""
-    if isinstance(contexts, ContextPoset):
-        contexts = contexts.contexts
-    contexts = list(contexts)
+    context of the poset."""
     distance = 10 * group.flow.tol.eps_order
     return [t for t, u in group.real_unitaries()
-            if all(fixes_blocks(u, v, distance) for v in contexts)]
+            if all(fixes_blocks(u, v, distance) for v in poset.contexts)]
 
 
 @dataclass
@@ -152,53 +149,16 @@ def faithful_automorphisms(group: SampledGroup,
                               middle=middle, fixes_all=fixes_all)
 
 
-@dataclass
-class InternalC1Entry:
-    subobject: str
-    context_id: str
-    values: dict        # sample -> value
-
-    @property
-    def spread(self) -> float:
-        vals = list(self.values.values())
-        return max(vals) - min(vals) if vals else 0.0
-
-
-@dataclass
-class InternalC1Report:
-    entries: list
-    max_spread: float
-
-    def passed(self, eps: float) -> bool:
-        return self.max_spread <= eps
-
-    def spread_on(self, context_ids) -> float:
-        """The largest spread at the given contexts."""
-        keep = set(context_ids)
-        return max((e.spread for e in self.entries if e.context_id in keep),
-                   default=0.0)
-
-
-def check_internal_C1(state: State, sub,
-                      group: SampledGroup) -> InternalC1Report:
-    """Constancy of the internal measure: at every context of the
-    sub-object domain the values tr(rho P_{S at alpha_g V})
-    (ClopenSubobject.moved) must agree over the whole sample set."""
-    subs = [sub] if isinstance(sub, ClopenSubobject) else list(sub)
-    entries = []
-    for s in subs:
-        ph = s.presheaf
-        here = s.measure(ph.weights(state.matrix))
-        moved = [(t, s.moved(here, ph.action(u, s.domain)[0],
-                             dagger(u) @ state.matrix @ u)[0])
-                 for t, u in group.real_unitaries()]
-        for i in sorted(np.flatnonzero(s.domain),
-                        key=lambda i: ph.poset.contexts[i].id):
-            entries.append(InternalC1Entry(
-                subobject=s.name or "S", context_id=ph.poset.contexts[i].id,
-                values={t: float(values[i]) for t, values in moved}))
-    worst = max((e.spread for e in entries), default=0.0)
-    return InternalC1Report(entries=entries, max_spread=worst)
+def check_internal_C1(state: State, sub: ClopenSubobject,
+                      group: SampledGroup) -> FlowReport:
+    """Constancy of the internal measure: at every context V of the
+    sub-object domain the values tr(rho P_{S at alpha_g V}), one row per
+    sample g (ClopenSubobject.orbit, rhs), must agree over the whole
+    sample set; FlowReport.spreads holds their range per context."""
+    here, values, on_poset = sub.orbit(
+        state.matrix, [u for _, u in group.real_unitaries()])
+    return FlowReport(group.samples, sub.presheaf.poset.ids(sub.domain),
+                      here, values, on_poset=on_poset)
 
 
 @dataclass

@@ -194,25 +194,51 @@ def verify_measure_properties(state: State, presheaf: SpectralPresheaf,
 
 
 @dataclass
-class GroupActionEntry:
-    t: float
-    context_id: str
-    lhs: float
-    rhs: float
+class FlowReport:
+    """A flow check over (samples, contexts): row k of lhs and rhs
+    belongs to the parameter samples[k], column j to the domain context
+    context_ids[j], in poset index order.  External C1 also records
+    where rhs was read off the poset (on_poset) and the poset lookup vs
+    direct evaluation gap; internal C1 reads the spread of rhs over the
+    samples.  A row of lhs is broadcast over the samples."""
+
+    samples: np.ndarray
+    context_ids: list
+    lhs: np.ndarray
+    rhs: np.ndarray
+    on_poset: np.ndarray | None = None
+    consistency_gap: float = 0.0
+
+    def __post_init__(self):
+        self.samples = np.asarray(self.samples, dtype=float)
+        self.lhs = np.broadcast_to(self.lhs, self.rhs.shape)
 
     @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
+    def residuals(self) -> np.ndarray:
+        return np.abs(self.lhs - self.rhs)
 
+    @property
+    def max_residual(self) -> float:
+        return float(self.residuals.max(initial=0.0))
 
-@dataclass
-class GroupActionReport:
-    entries: list
-    max_residual: float
+    @property
+    def spreads(self) -> np.ndarray:
+        """max - min of rhs over the samples, per context."""
+        return self.rhs.max(axis=0) - self.rhs.min(axis=0)
+
+    def spread_on(self, context_ids) -> float:
+        """The largest spread at the given contexts."""
+        keep = set(context_ids)
+        inside = np.array([c in keep for c in self.context_ids], dtype=bool)
+        return float(self.spreads[inside].max(initial=0.0))
+
+    @property
+    def max_spread(self) -> float:
+        return self.spread_on(self.context_ids)
 
 
 def group_action_check(state: State, flow, sub: ClopenSubobject,
-                       t_values) -> GroupActionReport:
+                       t_values) -> FlowReport:
     """Compare the pulled-back measure with the measure of the moved state.
 
     For each context V and parameter t the two sides are
@@ -224,17 +250,17 @@ def group_action_check(state: State, flow, sub: ClopenSubobject,
     U_t* rho_t U_t is rho itself).
     """
     ph = sub.presheaf
-    entries = []
+    lhs, rhs = [], []
     for t in t_values:
         u = flow.unitary(t)
         moved = sub.measure(ph.weights(u @ state.matrix @ dagger(u)))
-        lhs, _ = sub.moved(moved, ph.action(u, sub.domain)[0], state.matrix)
-        for i in np.flatnonzero(sub.domain):
-            entries.append(GroupActionEntry(
-                t=float(t), context_id=ph.poset.contexts[i].id,
-                lhs=float(lhs[i]), rhs=float(moved[i])))
-    worst = max((e.residual for e in entries), default=0.0)
-    return GroupActionReport(entries=entries, max_residual=worst)
+        pulled, _ = sub.moved(moved, ph.action(u, sub.domain)[0],
+                              state.matrix)
+        lhs.append(pulled[sub.domain])
+        rhs.append(moved[sub.domain])
+    shape = (len(lhs), int(sub.domain.sum()))
+    return FlowReport(t_values, ph.poset.ids(sub.domain),
+                      np.reshape(lhs, shape), np.reshape(rhs, shape))
 
 
 # --------------------------------------------------------------------------

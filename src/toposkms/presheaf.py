@@ -37,7 +37,8 @@ character each character is carried to (ContextPoset.image, context by
 context).  It is computed once per (unitary, domain) and kept on the
 presheaf, so C1, the group action, internal C1 and pullback share it.
 pullback is one gather of a mask stack through the characters, and
-ClopenSubobject.moved is the one rule for mu(S) at a moved context.
+ClopenSubobject.moved is the one rule for mu(S) at a moved context;
+ClopenSubobject.orbit stacks it over a list of unitaries.
 """
 from __future__ import annotations
 
@@ -367,6 +368,21 @@ class ClopenSubobject:
             values[off] = self.measure(
                 self.presheaf.weights(pulled_state, off))[off]
         return values, on_poset
+
+    def orbit(self, rho, unitaries):
+        """(here, values, on_poset) over the domain contexts in index
+        order: here is mu(S) of the density matrix rho at each of them,
+        and row k of values and on_poset is moved under the k-th
+        unitary U, with U* rho U as the pulled state."""
+        ph = self.presheaf
+        here = self.measure(ph.weights(rho))
+        values = np.empty((len(unitaries), int(self.domain.sum())))
+        on_poset = np.empty(values.shape, dtype=bool)
+        for k, u in enumerate(unitaries):
+            row, hit = self.moved(here, ph.action(u, self.domain)[0],
+                                  dagger(u) @ rho @ u)
+            values[k], on_poset[k] = row[self.domain], hit[self.domain]
+        return here[self.domain], values, on_poset
 
 
 def complete_downward(presheaf: SpectralPresheaf, assignments: dict,

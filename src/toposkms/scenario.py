@@ -84,6 +84,12 @@ def _as_list(x, what: str) -> list:
     return x
 
 
+def _as_string(x, what: str) -> str:
+    if not isinstance(x, str):
+        raise ScenarioError(f"{what} must be a string, got {x!r}")
+    return x
+
+
 def _as_scalar(x, what: str) -> complex:
     """A JSON scalar: finite real number or [re, im] pair."""
     if isinstance(x, list) and len(x) == 2:
@@ -257,10 +263,18 @@ def _resolve_subobjects(cfg, presheaf, group, projections, dim):
                 if group is None:
                     raise ScenarioError(
                         f"subobject {name} needs a group for saturation")
+                # indices outside the context, negative ones included,
+                # are refused by flow_saturated_family
+                blocks = _as_list(s["blocks"], f"subobject {name} blocks")
+                if any(isinstance(b, bool) or not isinstance(b, int)
+                       for b in blocks):
+                    raise ScenarioError(
+                        f"subobject {name} blocks must be integers, "
+                        f"got {blocks!r}")
                 subs[name] = flow_saturated_family(
-                    presheaf, s["context"],
-                    set(_as_list(s["blocks"], f"subobject {name} blocks")),
-                    group.real_unitaries(), name=name)
+                    presheaf,
+                    _as_string(s["context"], f"subobject {name} context"),
+                    set(blocks), group.real_unitaries(), name=name)
             else:
                 raise ScenarioError(
                     f"subobject {name} needs 'dasein' or 'saturated'")
@@ -297,7 +311,11 @@ def load_scenario(path_or_dict) -> Scenario:
     if dim > MAX_DIM:
         raise ScenarioError(f"dim {dim} exceeds the supported maximum {MAX_DIM}")
 
-    name = raw.get("name", "scenario")
+    # the name is the default output directory reports/<name>
+    name = _as_string(raw.get("name", "scenario"), "name")
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ScenarioError(
+            f"name must be one path component, got {name!r}")
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ScenarioError("seed must be an integer")
@@ -381,28 +399,23 @@ def load_scenario(path_or_dict) -> Scenario:
     r_queries = [_as_number(r, "r_queries")
                  for r in _as_list(raw.get("r_queries", []), "r_queries")]
 
+    # group closure: the samples of the group, then once the poset has
+    # closed under those, the flow at +-t for t in the grid
+    phases = [[u for t, u in group.real_unitaries() if t != 0.0]
+              if group_closure and group is not None else []]
+    if group_closure and flow is not None and t_grid:
+        phases.append([flow.unitary(t) for t in sorted(
+            {*t_grid, *(-t for t in t_grid)}) if t != 0.0])
     try:
         poset = build_poset(
             seeds,
             downward_closure=downward,
             meet_closure=meets,
-            unitaries=([u for t, u in group.real_unitaries() if t != 0.0]
-                       if group_closure and group is not None else []),
+            unitaries=phases,
             group_depth=group_depth,
             max_contexts=max_contexts,
             tol=tol,
         )
-        if group_closure and flow is not None and t_grid:
-            poset = build_poset(
-                list(poset.contexts),
-                downward_closure=downward,
-                meet_closure=meets,
-                unitaries=[flow.unitary(t) for t in sorted(
-                    {*t_grid, *(-t for t in t_grid)}) if t != 0.0],
-                group_depth=group_depth,
-                max_contexts=max_contexts,
-                tol=tol,
-            )
         presheaf = SpectralPresheaf(poset)
     except ToposKMSError as exc:
         raise ScenarioError(f"poset construction failed: {exc}") from exc
@@ -419,11 +432,11 @@ def load_scenario(path_or_dict) -> Scenario:
                 or any(q not in subobjects for q in p)):
             raise ScenarioError(f"pair {p} references unknown subobjects")
 
-    for key, cid in (("c2_context", raw.get("c2_context")),
-                     ("truth_stage", raw.get("truth_stage"))):
+    for key in ("c2_context", "truth_stage"):
+        cid = raw.get(key)
         if cid is not None:
             try:
-                poset.index_of(cid)
+                poset.index_of(_as_string(cid, key))
             except ContextMissing as exc:
                 raise ScenarioError(f"{key} {cid!r} not in poset") from exc
     c2_context = raw.get("c2_context")

@@ -213,9 +213,9 @@ def run_external_c1(scn, rep):
     ok = True
     ran = 0
     for nm in sorted(scn.subobjects):
-        sub = scn.subobjects[nm]
         try:
-            crep = check_C1(scn.state, scn.flow, [sub], scn.t_grid)
+            crep = check_C1(scn.state, scn.flow, scn.subobjects[nm],
+                            scn.t_grid)
         except PosetNotClosed:
             rep.add("external-c1",
                     f"{nm} skipped: orbit leaves the poset and the family "
@@ -224,20 +224,22 @@ def run_external_c1(scn, rep):
         ran += 1
         rep.add("external-c1", f"{nm} poset-lookup vs direct gap",
                 lhs=crep.consistency_gap, verdict=INFO)
-        if crep.passed(eps):
+        res = crep.residuals
+        if crep.max_residual <= eps:
             rep.add_pass_fail(
-                "external-c1",
-                f"{nm} max residual over {len(crep.entries)} (V, t)",
+                "external-c1", f"{nm} max residual over {res.size} (V, t)",
                 residual=crep.max_residual, eps=eps)
-        else:
-            ok = False
-            for e in sorted(crep.entries,
-                            key=lambda e: (e.subobject, e.context_id, e.t)):
-                if abs(e.lhs - e.rhs) > eps:
-                    rep.add("external-c1",
-                            f"{nm} @ {e.context_id}, t={fmtf(e.t)}",
-                            lhs=e.lhs, rhs=e.rhs,
-                            residual=abs(e.lhs - e.rhs), verdict=FAIL)
+            continue
+        ok = False
+        # failing (V, t) in context-id order, then t, equal t in grid order
+        by_t = np.argsort(crep.samples, kind="stable")
+        ids = crep.context_ids
+        for j in sorted(range(len(ids)), key=ids.__getitem__):
+            for k in by_t[res[by_t, j] > eps]:
+                rep.add("external-c1",
+                        f"{nm} @ {ids[j]}, t={fmtf(crep.samples[k])}",
+                        lhs=float(crep.lhs[k, j]), rhs=float(crep.rhs[k, j]),
+                        residual=float(res[k, j]), verdict=FAIL)
     return ok if ran else None
 
 
@@ -389,20 +391,24 @@ def run_internal_c1(scn, rep):
         rep.add("internal-c1", f"orbits @ {cid}", lhs=dec.count,
                 rhs=f"faithful={len(fa.faithful)},fixes_all={len(fa.fixes_all)}",
                 verdict=INFO)
-    subs = [scn.subobjects[k] for k in sorted(scn.subobjects)]
-    crep = check_internal_C1(scn.state, subs, scn.group)
+    reps = [(nm, check_internal_C1(scn.state, scn.subobjects[nm], scn.group))
+            for nm in sorted(scn.subobjects)]
     eps = scn.tol.eps_measure
-    if crep.passed(eps):
+    worst = max(crep.max_spread for _, crep in reps)
+    if worst <= eps:
         rep.add_pass_fail(
             "internal-c1",
-            f"orbit constancy over {len(crep.entries)} (S, V)",
-            residual=crep.max_spread, eps=eps)
-    else:
-        for e in crep.entries:
-            if e.spread > eps:
-                rep.add("internal-c1", f"{e.subobject} @ {e.context_id}",
-                        residual=e.spread, verdict=FAIL)
-    return crep.passed(eps)
+            f"orbit constancy over "
+            f"{sum(len(crep.context_ids) for _, crep in reps)} (S, V)",
+            residual=worst, eps=eps)
+        return True
+    for nm, crep in reps:
+        spreads, ids = crep.spreads, crep.context_ids
+        for j in sorted(range(len(ids)), key=ids.__getitem__):
+            if spreads[j] > eps:
+                rep.add("internal-c1", f"{nm} @ {ids[j]}",
+                        residual=float(spreads[j]), verdict=FAIL)
+    return False
 
 
 @suite("internal-c2", needs=("group", "pairs"))
@@ -426,10 +432,11 @@ def run_internal_c2(scn, rep):
 
         # at gamma = 0 the check is internal C1 on (S, T) at their shared
         # contexts, whose verdict must match internal C1 on all of theirs
-        c1 = check_internal_C1(scn.state, [sub_s, sub_t], scn.group)
-        degen = c1.spread_on(c2.context_ids)
+        c1 = [check_internal_C1(scn.state, sub, scn.group)
+              for sub in (sub_s, sub_t)]
+        degen = max(crep.spread_on(c2.context_ids) for crep in c1)
         held = degen <= scn.tol.eps_measure
-        c1_held = c1.passed(scn.tol.eps_measure)
+        c1_held = max(crep.max_spread for crep in c1) <= scn.tol.eps_measure
         e = rep.add(
             "internal-c2",
             f"gamma=0 degeneration matches internal C1 ({a},{b})",

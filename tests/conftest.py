@@ -66,7 +66,7 @@ def build_c3(state_matrix=None):
         [vdiag, vex],
         downward_closure=True,
         meet_closure=True,
-        unitaries=[u for t, u in group.real_unitaries() if t != 0.0],
+        unitaries=[[u for t, u in group.real_unitaries() if t != 0.0]],
         group_depth=1,
     )
     psh = SpectralPresheaf(poset)

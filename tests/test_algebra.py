@@ -135,8 +135,8 @@ def test_unitarity_is_checked_against_the_policy():
         build_poset([vex]).image(u, "Vex")
     assert build_poset([vex], tol=loose).image(u, "Vex")[0] == "Vex"
     with pytest.raises(NotUnitary):
-        build_poset([vex], unitaries=[u], group_depth=1)
-    poset = build_poset([vex], unitaries=[u], group_depth=1, tol=loose)
+        build_poset([vex], unitaries=[[u]], group_depth=1)
+    poset = build_poset([vex], unitaries=[[u]], group_depth=1, tol=loose)
     assert [v.id for v in poset.contexts] == ["Vex"]
 
 
@@ -216,8 +216,24 @@ def test_group_closure_adds_orbit_images():
     unitaries = [flow.unitary(t) for t in (math.pi / 2, math.pi,
                                            3 * math.pi / 2, 2 * math.pi)]
     vex = context_from_operators([P12SYM], "Vex")
-    poset = build_poset([vex], unitaries=unitaries, group_depth=1)
+    poset = build_poset([vex], unitaries=[unitaries], group_depth=1)
     assert len(poset.contexts) == 4  # t = 0 and t = 2*pi coincide
+
+
+def test_closure_phases_run_in_turn(c3_gibbs):
+    # the second phase starts on the closed result of the first, so one
+    # phased call lists the contexts of two chained calls in their order
+    group = [u for t, u in c3_gibbs.group.real_unitaries() if t != 0.0]
+    grid = [c3_gibbs.flow.unitary(t) for t in (-1.0, 1.0)]
+    seeds = [c3_gibbs.vdiag, c3_gibbs.vex]
+    flags = dict(downward_closure=True, meet_closure=True, group_depth=1)
+    first = build_poset(seeds, unitaries=[group], **flags)
+    chained = build_poset(list(first.contexts), unitaries=[grid], **flags)
+    phased = build_poset(seeds, unitaries=[group, grid], **flags)
+    assert len(chained) > len(first)
+    assert ([v.id for v in phased.contexts]
+            == [v.id for v in chained.contexts])
+    assert np.array_equal(phased.leq, chained.leq)
 
 
 @given(seed=st.integers(0, 2**31 - 1))

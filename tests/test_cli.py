@@ -293,6 +293,26 @@ def test_unknown_scenario_keys_exit_2(scenario_dir, tmp_path, capfd, where,
      "subobject S1 blocks must be a list, got 5"),
     ((), "state", {"spectrum": 5},
      "state does not validate: state.spectrum must be a list, got 5"),
+    (("subobjects", "S1", "saturated"), "blocks", ["a"],
+     "subobject S1 blocks must be integers, got ['a']"),
+    (("subobjects", "S1", "saturated"), "blocks", [[0]],
+     "subobject S1 blocks must be integers, got [[0]]"),
+    (("subobjects", "S1", "saturated"), "blocks", [0.5],
+     "subobject S1 blocks must be integers, got [0.5]"),
+    (("subobjects", "S1", "saturated"), "blocks", [True],
+     "subobject S1 blocks must be integers, got [True]"),
+    (("subobjects", "S1", "saturated"), "context", ["Vex"],
+     "subobject S1 context must be a string, got ['Vex']"),
+    ((), "truth_stage", [1], "truth_stage must be a string, got [1]"),
+    ((), "truth_stage", {"a": 1},
+     "truth_stage must be a string, got {'a': 1}"),
+    ((), "c2_context", ["Vex"], "c2_context must be a string, got ['Vex']"),
+    ((), "name", {"a": 1}, "name must be a string, got {'a': 1}"),
+    ((), "name", "../x", "name must be one path component, got '../x'"),
+    ((), "name", "a\\b", "name must be one path component, got 'a\\\\b'"),
+    ((), "name", "..", "name must be one path component, got '..'"),
+    ((), "name", ".", "name must be one path component, got '.'"),
+    ((), "name", "", "name must be one path component, got ''"),
 ])
 def test_malformed_scenario_values_exit_2(scenario_dir, tmp_path, capfd,
                                           where, key, value, message):

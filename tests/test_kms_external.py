@@ -24,7 +24,6 @@ from toposkms.kms_external import (
     gibbs_state,
     mu_equivalent,
     strong_mu_equivalence,
-    truth_value,
     twist,
 )
 from toposkms.numerics import frob, is_unitary
@@ -98,30 +97,31 @@ def test_complex_continuation_matches_boundary():
 
 
 def test_c1_passes_for_gibbs(c3_gibbs):
-    rep = check_C1(c3_gibbs.state, c3_gibbs.flow,
-                   list(c3_gibbs.subs.values()), c3_gibbs.t_grid)
-    assert rep.max_residual <= 1e-9
-    assert rep.convention == "hamiltonian"
-    # entries cover every sub-object, grid point, and orbit context
-    assert len(rep.entries) == 3 * len(c3_gibbs.t_grid) * 4
+    for sub in c3_gibbs.subs.values():
+        rep = check_C1(c3_gibbs.state, c3_gibbs.flow, sub, c3_gibbs.t_grid)
+        assert rep.max_residual <= 1e-9
+        # one row per grid point, one column per orbit context
+        assert rep.residuals.shape == (len(c3_gibbs.t_grid), 4)
+        assert list(rep.samples) == list(c3_gibbs.t_grid)
+        assert rep.context_ids == c3_gibbs.poset.ids(sub.domain)
 
 
 def test_c1_consistency_gap_small_on_closed_grid(c3_gibbs):
-    rep = check_C1(c3_gibbs.state, c3_gibbs.flow,
-                   [c3_gibbs.subs["S1"]], list(GRID5))
+    rep = check_C1(c3_gibbs.state, c3_gibbs.flow, c3_gibbs.subs["S1"],
+                   list(GRID5))
     assert rep.max_residual <= 1e-9
     # poset lookup and direct transport agree where both are available
     assert rep.consistency_gap <= 1e-9
 
 
 def test_c1_fails_for_pure_superposition(c3_pure):
-    rep = check_C1(c3_pure.state, c3_pure.flow,
-                   [c3_pure.subs["S1"]], c3_pure.t_grid)
+    rep = check_C1(c3_pure.state, c3_pure.flow, c3_pure.subs["S1"],
+                   c3_pure.t_grid)
     assert rep.max_residual >= 1e-2
-    worst = max(rep.entries, key=lambda e: abs(e.lhs - e.rhs))
-    assert worst.subobject == "S1"
-    assert worst.context_id
-    assert worst.t in c3_pure.t_grid
+    k, j = np.unravel_index(rep.residuals.argmax(), rep.residuals.shape)
+    assert rep.residuals[k, j] == rep.max_residual
+    assert rep.context_ids[j]
+    assert rep.samples[k] in c3_pure.t_grid
 
 
 def test_c2_boundary_for_gibbs(c3_gibbs):
@@ -210,11 +210,12 @@ def test_truth_members_count(c3_gibbs):
 
 
 def test_truth_value_transport(c3_gibbs):
-    tv = truth_value(c3_gibbs.state, np.diag([1.0, 0.0, 0.0]), "Vdiag", 0.3,
-                     c3_gibbs.presheaf)
-    assert set(tv.table) == set(c3_gibbs.poset.lower_set("Vdiag"))
+    rep = check_truth_value_invariance(
+        c3_gibbs.state, c3_gibbs.flow, np.diag([1.0, 0.0, 0.0]), "Vdiag",
+        0.3, c3_gibbs.presheaf, [0.0])
+    assert rep.context_ids == c3_gibbs.poset.lower_set("Vdiag")
     # the measure is at least r below Vdiag, so every cutoff is r itself
-    assert all(v == tv.r == 0.3 for v in tv.table.values())
+    assert (rep.lhs == 0.3).all()
 
 
 def test_cutoff_invariance_gibbs(c3_gibbs):
@@ -234,8 +235,9 @@ def test_cutoff_invariance_fails_for_pure(c3_pure):
         np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]]),
         "Vex", 0.3, c3_pure.presheaf, list(GRID5))
     assert rep.max_residual >= 1e-2
-    worst = max(rep.entries, key=lambda e: e.residual)
-    assert worst.worst_context
+    k, j = np.unravel_index(rep.residuals.argmax(), rep.residuals.shape)
+    assert rep.residuals[k, j] == rep.max_residual
+    assert rep.context_ids[j]
 
 
 def test_expectation_identity(c3_gibbs):

@@ -150,8 +150,8 @@ def test_group_action_compatibility(c3_gibbs, c3_pure):
     bad = group_action_check(c3_pure.state, c3_pure.flow,
                              c3_pure.subs["S1"], [np.pi / 2, np.pi])
     assert bad.max_residual >= 1e-2
-    worst = max(bad.entries, key=lambda e: abs(e.lhs - e.rhs))
-    assert worst.context_id  # failures carry their location
+    # failures carry their location
+    assert bad.context_ids[bad.residuals.max(axis=0).argmax()]
 
 
 def test_reconstruction_roundtrip_qubit():
@@ -410,26 +410,34 @@ def test_flow_checks_match_dense_oracle(fixture, request):
     off_grid = SampledGroup(c3.flow, [0.0, 2 * np.pi / 3, 4 * np.pi / 3])
     paths = set()
     for sub in c3.subs.values():
+        # cells (t, V) in row-major order: grid order, then index order
         rep = check_C1(c3.state, c3.flow, sub, t_grid)
         rows, gap = _c1_oracle(c3.state, c3.flow, sub, t_grid)
-        assert len(rep.entries) == len(rows)
-        for e, (t, cid, path, lhs, rhs) in zip(rep.entries, rows):
-            assert (e.t, e.context_id, e.path) == (t, cid, path)
-            assert abs(e.lhs - lhs) <= 1e-12 and abs(e.rhs - rhs) <= 1e-12
+        for (k, j), (t, cid, path, lhs, rhs) in zip(
+                np.ndindex(rep.lhs.shape), rows, strict=True):
+            got = "poset" if rep.on_poset[k, j] else "direct"
+            assert (rep.samples[k], rep.context_ids[j], got) == (t, cid, path)
+            assert abs(rep.lhs[k, j] - lhs) <= 1e-12
+            assert abs(rep.rhs[k, j] - rhs) <= 1e-12
         assert abs(rep.consistency_gap - gap) <= 1e-12
-        paths.update(e.path for e in rep.entries)
+        paths.update("poset" if hit else "direct"
+                     for hit in rep.on_poset.ravel())
 
         grep = group_action_check(c3.state, c3.flow, sub, t_grid)
         want = _group_action_oracle(c3.state, c3.flow, sub, t_grid)
-        for e, (lhs, rhs) in zip(grep.entries, want, strict=True):
-            assert abs(e.lhs - lhs) <= 1e-12 and abs(e.rhs - rhs) <= 1e-12
+        for (k, j), (lhs, rhs) in zip(np.ndindex(grep.lhs.shape), want,
+                                      strict=True):
+            assert abs(grep.lhs[k, j] - lhs) <= 1e-12
+            assert abs(grep.rhs[k, j] - rhs) <= 1e-12
 
         for group in (c3.group, off_grid):
             irep = check_internal_C1(c3.state, sub, group)
             want = _internal_c1_oracle(c3.state, sub, group)
-            for e, vals in zip(irep.entries, want, strict=True):
-                got = [e.values[t] for t, _ in group.real_unitaries()]
-                assert np.max(np.abs(np.subtract(got, vals))) <= 1e-12
+            assert list(irep.samples) == group.samples
+            assert sorted(irep.context_ids) == sorted(_ids(sub))
+            for cid, vals in zip(sorted(_ids(sub)), want, strict=True):
+                got = irep.rhs[:, irep.context_ids.index(cid)]
+                assert np.max(np.abs(got - vals)) <= 1e-12
     assert paths == {"poset", "direct"}
 
     # a family that is not flow-equivariant and leaves its domain

@@ -526,8 +526,10 @@ def test_check_c1_moves_each_context_once_per_t(monkeypatch):
 
     monkeypatch.setattr(ContextPoset, "image", counted)
     t_grid = (0.0, 0.5, 1.3)
-    rep = check_C1(gibbs_state(h, 1.0), AutomorphismFlow(h), subs, t_grid)
-    assert len(rep.entries) == 2 * len(t_grid) * len(poset)
+    state, flow = gibbs_state(h, 1.0), AutomorphismFlow(h)
+    reps = [check_C1(state, flow, sub, t_grid) for sub in subs]
+    assert sum(rep.residuals.size for rep in reps) == (
+        2 * len(t_grid) * len(poset))
     assert len(calls) == len(t_grid) * len(poset)
     assert set(calls.values()) == {1}
 

@@ -2,13 +2,14 @@
 import copy
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from toposkms.cli import execute
 from toposkms.errors import ScenarioError
-from toposkms.reports import INFO, Report
+from toposkms.reports import FAIL, INFO, Report
 from toposkms.scenario import (
     DEFAULT_CHECKS,
     load_scenario,
@@ -16,6 +17,7 @@ from toposkms.scenario import (
     parse_operator,
 )
 from toposkms.suites import SUITES
+from toposkms.tolerances import DEFAULT_TOL
 
 MINIMAL = {
     "dim": 2,
@@ -207,3 +209,40 @@ def test_the_invariant_row_needs_both_c1_outcomes(extra, c1_suites_run):
     assert len(skipped) == 2 - c1_suites_run
     invariant = [e for e in rep.entries if e.check == "invariant"]
     assert len(invariant) == (c1_suites_run == 2)
+
+
+def _failing_rows(rep):
+    return [e for e in rep.entries if e.verdict == FAIL]
+
+
+def test_c1_suites_list_failing_rows_in_a_fixed_order(c3_pure):
+    # an unsorted grid with a duplicate: external-c1 rows come out per
+    # sub-object by context id, then t, equal t in grid order
+    scn = SimpleNamespace(
+        state=c3_pure.state, flow=c3_pure.flow, group=c3_pure.group,
+        poset=c3_pure.poset, subobjects=c3_pure.subs,
+        seed_contexts=[c3_pure.vdiag, c3_pure.vex], tol=DEFAULT_TOL,
+        t_grid=[2.0, -1.0, 2.0, 0.5])
+    rep = Report()
+    assert SUITES["external-c1"](scn, rep) is False
+    rows = []
+    for e in _failing_rows(rep):
+        head, t = e.location.rsplit(", t=", 1)
+        name, cid = head.split(" @ ")
+        rows.append((name, cid, float(t), e.lhs, e.rhs, e.residual))
+    keys = [row[:3] for row in rows]
+    assert keys == sorted(keys)
+    assert len({row[1] for row in rows}) > 1
+    assert {row[2] for row in rows} == {2.0, -1.0, 0.5}
+    # t = 2 appears twice in the grid, so each of its rows appears twice
+    twos = [i for i, row in enumerate(rows) if row[2] == 2.0]
+    assert twos and len(twos) % 2 == 0
+    for a, b in zip(twos[::2], twos[1::2]):
+        assert b == a + 1 and rows[a] == rows[b]
+
+    # internal-c1 rows: sub-object, then context id
+    rep = Report()
+    assert SUITES["internal-c1"](scn, rep) is False
+    keys = [tuple(e.location.split(" @ ")) for e in _failing_rows(rep)]
+    assert len(keys) > 1 and keys == sorted(keys)
+    assert len({cid for _, cid in keys}) > 1
