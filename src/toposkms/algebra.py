@@ -495,7 +495,8 @@ class ContextPoset:
 
     def is_lower_set(self, inside) -> bool:
         """True iff the contexts in a boolean mask form a lower set."""
-        return not (self.leq[:, inside].any(axis=1) & ~inside).any()
+        small, large = self.strict_pairs.T
+        return not (inside[large] & ~inside[small]).any()
 
     def comparable_pairs(self):
         """(smaller_id, larger_id) for every strict inclusion, row-major."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ContextIndex, context_from_operators
+from .algebra import context_from_operators
 from .errors import (
     AmbiguousMatch,
     DomainMismatch,
@@ -34,7 +34,7 @@ from .errors import (
     NotHermitian,
     PosetNotClosed,
 )
-from .measure import FlowReport, State, weight_sum
+from .measure import FlowReport, State
 from .numerics import (
     as_complex_matrix,
     dagger,
@@ -45,8 +45,10 @@ from .numerics import (
 from .presheaf import (
     ClopenSubobject,
     SpectralPresheaf,
+    block_sums,
     complete_downward,
     dasein_indices,
+    daseinisation_subobject,
     enumerate_subobjects,
     pullback,
 )
@@ -547,13 +549,13 @@ def _spectral_projections(a, tol: TolerancePolicy):
     return out
 
 
-def expectation_value(a, state: State, contexts: list) -> ExpectationResult:
+def expectation_value(a, state: State,
+                      presheaf: SpectralPresheaf) -> ExpectationResult:
     """Expectation of a Hermitian operator recovered from measures of
-    outer approximations: each spectral projection contributes its
-    eigenvalue times the minimum of its measure over the list of
-    contexts.  The eigencontext of the operator is inserted so the
-    minimum is attained exactly at tr(rho P_i).  Thresholds are the
-    state's."""
+    outer approximations: each spectral projection P contributes its
+    eigenvalue times the minimum of mu(d(P)) over the presheaf's contexts,
+    under its thresholds, and, unless one equals it, the operator's
+    eigencontext, where tr(rho P) is attained, under the state's."""
     tol = state.tol
     am = as_complex_matrix(a)
     if not is_hermitian(am, tol):
@@ -566,14 +568,15 @@ def expectation_value(a, state: State, contexts: list) -> ExpectationResult:
                                  eigenvalues=[spectral[0][0]],
                                  inserted_context=False)
     eigctx = context_from_operators([am], context_id="eig", tol=tol)
-    inserted = ContextIndex(tol, contexts).find(eigctx) is None
-    ctx_list = contexts + [eigctx] if inserted else contexts
-    weights = [v.weights(state.matrix) for v in ctx_list]
+    inserted = presheaf.poset.find_equal(eigctx) is None
+    weights = presheaf.weights(state.matrix)
     total = 0.0
     for eigval, proj in spectral:
-        best = min(weight_sum(w, dasein_indices(proj, v, tol))
-                   for v, w in zip(ctx_list, weights))
-        total += eigval * best
+        best = daseinisation_subobject(proj, presheaf).measure(weights).min()
+        if inserted:
+            best = min(best, block_sums(eigctx.weights(state.matrix)[
+                list(dasein_indices(proj, eigctx, tol))]))
+        total += eigval * float(best)
     return ExpectationResult(value=total, trace_value=trace_value,
                              eigenvalues=[e for e, _ in spectral],
                              inserted_context=inserted)

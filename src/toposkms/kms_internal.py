@@ -167,9 +167,6 @@ class InternalC2Report:
     gamma: float    # the strip height, the flow's beta
     max_residual: float
 
-    def passed(self, eps: float) -> bool:
-        return self.max_residual <= eps
-
 
 def check_internal_C2(state: State, group: SampledGroup,
                       sub_s: ClopenSubobject,

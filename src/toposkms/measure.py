@@ -1,40 +1,41 @@
 """States, measures on clopen sub-objects, and state reconstruction.
 
-A density matrix assigns to each clopen sub-object the global section
+A density matrix assigns to each clopen sub-object the section
 V -> tr(rho * P_{S_V}); these sections are order-reversing because outer
 restriction only grows the supporting projection.  Every such value is
 read off the block weights of the state, tr(rho P_{S_V}) =
 sum_{i in S_V} tr(rho Q_i), without forming P_{S_V}: the weights of every
 context lie on the presheaf's flat character axis
 (SpectralPresheaf.weights), and ClopenSubobject.measure sums them over
-the sub-object's mask at all contexts at once.  A check holding a state
-computes its weights once.  A moved projection is handled by moving the
-state instead, tr(rho U P U*) = tr(U* rho U P); contexts move through
-SpectralPresheaf.action, and ClopenSubobject.moved reads mu(S) at the
-moved contexts.  The converse direction recovers a density matrix from
-an abstract measure table by least squares over the traceless Hermitian
-parametrization rho = I/n + sum_k c_k B_k, whose design matrix is the
-block weights of the basis elements B_k: no P_S is formed there either.
+the sub-object's mask at all contexts at once.  A moved projection is
+handled by moving the state instead, tr(rho U P U*) = tr(U* rho U P),
+through SpectralPresheaf.action and ClopenSubobject.moved.  A measure
+table is three arrays on the same axis (AbstractMeasure), and the
+converse direction recovers a density matrix from one by least squares
+over rho = I/n + sum_k c_k B_k: its values, the design matrix (the block
+weights of the traceless Hermitian basis B_k), the ranks and the fit
+residual are all sums over each row's bits, added as block_sums adds.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ContextPoset
 from .errors import (
+    ContextMissing,
     DimMismatch,
     Infeasible,
     InconsistentTable,
     NotAdditive,
     NotAState,
-    PosetNotClosed,
 )
 from .numerics import as_complex_matrix, dagger, is_hermitian
 from .presheaf import (
     ClopenSubobject,
     SpectralPresheaf,
+    _ragged,
     empty_subobject,
     full_subobject,
     heyting_negation,
@@ -81,47 +82,11 @@ class State:
         return cls(np.outer(v, v.conj()), tol)
 
 
-@dataclass
-class GlobalSection:
-    """A real-valued assignment on contexts, checked order-reversing:
-    smaller contexts carry larger (or equal) values, within the poset's
-    eps_measure."""
-
-    poset: ContextPoset
-    values: dict
-
-    def __post_init__(self):
-        # NaN marks contexts outside the domain; comparisons with it fail
-        vals = np.full(len(self.poset), np.nan)
-        for cid, x in self.values.items():
-            if cid in self.poset.by_id:
-                vals[self.poset.by_id[cid]] = x
-        pairs = self.poset.strict_pairs
-        bad = vals[pairs[:, 0]] < vals[pairs[:, 1]] - self.poset.tol.eps_measure
-        if bad.any():
-            small_id, large_id = self.poset.comparable_pairs()[int(bad.argmax())]
-            lo, hi = self.values[large_id], self.values[small_id]
-            raise PosetNotClosed(
-                f"section increases from {small_id} to {large_id}: "
-                f"{hi!r} < {lo!r}"
-            )
-
-    def __getitem__(self, context_id: str) -> float:
-        return self.values[context_id]
-
-
-def weight_sum(weights, indices) -> float:
-    """tr(rho P) for the block sum P over the given indices of one
-    context, from its block weights: the sum in index order."""
-    return float(sum(weights[i] for i in sorted(indices)))
-
-
-def measure_of(state: State, sub: ClopenSubobject) -> GlobalSection:
-    """Section V -> tr(rho * P_{S_V}) over the sub-object domain."""
-    poset = sub.presheaf.poset
+def measure_of(state: State, sub: ClopenSubobject) -> dict:
+    """mu(S) of the state, context id -> tr(rho * P_{S_V}), over the
+    sub-object domain in index order."""
     values = sub.measure(sub.presheaf.weights(state.matrix))[sub.domain]
-    return GlobalSection(poset, dict(zip(poset.ids(sub.domain),
-                                         values.tolist())))
+    return dict(zip(sub.presheaf.poset.ids(sub.domain), values.tolist()))
 
 
 @dataclass
@@ -267,70 +232,92 @@ def group_action_check(state: State, flow, sub: ClopenSubobject,
 # abstract measures and reconstruction
 
 
+def _row_sums(presheaf: SpectralPresheaf, contexts, subsets,
+              weights) -> np.ndarray:
+    """For each table row, the flat weights (..., characters) at the
+    slots of its context whose bit is set in its subset, added left to
+    right as block_sums adds: (..., rows), one slot at a time."""
+    start = presheaf.offsets[contexts]
+    total = None
+    for s in range(presheaf.width):
+        term = np.take(weights, start + s, axis=-1, mode="clip")
+        term[..., (subsets >> s) & 1 == 0] = 0.0
+        total = term if total is None else np.add(total, term, out=total)
+    return total
+
+
 @dataclass
 class AbstractMeasure:
-    """A table (context id, frozen character set) -> value in [0, 1].
+    """A measure table as parallel arrays: row r gives values[r] to the
+    character subset with bitmask subsets[r] of context contexts[r].
 
-    Construction checks intra-context coherence where the table allows:
-    normalization on the full set, vanishing on the empty set, and
-    additivity over disjoint unions present in the table, within the
-    poset's eps_measure.
-    """
+    Construction checks, each for its first failing row: the context, the
+    bitmask and the value in [0, 1]; full sets at 1 and empty sets at 0,
+    within eps_measure; additivity to 10 eps_measure over the disjoint
+    pairs of rows of one context whose union is a row (contexts by first
+    row)."""
 
-    poset: ContextPoset
-    table: dict
+    presheaf: SpectralPresheaf
+    contexts: np.ndarray
+    subsets: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        eps = self.poset.tol.eps_measure
-        cleaned = {}
-        for (cid, subset), value in self.table.items():
-            v = self.poset.context(cid)  # raises ContextMissing
-            subset = frozenset(int(i) for i in subset)
-            if subset and (min(subset) < 0 or max(subset) >= v.k):
-                raise DimMismatch(f"character index out of range for {cid}")
-            value = float(value)
-            if value < -eps or value > 1 + eps:
-                raise NotAdditive(f"value {value!r} outside [0, 1]")
-            cleaned[(cid, subset)] = value
-        self.table = cleaned
-        for (cid, subset), value in self.table.items():
-            v = self.poset.context(cid)
-            if len(subset) == v.k and abs(value - 1.0) > eps:
-                raise NotAdditive(f"full set at {cid} has value {value!r}")
-            if not subset and abs(value) > eps:
-                raise NotAdditive(f"empty set at {cid} has value {value!r}")
-        self._check_additivity()
+        poset, eps = self.presheaf.poset, self.presheaf.tol.eps_measure
+        self.contexts = np.asarray(self.contexts, dtype=np.intp)
+        self.subsets = np.asarray(self.subsets, dtype=np.int64)
+        self.values = np.asarray(self.values, dtype=float)
+        missing = (self.contexts < 0) | (self.contexts >= len(poset))
+        ks = np.diff(self.presheaf.offsets)[np.where(missing, 0, self.contexts)]
+        wide = (self.subsets < 0) | (self.subsets >> ks != 0)
+        bad = missing | wide | (self.values < -eps) | (self.values > 1 + eps)
+        if bad.any():
+            r = int(bad.argmax())
+            if missing[r]:
+                raise ContextMissing(
+                    f"no context with index {int(self.contexts[r])}")
+            if wide[r]:
+                raise DimMismatch("character index out of range for "
+                                  f"{poset.contexts[self.contexts[r]].id}")
+            raise NotAdditive(f"value {float(self.values[r])!r} outside [0, 1]")
+        full = self.subsets == (1 << ks) - 1
+        bad = ((full & (np.abs(self.values - 1.0) > eps))
+               | ((self.subsets == 0) & (np.abs(self.values) > eps)))
+        if bad.any():
+            r = int(bad.argmax())
+            raise NotAdditive(f"{'full' if full[r] else 'empty'} set at "
+                              f"{poset.contexts[self.contexts[r]].id} has "
+                              f"value {float(self.values[r])!r}")
+        order = np.argsort(self.contexts, kind="stable")
+        cuts = np.flatnonzero(np.diff(self.contexts[order])) + 1
+        for rows in sorted(np.split(order, cuts) if order.size else [],
+                           key=lambda g: g[0]):
+            s, v = self.subsets[rows], self.values[rows]
+            a, b = np.triu_indices(len(rows), 1)
+            union = s[a] | s[b]
+            # the first row of each union, if any: a search in s sorted stably
+            by_s = np.argsort(s, kind="stable")
+            u = by_s[np.searchsorted(s, union, sorter=by_s).clip(max=len(s) - 1)]
+            fails = (((s[a] & s[b]) == 0) & (s[u] == union)
+                     & (np.abs(v[u] - v[a] - v[b]) > 10 * eps))
+            if fails.any():
+                i = int(fails.argmax())
+                left, right = (np.flatnonzero(x >> np.arange(ks[rows[0]]) & 1)
+                               .tolist() for x in (s[a[i]], s[b[i]]))
+                raise NotAdditive("additivity fails at "
+                                  f"{poset.contexts[self.contexts[rows[0]]].id}: "
+                                  f"{left} + {right}")
 
-    def _check_additivity(self):
-        by_context = {}
-        for (cid, subset), value in self.table.items():
-            by_context.setdefault(cid, {})[subset] = value
-        for cid, rows in by_context.items():
-            subsets = list(rows)
-            for i, a in enumerate(subsets):
-                for b in subsets[i + 1:]:
-                    if a & b:
-                        continue
-                    union = a | b
-                    if union in rows:
-                        gap = abs(rows[union] - rows[a] - rows[b])
-                        if gap > 10 * self.poset.tol.eps_measure:
-                            raise NotAdditive(
-                                f"additivity fails at {cid}: "
-                                f"{sorted(a)} + {sorted(b)}"
-                            )
 
-
-def measure_table_of_state(state: State, poset: ContextPoset) -> AbstractMeasure:
+def measure_table_of_state(state: State,
+                           presheaf: SpectralPresheaf) -> AbstractMeasure:
     """The full measure table of a state: every character subset of every
-    context, value tr(rho * P_subset)."""
-    table = {}
-    for v in poset.contexts:
-        weights = v.weights(state.matrix)
-        for mask in range(1 << v.k):
-            subset = frozenset(i for i in range(v.k) if mask & (1 << i))
-            table[(v.id, subset)] = weight_sum(weights, subset)
-    return AbstractMeasure(poset, table)
+    context, contexts in index order and subsets by increasing bitmask."""
+    sizes = 1 << np.diff(presheaf.offsets)
+    contexts, subsets = np.repeat(np.arange(len(sizes)), sizes), _ragged(sizes)
+    return AbstractMeasure(presheaf, contexts, subsets,
+                           _row_sums(presheaf, contexts, subsets,
+                                     presheaf.weights(state.matrix)))
 
 
 def _traceless_hermitian_basis(n: int):
@@ -339,19 +326,13 @@ def _traceless_hermitian_basis(n: int):
     basis = []
     for i in range(n):
         for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=np.complex128)
-            m[i, j] = m[j, i] = 1.0
-            basis.append(m)
-            m = np.zeros((n, n), dtype=np.complex128)
-            m[i, j] = -1.0j
-            m[j, i] = 1.0j
-            basis.append(m)
+            for upper, lower in ((1.0, 1.0), (-1.0j, 1.0j)):
+                m = np.zeros((n, n), dtype=np.complex128)
+                m[i, j], m[j, i] = upper, lower
+                basis.append(m)
     for l in range(1, n):
-        m = np.zeros((n, n), dtype=np.complex128)
-        for i in range(l):
-            m[i, i] = 1.0
-        m[l, l] = -float(l)
-        basis.append(m * np.sqrt(2.0 / (l * (l + 1))))
+        m = np.diag(np.r_[np.ones(l), -float(l), np.zeros(n - l - 1)])
+        basis.append(m.astype(np.complex128) * np.sqrt(2.0 / (l * (l + 1))))
     return basis
 
 
@@ -387,36 +368,36 @@ def state_from_measure(measure: AbstractMeasure) -> ReconstructionResult:
     """Least-squares density matrix matching an abstract measure table.
 
     The fit runs over rho = I/n + sum_k c_k B_k with a traceless
-    Hermitian basis, so the trace constraint is exact.  Row (V, S) of the
-    design matrix is read off block weights, tr(B_k P_S) = sum_{i in S}
-    Context.weights(B_k)[i], with target value - rank(S)/n.  First, on the
+    Hermitian basis, so the trace constraint is exact.  Row (V, S), S a
+    proper non-empty subset, of the design matrix is tr(B_k P_S), the
+    flat block weights of B_k summed over S (_row_sums, as are the ranks
+    and the fit residual), with target value - rank(S)/n.  First, on the
     same coordinates, rows whose projections coincide must carry equal
     values (InconsistentTable).  Eigenvalues in [-1e-6, 0) are clipped
     and the state renormalized; anything lower is Infeasible.  The result
     flags an underdetermined fit when the rows span fewer than n^2 - 1
     traceless directions.  n is the dimension of the table's contexts,
-    and the thresholds are the poset's.
+    and the thresholds are the presheaf's.
     """
-    tol = measure.poset.tol
-    rows = [(measure.poset.context(cid), sorted(subset), value)
-            for (cid, subset), value in measure.table.items()]
-    rows = [row for row in rows if 0 < len(row[1]) < row[0].k]
-    if not rows:
+    ph = measure.presheaf
+    ks = np.diff(ph.offsets)[measure.contexts]
+    keep = (measure.subsets != 0) & (measure.subsets != (1 << ks) - 1)
+    if not keep.any():
         raise InconsistentTable("table has no informative rows")
-    n = rows[0][0].dim
-    if any(v.dim != n for v, _, _ in rows):
+    contexts, subsets, values = (x[keep] for x in (
+        measure.contexts, measure.subsets, measure.values))
+    dims = np.array([v.dim for v in ph.poset.contexts])[contexts]
+    n = int(dims[0])
+    if (dims != n).any():
         raise DimMismatch("mixed dimensions in measure table")
+    inside = np.bincount(contexts, minlength=len(ph.poset)) > 0
+    sums = functools.partial(_row_sums, ph, contexts, subsets)
 
     basis = _traceless_hermitian_basis(n)
-    contexts = {v.id: v for v, _, _ in rows}
-    # per context, the block weights of the basis, (n^2 - 1, k)
-    columns = {cid: np.array([v.weights(bk) for bk in basis])
-               for cid, v in contexts.items()}
-    a = np.array([columns[v.id][:, subset].sum(axis=1)
-                  for v, subset, _ in rows])
-    ranks = np.array([sum(v.ranks[i] for i in subset) for v, subset, _ in rows])
-    values = np.array([value for _, _, value in rows])
-    _check_consistency(a, ranks, values, tol)
+    a = np.ascontiguousarray(
+        sums(np.array([ph.weights(bk, inside) for bk in basis])).T)
+    ranks = sums(np.concatenate([v.ranks for v in ph.poset.contexts]))
+    _check_consistency(a, ranks, values, ph.tol)
     coeff, _, rank, _ = np.linalg.lstsq(a, values - ranks / n, rcond=None)
     rho = sum((c * bk for c, bk in zip(coeff, basis)),
               np.eye(n, dtype=np.complex128) / n)
@@ -427,13 +408,11 @@ def state_from_measure(measure: AbstractMeasure) -> ReconstructionResult:
                          f"eigenvalue {float(w[0])!r}")
     rho_hat = (u * np.clip(w, 0.0, None)) @ dagger(u)
     rho_hat = rho_hat / float(np.real(np.trace(rho_hat)))
-    state = State(rho_hat, tol)
-    fitted = {cid: v.weights(state.matrix) for cid, v in contexts.items()}
-    fit_res = max(abs(weight_sum(fitted[v.id], subset) - value)
-                  for v, subset, value in rows)
+    state = State(rho_hat, ph.tol)
+    fitted = sums(ph.weights(state.matrix, inside))
     return ReconstructionResult(
         state=state,
-        fit_residual=fit_res,
+        fit_residual=float(np.abs(fitted - values).max()),
         spanned_dim=int(rank),
         underdetermined=bool(rank < n * n - 1),
     )

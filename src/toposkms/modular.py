@@ -124,10 +124,6 @@ class ModularData:
     delta_spectrum: np.ndarray   # ascending
     residuals: dict
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
 
 def tomita_operators(state: State) -> ModularData:
     """Solve S(A Omega) = A* Omega on the matrix units, then split off
@@ -396,10 +392,6 @@ class OrderContinuityReport:
     continuous: bool       # preimages of lower sets are lower sets
     lower_sets_checked: int
     verdicts_agree: bool   # order preservation vs continuity
-
-    @property
-    def passed(self) -> bool:
-        return self.order_preserving and self.continuous and self.verdicts_agree
 
 
 def check_order_continuity(j: AntiunitaryJ, poset: ContextPoset,

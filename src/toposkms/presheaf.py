@@ -116,8 +116,7 @@ class SpectralPresheaf:
         """mu at every context of each mask of a stack (..., characters):
         the flat weights over the mask summed per context, laid out one
         row per context and added cumulatively left to right in block
-        order (block_sums), so each equals weight_sum over the component
-        to the last bit."""
+        order (block_sums), as the rows of a measure table are."""
         rows = np.zeros(np.shape(masks)[:-1] + (len(self.poset), self.width))
         rows[..., self.owner, self.slot] = np.where(masks, weights, 0.0)
         return block_sums(rows)

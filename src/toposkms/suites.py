@@ -318,8 +318,7 @@ def run_truth(scn, rep):
     for pname in sorted(scn.projections):
         p = scn.projections[pname]
         try:
-            res = expectation_value(p, scn.state,
-                                    contexts=list(scn.poset.contexts))
+            res = expectation_value(p, scn.state, scn.presheaf)
         except ToposKMSError as exc:
             rep.add_error("truth", f"expectation of {pname}", exc)
             ok = False
@@ -415,6 +414,8 @@ def run_internal_c1(scn, rep):
 def run_internal_c2(scn, rep):
     eps = max(scn.tol.eps_measure, scn.tol.eps_order)
     ok = True
+    c1 = functools.cache(lambda nm: check_internal_C1(
+        scn.state, scn.subobjects[nm], scn.group))
     for a, b in scn.pairs:
         sub_s, sub_t = scn.subobjects[a], scn.subobjects[b]
         try:
@@ -432,11 +433,9 @@ def run_internal_c2(scn, rep):
 
         # at gamma = 0 the check is internal C1 on (S, T) at their shared
         # contexts, whose verdict must match internal C1 on all of theirs
-        c1 = [check_internal_C1(scn.state, sub, scn.group)
-              for sub in (sub_s, sub_t)]
-        degen = max(crep.spread_on(c2.context_ids) for crep in c1)
+        degen = max(c1(nm).spread_on(c2.context_ids) for nm in (a, b))
         held = degen <= scn.tol.eps_measure
-        c1_held = max(crep.max_spread for crep in c1) <= scn.tol.eps_measure
+        c1_held = max(c1(nm).max_spread for nm in (a, b)) <= scn.tol.eps_measure
         e = rep.add(
             "internal-c2",
             f"gamma=0 degeneration matches internal C1 ({a},{b})",
@@ -489,7 +488,7 @@ def run_modular(scn, rep):
 
 @suite("reconstruction")
 def run_reconstruction(scn, rep):
-    table = measure_table_of_state(scn.state, scn.poset)
+    table = measure_table_of_state(scn.state, scn.presheaf)
     try:
         res = state_from_measure(table)
     except ToposKMSError as exc:

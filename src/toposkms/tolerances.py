@@ -7,7 +7,7 @@ thresholds without touching code.
 A policy lives on the object it validated: a State, an AutomorphismFlow
 and a ContextPoset (with its SpectralPresheaf) each keep the `tol` they
 were built with, and checks read it from their inputs: state.tol,
-presheaf.tol, group.flow.tol, measure.poset.tol.  Only the input
+presheaf.tol, group.flow.tol, measure.presheaf.tol.  Only the input
 boundaries (constructors of contexts, states, flows and posets) and the
 primitives on a bare Context or matrix take a `tol`, defaulting to
 DEFAULT_TOL.

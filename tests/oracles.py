@@ -1,4 +1,5 @@
-"""Test-side references for truth objects and their equivalences.
+"""Test-side references for truth objects, their equivalences and
+measure tables.
 
 Every clopen sub-object on a lower set is built and validated one at a
 time, with no pruning, then filtered by tau; members are listed in the
@@ -7,12 +8,17 @@ context by context; and the weak and strong matchings compare members
 one pair at a time.  The package reads the same definitions off one mask
 stack per stage (kms_external.TruthObject, TwistedTruthObject,
 mu_equivalent, strong_mu_equivalence).
+
+A measure table is also kept in its dict form, (context id, character
+set) -> value, validated row by row and pair by pair (check_table); the
+package validates the three arrays of measure.AbstractMeasure.
 """
 import functools
 
 import numpy as np
 
-from toposkms.errors import AmbiguousMatch
+from toposkms.errors import AmbiguousMatch, DimMismatch, NotAdditive
+from toposkms.measure import AbstractMeasure
 from toposkms.presheaf import ClopenSubobject
 
 
@@ -189,3 +195,66 @@ def strong(state, presheaf, by_stage_a, by_stage_b, stages):
                         or keys_b[match_small[ia]] != rb):
                     bad += 1
     return bad == 0, bad
+
+
+def check_table(poset, table):
+    """Validate a dict table (context id, character set) -> value in
+    [0, 1], as AbstractMeasure validates its arrays: every row's context
+    (ContextMissing), character indices and value range in row order,
+    then the full and empty sets, then additivity over the disjoint pairs
+    of one context whose union is in the table, contexts in the order of
+    their first row.  Returns the table with int indices and float
+    values."""
+    eps = poset.tol.eps_measure
+    cleaned = {}
+    for (cid, subset), value in table.items():
+        v = poset.context(cid)  # raises ContextMissing
+        subset = frozenset(int(i) for i in subset)
+        if subset and (min(subset) < 0 or max(subset) >= v.k):
+            raise DimMismatch(f"character index out of range for {cid}")
+        value = float(value)
+        if value < -eps or value > 1 + eps:
+            raise NotAdditive(f"value {value!r} outside [0, 1]")
+        cleaned[(cid, subset)] = value
+    for (cid, subset), value in cleaned.items():
+        v = poset.context(cid)
+        if len(subset) == v.k and abs(value - 1.0) > eps:
+            raise NotAdditive(f"full set at {cid} has value {value!r}")
+        if not subset and abs(value) > eps:
+            raise NotAdditive(f"empty set at {cid} has value {value!r}")
+    by_context = {}
+    for (cid, subset), value in cleaned.items():
+        by_context.setdefault(cid, {})[subset] = value
+    for cid, rows in by_context.items():
+        subsets = list(rows)
+        for i, a in enumerate(subsets):
+            for b in subsets[i + 1:]:
+                if a & b:
+                    continue
+                union = a | b
+                if union in rows:
+                    gap = abs(rows[union] - rows[a] - rows[b])
+                    if gap > 10 * eps:
+                        raise NotAdditive(
+                            f"additivity fails at {cid}: "
+                            f"{sorted(a)} + {sorted(b)}"
+                        )
+    return cleaned
+
+
+def table_of(presheaf, table):
+    """The AbstractMeasure of a dict table, rows in the dict's order."""
+    rows = [(presheaf.poset.index_of(cid), sum(1 << int(i) for i in subset),
+             value) for (cid, subset), value in table.items()]
+    return AbstractMeasure(presheaf, *(zip(*rows) if rows else ((), (), ())))
+
+
+def dict_of(measure):
+    """The dict form of an AbstractMeasure, (context id, character set)
+    -> value, in row order."""
+    contexts = measure.presheaf.poset.contexts
+    return {(contexts[c].id,
+             frozenset(i for i in range(contexts[c].k) if s >> i & 1)): v
+            for c, s, v in zip(measure.contexts.tolist(),
+                               measure.subsets.tolist(),
+                               measure.values.tolist())}

@@ -29,6 +29,7 @@ from toposkms.errors import (
 from toposkms.kms_external import AutomorphismFlow
 from toposkms.numerics import frob
 from toposkms.presheaf import SpectralPresheaf
+from toposkms.scenario import load_scenario
 from toposkms.tolerances import DEFAULT_TOL
 
 from conftest import P12SYM, diagonal_context
@@ -159,6 +160,30 @@ def test_lower_sets_are_downward_closed(c3_gibbs):
     ids = [v.id for v in poset.contexts]
     for v in poset.contexts:
         assert poset.is_lower_set(np.isin(ids, poset.lower_set(v.id)))
+
+
+def test_lower_set_test_matches_the_dense_formula(scenario_dir):
+    # seeded random masks, and lower sets with one context added or
+    # removed, over the corpus posets and the diagonal C^5 poset
+    posets = [load_scenario(path).poset
+              for path in sorted(scenario_dir.glob("*.json"))]
+    posets.append(build_poset([diagonal_context(5, "D5")],
+                              downward_closure=True))
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for poset in posets:
+        n = len(poset)
+        masks = [rng.random(n) < p for p in (0.1, 0.5, 0.9) for _ in range(20)]
+        for _ in range(20):
+            lower = poset.leq[:, rng.random(n) < 0.3].any(axis=1)
+            flipped = lower.copy()
+            flipped[rng.integers(n)] ^= True
+            masks += [lower, flipped]
+        for inside in masks:
+            dense = not (poset.leq[:, inside].any(axis=1) & ~inside).any()
+            assert poset.is_lower_set(inside) == dense
+            verdicts.add(dense)
+    assert verdicts == {True, False}
 
 
 def test_poset_order_axioms(diag4):

@@ -167,7 +167,7 @@ def test_c2_value_at_zero_is_the_meet_measure(c3_gibbs):
                    c3_gibbs.subs["S12"], "Vex", [0.0])
     meet = subobject_meet(c3_gibbs.subs["S1"], c3_gibbs.subs["S12"])
     mu = measure_of(c3_gibbs.state, meet)
-    assert abs(rep.f_at_zero - mu.values["Vex"]) < 1e-10
+    assert abs(rep.f_at_zero - mu["Vex"]) < 1e-10
 
 
 def test_c2_requires_a_faithful_state(c3_pure):
@@ -242,14 +242,12 @@ def test_cutoff_invariance_fails_for_pure(c3_pure):
 
 def test_expectation_identity(c3_gibbs):
     p = np.diag([1.0, 0.0, 0.0])
-    rep = expectation_value(p, c3_gibbs.state,
-                            contexts=list(c3_gibbs.poset.contexts))
+    rep = expectation_value(p, c3_gibbs.state, c3_gibbs.presheaf)
     assert abs(rep.value - rep.trace_value) <= 1e-10
     assert not rep.inserted_context
     # an operator outside every context forces an inserted context
     q = np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.5]])
-    rep2 = expectation_value(q, c3_gibbs.state,
-                             contexts=list(c3_gibbs.poset.contexts))
+    rep2 = expectation_value(q, c3_gibbs.state, c3_gibbs.presheaf)
     assert rep2.inserted_context
     assert abs(rep2.value - rep2.trace_value) <= 1e-10
 

@@ -11,6 +11,8 @@ from toposkms.algebra import (
     lattice_projection,
 )
 from toposkms.errors import (
+    ContextMissing,
+    DimMismatch,
     Infeasible,
     InconsistentTable,
     NotAState,
@@ -28,7 +30,6 @@ from toposkms.measure import (
     measure_table_of_state,
     state_from_measure,
     verify_measure_properties,
-    weight_sum,
 )
 from toposkms.numerics import frob
 from toposkms.scenario import load_scenario
@@ -50,6 +51,7 @@ from conftest import (
     diagonal_context,
     random_density,
 )
+from oracles import check_table, dict_of, table_of
 
 
 def qubit_mub_poset():
@@ -74,16 +76,16 @@ def test_example_measure_values(c3_example):
     mu1 = measure_of(c3_example.state, subs["S1"])
     mu2 = measure_of(c3_example.state, subs["S2"])
     mu12 = measure_of(c3_example.state, subs["S12"])
-    assert abs(mu1.values["Vex"] - 0.4) < 1e-12
-    assert abs(mu2.values["Vex"] - 0.6) < 1e-12
-    assert abs(mu12.values["Vex"] - 1.0) < 1e-12
+    assert abs(mu1["Vex"] - 0.4) < 1e-12
+    assert abs(mu2["Vex"] - 0.6) < 1e-12
+    assert abs(mu12["Vex"] - 1.0) < 1e-12
 
 
 def test_gibbs_measure_value(c3_gibbs):
     mu1 = measure_of(c3_gibbs.state, c3_gibbs.subs["S1"])
-    assert abs(mu1.values["Vex"] - GIBBS_MU_S1) < 1e-12
+    assert abs(mu1["Vex"] - GIBBS_MU_S1) < 1e-12
     # the flow-saturated family has constant measure along the orbit
-    vals = list(mu1.values.values())
+    vals = list(mu1.values())
     assert max(vals) - min(vals) < 1e-12
 
 
@@ -95,7 +97,7 @@ def test_sections_are_monotone_under_coarsening(c3_gibbs):
     for i, v in enumerate(poset.contexts):
         for j, w in enumerate(poset.contexts):
             if poset.leq[i, j]:  # v is coarser, approximation grows
-                assert mu.values[v.id] >= mu.values[w.id] - 1e-12
+                assert mu[v.id] >= mu[w.id] - 1e-12
 
 
 def test_measure_axioms_hold_for_gibbs(c3_gibbs):
@@ -118,7 +120,7 @@ def test_complement_join_can_fall_short(c3_gibbs):
     neg = heyting_negation(sub)
     j = subobject_join(sub, neg)
     mu = measure_of(c3_gibbs.state, j)
-    assert min(mu.values.values()) < 1.0 - 1e-3
+    assert min(mu.values()) < 1.0 - 1e-3
     rep = verify_measure_properties(c3_gibbs.state, psh, [(sub, neg)])
     assert rep.strictness_witness < 1.0 - 1e-3
 
@@ -127,8 +129,8 @@ def test_empty_and_full_measures(c3_gibbs):
     psh = c3_gibbs.presheaf
     mu0 = measure_of(c3_gibbs.state, empty_subobject(psh))
     mu1 = measure_of(c3_gibbs.state, full_subobject(psh))
-    assert max(abs(v) for v in mu0.values.values()) == 0.0
-    assert max(abs(v - 1.0) for v in mu1.values.values()) < 1e-12
+    assert max(abs(v) for v in mu0.values()) == 0.0
+    assert max(abs(v - 1.0) for v in mu1.values()) < 1e-12
 
 
 @given(seed=st.integers(0, 2**31 - 1))
@@ -157,7 +159,7 @@ def test_group_action_compatibility(c3_gibbs, c3_pure):
 def test_reconstruction_roundtrip_qubit():
     poset = qubit_mub_poset()
     rho = np.array([[0.7, 0.1 + 0.15j], [0.1 - 0.15j, 0.3]])
-    table = measure_table_of_state(State(rho), poset)
+    table = measure_table_of_state(State(rho), SpectralPresheaf(poset))
     res = state_from_measure(table)
     assert np.linalg.norm(res.state.matrix - rho) <= 1e-8
     assert res.spanned_dim == 3  # full traceless Hermitian space
@@ -169,7 +171,8 @@ def test_reconstruction_single_context_is_underdetermined():
     p12 = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
     poset = build_poset([context_from_operators([p12], "Vex")])
     rho = np.diag([0.5, 0.3, 0.2])
-    res = state_from_measure(measure_table_of_state(State(rho), poset))
+    res = state_from_measure(measure_table_of_state(State(rho),
+                                                    SpectralPresheaf(poset)))
     assert res.underdetermined
     assert res.spanned_dim == 1
     # the fit still reproduces the recorded values
@@ -179,30 +182,30 @@ def test_reconstruction_single_context_is_underdetermined():
 def test_inconsistent_table_detected(c3_example):
     poset = build_poset([diagonal_context(3, "Vdiag")],
                         downward_closure=True)
-    table = dict(measure_table_of_state(
-        State(np.diag([0.5, 0.3, 0.2])), poset).table)
+    psh = SpectralPresheaf(poset)
+    table = dict_of(measure_table_of_state(State(np.diag([0.5, 0.3, 0.2])),
+                                           psh))
     # shift weight between the blocks of one coarse context: additivity
     # inside the context survives, agreement across contexts does not
     coarse = next(c.id for c in poset.contexts if c.k == 2)
     table[(coarse, frozenset({0}))] += 0.1
     table[(coarse, frozenset({1}))] -= 0.1
-    corrupted = AbstractMeasure(poset, table)
+    corrupted = table_of(psh, table)
     with pytest.raises(InconsistentTable):
         state_from_measure(corrupted)
 
 
 def test_nonadditive_table_rejected():
-    poset = qubit_mub_poset()
-    table = dict(measure_table_of_state(
-        State(np.eye(2) / 2), poset).table)
+    psh = SpectralPresheaf(qubit_mub_poset())
+    table = dict_of(measure_table_of_state(State(np.eye(2) / 2), psh))
     table[("Z", frozenset({0}))] = 0.9
     with pytest.raises(NotAdditive):
-        AbstractMeasure(poset, table)
+        table_of(psh, table)
 
 
 def test_infeasible_table_detected():
     # certainty in three mutually unbiased directions has no density matrix
-    poset = qubit_mub_poset()
+    psh = SpectralPresheaf(qubit_mub_poset())
     table = {}
     for cid in ("Z", "X", "Y"):
         table[(cid, frozenset())] = 0.0
@@ -210,17 +213,17 @@ def test_infeasible_table_detected():
         table[(cid, frozenset({1}))] = 0.0
         table[(cid, frozenset({0, 1}))] = 1.0
     with pytest.raises(Infeasible):
-        state_from_measure(AbstractMeasure(poset, table))
+        state_from_measure(table_of(psh, table))
 
 
 def _dense_reconstruction(measure):
     """Oracle: the reconstruction on dense block sums, with a pairwise
     Frobenius scan for equal projections and a design matrix of traces.
     Returns (rho, rank of the design matrix)."""
-    tol = measure.poset.tol
+    tol = measure.presheaf.tol
     rows = []
-    for (cid, subset), value in measure.table.items():
-        v = measure.poset.context(cid)
+    for (cid, subset), value in dict_of(measure).items():
+        v = measure.presheaf.poset.context(cid)
         if subset and len(subset) < v.k:
             rows.append((lattice_projection(v, subset, tol).matrix, value))
     n = rows[0][0].shape[0]
@@ -265,13 +268,15 @@ def _rotated_c4():
 def test_reconstruction_verdicts_match_the_dense_oracle(scenario_dir):
     # partial tables of singleton rows (no union row, so no NotAdditive),
     # with one to three values shifted below, just above and far above
-    # the 10 eps_measure consistency threshold
+    # the 10 eps_measure consistency threshold; and full tables, exact
+    # and with one to three proper rows shifted below the threshold
     models = [_rotated_c4()]
     for path in sorted(scenario_dir.glob("*.json")):
         scn = load_scenario(path)
         models.append((path.stem, scn.poset, scn.state))
     kinds = []
     for name, poset, state in models:
+        psh = SpectralPresheaf(poset)
         rows = [((v.id, frozenset({i})), w)
                 for v in poset.contexts
                 for i, w in enumerate(v.weights(state.matrix))]
@@ -288,8 +293,20 @@ def test_reconstruction_verdicts_match_the_dense_oracle(scenario_dir):
                     key, w = rows[r]
                     table[key] = w + shift if w < 0.5 else w - shift
                 tables.append(table)
+        full = dict_of(measure_table_of_state(state, psh))
+        proper = [key for key in full
+                  if 0 < len(key[1]) < poset.context(key[0]).k]
+        tables.append(full)
+        for seed in range(3):
+            rng = np.random.default_rng([seed, len(full)])
+            table = dict(full)
+            for r in rng.choice(len(proper), min(3, len(proper)),
+                                replace=False):
+                w = table[proper[r]]
+                table[proper[r]] = w + 5e-9 if w < 0.5 else w - 5e-9
+            tables.append(table)
         for table in tables:
-            measure = AbstractMeasure(poset, table)
+            measure = table_of(psh, table)
             kind, got = _outcome(state_from_measure, measure)
             want = _outcome(_dense_reconstruction, measure)
             kinds.append(kind)
@@ -303,6 +320,66 @@ def test_reconstruction_verdicts_match_the_dense_oracle(scenario_dir):
             else:
                 assert (kind, got) == want, name
     assert set(kinds) == {"fit", "inconsistent", "infeasible"}
+
+
+def _raised(build, *args):
+    try:
+        build(*args)
+    except (ContextMissing, DimMismatch, NotAdditive) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+# fault -> (the rows it may hit, by subset and block count; the value it
+# puts there, from the true one); a shifted proper row is non-additive
+# where a pair of its context has its union in the table
+FAULTS = {
+    "value": (lambda sub, k: True, lambda w: 1.5 if w > 0.5 else -0.25),
+    "full": (lambda sub, k: len(sub) == k, lambda w: 0.5),
+    "empty": (lambda sub, k: not sub, lambda w: 0.25),
+    "additivity": (lambda sub, k: 0 < len(sub) < k,
+                   lambda w: w + 0.01 if w < 0.5 else w - 0.01),
+}
+
+
+def test_table_validation_matches_the_dict_oracle(scenario_dir):
+    # shuffled partial tables with one fault each, or one row naming a
+    # block out of range
+    models = [_rotated_c4()]
+    for path in sorted(scenario_dir.glob("*.json")):
+        scn = load_scenario(path)
+        models.append((path.stem, scn.poset, scn.state))
+    seen = set()
+    for name, poset, state in models:
+        psh = SpectralPresheaf(poset)
+        k = {v.id: v.k for v in poset.contexts}
+        full = list(dict_of(measure_table_of_state(state, psh)).items())
+        assert _raised(table_of, psh, dict(full)) is None
+        for seed in range(25):
+            rng = np.random.default_rng([seed, len(full)])
+            keep = rng.permutation(len(full))[:rng.integers(2, len(full) + 1)]
+            rows = [full[i] for i in keep]
+            fault = [*FAULTS, "index"][seed % 5]
+            if fault == "index":
+                cid = poset.contexts[rng.integers(len(poset))].id
+                rows.insert(int(rng.integers(len(rows) + 1)),
+                            ((cid, frozenset({k[cid]})), 0.5))
+            else:
+                hits, faulty = FAULTS[fault]
+                fits = [r for r, ((cid, sub), _) in enumerate(rows)
+                        if hits(sub, k[cid])]
+                if not fits:
+                    continue
+                r = fits[int(rng.integers(len(fits)))]
+                rows[r] = rows[r][0], faulty(rows[r][1])
+            table = dict(rows)
+            want = _raised(check_table, poset, table)
+            assert _raised(table_of, psh, table) == want, (name, seed)
+            seen.add(want[1].split(" ")[0] if want else None)
+    assert seen - {None} == {"value", "character", "full", "empty",
+                             "additivity"}
+    with pytest.raises(ContextMissing):
+        AbstractMeasure(psh, [len(poset)], [0], [0.0])
 
 
 # --------------------------------------------------------------------------
@@ -332,16 +409,18 @@ def test_block_weight_measure_matches_dense_oracle(n, seed, faithful):
     v = _random_context(rng, n, int(rng.integers(2, n + 1)))
     poset = build_poset([v])
     psh = SpectralPresheaf(poset)
-    table = measure_table_of_state(state, poset).table
+    table = measure_table_of_state(state, psh)
+    assert (table.contexts == 0).all()
+    assert list(table.subsets) == list(range(1 << v.k))
     for mask in range(1 << v.k):
         subset = frozenset(i for i in range(v.k) if mask & (1 << i))
         dense = np.trace(state.matrix @ lattice_projection(v, subset).matrix).real
         sub = ClopenSubobject.from_components(psh, {"V": subset})
-        direct = weight_sum(v.weights(state.matrix), subset)
+        direct = table.values[mask]
         assert abs(direct - dense) <= 1e-12
-        # the mask sums add in the same order, so they agree to the bit
-        assert measure_of(state, sub).values["V"] == direct
-        assert abs(table[("V", subset)] - dense) <= 1e-12
+        # the table rows and the mask sums add in the same order, so they
+        # agree to the bit
+        assert measure_of(state, sub)["V"] == direct
 
 
 def _ids(sub):

@@ -59,7 +59,7 @@ def test_faithful_state_is_cyclic_separating(rng):
 def test_tomita_residuals(rng):
     for n in (2, 3, 4):
         data = tomita_operators(State(random_density(rng, n)))
-        assert data.max_residual <= 1e-10
+        assert max(data.residuals.values()) <= 1e-10
         for key in ("s_squared", "j_squared", "polar", "delta_fixes_omega",
                     "j_fixes_omega", "j_antiunitary", "closed_form_delta",
                     "closed_form_j", "closed_form_s"):

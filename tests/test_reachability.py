@@ -3,12 +3,18 @@
 The package sources are parsed, not imported.  Starting from the entry
 points (`toposkms` itself, the report pipeline the benchmark drives, the
 functions the benchmark tracer wraps) and from the declared oracles and
-acceptance code below, every Name and Attribute identifier is followed
-to every definition of that name.  Inside a class, `self.X` and `cls.X`
-lead only to the class's own member X when the class defines one; every
-other identifier is followed by name alone.  The walk over-approximates
-what runs, so a definition it does not reach is certainly dead outside
-the tests.
+acceptance code below, every Name a definition loads, other than the
+names a function binds itself (its parameters and locals), and every
+Attribute identifier is followed to every definition of that name.
+Inside a class, `self.X` and `cls.X` lead only to the class's own member
+X when the class defines one.  So does `x.X` where the package class of
+the parameter or local x is known: every binding of x in the definition
+is a parameter annotated with that class, or an assignment of a call to
+the class or to a package function annotated to return it
+(`x = Cls(...)`, `x = make(...)`); a field of the class leads nowhere.
+Every other identifier is followed by name alone.  The walk
+over-approximates what runs, so a definition it does not reach is
+certainly dead outside the tests.
 
 The same holds for state: every attribute a package method stores on
 `self` must be read, as an attribute, somewhere in the package, and
@@ -23,6 +29,7 @@ that decorator, and the dunder methods of a class with the class.
 Annotations are skipped: naming a type is not using it.
 """
 import ast
+import collections
 import importlib.util
 import pathlib
 
@@ -65,20 +72,68 @@ DECLARED = {
 }
 
 
-def _identifiers(nodes, owner: str = "", own=frozenset()) -> set:
+def _local_classes(nodes, classes, returns) -> dict:
+    """{name: class name} of the parameters and locals under the nodes
+    whose every binding is a parameter annotated with one class of
+    `classes`, or an assignment `name = f(...)` where f is that class or
+    `returns` maps f to it."""
+    kinds, assigned = {}, set()
+    # ast.walk visits an assignment before its target
+    for node in (n for root in nodes for n in ast.walk(root)):
+        if isinstance(node, ast.arg):
+            ann = node.annotation
+            kinds.setdefault(node.arg, set()).add(
+                ann.id if isinstance(ann, ast.Name) and ann.id in classes
+                else None)
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)):
+            call = node.value
+            made = (call.func.id if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name) else None)
+            kinds.setdefault(node.targets[0].id, set()).add(
+                made if made in classes else returns.get(made))
+            assigned.add(id(node.targets[0]))
+        elif (isinstance(node, ast.Name) and id(node) not in assigned
+              and not isinstance(node.ctx, ast.Load)):
+            kinds.setdefault(node.id, set()).add(None)
+    return {name: next(iter(k)) for name, k in kinds.items()
+            if len(k) == 1 and None not in k}
+
+
+def _identifiers(nodes, owner: str = "", own=frozenset(),
+                 classes=None, returns=None) -> set:
     """Name and Attribute identifiers under the nodes, annotations skipped.
     `self.X` and `cls.X` with X in `own`, the members of the class keyed
-    `owner`, come out as the member's key `owner.X` instead of X."""
+    `owner`, come out as the member's key `owner.X` instead of X; so does
+    `x.X` as `key.X` when x is a parameter or local of a known class
+    (_local_classes) and X is a member of it, with `classes` mapping each
+    package class name to (key, member names) and `returns` each package
+    function to the class it is annotated to return."""
+    classes = classes or {}
+    local = _local_classes(nodes, classes, returns or {})
+    # a name a function binds is its local, not a package definition
+    bound = {n.arg if isinstance(n, ast.arg) else n.id
+             for root in nodes if _is_def(root) for n in ast.walk(root)
+             if isinstance(n, ast.arg) or (isinstance(n, ast.Name)
+                                           and isinstance(n.ctx, ast.Store))}
     out = set()
     stack = list(nodes)
     while stack:
         node = stack.pop()
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            if isinstance(node.ctx, ast.Load) and node.id not in bound:
+                out.add(node.id)
         elif (isinstance(node, ast.Attribute) and node.attr in own
               and isinstance(node.value, ast.Name)
               and node.value.id in ("self", "cls")):
             out.add(f"{owner}.{node.attr}")
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in local
+              and node.attr in classes[local[node.value.id]][1]):
+            out.add(f"{classes[local[node.value.id]][0]}.{node.attr}")
+            stack.append(node.value)
+            continue
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         for field, value in ast.iter_fields(node):
@@ -102,11 +157,32 @@ def package_graph(sources=None):
     in its decorators, and those used at import."""
     sources = sources or {path.stem: path.read_text(encoding="utf-8")
                           for path in PACKAGE.glob("*.py")}
+    trees = {module: ast.parse(text) for module, text in sorted(sources.items())}
+    # class name -> (key, names of its methods and fields), function name
+    # -> the class its return annotation names; a name defined twice in
+    # the package is not known
+    classes, returns, defined = {}, {}, collections.Counter()
+    for module, tree in trees.items():
+        for node in filter(_is_def, tree.body):
+            defined[node.name] += 1
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (f"{module}.{node.name}", {
+                    t.id for m in node.body
+                    if isinstance(m, (ast.Assign, ast.AnnAssign))
+                    for t in ast.walk(m)
+                    if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+                } | {m.name for m in node.body if _is_def(m)})
+            elif isinstance(node.returns, ast.Name):
+                returns[node.name] = node.returns.id
+    classes = {c: v for c, v in classes.items() if defined[c] == 1}
+    returns = {f: c for f, c in returns.items()
+               if defined[f] == 1 and c in classes}
     uses, decorators, import_time = {}, {}, set()
-    for module, text in sorted(sources.items()):
-        for node in ast.parse(text).body:
+    for module, tree in trees.items():
+        for node in tree.body:
             if not _is_def(node):
-                import_time |= _identifiers([node])
+                import_time |= _identifiers([node], classes=classes,
+                                            returns=returns)
                 continue
             key = f"{module}.{node.name}"
             decorators[key] = _identifiers(node.decorator_list)
@@ -114,12 +190,15 @@ def package_graph(sources=None):
             if isinstance(node, ast.ClassDef):
                 members = [n for n in node.body if _is_def(n)]
                 rest = [n for n in node.body if not _is_def(n)]
-                uses[key] = _identifiers(rest + node.bases + node.keywords)
+                uses[key] = _identifiers(rest + node.bases + node.keywords,
+                                         classes=classes, returns=returns)
                 own = {m.name for m in members}
                 for m in members:
-                    uses[f"{key}.{m.name}"] = _identifiers([m], key, own)
+                    uses[f"{key}.{m.name}"] = _identifiers(
+                        [m], key, own, classes, returns)
             else:
-                uses[key] = _identifiers([node])
+                uses[key] = _identifiers([node], classes=classes,
+                                         returns=returns)
     return uses, decorators, import_time
 
 
@@ -191,6 +270,57 @@ def test_self_members_lead_to_their_own_class():
 
     assert dead(by_name_only) == []
     assert dead(uses) == ["toy.Group.unitary"]
+
+
+TOY_TYPED = """
+class Flow:
+    def unitary(self, t):
+        return t
+
+
+class Group:
+    def unitary(self, t):
+        return -t
+
+    def samples(self):
+        return [0.0]
+
+
+def make() -> Group:
+    return Group()
+
+
+def step(flow: Flow, unitary):
+    return flow.unitary(unitary)
+
+
+def main():
+    flow = Flow()
+    group = make()
+    return step(flow, 1.0), flow.unitary(2.0), group.samples()
+"""
+
+
+def test_typed_locals_lead_to_their_own_class():
+    """Group.unitary is dead: every `.unitary` is read off a parameter or
+    local of class Flow, by annotation, constructor or return
+    annotation, and the parameter `unitary` is a local.  A walk by name
+    alone reaches it; so does the walk once `flow` may also hold a
+    Group."""
+    uses, decorators, import_time = package_graph({"toy": TOY_TYPED})
+
+    def dead(graph):
+        return sorted(set(graph) - reached(graph, decorators, import_time,
+                                           ["toy.main"]))
+
+    by_name_only = {key: {n.rsplit(".", 1)[-1] for n in names}
+                    for key, names in uses.items()}
+    assert dead(by_name_only) == []
+    assert dead(uses) == ["toy.Group.unitary"]
+    mixed = TOY_TYPED.replace("    group = make()\n",
+                              "    group = make()\n    flow = group\n")
+    uses, decorators, import_time = package_graph({"toy": mixed})
+    assert dead(uses) == []
 
 
 def test_declared_and_traced_names_exist():
