@@ -21,8 +21,9 @@ bound is eps_order^2 / 2, i.e. ||Q'_home - Q_b||_F <= eps_order.
 build_poset closes seed contexts under coarse-graining, meets and a
 list of unitaries; ContextIndex deduplicates them and ContextPoset
 orders them, with one product per signature bucket of stacked frames.
-block_map, includes, coarse_graining_map and contexts_equal work on
-dense blocks: they are the oracles the tests hold the frame path to.
+block_map, includes and contexts_equal work on dense blocks: they are
+the references the tests hold the frame path to, and the benchmark
+tracer wraps them by name.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ from .errors import (
     LatticeTooLarge,
     NonCommuting,
     NotInAlgebra,
-    NotIncluded,
     NotUnitary,
     PosetTooLarge,
     TrivialAlgebra,
@@ -163,10 +163,12 @@ class Context:
         return y @ dagger(y)
 
     def weights(self, m) -> np.ndarray:
-        """Block weights Re tr(m Q_i), the label sums of Re diag(Y* m Y);
-        for a density matrix, the state on this context."""
-        diag = np.einsum("ij,ij->j", self.frame.conj(), m @ self.frame).real
-        return np.add.reduceat(diag, self.starts)
+        """Block weights Re tr(m Q_i), the label sums of Re diag(Y* m Y),
+        of a matrix or along a stack of them (..., n, n); for a density
+        matrix, the state on this context."""
+        diag = np.einsum("ij,...ij->...j", self.frame.conj(),
+                         m @ self.frame).real
+        return np.add.reduceat(diag, self.starts, axis=-1)
 
     def __repr__(self):
         return f"Context(id={self.id!r}, dim={self.dim}, k={self.k})"
@@ -325,16 +327,6 @@ def includes(v_prime: Context, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -
     """Oracle: True iff V' is a sub-algebra of V (every V'-block sums
     V-blocks); tests compare it with ContextPoset.leq."""
     return block_map(v_prime, v, tol) is not None
-
-
-def coarse_graining_map(v: Context, v_prime: Context,
-                        tol: TolerancePolicy = DEFAULT_TOL):
-    """Oracle: map block-index of V -> block-index of V' (V' <= V).
-    NotIncluded if the contexts are not comparable."""
-    out = block_map(v_prime, v, tol)
-    if out is None:
-        raise NotIncluded(f"{v_prime.id} is not a coarse-graining of {v.id}")
-    return out
 
 
 def _unitary(u, tol: TolerancePolicy) -> np.ndarray:
@@ -497,11 +489,6 @@ class ContextPoset:
         """True iff the contexts in a boolean mask form a lower set."""
         small, large = self.strict_pairs.T
         return not (inside[large] & ~inside[small]).any()
-
-    def comparable_pairs(self):
-        """(smaller_id, larger_id) for every strict inclusion, row-major."""
-        return [(self.contexts[i].id, self.contexts[j].id)
-                for i, j in self.strict_pairs.tolist()]
 
     def maximal_ids(self):
         above = self.leq.sum(axis=1) - self.leq.diagonal()

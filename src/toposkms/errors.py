@@ -54,10 +54,6 @@ class NotUnitary(ToposKMSError):
     pass
 
 
-class NotIncluded(ToposKMSError):
-    pass
-
-
 class PosetTooLarge(ToposKMSError):
     pass
 
@@ -125,10 +121,6 @@ class AmbiguousMatch(ToposKMSError):
 # --- modular ----------------------------------------------------------------
 
 class NotCyclicSeparating(ToposKMSError):
-    pass
-
-
-class InvalidImage(ToposKMSError):
     pass
 
 

@@ -395,7 +395,7 @@ def state_from_measure(measure: AbstractMeasure) -> ReconstructionResult:
 
     basis = _traceless_hermitian_basis(n)
     a = np.ascontiguousarray(
-        sums(np.array([ph.weights(bk, inside) for bk in basis])).T)
+        sums(ph.weights(np.array(basis), inside)).T)
     ranks = sums(np.concatenate([v.ranks for v in ph.poset.contexts]))
     _check_consistency(a, ranks, values, ph.tol)
     coeff, _, rank, _ = np.linalg.lstsq(a, values - ranks / n, rcond=None)

@@ -1,6 +1,5 @@
 """Modular structure of a faithful state: Tomita operators on the
-Hilbert-Schmidt space, the modular flow, and antiunitary symmetries
-acting on the context poset.
+Hilbert-Schmidt space, the modular flow, and the commutant swap.
 
 M_n becomes a Hilbert space under <x, y> = tr(x* y) with row-major
 vectorization; the cyclic vector of a faithful rho is Omega = rho^(1/2)
@@ -26,26 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Context, ContextPoset
-from .errors import (
-    InvalidImage,
-    NotCyclicSeparating,
-    NotFaithful,
-    NotUnitary,
-    PosetNotClosed,
-)
+from .errors import NotCyclicSeparating, NotFaithful
 from .kms_external import AutomorphismFlow
 from .measure import State
-from .numerics import (
-    as_complex_matrix,
-    dagger,
-    frob,
-    hermitian_eig,
-    is_unitary,
-    unvec,
-    vec,
-)
-from .tolerances import DEFAULT_TOL, TolerancePolicy
+from .numerics import dagger, frob, hermitian_eig, unvec, vec
 
 
 class AntilinearOp:
@@ -90,21 +73,6 @@ class GNSSpace:
         # column (i, j) is vec(E_ij Omega): the orbit of the matrix units
         self.orbit = np.kron(np.eye(self.n, dtype=np.complex128),
                              self.omega.T)
-
-    def pi_matrix(self, a) -> np.ndarray:
-        """Left multiplication as an n^2 x n^2 matrix (row-major).
-
-        Declared oracle: the package's checks never form this dense
-        A (x) 1; tests compare the block-norm commutators against it."""
-        am = as_complex_matrix(a)
-        return np.kron(am, np.eye(self.n, dtype=np.complex128))
-
-    def right_matrix(self, b) -> np.ndarray:
-        """Right multiplication x -> x b (row-major: I (x) b^T).
-
-        Declared oracle, like pi_matrix."""
-        bm = as_complex_matrix(b)
-        return np.kron(np.eye(self.n, dtype=np.complex128), bm.T)
 
     def cyclic_rank(self) -> int:
         """Rank of {A Omega : A in M_n}; n^2 iff Omega is cyclic (and,
@@ -292,141 +260,3 @@ def commutant_swap_check(state: State, *, data: ModularData | None = None
     return CommutantSwapReport(max_commutator=worst_comm,
                                max_right_residual=worst_right,
                                checked=n ** 4)
-
-
-# --------------------------------------------------------------------------
-# antiunitary symmetries on the context poset
-
-
-class AntiunitaryJ:
-    """An involutive antiunitary v -> W conj(v); the unitary part must be
-    symmetric so the square is the identity."""
-
-    __slots__ = ("w", "dim")
-
-    def __init__(self, w):
-        wm = as_complex_matrix(w)
-        if not is_unitary(wm, 1e-10):
-            raise NotUnitary("antiunitary part is not unitary")
-        if frob(wm - wm.T) > 1e-10:
-            raise NotUnitary(
-                "W must be symmetric for an involutive antiunitary"
-            )
-        self.w = wm
-        self.dim = wm.shape[0]
-
-    def apply(self, v) -> np.ndarray:
-        return self.w @ np.conj(np.asarray(v, dtype=np.complex128))
-
-    def conjugate_operator(self, a) -> np.ndarray:
-        """J A J as a linear operator: W conj(A) W*."""
-        return self.w @ np.conj(as_complex_matrix(a)) @ dagger(self.w)
-
-    def image_context(self, v: Context, tol: TolerancePolicy = DEFAULT_TOL
-                      ) -> Context:
-        blocks = [self.conjugate_operator(v.block(i)) for i in range(v.k)]
-        try:
-            return Context(blocks, tol=tol)
-        except Exception as exc:  # pragma: no cover - mathematically impossible
-            raise InvalidImage(f"image of {v.id} is not a context: {exc}")
-
-
-def swap_unitary(n_a: int, n_b: int) -> np.ndarray:
-    """The tensor-factor swap on C^(n_a) (x) C^(n_b)."""
-    w = np.zeros((n_a * n_b, n_a * n_b), dtype=np.complex128)
-    for i in range(n_a):
-        for j in range(n_b):
-            w[j * n_a + i, i * n_b + j] = 1.0
-    return w
-
-
-@dataclass
-class JMapReport:
-    mapping: dict          # context id -> image context id (or None)
-    total: bool            # every image present in the poset
-    injective: bool
-
-
-def jmap_on_contexts(j: AntiunitaryJ, poset: ContextPoset) -> JMapReport:
-    """The induced map V -> J V J on the poset, where defined, under the
-    poset's policy."""
-    mapping = {}
-    for v in poset.contexts:
-        img = j.image_context(v, poset.tol)
-        mapping[v.id] = poset.find_equal(img)
-    images = [m for m in mapping.values() if m is not None]
-    return JMapReport(
-        mapping=mapping,
-        total=all(m is not None for m in mapping.values()),
-        injective=len(set(images)) == len(images),
-    )
-
-
-def _all_lower_sets(poset: ContextPoset, cap: int = 100_000):
-    """Every lower set of the poset (order ideals), as frozensets of
-    context ids."""
-    n = len(poset.contexts)
-    order = sorted(range(n),
-                   key=lambda i: int(np.sum(poset.leq[:, i])))
-    ideals = [frozenset()]
-    for i in order:
-        below = {poset.contexts[k].id for k in range(n)
-                 if poset.leq[k, i] and k != i}
-        cid = poset.contexts[i].id
-        new = []
-        for ideal in ideals:
-            new.append(ideal)
-            if below <= ideal:
-                new.append(ideal | {cid})
-        ideals = new
-        if len(ideals) > cap:
-            raise PosetNotClosed(
-                f"more than {cap} lower sets; refusing to enumerate"
-            )
-    return ideals
-
-
-@dataclass
-class OrderContinuityReport:
-    order_preserving: bool
-    continuous: bool       # preimages of lower sets are lower sets
-    lower_sets_checked: int
-    verdicts_agree: bool   # order preservation vs continuity
-
-
-def check_order_continuity(j: AntiunitaryJ, poset: ContextPoset,
-                           cap: int = 100_000) -> OrderContinuityReport:
-    """Exhaustive comparison of two readings of 'the symmetry respects
-    coarse-graining': (a) V' <= V implies J V' J <= J V J on all
-    comparable pairs, and (b) the induced self-map is continuous for the
-    lower-set topology (preimage of every lower set is a lower set).
-    The two verdicts must agree; the report records both."""
-    report = jmap_on_contexts(j, poset)
-    if not report.total:
-        raise PosetNotClosed("the poset is not closed under the symmetry")
-    mapping = report.mapping
-    idx = {v.id: i for i, v in enumerate(poset.contexts)}
-
-    preserving = True
-    for a in poset.contexts:
-        for b in poset.contexts:
-            le_ab = bool(poset.leq[idx[a.id], idx[b.id]])
-            le_img = bool(poset.leq[idx[mapping[a.id]], idx[mapping[b.id]]])
-            if le_ab and not le_img:
-                preserving = False
-
-    ideals = _all_lower_sets(poset, cap)
-    continuous = True
-    for ideal in ideals:
-        preimage = np.array([mapping[v.id] in ideal for v in poset.contexts],
-                            dtype=bool)
-        if not poset.is_lower_set(preimage):
-            continuous = False
-            break
-
-    return OrderContinuityReport(
-        order_preserving=preserving,
-        continuous=continuous,
-        lower_sets_checked=len(ideals),
-        verdicts_agree=(preserving == continuous),
-    )

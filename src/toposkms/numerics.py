@@ -2,8 +2,7 @@
 
 Everything downstream (contexts, presheaves, flows, modular data) sits on
 the routines here: a deterministically phase-fixed Hermitian
-eigendecomposition and the projection lattice primitives (order test,
-meet via a null space, join by De Morgan).
+eigendecomposition, the projection order test, and null spaces.
 
 Matrices are plain complex128 ndarrays; a Projection wraps one after
 validating hermiticity, idempotency and spectral membership.
@@ -108,10 +107,6 @@ def as_matrix(p) -> np.ndarray:
     return p.matrix if isinstance(p, Projection) else as_complex_matrix(p)
 
 
-def zero_projection(n: int) -> Projection:
-    return Projection(np.zeros((n, n), dtype=np.complex128))
-
-
 def proj_leq(p, q, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Order test P <= Q, i.e. range(P) inside range(Q).
 
@@ -124,35 +119,7 @@ def proj_leq(p, q, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     return frob((eye - qm) @ pm) <= tol.eps_order
 
 
-def proj_meet(p, q, tol: TolerancePolicy = DEFAULT_TOL) -> Projection:
-    """Greatest lower bound of two projections (intersection of ranges).
-
-    range(P) ∩ range(Q) = null((1-P) + (1-Q)); the null space is read off
-    the eigendecomposition of that positive semi-definite sum.
-    """
-    pm, qm = as_matrix(p), as_matrix(q)
-    if pm.shape != qm.shape:
-        raise DimMismatch(f"projection shapes differ: {pm.shape} vs {qm.shape}")
-    n = pm.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    gap = (eye - pm) + (eye - qm)
-    w, u = hermitian_eig(gap, tol)
-    cols = u[:, w <= tol.eps_eig]
-    if cols.shape[1] == 0:
-        return zero_projection(n)
-    return Projection(cols @ dagger(cols), tol)
-
-
-def proj_join(p, q, tol: TolerancePolicy = DEFAULT_TOL) -> Projection:
-    """Least upper bound, via De Morgan: P v Q = 1 - ((1-P) ^ (1-Q))."""
-    pm, qm = as_matrix(p), as_matrix(q)
-    n = pm.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    comp = proj_meet(eye - pm, eye - qm, tol)
-    return Projection(eye - comp.matrix, tol)
-
-
-def null_space(a: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def null_space(a: np.ndarray, rtol: float) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of a, via SVD."""
     m = np.asarray(a, dtype=np.complex128)
     _, s, vh = np.linalg.svd(m)
@@ -161,7 +128,7 @@ def null_space(a: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     return dagger(vh)[:, rank:]
 
 
-def is_unitary(u, tol: float = 1e-10) -> bool:
+def is_unitary(u, tol: float) -> bool:
     m = as_complex_matrix(u)
     eye = np.eye(m.shape[0], dtype=np.complex128)
     return frob(dagger(m) @ m - eye) <= tol

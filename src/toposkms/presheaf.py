@@ -60,7 +60,7 @@ from .errors import (
     NotInLattice,
     PosetNotClosed,
 )
-from .numerics import Projection, as_matrix, dagger, frob
+from .numerics import Projection, as_matrix, dagger
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 # most nodes, candidate components at one context, enumerate_subobjects
@@ -104,11 +104,11 @@ class SpectralPresheaf:
     def weights(self, m, inside=None) -> np.ndarray:
         """Flat block weights Re tr(m Q_i) (Context.weights) at the
         contexts of the boolean mask `inside`, every context by default,
-        and 0 elsewhere."""
-        out = np.zeros(self.offsets[-1])
+        and 0 elsewhere; m is a matrix or a stack of them (..., n, n)."""
+        out = np.zeros(np.shape(m)[:-2] + (self.offsets[-1],))
         everywhere = np.ones(len(self.poset), dtype=bool)
         for i in np.flatnonzero(everywhere if inside is None else inside):
-            out[self.offsets[i]:self.offsets[i + 1]] = (
+            out[..., self.offsets[i]:self.offsets[i + 1]] = (
                 self.poset.contexts[i].weights(m))
         return out
 
@@ -215,22 +215,6 @@ def _ragged(sizes) -> np.ndarray:
     """Concatenated aranges 0 .. size - 1 for each size."""
     sizes = np.asarray(sizes, dtype=np.intp)
     return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-
-
-def s_map(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> frozenset:
-    """Lattice isomorphism P(V) -> clopen subsets: indices of blocks under P.
-
-    NotInLattice if p is not a subset sum of the blocks.
-    """
-    pm = as_matrix(p)
-    # ||(1 - P) Q_i||_F^2 = ||(1 - P) Y_i||_F^2, summed over block i's columns
-    outside = np.add.reduceat(np.linalg.norm(v.frame - pm @ v.frame, axis=0) ** 2,
-                              v.starts)
-    indices = frozenset(np.flatnonzero(outside <= tol.eps_order ** 2).tolist())
-    gap = frob(v.block_sum(indices) - pm)
-    if gap > max(tol.eps_order * max(1, v.k), tol.eps_order):
-        raise NotInLattice("projection is not an element of the context lattice")
-    return indices
 
 
 def dasein_indices(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> tuple:

@@ -12,14 +12,35 @@ mu_equivalent, strong_mu_equivalence).
 A measure table is also kept in its dict form, (context id, character
 set) -> value, validated row by row and pair by pair (check_table); the
 package validates the three arrays of measure.AbstractMeasure.
+
+The dense references that only tests read live here too: the
+projection meet and join, the lattice isomorphism s_map read off dense
+blocks, the coarse-graining map, left and right multiplication as
+n^2 x n^2 matrices, and the tensor-factor swap.  conjugation_map checks
+acceptance criterion 9 on the package's frame primitives.
 """
 import functools
 
 import numpy as np
 
-from toposkms.errors import AmbiguousMatch, DimMismatch, NotAdditive
+from toposkms.algebra import Context, block_map
+from toposkms.errors import (
+    AmbiguousMatch,
+    DimMismatch,
+    NotAdditive,
+    NotInLattice,
+)
 from toposkms.measure import AbstractMeasure
+from toposkms.numerics import (
+    Projection,
+    as_complex_matrix,
+    as_matrix,
+    dagger,
+    frob,
+    hermitian_eig,
+)
 from toposkms.presheaf import ClopenSubobject
+from toposkms.tolerances import DEFAULT_TOL, TolerancePolicy
 
 
 @functools.lru_cache(maxsize=64)
@@ -258,3 +279,109 @@ def dict_of(measure):
             for c, s, v in zip(measure.contexts.tolist(),
                                measure.subsets.tolist(),
                                measure.values.tolist())}
+
+
+# --------------------------------------------------------------------------
+# dense references
+
+
+def zero_projection(n: int) -> Projection:
+    return Projection(np.zeros((n, n), dtype=np.complex128))
+
+
+def proj_meet(p, q, tol: TolerancePolicy = DEFAULT_TOL) -> Projection:
+    """Greatest lower bound of two projections (intersection of ranges).
+
+    range(P) ∩ range(Q) = null((1-P) + (1-Q)); the null space is read off
+    the eigendecomposition of that positive semi-definite sum.
+    """
+    pm, qm = as_matrix(p), as_matrix(q)
+    if pm.shape != qm.shape:
+        raise DimMismatch(f"projection shapes differ: {pm.shape} vs {qm.shape}")
+    n = pm.shape[0]
+    eye = np.eye(n, dtype=np.complex128)
+    gap = (eye - pm) + (eye - qm)
+    w, u = hermitian_eig(gap, tol)
+    cols = u[:, w <= tol.eps_eig]
+    if cols.shape[1] == 0:
+        return zero_projection(n)
+    return Projection(cols @ dagger(cols), tol)
+
+
+def proj_join(p, q, tol: TolerancePolicy = DEFAULT_TOL) -> Projection:
+    """Least upper bound, via De Morgan: P v Q = 1 - ((1-P) ^ (1-Q))."""
+    pm, qm = as_matrix(p), as_matrix(q)
+    n = pm.shape[0]
+    eye = np.eye(n, dtype=np.complex128)
+    comp = proj_meet(eye - pm, eye - qm, tol)
+    return Projection(eye - comp.matrix, tol)
+
+
+def s_map(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> frozenset:
+    """Lattice isomorphism P(V) -> clopen subsets: indices of blocks under P.
+
+    NotInLattice if p is not a subset sum of the blocks.
+    """
+    pm = as_matrix(p)
+    # ||(1 - P) Q_i||_F^2 = ||(1 - P) Y_i||_F^2, summed over block i's columns
+    outside = np.add.reduceat(np.linalg.norm(v.frame - pm @ v.frame, axis=0) ** 2,
+                              v.starts)
+    indices = frozenset(np.flatnonzero(outside <= tol.eps_order ** 2).tolist())
+    gap = frob(v.block_sum(indices) - pm)
+    if gap > max(tol.eps_order * max(1, v.k), tol.eps_order):
+        raise NotInLattice("projection is not an element of the context lattice")
+    return indices
+
+
+def coarse_graining_map(v: Context, v_prime: Context,
+                        tol: TolerancePolicy = DEFAULT_TOL):
+    """Map block-index of V -> block-index of V' (V' <= V).
+    ValueError if the contexts are not comparable."""
+    out = block_map(v_prime, v, tol)
+    if out is None:
+        raise ValueError(f"{v_prime.id} is not a coarse-graining of {v.id}")
+    return out
+
+
+def pi_matrix(a, n: int) -> np.ndarray:
+    """Left multiplication x -> a x as an n^2 x n^2 matrix (row-major:
+    a (x) 1)."""
+    return np.kron(as_complex_matrix(a), np.eye(n, dtype=np.complex128))
+
+
+def right_matrix(b, n: int) -> np.ndarray:
+    """Right multiplication x -> x b (row-major: 1 (x) b^T)."""
+    return np.kron(np.eye(n, dtype=np.complex128), as_complex_matrix(b).T)
+
+
+def swap_unitary(n_a: int, n_b: int) -> np.ndarray:
+    """The tensor-factor swap on C^(n_a) (x) C^(n_b)."""
+    w = np.zeros((n_a * n_b, n_a * n_b), dtype=np.complex128)
+    for i in range(n_a):
+        for j in range(n_b):
+            w[j * n_a + i, i * n_b + j] = 1.0
+    return w
+
+
+def conjugation_map(w, poset):
+    """The map V -> J V J of the antiunitary J = W conj(.) on a context
+    poset, with its two readings of 'J respects coarse-graining':
+    (images, order_preserving, continuous, lower_sets).  images[i] is the
+    id of the poset context equal to (W conj(Y), labels), or None; the
+    verdicts need every image and are None otherwise.  Continuity is for
+    the lower-set topology: the preimage of every lower set, enumerated
+    as masks adding contexts by increasing height, is a lower set."""
+    images = [poset.find_equal(Context.on_frame(w @ v.frame.conj(), v.labels))
+              for v in poset.contexts]
+    if None in images:
+        return images, None, None, None
+    m = np.array([poset.index_of(cid) for cid in images])
+    leq = poset.leq
+    preserving = bool((leq <= leq[np.ix_(m, m)]).all())
+    eye = np.eye(len(m), dtype=bool)
+    ideals = [np.zeros(len(m), dtype=bool)]
+    for i in sorted(range(len(m)), key=lambda i: int(leq[:, i].sum())):
+        below = leq[:, i] & ~eye[i]
+        ideals += [s | eye[i] for s in ideals if not (below & ~s).any()]
+    continuous = all(poset.is_lower_set(s[m]) for s in ideals)
+    return images, preserving, continuous, len(ideals)

@@ -11,7 +11,6 @@ from toposkms.algebra import (
     ContextPoset,
     apply_automorphism,
     build_poset,
-    coarse_graining_map,
     context_from_operators,
     contexts_equal,
     includes,
@@ -33,6 +32,7 @@ from toposkms.scenario import load_scenario
 from toposkms.tolerances import DEFAULT_TOL
 
 from conftest import P12SYM, diagonal_context
+from oracles import coarse_graining_map
 
 
 def test_blocks_must_partition_identity():

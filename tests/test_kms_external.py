@@ -60,7 +60,7 @@ def test_flow_is_a_one_parameter_group():
     assert frob(flow.unitary(0.0) - np.eye(3)) < 1e-14
     u = flow.unitary(0.4) @ flow.unitary(1.1)
     assert frob(u - flow.unitary(1.5)) < 1e-12
-    assert is_unitary(flow.unitary(-2.3))
+    assert is_unitary(flow.unitary(-2.3), 1e-10)
 
 
 @given(t=st.floats(-5, 5), s=st.floats(-5, 5))

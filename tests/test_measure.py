@@ -322,6 +322,23 @@ def test_reconstruction_verdicts_match_the_dense_oracle(scenario_dir):
     assert set(kinds) == {"fit", "inconsistent", "infeasible"}
 
 
+def test_weights_of_a_stack_are_those_of_each_matrix(scenario_dir):
+    # state_from_measure reads the weights of the whole traceless basis in
+    # one call; they must be the weights of each basis matrix, bit for bit
+    models = [_rotated_c4()[1:]]
+    for path in sorted(scenario_dir.glob("*.json")):
+        scn = load_scenario(path)
+        models.append((scn.poset, scn.state))
+    for poset, state in models:
+        psh = SpectralPresheaf(poset)
+        stack = np.array(_traceless_hermitian_basis(state.dim)
+                         + [state.matrix])
+        every_other = np.arange(len(poset)) % 2 == 0
+        for inside in (None, every_other):
+            one_by_one = np.array([psh.weights(m, inside) for m in stack])
+            assert psh.weights(stack, inside).tobytes() == one_by_one.tobytes()
+
+
 def _raised(build, *args):
     try:
         build(*args)

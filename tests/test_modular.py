@@ -5,37 +5,38 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from toposkms.algebra import build_poset, context_from_operators, contexts_equal
+from toposkms.algebra import (
+    Context,
+    build_poset,
+    context_from_operators,
+    contexts_equal,
+)
 from toposkms.errors import ToposKMSError
 from toposkms.kms_external import check_C1, check_C2, gibbs_state
 from toposkms.measure import State
 from toposkms.modular import (
     AntilinearOp,
-    AntiunitaryJ,
     GNSSpace,
-    check_order_continuity,
     commutant_swap_check,
     expected_delta_spectrum,
-    jmap_on_contexts,
     modular_flow,
-    swap_unitary,
     tomita_operators,
 )
 from toposkms.numerics import dagger, frob, vec
 
 from conftest import random_density
+from oracles import conjugation_map, pi_matrix, right_matrix, swap_unitary
 
 
 def test_gns_representation_multiplies(rng):
     state = State(random_density(rng, 3))
-    gns = GNSSpace(state)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert frob(gns.pi_matrix(a @ b) - gns.pi_matrix(a) @ gns.pi_matrix(b)) \
+    assert frob(pi_matrix(a @ b, 3) - pi_matrix(a, 3) @ pi_matrix(b, 3)) \
         < 1e-10
     # left and right multiplication operators commute
-    comm = gns.pi_matrix(a) @ gns.right_matrix(b) \
-        - gns.right_matrix(b) @ gns.pi_matrix(a)
+    comm = pi_matrix(a, 3) @ right_matrix(b, 3) \
+        - right_matrix(b, 3) @ pi_matrix(a, 3)
     assert frob(comm) < 1e-10
 
 
@@ -45,7 +46,7 @@ def test_gns_vector_state_reproduces_trace(rng):
     omega = vec(gns.omega)
     for _ in range(5):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        lhs = omega.conj() @ gns.pi_matrix(a) @ omega
+        lhs = omega.conj() @ pi_matrix(a, 3) @ omega
         assert abs(lhs - np.trace(state.matrix @ a)) < 1e-12
 
 
@@ -112,7 +113,6 @@ def dense_swap_oracle(state, data):
     """The commutant-swap residuals with pi(E_kl) = E_kl (x) 1 formed as a
     dense n^2 x n^2 matrix and every commutator multiplied out: (max
     commutator, max right residual, pairs checked)."""
-    gns = GNSSpace(state)
     n = state.dim
     units = []
     for k in range(n):
@@ -123,14 +123,14 @@ def dense_swap_oracle(state, data):
     swapped = []
     worst_right = 0.0
     for e in units:
-        lhs = data.j.m @ np.conj(gns.pi_matrix(e) @ data.j.m)
+        lhs = data.j.m @ np.conj(pi_matrix(e, n) @ data.j.m)
         worst_right = max(worst_right,
-                          frob(lhs - gns.right_matrix(dagger(e))))
+                          frob(lhs - right_matrix(dagger(e), n)))
         swapped.append(lhs)
     worst_comm = 0.0
     for sw in swapped:
         for e in units:
-            pe = gns.pi_matrix(e)
+            pe = pi_matrix(e, n)
             worst_comm = max(worst_comm, frob(sw @ pe - pe @ sw))
     return worst_comm, worst_right, len(units) ** 2
 
@@ -218,35 +218,35 @@ def tensor_poset():
 def test_jmap_swaps_tensor_factors():
     # for the tracial state of a tensor square, the conjugation acts on
     # the small Hilbert space as swap followed by complex conjugation
-    j = AntiunitaryJ(swap_unitary(2, 2))
+    w = swap_unitary(2, 2)
     poset = tensor_poset()
     # the conjugation carries first-factor contexts onto second-factor ones
-    image = j.image_context(poset.context("A"))
+    a = poset.context("A")
+    image = Context.on_frame(w @ a.frame.conj(), a.labels)
     assert contexts_equal(image, poset.context("B"))
-    rep = jmap_on_contexts(j, poset)
-    assert rep.total and rep.injective
-    assert rep.mapping["A"] == "B" and rep.mapping["B"] == "A"
-    assert rep.mapping["R"] == "Rb" and rep.mapping["Rb"] == "R"
+    images, _, _, _ = conjugation_map(w, poset)
+    mapping = dict(zip([v.id for v in poset.contexts], images))
+    assert None not in images and len(set(images)) == len(images)
+    assert mapping["A"] == "B" and mapping["B"] == "A"
+    assert mapping["R"] == "Rb" and mapping["Rb"] == "R"
 
 
 def test_jmap_partial_when_images_are_missing():
-    j = AntiunitaryJ(swap_unitary(2, 2))
     p = np.diag([1.0, 0.0])
     only_a = build_poset([
         context_from_operators([np.kron(p, np.eye(2))], "A")])
-    rep = jmap_on_contexts(j, only_a)
-    assert not rep.total
-    assert rep.mapping["A"] is None
+    images, preserving, continuous, _ = conjugation_map(swap_unitary(2, 2),
+                                                        only_a)
+    assert images == [None]
+    assert preserving is None and continuous is None
 
 
 def test_order_continuity_verdicts_agree(c3_gibbs):
-    j = AntiunitaryJ(swap_unitary(2, 2))
-    rep = check_order_continuity(j, tensor_poset())
-    assert rep.order_preserving
-    assert rep.continuous
-    assert rep.verdicts_agree
-    assert rep.lower_sets_checked > 0
+    _, preserving, continuous, lower_sets = conjugation_map(
+        swap_unitary(2, 2), tensor_poset())
+    assert preserving and continuous
+    assert lower_sets > 0
     # plain conjugation maps the worked example poset onto itself
-    j3 = AntiunitaryJ(np.eye(3))
-    rep3 = check_order_continuity(j3, c3_gibbs.poset)
-    assert rep3.verdicts_agree and rep3.continuous
+    _, preserving3, continuous3, _ = conjugation_map(np.eye(3),
+                                                     c3_gibbs.poset)
+    assert preserving3 == continuous3 and continuous3

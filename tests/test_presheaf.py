@@ -21,7 +21,7 @@ from toposkms.errors import (
     PosetNotClosed,
 )
 from toposkms.kms_external import AutomorphismFlow, check_C1, gibbs_state
-from toposkms.numerics import frob, proj_join, proj_leq
+from toposkms.numerics import frob, proj_leq
 from toposkms import presheaf as presheaf_module
 from toposkms.presheaf import (
     ClopenSubobject,
@@ -35,7 +35,6 @@ from toposkms.presheaf import (
     outer_daseinisation,
     outer_daseinisation_bruteforce,
     pullback,
-    s_map,
     subobject_join,
     subobject_meet,
 )
@@ -44,7 +43,7 @@ from toposkms.suites import SUITES
 from toposkms.tolerances import DEFAULT_TOL
 
 from conftest import P12SYM, diagonal_context, random_projection
-from oracles import all_subobjects
+from oracles import all_subobjects, proj_join, s_map
 
 
 def _characters(psh, cid):

@@ -1,11 +1,11 @@
 """No package code that only tests reach.
 
 The package sources are parsed, not imported.  Starting from the entry
-points (`toposkms` itself, the report pipeline the benchmark drives, the
-functions the benchmark tracer wraps) and from the declared oracles and
-acceptance code below, every Name a definition loads, other than the
-names a function binds itself (its parameters and locals), and every
-Attribute identifier is followed to every definition of that name.
+points (`toposkms` itself, the report pipeline the benchmark drives) and
+the functions the benchmark tracer wraps, every Name a definition loads,
+other than the names a function binds itself (its parameters and
+locals), and every Attribute identifier is followed to every definition
+of that name.
 Inside a class, `self.X` and `cls.X` lead only to the class's own member
 X when the class defines one.  So does `x.X` where the package class of
 the parameter or local x is known: every binding of x in the definition
@@ -39,37 +39,6 @@ SPANS = ROOT / "perfbench" / "spans.py"
 READERS = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
 
 ENTRY_POINTS = ("cli.main", "cli.execute", "scenario.load_scenario")
-
-# definitions kept although no entry point reaches them, with the reason
-DECLARED = {
-    # acceptance criterion 9: J-maps on context posets are order-preserving
-    # exactly when continuous for the lower-set topologies
-    "modular.AntiunitaryJ": "criterion 9",
-    "modular.swap_unitary": "criterion 9",
-    "modular.jmap_on_contexts": "criterion 9",
-    "modular.JMapReport": "criterion 9",
-    "modular.check_order_continuity": "criterion 9",
-    "modular.OrderContinuityReport": "criterion 9",
-    "modular._all_lower_sets": "criterion 9",
-    "errors.InvalidImage": "criterion 9",
-    # property-test oracles for the fast paths
-    "algebra.includes": "oracle for the bulk order of ContextPoset",
-    "algebra.coarse_graining_map": "oracle for ContextPoset.block_maps",
-    "algebra.block_map":
-        "dense oracle behind includes and coarse_graining_map",
-    "algebra.contexts_equal":
-        "dense oracle for ContextIndex.find, find_equal and image",
-    "errors.NotIncluded": "raised by coarse_graining_map",
-    "presheaf.s_map": "reads dense daseinisation output back as block "
-                      "indices in criterion 4 and the join identity",
-    "modular.GNSSpace.pi_matrix":
-        "dense oracle for the block-norm commutators",
-    "modular.GNSSpace.right_matrix":
-        "dense oracle for the block-norm commutators",
-    "numerics.proj_meet": "oracle in test_daseinisation_join_identity",
-    "numerics.proj_join": "oracle in test_daseinisation_join_identity",
-    "numerics.zero_projection": "oracle in test_daseinisation_join_identity",
-}
 
 
 def _local_classes(nodes, classes, returns) -> dict:
@@ -323,24 +292,30 @@ def test_typed_locals_lead_to_their_own_class():
     assert dead(uses) == []
 
 
-def test_declared_and_traced_names_exist():
+def test_traced_names_exist():
     uses, _, _ = package_graph()
-    for key in list(DECLARED) + traced_targets() + list(ENTRY_POINTS):
+    for key in traced_targets() + list(ENTRY_POINTS):
         assert key in uses, key
 
 
 def test_every_definition_is_reached():
     uses, decorators, import_time = package_graph()
-    roots = list(ENTRY_POINTS) + traced_targets() + list(DECLARED)
+    roots = list(ENTRY_POINTS) + traced_targets()
     seen = reached(uses, decorators, import_time, roots)
     assert sorted(set(uses) - seen) == []
 
 
-def test_declared_names_are_not_reached():
-    """A declared name that an entry point reaches is a stale entry."""
-    uses, decorators, import_time = package_graph()
-    seen = reached(uses, decorators, import_time, ENTRY_POINTS)
-    assert sorted(seen & set(DECLARED)) == []
+def test_oracles_are_not_second_copies():
+    """A test oracle is not also defined in the package, so a dense
+    reference cannot drift back into it beside the tests' copy."""
+    def top_level(path):
+        return {node.name for node in ast.parse(
+            path.read_text(encoding="utf-8")).body if _is_def(node)}
+
+    package = set().union(*map(top_level, PACKAGE.glob("*.py")))
+    oracles = top_level(ROOT / "tests" / "oracles.py")
+    assert oracles
+    assert sorted(package & oracles) == []
 
 
 def stored_and_read():
