@@ -20,10 +20,13 @@ bound is eps_order^2 / 2, i.e. ||Q'_home - Q_b||_F <= eps_order.
 
 build_poset closes seed contexts under coarse-graining, meets and a
 list of unitaries; ContextIndex deduplicates them and ContextPoset
-orders them, with one product per signature bucket of stacked frames.
-block_map, includes and contexts_equal work on dense blocks: they are
-the references the tests hold the frame path to, and the benchmark
-tracer wraps them by name.
+orders them.  The contexts of one signature share their labels, so each
+bucket's frames are one stacked array: the order is one product per
+pair of buckets, and moving every context of a mask by a unitary
+(ContextPoset.images) one product per bucket, each sliced to at most
+PRODUCT_ENTRIES entries.  block_map, includes and contexts_equal work
+on dense blocks: they are the references the tests hold the frame path
+to, and the benchmark tracer wraps them by name.
 """
 from __future__ import annotations
 
@@ -55,14 +58,32 @@ from .tolerances import DEFAULT_TOL, TolerancePolicy
 #: hard cap on the number of blocks for 2^k lattice enumerations
 MAX_LATTICE_BLOCKS = 20
 
+#: most complex entries one batched frame product holds (256 KB); a
+#: product of two stacks is taken in tiles of at most this many entries.
+#: A tile and its |.|^2 stay near cache size: on the diagonal C^6 and C^7
+#: posets 2^14 ran no slower than 2^15 and held about 0.4 MB less at peak
+PRODUCT_ENTRIES = 1 << 14
+
 
 def _overlaps(rows, row_starts, frame, col_starts) -> np.ndarray:
     """Overlap tables O[..., a, b] = tr(Q'_a Q_b) between the blocks of
     the frames `rows` (one n x n frame, or a stack of frames with equal
     labels) and the blocks of `frame`: |Y'* Y|^2 summed by labels."""
-    p = np.abs(np.swapaxes(rows.conj(), -1, -2) @ frame) ** 2
+    p = np.abs(np.swapaxes(rows.conj(), -1, -2) @ frame)
+    p **= 2
     return np.add.reduceat(np.add.reduceat(p, row_starts, axis=-2),
                            col_starts, axis=-1)
+
+
+def tiles(rows: int, cols: int, size: int):
+    """(row slice, column slice) pairs that tile a rows x cols grid of
+    products of `size` entries each, every tile at most PRODUCT_ENTRIES
+    entries (or a single product), row slices in order."""
+    r = max(1, min(rows, PRODUCT_ENTRIES // size))
+    c = max(1, PRODUCT_ENTRIES // (r * size))
+    for lo in range(0, rows, r):
+        for cl in range(0, cols, c):
+            yield slice(lo, lo + r), slice(cl, cl + c)
 
 
 def _homes(o, bound: float):
@@ -70,8 +91,8 @@ def _homes(o, bound: float):
     home[b] is the row of the largest overlap, and placed[b] says that
     the rest of the column, the off-home mass, is at most bound."""
     home = o.argmax(axis=-2)
-    rest = o.copy()
-    np.put_along_axis(rest, home[..., None, :], 0.0, axis=-2)
+    rest = np.where(np.arange(o.shape[-2])[:, None] == home[..., None, :],
+                    0.0, o)
     return rest.sum(axis=-2) <= bound, home
 
 
@@ -363,9 +384,10 @@ def _set_partitions(k: int):
 class ContextIndex:
     """Contexts in insertion order, bucketed by Context.signature().
 
-    A bucket shares its labels, so its frames are stacked and one product
-    gives a probe's overlap tables with all of them.  find returns the
-    first index a linear contexts_equal scan would.
+    A bucket shares its labels, so its frames are stacked once (stack)
+    and one product gives the overlap tables of a stack of probes with
+    all of them.  find returns the first index a linear contexts_equal
+    scan would.
     """
 
     def __init__(self, tol: TolerancePolicy = DEFAULT_TOL, contexts=()):
@@ -382,35 +404,49 @@ class ContextIndex:
         self.contexts.append(v)
         return len(self.contexts) - 1
 
-    def placements(self, frame, v: Context, bound: float, signatures):
-        """[(index, overlap table, homes)] of the contexts V' with the
-        given signatures in which every block of V's labels on `frame`
-        has a home with off-home mass at most bound, in index order."""
-        out = []
-        for sig in signatures:
-            members = self.buckets.get(sig)
-            if not members:
-                continue
-            if sig not in self._stacks:
-                self._stacks[sig] = np.array([self.contexts[i].frame
-                                              for i in members])
-            o = _overlaps(self._stacks[sig], self.contexts[members[0]].starts,
-                          frame, v.starts)
-            placed, home = _homes(o, bound)
-            out.extend((members[a], o[a], home[a])
-                       for a in np.flatnonzero(placed.all(axis=1)))
-        return sorted(out, key=lambda hit: hit[0])
+    def stack(self, sig):
+        """(members, frames): the indices and the stacked (m, n, n) frames
+        of a bucket, in index order."""
+        if sig not in self._stacks:
+            members = self.buckets[sig]
+            self._stacks[sig] = (np.array(members, dtype=np.intp),
+                                 np.array([self.contexts[i].frame
+                                           for i in members]))
+        return self._stacks[sig]
 
-    def locate(self, frame, v: Context):
-        """(index, overlap table) of the first context equal to V's labels
-        on `frame`, or None."""
-        hits = self.placements(frame, v, self.tol.eps_order ** 2 / 2,
-                               [v.signature()])
-        return hits[0][:2] if hits else None
+    def stacks(self):
+        """(signature, members, frames) of every bucket (stack): the
+        indices and the stacked (m, n, n) frames of its contexts."""
+        for sig in self.buckets:
+            yield (sig, *self.stack(sig))
+
+    def matches(self, frames, v: Context):
+        """(first, home) for a stack of frames (s, n, n) with V's labels:
+        first[b] is the index of the first context equal to frame b, -1
+        where none is, and home[b] the block of it that each block of
+        frame b lies in (the homes at equality's bound, eps_order^2 / 2)."""
+        first = np.full(len(frames), -1, dtype=np.intp)
+        home = np.zeros((len(frames), v.k), dtype=np.intp)
+        if v.signature() not in self.buckets:
+            return first, home
+        members, stack = self.stack(v.signature())
+        for rows, cols in tiles(len(stack), len(frames), v.dim ** 2):
+            todo = first[cols] < 0
+            if not todo.any():
+                continue
+            placed, h = _homes(_overlaps(stack[rows, None], v.starts,
+                                         frames[None, cols], v.starts),
+                               self.tol.eps_order ** 2 / 2)
+            equal = placed.all(axis=-1)
+            a = equal.argmax(axis=0)
+            hit = np.flatnonzero(todo & equal.any(axis=0))
+            first[cols.start + hit] = members[rows.start + a[hit]]
+            home[cols.start + hit] = h[a[hit], hit]
+        return first, home
 
     def find(self, candidate: Context) -> int | None:
-        hit = self.locate(candidate.frame, candidate)
-        return None if hit is None else hit[0]
+        i = int(self.matches(candidate.frame[None], candidate)[0][0])
+        return None if i < 0 else i
 
 
 class ContextPoset:
@@ -421,16 +457,18 @@ class ContextPoset:
     indices of j to block indices of i (the restriction table).
     strict_pairs is the (m, 2) array of the pairs (i, j), i != j, with
     leq[i, j], in row-major order.  leq and the tables are fixed at
-    construction.
+    construction.  index is the ContextIndex of the contexts: their
+    signature buckets and stacked frames.
 
-    For each V, one product per signature bucket gives the overlap tables
-    of every V' with V; V' <= V where every block of V has off-home mass
-    at most eps_order^2, and the homes are block_maps.
+    For each pair of signature buckets, coarser first, one product of
+    the two frame stacks gives the overlap tables of every V' with every
+    V; V' <= V where every block of V has off-home mass at most
+    eps_order^2, and the homes are block_maps.
     """
 
     def __init__(self, contexts, tol: TolerancePolicy = DEFAULT_TOL):
-        self._index = ContextIndex(tol, contexts)
-        self.contexts = self._index.contexts
+        self.index = index = ContextIndex(tol, contexts)
+        self.contexts = index.contexts
         self.tol = tol
         self.by_id = {v.id: i for i, v in enumerate(self.contexts)}
         if len(self.by_id) != len(self.contexts):
@@ -438,14 +476,24 @@ class ContextPoset:
         n = len(self.contexts)
         self.leq = np.eye(n, dtype=bool)
         self.block_maps = {}
-        for j, v in enumerate(self.contexts):
-            coarser = [s for s in self._index.buckets
-                       if s[0] == v.dim and s[1] <= v.k]
-            for i, _, home in self._index.placements(
-                    v.frame, v, tol.eps_order ** 2, coarser):
-                if i != j:
-                    self.leq[i, j] = True
-                    self.block_maps[i, j] = tuple(home.tolist())
+        buckets = list(index.stacks())
+        for low, small, coarse in buckets:
+            for high, large, fine in buckets:
+                if low[0] != high[0] or low[1] > high[1]:
+                    continue
+                starts = (self.contexts[small[0]].starts,
+                          self.contexts[large[0]].starts)
+                for rows, cols in tiles(len(coarse), len(fine), low[0] ** 2):
+                    placed, home = _homes(
+                        _overlaps(coarse[rows, None], starts[0],
+                                  fine[None, cols], starts[1]),
+                        tol.eps_order ** 2)
+                    for a, b in np.argwhere(placed.all(axis=-1)).tolist():
+                        i = int(small[rows.start + a])
+                        j = int(large[cols.start + b])
+                        if i != j:
+                            self.leq[i, j] = True
+                            self.block_maps[i, j] = tuple(home[a, b].tolist())
         self.strict_pairs = np.argwhere(self.leq & ~np.eye(n, dtype=bool))
 
     def __len__(self):
@@ -461,29 +509,37 @@ class ContextPoset:
 
     def find_equal(self, candidate: Context) -> str | None:
         """Id of a poset context equal to the candidate, or None."""
-        i = self._index.find(candidate)
+        i = self.index.find(candidate)
         return None if i is None else self.contexts[i].id
 
-    def image(self, u, context_id: str):
-        """(target id, relabel) for the poset context equal to U V U* =
-        (U Y, labels), with relabel[i] the target block that is the home
-        of U Q_i U*.  The id is None when the moved context is not in the
-        poset; relabel is None when some block is farther than
-        10 eps_order from its home."""
-        v = self.context(context_id)
-        hit = self._index.locate(_unitary(u, self.tol) @ v.frame, v)
-        if hit is None:
-            return None, None
-        placed, home = _homes(hit[1], (10 * self.tol.eps_order) ** 2 / 2)
-        return self.contexts[hit[0]].id, (tuple(home.tolist()) if placed.all()
-                                          else None)
+    def images(self, u, inside):
+        """(target, homes) of V -> U V U* = (U Y, labels) on the contexts
+        of a boolean mask, one product per signature bucket.  target[i]
+        is the index of the first poset context equal to U V_i U*, -1
+        outside the mask or where the poset has none; homes[i, b] is then
+        the block of the target that U Q_b U* lies in, for b < k_i, and -1
+        elsewhere.  Equality places every block, so homes is whole
+        wherever target is set.  U must be unitary within eps_herm."""
+        um = _unitary(u, self.tol)
+        inside = np.asarray(inside, dtype=bool)
+        target = np.full(len(self), -1, dtype=np.intp)
+        homes = np.full((len(self), max((s[1] for s in self.index.buckets),
+                                        default=0)), -1, dtype=np.intp)
+        for sig, members, frames in self.index.stacks():
+            moving = inside[members]
+            if not moving.any():
+                continue
+            first, home = self.index.matches(um @ frames[moving],
+                                             self.contexts[members[0]])
+            found = first >= 0
+            rows = members[moving][found]
+            target[rows] = first[found]
+            homes[rows, :sig[1]] = home[found]
+        return target, homes
 
     def ids(self, inside) -> list:
         """Ids of the contexts in a boolean mask, in index order."""
         return [self.contexts[i].id for i in np.flatnonzero(inside)]
-
-    def lower_set(self, context_id: str):
-        return self.ids(self.leq[:, self.index_of(context_id)])
 
     def is_lower_set(self, inside) -> bool:
         """True iff the contexts in a boolean mask form a lower set."""

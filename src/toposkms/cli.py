@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -146,9 +147,14 @@ def _cmd_example_c3(args) -> int:
         a = [float(p) for p in parts]
     except ValueError as exc:
         raise ScenarioError(f"--a: {exc}") from exc
-    if any(x < 0 for x in a) or abs(sum(a) - 1.0) > 1e-9:
-        raise ScenarioError("--a weights must be nonnegative and sum to 1")
+    # a NaN weight fails every comparison, so finiteness is asked first
+    if not all(math.isfinite(x) and x >= 0 for x in a) \
+            or abs(sum(a) - 1.0) > 1e-9:
+        raise ScenarioError("--a weights must be finite, nonnegative and "
+                            "sum to 1")
     r = args.r
+    if not math.isfinite(r):
+        raise ScenarioError(f"--r must be a finite number, got {r}")
 
     mu1 = 0.5 * (a[0] + a[1])
     mu2 = 1.0 - mu1
@@ -160,7 +166,7 @@ def _cmd_example_c3(args) -> int:
           f"{'YES' if mu1 >= r else 'NO'}")
     print(f"S2: mu(S2)(V) = 1-(a1+a2)/2 = {fmtf(mu2)} >= {fmtf(r)}? "
           f"{'YES' if mu2 >= r else 'NO'}")
-    print("S12: mu(S12)(V) = 1, always YES")
+    print(f"S12: mu(S12)(V) = 1 >= {fmtf(r)}? {'YES' if 1.0 >= r else 'NO'}")
 
     # engine cross-check on the one-context model
     p12 = np.zeros((3, 3), dtype=np.complex128)
@@ -175,7 +181,7 @@ def _cmd_example_c3(args) -> int:
         name: ClopenSubobject.from_components(psh, {"V": blocks}, name=name)
         for name, blocks in (("S1", {0}), ("S2", {1}), ("S12", {0, 1}))
     }
-    expected = {"S1": mu1 >= r, "S2": mu2 >= r, "S12": True}
+    expected = {"S1": mu1 >= r, "S2": mu2 >= r, "S12": 1.0 >= r}
     mismatch = []
     for nm, sub in subs.items():
         got = truth.contains(sub, stage)

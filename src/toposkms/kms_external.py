@@ -48,7 +48,6 @@ from .presheaf import (
     block_sums,
     complete_downward,
     dasein_indices,
-    daseinisation_subobject,
     enumerate_subobjects,
     pullback,
 )
@@ -136,8 +135,6 @@ def flow_saturated_family(presheaf: SpectralPresheaf, base_context_id: str,
             raise PosetNotClosed(
                 f"orbit of {base_context_id} leaves the poset at t={t!r}"
             )
-        if (to[base[presheaf.owner]] < 0).any():
-            raise PosetNotClosed(f"block correspondence failed at t={t!r}")
         target_id = poset.contexts[target[i]].id
         component = frozenset(
             (to[chars] - presheaf.offsets[target[i]]).tolist())
@@ -381,9 +378,9 @@ def check_truth_value_invariance(state: State, flow: AutomorphismFlow, p,
     tr(rho U_t d(p)_{V'} U_t*)), the table of the state U_t* rho U_t on
     the same daseinised mask (rhs, one row per t)."""
     poset = presheaf.poset
-    outer = ClopenSubobject.from_components(
-        presheaf, {cid: dasein_indices(p, poset.context(cid), presheaf.tol)
-                   for cid in poset.lower_set(context_id)})
+    below = poset.leq[:, poset.index_of(context_id)]
+    outer = ClopenSubobject(presheaf, presheaf.dasein_masks([p])[0]
+                            & below[presheaf.owner], below)
 
     def cutoffs(matrix):
         mu = outer.measure(presheaf.weights(matrix, outer.domain))
@@ -570,9 +567,10 @@ def expectation_value(a, state: State,
     eigctx = context_from_operators([am], context_id="eig", tol=tol)
     inserted = presheaf.poset.find_equal(eigctx) is None
     weights = presheaf.weights(state.matrix)
+    least = presheaf.sections(presheaf.dasein_masks(
+        [proj for _, proj in spectral]), weights).min(axis=-1)
     total = 0.0
-    for eigval, proj in spectral:
-        best = daseinisation_subobject(proj, presheaf).measure(weights).min()
+    for (eigval, proj), best in zip(spectral, least):
         if inserted:
             best = min(best, block_sums(eigctx.weights(state.matrix)[
                 list(dasein_indices(proj, eigctx, tol))]))

@@ -26,16 +26,20 @@ by the same cumulative rule as a single mask.
 
 Outer daseinisation approximates an arbitrary projection from above
 inside a context: the smallest lattice element dominating it.  The fast
-form keeps exactly the blocks with non-zero overlap.  The independent
-oracle stays dense: it stacks the 2^k dense lattice elements of a
-context once and tests all of them against a stack of projections in
-one batched product, with proj_leq's threshold.
+form keeps exactly the blocks with non-zero overlap (block_overlaps);
+SpectralPresheaf.dasein_masks applies it to a stack of projections at
+every context, one product per signature bucket of stacked frames, and
+dasein_indices to one context, which need not lie in the poset.  The
+independent oracle stays dense: it stacks the 2^k dense lattice elements
+of a context once and tests all of them against a stack of projections
+in one batched product, with proj_leq's threshold.
 
 A unitary acts on the presheaf through one pair of index arrays,
 SpectralPresheaf.action: the poset index of each moved context and the
-character each character is carried to (ContextPoset.image, context by
-context).  It is computed once per (unitary, domain) and kept on the
-presheaf, so C1, the group action, internal C1 and pullback share it.
+character each character is carried to (ContextPoset.images, one
+product per signature bucket).  It is computed once per (unitary,
+domain) and kept on the presheaf, so C1, the group action, internal C1
+and pullback share it.
 pullback is one gather of a mask stack through the characters, and
 ClopenSubobject.moved is the one rule for mu(S) at a moved context;
 ClopenSubobject.orbit stacks it over a list of unitaries.
@@ -51,6 +55,7 @@ from .algebra import (
     ContextPoset,
     lattice_projection,
     projection_lattice,
+    tiles,
 )
 from .errors import (
     DimMismatch,
@@ -156,30 +161,41 @@ class SpectralPresheaf:
 
     def action(self, u, domain):
         """(target, to) of the automorphism V -> U V U* on the contexts of
-        a boolean mask, by ContextPoset.image.  target[i] is the index of
+        a boolean mask, by ContextPoset.images.  target[i] is the index of
         the poset context equal to U V_i U*, -1 where the poset has none;
         to[x] is the character that character x is carried to (U Q U* lies
-        in its block), -1 outside the mask, off the poset, or where some
-        block of the context is not placed.  Computed once per (U, mask)
-        and kept on the presheaf; the arrays are read-only."""
+        in its block), -1 outside the mask or off the poset.  Computed
+        once per (U, mask) and kept on the presheaf; the arrays are
+        read-only."""
         domain = np.asarray(domain, dtype=bool)
         key = (np.asarray(u, dtype=np.complex128).tobytes(), domain.tobytes())
         if key in self._actions:
             return self._actions[key]
-        poset = self.poset
-        target = np.full(len(poset), -1, dtype=np.intp)
-        to = np.full(self.offsets[-1], -1, dtype=np.intp)
-        for i in np.flatnonzero(domain):
-            target_id, relabel = poset.image(u, poset.contexts[i].id)
-            if target_id is None:
-                continue
-            target[i] = poset.by_id[target_id]
-            if relabel is not None:
-                to[self.offsets[i]:self.offsets[i + 1]] = (
-                    self.offsets[target[i]] + np.array(relabel))
+        target, homes = self.poset.images(u, domain)
+        home = homes[self.owner, self.slot]
+        # target -1 reads the last offset, where home is -1 too
+        to = np.where(home >= 0, self.offsets[target[self.owner]] + home, -1)
         target.flags.writeable = to.flags.writeable = False
         self._actions[key] = target, to
         return target, to
+
+    def dasein_masks(self, ps) -> np.ndarray:
+        """Outer daseinisation of each projection of a stack at every
+        context, as flat character masks (m, characters): block i of V is
+        in the mask of p iff block_overlaps puts ||Q_i p||_F^2 above
+        eps_order^2, as dasein_indices does, one product per signature
+        bucket of stacked frames, sliced to at most PRODUCT_ENTRIES."""
+        ps = np.stack([as_matrix(p) for p in ps])
+        masks = np.zeros((len(ps), self.offsets[-1]), dtype=bool)
+        for (n, k, _), members, frames in self.poset.index.stacks():
+            starts = self.poset.contexts[members[0]].starts
+            chars = self.offsets[members][:, None] + np.arange(k)
+            for rows, cols in tiles(len(frames), len(ps), n * n):
+                over = block_overlaps(frames[rows], starts, ps[cols])
+                masks[cols, chars[rows].ravel()] = (
+                    np.swapaxes(over, 0, 1).reshape(over.shape[1], -1)
+                    > self.tol.eps_order ** 2)
+        return masks
 
     def mask_of(self, components: dict):
         """(character mask, context mask) of the input format context id
@@ -217,16 +233,25 @@ def _ragged(sizes) -> np.ndarray:
     return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
 
+def block_overlaps(frames, starts, ps) -> np.ndarray:
+    """||Q_i p||_F^2 = ||Y_i* p||_F^2 of each block of a frame, or of each
+    frame of a stack (..., n, n) with labels starting at starts, with each
+    projection of a stack ps (m, n, n): shape (..., m, k)."""
+    moved = np.swapaxes(frames.conj(), -1, -2)[..., None, :, :] @ ps
+    return np.add.reduceat(np.linalg.norm(moved, axis=-1) ** 2, starts,
+                           axis=-1)
+
+
 def dasein_indices(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> tuple:
-    """Blocks of the outer daseinisation of p at V, in index order.
+    """Blocks of the outer daseinisation of p at V, in index order; V
+    need not lie in a poset (SpectralPresheaf.dasein_masks is the
+    presheaf-wide form).
 
     A block participates iff it overlaps p (||Q_i p||_F = ||Y_i* p||_F >
     eps_order): dropping any overlapping block breaks domination, and the
     overlapping sum already dominates.
     """
-    pm = as_matrix(p)
-    overlap = np.add.reduceat(np.linalg.norm(dagger(v.frame) @ pm, axis=1) ** 2,
-                              v.starts)
+    overlap = block_overlaps(v.frame, v.starts, as_matrix(p)[None])[0]
     return tuple(np.flatnonzero(overlap > tol.eps_order ** 2).tolist())
 
 
@@ -386,10 +411,9 @@ def complete_downward(presheaf: SpectralPresheaf, assignments: dict,
 def daseinisation_subobject(p, presheaf: SpectralPresheaf,
                             name: str = "") -> ClopenSubobject:
     """Global sub-object V -> blocks of the outer daseinisation of p at V,
-    under the presheaf's policy."""
-    return ClopenSubobject.from_components(
-        presheaf, {v.id: dasein_indices(p, v, presheaf.tol)
-                   for v in presheaf.poset.contexts}, name=name)
+    under the presheaf's policy (SpectralPresheaf.dasein_masks)."""
+    return ClopenSubobject(presheaf, presheaf.dasein_masks([p])[0],
+                           np.ones(len(presheaf.poset), dtype=bool), name=name)
 
 
 def full_subobject(presheaf: SpectralPresheaf) -> ClopenSubobject:
@@ -513,20 +537,13 @@ def pullback(presheaf: SpectralPresheaf, u, masks, source,
     The component at V is the component at the poset context equal to
     U V U*, relabeled through the block correspondence Q_i -> U Q_i U*
     (SpectralPresheaf.action): one gather of every row.  Every image
-    context must lie in source and every block must be placed
-    (PosetNotClosed otherwise).
+    context must lie in source (PosetNotClosed otherwise).
     """
     target, to = presheaf.action(u, domain)
-    inside = domain[presheaf.owner]
     away = domain & ~_reaches(source, target)
     if away.any():
         raise PosetNotClosed(
             f"image of {presheaf.poset.contexts[away.argmax()].id} under the "
             f"automorphism is not in the domain")
-    unplaced = inside & (to < 0)
-    if unplaced.any():
-        raise PosetNotClosed(
-            f"block correspondence failed at "
-            f"{presheaf.poset.contexts[presheaf.owner[unplaced.argmax()]].id}")
     # to is -1 outside the domain: those reads are masked out
-    return np.asarray(masks)[..., to] & inside
+    return np.asarray(masks)[..., to] & domain[presheaf.owner]

@@ -49,7 +49,6 @@ from .modular import (
 from .presheaf import (
     ClopenSubobject,
     complete_downward,
-    dasein_indices,
     outer_daseinisation_bruteforce,
 )
 from .reports import ERROR, FAIL, INFO, PASS
@@ -157,11 +156,13 @@ def run_presheaf(scn, rep):
     # seeded daseinisation against the exhaustive lattice scan
     rng = np.random.default_rng(scn.seed)
     ps = np.stack([_random_projection(rng, scn.dim) for _ in range(12)])
+    masks = scn.presheaf.dasein_masks(ps)
+    lo = scn.presheaf.offsets
     mismatches = 0
-    for v in poset.contexts:
+    for i, v in enumerate(poset.contexts):
         brute = outer_daseinisation_bruteforce(ps, v, scn.tol)
-        mismatches += sum(dasein_indices(p, v, scn.tol) != b
-                          for p, b in zip(ps, brute))
+        mismatches += sum(tuple(np.flatnonzero(row).tolist()) != b
+                          for row, b in zip(masks[:, lo[i]:lo[i + 1]], brute))
     trials = len(ps) * len(poset.contexts)
     rep.add("presheaf", f"daseinisation = lattice minimum on {trials} cases",
             residual=float(mismatches),

@@ -123,6 +123,12 @@ def diag4():
     return SimpleNamespace(poset=poset, presheaf=SpectralPresheaf(poset))
 
 
+def random_unitary(rng, n):
+    """Haar-ish random unitary: the Q factor of a complex Gaussian matrix."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
 def random_projection(rng, n, rank=None):
     """Haar-ish random projection of the given (or random proper) rank."""
     if rank is None:

@@ -3,8 +3,8 @@ measure tables.
 
 Every clopen sub-object on a lower set is built and validated one at a
 time, with no pruning, then filtered by tau; members are listed in the
-order of their sorted components; pullback reads ContextPoset.image
-context by context; and the weak and strong matchings compare members
+order of their sorted components; pullback reads ContextPoset.images
+block by block; and the weak and strong matchings compare members
 one pair at a time.  The package reads the same definitions off one mask
 stack per stage (kms_external.TruthObject, TwistedTruthObject,
 mu_equivalent, strong_mu_equivalence).
@@ -13,7 +13,8 @@ A measure table is also kept in its dict form, (context id, character
 set) -> value, validated row by row and pair by pair (check_table); the
 package validates the three arrays of measure.AbstractMeasure.
 
-The dense references that only tests read live here too: the
+The dense references that only tests read live here too: the image of
+a context under a unitary read off its dense blocks, the
 projection meet and join, the lattice isomorphism s_map read off dense
 blocks, the coarse-graining map, left and right multiplication as
 n^2 x n^2 matrices, and the tensor-factor swap.  conjugation_map checks
@@ -23,9 +24,10 @@ import functools
 
 import numpy as np
 
-from toposkms.algebra import Context, block_map
+from toposkms.algebra import Context, block_map, contexts_equal
 from toposkms.errors import (
     AmbiguousMatch,
+    ContextMissing,
     DimMismatch,
     NotAdditive,
     NotInLattice,
@@ -108,20 +110,62 @@ def pulled_back(u, subs, context_id):
     out = []
     for s in subs:
         poset = s.presheaf.poset
+        below = poset.leq[:, poset.index_of(context_id)]
+        target, homes = _images(poset, u, below)
         parts = {}
-        for cid in poset.lower_set(context_id):
-            target, relabel = poset.image(u, cid)
-            have = s.component(target)
-            parts[cid] = {b for b, c in enumerate(relabel) if c in have}
+        for i in np.flatnonzero(below):
+            have = s.component(poset.contexts[target[i]].id)
+            parts[poset.contexts[i].id] = {
+                b for b, c in enumerate(homes[i, :poset.contexts[i].k])
+                if c in have}
         out.append(ClopenSubobject.from_components(s.presheaf, parts))
     return sorted(out, key=sorted_components)
+
+
+def lower_set(poset, context_id):
+    """Ids of the contexts below a context, in index order."""
+    return poset.ids(poset.leq[:, poset.index_of(context_id)])
+
+
+def _images(poset, u, inside):
+    """ContextPoset.images, with ContextMissing where a context of the
+    mask moves off the poset."""
+    target, homes = poset.images(u, inside)
+    off = inside & (target < 0)
+    if off.any():
+        raise ContextMissing(
+            f"{poset.contexts[off.argmax()].id} moves off the poset")
+    return target, homes
+
+
+def dense_image(w, v, pool, tol: TolerancePolicy = DEFAULT_TOL):
+    """(index, relabel) of W V W* from the dense blocks W Q_b W*: the
+    first context of the pool equal to it (contexts_equal), and for each
+    block b the nearest block of that context in Frobenius distance;
+    (None, None) when no context is equal, relabel None when some block
+    is farther than 10 eps_order from its nearest block."""
+    moved = [w @ v.block(i) @ dagger(w) for i in range(v.k)]
+    candidate = Context(moved, "moved", tol)
+    i = next((i for i, c in enumerate(pool)
+              if contexts_equal(c, candidate, tol)), None)
+    if i is None:
+        return None, None
+    t = pool[i]
+    dists = np.array([[frob(q - t.block(j)) for j in range(t.k)]
+                      for q in moved])
+    relabel = dists.argmin(axis=1)
+    if dists[np.arange(v.k), relabel].max() > 10 * tol.eps_order:
+        return i, None
+    return i, tuple(relabel.tolist())
 
 
 def twisted_members(state, presheaf, u, stage, source=members):
     """Members of the twisted truth object at a stage: the members at
     the moved stage context, pulled back."""
-    target, _ = presheaf.poset.image(u, stage.context_id)
-    moved = type(stage)(target, stage.r)
+    poset = presheaf.poset
+    i = poset.index_of(stage.context_id)
+    target = _images(poset, u, np.arange(len(poset)) == i)[0][i]
+    moved = type(stage)(poset.contexts[target].id, stage.r)
     return pulled_back(u, source(state, presheaf, moved), stage.context_id)
 
 

@@ -31,8 +31,8 @@ from toposkms.presheaf import SpectralPresheaf
 from toposkms.scenario import load_scenario
 from toposkms.tolerances import DEFAULT_TOL
 
-from conftest import P12SYM, diagonal_context
-from oracles import coarse_graining_map
+from conftest import P12SYM, diagonal_context, random_unitary
+from oracles import coarse_graining_map, dense_image, lower_set
 
 
 def test_blocks_must_partition_identity():
@@ -133,8 +133,8 @@ def test_unitarity_is_checked_against_the_policy():
         apply_automorphism(u, vex)
     assert contexts_equal(apply_automorphism(u, vex, tol=loose), vex)
     with pytest.raises(NotUnitary):
-        build_poset([vex]).image(u, "Vex")
-    assert build_poset([vex], tol=loose).image(u, "Vex")[0] == "Vex"
+        build_poset([vex]).images(u, [True])
+    assert build_poset([vex], tol=loose).images(u, [True])[0][0] == 0
     with pytest.raises(NotUnitary):
         build_poset([vex], unitaries=[[u]], group_depth=1)
     poset = build_poset([vex], unitaries=[[u]], group_depth=1, tol=loose)
@@ -149,17 +149,17 @@ def test_c3_poset_closure_shape(c3_gibbs):
     # maximal elements: the diagonal context plus the four orbit images
     assert len(poset.maximal_ids()) == 5
     # three proper coarse-grainings sit below the diagonal context
-    below_diag = [cid for cid in poset.lower_set("Vdiag") if cid != "Vdiag"]
+    below_diag = [cid for cid in lower_set(poset, "Vdiag") if cid != "Vdiag"]
     assert len(below_diag) == 3
     # the example context has no proper subcontexts
-    assert poset.lower_set("Vex") == ["Vex"]
+    assert lower_set(poset, "Vex") == ["Vex"]
 
 
 def test_lower_sets_are_downward_closed(c3_gibbs):
     poset = c3_gibbs.poset
     ids = [v.id for v in poset.contexts]
     for v in poset.contexts:
-        assert poset.is_lower_set(np.isin(ids, poset.lower_set(v.id)))
+        assert poset.is_lower_set(np.isin(ids, lower_set(poset, v.id)))
 
 
 def test_lower_set_test_matches_the_dense_formula(scenario_dir):
@@ -285,12 +285,6 @@ def _rotated_partition(u, groups, context_id, tol):
     return Context(blocks, context_id, tol)
 
 
-def _random_unitary(rng, n):
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, _ = np.linalg.qr(g)
-    return q
-
-
 def _nudged(v, rng, distance, context_id, tol):
     """Copy of v rotated by exp(i s K), s chosen so that the largest block
     moves by `distance` in Frobenius norm (first order in s)."""
@@ -324,7 +318,7 @@ def _block_swap(u, groups, rng):
 def test_filtered_order_matches_all_pairs_includes(n, seed, eps_order):
     """The frame path against the dense oracles.  leq, block_maps and the
     restriction tables equal all-pairs includes / coarse_graining_map;
-    lookup equals a linear contexts_equal scan; image equals that scan on
+    lookup equals a linear contexts_equal scan; images equals that scan on
     the dense U Q_i U* plus the nearest dense block.  The contexts are
     rotated partitions, their coarse-grainings, a boundary-built image,
     and copies moved by 0.5, 1.2 and 5 eps_order (1.2 eps_order is within
@@ -332,7 +326,7 @@ def test_filtered_order_matches_all_pairs_includes(n, seed, eps_order):
     equality's, eps_order^2 / 2)."""
     tol = DEFAULT_TOL.override(eps_order=eps_order)
     rng = np.random.default_rng(seed)
-    u = _random_unitary(rng, n)
+    u = random_unitary(rng, n)
     labels = rng.integers(0, n, size=n)
     labels[:2] = [0, 1]  # at least two blocks
     fine = [set(np.flatnonzero(labels == c)) for c in np.unique(labels)]
@@ -343,7 +337,7 @@ def test_filtered_order_matches_all_pairs_includes(n, seed, eps_order):
         coarse = [set().union(*(f for f, m in zip(fine, merge) if m == side))
                   for side in (0, 1)]
         contexts.append(_rotated_partition(u, coarse, f"C{c}", tol))
-    other = _random_unitary(rng, n)
+    other = random_unitary(rng, n)
     contexts.append(_rotated_partition(other, fine, "G", tol))
     for tag, factor in (("half", 0.5), ("over", 1.2), ("five", 5.0)):
         base = contexts[int(rng.integers(0, len(contexts)))]
@@ -351,7 +345,7 @@ def test_filtered_order_matches_all_pairs_includes(n, seed, eps_order):
                                 f"{base.id}-{tag}-copy", tol))
         contexts.append(_nudged(contexts[0], rng, factor * eps_order,
                                 f"F-{tag}", tol))
-    rot = _random_unitary(rng, n)
+    rot = random_unitary(rng, n)
     f = contexts[0]
     contexts.append(Context([rot @ f.block(i) @ rot.conj().T
                              for i in range(f.k)], "rotF", tol))
@@ -394,22 +388,12 @@ def test_filtered_order_matches_all_pairs_includes(n, seed, eps_order):
     built = build_poset(candidates, tol=tol)
     assert [v.id for v in built.contexts] == [v.id for v in kept]
 
-    def dense_image(w, v):
-        moved = [w @ v.block(i) @ w.conj().T for i in range(v.k)]
-        i = linear(contexts, Context(moved, "moved", tol))
-        if i is None:
-            return None, None
-        t = contexts[i]
-        dists = np.array([[frob(q - t.block(j)) for j in range(t.k)]
-                          for q in moved])
-        relabel = dists.argmin(axis=1)
-        if dists[np.arange(v.k), relabel].max() > 10 * eps_order:
-            return t.id, None
-        return t.id, tuple(relabel.tolist())
-
     for w in (_block_swap(u, fine, rng), rot):
-        for v in contexts:
-            assert poset.image(w, v.id) == dense_image(w, v), v.id
+        target, homes = poset.images(w, np.ones(m, dtype=bool))
+        for i, v in enumerate(contexts):
+            batched = (None, None) if target[i] < 0 else (
+                int(target[i]), tuple(homes[i, :v.k].tolist()))
+            assert batched == dense_image(w, v, contexts, tol), v.id
 
     # a meet merges labels along the overlap graph: F and a
     # coarse-graining of F meet in the coarse-graining

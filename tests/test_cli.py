@@ -363,7 +363,7 @@ def test_example_c3_membership_table(capfd, r, s1, s2):
     lines = out.splitlines()
     assert f"S1: mu(S1)(V) = (a1+a2)/2 = 0.4 >= {r}? {s1}" in lines
     assert f"S2: mu(S2)(V) = 1-(a1+a2)/2 = 0.6 >= {r}? {s2}" in lines
-    assert "S12: mu(S12)(V) = 1, always YES" in lines
+    assert f"S12: mu(S12)(V) = 1 >= {r}? YES" in lines
     assert lines[-1] == ("engine membership check agrees with the "
                          "closed-form conditions")
 
@@ -374,6 +374,31 @@ def test_example_c3_rejects_bad_weights(capfd):
     code, _, err = run_cli(capfd, "example-c3", "--a", "0.5,0.4,0.4",
                            "--r", "0.3")
     assert code == 2 and "sum to 1" in err
+
+
+@pytest.mark.parametrize("a, r, message", [
+    ("nan,0.5,0.5", "0.3", "--a weights must be finite"),
+    ("0.5,0.3,0.2", "nan", "--r must be a finite number"),
+    ("0.5,0.3,0.2", "inf", "--r must be a finite number"),
+])
+def test_example_c3_fails_closed_on_non_finite_input(capfd, a, r, message):
+    # a NaN weight passes both the sign and the sum test, and a NaN or
+    # infinite cutoff makes the closed form disagree with the engine
+    code, out, err = run_cli(capfd, "example-c3", "--a", a, "--r", r)
+    assert code == 2
+    assert err.startswith("input error:") and message in err
+    assert "Traceback" not in err and "engine disagrees" not in out
+
+
+def test_example_c3_cutoff_above_one(capfd):
+    # mu(S12)(V) = 1, so S12 is a member iff 1 >= r, and the engine agrees
+    code, out, _ = run_cli(capfd, "example-c3", "--a", "0.5,0.3,0.2",
+                           "--r", "1.5")
+    assert code == 0
+    lines = out.splitlines()
+    assert "S12: mu(S12)(V) = 1 >= 1.5? NO" in lines
+    assert lines[-1] == ("engine membership check agrees with the "
+                         "closed-form conditions")
 
 
 def test_modular_subcommand(tmp_path, capfd):

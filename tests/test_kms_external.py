@@ -49,7 +49,11 @@ def test_flow_saturated_family_error_paths(c3_gibbs):
     # a transposition of two basis vectors carries Vdiag onto itself and
     # moves every block but one, so the identity and it disagree there
     swap = np.eye(3)[[1, 0, 2]]
-    moved = [b for b, home in enumerate(c3_gibbs.poset.image(swap, "Vdiag")[1])
+    poset = c3_gibbs.poset
+    i = poset.index_of("Vdiag")
+    target, homes = poset.images(swap, np.arange(len(poset)) == i)
+    assert target[i] == i
+    moved = [b for b, home in enumerate(homes[i, :poset.contexts[i].k])
              if home != b]
     with pytest.raises(DomainMismatch, match="inconsistent components"):
         flow_saturated_family(psh, "Vdiag", {moved[0]}, [(1.0, swap)])
@@ -213,7 +217,7 @@ def test_truth_value_transport(c3_gibbs):
     rep = check_truth_value_invariance(
         c3_gibbs.state, c3_gibbs.flow, np.diag([1.0, 0.0, 0.0]), "Vdiag",
         0.3, c3_gibbs.presheaf, [0.0])
-    assert rep.context_ids == c3_gibbs.poset.lower_set("Vdiag")
+    assert rep.context_ids == oracles.lower_set(c3_gibbs.poset, "Vdiag")
     # the measure is at least r below Vdiag, so every cutoff is r itself
     assert (rep.lhs == 0.3).all()
 

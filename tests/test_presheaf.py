@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from toposkms import algebra
 from toposkms.algebra import (
     Context,
     ContextPoset,
+    block_map,
     build_poset,
+    includes,
     lattice_projection,
+    tiles,
 )
 from toposkms.errors import (
     DimMismatch,
@@ -42,8 +46,13 @@ from toposkms.reports import FAIL, Report
 from toposkms.suites import SUITES
 from toposkms.tolerances import DEFAULT_TOL
 
-from conftest import P12SYM, diagonal_context, random_projection
-from oracles import all_subobjects, proj_join, s_map
+from conftest import (
+    P12SYM,
+    diagonal_context,
+    random_projection,
+    random_unitary,
+)
+from oracles import all_subobjects, dense_image, lower_set, proj_join, s_map
 
 
 def _characters(psh, cid):
@@ -62,7 +71,7 @@ def test_restriction_collapses_characters(c3_gibbs):
     psh = c3_gibbs.presheaf
     poset = c3_gibbs.poset
     top = _characters(psh, "Vdiag")
-    coarse = [cid for cid in poset.lower_set("Vdiag") if cid != "Vdiag"]
+    coarse = [cid for cid in lower_set(poset, "Vdiag") if cid != "Vdiag"]
     for cid in coarse:
         # full spectrum restricts onto the full coarse spectrum
         into = _characters(psh, cid)
@@ -296,7 +305,7 @@ def test_complete_downward_minimal(c3_gibbs):
     psh = c3_gibbs.presheaf
     poset = psh.poset
     sub = complete_downward(psh, {"Vdiag": frozenset({0})}, "C")
-    assert poset.ids(sub.domain) == poset.lower_set("Vdiag")
+    assert poset.ids(sub.domain) == lower_set(poset, "Vdiag")
     # coarse stages receive exactly the restriction image
     top = poset.index_of("Vdiag")
     for cid in poset.ids(sub.domain):
@@ -517,20 +526,82 @@ def test_check_c1_moves_each_context_once_per_t(monkeypatch):
             for name in ("DA", "DB")]
     h = np.diag([0.0, 1.0, 2.0, 3.0])
     calls = Counter()
-    image = ContextPoset.image
+    images = ContextPoset.images
 
-    def counted(self, u, context_id):
-        calls[np.asarray(u).tobytes(), context_id] += 1
-        return image(self, u, context_id)
+    def counted(self, u, inside):
+        calls[np.asarray(u).tobytes(), np.asarray(inside).tobytes()] += 1
+        return images(self, u, inside)
 
-    monkeypatch.setattr(ContextPoset, "image", counted)
+    monkeypatch.setattr(ContextPoset, "images", counted)
     t_grid = (0.0, 0.5, 1.3)
     state, flow = gibbs_state(h, 1.0), AutomorphismFlow(h)
     reps = [check_C1(state, flow, sub, t_grid) for sub in subs]
     assert sum(rep.residuals.size for rep in reps) == (
         2 * len(t_grid) * len(poset))
-    assert len(calls) == len(t_grid) * len(poset)
+    # one batched call per t for the one domain the two sub-objects share,
+    # and each call moves every context of that domain once
+    assert np.array_equal(subs[0].domain, subs[1].domain)
+    assert len(calls) == len(t_grid)
     assert set(calls.values()) == {1}
+    assert {inside for _, inside in calls} == {subs[0].domain.tobytes()}
+
+
+def _check_rotated_c4(seed):
+    """The batched frame paths on the downward-closed C^4 poset of a
+    basis rotated by a random unitary W, against the dense oracles: the
+    order against includes / block_map, the presheaf action against
+    dense_image, and the daseinisation masks against the brute-force
+    lattice scan."""
+    rng = np.random.default_rng(seed)
+    n = 4
+    w = random_unitary(rng, n)
+    poset = build_poset([Context([np.outer(c, c.conj()) for c in w.T], "W")],
+                        downward_closure=True)
+    psh = SpectralPresheaf(poset)
+    contexts = poset.contexts
+    assert len(contexts) == 14
+    for i, small in enumerate(contexts):
+        for j, large in enumerate(contexts):
+            assert poset.leq[i, j] == (i == j or includes(small, large))
+            if i != j and poset.leq[i, j]:
+                assert poset.block_maps[i, j] == block_map(small, large)
+
+    # a basis permutation and diagonal phases in the rotated basis map the
+    # poset onto itself; a random unitary moves nearly every context off it
+    perm = np.eye(n)[rng.permutation(n)]
+    phases = np.diag(np.exp(2j * np.pi * rng.random(n)))
+    everywhere = np.ones(len(poset), dtype=bool)
+    for u in (w @ perm @ w.conj().T, w @ phases @ w.conj().T,
+              random_unitary(rng, n)):
+        target, to = psh.action(u, everywhere)
+        for i, v in enumerate(contexts):
+            t, relabel = dense_image(u, v, contexts)
+            assert target[i] == (-1 if t is None else t)
+            expected = ([-1] * v.k if t is None
+                        else [psh.offsets[t] + b for b in relabel])
+            assert to[psh.offsets[i]:psh.offsets[i + 1]].tolist() == expected
+
+    # random projections, and lattice elements of the rotated basis
+    ps = [random_projection(rng, n) for _ in range(5)]
+    ps += [w @ np.diag(rng.integers(0, 2, n)) @ w.conj().T for _ in range(3)]
+    masks = psh.dasein_masks(ps)
+    for i, v in enumerate(contexts):
+        rows = masks[:, psh.offsets[i]:psh.offsets[i + 1]]
+        assert ([tuple(np.flatnonzero(r).tolist()) for r in rows]
+                == outer_daseinisation_bruteforce(np.stack(ps), v))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batched_frame_paths_on_a_rotated_c4_poset(seed):
+    _check_rotated_c4(seed)
+
+
+def test_batched_frame_paths_across_slices(monkeypatch):
+    # 48 entries hold three 4 x 4 products, so the 6-context bucket of C^4
+    # is taken in several slices against every stack it meets
+    monkeypatch.setattr(algebra, "PRODUCT_ENTRIES", 48)
+    assert len(list(tiles(6, 6, 16))) > 2
+    _check_rotated_c4(7)
 
 
 def test_enumeration_lists_each_subobject_once(diag4):
