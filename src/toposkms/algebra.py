@@ -21,10 +21,12 @@ bound is eps_order^2 / 2, i.e. ||Q'_home - Q_b||_F <= eps_order.
 build_poset closes seed contexts under coarse-graining, meets and a
 list of unitaries; ContextIndex deduplicates them and ContextPoset
 orders them.  The contexts of one signature share their labels, so each
-bucket's frames are one stacked array: the order is one product per
-pair of buckets, and moving every context of a mask by a unitary
-(ContextPoset.images) one product per bucket, each sliced to at most
-PRODUCT_ENTRIES entries.  block_map, includes and contexts_equal work
+bucket's frames are one stacked array, and every batched step is one
+product per bucket or pair of buckets, each sliced to at most
+PRODUCT_ENTRIES entries: the order (ContextPoset), moving every context
+of a mask by a unitary (ContextIndex.images, which the presheaf action
+and build_poset's group sweep share) and the overlap graphs of a meet
+pass (ContextIndex.meets).  block_map, includes and contexts_equal work
 on dense blocks: they are the references the tests hold the frame path
 to, and the benchmark tracer wraps them by name.
 """
@@ -386,8 +388,10 @@ class ContextIndex:
 
     A bucket shares its labels, so its frames are stacked once (stack)
     and one product gives the overlap tables of a stack of probes with
-    all of them.  find returns the first index a linear contexts_equal
-    scan would.
+    all of them: find returns the first index a linear contexts_equal
+    scan would, images moves every context of a mask by a unitary and
+    looks the images up, and meets takes the meets of a whole meet pass
+    from one product per ordered pair of buckets.
     """
 
     def __init__(self, tol: TolerancePolicy = DEFAULT_TOL, contexts=()):
@@ -447,6 +451,83 @@ class ContextIndex:
     def find(self, candidate: Context) -> int | None:
         i = int(self.matches(candidate.frame[None], candidate)[0][0])
         return None if i < 0 else i
+
+    def images(self, u, inside):
+        """(target, homes) of V -> U V U* = (U Y, labels) on the contexts
+        of a boolean mask, one product per signature bucket.  target[i]
+        is the index of the first context equal to U V_i U*, -1 outside
+        the mask or where there is none; homes[i, b] is then the block of
+        the target that U Q_b U* lies in, for b < k_i, and -1 elsewhere.
+        Equality places every block, so homes is whole wherever target is
+        set.  U is validated once: unitary within eps_herm."""
+        um = _unitary(u, self.tol)
+        inside = np.asarray(inside, dtype=bool)
+        target = np.full(len(self.contexts), -1, dtype=np.intp)
+        homes = np.full((len(self.contexts),
+                         max((s[1] for s in self.buckets), default=0)),
+                        -1, dtype=np.intp)
+        for sig, members, frames in self.stacks():
+            moving = inside[members]
+            if not moving.any():
+                continue
+            first, home = self.matches(um @ frames[moving],
+                                       self.contexts[members[0]])
+            found = first >= 0
+            rows = members[moving][found]
+            target[rows] = first[found]
+            homes[rows, :sig[1]] = home[found]
+        return target, homes
+
+    def meet_edges(self, paired: int):
+        """(i, j, edges) for the pairs of contexts i < j with j >= paired,
+        one product per ordered pair of signature buckets, tiled as
+        tiles slices it: edges[p] is the (k_i, k_j) table of the block
+        pairs of V_i and V_j whose overlap tr(Q_a R_b) = ||Q_a R_b||_F^2
+        is above eps_order^2, with V_i's blocks as rows.  Buckets of
+        different dimensions that would pair raise DimMismatch."""
+        buckets = list(self.stacks())
+        bound = self.tol.eps_order ** 2
+        for (n, _, _), firsts, first_frames in buckets:
+            for (dim, _, _), seconds, second_frames in buckets:
+                late = seconds >= paired
+                early = firsts < seconds[late].max(initial=-1)
+                if not early.any():
+                    continue
+                if dim != n:
+                    raise DimMismatch("contexts live in different dimensions")
+                lo, hi = firsts[early], seconds[late]
+                frames_i, frames_j = first_frames[early], second_frames[late]
+                starts = (self.contexts[lo[0]].starts,
+                          self.contexts[hi[0]].starts)
+                for rows, cols in tiles(len(lo), len(hi), n ** 2):
+                    a, b = np.nonzero(lo[rows, None] < hi[None, cols])
+                    if not a.size:
+                        continue
+                    over = _overlaps(frames_i[rows, None], starts[0],
+                                     frames_j[None, cols], starts[1])
+                    yield lo[rows][a], hi[cols][b], over[a, b] > bound
+
+    def meets(self, paired: int) -> list:
+        """(i, j, labels) of every non-trivial meet V_i ∧ V_j, i < j and
+        j >= paired, in (i, j) order; labels are the meet's block labels
+        on V_i's frame.  The meet's blocks are the components of the
+        block-overlap graph (meet_edges): V_i's blocks linked through a
+        common V_j block, and each block takes the least label it is
+        linked to, k_i rounds over every pair of a tile at once.  A
+        component's V_i and V_j sums differ only by the overlaps across
+        components, at most k_i k_j eps_order^2 in all."""
+        out = []
+        for i, j, edges in self.meet_edges(paired):
+            k = edges.shape[1]
+            linked = edges @ np.swapaxes(edges, 1, 2)
+            group = np.broadcast_to(np.arange(k), (len(edges), k))
+            for _ in range(k):
+                group = np.where(linked, group[:, None, :], k).min(axis=-1)
+            keep = (group != group[:, :1]).any(axis=1)
+            out.extend(zip(i[keep].tolist(), j[keep].tolist(), group[keep]))
+        out.sort(key=lambda meet: meet[:2])
+        return [(i, j, group[self.contexts[i].labels])
+                for i, j, group in out]
 
 
 class ContextPoset:
@@ -512,31 +593,6 @@ class ContextPoset:
         i = self.index.find(candidate)
         return None if i is None else self.contexts[i].id
 
-    def images(self, u, inside):
-        """(target, homes) of V -> U V U* = (U Y, labels) on the contexts
-        of a boolean mask, one product per signature bucket.  target[i]
-        is the index of the first poset context equal to U V_i U*, -1
-        outside the mask or where the poset has none; homes[i, b] is then
-        the block of the target that U Q_b U* lies in, for b < k_i, and -1
-        elsewhere.  Equality places every block, so homes is whole
-        wherever target is set.  U must be unitary within eps_herm."""
-        um = _unitary(u, self.tol)
-        inside = np.asarray(inside, dtype=bool)
-        target = np.full(len(self), -1, dtype=np.intp)
-        homes = np.full((len(self), max((s[1] for s in self.index.buckets),
-                                        default=0)), -1, dtype=np.intp)
-        for sig, members, frames in self.index.stacks():
-            moving = inside[members]
-            if not moving.any():
-                continue
-            first, home = self.index.matches(um @ frames[moving],
-                                             self.contexts[members[0]])
-            found = first >= 0
-            rows = members[moving][found]
-            target[rows] = first[found]
-            homes[rows, :sig[1]] = home[found]
-        return target, homes
-
     def ids(self, inside) -> list:
         """Ids of the contexts in a boolean mask, in index order."""
         return [self.contexts[i].id for i in np.flatnonzero(inside)]
@@ -562,26 +618,6 @@ def _coarse_grainings(v: Context):
     return out
 
 
-def meet_context(v1: Context, v2: Context, tol: TolerancePolicy = DEFAULT_TOL):
-    """Intersection algebra V1 ∧ V2, or None when it is trivial.
-
-    Its blocks are the components of the block-overlap graph (an edge
-    where ||Q R||_F^2 = tr(Q R) > eps_order^2), merged as labels on V1's
-    frame.  A component's V1 and V2 sums differ only by the overlaps
-    across components, at most k1 k2 eps_order^2 in all.
-    """
-    if v1.dim != v2.dim:
-        raise DimMismatch("contexts live in different dimensions")
-    edges = _overlaps(v1.frame, v1.starts, v2.frame, v2.starts) > tol.eps_order ** 2
-    linked = edges @ edges.T  # V1 blocks that overlap a common V2 block
-    group = np.arange(v1.k)
-    for _ in range(v1.k):  # each block takes the least label it is linked to
-        group = np.where(linked, group, v1.k).min(axis=1)
-    if len(set(group.tolist())) < 2:
-        return None
-    return Context.on_frame(v1.frame, group[v1.labels])
-
-
 def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = False,
                 unitaries=(), group_depth: int = 1, max_contexts: int = 500,
                 tol: TolerancePolicy = DEFAULT_TOL) -> ContextPoset:
@@ -598,6 +634,18 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
     it added: their coarse-grainings are coarse-grainings of their parent.
     A meet pass pairs only contexts of which at least one arrived since
     the previous pass; older pairs would only find their meet again.
+
+    Both other steps are batched on the index as it stands when the
+    step starts.  A meet pass takes every pair's overlap graph from one
+    product per pair of signature buckets (ContextIndex.meets) and adds
+    the non-trivial meets in (i, j) order.  A group sweep moves every
+    context by each unitary with one product per bucket
+    (ContextIndex.images) and builds with apply_automorphism only the
+    (V, U) images the index does not already hold, V-major, then U.  So
+    the contexts, their order and the candidate that raises PosetTooLarge
+    are those of the pairwise loops.  A non-unitary U raises NotUnitary,
+    and contexts of two dimensions DimMismatch, before the step adds
+    anything.
     """
     index = ContextIndex(tol)
     contexts = index.contexts
@@ -637,17 +685,18 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
                     changed = changed or len(contexts) > before
                 cursor = end
             if meet_closure:
-                snapshot = list(contexts)
-                for i in range(len(snapshot)):
-                    for j in range(max(i + 1, paired), len(snapshot)):
-                        w = meet_context(snapshot[i], snapshot[j], tol)
-                        if w is not None and add(w):
-                            changed = True
-                paired = len(snapshot)
+                meets = index.meets(paired)
+                paired = len(contexts)
+                for i, _, labels in meets:
+                    if add(Context.on_frame(contexts[i].frame, labels)):
+                        changed = True
             if phase and sweeps <= group_depth:
-                for v in list(contexts):
-                    for u in phase:
-                        if add(apply_automorphism(u, v, tol=tol)):
+                snapshot = np.ones(len(contexts), dtype=bool)
+                found = [index.images(u, snapshot)[0] for u in phase]
+                for v, row in enumerate(np.transpose(found)):
+                    for u, hit in zip(phase, row):
+                        if hit < 0 and add(apply_automorphism(
+                                u, contexts[v], tol=tol)):
                             changed = True
             if phase and sweeps >= group_depth \
                     and not downward_closure and not meet_closure:

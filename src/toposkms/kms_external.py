@@ -365,32 +365,39 @@ def twist(truth: TruthObject, flow: AutomorphismFlow, t: float) -> TwistedTruthO
 # truth values as cutoff tables
 
 
-def check_truth_value_invariance(state: State, flow: AutomorphismFlow, p,
-                                 context_id: str, r: float,
-                                 presheaf: SpectralPresheaf, t_grid
-                                 ) -> FlowReport:
-    """Compare the cutoff table of p with the table of the flowed
+def check_truth_value_invariance(state: State, flow: AutomorphismFlow, ps,
+                                 stages, presheaf: SpectralPresheaf, t_grid
+                                 ) -> list:
+    """Compare, for each projection p of a list and each stage (V, r) of
+    a list of StageVR, the cutoff table of p with the table of the flowed
     proposition at the flowed stage, pulled back through the flow.
+    Returns one list per projection of one FlowReport per stage, in order.
 
     The table is V' -> min(r, mu of the outer daseinisation of p at V'),
     over the lower set of the stage context, daseinised under the
     presheaf's policy (lhs).  The transported table is V' -> min(r,
     tr(rho U_t d(p)_{V'} U_t*)), the table of the state U_t* rho U_t on
-    the same daseinised mask (rhs, one row per t)."""
+    the same daseinised mask (rhs, one row per t).  Each projection is
+    daseinised once, and the weights of rho and of each moved state are
+    read once, on the lower sets of all the stages."""
     poset = presheaf.poset
-    below = poset.leq[:, poset.index_of(context_id)]
-    outer = ClopenSubobject(presheaf, presheaf.dasein_masks([p])[0]
-                            & below[presheaf.owner], below)
-
-    def cutoffs(matrix):
-        mu = outer.measure(presheaf.weights(matrix, outer.domain))
-        return np.minimum(float(r), mu[outer.domain])
-
-    rhs = np.array([cutoffs(dagger(u) @ state.matrix @ u)
-                    for u in map(flow.unitary, t_grid)]
-                   ).reshape(len(t_grid), int(outer.domain.sum()))
-    return FlowReport(t_grid, poset.ids(outer.domain), cutoffs(state.matrix),
-                      rhs)
+    below = poset.leq[:, [poset.index_of(stage.context_id)
+                          for stage in stages]]
+    weights = presheaf.weights(
+        np.array([state.matrix] + [dagger(u) @ state.matrix @ u
+                                   for u in map(flow.unitary, t_grid)]),
+        below.any(axis=1))
+    reports = []
+    for mask in presheaf.dasein_masks(ps):
+        reports.append([])
+        for stage, inside in zip(stages, below.T):
+            outer = ClopenSubobject(presheaf, mask & inside[presheaf.owner],
+                                    inside)
+            cutoffs = np.minimum(float(stage.r),
+                                 outer.measure(weights)[:, inside])
+            reports[-1].append(FlowReport(t_grid, poset.ids(inside),
+                                          cutoffs[0], cutoffs[1:]))
+    return reports
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,9 @@ axis plus a boolean mask of its domain; the closure check, meet, join,
 Heyting negation and downward completion are gathers and scatters over
 the edges.  That mask is the only form measure code reads:
 mu(S)(V) is a sum of block weights over S_V, for every context at once,
-and no matrix is formed.  The lattice isomorphism between P(V) and the
+and no matrix is formed; SpectralPresheaf.weights reads the weights of
+a matrix, or a stack of them, with one product per signature bucket of
+stacked frames.  The lattice isomorphism between P(V) and the
 clopen subsets at V sends a lattice projection P to {lambda : lambda(P) = 1}
 and a subset S back to the block sum over S (Context.block_sum); that
 dense sum is built only where a matrix is needed, for C2 and the
@@ -36,7 +38,7 @@ in one batched product, with proj_leq's threshold.
 
 A unitary acts on the presheaf through one pair of index arrays,
 SpectralPresheaf.action: the poset index of each moved context and the
-character each character is carried to (ContextPoset.images, one
+character each character is carried to (ContextIndex.images, one
 product per signature bucket).  It is computed once per (unitary,
 domain) and kept on the presheaf, so C1, the group action, internal C1
 and pullback share it.
@@ -109,20 +111,35 @@ class SpectralPresheaf:
     def weights(self, m, inside=None) -> np.ndarray:
         """Flat block weights Re tr(m Q_i) (Context.weights) at the
         contexts of the boolean mask `inside`, every context by default,
-        and 0 elsewhere; m is a matrix or a stack of them (..., n, n)."""
-        out = np.zeros(np.shape(m)[:-2] + (self.offsets[-1],))
-        everywhere = np.ones(len(self.poset), dtype=bool)
-        for i in np.flatnonzero(everywhere if inside is None else inside):
-            out[..., self.offsets[i]:self.offsets[i + 1]] = (
-                self.poset.contexts[i].weights(m))
-        return out
+        and 0 elsewhere; m is a matrix or a stack of them (..., n, n).
+        One product per signature bucket of stacked frames, sliced to at
+        most PRODUCT_ENTRIES, with Context.weights' expression."""
+        m = np.asarray(m)
+        stack = m.reshape((-1,) + m.shape[-2:])
+        out = np.zeros((len(stack), self.offsets[-1]))
+        for (n, k, _), members, frames in self.poset.index.stacks():
+            if inside is not None:
+                keep = inside[members]
+                members, frames = members[keep], frames[keep]
+            if not len(members):
+                continue
+            starts = self.poset.contexts[members[0]].starts
+            chars = self.offsets[members][:, None] + np.arange(k)
+            for rows, cols in tiles(len(frames), len(stack), n * n):
+                diag = np.einsum("cij,scij->scj", frames[rows].conj(),
+                                 stack[cols, None] @ frames[rows]).real
+                out[cols, chars[rows].ravel()] = np.add.reduceat(
+                    diag, starts, axis=-1).reshape(diag.shape[0], -1)
+        return out.reshape(m.shape[:-2] + out.shape[-1:])
 
     def sections(self, masks, weights) -> np.ndarray:
-        """mu at every context of each mask of a stack (..., characters):
-        the flat weights over the mask summed per context, laid out one
-        row per context and added cumulatively left to right in block
-        order (block_sums), as the rows of a measure table are."""
-        rows = np.zeros(np.shape(masks)[:-1] + (len(self.poset), self.width))
+        """mu at every context of each mask of a stack (..., characters)
+        under flat weights, or a stack of them, broadcast against each
+        other: the flat weights over the mask summed per context, laid
+        out one row per context and added cumulatively left to right in
+        block order (block_sums), as the rows of a measure table are."""
+        lead = np.broadcast_shapes(np.shape(masks), np.shape(weights))[:-1]
+        rows = np.zeros(lead + (len(self.poset), self.width))
         rows[..., self.owner, self.slot] = np.where(masks, weights, 0.0)
         return block_sums(rows)
 
@@ -161,7 +178,7 @@ class SpectralPresheaf:
 
     def action(self, u, domain):
         """(target, to) of the automorphism V -> U V U* on the contexts of
-        a boolean mask, by ContextPoset.images.  target[i] is the index of
+        a boolean mask, by ContextIndex.images.  target[i] is the index of
         the poset context equal to U V_i U*, -1 where the poset has none;
         to[x] is the character that character x is carried to (U Q U* lies
         in its block), -1 outside the mask or off the poset.  Computed
@@ -171,7 +188,7 @@ class SpectralPresheaf:
         key = (np.asarray(u, dtype=np.complex128).tobytes(), domain.tobytes())
         if key in self._actions:
             return self._actions[key]
-        target, homes = self.poset.images(u, domain)
+        target, homes = self.poset.index.images(u, domain)
         home = homes[self.owner, self.slot]
         # target -1 reads the last offset, where home is -1 too
         to = np.where(home >= 0, self.offsets[target[self.owner]] + home, -1)

@@ -302,20 +302,20 @@ def run_truth(scn, rep):
                         verdict=INFO)
 
     # cutoff-table invariance for every named projection
-    if scn.flow is not None and scn.t_grid:
+    if scn.flow is not None and scn.t_grid and scn.projections:
         eps = scn.tol.eps_measure
-        for pname in sorted(scn.projections):
-            p = scn.projections[pname]
-            for cid in stages:
-                for r in scn.r_queries:
-                    inv = check_truth_value_invariance(
-                        scn.state, scn.flow, p, cid, r, scn.presheaf,
-                        scn.t_grid)
-                    e = rep.add_pass_fail(
-                        "truth",
-                        f"cutoff invariance of {pname} @ ({cid}, r={fmtf(r)})",
-                        residual=inv.max_residual, eps=eps)
-                    ok = ok and e.verdict == PASS
+        names = sorted(scn.projections)
+        grid = [StageVR(cid, r) for cid in stages for r in scn.r_queries]
+        reports = check_truth_value_invariance(
+            scn.state, scn.flow, [scn.projections[nm] for nm in names], grid,
+            scn.presheaf, scn.t_grid)
+        for pname, invs in zip(names, reports):
+            for stage, inv in zip(grid, invs):
+                e = rep.add_pass_fail(
+                    "truth", f"cutoff invariance of {pname} @ "
+                             f"({stage.context_id}, r={fmtf(stage.r)})",
+                    residual=inv.max_residual, eps=eps)
+                ok = ok and e.verdict == PASS
 
     # expectation identity on the named projections
     eps_exp = max(scn.tol.eps_measure, scn.tol.eps_herm)

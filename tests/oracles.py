@@ -3,7 +3,7 @@ measure tables.
 
 Every clopen sub-object on a lower set is built and validated one at a
 time, with no pruning, then filtered by tau; members are listed in the
-order of their sorted components; pullback reads ContextPoset.images
+order of their sorted components; pullback reads ContextIndex.images
 block by block; and the weak and strong matchings compare members
 one pair at a time.  The package reads the same definitions off one mask
 stack per stage (kms_external.TruthObject, TwistedTruthObject,
@@ -14,17 +14,18 @@ set) -> value, validated row by row and pair by pair (check_table); the
 package validates the three arrays of measure.AbstractMeasure.
 
 The dense references that only tests read live here too: the image of
-a context under a unitary read off its dense blocks, the
-projection meet and join, the lattice isomorphism s_map read off dense
-blocks, the coarse-graining map, left and right multiplication as
-n^2 x n^2 matrices, and the tensor-factor swap.  conjugation_map checks
+a context under a unitary read off its dense blocks, the meet of two
+contexts one pair at a time, the projection meet and join, the lattice
+isomorphism s_map read off dense blocks, the coarse-graining map, left
+and right multiplication as n^2 x n^2 matrices, and the tensor-factor
+swap.  conjugation_map checks
 acceptance criterion 9 on the package's frame primitives.
 """
 import functools
 
 import numpy as np
 
-from toposkms.algebra import Context, block_map, contexts_equal
+from toposkms.algebra import Context, _overlaps, block_map, contexts_equal
 from toposkms.errors import (
     AmbiguousMatch,
     ContextMissing,
@@ -128,9 +129,9 @@ def lower_set(poset, context_id):
 
 
 def _images(poset, u, inside):
-    """ContextPoset.images, with ContextMissing where a context of the
+    """ContextIndex.images, with ContextMissing where a context of the
     mask moves off the poset."""
-    target, homes = poset.images(u, inside)
+    target, homes = poset.index.images(u, inside)
     off = inside & (target < 0)
     if off.any():
         raise ContextMissing(
@@ -157,6 +158,29 @@ def dense_image(w, v, pool, tol: TolerancePolicy = DEFAULT_TOL):
     if dists[np.arange(v.k), relabel].max() > 10 * tol.eps_order:
         return i, None
     return i, tuple(relabel.tolist())
+
+
+def meet_context(v1, v2, tol: TolerancePolicy = DEFAULT_TOL):
+    """Intersection algebra V1 ∧ V2, or None when it is trivial, one pair
+    at a time: its blocks are the components of the block-overlap graph
+    (an edge where ||Q R||_F^2 = tr(Q R) > eps_order^2), merged as labels
+    on V1's frame.  ContextIndex.meets takes a whole meet pass at once."""
+    if v1.dim != v2.dim:
+        raise DimMismatch("contexts live in different dimensions")
+    edges = meet_edges(v1, v2, tol)
+    linked = edges @ edges.T  # V1 blocks that overlap a common V2 block
+    group = np.arange(v1.k)
+    for _ in range(v1.k):  # each block takes the least label it is linked to
+        group = np.where(linked, group, v1.k).min(axis=1)
+    if len(set(group.tolist())) < 2:
+        return None
+    return Context.on_frame(v1.frame, group[v1.labels])
+
+
+def meet_edges(v1, v2, tol: TolerancePolicy = DEFAULT_TOL):
+    """The (k1, k2) block-overlap graph of one pair of contexts."""
+    over = _overlaps(v1.frame, v1.starts, v2.frame, v2.starts)
+    return over > tol.eps_order ** 2
 
 
 def twisted_members(state, presheaf, u, stage, source=members):

@@ -353,12 +353,13 @@ def test_criterion_09_jmap_order_and_continuity(c3_gibbs, diag4):
 def test_criterion_10_truth_value_invariance_and_expectation(c3_gibbs):
     with criterion(10, "cutoff tables invariant under flow relabeling "
                        "(<=1e-9); expectation identity <=1e-10"):
-        for cid in ("Vdiag", "Vex"):
-            for r in (0.3, 0.7):
-                rep = check_truth_value_invariance(
-                    c3_gibbs.state, c3_gibbs.flow, P12SYM, cid, r,
-                    c3_gibbs.presheaf, list(GRID5))
-                assert rep.max_residual <= 1e-9, (cid, r)
+        stages = [StageVR(cid, r) for cid in ("Vdiag", "Vex")
+                  for r in (0.3, 0.7)]
+        [reports] = check_truth_value_invariance(
+            c3_gibbs.state, c3_gibbs.flow, [P12SYM], stages,
+            c3_gibbs.presheaf, list(GRID5))
+        for stage, rep in zip(stages, reports):
+            assert rep.max_residual <= 1e-9, stage
         for p in (np.diag([1.0, 0.0, 0.0]), P12SYM):
             rep = expectation_value(p, c3_gibbs.state, c3_gibbs.presheaf)
             assert not rep.inserted_context

@@ -15,7 +15,6 @@ from toposkms.algebra import (
     contexts_equal,
     includes,
     lattice_projection,
-    meet_context,
     projection_lattice,
 )
 from toposkms.errors import (
@@ -32,7 +31,7 @@ from toposkms.scenario import load_scenario
 from toposkms.tolerances import DEFAULT_TOL
 
 from conftest import P12SYM, diagonal_context, random_unitary
-from oracles import coarse_graining_map, dense_image, lower_set
+from oracles import coarse_graining_map, dense_image, lower_set, meet_context
 
 
 def test_blocks_must_partition_identity():
@@ -133,8 +132,8 @@ def test_unitarity_is_checked_against_the_policy():
         apply_automorphism(u, vex)
     assert contexts_equal(apply_automorphism(u, vex, tol=loose), vex)
     with pytest.raises(NotUnitary):
-        build_poset([vex]).images(u, [True])
-    assert build_poset([vex], tol=loose).images(u, [True])[0][0] == 0
+        build_poset([vex]).index.images(u, [True])
+    assert build_poset([vex], tol=loose).index.images(u, [True])[0][0] == 0
     with pytest.raises(NotUnitary):
         build_poset([vex], unitaries=[[u]], group_depth=1)
     poset = build_poset([vex], unitaries=[[u]], group_depth=1, tol=loose)
@@ -389,7 +388,7 @@ def test_filtered_order_matches_all_pairs_includes(n, seed, eps_order):
     assert [v.id for v in built.contexts] == [v.id for v in kept]
 
     for w in (_block_swap(u, fine, rng), rot):
-        target, homes = poset.images(w, np.ones(m, dtype=bool))
+        target, homes = poset.index.images(w, np.ones(m, dtype=bool))
         for i, v in enumerate(contexts):
             batched = (None, None) if target[i] < 0 else (
                 int(target[i]), tuple(homes[i, :v.k].tolist()))

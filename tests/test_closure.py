@@ -1,0 +1,219 @@
+"""The batched closure of build_poset: pinned context ids, the
+max_contexts boundary, and the meet pass against the pairwise oracle."""
+import hashlib
+import importlib
+import json
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from toposkms import algebra
+from toposkms.algebra import Context, build_poset, contexts_equal
+from toposkms.cli import main
+from toposkms.errors import PosetTooLarge, ScenarioError
+from toposkms.scenario import load_scenario
+from toposkms.tolerances import DEFAULT_TOL
+
+from conftest import random_unitary
+from oracles import meet_context, meet_edges
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# sha256 of the newline-joined context ids of each closed poset, in index
+# order, with its size
+CORPUS_IDS = {
+    "example_c3": (11, "087aa237c47afdfa075d4ed5773474b039ccaaafe2d72a3591d55514c1c8cd9c"),
+    "gibbs_external": (32, "9ccf53d2f6c11c4c49401f8563e32cafa9c7e6d0dce31e31b73fa0fcb6ae47ee"),
+    "gibbs_internal": (8, "5c5c68622f588d8e401742250d99e09c775d3f7f15486cb69effc905d14d2703"),
+    "modular_suite": (4, "8bcdd900653f718211cde7e4a8a0acb7fd530ec01b3d0788d6dd74215029cb7e"),
+    "negative_control": (8, "5c5c68622f588d8e401742250d99e09c775d3f7f15486cb69effc905d14d2703"),
+    "reconstruction": (3, "3fe47001aca08f32034138fbfaf0547c763640b0cc2e69bbe11f684b48e4336b"),
+    "underdetermined": (1, "4cc6139a206961767ccabb14895ffb10164c5a134784b5d75c9e2d35199e22a9"),
+}
+# perfbench's generated scenarios at seeds 1-3: the downward-closed
+# diagonal C^6 poset (its ids do not depend on the seed), and the
+# modular_dense posets of dims 4-10, 20 contexts each
+LARGE_POSET_IDS = (202, "07e0b6105cdef1c7d1c3596fc0704639de98034de13a36370616cd6a1930170c")
+MODULAR_DENSE_IDS = {
+    1: ("1ddde5ba3d7c51b742c12f799284970737aa1cb227b34e09cc045471ab8ba0c9",
+        "c78736e03c7fa72b1e79578502d058f45b4666e19528218006a3bbe09793df99",
+        "6e7f78b3ebe45ab2f968007cfbeedf14d31ceb0add4370dbec12f0dd9dd6bbb2",
+        "11525236123273c2abd50e119365793b967af5a6bad4c7d78ee2fd2c0e417989",
+        "eef4ba67efd16ac7e82bcf508bc709e8c11e2b693149567f0cb3166e9f78485d",
+        "e47b566ea018d05e44b08f0e6a2a74c10b27d368df9ec7588e8b37f2e266309c",
+        "3a8c0557153ef9bc29f7a8191571bf88a75f974842ead404f6e5021d4baaad19"),
+    2: ("9ede3a254b14d0b8687e26811906ff1cea3aec78847de94f328197ad44cf075a",
+        "8ff73cb78466f3f8710fc1744768941ccf8800919131921a48fcd50e2aeb994b",
+        "a652a80a8b4c49ae625941cd109d8d635d685de44dd19ab6b272818c0c10360b",
+        "e38b084d7c2b97e64f376b600def4a5571a5f63e6585a07c6c804f9207560687",
+        "868522275d87783a6668b87a0adedd26d4552d767f0a06737ea459a61493628e",
+        "f39b9ba61ed0af56eec2bbc2ec2bd7e851ee3bf0975f97be4cd339a955b45b47",
+        "04cfffcad5998c25d762a856809c94ae2ae9537d29e902bbe16eec4ecf280083"),
+    3: ("adcfe06c65db72c4648afa68e025db8696e9ec2903bef2821bf2dc8c8788cdfa",
+        "c0c4d33dbad2d782c7d176fdc0615530d94271c4497dd00b02dec89baf142cab",
+        "0fc10552a6d861a666c0a49322bd993358a47a83ab5da42da24937560ffb6976",
+        "6f27275b2126de9566713c2a9a431af8956f0262472272ea80d13da703a956c3",
+        "888fad6bca15b9bc408b3821dc8b1e7f488398d19f37803f15079a92da589849",
+        "4f07eb37d7952b7d358187168b431610bd8414296e67b6adbbd0ca8edc5039d1",
+        "bb465054ef1caa3c2c7270b5cf7c7f2d1cbcf50ac6fa650d5cac4198cfb65435"),
+}
+
+
+def _ids(poset):
+    digest = hashlib.sha256("\n".join(v.id for v in poset.contexts).encode())
+    return len(poset), digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def harness():
+    """perfbench/harness.py, which generates the benchmark's scenarios."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "perfbench"))
+        yield importlib.import_module("harness")
+
+
+def test_corpus_closures_are_pinned(scenario_dir):
+    got = {path.stem: _ids(load_scenario(path).poset)
+           for path in sorted(scenario_dir.glob("*.json"))}
+    assert got == CORPUS_IDS
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_closures_are_pinned(harness, seed):
+    assert _ids(load_scenario(harness.large_poset_scenario(seed)).poset) \
+        == LARGE_POSET_IDS
+    got = tuple(_ids(load_scenario(harness.modular_dense_scenario(seed, n)).poset)
+                for n in range(4, 11))
+    assert got == tuple((20, d) for d in MODULAR_DENSE_IDS[seed])
+
+
+@pytest.mark.parametrize("name", ["gibbs_external", "modular_suite"])
+def test_max_contexts_at_the_closed_size(scenario_dir, tmp_path, capfd, name):
+    # gibbs_external closes under the flow, modular_suite with meet closure
+    # on: the closed size loads, one less stops at the last candidate
+    size = CORPUS_IDS[name][0]
+    raw = json.loads((scenario_dir / f"{name}.json").read_text())
+    raw["poset"]["max_contexts"] = size
+    assert _ids(load_scenario(raw).poset) == CORPUS_IDS[name]
+    raw["poset"]["max_contexts"] = size - 1
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code = main(["run", "--scenario", str(path),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"poset exceeded max_contexts={size - 1}" in capfd.readouterr().err
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(raw)
+    assert isinstance(caught.value.__cause__, PosetTooLarge)
+
+
+def pairwise_meets(contexts, paired, tol):
+    """(i, j, labels) of the non-trivial meets, one pair at a time."""
+    out = []
+    for i, v in enumerate(contexts):
+        for j in range(max(i + 1, paired), len(contexts)):
+            w = meet_context(v, contexts[j], tol)
+            if w is not None:
+                out.append((i, j, w))
+    return out
+
+
+def _check_meets(contexts, tol):
+    """ContextIndex.meets and meet_edges against the pairwise oracle, for
+    every `paired` cut the closure can take."""
+    index = algebra.ContextIndex(tol, contexts)
+    for paired in sorted({0, len(contexts) // 2, len(contexts) - 1}):
+        pairs = []
+        for i, j, edges in index.meet_edges(paired):
+            for a, b, table in zip(i.tolist(), j.tolist(), edges):
+                assert table.tobytes() == meet_edges(
+                    contexts[a], contexts[b], tol).tobytes(), (a, b)
+                pairs.append((a, b))
+        n = len(contexts)
+        assert sorted(pairs) == [(a, b) for a in range(n)
+                                 for b in range(max(a + 1, paired), n)]
+        batched = index.meets(paired)
+        oracle = pairwise_meets(contexts, paired, tol)
+        assert [m[:2] for m in batched] == [m[:2] for m in oracle]
+        for (i, _, labels), (_, _, w) in zip(batched, oracle):
+            made = Context.on_frame(contexts[i].frame, labels)
+            assert made.frame.tobytes() == w.frame.tobytes()
+            assert np.array_equal(made.labels, w.labels) and made.id == w.id
+
+
+def pairwise_meet_closure(seeds, tol):
+    """build_poset(seeds, meet_closure=True) one pair at a time, with a
+    linear contexts_equal scan for duplicates."""
+    kept = []
+
+    def add(c):
+        if any(contexts_equal(v, c, tol) for v in kept):
+            return False
+        kept.append(c)
+        return True
+
+    for s in seeds:
+        add(s)
+    paired = 0
+    while paired < len(kept):
+        snapshot = list(kept)
+        for _, _, w in pairwise_meets(snapshot, paired, tol):
+            add(w)
+        paired = len(snapshot)
+    return kept
+
+
+def _dense_contexts(rng, n):
+    """Contexts of the modular_dense kind: the basis M of a random frame
+    and a partition W of it, their images under random unitaries, and
+    bases T turned inside two of M's vectors; M and T0, turned inside
+    the first two, meet in a context that is not a seed."""
+    w = random_unitary(rng, n)
+    labels = rng.integers(0, 3, size=n)
+    labels[:3] = [0, 1, 2]
+    out = [Context.on_frame(w, np.arange(n), "M"),
+           Context.on_frame(w, labels, "W")]
+    for c in range(2):
+        out.append(Context.on_frame(random_unitary(rng, n) @ w,
+                                    rng.permutation(labels), f"R{c}"))
+    for c in range(3):
+        turn = [0, 1] if c == 0 else rng.choice(n, 2, replace=False)
+        inner = np.eye(n, dtype=complex)
+        inner[np.ix_(turn, turn)] = random_unitary(rng, 2)
+        out.append(Context.on_frame(w @ inner, np.arange(n), f"T{c}"))
+    return out
+
+
+@given(n=st.integers(3, 7), seed=st.integers(0, 2**32 - 1),
+       entries=st.sampled_from([algebra.PRODUCT_ENTRIES, 48]))
+def test_batched_meets_match_the_pairwise_oracle(n, seed, entries):
+    """Dense contexts of dims 3-7, in one product per pair of buckets or
+    in many slices (48 entries hold at most three 4 x 4 products): the
+    same meets in the same order as the pairwise loop, the same edge
+    tables bit for bit, and the same closure."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "PRODUCT_ENTRIES", entries)
+        rng = np.random.default_rng(seed)
+        seeds = _dense_contexts(rng, n)
+        _check_meets(seeds, DEFAULT_TOL)
+        closed = build_poset(seeds, meet_closure=True)
+        assert len(closed) > len(build_poset(seeds))
+        assert [v.id for v in closed.contexts] == [
+            v.id for v in pairwise_meet_closure(seeds, DEFAULT_TOL)]
+
+
+@pytest.mark.parametrize("entries", [algebra.PRODUCT_ENTRIES, 48])
+def test_meets_on_the_corpus_and_rotated_c4(scenario_dir, monkeypatch,
+                                            entries):
+    monkeypatch.setattr(algebra, "PRODUCT_ENTRIES", entries)
+    rng = np.random.default_rng(7)
+    w = random_unitary(rng, 4)
+    rotated = build_poset([Context([np.outer(c, c.conj()) for c in w.T], "W")],
+                          downward_closure=True)
+    posets = [rotated] + [load_scenario(path).poset
+                          for path in sorted(scenario_dir.glob("*.json"))]
+    for poset in posets:
+        if len(poset) > 1:
+            _check_meets(poset.contexts, poset.tol)

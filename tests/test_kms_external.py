@@ -51,7 +51,7 @@ def test_flow_saturated_family_error_paths(c3_gibbs):
     swap = np.eye(3)[[1, 0, 2]]
     poset = c3_gibbs.poset
     i = poset.index_of("Vdiag")
-    target, homes = poset.images(swap, np.arange(len(poset)) == i)
+    target, homes = poset.index.images(swap, np.arange(len(poset)) == i)
     assert target[i] == i
     moved = [b for b, home in enumerate(homes[i, :poset.contexts[i].k])
              if home != b]
@@ -214,30 +214,39 @@ def test_truth_members_count(c3_gibbs):
 
 
 def test_truth_value_transport(c3_gibbs):
-    rep = check_truth_value_invariance(
-        c3_gibbs.state, c3_gibbs.flow, np.diag([1.0, 0.0, 0.0]), "Vdiag",
-        0.3, c3_gibbs.presheaf, [0.0])
+    [[rep]] = check_truth_value_invariance(
+        c3_gibbs.state, c3_gibbs.flow, [np.diag([1.0, 0.0, 0.0])],
+        [StageVR("Vdiag", 0.3)], c3_gibbs.presheaf, [0.0])
     assert rep.context_ids == oracles.lower_set(c3_gibbs.poset, "Vdiag")
     # the measure is at least r below Vdiag, so every cutoff is r itself
     assert (rep.lhs == 0.3).all()
 
 
 def test_cutoff_invariance_gibbs(c3_gibbs):
-    for p in (np.diag([1.0, 0.0, 0.0]),
-              np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]])):
-        for cid in ("Vdiag", "Vex"):
-            for r in (0.3, 0.7):
-                rep = check_truth_value_invariance(
-                    c3_gibbs.state, c3_gibbs.flow, p, cid, r,
-                    c3_gibbs.presheaf, list(GRID5))
-                assert rep.max_residual <= 1e-9, (cid, r)
+    ps = [np.diag([1.0, 0.0, 0.0]),
+          np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]])]
+    stages = [StageVR(cid, r) for cid in ("Vdiag", "Vex") for r in (0.3, 0.7)]
+    reports = check_truth_value_invariance(
+        c3_gibbs.state, c3_gibbs.flow, ps, stages, c3_gibbs.presheaf,
+        list(GRID5))
+    assert [len(row) for row in reports] == [len(stages)] * len(ps)
+    for p, row in zip(ps, reports):
+        for stage, rep in zip(stages, row):
+            assert rep.max_residual <= 1e-9, stage
+            # one projection at one stage reports the same, bit for bit
+            [[alone]] = check_truth_value_invariance(
+                c3_gibbs.state, c3_gibbs.flow, [p], [stage],
+                c3_gibbs.presheaf, list(GRID5))
+            assert alone.context_ids == rep.context_ids
+            assert alone.lhs.tobytes() == rep.lhs.tobytes()
+            assert alone.rhs.tobytes() == rep.rhs.tobytes()
 
 
 def test_cutoff_invariance_fails_for_pure(c3_pure):
-    rep = check_truth_value_invariance(
+    [[rep]] = check_truth_value_invariance(
         c3_pure.state, c3_pure.flow,
-        np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]]),
-        "Vex", 0.3, c3_pure.presheaf, list(GRID5))
+        [np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]])],
+        [StageVR("Vex", 0.3)], c3_pure.presheaf, list(GRID5))
     assert rep.max_residual >= 1e-2
     k, j = np.unravel_index(rep.residuals.argmax(), rep.residuals.shape)
     assert rep.residuals[k, j] == rep.max_residual

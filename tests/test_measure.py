@@ -1,8 +1,11 @@
 """State-induced measures, their axioms, and state reconstruction."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from toposkms import algebra
 from toposkms.algebra import (
     Context,
     apply_automorphism,
@@ -322,14 +325,19 @@ def test_reconstruction_verdicts_match_the_dense_oracle(scenario_dir):
     assert set(kinds) == {"fit", "inconsistent", "infeasible"}
 
 
-def test_weights_of_a_stack_are_those_of_each_matrix(scenario_dir):
+def test_weights_of_a_stack_are_those_of_each_matrix(scenario_dir,
+                                                      monkeypatch):
     # state_from_measure reads the weights of the whole traceless basis in
-    # one call; they must be the weights of each basis matrix, bit for bit
+    # one call; they must be the weights of each basis matrix, bit for bit,
+    # and the per-bucket products those of Context.weights at each context,
+    # in one slice or in many (48 entries hold three 4 x 4 products)
     models = [_rotated_c4()[1:]]
     for path in sorted(scenario_dir.glob("*.json")):
         scn = load_scenario(path)
         models.append((scn.poset, scn.state))
-    for poset, state in models:
+    for (poset, state), entries in itertools.product(
+            models, (algebra.PRODUCT_ENTRIES, 48)):
+        monkeypatch.setattr(algebra, "PRODUCT_ENTRIES", entries)
         psh = SpectralPresheaf(poset)
         stack = np.array(_traceless_hermitian_basis(state.dim)
                          + [state.matrix])
@@ -337,6 +345,14 @@ def test_weights_of_a_stack_are_those_of_each_matrix(scenario_dir):
         for inside in (None, every_other):
             one_by_one = np.array([psh.weights(m, inside) for m in stack])
             assert psh.weights(stack, inside).tobytes() == one_by_one.tobytes()
+            per_context = np.zeros_like(one_by_one)
+            for i in np.flatnonzero(every_other if inside is not None
+                                    else np.ones(len(poset), dtype=bool)):
+                lo, hi = psh.offsets[i:i + 2]
+                per_context[:, lo:hi] = poset.contexts[i].weights(stack)
+                assert (psh.weights(state.matrix, inside)[lo:hi].tobytes()
+                        == poset.contexts[i].weights(state.matrix).tobytes())
+            assert one_by_one.tobytes() == per_context.tobytes()
 
 
 def _raised(build, *args):

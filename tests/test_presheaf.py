@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from toposkms import algebra
 from toposkms.algebra import (
     Context,
-    ContextPoset,
+    ContextIndex,
     block_map,
     build_poset,
     includes,
@@ -526,13 +526,13 @@ def test_check_c1_moves_each_context_once_per_t(monkeypatch):
             for name in ("DA", "DB")]
     h = np.diag([0.0, 1.0, 2.0, 3.0])
     calls = Counter()
-    images = ContextPoset.images
+    images = ContextIndex.images
 
     def counted(self, u, inside):
         calls[np.asarray(u).tobytes(), np.asarray(inside).tobytes()] += 1
         return images(self, u, inside)
 
-    monkeypatch.setattr(ContextPoset, "images", counted)
+    monkeypatch.setattr(ContextIndex, "images", counted)
     t_grid = (0.0, 0.5, 1.3)
     state, flow = gibbs_state(h, 1.0), AutomorphismFlow(h)
     reps = [check_C1(state, flow, sub, t_grid) for sub in subs]
