@@ -39,7 +39,6 @@ import numpy as np
 from .errors import (
     ContextMissing,
     DimMismatch,
-    LatticeTooLarge,
     NonCommuting,
     NotInAlgebra,
     NotUnitary,
@@ -56,9 +55,6 @@ from .numerics import (
     proj_leq,
 )
 from .tolerances import DEFAULT_TOL, TolerancePolicy
-
-#: hard cap on the number of blocks for 2^k lattice enumerations
-MAX_LATTICE_BLOCKS = 20
 
 #: most complex entries one batched frame product holds (256 KB); a
 #: product of two stacks is taken in tiles of at most this many entries.
@@ -304,18 +300,6 @@ def context_from_operators(ops, context_id: str | None = None,
         if frob(resid) > max(tol.eps_eig * max(1.0, frob(a)) * n, 1e-8):
             raise NonCommuting("refinement failed to diagonalize an operator")
     return ctx
-
-
-def projection_lattice(v: Context):
-    """(bits, stack): all 2^k subset sums of the blocks of the context.
-    Row s of the (2^k, k) boolean subset matrix holds the bits of s, and
-    stack[s] is the dense sum of the blocks Q_i with bits[s, i]; guarded
-    against k > MAX_LATTICE_BLOCKS."""
-    if v.k > MAX_LATTICE_BLOCKS:
-        raise LatticeTooLarge(f"2^{v.k} lattice elements exceed the enumeration guard")
-    bits = (np.arange(1 << v.k)[:, None] >> np.arange(v.k)) & 1 == 1
-    blocks = np.stack([v.block(i) for i in range(v.k)])
-    return bits, np.tensordot(bits.astype(float), blocks, axes=1)
 
 
 def lattice_projection(v: Context, indices,

@@ -32,9 +32,14 @@ form keeps exactly the blocks with non-zero overlap (block_overlaps);
 SpectralPresheaf.dasein_masks applies it to a stack of projections at
 every context, one product per signature bucket of stacked frames, and
 dasein_indices to one context, which need not lie in the poset.  The
-independent oracle stays dense: it stacks the 2^k dense lattice elements
-of a context once and tests all of them against a stack of projections
-in one batched product, with proj_leq's threshold.
+independent oracle, outer_daseinisation_bruteforce, stays dense: for
+each context of a signature bucket it forms the dense blocks and their
+2^k subset sums L, and takes (1 - L) p for every (context, L, p) with
+one GEMM per tile of at most PRODUCT_ENTRIES entries, with proj_leq's
+threshold; a single context is a bucket of one.  The presheaf suite
+compares dasein_masks with it bucket by bucket, and checks
+functoriality with SpectralPresheaf.broken_chains, one gather over
+every (edge into a middle context, context below it) pair.
 
 A unitary acts on the presheaf through one pair of index arrays,
 SpectralPresheaf.action: the poset index of each moved context and the
@@ -56,13 +61,13 @@ from .algebra import (
     Context,
     ContextPoset,
     lattice_projection,
-    projection_lattice,
     tiles,
 )
 from .errors import (
     DimMismatch,
     DomainMismatch,
     EnumerationTooLarge,
+    LatticeTooLarge,
     NotClosedUnderRestriction,
     NotInLattice,
     PosetNotClosed,
@@ -73,6 +78,15 @@ from .tolerances import DEFAULT_TOL, TolerancePolicy
 # most nodes, candidate components at one context, enumerate_subobjects
 # visits on one lower set
 ENUMERATION_NODE_CAP = 1_000_000
+
+# most blocks of a context whose 2^k lattice elements the brute-force
+# daseinisation oracle scans
+MAX_LATTICE_BLOCKS = 20
+
+# most (edge into a middle context, context below it) pairs that
+# SpectralPresheaf.broken_chains compares at once; each holds a few
+# int64 temporaries, so a run stays near 100 KB
+CHAIN_PAIRS = 1 << 12
 
 
 class SpectralPresheaf:
@@ -147,7 +161,9 @@ class SpectralPresheaf:
         """(chains, broken): the number of strict chains small < mid <
         large, and of those on which some character of `large` restricted
         through `mid` lands on another character of `small` than
-        restricted directly, compared per character on the edges."""
+        restricted directly.  Every (edge into mid, context below mid)
+        pair is one comparison of two gathers, taken in runs of middle
+        contexts of at most CHAIN_PAIRS pairs each."""
         n = len(self.poset)
         strict = self.poset.leq & ~np.eye(n, dtype=bool)
         into = self.owner[self.dst]
@@ -155,25 +171,31 @@ class SpectralPresheaf:
         # of the one edge keyed x * n + c; every strict pair has its edges
         keys = self.src * n + into
         order = np.argsort(keys)
+        keys, ends = keys[order], self.dst[order]
 
         def image(x, c):
-            return self.dst[order[np.searchsorted(keys, x * n + c,
-                                                  sorter=order)]]
+            return ends[np.searchsorted(keys, x * n + c)]
 
-        by_mid = np.lexsort((self.src, into))
-        bounds = np.searchsorted(into[by_mid], np.arange(n + 1))
+        by_mid = np.argsort(into)
+        edges_at = np.searchsorted(into[by_mid], np.arange(n + 1))
+        mids, smalls = np.nonzero(strict.T)
+        below_at = np.searchsorted(mids, np.arange(n + 1))
+        below = np.diff(below_at)
         broken = 0
-        for mid in range(n):
-            edges = by_mid[bounds[mid]:bounds[mid + 1]]
-            above = self.src[edges]
-            below = np.flatnonzero(strict[:, mid])
-            if not (above.size and below.size):
-                continue
-            wrong = (image(self.dst[edges][:, None], below)
-                     != image(above[:, None], below))
-            # characters of one context are adjacent on the axis
-            first = np.flatnonzero(np.diff(self.owner[above], prepend=-1))
-            broken += int(np.logical_or.reduceat(wrong, first, axis=0).sum())
+        for run in _runs(np.diff(edges_at) * below, CHAIN_PAIRS):
+            edges = by_mid[edges_at[run.start]:edges_at[run.stop]]
+            reps = below[into[edges]]
+            small = smalls[np.repeat(below_at[into[edges]], reps)
+                           + _ragged(reps)]
+            edges = np.repeat(edges, reps)
+            wrong = (image(self.dst[edges], small)
+                     != image(self.src[edges], small))
+            edges, small = edges[wrong], small[wrong]
+            # a chain (small, mid, large) is broken once, whichever of
+            # large's characters goes wrong; a set, as np.unique imports
+            # numpy.ma on first use (about 1 MB of peak RSS)
+            broken += len(set(zip(self.owner[self.src[edges]].tolist(),
+                                  into[edges].tolist(), small.tolist())))
         return int(strict.sum(axis=0) @ strict.sum(axis=1)), broken
 
     def action(self, u, domain):
@@ -244,6 +266,18 @@ def block_sums(rows) -> np.ndarray:
     return np.cumsum(rows, axis=-1)[..., -1]
 
 
+def _runs(sizes, budget: int):
+    """Slices of consecutive items, with the given sizes, that cover them
+    in order, each summing to at most budget (or holding a single item)."""
+    lo = total = 0
+    for i, size in enumerate(np.asarray(sizes).tolist()):
+        if i > lo and total + size > budget:
+            yield slice(lo, i)
+            lo, total = i, 0
+        total += size
+    yield slice(lo, len(sizes))
+
+
 def _ragged(sizes) -> np.ndarray:
     """Concatenated aranges 0 .. size - 1 for each size."""
     sizes = np.asarray(sizes, dtype=np.intp)
@@ -278,38 +312,65 @@ def outer_daseinisation(p, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -> Pr
     return lattice_projection(v, dasein_indices(p, v, tol), tol)
 
 
-def outer_daseinisation_bruteforce(ps, v: Context,
-                                   tol: TolerancePolicy = DEFAULT_TOL) -> list:
-    """Independent oracle for a stack of projections ps, shape (m, n, n):
-    scan all 2^k dense lattice elements L of V (projection_lattice) for
-    the minimum above each p, the fewest blocks among the dominating
-    elements, then the smallest sorted indices.  Domination is proj_leq's
-    test, ||(1 - L) p||_F <= eps_order, for every (L, p) in one product.
-    Returns one tuple of block indices, in index order, per projection."""
+def outer_daseinisation_bruteforce(ps, frames, starts,
+                                   tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """Independent oracle for the outer daseinisation of each projection
+    of a stack ps (m, n, n) at a context, or at every context of a
+    signature bucket: frames is one n x n frame or a stack of frames
+    (..., n, n) whose blocks start at the columns `starts`
+    (ContextIndex.stacks).  Returns boolean rows (..., m, k), the blocks
+    of the minimum of each (context, p).
+
+    The minimum is found by scanning all 2^k dense lattice elements L of
+    each context, the subset sums of its dense blocks: the fewest blocks
+    among the elements that dominate p, then the smallest sorted indices.
+    Domination is proj_leq's test, ||(1 - L) p||_F <= eps_order.  The
+    (context, L) pairs are taken in tiles of at most PRODUCT_ENTRIES
+    entries (tiles), each one GEMM of the rows of (1 - L), stacked
+    (tile * n, n), by the projections side by side (n, m * n)."""
     ps = np.asarray(ps, dtype=np.complex128)
-    if ps.ndim != 3 or ps.shape[1:] != (v.dim, v.dim):
-        raise DimMismatch(f"expected a stack of {v.dim} x {v.dim} matrices, "
+    n = np.shape(frames)[-1]
+    if ps.ndim != 3 or ps.shape[1:] != (n, n):
+        raise DimMismatch(f"expected a stack of {n} x {n} matrices, "
                           f"got shape {ps.shape}")
     if not np.isfinite(ps).all():
         raise ValueError("matrix contains non-finite entries")
-    bits, lattice = projection_lattice(v)
-    # (1 - L) p for every pair, over slices of the lattice that hold the
-    # product to about 2^20 entries (16 MB; a 16-block context has 2^16
-    # elements), and its Frobenius norm summed over the real and imaginary
-    # parts in place, with no temporary of the product's size
-    step = max(1, (1 << 20) // max(1, ps.size))
-    norms = []
-    for lo in range(0, len(lattice), step):
-        parts = ((np.eye(v.dim) - lattice[lo:lo + step])[:, None]
-                 @ ps[None]).view(np.float64)
-        norms.append(np.sqrt(np.einsum("...ij,...ij->...", parts, parts)))
-    dominates = np.concatenate(norms) <= tol.eps_order
-    if not dominates.any(axis=0).all():
+    k = len(starts)
+    if k > MAX_LATTICE_BLOCKS:
+        raise LatticeTooLarge(
+            f"2^{k} lattice elements exceed the enumeration guard")
+    stack = np.reshape(frames, (-1, n, n))
+    ends = list(starts[1:]) + [n]
+    m = len(ps)
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1 == 1
+    sums = bits.astype(float)
+    side = np.swapaxes(ps, 0, 1).reshape(n, m * n)
+    dominates = np.empty((len(stack), 1 << k, m), dtype=bool)
+    built = None
+    for rows, cols in tiles(len(stack), 1 << k, n * m * n):
+        if rows != built:
+            y = stack[rows]
+            blocks = np.stack([y[..., a:b] @ np.swapaxes(y[..., a:b].conj(),
+                                                         -1, -2)
+                               for a, b in zip(starts, ends)], axis=1)
+            blocks = blocks.reshape(len(y), k, n * n)
+            built = rows
+        lattice = sums[cols] @ blocks
+        # the Frobenius norm of (1 - L) p summed over its real and
+        # imaginary parts
+        parts = (np.eye(n) - lattice.reshape(-1, n, n)).reshape(-1, n) @ side
+        parts = parts.view(np.float64).reshape(-1, n, m, 2 * n)
+        norms = np.sqrt(np.einsum("limj,limj->lm", parts, parts))
+        dominates[rows, cols] = (norms <= tol.eps_order).reshape(
+            lattice.shape[:2] + (m,))
+    if not dominates.any(axis=1).all():
         raise NotInLattice("no lattice element dominates p (identity should)")
-    keys = [(len(ix), ix) for ix in (tuple(np.flatnonzero(b).tolist())
-                                      for b in bits)]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return [keys[order[s]][1] for s in dominates[order].argmax(axis=0)]
+    # fewest blocks first; among equal counts the sorted index tuples
+    # compare as the bit rows do, a set with block 0 before one without,
+    # then block 1, and so on
+    order = np.lexsort(tuple(~bits[:, ::-1].T) + (bits.sum(axis=1),))
+    first = dominates[:, order].argmax(axis=1)
+    return bits[order[first]].reshape(np.shape(frames)[:-2] + (m, k))
 
 
 class ClopenSubobject:

@@ -153,16 +153,18 @@ def run_presheaf(scn, rep):
     rep.add("presheaf", f"restriction functoriality on {total} chains",
             residual=float(bad), verdict=PASS if bad == 0 else FAIL)
 
-    # seeded daseinisation against the exhaustive lattice scan
+    # seeded daseinisation against the exhaustive lattice scan, one
+    # signature bucket at a time; a case is one (projection, context)
     rng = np.random.default_rng(scn.seed)
     ps = np.stack([_random_projection(rng, scn.dim) for _ in range(12)])
-    masks = scn.presheaf.dasein_masks(ps)
     lo = scn.presheaf.offsets
-    mismatches = 0
-    for i, v in enumerate(poset.contexts):
-        brute = outer_daseinisation_bruteforce(ps, v, scn.tol)
-        mismatches += sum(tuple(np.flatnonzero(row).tolist()) != b
-                          for row, b in zip(masks[:, lo[i]:lo[i + 1]], brute))
+    brute = np.empty((len(ps), lo[-1]), dtype=bool)
+    for (_, k, _), members, frames in poset.index.stacks():
+        rows = outer_daseinisation_bruteforce(
+            ps, frames, poset.contexts[members[0]].starts, scn.tol)
+        brute[:, lo[members][:, None] + np.arange(k)] = rows.swapaxes(0, 1)
+    wrong = scn.presheaf.dasein_masks(ps) != brute
+    mismatches = int(np.logical_or.reduceat(wrong, lo[:-1], axis=1).sum())
     trials = len(ps) * len(poset.contexts)
     rep.add("presheaf", f"daseinisation = lattice minimum on {trials} cases",
             residual=float(mismatches),

@@ -17,9 +17,11 @@ The dense references that only tests read live here too: the image of
 a context under a unitary read off its dense blocks, the meet of two
 contexts one pair at a time, the projection meet and join, the lattice
 isomorphism s_map read off dense blocks, the coarse-graining map, left
-and right multiplication as n^2 x n^2 matrices, and the tensor-factor
-swap.  conjugation_map checks
-acceptance criterion 9 on the package's frame primitives.
+and right multiplication as n^2 x n^2 matrices, the tensor-factor
+swap, the 2^k dense lattice elements of a context, the daseinisation
+minimum one lattice element at a time, and the functoriality count one
+middle context at a time.  conjugation_map checks acceptance criterion 9
+on the package's frame primitives.
 """
 import functools
 
@@ -41,6 +43,7 @@ from toposkms.numerics import (
     dagger,
     frob,
     hermitian_eig,
+    proj_leq,
 )
 from toposkms.presheaf import ClopenSubobject
 from toposkms.tolerances import DEFAULT_TOL, TolerancePolicy
@@ -453,3 +456,57 @@ def conjugation_map(w, poset):
         ideals += [s | eye[i] for s in ideals if not (below & ~s).any()]
     continuous = all(poset.is_lower_set(s[m]) for s in ideals)
     return images, preserving, continuous, len(ideals)
+
+
+def projection_lattice(v: Context):
+    """(bits, stack): all 2^k subset sums of the blocks of the context.
+    Row s of the (2^k, k) boolean subset matrix holds the bits of s, and
+    stack[s] is the dense sum of the blocks Q_i with bits[s, i]."""
+    bits = (np.arange(1 << v.k)[:, None] >> np.arange(v.k)) & 1 == 1
+    blocks = np.stack([v.block(i) for i in range(v.k)])
+    return bits, np.tensordot(bits.astype(float), blocks, axes=1)
+
+
+def lattice_minimum_by_loop(p, v, tol: TolerancePolicy = DEFAULT_TOL):
+    """Reference for the bucket oracle: one dense subset sum and one
+    proj_leq per lattice element, by subset bitmask; the minimum above p
+    by (number of blocks, sorted indices)."""
+    best = None
+    for mask in range(1 << v.k):
+        indices = tuple(i for i in range(v.k) if mask & (1 << i))
+        if proj_leq(p, v.block_sum(indices), tol):
+            key = (len(indices), indices)
+            if best is None or key < best:
+                best = key
+    return best[1]
+
+
+def broken_chains_per_middle(presheaf):
+    """SpectralPresheaf.broken_chains one middle context at a time: the
+    edges into mid against every context below it, reduced per larger
+    context."""
+    ph = presheaf
+    n = len(ph.poset)
+    strict = ph.poset.leq & ~np.eye(n, dtype=bool)
+    into = ph.owner[ph.dst]
+    keys = ph.src * n + into
+    order = np.argsort(keys)
+
+    def image(x, c):
+        return ph.dst[order[np.searchsorted(keys, x * n + c, sorter=order)]]
+
+    by_mid = np.lexsort((ph.src, into))
+    bounds = np.searchsorted(into[by_mid], np.arange(n + 1))
+    broken = 0
+    for mid in range(n):
+        edges = by_mid[bounds[mid]:bounds[mid + 1]]
+        above = ph.src[edges]
+        below = np.flatnonzero(strict[:, mid])
+        if not (above.size and below.size):
+            continue
+        wrong = (image(ph.dst[edges][:, None], below)
+                 != image(above[:, None], below))
+        # characters of one context are adjacent on the axis
+        first = np.flatnonzero(np.diff(ph.owner[above], prepend=-1))
+        broken += int(np.logical_or.reduceat(wrong, first, axis=0).sum())
+    return int(strict.sum(axis=0) @ strict.sum(axis=1)), broken

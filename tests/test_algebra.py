@@ -15,7 +15,6 @@ from toposkms.algebra import (
     contexts_equal,
     includes,
     lattice_projection,
-    projection_lattice,
 )
 from toposkms.errors import (
     ContextMissing,
@@ -31,7 +30,13 @@ from toposkms.scenario import load_scenario
 from toposkms.tolerances import DEFAULT_TOL
 
 from conftest import P12SYM, diagonal_context, random_unitary
-from oracles import coarse_graining_map, dense_image, lower_set, meet_context
+from oracles import (
+    coarse_graining_map,
+    dense_image,
+    lower_set,
+    meet_context,
+    projection_lattice,
+)
 
 
 def test_blocks_must_partition_identity():

@@ -1,4 +1,5 @@
 """Spectral presheaf restrictions, clopen sub-objects, and approximation."""
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -20,7 +21,9 @@ from toposkms.errors import (
     DimMismatch,
     DomainMismatch,
     EnumerationTooLarge,
+    LatticeTooLarge,
     NotClosedUnderRestriction,
+    NotInLattice,
     NotProjection,
     PosetNotClosed,
 )
@@ -42,7 +45,8 @@ from toposkms.presheaf import (
     subobject_join,
     subobject_meet,
 )
-from toposkms.reports import FAIL, Report
+from toposkms.reports import FAIL, PASS, Report
+from toposkms.scenario import load_scenario
 from toposkms.suites import SUITES
 from toposkms.tolerances import DEFAULT_TOL
 
@@ -52,7 +56,15 @@ from conftest import (
     random_projection,
     random_unitary,
 )
-from oracles import all_subobjects, dense_image, lower_set, proj_join, s_map
+from oracles import (
+    all_subobjects,
+    broken_chains_per_middle,
+    dense_image,
+    lattice_minimum_by_loop,
+    lower_set,
+    proj_join,
+    s_map,
+)
 
 
 def _characters(psh, cid):
@@ -115,7 +127,35 @@ def test_broken_chains_counts_like_the_tables(seed):
                 broken += any(maps[small, mid][maps[mid, large][b]]
                               != maps[small, large][b]
                               for b in range(poset.contexts[large].k))
-    assert SpectralPresheaf(poset).broken_chains() == (chains, broken)
+    psh = SpectralPresheaf(poset)
+    assert psh.broken_chains() == (chains, broken)
+    assert broken_chains_per_middle(psh) == (chains, broken)
+    # runs of one middle context each, and of a few pairs each
+    for pairs in (1, 48):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(presheaf_module, "CHAIN_PAIRS", pairs)
+            assert psh.broken_chains() == (chains, broken)
+
+
+@pytest.fixture(scope="module")
+def reference_posets(scenario_dir):
+    """The corpus posets, the diagonal C^4 poset and the C^4 poset of a
+    rotated basis."""
+    w = random_unitary(np.random.default_rng(7), 4)
+    return ([load_scenario(path).poset
+             for path in sorted(scenario_dir.glob("*.json"))]
+            + [build_poset([seed], downward_closure=True) for seed in (
+                diagonal_context(4, "D4"),
+                Context([np.outer(c, c.conj()) for c in w.T], "W"))])
+
+
+@pytest.mark.parametrize("pairs", [presheaf_module.CHAIN_PAIRS, 48, 1])
+def test_bulk_broken_chains_match_the_loop(reference_posets, monkeypatch,
+                                           pairs):
+    monkeypatch.setattr(presheaf_module, "CHAIN_PAIRS", pairs)
+    for poset in reference_posets:
+        psh = SpectralPresheaf(poset)
+        assert psh.broken_chains() == broken_chains_per_middle(psh)
 
 
 def test_s_map_s_inverse_roundtrip(c3_gibbs):
@@ -149,28 +189,22 @@ def test_daseinisation_coarsens_strictly(c3_gibbs):
     assert frob(d.matrix - np.eye(3)) < 1e-12
 
 
+def _minima(ps, v, tol=DEFAULT_TOL):
+    """The bucket oracle at one context, a bucket of one, as one tuple of
+    block indices per projection."""
+    return [tuple(np.flatnonzero(row).tolist())
+            for row in outer_daseinisation_bruteforce(ps, v.frame, v.starts,
+                                                      tol)]
+
+
 def test_daseinisation_fast_equals_bruteforce(diag4, rng):
     ps = np.stack([random_projection(rng, 4) for _ in range(12)])
     for v in diag4.poset.contexts:
-        brute = outer_daseinisation_bruteforce(ps, v)
+        brute = _minima(ps, v)
         assert len(brute) == len(ps)
         for p, indices in zip(ps, brute):
             fast = outer_daseinisation(p, v)
             assert s_map(fast.matrix, v) == frozenset(indices)
-
-
-def lattice_minimum_by_loop(p, v, tol=DEFAULT_TOL):
-    """Reference for the batched oracle: one dense subset sum and one
-    proj_leq per lattice element, by subset bitmask; the minimum above p
-    by (number of blocks, sorted indices)."""
-    best = None
-    for mask in range(1 << v.k):
-        indices = tuple(i for i in range(v.k) if mask & (1 << i))
-        if proj_leq(p, v.block_sum(indices), tol):
-            key = (len(indices), indices)
-            if best is None or key < best:
-                best = key
-    return best[1]
 
 
 def _projection_under(rng, v, indices, angle):
@@ -205,7 +239,7 @@ def test_batched_oracle_matches_the_loop(diag4, c3_gibbs, seed, m, tilt):
                                         tilt * DEFAULT_TOL.eps_order))
         ps = np.stack(ps)
         for v in poset.contexts:
-            assert (outer_daseinisation_bruteforce(ps, v)
+            assert (_minima(ps, v)
                     == [lattice_minimum_by_loop(p, v) for p in ps])
 
 
@@ -218,38 +252,89 @@ def test_batched_oracle_breaks_ties_by_smallest_indices():
     p = np.outer(psi, psi.conj())
     assert proj_leq(p, v.block(0), loose) and proj_leq(p, v.block(1), loose)
     assert lattice_minimum_by_loop(p, v, loose) == (0,)
-    assert outer_daseinisation_bruteforce(p[None], v, loose) == [(0,)]
-    assert outer_daseinisation_bruteforce(p[None], v) == [(0, 1)]
+    assert _minima(p[None], v, loose) == [(0,)]
+    assert _minima(p[None], v) == [(0, 1)]
     # {2} and {0, 1} dominate, no single block of 0 and 1 does: fewer
     # blocks win over smaller indices (and over the smaller bitmask)
     psi = v.frame @ np.sqrt([0.15, 0.15, 0.7])
     p = np.outer(psi, psi.conj())
     assert lattice_minimum_by_loop(p, v, loose) == (2,)
-    assert outer_daseinisation_bruteforce(p[None], v, loose) == [(2,)]
+    assert _minima(p[None], v, loose) == [(2,)]
 
 
 def test_batched_oracle_slices_a_large_product(diag4):
-    # 4,200 projections against the 16 elements of the top context take
-    # two slices of the lattice; twelve at a time take one
+    # 4,200 projections side by side overflow a tile, so each lattice
+    # element of the top context is a tile of its own; twelve at a time
+    # put several elements in one tile
     rng = np.random.default_rng(11)
     v = max(diag4.poset.contexts, key=lambda c: c.k)
     ps = np.stack([_projection_under(rng, v, rng.permutation(4)[:2], 0.0)
                    for _ in range(4200)])
-    assert (outer_daseinisation_bruteforce(ps, v)
+    assert (_minima(ps, v)
             == [b for lo in range(0, len(ps), 12)
-                for b in outer_daseinisation_bruteforce(ps[lo:lo + 12], v)])
+                for b in _minima(ps[lo:lo + 12], v)])
 
 
 def test_batched_oracle_checks_its_stack():
     v = diagonal_context(3, "V")
     with pytest.raises(DimMismatch):
-        outer_daseinisation_bruteforce(np.eye(3), v)
+        outer_daseinisation_bruteforce(np.eye(3), v.frame, v.starts)
     with pytest.raises(DimMismatch):
-        outer_daseinisation_bruteforce(np.eye(4)[None], v)
+        outer_daseinisation_bruteforce(np.eye(4)[None], v.frame, v.starts)
     bad = np.eye(3)[None].copy()
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        outer_daseinisation_bruteforce(bad, v)
+        outer_daseinisation_bruteforce(bad, v.frame, v.starts)
+    # half a frame sums its blocks to 1/4, so no element dominates
+    with pytest.raises(NotInLattice):
+        outer_daseinisation_bruteforce(np.eye(3)[None], v.frame / 2, v.starts)
+    with pytest.raises(LatticeTooLarge):
+        outer_daseinisation_bruteforce(np.eye(21)[None], np.eye(21),
+                                       np.arange(21))
+
+
+@pytest.mark.parametrize("entries", [algebra.PRODUCT_ENTRIES, 48])
+def test_bucket_oracle_matches_the_loop(reference_posets, monkeypatch,
+                                        entries):
+    """The oracle on whole signature buckets against the per-element
+    loop, context by context, on random projections and on projections
+    under random lattice elements, with the tiles cut small too."""
+    monkeypatch.setattr(algebra, "PRODUCT_ENTRIES", entries)
+    rng = np.random.default_rng(20)
+    for poset in reference_posets:
+        n = poset.contexts[0].dim
+        ps = [random_projection(rng, n) for _ in range(3)]
+        for i in rng.integers(len(poset), size=3):
+            w = poset.contexts[i]
+            ps.append(_projection_under(
+                rng, w, rng.permutation(w.k)[:int(rng.integers(1, w.k + 1))],
+                0.0))
+        for (_, k, _), members, frames in poset.index.stacks():
+            rows = outer_daseinisation_bruteforce(
+                np.stack(ps), frames, poset.contexts[members[0]].starts,
+                poset.tol)
+            assert rows.shape == (len(members), len(ps), k)
+            for i, row in zip(members, rows):
+                assert ([tuple(np.flatnonzero(r).tolist()) for r in row]
+                        == [lattice_minimum_by_loop(p, poset.contexts[i],
+                                                    poset.tol) for p in ps])
+
+
+def test_bucket_oracle_never_holds_a_whole_lattice():
+    # the 4,096 lattice elements of a 12-block context take 9.4 MB as
+    # dense complex matrices; the tiles hold a few PRODUCT_ENTRIES
+    v = diagonal_context(12, "D12")
+    rng = np.random.default_rng(3)
+    ps = np.stack([random_projection(rng, 12) for _ in range(2)])
+    tracemalloc.start()
+    try:
+        rows = outer_daseinisation_bruteforce(ps, v.frame, v.starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096 * 12 * 12 * 16 // 4
+    assert ([tuple(np.flatnonzero(r).tolist()) for r in rows]
+            == [lattice_minimum_by_loop(p, v) for p in ps])
 
 
 def test_daseinisation_is_smallest_dominating_member(diag4, rng):
@@ -423,7 +508,7 @@ def test_lattice_sums_honour_the_scenario_tolerance():
     for d in (outer_daseinisation(p, v), fast,
               lattice_projection(v, s_map(fast.matrix, v, loose), loose)):
         assert d.rank == 1
-    [brute] = outer_daseinisation_bruteforce(p[None], v, loose)
+    [brute] = _minima(p[None], v, loose)
     assert brute == lattice_minimum_by_loop(p, v, loose)
     assert frozenset(brute) == s_map(fast.matrix, v, loose)
     assert sum(v.ranks[i] for i in brute) == 1
@@ -443,6 +528,36 @@ def test_presheaf_suite_flags_a_corrupted_restriction_table():
     row = rep.entries[0]
     assert row.location.startswith("restriction functoriality on ")
     assert row.verdict == FAIL and row.residual >= 1
+    assert row.residual == broken_chains_per_middle(scn.presheaf)[1]
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_presheaf_suite_flags_a_corrupted_daseinisation(monkeypatch, width):
+    # dropping characters at one context from the fast masks breaks the
+    # (projection, context) cases whose mask held one of them, and no
+    # other: a case counts once however many of its characters are wrong
+    poset = build_poset([diagonal_context(4, "D4")], downward_closure=True)
+    at = next(i for i, v in enumerate(poset.contexts) if v.k == 3)
+    honest = SpectralPresheaf.dasein_masks
+    dropped = []
+
+    def corrupted(self, ps):
+        masks = honest(self, ps)
+        x = self.offsets[at]
+        dropped.append(int(masks[:, x:x + width].any(axis=1).sum()))
+        masks[:, x:x + width] = False
+        return masks
+
+    monkeypatch.setattr(SpectralPresheaf, "dasein_masks", corrupted)
+    scn = SimpleNamespace(poset=poset, presheaf=SpectralPresheaf(poset),
+                          seed=0, dim=4, tol=DEFAULT_TOL)
+    rep = Report()
+    assert SUITES["presheaf"](scn, rep) is False
+    chains, row = rep.entries
+    assert chains.verdict == PASS
+    assert row.location == f"daseinisation = lattice minimum on {12 * 14} cases"
+    assert dropped[0] > 0
+    assert row.verdict == FAIL and row.residual == dropped[0]
 
 
 def _closure(poset, assigned):
@@ -588,7 +703,7 @@ def _check_rotated_c4(seed):
     for i, v in enumerate(contexts):
         rows = masks[:, psh.offsets[i]:psh.offsets[i + 1]]
         assert ([tuple(np.flatnonzero(r).tolist()) for r in rows]
-                == outer_daseinisation_bruteforce(np.stack(ps), v))
+                == _minima(np.stack(ps), v))
 
 
 @given(seed=st.integers(0, 2**32 - 1))
