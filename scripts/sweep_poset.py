@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Time the context-poset layers on the downward-closed diagonal C^n poset.
+
+    python3 scripts/sweep_poset.py --label change
+    python3 scripts/sweep_poset.py --label parent --src /path/to/other/src
+
+For n = 4..7 it times `load_scenario` and the `poset`, `presheaf` and
+`external-c1` suites, as medians over 5 runs in one process per n, and
+records that process's peak RSS.  It then times the C^8 load once, in
+a process of its own.  The scenario is perfbench's large_poset scenario
+(seed 1) with the dimension changed: the diagonal context of n rank-one
+blocks closed downward, Bell(n) - 1 contexts.
+
+The toposkms sources are those under --src (by default this checkout's
+src/); the scenario generator is always this checkout's
+perfbench/harness.py.  Results go under --label in BENCH_21.json at the
+repo root; other labels already in the file are kept, so two checkouts
+can be compared in one file.  Times use time.perf_counter, with one
+BLAS thread.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import pathlib
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SIZES = (4, 5, 6, 7)
+SUITES = ("poset", "presheaf", "external-c1")
+BELL = {4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
+REPEATS = 5
+OUT = ROOT / "BENCH_21.json"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def diagonal_scenario(harness, n: int) -> dict:
+    """perfbench's large_poset scenario on C^n: the same rule for the
+    Hamiltonian and the two daseinised projections, n rank-one blocks."""
+    import numpy as np
+
+    raw = harness.large_poset_scenario(1)
+    rng = np.random.default_rng([1, n])
+    levels = np.cumsum(rng.uniform(0.2, 0.8, n))
+    energies = rng.permutation(levels - levels[0])
+    support = rng.permutation(n).tolist()
+
+    def diag(ones):
+        return {"diag": [1 if i in ones else 0 for i in range(n)]}
+
+    raw.update(
+        name=f"diag{n}", dim=n,
+        hamiltonian={"diag": [float(e) for e in energies]},
+        projections={**{f"E{i}": diag({i}) for i in range(n)},
+                     "PA": diag(set(support[:2])),
+                     "PB": diag(set(support[2:5]))},
+        contexts={"Vdiag": {"blocks": [f"E{i}" for i in range(n)]}})
+    raw["poset"]["max_contexts"] = BELL[n] - 1
+    return raw
+
+
+def child(n: int, repeats: int, suites: bool) -> dict:
+    """Time one size in this process; the package comes from sys.path."""
+    import resource
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import harness
+    from toposkms.cli import SUITES as RUNNERS
+    from toposkms.reports import Report
+    from toposkms.scenario import load_scenario
+
+    raw = diagonal_scenario(harness, n)
+    times = {"load_s": []} | ({f"{s}_s": [] for s in SUITES} if suites
+                             else {})
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        scn = load_scenario(raw)
+        times["load_s"].append(time.perf_counter() - t0)
+        if suites:
+            rep = Report(scenario=scn.resolved)
+            for name in SUITES:
+                t0 = time.perf_counter()
+                RUNNERS[name](scn, rep)
+                times[f"{name}_s"].append(time.perf_counter() - t0)
+    out = {"contexts": len(scn.poset), "runs": repeats}
+    out |= {k: statistics.median(v) for k, v in times.items()}
+    out["peak_rss_mb"] = resource.getrusage(
+        resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return out
+
+
+def measure(src: pathlib.Path, n: int, repeats: int, suites: bool) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src),
+               **{var: "1" for var in BLAS_THREAD_VARS})
+    cmd = [sys.executable, __file__, "--child", str(n),
+           "--repeats", str(repeats)] + ([] if suites else ["--load-only"])
+    done = subprocess.run(cmd, env=env, check=True, capture_output=True,
+                          text=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--label", default="change")
+    p.add_argument("--src", type=pathlib.Path, default=ROOT / "src")
+    p.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--repeats", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--load-only", action="store_true", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.child is not None:
+        print(json.dumps(child(args.child, args.repeats, not args.load_only)))
+        return 0
+
+    import numpy as np
+
+    result = {f"diag{n}": measure(args.src.resolve(), n, REPEATS, True)
+              for n in SIZES}
+    for n, row in zip(SIZES, result.values()):
+        print(f"C^{n}: " + json.dumps(row), flush=True)
+    result["diag8_load"] = measure(args.src.resolve(), 8, 1, False)
+    print("C^8 load: " + json.dumps(result["diag8_load"]))
+    doc = json.loads(OUT.read_text()) if OUT.is_file() else {}
+    doc["about"] = (
+        "Medians over runs (runs gives the count) of load_scenario "
+        "and of the poset, presheaf and external-c1 suites on the "
+        "downward-closed diagonal C^n poset, seconds, with each process's "
+        "peak RSS in MB; diag8_load is one load of C^8.  Written by "
+        "scripts/sweep_poset.py.")
+    doc.setdefault("labels", {})[args.label] = {
+        "host": {"python": platform.python_version(),
+                 "numpy": np.__version__,
+                 "nproc": len(os.sched_getaffinity(0)),
+                 "blas_threads": 1},
+        "results": result}
+    OUT.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,25 +10,26 @@ Context(blocks) is the input boundary, which validates each block once
 as a Projection; a coarse-graining merges labels on the same frame,
 U V U* is (U Y, labels) and a meet merges labels along the overlap graph.
 
-Every comparison reads the overlap table O[a, b] = tr(Q'_a Q_b), which
-is |Y'* Y|^2 summed by labels.  Block b's home is the row of its largest
-overlap, and the rest of the column, its off-home mass
-||(1 - Q'_home) Q_b||_F^2, is a sum of small terms with no cancellation.
-V' <= V iff every block of V has off-home mass <= eps_order^2 (proj_leq's
-threshold), and the homes are the block map.  V' = V iff k' = k and the
-bound is eps_order^2 / 2, i.e. ||Q'_home - Q_b||_F <= eps_order.
+Every exact comparison, the frame test, reads the overlap table
+O[a, b] = tr(Q'_a Q_b), which is |Y'* Y|^2 summed by labels.  Block b's
+home is the row of its largest overlap, and the rest of the column, its
+off-home mass ||(1 - Q'_home) Q_b||_F^2, is a sum of small terms with no
+cancellation.  V' <= V iff every block of V has off-home mass <=
+eps_order^2 (proj_leq's threshold), and the homes are the block map.
+V' = V iff k' = k and the bound is eps_order^2 / 2, i.e.
+||Q'_home - Q_b||_F <= eps_order.
 
 build_poset closes seed contexts under coarse-graining, meets and a
-list of unitaries; ContextIndex deduplicates them and ContextPoset
-orders them.  The contexts of one signature share their labels, so each
-bucket's frames are one stacked array, and every batched step is one
-product per bucket or pair of buckets, each sliced to at most
-PRODUCT_ENTRIES entries: the order (ContextPoset), moving every context
-of a mask by a unitary (ContextIndex.images, which the presheaf action
-and build_poset's group sweep share) and the overlap graphs of a meet
-pass (ContextIndex.meets).  block_map, includes and contexts_equal work
-on dense blocks: they are the references the tests hold the frame path
-to, and the benchmark tracer wraps them by name.
+list of unitaries on one ContextIndex (index.py), and ContextPoset
+orders them.  The index keeps one table of the distinct blocks of its
+contexts and the table id of each block.  Lookup, the action of a
+unitary (ContextIndex.images, which the presheaf action and
+build_poset's group sweep share) and the order first test the table,
+within bounds that keep every pair the frame test accepts, and run the
+frame test only on the pairs that survive, batched per signature
+bucket.  block_map, includes and contexts_equal work on dense blocks:
+they are the references the tests hold the frame path to, and the
+benchmark tracer wraps them by name.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ from .errors import (
     DimMismatch,
     NonCommuting,
     NotInAlgebra,
-    NotUnitary,
     PosetTooLarge,
     TrivialAlgebra,
 )
@@ -51,47 +51,10 @@ from .numerics import (
     dagger,
     frob,
     hermitian_eig,
-    is_unitary,
     proj_leq,
 )
+from .index import ContextIndex, _homes, _overlaps, _pair_homes, _unitary
 from .tolerances import DEFAULT_TOL, TolerancePolicy
-
-#: most complex entries one batched frame product holds (256 KB); a
-#: product of two stacks is taken in tiles of at most this many entries.
-#: A tile and its |.|^2 stay near cache size: on the diagonal C^6 and C^7
-#: posets 2^14 ran no slower than 2^15 and held about 0.4 MB less at peak
-PRODUCT_ENTRIES = 1 << 14
-
-
-def _overlaps(rows, row_starts, frame, col_starts) -> np.ndarray:
-    """Overlap tables O[..., a, b] = tr(Q'_a Q_b) between the blocks of
-    the frames `rows` (one n x n frame, or a stack of frames with equal
-    labels) and the blocks of `frame`: |Y'* Y|^2 summed by labels."""
-    p = np.abs(np.swapaxes(rows.conj(), -1, -2) @ frame)
-    p **= 2
-    return np.add.reduceat(np.add.reduceat(p, row_starts, axis=-2),
-                           col_starts, axis=-1)
-
-
-def tiles(rows: int, cols: int, size: int):
-    """(row slice, column slice) pairs that tile a rows x cols grid of
-    products of `size` entries each, every tile at most PRODUCT_ENTRIES
-    entries (or a single product), row slices in order."""
-    r = max(1, min(rows, PRODUCT_ENTRIES // size))
-    c = max(1, PRODUCT_ENTRIES // (r * size))
-    for lo in range(0, rows, r):
-        for cl in range(0, cols, c):
-            yield slice(lo, lo + r), slice(cl, cl + c)
-
-
-def _homes(o, bound: float):
-    """(placed, home) for each column b of overlap tables o[..., a, b]:
-    home[b] is the row of the largest overlap, and placed[b] says that
-    the rest of the column, the off-home mass, is at most bound."""
-    home = o.argmax(axis=-2)
-    rest = np.where(np.arange(o.shape[-2])[:, None] == home[..., None, :],
-                    0.0, o)
-    return rest.sum(axis=-2) <= bound, home
 
 
 class Context:
@@ -336,14 +299,6 @@ def includes(v_prime: Context, v: Context, tol: TolerancePolicy = DEFAULT_TOL) -
     return block_map(v_prime, v, tol) is not None
 
 
-def _unitary(u, tol: TolerancePolicy) -> np.ndarray:
-    um = as_complex_matrix(u)
-    if not is_unitary(um, tol.eps_herm):
-        raise NotUnitary(
-            f"automorphism matrix is not unitary within {tol.eps_herm}")
-    return um
-
-
 def apply_automorphism(u, v: Context, context_id: str | None = None,
                        tol: TolerancePolicy = DEFAULT_TOL) -> Context:
     """Image context U V U*, the frame U Y with V's labels; U must be
@@ -367,153 +322,6 @@ def _set_partitions(k: int):
     yield from gen(1, 0) if k > 0 else iter(())
 
 
-class ContextIndex:
-    """Contexts in insertion order, bucketed by Context.signature().
-
-    A bucket shares its labels, so its frames are stacked once (stack)
-    and one product gives the overlap tables of a stack of probes with
-    all of them: find returns the first index a linear contexts_equal
-    scan would, images moves every context of a mask by a unitary and
-    looks the images up, and meets takes the meets of a whole meet pass
-    from one product per ordered pair of buckets.
-    """
-
-    def __init__(self, tol: TolerancePolicy = DEFAULT_TOL, contexts=()):
-        self.tol = tol
-        self.contexts = []
-        self.buckets = {}
-        self._stacks = {}
-        for v in contexts:
-            self.append(v)
-
-    def append(self, v: Context) -> int:
-        self.buckets.setdefault(v.signature(), []).append(len(self.contexts))
-        self._stacks.pop(v.signature(), None)
-        self.contexts.append(v)
-        return len(self.contexts) - 1
-
-    def stack(self, sig):
-        """(members, frames): the indices and the stacked (m, n, n) frames
-        of a bucket, in index order."""
-        if sig not in self._stacks:
-            members = self.buckets[sig]
-            self._stacks[sig] = (np.array(members, dtype=np.intp),
-                                 np.array([self.contexts[i].frame
-                                           for i in members]))
-        return self._stacks[sig]
-
-    def stacks(self):
-        """(signature, members, frames) of every bucket (stack): the
-        indices and the stacked (m, n, n) frames of its contexts."""
-        for sig in self.buckets:
-            yield (sig, *self.stack(sig))
-
-    def matches(self, frames, v: Context):
-        """(first, home) for a stack of frames (s, n, n) with V's labels:
-        first[b] is the index of the first context equal to frame b, -1
-        where none is, and home[b] the block of it that each block of
-        frame b lies in (the homes at equality's bound, eps_order^2 / 2)."""
-        first = np.full(len(frames), -1, dtype=np.intp)
-        home = np.zeros((len(frames), v.k), dtype=np.intp)
-        if v.signature() not in self.buckets:
-            return first, home
-        members, stack = self.stack(v.signature())
-        for rows, cols in tiles(len(stack), len(frames), v.dim ** 2):
-            todo = first[cols] < 0
-            if not todo.any():
-                continue
-            placed, h = _homes(_overlaps(stack[rows, None], v.starts,
-                                         frames[None, cols], v.starts),
-                               self.tol.eps_order ** 2 / 2)
-            equal = placed.all(axis=-1)
-            a = equal.argmax(axis=0)
-            hit = np.flatnonzero(todo & equal.any(axis=0))
-            first[cols.start + hit] = members[rows.start + a[hit]]
-            home[cols.start + hit] = h[a[hit], hit]
-        return first, home
-
-    def find(self, candidate: Context) -> int | None:
-        i = int(self.matches(candidate.frame[None], candidate)[0][0])
-        return None if i < 0 else i
-
-    def images(self, u, inside):
-        """(target, homes) of V -> U V U* = (U Y, labels) on the contexts
-        of a boolean mask, one product per signature bucket.  target[i]
-        is the index of the first context equal to U V_i U*, -1 outside
-        the mask or where there is none; homes[i, b] is then the block of
-        the target that U Q_b U* lies in, for b < k_i, and -1 elsewhere.
-        Equality places every block, so homes is whole wherever target is
-        set.  U is validated once: unitary within eps_herm."""
-        um = _unitary(u, self.tol)
-        inside = np.asarray(inside, dtype=bool)
-        target = np.full(len(self.contexts), -1, dtype=np.intp)
-        homes = np.full((len(self.contexts),
-                         max((s[1] for s in self.buckets), default=0)),
-                        -1, dtype=np.intp)
-        for sig, members, frames in self.stacks():
-            moving = inside[members]
-            if not moving.any():
-                continue
-            first, home = self.matches(um @ frames[moving],
-                                       self.contexts[members[0]])
-            found = first >= 0
-            rows = members[moving][found]
-            target[rows] = first[found]
-            homes[rows, :sig[1]] = home[found]
-        return target, homes
-
-    def meet_edges(self, paired: int):
-        """(i, j, edges) for the pairs of contexts i < j with j >= paired,
-        one product per ordered pair of signature buckets, tiled as
-        tiles slices it: edges[p] is the (k_i, k_j) table of the block
-        pairs of V_i and V_j whose overlap tr(Q_a R_b) = ||Q_a R_b||_F^2
-        is above eps_order^2, with V_i's blocks as rows.  Buckets of
-        different dimensions that would pair raise DimMismatch."""
-        buckets = list(self.stacks())
-        bound = self.tol.eps_order ** 2
-        for (n, _, _), firsts, first_frames in buckets:
-            for (dim, _, _), seconds, second_frames in buckets:
-                late = seconds >= paired
-                early = firsts < seconds[late].max(initial=-1)
-                if not early.any():
-                    continue
-                if dim != n:
-                    raise DimMismatch("contexts live in different dimensions")
-                lo, hi = firsts[early], seconds[late]
-                frames_i, frames_j = first_frames[early], second_frames[late]
-                starts = (self.contexts[lo[0]].starts,
-                          self.contexts[hi[0]].starts)
-                for rows, cols in tiles(len(lo), len(hi), n ** 2):
-                    a, b = np.nonzero(lo[rows, None] < hi[None, cols])
-                    if not a.size:
-                        continue
-                    over = _overlaps(frames_i[rows, None], starts[0],
-                                     frames_j[None, cols], starts[1])
-                    yield lo[rows][a], hi[cols][b], over[a, b] > bound
-
-    def meets(self, paired: int) -> list:
-        """(i, j, labels) of every non-trivial meet V_i ∧ V_j, i < j and
-        j >= paired, in (i, j) order; labels are the meet's block labels
-        on V_i's frame.  The meet's blocks are the components of the
-        block-overlap graph (meet_edges): V_i's blocks linked through a
-        common V_j block, and each block takes the least label it is
-        linked to, k_i rounds over every pair of a tile at once.  A
-        component's V_i and V_j sums differ only by the overlaps across
-        components, at most k_i k_j eps_order^2 in all."""
-        out = []
-        for i, j, edges in self.meet_edges(paired):
-            k = edges.shape[1]
-            linked = edges @ np.swapaxes(edges, 1, 2)
-            group = np.broadcast_to(np.arange(k), (len(edges), k))
-            for _ in range(k):
-                group = np.where(linked, group[:, None, :], k).min(axis=-1)
-            keep = (group != group[:, :1]).any(axis=1)
-            out.extend(zip(i[keep].tolist(), j[keep].tolist(), group[keep]))
-        out.sort(key=lambda meet: meet[:2])
-        return [(i, j, group[self.contexts[i].labels])
-                for i, j, group in out]
-
-
 class ContextPoset:
     """A finite poset of contexts with the inclusion order precomputed.
 
@@ -523,16 +331,20 @@ class ContextPoset:
     strict_pairs is the (m, 2) array of the pairs (i, j), i != j, with
     leq[i, j], in row-major order.  leq and the tables are fixed at
     construction.  index is the ContextIndex of the contexts: their
-    signature buckets and stacked frames.
+    signature buckets, stacked frames and table of blocks; contexts may
+    be given as a ContextIndex built with the same tol, whose blocks are
+    then not matched again.
 
-    For each pair of signature buckets, coarser first, one product of
-    the two frame stacks gives the overlap tables of every V' with every
-    V; V' <= V where every block of V has off-home mass at most
-    eps_order^2, and the homes are block_maps.
+    The table keeps the pairs (V', V) where every block of V lies
+    within a block of V' (ContextIndex.covering_pairs).  Their frame
+    test runs in one batch per pair of signature buckets: V' <= V where
+    every block of V has off-home mass at most eps_order^2 in V', and
+    the homes are block_maps.
     """
 
     def __init__(self, contexts, tol: TolerancePolicy = DEFAULT_TOL):
-        self.index = index = ContextIndex(tol, contexts)
+        self.index = index = (contexts if isinstance(contexts, ContextIndex)
+                              else ContextIndex(tol, contexts))
         self.contexts = index.contexts
         self.tol = tol
         self.by_id = {v.id: i for i, v in enumerate(self.contexts)}
@@ -540,25 +352,27 @@ class ContextPoset:
             raise ContextMissing("duplicate context ids in poset")
         n = len(self.contexts)
         self.leq = np.eye(n, dtype=bool)
+        small, large = index.covering_pairs()
+        number = {sig: b for b, sig in enumerate(index.buckets)}
+        bucket = np.array([number[v.signature()] for v in self.contexts],
+                          dtype=np.intp)
+        slots = np.array(index.slots, dtype=np.intp)
+        order = np.lexsort((large, small, bucket[large], bucket[small]))
+        small, large = small[order], large[order]
+        group = bucket[small] * len(number) + bucket[large]
+        cuts = np.flatnonzero(np.diff(group, prepend=-1))
         self.block_maps = {}
-        buckets = list(index.stacks())
-        for low, small, coarse in buckets:
-            for high, large, fine in buckets:
-                if low[0] != high[0] or low[1] > high[1]:
-                    continue
-                starts = (self.contexts[small[0]].starts,
-                          self.contexts[large[0]].starts)
-                for rows, cols in tiles(len(coarse), len(fine), low[0] ** 2):
-                    placed, home = _homes(
-                        _overlaps(coarse[rows, None], starts[0],
-                                  fine[None, cols], starts[1]),
-                        tol.eps_order ** 2)
-                    for a, b in np.argwhere(placed.all(axis=-1)).tolist():
-                        i = int(small[rows.start + a])
-                        j = int(large[cols.start + b])
-                        if i != j:
-                            self.leq[i, j] = True
-                            self.block_maps[i, j] = tuple(home[a, b].tolist())
+        for lo, hi in zip(cuts, np.append(cuts[1:], len(group))):
+            i, j = small[lo:hi], large[lo:hi]
+            coarse, fine = self.contexts[i[0]], self.contexts[j[0]]
+            placed, home = _pair_homes(
+                index.stack(coarse.signature())[1], slots[i], coarse.starts,
+                index.stack(fine.signature())[1], slots[j], fine.starts,
+                tol.eps_order ** 2)
+            self.leq[i[placed], j[placed]] = True
+            for a, b, table in zip(i[placed].tolist(), j[placed].tolist(),
+                                   home[placed].tolist()):
+                self.block_maps[a, b] = tuple(table)
         self.strict_pairs = np.argwhere(self.leq & ~np.eye(n, dtype=bool))
 
     def __len__(self):
@@ -592,14 +406,13 @@ class ContextPoset:
 
 
 def _coarse_grainings(v: Context):
-    """All proper coarse-grainings of a context (excluding the trivial
-    one-block merge), as label merges on its frame."""
-    out = []
+    """The proper coarse-grainings of a context (excluding the trivial
+    one-block merge), as label merges on its frame, one at a time in
+    _set_partitions order."""
     for rgs in _set_partitions(v.k):
         if max(rgs) + 1 in (1, v.k):
             continue  # trivial algebra, or the context itself
-        out.append(Context.on_frame(v.frame, np.array(rgs)[v.labels]))
-    return out
+        yield Context.on_frame(v.frame, np.array(rgs)[v.labels])
 
 
 def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = False,
@@ -614,20 +427,23 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
     next phase starts once the downward and meet closures of this one
     are complete.  Exceeding max_contexts raises PosetTooLarge.
 
-    Downward closure expands each context once, and skips the contexts
-    it added: their coarse-grainings are coarse-grainings of their parent.
-    A meet pass pairs only contexts of which at least one arrived since
-    the previous pass; older pairs would only find their meet again.
+    Every candidate is looked up in the index (ContextIndex.lookup) and
+    appended with the table match of that lookup.  Downward closure
+    expands each context once, one coarse-graining at a time, so the
+    candidate past max_contexts raises before the other partitions are
+    built; it skips the contexts it added: their coarse-grainings are
+    coarse-grainings of their parent.  A meet pass pairs only contexts of
+    which at least one arrived since the previous pass; older pairs would
+    only find their meet again.
 
     Both other steps are batched on the index as it stands when the
     step starts.  A meet pass takes every pair's overlap graph from one
     product per pair of signature buckets (ContextIndex.meets) and adds
     the non-trivial meets in (i, j) order.  A group sweep moves every
-    context by each unitary with one product per bucket
-    (ContextIndex.images) and builds with apply_automorphism only the
-    (V, U) images the index does not already hold, V-major, then U.  So
-    the contexts, their order and the candidate that raises PosetTooLarge
-    are those of the pairwise loops.  A non-unitary U raises NotUnitary,
+    context by each unitary (ContextIndex.images) and builds with
+    apply_automorphism only the (V, U) images the index does not
+    already hold, V-major, then U.  So the contexts, their order and the
+    candidate that raises PosetTooLarge are those of the pairwise loops.  A non-unitary U raises NotUnitary,
     and contexts of two dimensions DimMismatch, before the step adds
     anything.
     """
@@ -636,13 +452,14 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
 
     def add(candidate: Context) -> bool:
         """True when the candidate is new and appended."""
-        if index.find(candidate) is not None:
+        found, match = index.lookup(candidate)
+        if found is not None:
             return False
         if len(contexts) >= max_contexts:
             raise PosetTooLarge(
                 f"poset exceeded max_contexts={max_contexts} during closure"
             )
-        index.append(candidate)
+        index.append(candidate, match)
         return True
 
     for s in seeds:
@@ -686,4 +503,4 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
                     and not downward_closure and not meet_closure:
                 break
 
-    return ContextPoset(contexts, tol)
+    return ContextPoset(index, tol)

@@ -61,7 +61,6 @@ from .algebra import (
     Context,
     ContextPoset,
     lattice_projection,
-    tiles,
 )
 from .errors import (
     DimMismatch,
@@ -72,6 +71,7 @@ from .errors import (
     NotInLattice,
     PosetNotClosed,
 )
+from .index import _runs, tiles
 from .numerics import Projection, as_matrix, dagger
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
@@ -264,18 +264,6 @@ def block_sums(rows) -> np.ndarray:
     one rule every measure of a component is added by (np.add.reduceat
     would add the first entry to a pairwise sum of the rest)."""
     return np.cumsum(rows, axis=-1)[..., -1]
-
-
-def _runs(sizes, budget: int):
-    """Slices of consecutive items, with the given sizes, that cover them
-    in order, each summing to at most budget (or holding a single item)."""
-    lo = total = 0
-    for i, size in enumerate(np.asarray(sizes).tolist()):
-        if i > lo and total + size > budget:
-            yield slice(lo, i)
-            lo, total = i, 0
-        total += size
-    yield slice(lo, len(sizes))
 
 
 def _ragged(sizes) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from toposkms import index as context_index
 from toposkms.algebra import (
     Context,
     ContextIndex,
@@ -412,6 +413,60 @@ def test_filtered_order_matches_all_pairs_includes(n, seed, eps_order):
     assert all(closed.find_equal(c) is not None for c in contexts[1:4])
     assert np.array_equal(closed.leq, [[includes(a, b, tol) for b in closed.contexts]
                                        for a in closed.contexts])
+
+
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       eps_order=st.sampled_from([DEFAULT_TOL.eps_order, 1e-3]),
+       entries=st.sampled_from([context_index.PRODUCT_ENTRIES, 48]))
+def test_table_prefilter_keeps_every_frame_test_pair(n, seed, eps_order,
+                                                      entries):
+    """Blocks within 0.5, 1.2, 2 and 5 eps_order of one another: copies of
+    a rotated partition and of its coarse-grainings.  The table keeps a
+    moved block against several of them (at eps_order 1e-3 they have ids
+    of their own; at 1e-8 they share ids), and the frame test picks the
+    first.  find equals the linear contexts_equal scan, images equals
+    dense_image, and leq and block_maps equal all-pairs includes and
+    coarse_graining_map, whether the index is built by build_poset or
+    from a list, and with the products cut into slices of 48 entries."""
+    tol = DEFAULT_TOL.override(eps_order=eps_order)
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, n)
+    fine = [{i} for i in range(n)]
+    base = [_rotated_partition(u, fine, "F", tol)]
+    if n > 2:
+        base.append(_rotated_partition(u, [{0}, set(range(1, n))], "C", tol))
+    contexts = list(base)
+    for v in base:
+        for factor in (0.5, 1.2, 2.0, 5.0):
+            contexts.append(_nudged(v, rng, factor * eps_order,
+                                    f"{v.id}{factor}", tol))
+    order = rng.permutation(len(contexts))
+    contexts = [contexts[i] for i in order]
+    swap = _block_swap(u, fine, rng)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(context_index, "PRODUCT_ENTRIES", entries)
+        for poset in (ContextPoset(contexts, tol),
+                      build_poset(contexts, tol=tol)):
+            pool = poset.contexts
+            m = len(pool)
+            expected = np.array([[includes(a, b, tol) for b in pool]
+                                 for a in pool]) | np.eye(m, dtype=bool)
+            assert np.array_equal(poset.leq, expected)
+            assert poset.block_maps == {
+                (i, j): coarse_graining_map(pool[j], pool[i], tol)
+                for i, j in zip(*np.nonzero(expected & ~np.eye(m, dtype=bool)))}
+            for c in contexts:
+                assert poset.index.find(c) == next(
+                    (i for i, v in enumerate(pool)
+                     if contexts_equal(v, c, tol)), None)
+            for w in (swap, u @ swap @ u.conj().T, random_unitary(rng, n)):
+                target, homes = poset.index.images(w, np.ones(m, dtype=bool))
+                for i, v in enumerate(pool):
+                    got = (None, None) if target[i] < 0 else (
+                        int(target[i]), tuple(homes[i, :v.k].tolist()))
+                    assert got == dense_image(w, v, pool, tol), v.id
+            if eps_order == 1e-3:
+                assert poset.index._moves(swap, n)[1]
 
 
 def _supports(v):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from toposkms import algebra
+from toposkms import index as context_index
 from toposkms.algebra import Context, build_poset, contexts_equal
 from toposkms.cli import main
 from toposkms.errors import PosetTooLarge, ScenarioError
@@ -109,6 +110,40 @@ def test_max_contexts_at_the_closed_size(scenario_dir, tmp_path, capfd, name):
     assert isinstance(caught.value.__cause__, PosetTooLarge)
 
 
+def test_downward_closure_fails_closed_before_bell_k(tmp_path, capfd,
+                                                     monkeypatch):
+    """One 16-block diagonal context on C^16 has Bell(16) - 2, about 10^10,
+    proper coarse-grainings.  The closure builds them one at a time, so
+    with max_contexts 200 it stops at the first candidate past the cap,
+    having built at most 201."""
+    n = 16
+    built = []
+    on_frame = Context.on_frame.__func__
+
+    def counted(cls, *args, **kwargs):
+        built.append(None)
+        return on_frame(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Context, "on_frame", classmethod(counted))
+    path = tmp_path / "diag16.json"
+    path.write_text(json.dumps({
+        "name": "diag16", "dim": n, "beta": 1.0,
+        "hamiltonian": {"diag": [float(i) for i in range(n)]},
+        "state": {"gibbs": True},
+        "projections": {f"E{i}": {"diag": np.eye(n)[i].tolist()}
+                        for i in range(n)},
+        "contexts": {"V": {"blocks": [f"E{i}" for i in range(n)]}},
+        "poset": {"downward_closure": True, "meet_closure": False,
+                  "group_closure": False, "max_contexts": 200},
+        "checks": ["poset"],
+    }), encoding="utf-8")
+    code = main(["run", "--scenario", str(path),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "poset exceeded max_contexts=200" in capfd.readouterr().err
+    assert 199 <= len(built) <= 201
+
+
 def pairwise_meets(contexts, paired, tol):
     """(i, j, labels) of the non-trivial meets, one pair at a time."""
     out = []
@@ -187,14 +222,14 @@ def _dense_contexts(rng, n):
 
 
 @given(n=st.integers(3, 7), seed=st.integers(0, 2**32 - 1),
-       entries=st.sampled_from([algebra.PRODUCT_ENTRIES, 48]))
+       entries=st.sampled_from([context_index.PRODUCT_ENTRIES, 48]))
 def test_batched_meets_match_the_pairwise_oracle(n, seed, entries):
     """Dense contexts of dims 3-7, in one product per pair of buckets or
     in many slices (48 entries hold at most three 4 x 4 products): the
     same meets in the same order as the pairwise loop, the same edge
     tables bit for bit, and the same closure."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(algebra, "PRODUCT_ENTRIES", entries)
+        mp.setattr(context_index, "PRODUCT_ENTRIES", entries)
         rng = np.random.default_rng(seed)
         seeds = _dense_contexts(rng, n)
         _check_meets(seeds, DEFAULT_TOL)
@@ -204,10 +239,10 @@ def test_batched_meets_match_the_pairwise_oracle(n, seed, entries):
             v.id for v in pairwise_meet_closure(seeds, DEFAULT_TOL)]
 
 
-@pytest.mark.parametrize("entries", [algebra.PRODUCT_ENTRIES, 48])
+@pytest.mark.parametrize("entries", [context_index.PRODUCT_ENTRIES, 48])
 def test_meets_on_the_corpus_and_rotated_c4(scenario_dir, monkeypatch,
                                             entries):
-    monkeypatch.setattr(algebra, "PRODUCT_ENTRIES", entries)
+    monkeypatch.setattr(context_index, "PRODUCT_ENTRIES", entries)
     rng = np.random.default_rng(7)
     w = random_unitary(rng, 4)
     rotated = build_poset([Context([np.outer(c, c.conj()) for c in w.T], "W")],

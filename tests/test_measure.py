@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from toposkms import algebra
+from toposkms import index as context_index
 from toposkms.algebra import (
     Context,
     apply_automorphism,
@@ -336,8 +336,8 @@ def test_weights_of_a_stack_are_those_of_each_matrix(scenario_dir,
         scn = load_scenario(path)
         models.append((scn.poset, scn.state))
     for (poset, state), entries in itertools.product(
-            models, (algebra.PRODUCT_ENTRIES, 48)):
-        monkeypatch.setattr(algebra, "PRODUCT_ENTRIES", entries)
+            models, (context_index.PRODUCT_ENTRIES, 48)):
+        monkeypatch.setattr(context_index, "PRODUCT_ENTRIES", entries)
         psh = SpectralPresheaf(poset)
         stack = np.array(_traceless_hermitian_basis(state.dim)
                          + [state.matrix])

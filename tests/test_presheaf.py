@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from toposkms import algebra
+from toposkms import index as context_index
 from toposkms.algebra import (
     Context,
     ContextIndex,
@@ -15,7 +15,6 @@ from toposkms.algebra import (
     build_poset,
     includes,
     lattice_projection,
-    tiles,
 )
 from toposkms.errors import (
     DimMismatch,
@@ -27,6 +26,7 @@ from toposkms.errors import (
     NotProjection,
     PosetNotClosed,
 )
+from toposkms.index import tiles
 from toposkms.kms_external import AutomorphismFlow, check_C1, gibbs_state
 from toposkms.numerics import frob, proj_leq
 from toposkms import presheaf as presheaf_module
@@ -293,13 +293,13 @@ def test_batched_oracle_checks_its_stack():
                                        np.arange(21))
 
 
-@pytest.mark.parametrize("entries", [algebra.PRODUCT_ENTRIES, 48])
+@pytest.mark.parametrize("entries", [context_index.PRODUCT_ENTRIES, 48])
 def test_bucket_oracle_matches_the_loop(reference_posets, monkeypatch,
                                         entries):
     """The oracle on whole signature buckets against the per-element
     loop, context by context, on random projections and on projections
     under random lattice elements, with the tiles cut small too."""
-    monkeypatch.setattr(algebra, "PRODUCT_ENTRIES", entries)
+    monkeypatch.setattr(context_index, "PRODUCT_ENTRIES", entries)
     rng = np.random.default_rng(20)
     for poset in reference_posets:
         n = poset.contexts[0].dim
@@ -714,7 +714,7 @@ def test_batched_frame_paths_on_a_rotated_c4_poset(seed):
 def test_batched_frame_paths_across_slices(monkeypatch):
     # 48 entries hold three 4 x 4 products, so the 6-context bucket of C^4
     # is taken in several slices against every stack it meets
-    monkeypatch.setattr(algebra, "PRODUCT_ENTRIES", 48)
+    monkeypatch.setattr(context_index, "PRODUCT_ENTRIES", 48)
     assert len(list(tiles(6, 6, 16))) > 2
     _check_rotated_c4(7)
 
