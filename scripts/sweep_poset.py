@@ -1,8 +1,15 @@
 #!/usr/bin/env python3
-"""Time the context-poset layers on the downward-closed diagonal C^n poset.
+"""Time each corpus scenario and the context-poset layers on the
+downward-closed diagonal C^n poset.
 
     python3 scripts/sweep_poset.py --label change
     python3 scripts/sweep_poset.py --label parent --src /path/to/other/src
+
+For each scenario of scripts/scenarios it times `load_scenario` and each
+suite the scenario runs, in its order, as medians over 5 runs in one
+process per scenario, and records that process's peak RSS.  A suite
+that fails closed with a ToposKMSError is timed up to the error, as
+`toposkms run` would report it.
 
 For n = 4..7 it times `load_scenario` and the `poset`, `presheaf` and
 `external-c1` suites, as medians over 5 runs in one process per n, and
@@ -12,11 +19,11 @@ a process of its own.  The scenario is perfbench's large_poset scenario
 blocks closed downward, Bell(n) - 1 contexts.
 
 The toposkms sources are those under --src (by default this checkout's
-src/); the scenario generator is always this checkout's
-perfbench/harness.py.  Results go under --label in BENCH_21.json at the
-repo root; other labels already in the file are kept, so two checkouts
-can be compared in one file.  Times use time.perf_counter, with one
-BLAS thread.
+src/); the corpus and the scenario generator are always this checkout's
+(scripts/scenarios, perfbench/harness.py).  Results go under --label in
+the file --out (BENCH_22.json at the repo root by default); other labels
+already in the file are kept, so two checkouts can be compared in one
+file.  Times use time.perf_counter, with one BLAS thread.
 """
 from __future__ import annotations
 
@@ -35,7 +42,8 @@ SIZES = (4, 5, 6, 7)
 SUITES = ("poset", "presheaf", "external-c1")
 BELL = {4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 REPEATS = 5
-OUT = ROOT / "BENCH_21.json"
+CORPUS = ROOT / "scripts" / "scenarios"
+OUT = ROOT / "BENCH_22.json"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 
@@ -95,10 +103,45 @@ def child(n: int, repeats: int, suites: bool) -> dict:
     return out
 
 
-def measure(src: pathlib.Path, n: int, repeats: int, suites: bool) -> dict:
+def corpus_child(path: pathlib.Path, repeats: int) -> dict:
+    """Time one corpus scenario in this process: its load and each suite
+    it runs; the package comes from sys.path."""
+    import resource
+
+    from toposkms.cli import SUITES as RUNNERS
+    from toposkms.errors import ToposKMSError
+    from toposkms.reports import Report
+    from toposkms.scenario import load_scenario
+
+    times = {"load_s": []}
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        scn = load_scenario(path)
+        times["load_s"].append(time.perf_counter() - t0)
+        rep = Report(scenario=scn.resolved)
+        for name in scn.checks:
+            t0 = time.perf_counter()
+            try:
+                RUNNERS[name](scn, rep)
+            except ToposKMSError:
+                pass
+            times.setdefault(f"{name}_s", []).append(
+                time.perf_counter() - t0)
+    out = {"contexts": len(scn.poset), "runs": repeats}
+    out |= {k: statistics.median(v) for k, v in times.items()}
+    out["peak_rss_mb"] = resource.getrusage(
+        resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return out
+
+
+def measure(src: pathlib.Path, n, repeats: int, suites: bool = True) -> dict:
+    """Run one child process: the diagonal C^n poset for an int n, or
+    the corpus scenario at the path n."""
     env = dict(os.environ, PYTHONPATH=str(src),
                **{var: "1" for var in BLAS_THREAD_VARS})
-    cmd = [sys.executable, __file__, "--child", str(n),
+    what = (["--scenario", str(n)] if isinstance(n, pathlib.Path)
+            else ["--child", str(n)])
+    cmd = [sys.executable, __file__, *what,
            "--repeats", str(repeats)] + ([] if suites else ["--load-only"])
     done = subprocess.run(cmd, env=env, check=True, capture_output=True,
                           text=True)
@@ -109,36 +152,46 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", default="change")
     p.add_argument("--src", type=pathlib.Path, default=ROOT / "src")
+    p.add_argument("--out", type=pathlib.Path, default=OUT)
     p.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--scenario", type=pathlib.Path, help=argparse.SUPPRESS)
     p.add_argument("--repeats", type=int, help=argparse.SUPPRESS)
     p.add_argument("--load-only", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.child is not None:
         print(json.dumps(child(args.child, args.repeats, not args.load_only)))
         return 0
+    if args.scenario is not None:
+        print(json.dumps(corpus_child(args.scenario, args.repeats)))
+        return 0
 
     import numpy as np
 
-    result = {f"diag{n}": measure(args.src.resolve(), n, REPEATS, True)
-              for n in SIZES}
-    for n, row in zip(SIZES, result.values()):
-        print(f"C^{n}: " + json.dumps(row), flush=True)
+    result = {"corpus": {}}
+    for path in sorted(CORPUS.glob("*.json")):
+        row = measure(args.src.resolve(), path, REPEATS)
+        result["corpus"][path.stem] = row
+        print(f"{path.stem}: " + json.dumps(row), flush=True)
+    for n in SIZES:
+        result[f"diag{n}"] = measure(args.src.resolve(), n, REPEATS)
+        print(f"C^{n}: " + json.dumps(result[f"diag{n}"]), flush=True)
     result["diag8_load"] = measure(args.src.resolve(), 8, 1, False)
     print("C^8 load: " + json.dumps(result["diag8_load"]))
-    doc = json.loads(OUT.read_text()) if OUT.is_file() else {}
+    doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     doc["about"] = (
-        "Medians over runs (runs gives the count) of load_scenario "
+        "Medians over runs (runs gives the count), seconds, with each "
+        "process's peak RSS in MB: under corpus, of load_scenario and of "
+        "each suite a corpus scenario runs; under diagN, of load_scenario "
         "and of the poset, presheaf and external-c1 suites on the "
-        "downward-closed diagonal C^n poset, seconds, with each process's "
-        "peak RSS in MB; diag8_load is one load of C^8.  Written by "
-        "scripts/sweep_poset.py.")
+        "downward-closed diagonal C^N poset; diag8_load is one load of "
+        "C^8.  Written by scripts/sweep_poset.py.")
     doc.setdefault("labels", {})[args.label] = {
         "host": {"python": platform.python_version(),
                  "numpy": np.__version__,
                  "nproc": len(os.sched_getaffinity(0)),
                  "blas_threads": 1},
         "results": result}
-    OUT.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -345,26 +345,33 @@ class ContextIndex:
         so homes is whole wherever target is set.  U is validated once:
         unitary within eps_herm.
 
-        The table blocks of each dimension are moved by U in one product
-        and kept against the table blocks of their rank within the
-        images bound; a context's candidates are the contexts with one
-        kept id per block, and the frame test confirms them, one batch
-        per signature bucket."""
+        The table blocks that the masked contexts of each dimension use
+        are moved by U in one product and kept against the table blocks
+        of their rank within the images bound; a context's candidates are
+        the contexts with one kept id per block, and the frame test
+        confirms them, one batch per signature bucket."""
         um = _unitary(u, self.tol)
         inside = np.asarray(inside, dtype=bool)
         target = np.full(len(self.contexts), -1, dtype=np.intp)
         homes = np.full((len(self.contexts),
                          max((s[1] for s in self.buckets), default=0)),
                         -1, dtype=np.intp)
-        moves = {}
+        # the masked contexts of each bucket and their table ids, and the
+        # ids they use, per dimension
+        masked, used = {}, {}
+        for sig, members, _ in self.stacks():
+            rows = members[inside[members]]
+            if rows.size:
+                ids = np.array([self.block_ids[i] for i in rows.tolist()])
+                masked[sig] = rows, ids
+                used.setdefault(sig[0], np.zeros(len(self.ranks), bool))[
+                    ids.ravel()] = True
+        moves = {n: self._moves(um, n, np.flatnonzero(ids))
+                 for n, ids in used.items()}
         for sig, members, frames in self.stacks():
-            moving = members[inside[members]]
-            if not moving.size:
+            if sig not in masked:
                 continue
-            if sig[0] not in moves:
-                moves[sig[0]] = self._moves(um, sig[0])
-            image, several = moves[sig[0]]
-            ids = np.array([self.block_ids[i] for i in moving.tolist()])
+            (moving, ids), (image, several) = masked[sig], moves[sig[0]]
             source, slot = [], []
             for q, (key, blocks) in enumerate(zip(
                     np.sort(image[ids], axis=1).tolist(), ids.tolist())):
@@ -391,11 +398,12 @@ class ContextIndex:
             homes[rows, :sig[1]] = home[hit]
         return target, homes
 
-    def _moves(self, um, n: int):
-        """(image, several) of the table blocks of dimension n moved by U:
-        each moved block s is kept against the table blocks t of its rank
-        within the images bound.  image[s] is its one kept t (-1 where
-        none is, and the first where several are), and several maps the s
+    def _moves(self, um, n: int, used):
+        """(image, several) of the table blocks with the sorted ids `used`,
+        all of dimension n, moved by U: each moved block s is kept
+        against the table blocks t of its rank within the images bound.
+        image[s] is its one kept t (-1 where none is, and the first where
+        several are, and -1 for the ids not used), and several maps the s
         with more than one kept t to all of them, in id order."""
         eta = self.tol.eps_herm
         kappa = math.sqrt((1 + eta) / (1 - eta)) if eta < 1 else math.inf
@@ -403,17 +411,20 @@ class ContextIndex:
         bound = ((1 + kappa) * self._radii(n, self.defect)[2] + lam) ** 2 \
             + sigma
         ids, ranks, rows = self._table[n].view()
-        # U T U* for every block T, as two products: U [T_1 | T_2 | ...],
-        # then its n x n pieces stacked and times U*
-        left = um @ rows.reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1)
+        # table ids of one dimension grow with their position
+        at = np.searchsorted(ids, used)
+        # U T U* for every used block T, as two products: U [T_1 | T_2 |
+        # ...], then its n x n pieces stacked and times U*
+        left = um @ rows[at].reshape(-1, n, n).transpose(1, 0, 2).reshape(
+            n, -1)
         moved = left.reshape(n, -1, n).transpose(1, 0, 2).reshape(-1, n) \
             @ um.conj().T
-        near = (ranks[:, None] == ranks) & (
-            ranks - _traces(rows, moved.reshape(len(rows), -1)) <= bound)
+        near = (ranks[:, None] == ranks[at]) & (
+            ranks[at] - _traces(rows, moved.reshape(len(at), -1)) <= bound)
         count = near.sum(axis=0)
         image = np.full(len(self.ranks), -1, dtype=np.intp)
-        image[ids] = np.where(count > 0, ids[near.argmax(axis=0)], -1)
-        several = {int(ids[s]): ids[near[:, s]].tolist()
+        image[ids[at]] = np.where(count > 0, ids[near.argmax(axis=0)], -1)
+        several = {int(ids[at[s]]): ids[near[:, s]].tolist()
                    for s in np.flatnonzero(count > 1)}
         return image, several
 

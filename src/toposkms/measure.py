@@ -15,6 +15,12 @@ converse direction recovers a density matrix from one by least squares
 over rho = I/n + sum_k c_k B_k: its values, the design matrix (the block
 weights of the traceless Hermitian basis B_k), the ranks and the fit
 residual are all sums over each row's bits, added as block_sums adds.
+
+The measure axioms are checked on one stacked mask array: each pair
+(S, T) is a row of S, T, S ^ T, S v T, ~S, S ^ ~S and S v ~S, the
+derived rows are checked as sub-objects in one pass (check_masks), and
+every measure comes from one SpectralPresheaf.sections call; a flow's
+moved states have their weights read in one stacked weights call.
 """
 from __future__ import annotations
 
@@ -26,6 +32,7 @@ import numpy as np
 from .errors import (
     ContextMissing,
     DimMismatch,
+    DomainMismatch,
     Infeasible,
     InconsistentTable,
     NotAdditive,
@@ -36,11 +43,9 @@ from .presheaf import (
     ClopenSubobject,
     SpectralPresheaf,
     _ragged,
+    check_masks,
     empty_subobject,
     full_subobject,
-    heyting_negation,
-    subobject_join,
-    subobject_meet,
 )
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
@@ -116,37 +121,59 @@ def verify_measure_properties(state: State, presheaf: SpectralPresheaf,
     mu(SvT) + mu(S^T) = mu(S) + mu(T) stage-wise, order-reversal of every
     section, and the complement laws mu(S ^ ~S) = 0, mu(S v ~S) <= 1
     (recording how far below 1 the join gets), each within the
-    presheaf's eps_measure.  Every measure is read from one set of flat
-    block weights of the state.
+    presheaf's eps_measure.  A pair's domains must be equal
+    (DomainMismatch).
+
+    The pairs are one stack of masks (pairs, 7, characters): S, T, S ^ T,
+    S v T, ~S, S ^ ~S and S v ~S, the Heyting negation ~S one scatter
+    over the restriction edges.  The five it derives are checked as
+    clopen sub-objects in pair order (check_masks), and every measure,
+    the full and empty sub-objects' too, is read from one sections call
+    under one set of flat block weights of the state.  Each residual is
+    one np.fmax reduction, NaN (outside a domain) ignored; the
+    normalization residual is raised to max mu(S v ~S) - 1 when some
+    pair exceeds 1 + eps_measure.
     """
-    eps = presheaf.tol.eps_measure
-    res_mono = res_mod = res_rev = res_cmeet = 0.0
-    cjoin_max = 0.0
-    strict = 0.0
-    weights = presheaf.weights(state.matrix)
-    small, large = presheaf.poset.strict_pairs.T
+    ph = presheaf
+    eps = ph.tol.eps_measure
+    pairs = list(pairs)
+    masks = np.array([(a.mask, b.mask) for a, b in pairs], dtype=bool)
+    domains = np.array([(a.domain, b.domain) for a, b in pairs], dtype=bool)
+    s, t = masks.reshape(-1, 2, len(ph.owner)).transpose(1, 0, 2)
+    domains, other = domains.reshape(-1, 2, len(ph.poset)).transpose(1, 0, 2)
+    unequal = (domains != other).any(axis=1)
+    hit = s.copy()
+    rows, edges = np.nonzero(s[:, ph.dst])
+    hit[rows, ph.src[edges]] = True
+    neg = domains[:, ph.owner] & ~hit
+    stack = np.stack([s, t, s & t, s | t, neg, s & neg, s | neg], axis=1)
+    # the first pair with unequal domains, unless a derived sub-object of
+    # an earlier pair fails first
+    first = int(unequal.argmax()) if unequal.any() else len(pairs)
+    check_masks(ph, stack[:first, 2:], domains[:first, None])
+    if first < len(pairs):
+        raise DomainMismatch("meet needs equal domains")
 
-    res_norm = _worst(np.abs(full_subobject(presheaf).measure(weights) - 1.0), 0.0)
-    res_empty = _worst(np.abs(empty_subobject(presheaf).measure(weights)), 0.0)
+    whole, empty = full_subobject(ph), empty_subobject(ph)
+    mu = ph.sections(np.concatenate([stack.reshape(-1, len(ph.owner)),
+                                     [whole.mask, empty.mask]]),
+                     ph.weights(state.matrix))
+    full_mu, empty_mu = mu[-2], mu[-1]
+    ms, mt, mmeet, mjoin, _, mneg_meet, mneg_join = np.where(
+        domains[:, None], mu[:-2].reshape(stack.shape[:2] + (len(ph.poset),)),
+        np.nan).transpose(1, 0, 2)
+    small, large = ph.poset.strict_pairs.T
+    sections = np.stack([ms, mt, mmeet, mjoin])
 
-    n_pairs = 0
-    for s, t in pairs:
-        n_pairs += 1
-        ms, mt, mmeet, mjoin = (x.measure(weights) for x in (
-            s, t, subobject_meet(s, t), subobject_join(s, t)))
-        res_mono = _worst([mmeet - ms, mmeet - mt, ms - mjoin, mt - mjoin],
-                          res_mono)
-        res_mod = _worst(np.abs(mjoin + mmeet - ms - mt), res_mod)
-        for mu in (ms, mt, mmeet, mjoin):
-            res_rev = _worst(mu[large] - mu[small], res_rev)
-        neg = heyting_negation(s)
-        mneg_meet = subobject_meet(s, neg).measure(weights)
-        mneg_join = subobject_join(s, neg).measure(weights)
-        res_cmeet = _worst(np.abs(mneg_meet), res_cmeet)
-        cjoin_max = _worst(mneg_join, cjoin_max)
-        strict = _worst(1.0 - mneg_join, strict)
-        if (mneg_join > 1.0 + eps).any():
-            res_norm = max(res_norm, cjoin_max - 1.0)
+    res_norm = _worst(np.abs(full_mu - 1.0), 0.0)
+    if (mneg_join > 1.0 + eps).any():
+        res_norm = max(res_norm, _worst(mneg_join, 0.0) - 1.0)
+    res_empty = _worst(np.abs(empty_mu), 0.0)
+    res_mono = _worst([mmeet - ms, mmeet - mt, ms - mjoin, mt - mjoin], 0.0)
+    res_mod = _worst(np.abs(mjoin + mmeet - ms - mt), 0.0)
+    res_rev = _worst(sections[..., large] - sections[..., small], 0.0)
+    res_cmeet = _worst(np.abs(mneg_meet), 0.0)
+    strict = _worst(1.0 - mneg_join, 0.0)
 
     passed = max(res_norm, res_empty, res_mono, res_mod, res_rev,
                  res_cmeet) <= eps
@@ -154,7 +181,7 @@ def verify_measure_properties(state: State, presheaf: SpectralPresheaf,
         normalization=res_norm, empty=res_empty, monotonicity=res_mono,
         modularity=res_mod, order_reversal=res_rev,
         complement_meet=res_cmeet,
-        strictness_witness=strict, pairs_checked=n_pairs, passed=passed,
+        strictness_witness=strict, pairs_checked=len(pairs), passed=passed,
     )
 
 
@@ -212,20 +239,19 @@ def group_action_check(state: State, flow, sub: ClopenSubobject,
     which agree for every sub-object exactly when the state is invariant
     under the flow.  Both are block-weight sums of rho_t = U_t rho U_t*:
     lhs at the moved context (ClopenSubobject.moved, whose pulled state
-    U_t* rho_t U_t is rho itself).
+    U_t* rho_t U_t is rho itself).  The weights of every rho_t are read
+    in one stacked SpectralPresheaf.weights call.
     """
     ph = sub.presheaf
-    lhs, rhs = [], []
-    for t in t_values:
-        u = flow.unitary(t)
-        moved = sub.measure(ph.weights(u @ state.matrix @ dagger(u)))
-        pulled, _ = sub.moved(moved, ph.action(u, sub.domain)[0],
-                              state.matrix)
-        lhs.append(pulled[sub.domain])
-        rhs.append(moved[sub.domain])
-    shape = (len(lhs), int(sub.domain.sum()))
+    us = [flow.unitary(t) for t in t_values]
+    rhs = sub.measure(ph.weights(np.reshape(
+        [u @ state.matrix @ dagger(u) for u in us],
+        (-1,) + state.matrix.shape)))
+    lhs = [sub.moved(moved, ph.action(u, sub.domain)[0], state.matrix)[0]
+           for u, moved in zip(us, rhs)]
     return FlowReport(t_values, ph.poset.ids(sub.domain),
-                      np.reshape(lhs, shape), np.reshape(rhs, shape))
+                      np.reshape(lhs, rhs.shape)[:, sub.domain],
+                      rhs[:, sub.domain])
 
 
 # --------------------------------------------------------------------------

@@ -9,13 +9,16 @@ block of the larger context.
 
 A clopen sub-object picks one subset of characters per context of a
 lower set, closed under restriction.  It is a boolean mask over the flat
-axis plus a boolean mask of its domain; the closure check, meet, join,
-Heyting negation and downward completion are gathers and scatters over
-the edges.  That mask is the only form measure code reads:
+axis plus a boolean mask of its domain; the closure check (check_masks,
+for one mask or a stack of them) and downward completion are gathers
+and scatters over the edges, and so are the meet, join and Heyting
+negation the measure check forms on its stack of pairs.  That mask is
+the only form measure code reads:
 mu(S)(V) is a sum of block weights over S_V, for every context at once,
 and no matrix is formed; SpectralPresheaf.weights reads the weights of
 a matrix, or a stack of them, with one product per signature bucket of
-stacked frames.  The lattice isomorphism between P(V) and the
+stacked frames, and keeps them per (matrix, context mask) as action
+keeps the action.  The lattice isomorphism between P(V) and the
 clopen subsets at V sends a lattice projection P to {lambda : lambda(P) = 1}
 and a subset S back to the block sum over S (Context.block_sum); that
 dense sum is built only where a matrix is needed, for C2 and the
@@ -83,6 +86,10 @@ ENUMERATION_NODE_CAP = 1_000_000
 # daseinisation oracle scans
 MAX_LATTICE_BLOCKS = 20
 
+# most (mask, edge) pairs the closure test of check_masks gathers at
+# once, about 1 MB of booleans
+CLOSURE_ENTRIES = 1 << 20
+
 # most (edge into a middle context, context below it) pairs that
 # SpectralPresheaf.broken_chains compares at once; each holds a few
 # int64 temporaries, so a run stays near 100 KB
@@ -121,14 +128,21 @@ class SpectralPresheaf:
         self.src = np.repeat(self.offsets[pairs[:, 1]], sizes) + _ragged(sizes)
         self.dst = np.repeat(self.offsets[pairs[:, 0]], sizes) + homes
         self._actions = {}
+        self._weights = {}
 
     def weights(self, m, inside=None) -> np.ndarray:
         """Flat block weights Re tr(m Q_i) (Context.weights) at the
         contexts of the boolean mask `inside`, every context by default,
         and 0 elsewhere; m is a matrix or a stack of them (..., n, n).
         One product per signature bucket of stacked frames, sliced to at
-        most PRODUCT_ENTRIES, with Context.weights' expression."""
+        most PRODUCT_ENTRIES, with Context.weights' expression.  Computed
+        once per (m, mask), m by dtype, shape and entries, and kept on the
+        presheaf as action is; the array is read-only."""
         m = np.asarray(m)
+        key = (m.dtype.str, m.shape, m.tobytes(),
+               None if inside is None else np.asarray(inside, bool).tobytes())
+        if key in self._weights:
+            return self._weights[key]
         stack = m.reshape((-1,) + m.shape[-2:])
         out = np.zeros((len(stack), self.offsets[-1]))
         for (n, k, _), members, frames in self.poset.index.stacks():
@@ -144,7 +158,9 @@ class SpectralPresheaf:
                                  stack[cols, None] @ frames[rows]).real
                 out[cols, chars[rows].ravel()] = np.add.reduceat(
                     diag, starts, axis=-1).reshape(diag.shape[0], -1)
-        return out.reshape(m.shape[:-2] + out.shape[-1:])
+        out.flags.writeable = False
+        self._weights[key] = out.reshape(m.shape[:-2] + out.shape[-1:])
+        return self._weights[key]
 
     def sections(self, masks, weights) -> np.ndarray:
         """mu at every context of each mask of a stack (..., characters)
@@ -260,10 +276,17 @@ def _reaches(domain, target) -> np.ndarray:
 
 
 def block_sums(rows) -> np.ndarray:
-    """Sums along the last axis, one cumulative pass left to right: the
-    one rule every measure of a component is added by (np.add.reduceat
-    would add the first entry to a pairwise sum of the rest)."""
-    return np.cumsum(rows, axis=-1)[..., -1]
+    """Sums along the last axis, added left to right one entry at a
+    time: the one rule every measure of a component is added by
+    (np.add.reduceat would add the first entry to a pairwise sum of the
+    rest).  The additions are np.cumsum's, one vectorised add per entry
+    of the axis; a cumulative pass along a short last axis cost several
+    times more."""
+    rows = np.asarray(rows)
+    total = rows[..., 0].copy()
+    for s in range(1, rows.shape[-1]):
+        total += rows[..., s]
+    return total
 
 
 def _ragged(sizes) -> np.ndarray:
@@ -361,6 +384,42 @@ def outer_daseinisation_bruteforce(ps, frames, starts,
     return bits[order[first]].reshape(np.shape(frames)[:-2] + (m, k))
 
 
+def check_masks(presheaf: SpectralPresheaf, masks, domains) -> None:
+    """Raise for the first mask of a stack (..., characters), in C order,
+    that is not a clopen sub-object on its domain, the domains (...,
+    contexts) broadcast against the masks: DomainMismatch for characters
+    outside the domain, then for a domain that is not a lower set, then
+    NotClosedUnderRestriction, naming the first edge, for a mask that a
+    restriction leaves.  The closure gather takes the masks in slices of
+    at most CLOSURE_ENTRIES (mask, edge) entries."""
+    ph = presheaf
+
+    def leaves(m):
+        return m[..., ph.src] & ~m[..., ph.dst]
+
+    small, large = ph.poset.strict_pairs.T
+    outside = (masks & ~domains[..., ph.owner]).any(axis=-1)
+    lower = ~(domains[..., large] & ~domains[..., small]).any(axis=-1)
+    flat = masks.reshape(-1, masks.shape[-1])
+    broken = np.zeros(len(flat), dtype=bool)
+    step = max(1, CLOSURE_ENTRIES // max(1, len(ph.src)))
+    for lo in range(0, len(flat), step):
+        broken[lo:lo + step] = leaves(flat[lo:lo + step]).any(axis=-1)
+    bad = outside | ~lower | broken.reshape(outside.shape)
+    if not bad.any():
+        return
+    r = np.unravel_index(bad.argmax(), bad.shape)
+    if outside[r]:
+        raise DomainMismatch("sub-object characters outside its domain")
+    if not np.broadcast_to(lower, bad.shape)[r]:
+        raise DomainMismatch("sub-object domain is not a lower set")
+    e = int(leaves(masks[r]).argmax())
+    large, small = (ph.poset.contexts[ph.owner[x]].id
+                    for x in (ph.src[e], ph.dst[e]))
+    raise NotClosedUnderRestriction(
+        f"restriction {large} -> {small} leaves the sub-object")
+
+
 class ClopenSubobject:
     """A clopen sub-object of the spectral presheaf: a boolean mask over
     the presheaf's characters and a boolean mask of its domain, a lower
@@ -388,18 +447,14 @@ class ClopenSubobject:
         self.flow_equivariant = flow_equivariant
         ph = presheaf
         if (self.mask.shape != ph.owner.shape
-                or self.domain.shape != (len(ph.poset),)
-                or (self.mask & ~self.domain[ph.owner]).any()):
+                or self.domain.shape != (len(ph.poset),)):
             raise DomainMismatch("sub-object characters outside its domain")
-        if not ph.poset.is_lower_set(self.domain):
-            raise DomainMismatch("sub-object domain is not a lower set")
-        leaves = self.mask[ph.src] & ~self.mask[ph.dst]
-        if leaves.any():
-            e = int(leaves.argmax())
-            large, small = (ph.poset.contexts[ph.owner[x]].id
-                            for x in (ph.src[e], ph.dst[e]))
-            raise NotClosedUnderRestriction(
-                f"restriction {large} -> {small} leaves the sub-object")
+        # the three tests of check_masks on one mask, at about half its
+        # cost on a stack of one; it names the failure
+        if ((self.mask & ~self.domain[ph.owner]).any()
+                or not ph.poset.is_lower_set(self.domain)
+                or (self.mask[ph.src] & ~self.mask[ph.dst]).any()):
+            check_masks(ph, self.mask, self.domain)
 
     @classmethod
     def from_components(cls, presheaf: SpectralPresheaf, components: dict,
@@ -490,30 +545,6 @@ def full_subobject(presheaf: SpectralPresheaf) -> ClopenSubobject:
 def empty_subobject(presheaf: SpectralPresheaf) -> ClopenSubobject:
     return ClopenSubobject(presheaf, np.zeros(presheaf.offsets[-1], dtype=bool),
                            np.ones(len(presheaf.poset), dtype=bool), name="0")
-
-
-def subobject_meet(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobject:
-    if not np.array_equal(s.domain, t.domain):
-        raise DomainMismatch("meet needs equal domains")
-    return ClopenSubobject(s.presheaf, s.mask & t.mask, s.domain,
-                           name=f"({s.name}^{t.name})" if s.name or t.name else "")
-
-
-def subobject_join(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobject:
-    if not np.array_equal(s.domain, t.domain):
-        raise DomainMismatch("join needs equal domains")
-    return ClopenSubobject(s.presheaf, s.mask | t.mask, s.domain,
-                           name=f"({s.name}v{t.name})" if s.name or t.name else "")
-
-
-def heyting_negation(s: ClopenSubobject) -> ClopenSubobject:
-    """Heyting complement: a character survives at W iff none of its
-    restrictions (including at W itself) lies in the sub-object."""
-    ph = s.presheaf
-    hit = s.mask.copy()
-    hit[ph.src[s.mask[ph.dst]]] = True
-    return ClopenSubobject(ph, s.domain[ph.owner] & ~hit, s.domain,
-                           name=f"(~{s.name})" if s.name else "")
 
 
 def enumerate_subobjects(presheaf: SpectralPresheaf, top_context_id: str,

@@ -107,17 +107,6 @@ def _random_subobject(rng, presheaf, name: str):
     return complete_downward(presheaf, assignments, name=name)
 
 
-def _on_common_domain(a, b):
-    """Both sub-objects restricted to the intersection of their domains
-    (an intersection of lower sets is a lower set)."""
-    common = a.domain & b.domain
-    if not common.any():
-        return None
-    keep = common[a.presheaf.owner]
-    return tuple(ClopenSubobject(s.presheaf, s.mask & keep, common,
-                                 name=s.name) for s in (a, b))
-
-
 # --------------------------------------------------------------------------
 # the suites, in execution order
 
@@ -180,13 +169,19 @@ def run_measure(scn, rep):
     while len(pool) < 8:
         pool.append(_random_subobject(rng, scn.presheaf,
                                       name=f"R{len(pool)}"))
-    pairs = []
-    for i, a in enumerate(pool):
-        for b in pool[i + 1:]:
-            joint = _on_common_domain(a, b)
-            if joint is not None:
-                pairs.append(joint)
-    mrep = verify_measure_properties(scn.state, scn.presheaf, pairs)
+    # each pair of the pool on the intersection of its domains (a lower
+    # set), in pool order, where that is not empty
+    ph = scn.presheaf
+    masks = np.array([sub.mask for sub in pool])
+    domains = np.array([sub.domain for sub in pool])
+    first, second = np.triu_indices(len(pool), 1)
+    common = domains[first] & domains[second]
+    inside = common[:, ph.owner]
+    pairs = [tuple(ClopenSubobject(ph, masks[i] & inside[p], common[p],
+                                   name=pool[i].name)
+                   for i in (first[p], second[p]))
+             for p in np.flatnonzero(common.any(axis=1))]
+    mrep = verify_measure_properties(scn.state, ph, pairs)
     eps = scn.tol.eps_measure
     for field in ("normalization", "empty", "monotonicity", "modularity",
                   "order_reversal", "complement_meet"):

@@ -19,8 +19,11 @@ contexts one pair at a time, the projection meet and join, the lattice
 isomorphism s_map read off dense blocks, the coarse-graining map, left
 and right multiplication as n^2 x n^2 matrices, the tensor-factor
 swap, the 2^k dense lattice elements of a context, the daseinisation
-minimum one lattice element at a time, and the functoriality count one
-middle context at a time.  conjugation_map checks acceptance criterion 9
+minimum one lattice element at a time, the functoriality count one
+middle context at a time, and the meet, join and Heyting negation of
+sub-objects, each built and validated on its own, with the measure
+axioms checked on them one pair at a time
+(measure_properties_by_pair).  conjugation_map checks acceptance criterion 9
 on the package's frame primitives.
 """
 import functools
@@ -32,10 +35,11 @@ from toposkms.errors import (
     AmbiguousMatch,
     ContextMissing,
     DimMismatch,
+    DomainMismatch,
     NotAdditive,
     NotInLattice,
 )
-from toposkms.measure import AbstractMeasure
+from toposkms.measure import AbstractMeasure, MeasurePropertyReport, _worst
 from toposkms.numerics import (
     Projection,
     as_complex_matrix,
@@ -45,7 +49,7 @@ from toposkms.numerics import (
     hermitian_eig,
     proj_leq,
 )
-from toposkms.presheaf import ClopenSubobject
+from toposkms.presheaf import ClopenSubobject, empty_subobject, full_subobject
 from toposkms.tolerances import DEFAULT_TOL, TolerancePolicy
 
 
@@ -510,3 +514,89 @@ def broken_chains_per_middle(presheaf):
         first = np.flatnonzero(np.diff(ph.owner[above], prepend=-1))
         broken += int(np.logical_or.reduceat(wrong, first, axis=0).sum())
     return int(strict.sum(axis=0) @ strict.sum(axis=1)), broken
+
+
+# --------------------------------------------------------------------------
+# the sub-object lattice one object at a time, and the measure axioms one
+# pair at a time
+
+
+def subobject_meet(s, t):
+    if not np.array_equal(s.domain, t.domain):
+        raise DomainMismatch("meet needs equal domains")
+    return ClopenSubobject(s.presheaf, s.mask & t.mask, s.domain,
+                           name=f"({s.name}^{t.name})" if s.name or t.name else "")
+
+
+def subobject_join(s, t):
+    if not np.array_equal(s.domain, t.domain):
+        raise DomainMismatch("join needs equal domains")
+    return ClopenSubobject(s.presheaf, s.mask | t.mask, s.domain,
+                           name=f"({s.name}v{t.name})" if s.name or t.name else "")
+
+
+def heyting_negation(s):
+    """Heyting complement: a character survives at W iff none of its
+    restrictions (including at W itself) lies in the sub-object."""
+    ph = s.presheaf
+    hit = s.mask.copy()
+    hit[ph.src[s.mask[ph.dst]]] = True
+    return ClopenSubobject(ph, s.domain[ph.owner] & ~hit, s.domain,
+                           name=f"(~{s.name})" if s.name else "")
+
+
+def on_common_domain(a, b):
+    """Both sub-objects restricted to the intersection of their domains
+    (an intersection of lower sets is a lower set), None where it is
+    empty."""
+    common = a.domain & b.domain
+    if not common.any():
+        return None
+    keep = common[a.presheaf.owner]
+    return tuple(ClopenSubobject(s.presheaf, s.mask & keep, common,
+                                 name=s.name) for s in (a, b))
+
+
+def measure_properties_by_pair(state, presheaf, pairs):
+    """measure.verify_measure_properties one pair at a time: the meet,
+    join and Heyting negation built and validated as sub-objects, each
+    measured on its own, and every residual a running maximum."""
+    eps = presheaf.tol.eps_measure
+    res_mono = res_mod = res_rev = res_cmeet = 0.0
+    cjoin_max = 0.0
+    strict = 0.0
+    weights = presheaf.weights(state.matrix)
+    small, large = presheaf.poset.strict_pairs.T
+
+    res_norm = _worst(np.abs(full_subobject(presheaf).measure(weights) - 1.0),
+                      0.0)
+    res_empty = _worst(np.abs(empty_subobject(presheaf).measure(weights)),
+                       0.0)
+
+    n_pairs = 0
+    for s, t in pairs:
+        n_pairs += 1
+        ms, mt, mmeet, mjoin = (x.measure(weights) for x in (
+            s, t, subobject_meet(s, t), subobject_join(s, t)))
+        res_mono = _worst([mmeet - ms, mmeet - mt, ms - mjoin, mt - mjoin],
+                          res_mono)
+        res_mod = _worst(np.abs(mjoin + mmeet - ms - mt), res_mod)
+        for mu in (ms, mt, mmeet, mjoin):
+            res_rev = _worst(mu[large] - mu[small], res_rev)
+        neg = heyting_negation(s)
+        mneg_meet = subobject_meet(s, neg).measure(weights)
+        mneg_join = subobject_join(s, neg).measure(weights)
+        res_cmeet = _worst(np.abs(mneg_meet), res_cmeet)
+        cjoin_max = _worst(mneg_join, cjoin_max)
+        strict = _worst(1.0 - mneg_join, strict)
+        if (mneg_join > 1.0 + eps).any():
+            res_norm = max(res_norm, cjoin_max - 1.0)
+
+    passed = max(res_norm, res_empty, res_mono, res_mod, res_rev,
+                 res_cmeet) <= eps
+    return MeasurePropertyReport(
+        normalization=res_norm, empty=res_empty, monotonicity=res_mono,
+        modularity=res_mod, order_reversal=res_rev,
+        complement_meet=res_cmeet,
+        strictness_witness=strict, pairs_checked=n_pairs, passed=passed,
+    )

@@ -50,10 +50,8 @@ from toposkms.presheaf import (
     SpectralPresheaf,
     complete_downward,
     daseinisation_subobject,
-    heyting_negation,
     outer_daseinisation,
     outer_daseinisation_bruteforce,
-    subobject_join,
 )
 
 from conftest import (
@@ -67,7 +65,9 @@ from conftest import (
 from oracles import (
     conjugation_map,
     dict_of,
+    heyting_negation,
     s_map,
+    subobject_join,
     swap_unitary,
     table_of,
 )

@@ -466,7 +466,8 @@ def test_table_prefilter_keeps_every_frame_test_pair(n, seed, eps_order,
                         int(target[i]), tuple(homes[i, :v.k].tolist()))
                     assert got == dense_image(w, v, pool, tol), v.id
             if eps_order == 1e-3:
-                assert poset.index._moves(swap, n)[1]
+                every = poset.index._table[n].view()[0]
+                assert poset.index._moves(swap, n, every)[1]
 
 
 def _supports(v):

@@ -165,7 +165,7 @@ def test_eigenseries_coefficients_match_the_double_loop():
 
 def test_c2_value_at_zero_is_the_meet_measure(c3_gibbs):
     from toposkms.measure import measure_of
-    from toposkms.presheaf import subobject_meet
+    from oracles import subobject_meet
 
     rep = check_C2(c3_gibbs.state, c3_gibbs.flow, c3_gibbs.subs["S1"],
                    c3_gibbs.subs["S12"], "Vex", [0.0])

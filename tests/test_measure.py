@@ -1,11 +1,14 @@
 """State-induced measures, their axioms, and state reconstruction."""
+import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from toposkms import index as context_index
+from toposkms import presheaf as presheaf_module
 from toposkms.algebra import (
     Context,
     apply_automorphism,
@@ -16,11 +19,14 @@ from toposkms.algebra import (
 from toposkms.errors import (
     ContextMissing,
     DimMismatch,
+    DomainMismatch,
     Infeasible,
     InconsistentTable,
     NotAState,
     NotAdditive,
+    NotClosedUnderRestriction,
     PosetNotClosed,
+    ToposKMSError,
 )
 from toposkms.kms_external import check_C1
 from toposkms.kms_internal import SampledGroup, check_internal_C1
@@ -43,8 +49,6 @@ from toposkms.presheaf import (
     daseinisation_subobject,
     empty_subobject,
     full_subobject,
-    heyting_negation,
-    subobject_join,
 )
 
 from conftest import (
@@ -54,7 +58,15 @@ from conftest import (
     diagonal_context,
     random_density,
 )
-from oracles import check_table, dict_of, table_of
+from oracles import (
+    check_table,
+    dict_of,
+    heyting_negation,
+    measure_properties_by_pair,
+    on_common_domain,
+    subobject_join,
+    table_of,
+)
 
 
 def qubit_mub_poset():
@@ -145,6 +157,135 @@ def test_measure_axioms_hold_for_random_states(seed):
         c3.state, c3.presheaf,
         [(subs["S1"], subs["S2"]), (subs["S2"], subs["S12"])])
     assert rep.passed
+
+
+@pytest.fixture(scope="module")
+def measure_models(scenario_dir):
+    """(presheaf, state) of the corpus scenarios and of the diagonal C^4
+    poset under a random state."""
+    models = []
+    for path in sorted(scenario_dir.glob("*.json")):
+        scn = load_scenario(path)
+        models.append((scn.presheaf, scn.state))
+    poset = build_poset([diagonal_context(4, "D4")], downward_closure=True)
+    state = State(random_density(np.random.default_rng(3), 4))
+    return models + [(SpectralPresheaf(poset), state)]
+
+
+def _random_pool(rng, psh, size):
+    """Sub-objects completed downward from random characters of random
+    contexts, so that their domains differ."""
+    poset = psh.poset
+    pool = []
+    for _ in range(size):
+        assigned = {v.id: {b for b in range(v.k) if rng.random() < 0.5}
+                    for v in poset.contexts if rng.random() < 0.3}
+        pool.append(complete_downward(psh, assigned))
+    return pool
+
+
+def _fields(rep):
+    return dataclasses.astuple(rep)
+
+
+@given(model=st.integers(0, 7), seed=st.integers(0, 2**32 - 1),
+       size=st.integers(1, 8))
+def test_bulk_measure_check_matches_the_pairwise_loop(measure_models, model,
+                                                      seed, size):
+    """Every field of the report, bit for bit, against the loop that
+    builds and measures each meet, join and negation on its own, on the
+    pool's pairs restricted to their common domains (run_measure's
+    pairs) and on the pairs whose domains already agree."""
+    psh, state = measure_models[model]
+    rng = np.random.default_rng(seed)
+    pool = _random_pool(rng, psh, size)
+    restricted = [joint for i, a in enumerate(pool) for b in pool[i + 1:]
+                  if (joint := on_common_domain(a, b)) is not None]
+    equal = [(a, b) for a in pool for b in pool
+             if np.array_equal(a.domain, b.domain)]
+    for pairs in (restricted, equal, []):
+        got = verify_measure_properties(state, psh, pairs)
+        want = measure_properties_by_pair(state, psh, pairs)
+        assert _fields(got) == _fields(want)
+
+
+def _error(check, *args):
+    with pytest.raises(ToposKMSError) as info:
+        check(*args)
+    return type(info.value), str(info.value)
+
+
+def _on(psh, domain, full: bool):
+    """The full or the empty sub-object on a lower set."""
+    return ClopenSubobject(psh, domain[psh.owner] & full, domain)
+
+
+@pytest.mark.parametrize("entries", [presheaf_module.CLOSURE_ENTRIES, 1])
+def test_bulk_measure_check_fails_as_the_pairwise_loop(measure_models,
+                                                       monkeypatch, entries):
+    """A pair with unequal domains raises DomainMismatch, and a stacked
+    mask that a restriction edge leaves raises NotClosedUnderRestriction
+    on the first edge that the derived sub-object's own construction
+    names; the closure test takes the stack whole, or one mask at a
+    time."""
+    monkeypatch.setattr(presheaf_module, "CLOSURE_ENTRIES", entries)
+    rng = np.random.default_rng(9)
+    kinds = set()
+    for psh, state in measure_models:
+        everywhere = np.ones(len(psh.poset), dtype=bool)
+        a, b = _on(psh, everywhere, True), _on(psh, ~everywhere, False)
+        pairs = [(a, a), (a, b), (b, b)]
+        got = _error(verify_measure_properties, state, psh, pairs)
+        assert got == _error(measure_properties_by_pair, state, psh, pairs)
+        assert got == (DomainMismatch, "meet needs equal domains")
+
+        # drop from a sub-object's mask the restriction of one of its
+        # characters, at the first edge whose source it holds
+        a = next((s for s in _random_pool(rng, psh, 8)
+                  if s.mask[psh.src].any()), None)
+        if a is None:
+            continue
+        edge = int(a.mask[psh.src].argmax())
+        mask = a.mask.copy()
+        mask[psh.dst[edge]] = False
+        broken = SimpleNamespace(presheaf=psh, mask=mask, domain=a.domain,
+                                 name="")
+        # the meet of the first two, the join of the third fails first
+        direct = _error(ClopenSubobject, psh, mask, a.domain)
+        for pairs in ([(broken, a)], [(a, a), (broken, broken)],
+                      [(a, a), (_on(psh, a.domain, False), broken)]):
+            got = _error(verify_measure_properties, state, psh, pairs)
+            assert got == _error(measure_properties_by_pair, state, psh,
+                                 pairs) == direct
+            kinds.add(got[0])
+    assert kinds == {NotClosedUnderRestriction}
+
+
+def test_weights_are_kept_per_matrix_and_mask(c3_gibbs):
+    psh = SpectralPresheaf(c3_gibbs.poset)
+    rho = c3_gibbs.state.matrix
+    stack = np.array([rho, c3_gibbs.flow.unitary(0.3) @ rho
+                      @ c3_gibbs.flow.unitary(0.3).conj().T])
+    first = np.arange(len(c3_gibbs.poset)) == 0
+    for m, inside in ((rho, None), (stack, None), (rho, first)):
+        got = psh.weights(m, inside)
+        assert psh.weights(m.copy(), None if inside is None
+                           else inside.copy()) is got
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[..., 0] = 1.0
+        fresh = SpectralPresheaf(c3_gibbs.poset).weights(m, inside)
+        assert got.tobytes() == fresh.tobytes() and got.shape == fresh.shape
+    # other masks, and a real matrix with the entries of a complex one,
+    # are other entries
+    assert psh.weights(rho, ~first) is not psh.weights(rho, first)
+    real = np.diag([0.5, 0.3, 0.2])
+    assert psh.weights(real) is not psh.weights(real.astype(complex))
+    # the same bytes and shape under another dtype
+    assert psh.weights(real).tobytes() != \
+        psh.weights(real.view(np.int64)).tobytes()
+    assert psh.weights(real).tobytes() == \
+        SpectralPresheaf(c3_gibbs.poset).weights(real).tobytes()
 
 
 def test_group_action_compatibility(c3_gibbs, c3_pure):

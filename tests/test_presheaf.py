@@ -33,17 +33,15 @@ from toposkms import presheaf as presheaf_module
 from toposkms.presheaf import (
     ClopenSubobject,
     SpectralPresheaf,
+    block_sums,
     complete_downward,
     daseinisation_subobject,
     empty_subobject,
     enumerate_subobjects,
     full_subobject,
-    heyting_negation,
     outer_daseinisation,
     outer_daseinisation_bruteforce,
     pullback,
-    subobject_join,
-    subobject_meet,
 )
 from toposkms.reports import FAIL, PASS, Report
 from toposkms.scenario import load_scenario
@@ -60,10 +58,13 @@ from oracles import (
     all_subobjects,
     broken_chains_per_middle,
     dense_image,
+    heyting_negation,
     lattice_minimum_by_loop,
     lower_set,
     proj_join,
     s_map,
+    subobject_join,
+    subobject_meet,
 )
 
 
@@ -631,6 +632,75 @@ def test_action_is_kept_per_unitary_and_domain(c3_gibbs):
             a[0] = 0
     everywhere = np.ones(len(c3_gibbs.poset), dtype=bool)
     assert not np.array_equal(psh.action(u, everywhere)[1], to)
+
+
+def test_images_move_only_the_blocks_of_the_mask(reference_posets,
+                                                 monkeypatch):
+    """ContextIndex.images moves only the table blocks of the masked
+    contexts, and returns what moving every table block of the dimension
+    returns: on single-context masks, lower sets and the full mask, under
+    the identity, a swap of two equal-rank blocks of the first context
+    in its frame (which maps contexts of that frame onto each other, the
+    first onto itself relabeled) and a random unitary."""
+    rng = np.random.default_rng(12)
+    relabeled = 0
+    moves = ContextIndex._moves
+    moved = []
+
+    def every_block(self, um, n, used):
+        return moves(self, um, n, self._table[n].view()[0])
+
+    def counted(self, um, n, used):
+        moved.append(len(used))
+        return moves(self, um, n, used)
+
+    for poset in reference_posets:
+        index, m = poset.index, len(poset)
+        first = poset.contexts[0]
+        n = first.dim
+        labels, ranks = np.asarray(first.labels), np.asarray(first.ranks)
+        perm = np.arange(n)
+        a, b = next(((a, b) for a in range(first.k) for b in range(a)
+                     if ranks[a] == ranks[b]), (0, 0))
+        perm[labels == a], perm[labels == b] = (np.flatnonzero(labels == b),
+                                                np.flatnonzero(labels == a))
+        perm = np.eye(n)[perm]
+        unitaries = (np.eye(n), first.frame @ perm @ first.frame.conj().T,
+                     random_unitary(rng, n))
+        masks = ([np.arange(m) == i for i in range(m)]
+                 + [poset.leq[:, i] for i in range(m)]
+                 + [np.ones(m, dtype=bool)])
+        for u in unitaries:
+            for inside in masks:
+                moved.clear()
+                monkeypatch.setattr(ContextIndex, "_moves", counted)
+                got = index.images(u, inside)
+                monkeypatch.setattr(ContextIndex, "_moves", every_block)
+                want = index.images(u, inside)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                assert moved == [len({t for i in np.flatnonzero(inside)
+                                      for t in index.block_ids[i]})]
+                relabeled += int((want[1][0, :first.k]
+                                  != np.arange(first.k)).any()
+                                 and want[0][0] == 0)
+        monkeypatch.setattr(ContextIndex, "_moves", moves)
+    assert relabeled
+
+
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 16))
+def test_block_sums_add_as_a_cumulative_pass(seed, width):
+    """block_sums adds left to right as np.cumsum does, bit for bit, on
+    rows of mixed magnitudes and signs, zeros of either sign included."""
+    rng = np.random.default_rng(seed)
+    rows = (rng.standard_normal((3, 5, width))
+            * 10.0 ** rng.integers(-17, 3, (3, 5, width)))
+    rows[rng.random(rows.shape) < 0.2] = 0.0
+    rows[rng.random(rows.shape) < 0.2] = -0.0
+    for r in (rows, rows[0, 0]):
+        want = np.cumsum(r, axis=-1)[..., -1]
+        got = block_sums(r)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_check_c1_moves_each_context_once_per_t(monkeypatch):
