@@ -2,8 +2,9 @@
 """Time each corpus scenario and the context-poset layers on the
 downward-closed diagonal C^n poset.
 
-    python3 scripts/sweep_poset.py --label change
-    python3 scripts/sweep_poset.py --label parent --src /path/to/other/src
+    python3 scripts/sweep_poset.py --label change --out BENCH_24.json
+    python3 scripts/sweep_poset.py --label parent --out BENCH_24.json \
+        --src /path/to/other/src
 
 For each scenario of scripts/scenarios it times `load_scenario` and each
 suite the scenario runs, in its order, as medians over 5 runs in one
@@ -21,9 +22,10 @@ blocks closed downward, Bell(n) - 1 contexts.
 The toposkms sources are those under --src (by default this checkout's
 src/); the corpus and the scenario generator are always this checkout's
 (scripts/scenarios, perfbench/harness.py).  Results go under --label in
-the file --out (BENCH_22.json at the repo root by default); other labels
-already in the file are kept, so two checkouts can be compared in one
-file.  Times use time.perf_counter, with one BLAS thread.
+the file --out, which has no default, so that a run never adds its
+labels to an earlier record; other labels already in the file are kept,
+so two checkouts can be compared in one file.  Times use
+time.perf_counter, with one BLAS thread.
 """
 from __future__ import annotations
 
@@ -43,7 +45,6 @@ SUITES = ("poset", "presheaf", "external-c1")
 BELL = {4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 REPEATS = 5
 CORPUS = ROOT / "scripts" / "scenarios"
-OUT = ROOT / "BENCH_22.json"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 
@@ -152,7 +153,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", default="change")
     p.add_argument("--src", type=pathlib.Path, default=ROOT / "src")
-    p.add_argument("--out", type=pathlib.Path, default=OUT)
+    p.add_argument("--out", type=pathlib.Path,
+                   help="the JSON record to write into (required)")
     p.add_argument("--child", type=int, help=argparse.SUPPRESS)
     p.add_argument("--scenario", type=pathlib.Path, help=argparse.SUPPRESS)
     p.add_argument("--repeats", type=int, help=argparse.SUPPRESS)
@@ -164,6 +166,8 @@ def main(argv=None) -> int:
     if args.scenario is not None:
         print(json.dumps(corpus_child(args.scenario, args.repeats)))
         return 0
+    if args.out is None:
+        p.error("--out is required")
 
     import numpy as np
 

@@ -387,8 +387,9 @@ class ContextPoset:
         return self.contexts[self.index_of(context_id)]
 
     def find_equal(self, candidate: Context) -> str | None:
-        """Id of a poset context equal to the candidate, or None."""
-        i = self.index.find(candidate)
+        """Id of a poset context equal to the candidate, or None; a
+        candidate of another dimension raises DimMismatch."""
+        i = self.index.lookup(candidate)[0]
         return None if i is None else self.contexts[i].id
 
     def ids(self, inside) -> list:
@@ -443,9 +444,10 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
     context by each unitary (ContextIndex.images) and builds with
     apply_automorphism only the (V, U) images the index does not
     already hold, V-major, then U.  So the contexts, their order and the
-    candidate that raises PosetTooLarge are those of the pairwise loops.  A non-unitary U raises NotUnitary,
-    and contexts of two dimensions DimMismatch, before the step adds
-    anything.
+    candidate that raises PosetTooLarge are those of the pairwise loops.
+    A non-unitary U raises NotUnitary before the step adds anything.  The
+    index holds one dimension, fixed by the first seed: a seed of another
+    dimension raises DimMismatch at its lookup, before it is added.
     """
     index = ContextIndex(tol)
     contexts = index.contexts

@@ -1,22 +1,23 @@
 """Contexts over one table of their distinct blocks: ContextIndex.
 
-The contexts of one signature share their labels, so each bucket's
-frames are one stacked array (ContextIndex.stack).  The posets repeat
-the same blocks many times over: the downward-closed diagonal C^6 poset
-holds 673 blocks and 62 distinct projections.  So the index keeps one
-table of the distinct blocks.  Each block is matched to it once, when
-its context is appended, and each context carries the table id of each
-of its blocks.
+An index holds contexts of one dimension, fixed by the first context
+appended.  The contexts of one signature share their labels, so each
+bucket's frames are one stacked array (ContextIndex.stack).  The posets
+repeat the same blocks many times over: the downward-closed diagonal C^6
+poset holds 673 blocks and 62 distinct projections.  So the index keeps
+one table of the distinct blocks: table id t is row t of its ranks and
+rows arrays.  Each block is matched to it once, when its context is
+appended, and each context carries the table id of each of its blocks.
 
-The table only narrows the pairs that are compared.  Lookup (lookup,
-find), the action of a unitary (images) and the order (covering_pairs,
-which ContextPoset reads) first test the table, within bounds derived
-below that keep every pair the frame test accepts.  The frame test
-(_overlaps and _homes on the pair's own frames) then runs on the pairs
-that survive, batched per signature bucket, so each returns what the
-frame test on every pair would.  A meet pass (meets) takes one product
-per ordered pair of buckets.  Every product is sliced to at most
-PRODUCT_ENTRIES entries.
+The table only narrows the pairs that are compared.  Lookup (lookup),
+the action of a unitary (images) and the order (covering_pairs, which
+ContextPoset reads) first test the table, within bounds derived below
+that keep every pair the frame test accepts.  The frame test (_overlaps
+and _homes on the pair's own frames) then runs on the pairs that
+survive, batched (_pair_homes), so each returns what the frame test on
+every pair would.  A meet pass (meets) takes one product per ordered
+pair of buckets.  Every product is sliced to at most PRODUCT_ENTRIES
+entries.
 """
 from __future__ import annotations
 
@@ -115,7 +116,7 @@ def _unitary(u, tol: TolerancePolicy) -> np.ndarray:
 #
 # A block gets the lowest table id t of its rank with computed mass
 # <= lam^2, or a new id: by (a) mu(T_t|P_b) <= alpha = lam + s.  Then
-# - find: an equal index block h is within alpha of its id t, so the
+# - lookup: an equal index block h is within alpha of its id t, so the
 #   probe block b has mu(T_t|P_b) <= alpha + lam; kept where the
 #   computed mass is at most (alpha + lam)^2 + sigma;
 # - images: U P_b U* is within d(P'_h, .) <= sqrt(2) lam_U of P'_h, and
@@ -164,70 +165,43 @@ def _blocks(frame, starts) -> np.ndarray:
 def _traces(a, b) -> np.ndarray:
     """tr(P_i Q_j) = Re vec(P_i)* vec(Q_j) of the Hermitian block rows a[i]
     and b[j] (_blocks), in slices of rows of at most PRODUCT_ENTRIES
-    entries."""
+    entries; no columns where b has no rows."""
+    if not len(b):
+        return np.zeros((len(a), 0))
     step = max(1, PRODUCT_ENTRIES // len(b))
     return np.concatenate([(a[lo:lo + step].conj() @ b.T).real
                            for lo in range(0, len(a), step)])
 
 
-class _Table:
-    """The distinct blocks of one dimension: their ids, ranks and dense
-    blocks (_blocks rows, from the frame columns of each block's first
-    occurrence), in buffers that double."""
-
-    __slots__ = ("ids", "ranks", "rows", "count")
-
-    def __init__(self, n: int):
-        self.ids = np.zeros(16, dtype=np.intp)
-        self.ranks = np.zeros(16, dtype=np.intp)
-        self.rows = np.zeros((256, n * n), dtype=complex)
-        self.count = 0
-
-    def add(self, t: int, rank: int, row) -> None:
-        """Append block t."""
-        c = self.count
-        if c == len(self.ids):
-            # fresh zeros, so the unused half stays untouched
-            full = self.view()
-            self.ids, self.ranks, self.rows = (
-                np.zeros((2 * c,) + a.shape[1:], dtype=a.dtype)
-                for a in full)
-            self.ids[:c], self.ranks[:c], self.rows[:c] = full
-        self.ids[c], self.ranks[c], self.rows[c] = t, rank, row
-        self.count = c + 1
-
-    def view(self):
-        """(ids, ranks, rows) of the blocks."""
-        c = self.count
-        return self.ids[:c], self.ranks[:c], self.rows[:c]
-
-
 class ContextIndex:
-    """Contexts in insertion order, bucketed by Context.signature(), over
-    one table of their distinct blocks.
+    """Contexts of one dimension in insertion order, bucketed by
+    Context.signature(), over one table of their distinct blocks.
 
+    The first context appended fixes dim; a context of another dimension
+    raises DimMismatch in lookup and append, before anything is added.
     A bucket shares its labels, so its frames are stacked once (stack).
-    The table holds, per dimension, each distinct block's dense
-    projection from the frame columns of its first occurrence (_Table),
-    and ranks[t] the rank of block t.  block_ids[i] gives the table id
-    of each block of context i, and keys maps the sorted ids of a
-    context to the contexts that have them.  The table only narrows the
-    pairs: lookup, images and the order (covering_pairs) confirm each
-    kept pair with the frame test, so they return what a scan of every
-    pair would.  meets takes the meets of a whole meet pass from one
-    product per ordered pair of buckets.
+    Table id t is row t of ranks, the block's rank, and of rows, its
+    dense projection (_blocks) from the frame columns of its first
+    occurrence.  block_ids[i] gives the table id of each block of
+    context i, and keys maps the sorted ids of a context to the contexts
+    that have them.  The table only narrows the pairs: lookup, images
+    and the order (covering_pairs) confirm each kept pair with the frame
+    test, so they return what a scan of every pair would.  meets takes
+    the meets of a whole meet pass from one product per ordered pair of
+    buckets.
     """
 
     def __init__(self, tol: TolerancePolicy = DEFAULT_TOL, contexts=()):
         self.tol = tol
+        self.dim = 0  # of every context; 0 while there is none
         self.contexts = []
         self.buckets = {}
         self.slots = []  # position of each context in its bucket's stack
         self.block_ids = []
         self.keys = {}
-        self.ranks = []  # rank of each table block
+        self.ranks = np.zeros(0, dtype=np.intp)
+        self.rows = np.zeros((0, 0), dtype=complex)
         self.defect = 0.0  # largest ||Y* Y - 1||_F of a frame appended
-        self._table = {}  # dim -> _Table
         self._stacks = {}
         for v in contexts:
             self.append(v)
@@ -248,68 +222,61 @@ class ContextIndex:
         return sorted(found)
 
     def _match(self, v):
-        """(defect, masses, ids, rows) of a probe against the table of its
-        dimension: the larger of the index's defect and the probe frame's;
-        masses[b, j], the computed mass r_b - tr(Q_b T) of block b outside
-        table block ids[j], inf at other ranks; and the probe's blocks
-        (_blocks)."""
+        """(defect, masses, rows) of a probe against the table: the larger
+        of the index's defect and the probe frame's; masses[b, t], the
+        computed mass r_b - tr(Q_b T_t) of block b outside table block t,
+        inf at other ranks; and the probe's blocks (_blocks)."""
+        if self.contexts and v.dim != self.dim:
+            raise DimMismatch("contexts live in different dimensions")
         defect = max(self.defect, _defect(v.frame))
         rows = _blocks(v.frame, v.starts)
-        if v.dim not in self._table:
-            return (defect, np.zeros((v.k, 0)), np.zeros(0, dtype=np.intp),
-                    rows)
-        ids, ranks, table = self._table[v.dim].view()
         rank = np.array(v.ranks)[:, None]
-        return (defect, np.where(rank == ranks,
-                                 rank - _traces(rows, table), np.inf),
-                ids, rows)
+        return (defect, np.where(rank == self.ranks,
+                                 rank - _traces(rows, self.rows), np.inf),
+                rows)
 
     def lookup(self, candidate):
         """(index, match): the index of the first context equal to the
         candidate (its frame test at eps_order^2 / 2), None where none is,
         and its match against the table, for append."""
-        match = defect, masses, ids, _ = self._match(candidate)
+        match = defect, masses, _ = self._match(candidate)
         sigma, lam, alpha = self._radii(candidate.dim, defect)
         choices = [[] for _ in range(candidate.k)]
         block, near = np.nonzero(masses <= (alpha + lam) ** 2 + sigma)
-        for b, t in zip(block.tolist(), ids[near].tolist()):
+        for b, t in zip(block.tolist(), near.tolist()):
             choices[b].append(t)
         found = self._candidates(choices)
-        step = max(1, PRODUCT_ENTRIES // candidate.dim ** 2)
-        for lo in range(0, len(found), step):
-            part = found[lo:lo + step]
-            placed, _ = _homes(_overlaps(
-                np.array([self.contexts[i].frame for i in part]),
-                candidate.starts, candidate.frame, candidate.starts),
-                self.tol.eps_order ** 2 / 2)
-            hit = np.flatnonzero(placed.all(axis=-1))
+        if found:
+            placed, _ = _pair_homes(
+                np.array([self.contexts[i].frame for i in found]),
+                np.arange(len(found)), candidate.starts,
+                candidate.frame[None], np.zeros(len(found), dtype=np.intp),
+                candidate.starts, self.tol.eps_order ** 2 / 2)
+            hit = np.flatnonzero(placed)
             if hit.size:
-                return part[hit[0]], match
+                return found[hit[0]], match
         return None, match
-
-    def find(self, candidate) -> int | None:
-        """The index lookup returns, None where no context is equal."""
-        return self.lookup(candidate)[0]
 
     def append(self, v, match=None) -> int:
         """Add a context; match is its lookup's, or is computed.  Each
-        block takes the lowest table id of its rank within lam, or a new
-        id with its own dense block."""
-        defect, masses, ids, rows = (self._match(v) if match is None
-                                     else match)
-        ids = ids.tolist()
-        block_ids = []
+        block takes the lowest table id of its rank within lam, or the
+        next new id with its own dense block."""
+        defect, masses, rows = self._match(v) if match is None else match
+        block_ids, new = [], []
         for b, near in enumerate(
                 (masses <= self._radii(v.dim, defect)[1] ** 2).tolist()):
             if True in near:
-                block_ids.append(ids[near.index(True)])
-                continue
-            if v.dim not in self._table:
-                self._table[v.dim] = _Table(v.dim)
-            block_ids.append(len(self.ranks))
-            self._table[v.dim].add(len(self.ranks), v.ranks[b], rows[b])
-            self.ranks.append(v.ranks[b])
+                block_ids.append(near.index(True))
+            else:
+                block_ids.append(len(self.ranks) + len(new))
+                new.append(b)
+        if new:
+            self.ranks = np.concatenate((self.ranks,
+                                         [v.ranks[b] for b in new]))
+            self.rows = (np.concatenate((self.rows, rows[new]))
+                         if self.contexts else rows[new])
         i = len(self.contexts)
+        self.dim = v.dim
         self.defect = defect
         self.block_ids.append(tuple(block_ids))
         self.keys.setdefault(tuple(sorted(block_ids)), []).append(i)
@@ -345,11 +312,11 @@ class ContextIndex:
         so homes is whole wherever target is set.  U is validated once:
         unitary within eps_herm.
 
-        The table blocks that the masked contexts of each dimension use
-        are moved by U in one product and kept against the table blocks
-        of their rank within the images bound; a context's candidates are
-        the contexts with one kept id per block, and the frame test
-        confirms them, one batch per signature bucket."""
+        The table blocks that the masked contexts use are moved by U in
+        one product and kept against the table blocks of their rank within
+        the images bound; a context's candidates are the contexts with one
+        kept id per block, and the frame test confirms them, one batch per
+        signature bucket."""
         um = _unitary(u, self.tol)
         inside = np.asarray(inside, dtype=bool)
         target = np.full(len(self.contexts), -1, dtype=np.intp)
@@ -357,21 +324,21 @@ class ContextIndex:
                          max((s[1] for s in self.buckets), default=0)),
                         -1, dtype=np.intp)
         # the masked contexts of each bucket and their table ids, and the
-        # ids they use, per dimension
-        masked, used = {}, {}
+        # ids they use
+        masked, used = {}, np.zeros(len(self.ranks), dtype=bool)
         for sig, members, _ in self.stacks():
             rows = members[inside[members]]
             if rows.size:
                 ids = np.array([self.block_ids[i] for i in rows.tolist()])
                 masked[sig] = rows, ids
-                used.setdefault(sig[0], np.zeros(len(self.ranks), bool))[
-                    ids.ravel()] = True
-        moves = {n: self._moves(um, n, np.flatnonzero(ids))
-                 for n, ids in used.items()}
+                used[ids.ravel()] = True
+        if not masked:
+            return target, homes
+        image, several = self._moves(um, np.flatnonzero(used))
         for sig, members, frames in self.stacks():
             if sig not in masked:
                 continue
-            (moving, ids), (image, several) = masked[sig], moves[sig[0]]
+            moving, ids = masked[sig]
             source, slot = [], []
             for q, (key, blocks) in enumerate(zip(
                     np.sort(image[ids], axis=1).tolist(), ids.tolist())):
@@ -398,33 +365,32 @@ class ContextIndex:
             homes[rows, :sig[1]] = home[hit]
         return target, homes
 
-    def _moves(self, um, n: int, used):
-        """(image, several) of the table blocks with the sorted ids `used`,
-        all of dimension n, moved by U: each moved block s is kept
-        against the table blocks t of its rank within the images bound.
-        image[s] is its one kept t (-1 where none is, and the first where
-        several are, and -1 for the ids not used), and several maps the s
-        with more than one kept t to all of them, in id order."""
+    def _moves(self, um, used):
+        """(image, several) of the table blocks with the ids `used` moved
+        by U: each moved block s is kept against the table blocks t of its
+        rank within the images bound.  image[s] is its one kept t (-1
+        where none is, and the first where several are, and -1 for the
+        ids not used), and several maps the s with more than one kept t
+        to all of them, in id order."""
+        n, ranks, rows = self.dim, self.ranks, self.rows
         eta = self.tol.eps_herm
         kappa = math.sqrt((1 + eta) / (1 - eta)) if eta < 1 else math.inf
         sigma, lam, _ = self._radii(n, self.defect + 2 * eta)
         bound = ((1 + kappa) * self._radii(n, self.defect)[2] + lam) ** 2 \
             + sigma
-        ids, ranks, rows = self._table[n].view()
-        # table ids of one dimension grow with their position
-        at = np.searchsorted(ids, used)
         # U T U* for every used block T, as two products: U [T_1 | T_2 |
         # ...], then its n x n pieces stacked and times U*
-        left = um @ rows[at].reshape(-1, n, n).transpose(1, 0, 2).reshape(
+        left = um @ rows[used].reshape(-1, n, n).transpose(1, 0, 2).reshape(
             n, -1)
         moved = left.reshape(n, -1, n).transpose(1, 0, 2).reshape(-1, n) \
             @ um.conj().T
-        near = (ranks[:, None] == ranks[at]) & (
-            ranks[at] - _traces(rows, moved.reshape(len(at), -1)) <= bound)
+        near = (ranks[:, None] == ranks[used]) & (
+            ranks[used] - _traces(rows, moved.reshape(len(used), -1))
+            <= bound)
         count = near.sum(axis=0)
-        image = np.full(len(self.ranks), -1, dtype=np.intp)
-        image[ids[at]] = np.where(count > 0, ids[near.argmax(axis=0)], -1)
-        several = {int(ids[at[s]]): ids[near[:, s]].tolist()
+        image = np.full(len(ranks), -1, dtype=np.intp)
+        image[used] = np.where(count > 0, near.argmax(axis=0), -1)
+        several = {int(used[s]): np.flatnonzero(near[:, s]).tolist()
                    for s in np.flatnonzero(count > 1)}
         return image, several
 
@@ -437,13 +403,10 @@ class ContextIndex:
         are read off it in runs of contexts whose gathered rows hold at
         most PRODUCT_ENTRIES entries."""
         m, d = len(self.contexts), len(self.ranks)
-        inside = np.zeros((d, d), dtype=bool)
-        for n, table in self._table.items():
-            sigma, _, alpha = self._radii(n, self.defect)
-            ids, ranks, rows = table.view()
-            inside[np.ix_(ids, ids)] = ranks - _traces(rows, rows) <= (
-                2 * math.sqrt(2.0) * alpha + self.tol.eps_order
-                + math.sqrt(sigma)) ** 2 + sigma
+        sigma, _, alpha = self._radii(self.dim, self.defect)
+        inside = self.ranks - _traces(self.rows, self.rows) <= (
+            2 * math.sqrt(2.0) * alpha + self.tol.eps_order
+            + math.sqrt(sigma)) ** 2 + sigma
         ks = np.array([v.k for v in self.contexts], dtype=np.intp)
         ids = np.fromiter(itertools.chain.from_iterable(self.block_ids),
                           dtype=np.intp, count=int(ks.sum()))
@@ -471,23 +434,20 @@ class ContextIndex:
         one product per ordered pair of signature buckets, tiled as
         tiles slices it: edges[p] is the (k_i, k_j) table of the block
         pairs of V_i and V_j whose overlap tr(Q_a R_b) = ||Q_a R_b||_F^2
-        is above eps_order^2, with V_i's blocks as rows.  Buckets of
-        different dimensions that would pair raise DimMismatch."""
+        is above eps_order^2, with V_i's blocks as rows."""
         buckets = list(self.stacks())
         bound = self.tol.eps_order ** 2
-        for (n, _, _), firsts, first_frames in buckets:
-            for (dim, _, _), seconds, second_frames in buckets:
+        for _, firsts, first_frames in buckets:
+            for _, seconds, second_frames in buckets:
                 late = seconds >= paired
                 early = firsts < seconds[late].max(initial=-1)
                 if not early.any():
                     continue
-                if dim != n:
-                    raise DimMismatch("contexts live in different dimensions")
                 lo, hi = firsts[early], seconds[late]
                 frames_i, frames_j = first_frames[early], second_frames[late]
                 starts = (self.contexts[lo[0]].starts,
                           self.contexts[hi[0]].starts)
-                for rows, cols in tiles(len(lo), len(hi), n ** 2):
+                for rows, cols in tiles(len(lo), len(hi), self.dim ** 2):
                     a, b = np.nonzero(lo[rows, None] < hi[None, cols])
                     if not a.size:
                         continue

@@ -402,8 +402,8 @@ def state_from_measure(measure: AbstractMeasure) -> ReconstructionResult:
     values (InconsistentTable).  Eigenvalues in [-1e-6, 0) are clipped
     and the state renormalized; anything lower is Infeasible.  The result
     flags an underdetermined fit when the rows span fewer than n^2 - 1
-    traceless directions.  n is the dimension of the table's contexts,
-    and the thresholds are the presheaf's.
+    traceless directions.  n is the dimension of the poset (its index's
+    dim), and the thresholds are the presheaf's.
     """
     ph = measure.presheaf
     ks = np.diff(ph.offsets)[measure.contexts]
@@ -412,10 +412,7 @@ def state_from_measure(measure: AbstractMeasure) -> ReconstructionResult:
         raise InconsistentTable("table has no informative rows")
     contexts, subsets, values = (x[keep] for x in (
         measure.contexts, measure.subsets, measure.values))
-    dims = np.array([v.dim for v in ph.poset.contexts])[contexts]
-    n = int(dims[0])
-    if (dims != n).any():
-        raise DimMismatch("mixed dimensions in measure table")
+    n = ph.poset.index.dim
     inside = np.bincount(contexts, minlength=len(ph.poset)) > 0
     sums = functools.partial(_row_sums, ph, contexts, subsets)
 

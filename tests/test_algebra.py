@@ -1,4 +1,5 @@
 """Contexts, the poset of abelian subalgebras, and its closure operations."""
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from toposkms.algebra import (
 )
 from toposkms.errors import (
     ContextMissing,
+    DimMismatch,
     NotInAlgebra,
     NotUnitary,
     PosetTooLarge,
@@ -383,7 +385,7 @@ def test_filtered_order_matches_all_pairs_includes(n, seed, eps_order):
     index = ContextIndex(tol, contexts)
     for c in candidates:
         i = linear(contexts, c)
-        assert index.find(c) == i
+        assert index.lookup(c)[0] == i
         assert poset.find_equal(c) == (None if i is None else contexts[i].id)
     # build_poset's add keeps the first of each equal run, as a scan would
     kept = []
@@ -424,7 +426,7 @@ def test_table_prefilter_keeps_every_frame_test_pair(n, seed, eps_order,
     a rotated partition and of its coarse-grainings.  The table keeps a
     moved block against several of them (at eps_order 1e-3 they have ids
     of their own; at 1e-8 they share ids), and the frame test picks the
-    first.  find equals the linear contexts_equal scan, images equals
+    first.  lookup equals the linear contexts_equal scan, images equals
     dense_image, and leq and block_maps equal all-pairs includes and
     coarse_graining_map, whether the index is built by build_poset or
     from a list, and with the products cut into slices of 48 entries."""
@@ -456,7 +458,7 @@ def test_table_prefilter_keeps_every_frame_test_pair(n, seed, eps_order,
                 (i, j): coarse_graining_map(pool[j], pool[i], tol)
                 for i, j in zip(*np.nonzero(expected & ~np.eye(m, dtype=bool)))}
             for c in contexts:
-                assert poset.index.find(c) == next(
+                assert poset.index.lookup(c)[0] == next(
                     (i for i, v in enumerate(pool)
                      if contexts_equal(v, c, tol)), None)
             for w in (swap, u @ swap @ u.conj().T, random_unitary(rng, n)):
@@ -466,8 +468,97 @@ def test_table_prefilter_keeps_every_frame_test_pair(n, seed, eps_order,
                         int(target[i]), tuple(homes[i, :v.k].tolist()))
                     assert got == dense_image(w, v, pool, tol), v.id
             if eps_order == 1e-3:
-                every = poset.index._table[n].view()[0]
-                assert poset.index._moves(swap, n, every)[1]
+                every = np.arange(len(poset.index.ranks))
+                assert poset.index._moves(swap, every)[1]
+
+
+def _table_state(index):
+    """What an index holds: its context count, table and keys."""
+    return (len(index.contexts), index.ranks.tolist(), index.rows.tobytes(),
+            {key: list(found) for key, found in index.keys.items()})
+
+
+def test_mixed_dimensions_fail_closed(monkeypatch):
+    """An index holds one dimension, fixed by its first context: a context
+    on C^4 after one on C^3 raises DimMismatch at its lookup or append,
+    and the index still holds the C^3 context alone."""
+    v3, v4 = diagonal_context(3, "V3"), diagonal_context(4, "V4")
+    alone = _table_state(ContextIndex(DEFAULT_TOL, [v3]))
+    seen = []
+    match = ContextIndex._match
+
+    def recorded(self, v):
+        seen.append(self)
+        return match(self, v)
+
+    monkeypatch.setattr(ContextIndex, "_match", recorded)
+    for build in (lambda: build_poset([v3, v4]),
+                  lambda: build_poset([v3, v4], meet_closure=True),
+                  lambda: ContextPoset([v3, v4]),
+                  lambda: ContextIndex(DEFAULT_TOL, [v3, v4])):
+        seen.clear()
+        with pytest.raises(DimMismatch):
+            build()
+        assert len({id(index) for index in seen}) == 1
+        assert _table_state(seen[0]) == alone
+    index = ContextIndex(DEFAULT_TOL, [v3])
+    assert index.dim == 3
+    for step in (index.lookup, index.append):
+        with pytest.raises(DimMismatch):
+            step(v4)
+        assert _table_state(index) == alone
+    with pytest.raises(DimMismatch):
+        ContextPoset([v3]).find_equal(v4)
+
+
+@pytest.fixture(scope="module")
+def table_posets(scenario_dir):
+    """The corpus posets, the diagonal C^4 and C^5 posets and the C^4
+    poset of a rotated basis."""
+    w = random_unitary(np.random.default_rng(7), 4)
+    return ([load_scenario(path).poset
+             for path in sorted(scenario_dir.glob("*.json"))]
+            + [build_poset([seed], downward_closure=True) for seed in (
+                diagonal_context(4, "D4"), diagonal_context(5, "D5"),
+                Context([np.outer(c, c.conj()) for c in w.T], "W"))])
+
+
+def test_a_table_id_is_its_row(table_posets):
+    """Table id t is row t of ranks and rows, ids first occur in
+    increasing order, and appending the contexts again, with and without
+    a lookup's match, gives the same ids and the same table bytes."""
+    for poset in table_posets:
+        index = poset.index
+        assert len(index.ranks) == len(index.rows)
+        assert index.rows.shape[1:] == (index.dim ** 2,)
+        for v, ids in zip(index.contexts, index.block_ids):
+            assert v.dim == index.dim
+            assert [index.ranks[t] for t in ids] == list(v.ranks)
+        firsts = list(dict.fromkeys(itertools.chain(*index.block_ids)))
+        assert firsts == list(range(len(index.ranks)))
+        matched = ContextIndex(poset.tol)
+        for v in poset.contexts:
+            matched.append(v, matched.lookup(v)[1])
+        for again in (ContextIndex(poset.tol, poset.contexts), matched):
+            assert again.block_ids == index.block_ids
+            assert np.array_equal(again.ranks, index.ranks)
+            assert again.rows.tobytes() == index.rows.tobytes()
+
+
+def test_an_empty_index_holds_nothing():
+    """An empty poset has no pairs and no characters; the first lookup on
+    a fresh index finds nothing and its match appends the context."""
+    empty = ContextPoset([])
+    assert empty.strict_pairs.shape == (0, 2)
+    assert SpectralPresheaf(empty).offsets.tolist() == [0]
+    index = ContextIndex()
+    v = diagonal_context(3, "V3")
+    found, match = index.lookup(v)
+    assert found is None
+    assert match[1].shape == (3, 0)
+    assert index.append(v, match) == 0
+    assert (index.dim, index.ranks.tolist()) == (3, [1, 1, 1])
+    assert index.lookup(v)[0] == 0
 
 
 def _supports(v):
