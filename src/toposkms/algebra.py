@@ -9,6 +9,11 @@ Q_i = Y_i Y_i* is formed only where a dense matrix is needed.
 Context(blocks) is the input boundary, which validates each block once
 as a Projection; a coarse-graining merges labels on the same frame,
 U V U* is (U Y, labels) and a meet merges labels along the overlap graph.
+Every context is put in canonical form by one routine
+(_canonical_forms), which takes one frame and a stack of labelings and
+forms, rounds and orders the blocks of all of them in one pass; a
+Context and on_frame hand it one labeling, the downward closure a chunk
+of a context's coarse-grainings.
 
 Every exact comparison, the frame test, reads the overlap table
 O[a, b] = tr(Q'_a Q_b), which is |Y'* Y|^2 summed by labels.  Block b's
@@ -21,8 +26,11 @@ V' = V iff k' = k and the bound is eps_order^2 / 2, i.e.
 
 build_poset closes seed contexts under coarse-graining, meets and a
 list of unitaries on one ContextIndex (index.py), and ContextPoset
-orders them.  The index keeps one table of the distinct blocks of its
-contexts and the table id of each block.  Lookup, the action of a
+orders them.  The downward closure expands a context in chunks of its
+coarse-grainings, bounded by max_contexts; each chunk is put in
+canonical form and looked up in one batch.  The index keeps one table
+of the distinct blocks of its contexts and the table id of each block.
+Lookup, the action of a
 unitary (ContextIndex.images, which the presheaf action and
 build_poset's group sweep share) and the order first test the table,
 within bounds that keep every pair the frame test accepts, and run the
@@ -34,6 +42,7 @@ benchmark tracer wraps them by name.
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 
@@ -53,7 +62,15 @@ from .numerics import (
     hermitian_eig,
     proj_leq,
 )
-from .index import ContextIndex, _homes, _overlaps, _pair_homes, _unitary
+from . import index as context_index
+from .index import (
+    ContextIndex,
+    _blocks,
+    _homes,
+    _overlaps,
+    _pair_homes,
+    _unitary,
+)
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 
@@ -63,7 +80,9 @@ class Context:
     labels[c] is the block of frame column c; ranks[i] and starts[i] are
     the column count and first column of block i.  Blocks are kept in a
     canonical order (rank, then the rounded entries of Q_i) so that
-    fingerprints and character indexing are deterministic.  Context(blocks)
+    fingerprints and character indexing are deterministic; the one
+    routine that orders them (_canonical_forms) also builds the chunks
+    of coarse-grainings of the downward closure.  Context(blocks)
     validates input projections; on_frame trusts a unitary frame.
     """
 
@@ -86,8 +105,9 @@ class Context:
         # the range of each block: eigenvectors of its rank largest eigenvalues
         frame = np.hstack([np.linalg.eigh(b.matrix)[1][:, dim - b.rank:]
                            for b in blocks])
-        self._canonical(frame, np.repeat(np.arange(len(blocks)),
-                                         [b.rank for b in blocks]), context_id)
+        _canonical_forms(frame, np.repeat(np.arange(len(blocks)),
+                                          [b.rank for b in blocks])[None],
+                         context_id, [self])
         cross = _overlaps(self.frame, self.starts, self.frame, self.starts)
         if (cross - np.diag(cross.diagonal())).max() > tol.eps_order ** 2:
             raise NotInAlgebra("blocks are not pairwise orthogonal")
@@ -96,32 +116,7 @@ class Context:
     def on_frame(cls, frame, labels, context_id: str | None = None) -> "Context":
         """The context whose block g is spanned by the columns labelled g
         of a unitary frame; nothing is validated."""
-        v = cls.__new__(cls)
-        v._canonical(frame, np.asarray(labels), context_id)
-        return v
-
-    def _canonical(self, frame, labels, context_id) -> None:
-        groups = []
-        for g in sorted(set(labels.tolist())):
-            cols = np.flatnonzero(labels == g)
-            q = frame[:, cols] @ dagger(frame[:, cols])
-            # entries rounded to 6 decimals; +0.0 normalizes -0.0
-            rounded = [np.round(part, 6) + 0.0 for part in (q.real, q.imag)]
-            groups.append(((cols.size, b"".join(r.tobytes() for r in rounded)), cols))
-        groups.sort(key=lambda group: group[0])
-        self.frame = frame[:, np.concatenate([cols for _, cols in groups])]
-        self.frame.flags.writeable = False
-        self.ranks = tuple(rank for (rank, _), _ in groups)
-        self.labels = np.repeat(np.arange(len(groups)), self.ranks)
-        self.starts = np.flatnonzero(np.diff(self.labels, prepend=-1))
-        self.dim = frame.shape[0]
-        h = hashlib.sha1()
-        h.update(f"{self.dim}:{len(groups)}".encode())
-        for (rank, rounded), _ in groups:
-            h.update(str(rank).encode())
-            h.update(rounded)
-        self.fingerprint = h.hexdigest()
-        self.id = context_id if context_id is not None else "V" + self.fingerprint[:10]
+        return _canonical_forms(frame, np.asarray(labels)[None], context_id)[0]
 
     @property
     def k(self) -> int:
@@ -154,6 +149,67 @@ class Context:
 
     def __repr__(self):
         return f"Context(id={self.id!r}, dim={self.dim}, k={self.k})"
+
+
+def _canonical_forms(frame, labelings, context_id: str | None = None,
+                     made=None) -> list:
+    """The contexts on one unitary frame, one per row of labelings, in
+    canonical form: context i's block g is spanned by the columns
+    labelled g in labelings[i] (unused label values make no block).
+
+    Each labeling's columns are stable-sorted by label, so each block
+    keeps its columns in ascending order, and every block's dense Q_b is
+    formed in one pass (_blocks) and rounded to 6 decimals (+0.0
+    normalizes -0.0).  A context's blocks are ordered by rank, then by
+    those bytes (ties keep label order), and its fingerprint hashes its
+    dimension, block count, ranks and bytes.  The id is context_id, or
+    "V" and the fingerprint's first 10 hex digits.  made are the contexts
+    to fill in, new ones by default."""
+    labelings = np.asarray(labelings)
+    m, n = labelings.shape
+    # the columns of each labeling by label, then column, flattened
+    flat = np.argsort(labelings, axis=1, kind="stable")
+    flat += np.arange(0, m * n, n)[:, None]
+    flat = flat.ravel()
+    grouped = labelings.ravel()[flat]
+    bounds = np.empty(m * n + 1, dtype=bool)
+    np.not_equal(grouped[1:], grouped[:-1], out=bounds[1:-1])
+    bounds[::n] = True
+    bounds = np.flatnonzero(bounds)
+    starts, ranks = bounds[:-1], bounds[1:] - bounds[:-1]
+    cols = frame.T[flat % n]
+    rows = _blocks(cols, starts)
+    rounded = np.empty((len(starts), 2, n * n))
+    rounded[:, 0], rounded[:, 1] = rows.real, rows.imag
+    rounded = rounded.round(6)
+    rounded += 0.0
+    # the blocks in canonical order: by labeling, rank, then bytes
+    order = np.lexsort((rounded.reshape(len(starts), -1).view(
+        np.dtype((np.bytes_, 16 * n * n))).ravel(), ranks, starts // n))
+    # labeling i's blocks are cuts[i] to cuts[i + 1], in either order
+    cuts = np.searchsorted(starts, range(0, m * n + 1, n)).tolist()
+    ranks, rounded = ranks[order], rounded[order]
+    first = np.cumsum(ranks) - ranks  # each block's first column
+    frames = cols[np.repeat(starts[order] - first, ranks) + np.arange(m * n)]
+    frames = frames.reshape(m, n, n).transpose(0, 2, 1).copy()
+    frames.flags.writeable = False
+    out = made if made is not None else [Context.__new__(Context)
+                                         for _ in range(m)]
+    for i, v in enumerate(out):
+        lo, hi = cuts[i], cuts[i + 1]
+        v.ranks = tuple(ranks[lo:hi].tolist())
+        v.frame = frames[i]
+        v.starts = first[lo:hi] - i * n
+        v.labels = np.repeat(np.arange(hi - lo), ranks[lo:hi])
+        v.dim = n
+        h = hashlib.sha1(f"{n}:{hi - lo}".encode())
+        for rank, block in zip(v.ranks, rounded[lo:hi]):
+            h.update(str(rank).encode())
+            h.update(block)
+        v.fingerprint = h.hexdigest()
+        v.id = (context_id if context_id is not None
+                else "V" + v.fingerprint[:10])
+    return out
 
 
 def contexts_equal(v1: Context, v2: Context, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -406,16 +462,6 @@ class ContextPoset:
         return self.ids(above == 0)
 
 
-def _coarse_grainings(v: Context):
-    """The proper coarse-grainings of a context (excluding the trivial
-    one-block merge), as label merges on its frame, one at a time in
-    _set_partitions order."""
-    for rgs in _set_partitions(v.k):
-        if max(rgs) + 1 in (1, v.k):
-            continue  # trivial algebra, or the context itself
-        yield Context.on_frame(v.frame, np.array(rgs)[v.labels])
-
-
 def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = False,
                 unitaries=(), group_depth: int = 1, max_contexts: int = 500,
                 tol: TolerancePolicy = DEFAULT_TOL) -> ContextPoset:
@@ -430,12 +476,19 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
 
     Every candidate is looked up in the index (ContextIndex.lookup) and
     appended with the table match of that lookup.  Downward closure
-    expands each context once, one coarse-graining at a time, so the
-    candidate past max_contexts raises before the other partitions are
-    built; it skips the contexts it added: their coarse-grainings are
-    coarse-grainings of their parent.  A meet pass pairs only contexts of
-    which at least one arrived since the previous pass; older pairs would
-    only find their meet again.
+    expands each context once, in chunks of its proper coarse-grainings
+    in _set_partitions order: each chunk holds at most max_contexts -
+    len(contexts) + 1 of them (and at most PRODUCT_ENTRIES / n^2, which
+    bounds its blocks), at least one, is put in canonical form in one
+    call (_canonical_forms) and is looked up in one batch.  No two
+    partitions of one context give equal contexts, so the batch finds
+    what one lookup at a time finds, and the candidates are appended in
+    order.  The candidate past max_contexts is thus the same, and it
+    raises before the other partitions are built.  The closure skips the
+    contexts it added: their coarse-grainings are coarse-grainings of
+    their parent.  A meet pass pairs only contexts of which at least one
+    arrived since the previous pass; older pairs would only find their
+    meet again.
 
     Both other steps are batched on the index as it stands when the
     step starts.  A meet pass takes every pair's overlap graph from one
@@ -452,9 +505,8 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
     index = ContextIndex(tol)
     contexts = index.contexts
 
-    def add(candidate: Context) -> bool:
+    def append(candidate: Context, found, match) -> bool:
         """True when the candidate is new and appended."""
-        found, match = index.lookup(candidate)
         if found is not None:
             return False
         if len(contexts) >= max_contexts:
@@ -463,6 +515,9 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
             )
         index.append(candidate, match)
         return True
+
+    def add(candidate: Context) -> bool:
+        return append(candidate, *index.lookup(candidate))
 
     for s in seeds:
         add(s)
@@ -482,8 +537,20 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
                     if idx in closed:
                         continue
                     before = len(contexts)
-                    for w in _coarse_grainings(contexts[idx]):
-                        add(w)
+                    v = contexts[idx]
+                    # the proper coarse-grainings: neither the trivial
+                    # algebra nor the context itself
+                    partitions = (rgs for rgs in _set_partitions(v.k)
+                                  if max(rgs) + 1 not in (1, v.k))
+                    while chunk := list(itertools.islice(partitions, max(
+                            1, min(max_contexts - len(contexts) + 1,
+                                   context_index.PRODUCT_ENTRIES
+                                   // v.dim ** 2)))):
+                        made = _canonical_forms(
+                            v.frame, np.array(chunk)[:, v.labels])
+                        for w, (found, match) in zip(made,
+                                                     index.lookup(made)):
+                            append(w, found, match)
                     closed.update(range(before, len(contexts)))
                     changed = changed or len(contexts) > before
                 cursor = end

@@ -15,9 +15,13 @@ ContextPoset reads) first test the table, within bounds derived below
 that keep every pair the frame test accepts.  The frame test (_overlaps
 and _homes on the pair's own frames) then runs on the pairs that
 survive, batched (_pair_homes), so each returns what the frame test on
-every pair would.  A meet pass (meets) takes one product per ordered
-pair of buckets.  Every product is sliced to at most PRODUCT_ENTRIES
-entries.
+every pair would.  Lookup takes one candidate or a list: the downward
+closure of build_poset expands a context in chunks bounded by
+max_contexts, and looks each chunk up in one batch, with one product
+for the frame defects, one against the table and one frame test per
+signature; append extends a match made before the table grew.  A meet
+pass (meets) takes one product per ordered pair of buckets.  Every
+product is sliced to at most PRODUCT_ENTRIES entries.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ import math
 import numpy as np
 
 from .errors import DimMismatch, NotUnitary
-from .numerics import dagger, frob, is_unitary
+from .numerics import is_unitary
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
 #: most complex entries one batched frame product holds (256 KB); a
@@ -98,8 +102,8 @@ def _unitary(u, tol: TolerancePolicy) -> np.ndarray:
 # as (1 - A) C = (1 - A)(C - B) + (1 - A)(1 - D) B + (D - A) D B.
 #
 # Frames are not quite unitary: Y* Y = 1 + F with ||F||_F <= defect
-# (ContextIndex.defect, the largest in the index or the probe; at most
-# 1/2).  A block's Y_b Y_b* is then within defect of P_b, and Y Y* within
+# (ContextIndex.defect, the largest in the index or the probes of one
+# lookup; at most 1/2).  A block's Y_b Y_b* is then within defect of P_b, and Y Y* within
 # defect of 1.  The table traces tr(Q_a Q_b) are dot products of dense
 # blocks (_blocks: n^2 terms, each block formed from its frame columns,
 # a moved one by two more products); each is within 8 n^3 u of the
@@ -135,11 +139,11 @@ def _unitary(u, tol: TolerancePolicy) -> np.ndarray:
 ROUNDOFF = np.finfo(float).eps
 
 
-def _defect(frame) -> float:
-    """||Y* Y - 1||_F of a frame."""
-    gram = dagger(frame) @ frame
-    gram.flat[::len(gram) + 1] -= 1.0
-    return frob(gram)
+def _defect(frames) -> np.ndarray:
+    """||Y* Y - 1||_F of each frame of a stack (m, n, n)."""
+    gram = frames.conj().transpose(0, 2, 1) @ frames
+    gram.reshape(len(frames), -1)[:, ::frames.shape[-1] + 1] -= 1.0
+    return np.sqrt(np.square(gram.view(float)).sum(axis=(1, 2)))
 
 
 def _pair_homes(rows, a, row_starts, cols, b, col_starts, bound: float):
@@ -148,29 +152,45 @@ def _pair_homes(rows, a, row_starts, cols, b, col_starts, bound: float):
     rows[a[p]], and its homes (_homes), in slices of at most
     PRODUCT_ENTRIES entries."""
     step = max(1, PRODUCT_ENTRIES // rows.shape[-1] ** 2)
-    placed, home = zip(*(
-        _homes(_overlaps(rows[a[lo:lo + step]], row_starts,
-                         cols[b[lo:lo + step]], col_starts), bound)
-        for lo in range(0, len(a), step)))
-    return np.concatenate(placed).all(axis=-1), np.concatenate(home)
+    if len(a) > step:
+        parts = [_pair_homes(rows, a[lo:lo + step], row_starts,
+                             cols, b[lo:lo + step], col_starts, bound)
+                 for lo in range(0, len(a), step)]
+        return tuple(map(np.concatenate, zip(*parts)))
+    placed, home = _homes(_overlaps(rows[a], row_starts, cols[b],
+                                    col_starts), bound)
+    return placed.all(axis=-1), home
 
 
-def _blocks(frame, starts) -> np.ndarray:
-    """The dense blocks Q_b = Y_b Y_b* of a frame, one flattened row
-    each."""
-    outer = frame.T[:, :, None] * frame.conj().T[:, None, :]
+def _blocks(cols, starts) -> np.ndarray:
+    """The dense blocks Q_b = Y_b Y_b* = sum of y y* over the columns y of
+    block b, one flattened row each.  cols holds frame columns, one per
+    row, and block b is the rows from starts[b] to the next start.  The
+    outer products are taken in runs of whole blocks, each cut at the
+    first block starting at or after a multiple of PRODUCT_ENTRIES / n^2
+    columns (rounded down to whole n-column frames, at least one)."""
+    n = cols.shape[1]
+    width = max(1, PRODUCT_ENTRIES // n ** 3) * n
+    if len(cols) > width:
+        cuts = np.searchsorted(starts, np.arange(width, len(cols), width))
+        return np.concatenate([
+            _blocks(part, first - first[0]) for part, first in zip(
+                np.split(cols, starts[cuts]), np.split(starts, cuts))])
+    outer = cols[:, :, None] * cols.conj()[:, None, :]
     return np.add.reduceat(outer, starts, axis=0).reshape(len(starts), -1)
 
 
 def _traces(a, b) -> np.ndarray:
     """tr(P_i Q_j) = Re vec(P_i)* vec(Q_j) of the Hermitian block rows a[i]
-    and b[j] (_blocks), in slices of rows of at most PRODUCT_ENTRIES
-    entries; no columns where b has no rows."""
+    and b[j] (_blocks), in slices of rows of a whose product and conjugate
+    hold at most PRODUCT_ENTRIES entries; no columns where b has no
+    rows."""
     if not len(b):
         return np.zeros((len(a), 0))
-    step = max(1, PRODUCT_ENTRIES // len(b))
-    return np.concatenate([(a[lo:lo + step].conj() @ b.T).real
-                           for lo in range(0, len(a), step)])
+    step = max(1, PRODUCT_ENTRIES // max(len(b), a.shape[1]))
+    parts = [(a[lo:lo + step].conj() @ b.T).real
+             for lo in range(0, len(a), step)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class ContextIndex:
@@ -221,47 +241,87 @@ class ContextIndex:
             found.update(self.keys.get(tuple(sorted(combo)), ()))
         return sorted(found)
 
-    def _match(self, v):
-        """(defect, masses, rows) of a probe against the table: the larger
-        of the index's defect and the probe frame's; masses[b, t], the
-        computed mass r_b - tr(Q_b T_t) of block b outside table block t,
-        inf at other ranks; and the probe's blocks (_blocks)."""
-        if self.contexts and v.dim != self.dim:
+    def _match(self, probes):
+        """(defect, masses, rows, first) of a list of probes against the
+        table, their blocks stacked in order, probe c's from first[c] to
+        first[c + 1]: each probe frame's defect (_defect); masses[b, t],
+        the computed mass r_b - tr(Q_b T_t) of block b outside table block
+        t, inf at other ranks; and the probes' blocks (_blocks)."""
+        n = probes[0].dim
+        if any(v.dim != n for v in probes) or (self.contexts
+                                               and n != self.dim):
             raise DimMismatch("contexts live in different dimensions")
-        defect = max(self.defect, _defect(v.frame))
-        rows = _blocks(v.frame, v.starts)
-        rank = np.array(v.ranks)[:, None]
-        return (defect, np.where(rank == self.ranks,
-                                 rank - _traces(rows, self.rows), np.inf),
-                rows)
+        frames = np.array([v.frame for v in probes])
+        rows = _blocks(np.swapaxes(frames, -1, -2).reshape(-1, n),
+                       np.concatenate([v.starts + c * n
+                                       for c, v in enumerate(probes)]))
+        rank = np.array([r for v in probes for r in v.ranks])[:, None]
+        return (_defect(frames),
+                np.where(rank == self.ranks,
+                         rank - _traces(rows, self.rows), np.inf),
+                rows, [0, *itertools.accumulate(v.k for v in probes)])
 
-    def lookup(self, candidate):
-        """(index, match): the index of the first context equal to the
-        candidate (its frame test at eps_order^2 / 2), None where none is,
-        and its match against the table, for append."""
-        match = defect, masses, _ = self._match(candidate)
-        sigma, lam, alpha = self._radii(candidate.dim, defect)
-        choices = [[] for _ in range(candidate.k)]
+    def lookup(self, candidates):
+        """(index, match) of a candidate, or a list of them for a list of
+        candidates of one dimension: the index of the first context equal
+        to the candidate (its frame test at eps_order^2 / 2), None where
+        none is, and its match against the table, for append.
+
+        A list is matched in one batch against the index as it stands:
+        one product for the frame defects, one against the table, and one
+        frame test (_pair_homes) per signature over the kept (candidate,
+        context) pairs.  So it returns what one lookup at a time returns
+        when no two candidates of the list are equal, as the
+        coarse-grainings of one context by distinct partitions are not;
+        append extends a match made before other contexts were added."""
+        if not isinstance(candidates, list):
+            return self.lookup([candidates])[0]
+        defect, masses, rows, first = self._match(candidates)
+        # the largest defect of the index and the batch bounds them all
+        sigma, lam, alpha = self._radii(
+            candidates[0].dim, max(self.defect, *defect.tolist()))
         block, near = np.nonzero(masses <= (alpha + lam) ** 2 + sigma)
+        choices = [[] for _ in range(first[-1])]
         for b, t in zip(block.tolist(), near.tolist()):
             choices[b].append(t)
-        found = self._candidates(choices)
-        if found:
+        pairs = {}
+        for c, v in enumerate(candidates):
+            for i in self._candidates(choices[first[c]:first[c + 1]]):
+                pairs.setdefault(v.signature(), []).append((c, i))
+        found = [None] * len(candidates)
+        for kept in pairs.values():
+            c, i = map(list, zip(*kept))
+            starts = candidates[c[0]].starts
             placed, _ = _pair_homes(
-                np.array([self.contexts[i].frame for i in found]),
-                np.arange(len(found)), candidate.starts,
-                candidate.frame[None], np.zeros(len(found), dtype=np.intp),
-                candidate.starts, self.tol.eps_order ** 2 / 2)
-            hit = np.flatnonzero(placed)
-            if hit.size:
-                return found[hit[0]], match
-        return None, match
+                np.array([self.contexts[j].frame for j in i]),
+                np.arange(len(i)), starts,
+                np.array([candidates[x].frame for x in c]),
+                np.arange(len(c)), starts, self.tol.eps_order ** 2 / 2)
+            # pairs run by candidate, then by index: the first placed wins
+            for p in np.flatnonzero(placed)[::-1].tolist():
+                found[c[p]] = i[p]
+        return [(found[c], (defect[c], masses[first[c]:first[c + 1]],
+                            rows[first[c]:first[c + 1]]))
+                for c in range(len(candidates))]
 
     def append(self, v, match=None) -> int:
-        """Add a context; match is its lookup's, or is computed.  Each
-        block takes the lowest table id of its rank within lam, or the
-        next new id with its own dense block."""
-        defect, masses, rows = self._match(v) if match is None else match
+        """Add a context; match is a lookup's, or is computed.  A match
+        made before other contexts were added is extended with the masses
+        against the table blocks added since.  Each block takes the
+        lowest table id of its rank within lam, or the next new id with
+        its own dense block."""
+        if match is None:
+            defect, masses, rows, _ = self._match([v])
+            defect = defect[0]
+        else:
+            defect, masses, rows = match
+        if masses.shape[1] < len(self.ranks):
+            rank = np.array(v.ranks)[:, None]
+            added = self.ranks[masses.shape[1]:]
+            masses = np.hstack((masses, np.where(
+                rank == added,
+                rank - _traces(rows, self.rows[masses.shape[1]:]), np.inf)))
+        defect = max(self.defect, float(defect))
         block_ids, new = [], []
         for b, near in enumerate(
                 (masses <= self._radii(v.dim, defect)[1] ** 2).tolist()):

@@ -25,12 +25,30 @@ sub-objects, each built and validated on its own, with the measure
 axioms checked on them one pair at a time
 (measure_properties_by_pair).  conjugation_map checks acceptance criterion 9
 on the package's frame primitives.
+
+The canonical form of a context is also built one block at a time, each
+dense block a product of its own frame columns (canonical_by_block), and
+the closure of build_poset one candidate at a time, each looked up and
+appended on its own (build_poset_one_at_a_time); the package takes the
+coarse-grainings of a context in chunks, canonicalised and looked up in
+one batch each.
 """
 import functools
+import hashlib
+import itertools
 
 import numpy as np
 
-from toposkms.algebra import Context, _overlaps, block_map, contexts_equal
+from toposkms.algebra import (
+    Context,
+    ContextIndex,
+    ContextPoset,
+    _overlaps,
+    _set_partitions,
+    _unitary,
+    block_map,
+    contexts_equal,
+)
 from toposkms.errors import (
     AmbiguousMatch,
     ContextMissing,
@@ -38,6 +56,7 @@ from toposkms.errors import (
     DomainMismatch,
     NotAdditive,
     NotInLattice,
+    PosetTooLarge,
 )
 from toposkms.measure import AbstractMeasure, MeasurePropertyReport, _worst
 from toposkms.numerics import (
@@ -600,3 +619,92 @@ def measure_properties_by_pair(state, presheaf, pairs):
         complement_meet=res_cmeet,
         strictness_witness=strict, pairs_checked=n_pairs, passed=passed,
     )
+
+
+def canonical_by_block(frame, labels, context_id=None) -> Context:
+    """Context.on_frame one block at a time: block g's dense projection
+    is the product of its frame columns, rounded to 6 decimals, and the
+    blocks are sorted by (rank, bytes) with Python's stable sort."""
+    labels = np.asarray(labels)
+    groups = []
+    for g in sorted(set(labels.tolist())):
+        cols = np.flatnonzero(labels == g)
+        q = frame[:, cols] @ dagger(frame[:, cols])
+        rounded = [np.round(part, 6) + 0.0 for part in (q.real, q.imag)]
+        groups.append(((cols.size, b"".join(r.tobytes() for r in rounded)),
+                       cols))
+    groups.sort(key=lambda group: group[0])
+    v = Context.__new__(Context)
+    v.frame = frame[:, np.concatenate([cols for _, cols in groups])]
+    v.frame.flags.writeable = False
+    v.ranks = tuple(rank for (rank, _), _ in groups)
+    v.labels = np.repeat(np.arange(len(groups)), v.ranks)
+    v.starts = np.flatnonzero(np.diff(v.labels, prepend=-1))
+    v.dim = frame.shape[0]
+    h = hashlib.sha1()
+    h.update(f"{v.dim}:{len(groups)}".encode())
+    for (rank, rounded), _ in groups:
+        h.update(str(rank).encode())
+        h.update(rounded)
+    v.fingerprint = h.hexdigest()
+    v.id = context_id if context_id is not None else "V" + v.fingerprint[:10]
+    return v
+
+
+def build_poset_one_at_a_time(seeds, *, downward_closure=False,
+                              meet_closure=False, unitaries=(),
+                              group_depth=1, max_contexts=500,
+                              tol: TolerancePolicy = DEFAULT_TOL):
+    """build_poset with every candidate canonicalised by canonical_by_block
+    and looked up and appended on its own: the downward closure takes one
+    coarse-graining at a time, in _set_partitions order."""
+    index = ContextIndex(tol)
+    contexts = index.contexts
+
+    def add(candidate) -> bool:
+        found, match = index.lookup(candidate)
+        if found is not None:
+            return False
+        if len(contexts) >= max_contexts:
+            raise PosetTooLarge(
+                f"poset exceeded max_contexts={max_contexts} during closure")
+        index.append(candidate, match)
+        return True
+
+    for s in seeds:
+        add(s)
+    cursor, closed, paired = 0, set(), 0
+    for phase in list(unitaries) or [()]:
+        changed, sweeps = True, 0
+        while changed:
+            changed = False
+            sweeps += 1
+            if downward_closure:
+                end = len(contexts)
+                for idx in range(cursor, end):
+                    if idx in closed:
+                        continue
+                    before, v = len(contexts), contexts[idx]
+                    for rgs in _set_partitions(v.k):
+                        if max(rgs) + 1 not in (1, v.k):
+                            add(canonical_by_block(
+                                v.frame, np.array(rgs)[v.labels]))
+                    closed.update(range(before, len(contexts)))
+                    changed = changed or len(contexts) > before
+                cursor = end
+            if meet_closure:
+                meets = index.meets(paired)
+                paired = len(contexts)
+                for i, _, labels in meets:
+                    if add(canonical_by_block(contexts[i].frame, labels)):
+                        changed = True
+            if phase and sweeps <= group_depth:
+                snapshot = list(contexts)
+                for v, u in itertools.product(snapshot, phase):
+                    if add(canonical_by_block(_unitary(u, tol) @ v.frame,
+                                              v.labels)):
+                        changed = True
+            if phase and sweeps >= group_depth \
+                    and not downward_closure and not meet_closure:
+                break
+    return ContextPoset(index, tol)

@@ -1,5 +1,7 @@
 """The batched closure of build_poset: pinned context ids, the
-max_contexts boundary, and the meet pass against the pairwise oracle."""
+max_contexts boundary, the meet pass against the pairwise oracle, and
+the downward closure's batched canonical form and lookups against the
+one-at-a-time references."""
 import hashlib
 import importlib
 import json
@@ -11,14 +13,20 @@ from hypothesis import given, strategies as st
 
 from toposkms import algebra
 from toposkms import index as context_index
+from toposkms import scenario
 from toposkms.algebra import Context, build_poset, contexts_equal
 from toposkms.cli import main
 from toposkms.errors import PosetTooLarge, ScenarioError
 from toposkms.scenario import load_scenario
 from toposkms.tolerances import DEFAULT_TOL
 
-from conftest import random_unitary
-from oracles import meet_context, meet_edges
+from conftest import diagonal_context, random_unitary
+from oracles import (
+    build_poset_one_at_a_time,
+    canonical_by_block,
+    meet_context,
+    meet_edges,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -113,18 +121,19 @@ def test_max_contexts_at_the_closed_size(scenario_dir, tmp_path, capfd, name):
 def test_downward_closure_fails_closed_before_bell_k(tmp_path, capfd,
                                                      monkeypatch):
     """One 16-block diagonal context on C^16 has Bell(16) - 2, about 10^10,
-    proper coarse-grainings.  The closure builds them one at a time, so
-    with max_contexts 200 it stops at the first candidate past the cap,
-    having built at most 201."""
+    proper coarse-grainings.  The closure canonicalises them in chunks of
+    at most max_contexts - len(contexts) + 1, so with max_contexts 200 it
+    stops at the first candidate past the cap, having handed at most 201
+    labelings to the canonical form (the seed's among them)."""
     n = 16
     built = []
-    on_frame = Context.on_frame.__func__
+    canonical = algebra._canonical_forms
 
-    def counted(cls, *args, **kwargs):
-        built.append(None)
-        return on_frame(cls, *args, **kwargs)
+    def counted(frame, labelings, *args, **kwargs):
+        built.extend(labelings)
+        return canonical(frame, labelings, *args, **kwargs)
 
-    monkeypatch.setattr(Context, "on_frame", classmethod(counted))
+    monkeypatch.setattr(algebra, "_canonical_forms", counted)
     path = tmp_path / "diag16.json"
     path.write_text(json.dumps({
         "name": "diag16", "dim": n, "beta": 1.0,
@@ -252,3 +261,159 @@ def test_meets_on_the_corpus_and_rotated_c4(scenario_dir, monkeypatch,
     for poset in posets:
         if len(poset) > 1:
             _check_meets(poset.contexts, poset.tol)
+
+
+def _same_context(v, ref):
+    """v is bit for bit the reference context ref."""
+    assert v.frame.tobytes() == ref.frame.tobytes()
+    assert not v.frame.flags.writeable
+    assert v.labels.dtype == ref.labels.dtype
+    assert v.labels.tobytes() == ref.labels.tobytes()
+    assert np.asarray(v.starts).tolist() == ref.starts.tolist()
+    assert v.ranks == ref.ranks and v.dim == ref.dim
+    assert (v.fingerprint, v.id) == (ref.fingerprint, ref.id)
+
+
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       count=st.integers(1, 50))
+def test_batched_canonical_form_matches_the_per_block_reference(n, seed,
+                                                                 count):
+    """A random unitary frame at n = 2..8 and a chunk of 1-50 random
+    labelings, the first with only even label values, so that some go
+    unused (as meets give [0, 0, 2]): the batched canonical form gives
+    each context of the per-block reference bit for bit, and so does
+    on_frame, a chunk of one."""
+    rng = np.random.default_rng(seed)
+    frame = random_unitary(rng, n)
+    labelings = rng.integers(0, n + 1, size=(count, n))
+    labelings[0] = 2 * rng.integers(0, 2, size=n)
+    made = algebra._canonical_forms(frame, labelings)
+    assert len(made) == count
+    for v, labels in zip(made, labelings):
+        _same_context(v, canonical_by_block(frame, labels))
+    _same_context(Context.on_frame(frame, labelings[-1], "L"),
+                  canonical_by_block(frame, labelings[-1], "L"))
+
+
+def _poset_state(poset):
+    """What a closed poset holds: its contexts bit for bit, the block
+    table, the order and the restriction tables."""
+    index = poset.index
+    return ([(v.id, v.fingerprint, v.frame.tobytes(), v.labels.tobytes(),
+              v.ranks) for v in poset.contexts],
+            index.block_ids, index.ranks.tolist(), index.rows.tobytes(),
+            poset.leq.tobytes(), poset.block_maps)
+
+
+def _closures(scenario_dir):
+    """(seeds, keyword arguments) of build_poset for each corpus
+    scenario, as load_scenario calls it."""
+    calls = []
+
+    def recorded(seeds, **kwargs):
+        calls.append((list(seeds), kwargs))
+        return build_poset(seeds, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario, "build_poset", recorded)
+        for path in sorted(scenario_dir.glob("*.json")):
+            load_scenario(path)
+    return calls
+
+
+def _rotated_c4():
+    w = random_unitary(np.random.default_rng(7), 4)
+    return Context([np.outer(c, c.conj()) for c in w.T], "W")
+
+
+def _sharing_seeds():
+    """The diagonal C^4 context and one rotated inside span{e0, e1}: the
+    coarse-graining of the second that merges its first two blocks
+    equal coarse-grainings of the first."""
+    turn = np.eye(4, dtype=complex)
+    turn[:2, :2] = random_unitary(np.random.default_rng(3), 2)
+    return [diagonal_context(4, "D"),
+            Context([np.outer(c, c.conj()) for c in turn.T], "E")]
+
+
+@pytest.mark.parametrize("entries", [context_index.PRODUCT_ENTRIES, 48])
+def test_build_poset_matches_the_one_at_a_time_reference(scenario_dir,
+                                                         monkeypatch,
+                                                         entries):
+    """The corpus closures, the diagonal C^4 and C^5 and the rotated C^4
+    downward closures, and two seeds that share coarse-grainings with
+    meets: the same contexts, block table, order and restriction tables
+    as building and looking up one candidate at a time, in one chunk per
+    context or, at 48 entries, in chunks of three and products cut into
+    slices."""
+    cases = _closures(scenario_dir)
+    assert len(cases) == 7
+    monkeypatch.setattr(context_index, "PRODUCT_ENTRIES", entries)
+    cases += [([seed], {"downward_closure": True}) for seed in (
+        diagonal_context(4, "D4"), diagonal_context(5, "D5"), _rotated_c4())]
+    cases.append((_sharing_seeds(), {"downward_closure": True,
+                                     "meet_closure": True}))
+    for seeds, kwargs in cases:
+        assert _poset_state(build_poset(seeds, **kwargs)) == _poset_state(
+            build_poset_one_at_a_time(seeds, **kwargs))
+
+
+def test_a_stale_match_is_extended(monkeypatch):
+    """The diagonal C^4 closure looks up all its coarse-grainings in one
+    chunk, so {01}{23} adds the block {01} after {01}{2}{3} was looked
+    up; append extends the older match with the blocks added since, and
+    each distinct block, known by its diagonal support, has one table
+    id."""
+    stale = []
+    append = context_index.ContextIndex.append
+
+    def recorded(self, v, match=None):
+        if match is not None and match[1].shape[1] < len(self.ranks):
+            stale.append(v.id)
+        return append(self, v, match)
+
+    monkeypatch.setattr(context_index.ContextIndex, "append", recorded)
+    seed = diagonal_context(4, "D4")
+    poset = build_poset([seed], downward_closure=True)
+    assert stale
+    assert _poset_state(poset) == _poset_state(
+        build_poset_one_at_a_time([seed], downward_closure=True))
+    ids = {}
+    for v, table in zip(poset.contexts, poset.index.block_ids):
+        for b, t in enumerate(table):
+            support = np.flatnonzero(np.diag(v.block(b)).real > 0.5)
+            ids.setdefault(tuple(support.tolist()), set()).add(t)
+    assert len(ids) == len(poset.index.ranks) == 2 ** 4 - 2
+    assert all(len(held) == 1 for held in ids.values())
+
+
+def test_max_contexts_inside_a_chunk_with_duplicates(monkeypatch):
+    """Two seeds that share coarse-grainings, closed downward: the second
+    seed's chunk holds contexts the first already added.  For every
+    max_contexts from the seed count up to the closed size, the closure
+    appends the same contexts as the one-at-a-time reference and raises
+    PosetTooLarge at the same candidate, or closes in both."""
+    appended = []
+    append = context_index.ContextIndex.append
+
+    def recorded(self, v, match=None):
+        appended.append(v.id)
+        return append(self, v, match)
+
+    monkeypatch.setattr(context_index.ContextIndex, "append", recorded)
+    seeds = _sharing_seeds()
+    size = len(build_poset(seeds, downward_closure=True))
+    assert size < 2 * 14  # the seeds share coarse-grainings
+    for cap in range(len(seeds), size + 1):
+        runs = []
+        for build in (build_poset, build_poset_one_at_a_time):
+            appended.clear()
+            try:
+                build(seeds, downward_closure=True, max_contexts=cap)
+                raised = False
+            except PosetTooLarge:
+                raised = True
+            runs.append((raised, list(appended)))
+        assert runs[0] == runs[1], cap
+        assert runs[0][0] == (cap < size)
+        assert len(runs[0][1]) == min(cap, size)
