@@ -2,15 +2,18 @@
 """Time each corpus scenario and the context-poset layers on the
 downward-closed diagonal C^n poset.
 
-    python3 scripts/sweep_poset.py --label change --out BENCH_24.json
-    python3 scripts/sweep_poset.py --label parent --out BENCH_24.json \
+    python3 scripts/sweep_poset.py --label change --out BENCH_27.json
+    python3 scripts/sweep_poset.py --label parent --out BENCH_27.json \
         --src /path/to/other/src
 
 For each scenario of scripts/scenarios it times `load_scenario` and each
 suite the scenario runs, in its order, as medians over 5 runs in one
 process per scenario, and records that process's peak RSS.  A suite
 that fails closed with a ToposKMSError is timed up to the error, as
-`toposkms run` would report it.
+`toposkms run` would report it.  It times perfbench's modular_dense
+scenarios (seed 1, n = 4..10) the same way: their posets are closed
+downward, under meets and under the flow, the closure path the
+diagonal posets below do not take.
 
 For n = 4..7 it times `load_scenario` and the `poset`, `presheaf` and
 `external-c1` suites, as medians over 5 runs in one process per n, and
@@ -41,6 +44,7 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIZES = (4, 5, 6, 7)
+DENSE_SIZES = range(4, 11)
 SUITES = ("poset", "presheaf", "external-c1")
 BELL = {4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 REPEATS = 5
@@ -74,6 +78,14 @@ def diagonal_scenario(harness, n: int) -> dict:
     return raw
 
 
+def dense_scenario(n: int) -> dict:
+    """perfbench's modular_dense scenario on C^n at seed 1."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import harness
+
+    return harness.modular_dense_scenario(1, n)
+
+
 def child(n: int, repeats: int, suites: bool) -> dict:
     """Time one size in this process; the package comes from sys.path."""
     import resource
@@ -104,9 +116,9 @@ def child(n: int, repeats: int, suites: bool) -> dict:
     return out
 
 
-def corpus_child(path: pathlib.Path, repeats: int) -> dict:
-    """Time one corpus scenario in this process: its load and each suite
-    it runs; the package comes from sys.path."""
+def corpus_child(source, repeats: int) -> dict:
+    """Time one scenario, a path or a raw dict, in this process: its load
+    and each suite it runs; the package comes from sys.path."""
     import resource
 
     from toposkms.cli import SUITES as RUNNERS
@@ -117,7 +129,7 @@ def corpus_child(path: pathlib.Path, repeats: int) -> dict:
     times = {"load_s": []}
     for _ in range(repeats):
         t0 = time.perf_counter()
-        scn = load_scenario(path)
+        scn = load_scenario(source)
         times["load_s"].append(time.perf_counter() - t0)
         rep = Report(scenario=scn.resolved)
         for name in scn.checks:
@@ -135,15 +147,13 @@ def corpus_child(path: pathlib.Path, repeats: int) -> dict:
     return out
 
 
-def measure(src: pathlib.Path, n, repeats: int, suites: bool = True) -> dict:
-    """Run one child process: the diagonal C^n poset for an int n, or
-    the corpus scenario at the path n."""
+def measure(src: pathlib.Path, what: list, repeats: int) -> dict:
+    """Run one child process with the arguments `what`: --child N (the
+    diagonal C^N poset, with --load-only for its load alone), --dense N
+    (the modular_dense scenario on C^N) or --scenario PATH."""
     env = dict(os.environ, PYTHONPATH=str(src),
                **{var: "1" for var in BLAS_THREAD_VARS})
-    what = (["--scenario", str(n)] if isinstance(n, pathlib.Path)
-            else ["--child", str(n)])
-    cmd = [sys.executable, __file__, *what,
-           "--repeats", str(repeats)] + ([] if suites else ["--load-only"])
+    cmd = [sys.executable, __file__, *what, "--repeats", str(repeats)]
     done = subprocess.run(cmd, env=env, check=True, capture_output=True,
                           text=True)
     return json.loads(done.stdout.splitlines()[-1])
@@ -157,6 +167,7 @@ def main(argv=None) -> int:
                    help="the JSON record to write into (required)")
     p.add_argument("--child", type=int, help=argparse.SUPPRESS)
     p.add_argument("--scenario", type=pathlib.Path, help=argparse.SUPPRESS)
+    p.add_argument("--dense", type=int, help=argparse.SUPPRESS)
     p.add_argument("--repeats", type=int, help=argparse.SUPPRESS)
     p.add_argument("--load-only", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
@@ -166,26 +177,37 @@ def main(argv=None) -> int:
     if args.scenario is not None:
         print(json.dumps(corpus_child(args.scenario, args.repeats)))
         return 0
+    if args.dense is not None:
+        print(json.dumps(corpus_child(dense_scenario(args.dense),
+                                      args.repeats)))
+        return 0
     if args.out is None:
         p.error("--out is required")
 
     import numpy as np
 
-    result = {"corpus": {}}
+    src = args.src.resolve()
+    result = {"corpus": {}, "modular_dense": {}}
     for path in sorted(CORPUS.glob("*.json")):
-        row = measure(args.src.resolve(), path, REPEATS)
+        row = measure(src, ["--scenario", str(path)], REPEATS)
         result["corpus"][path.stem] = row
         print(f"{path.stem}: " + json.dumps(row), flush=True)
+    for n in DENSE_SIZES:
+        row = measure(src, ["--dense", str(n)], REPEATS)
+        result["modular_dense"][f"n{n}"] = row
+        print(f"modular_dense C^{n}: " + json.dumps(row), flush=True)
     for n in SIZES:
-        result[f"diag{n}"] = measure(args.src.resolve(), n, REPEATS)
+        result[f"diag{n}"] = measure(src, ["--child", str(n)], REPEATS)
         print(f"C^{n}: " + json.dumps(result[f"diag{n}"]), flush=True)
-    result["diag8_load"] = measure(args.src.resolve(), 8, 1, False)
+    result["diag8_load"] = measure(src, ["--child", "8", "--load-only"], 1)
     print("C^8 load: " + json.dumps(result["diag8_load"]))
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     doc["about"] = (
         "Medians over runs (runs gives the count), seconds, with each "
         "process's peak RSS in MB: under corpus, of load_scenario and of "
-        "each suite a corpus scenario runs; under diagN, of load_scenario "
+        "each suite a corpus scenario runs; under modular_dense, the same "
+        "for perfbench's modular_dense scenario on C^n at seed 1 (key nN); "
+        "under diagN, of load_scenario "
         "and of the poset, presheaf and external-c1 suites on the "
         "downward-closed diagonal C^N poset; diag8_load is one load of "
         "C^8.  Written by scripts/sweep_poset.py.")

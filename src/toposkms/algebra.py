@@ -10,10 +10,10 @@ Context(blocks) is the input boundary, which validates each block once
 as a Projection; a coarse-graining merges labels on the same frame,
 U V U* is (U Y, labels) and a meet merges labels along the overlap graph.
 Every context is put in canonical form by one routine
-(_canonical_forms), which takes one frame and a stack of labelings and
-forms, rounds and orders the blocks of all of them in one pass; a
-Context and on_frame hand it one labeling, the downward closure a chunk
-of a context's coarse-grainings.
+(_canonical_forms), which takes a stack of labelings, on one frame or on
+a frame each, forms, rounds and orders the blocks of all of them in one
+pass, and hands the dense blocks on to the lookup; a Context and
+on_frame hand it one labeling, build_poset a batch of candidates.
 
 Every exact comparison, the frame test, reads the overlap table
 O[a, b] = tr(Q'_a Q_b), which is |Y'* Y|^2 summed by labels.  Block b's
@@ -26,11 +26,13 @@ V' = V iff k' = k and the bound is eps_order^2 / 2, i.e.
 
 build_poset closes seed contexts under coarse-graining, meets and a
 list of unitaries on one ContextIndex (index.py), and ContextPoset
-orders them.  The downward closure expands a context in chunks of its
-coarse-grainings, bounded by max_contexts; each chunk is put in
-canonical form and looked up in one batch.  The index keeps one table
-of the distinct blocks of its contexts and the table id of each block.
-Lookup, the action of a
+orders them.  Every closure step adds its candidates as one batch: a
+downward step (in chunks bounded by max_contexts), a meet pass and a
+group sweep.  A batch is put in canonical form in one call and looked
+up in one call; two candidates of a batch may be equal, so those the
+index does not hold are tested against each other, one frame test per
+signature.  The index keeps one table of the distinct blocks of its
+contexts and the table id of each block.  Lookup, the action of a
 unitary (ContextIndex.images, which the presheaf action and
 build_poset's group sweep share) and the order first test the table,
 within bounds that keep every pair the frame test accepts, and run the
@@ -81,9 +83,9 @@ class Context:
     the column count and first column of block i.  Blocks are kept in a
     canonical order (rank, then the rounded entries of Q_i) so that
     fingerprints and character indexing are deterministic; the one
-    routine that orders them (_canonical_forms) also builds the chunks
-    of coarse-grainings of the downward closure.  Context(blocks)
-    validates input projections; on_frame trusts a unitary frame.
+    routine that orders them (_canonical_forms) also builds the batches
+    of build_poset's closure.  Context(blocks) validates input
+    projections; on_frame trusts a unitary frame.
     """
 
     __slots__ = ("frame", "labels", "ranks", "starts", "dim", "id",
@@ -116,7 +118,8 @@ class Context:
     def on_frame(cls, frame, labels, context_id: str | None = None) -> "Context":
         """The context whose block g is spanned by the columns labelled g
         of a unitary frame; nothing is validated."""
-        return _canonical_forms(frame, np.asarray(labels)[None], context_id)[0]
+        return _canonical_forms(frame, np.asarray(labels)[None],
+                                context_id)[0][0]
 
     @property
     def k(self) -> int:
@@ -151,11 +154,13 @@ class Context:
         return f"Context(id={self.id!r}, dim={self.dim}, k={self.k})"
 
 
-def _canonical_forms(frame, labelings, context_id: str | None = None,
-                     made=None) -> list:
-    """The contexts on one unitary frame, one per row of labelings, in
-    canonical form: context i's block g is spanned by the columns
-    labelled g in labelings[i] (unused label values make no block).
+def _canonical_forms(frames, labelings, context_id: str | None = None,
+                     made=None):
+    """(contexts, rows): the contexts, one per row of labelings, in
+    canonical form, and their dense blocks.  frames is one unitary frame
+    (n, n) that every labeling reads, or a stack (m, n, n) of one frame
+    per labeling; context i's block g is spanned by the columns labelled
+    g in labelings[i] of its frame (unused label values make no block).
 
     Each labeling's columns are stable-sorted by label, so each block
     keeps its columns in ascending order, and every block's dense Q_b is
@@ -164,7 +169,9 @@ def _canonical_forms(frame, labelings, context_id: str | None = None,
     those bytes (ties keep label order), and its fingerprint hashes its
     dimension, block count, ranks and bytes.  The id is context_id, or
     "V" and the fingerprint's first 10 hex digits.  made are the contexts
-    to fill in, new ones by default."""
+    to fill in, new ones by default.  rows holds the unrounded Q_b, one
+    flattened row per block, the contexts' blocks in turn in canonical
+    order: the rows ContextIndex.lookup would form from the frames."""
     labelings = np.asarray(labelings)
     m, n = labelings.shape
     # the columns of each labeling by label, then column, flattened
@@ -177,7 +184,9 @@ def _canonical_forms(frame, labelings, context_id: str | None = None,
     bounds[::n] = True
     bounds = np.flatnonzero(bounds)
     starts, ranks = bounds[:-1], bounds[1:] - bounds[:-1]
-    cols = frame.T[flat % n]
+    # the columns of each labeling's frame in that order, one per row
+    frames = np.reshape(frames, (-1, n, n))
+    cols = frames[flat // n % len(frames), :, flat % n]
     rows = _blocks(cols, starts)
     rounded = np.empty((len(starts), 2, n * n))
     rounded[:, 0], rounded[:, 1] = rows.real, rows.imag
@@ -189,16 +198,18 @@ def _canonical_forms(frame, labelings, context_id: str | None = None,
     # labeling i's blocks are cuts[i] to cuts[i + 1], in either order
     cuts = np.searchsorted(starts, range(0, m * n + 1, n)).tolist()
     ranks, rounded = ranks[order], rounded[order]
+    rows = rows[order]  # once the unordered rounded rows are freed
     first = np.cumsum(ranks) - ranks  # each block's first column
-    frames = cols[np.repeat(starts[order] - first, ranks) + np.arange(m * n)]
-    frames = frames.reshape(m, n, n).transpose(0, 2, 1).copy()
-    frames.flags.writeable = False
+    canonical = cols[np.repeat(starts[order] - first, ranks)
+                     + np.arange(m * n)]
+    canonical = canonical.reshape(m, n, n).transpose(0, 2, 1).copy()
+    canonical.flags.writeable = False
     out = made if made is not None else [Context.__new__(Context)
                                          for _ in range(m)]
     for i, v in enumerate(out):
         lo, hi = cuts[i], cuts[i + 1]
         v.ranks = tuple(ranks[lo:hi].tolist())
-        v.frame = frames[i]
+        v.frame = canonical[i]
         v.starts = first[lo:hi] - i * n
         v.labels = np.repeat(np.arange(hi - lo), ranks[lo:hi])
         v.dim = n
@@ -209,7 +220,7 @@ def _canonical_forms(frame, labelings, context_id: str | None = None,
         v.fingerprint = h.hexdigest()
         v.id = (context_id if context_id is not None
                 else "V" + v.fingerprint[:10])
-    return out
+    return out, rows
 
 
 def contexts_equal(v1: Context, v2: Context, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -462,6 +473,37 @@ class ContextPoset:
         return self.ids(above == 0)
 
 
+def _twins(made, fresh, groups, bound: float) -> dict:
+    """{c: [a, ...]}: the candidates made[a] of a batch, a < c, that
+    candidate made[c] equals by the frame test (made[a]'s blocks as rows,
+    off-home mass at most bound), for a and c in fresh, of one signature
+    and of different groups.  fresh runs in batch order and groups[c] does
+    not decrease along it.  The pairs of each signature are built with
+    array operations: each fresh candidate against the earlier ones
+    before its group, in one _pair_homes call."""
+    by_sig = {}
+    for c in fresh:
+        by_sig.setdefault(made[c].signature(), []).append(c)
+    twins = {}
+    for members in by_sig.values():
+        members = np.array(members)
+        # position p meets the positions before the first of its group
+        before = np.searchsorted(groups[members], groups[members])
+        later = np.repeat(np.arange(len(members)), before)
+        if not later.size:
+            continue
+        earlier = np.arange(len(later)) - np.repeat(np.cumsum(before)
+                                                    - before, before)
+        frames = np.array([made[c].frame for c in members.tolist()])
+        starts = made[members[0]].starts
+        placed, _ = _pair_homes(frames, earlier, starts, frames, later,
+                                starts, bound)
+        for a, c in zip(members[earlier[placed]].tolist(),
+                        members[later[placed]].tolist()):
+            twins.setdefault(c, []).append(a)
+    return twins
+
+
 def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = False,
                 unitaries=(), group_depth: int = 1, max_contexts: int = 500,
                 tol: TolerancePolicy = DEFAULT_TOL) -> ContextPoset:
@@ -474,53 +516,67 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
     next phase starts once the downward and meet closures of this one
     are complete.  Exceeding max_contexts raises PosetTooLarge.
 
-    Every candidate is looked up in the index (ContextIndex.lookup) and
-    appended with the table match of that lookup.  Downward closure
-    expands each context once, in chunks of its proper coarse-grainings
-    in _set_partitions order: each chunk holds at most max_contexts -
-    len(contexts) + 1 of them (and at most PRODUCT_ENTRIES / n^2, which
-    bounds its blocks), at least one, is put in canonical form in one
-    call (_canonical_forms) and is looked up in one batch.  No two
-    partitions of one context give equal contexts, so the batch finds
-    what one lookup at a time finds, and the candidates are appended in
-    order.  The candidate past max_contexts is thus the same, and it
-    raises before the other partitions are built.  The closure skips the
-    contexts it added: their coarse-grainings are coarse-grainings of
-    their parent.  A meet pass pairs only contexts of which at least one
-    arrived since the previous pass; older pairs would only find their
-    meet again.
+    Each seed is looked up and appended on its own; the index holds one
+    dimension, fixed by the first seed, so a seed of another dimension
+    raises DimMismatch at its lookup, before it is added.  After the
+    seeds, every closure step adds its candidates as batches.  A batch
+    is put in canonical form by one _canonical_forms call, a frame per
+    candidate, and looked up by one ContextIndex.lookup against the
+    index as it stands.  The candidates it did not find are then tested
+    against each other, one frame test per signature at eps_order^2 / 2
+    (_twins), and candidate c is appended iff the index holds no context
+    equal to it and it equals no earlier candidate of the batch that was
+    appended: what one lookup and append at a time gives.  The candidates
+    are appended in order, so the contexts, their order and the candidate
+    that raises PosetTooLarge are those of the one-at-a-time loops.
 
-    Both other steps are batched on the index as it stands when the
-    step starts.  A meet pass takes every pair's overlap graph from one
-    product per pair of signature buckets (ContextIndex.meets) and adds
-    the non-trivial meets in (i, j) order.  A group sweep moves every
-    context by each unitary (ContextIndex.images) and builds with
-    apply_automorphism only the (V, U) images the index does not
-    already hold, V-major, then U.  So the contexts, their order and the
-    candidate that raises PosetTooLarge are those of the pairwise loops.
-    A non-unitary U raises NotUnitary before the step adds anything.  The
-    index holds one dimension, fixed by the first seed: a seed of another
-    dimension raises DimMismatch at its lookup, before it is added.
+    A downward step expands every context that arrived since the last
+    one, each once, except those it added itself: their coarse-grainings
+    are coarse-grainings of their parent.  Its batches are the proper
+    coarse-grainings of those contexts in turn, each in _set_partitions
+    order, cut into chunks of at most max_contexts - len(contexts) + 1
+    (and at most PRODUCT_ENTRIES / n^2, which bounds their blocks), at
+    least one; so the candidate past max_contexts raises before the
+    other partitions are built.  Distinct partitions of one context are
+    never equal, so only coarse-grainings of different contexts are
+    tested against each other.  A meet pass is one batch: the non-trivial
+    meets of every pair of contexts of which at least one arrived since
+    the previous pass (older pairs would only find their meet again),
+    from one product per pair of signature buckets (ContextIndex.meets),
+    in (i, j) order.  A group sweep is one batch: it moves every context
+    by each unitary (ContextIndex.images) and builds only the (V, U)
+    images the index does not already hold, V-major, then U, each frame
+    U Y by one product, as apply_automorphism forms it.  images
+    validates every U of the phase, so a non-unitary U raises NotUnitary
+    before the sweep adds anything.
     """
     index = ContextIndex(tol)
     contexts = index.contexts
+    bound = tol.eps_order ** 2 / 2
 
-    def append(candidate: Context, found, match) -> bool:
-        """True when the candidate is new and appended."""
-        if found is not None:
-            return False
-        if len(contexts) >= max_contexts:
-            raise PosetTooLarge(
-                f"poset exceeded max_contexts={max_contexts} during closure"
-            )
-        index.append(candidate, match)
-        return True
-
-    def add(candidate: Context) -> bool:
-        return append(candidate, *index.lookup(candidate))
+    def add(made, rows=None, groups=None) -> bool:
+        """Look up a batch of candidates (rows are their dense blocks, if
+        made) and append, in order, each that is new to the index and to
+        the batch (_twins; candidates of one group are never equal); True
+        when one was appended."""
+        looked = index.lookup(made, rows)
+        fresh = [c for c, (found, _) in enumerate(looked) if found is None]
+        twins = _twins(made, fresh, np.arange(len(made)) if groups is None
+                       else groups, bound)
+        added = set()
+        for c in fresh:
+            if not added.isdisjoint(twins.get(c, ())):
+                continue
+            if len(contexts) >= max_contexts:
+                raise PosetTooLarge(
+                    f"poset exceeded max_contexts={max_contexts} during closure"
+                )
+            index.append(made[c], looked[c][1])
+            added.add(c)
+        return bool(added)
 
     for s in seeds:
-        add(s)
+        add([s])
 
     cursor = 0  # contexts before the cursor went through a downward step
     closed = set()  # indices added as coarse-grainings of an expanded context
@@ -533,41 +589,44 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
             sweeps += 1
             if downward_closure:
                 end = len(contexts)
-                for idx in range(cursor, end):
-                    if idx in closed:
-                        continue
-                    before = len(contexts)
-                    v = contexts[idx]
-                    # the proper coarse-grainings: neither the trivial
-                    # algebra nor the context itself
-                    partitions = (rgs for rgs in _set_partitions(v.k)
-                                  if max(rgs) + 1 not in (1, v.k))
-                    while chunk := list(itertools.islice(partitions, max(
-                            1, min(max_contexts - len(contexts) + 1,
-                                   context_index.PRODUCT_ENTRIES
-                                   // v.dim ** 2)))):
-                        made = _canonical_forms(
-                            v.frame, np.array(chunk)[:, v.labels])
-                        for w, (found, match) in zip(made,
-                                                     index.lookup(made)):
-                            append(w, found, match)
-                    closed.update(range(before, len(contexts)))
-                    changed = changed or len(contexts) > before
+                # the proper coarse-grainings of each expanded context:
+                # neither the trivial algebra nor the context itself
+                partitions = ((i, rgs) for i in range(cursor, end)
+                              if i not in closed
+                              for rgs in _set_partitions(contexts[i].k)
+                              if max(rgs) + 1 not in (1, contexts[i].k))
+                most = context_index.PRODUCT_ENTRIES // max(index.dim, 1) ** 2
+                while chunk := list(itertools.islice(partitions, max(
+                        1, min(max_contexts - len(contexts) + 1, most)))):
+                    parents = [i for i, _ in chunk]
+                    labelings = np.vstack([
+                        np.array([rgs for _, rgs in part])[:, contexts[i].labels]
+                        for i, part in itertools.groupby(chunk, lambda p: p[0])])
+                    changed = add(*_canonical_forms(
+                        np.array([contexts[i].frame for i in parents]),
+                        labelings), np.array(parents)) or changed
+                closed.update(range(end, len(contexts)))
                 cursor = end
             if meet_closure:
                 meets = index.meets(paired)
                 paired = len(contexts)
-                for i, _, labels in meets:
-                    if add(Context.on_frame(contexts[i].frame, labels)):
-                        changed = True
+                if meets:
+                    changed = add(*_canonical_forms(
+                        np.array([contexts[i].frame for i, _, _ in meets]),
+                        np.array([labels for _, _, labels in meets]))) \
+                        or changed
             if phase and sweeps <= group_depth:
                 snapshot = np.ones(len(contexts), dtype=bool)
-                found = [index.images(u, snapshot)[0] for u in phase]
-                for v, row in enumerate(np.transpose(found)):
-                    for u, hit in zip(phase, row):
-                        if hit < 0 and add(apply_automorphism(
-                                u, contexts[v], tol=tol)):
-                            changed = True
+                missing = np.transpose([index.images(u, snapshot)[0] < 0
+                                        for u in phase])
+                moved, which = np.nonzero(missing)
+                if moved.size:
+                    us = [np.asarray(u, dtype=np.complex128) for u in phase]
+                    changed = add(*_canonical_forms(
+                        np.array([us[u] @ contexts[v].frame for v, u in
+                                  zip(moved.tolist(), which.tolist())]),
+                        np.array([contexts[v].labels
+                                  for v in moved.tolist()]))) or changed
             if phase and sweeps >= group_depth \
                     and not downward_closure and not meet_closure:
                 break

@@ -15,13 +15,17 @@ ContextPoset reads) first test the table, within bounds derived below
 that keep every pair the frame test accepts.  The frame test (_overlaps
 and _homes on the pair's own frames) then runs on the pairs that
 survive, batched (_pair_homes), so each returns what the frame test on
-every pair would.  Lookup takes one candidate or a list: the downward
-closure of build_poset expands a context in chunks bounded by
-max_contexts, and looks each chunk up in one batch, with one product
-for the frame defects, one against the table and one frame test per
-signature; append extends a match made before the table grew.  A meet
-pass (meets) takes one product per ordered pair of buckets.  Every
-product is sliced to at most PRODUCT_ENTRIES entries.
+every pair would.  Lookup takes one candidate or a list: every closure
+step of build_poset (a downward step in chunks bounded by max_contexts,
+a meet pass, a group sweep) looks its candidates up in one batch, with
+one product for the frame defects, one against the table and one frame
+test per signature, on the dense blocks its canonical form made.  A
+batch is matched against the index as it stands, not against itself:
+two of its candidates may be equal, and build_poset tests the ones not
+found against each other before it appends them in order; append
+extends a match made before the table grew.  A meet pass (meets) takes
+one product per ordered pair of buckets.  Every product is sliced to
+at most PRODUCT_ENTRIES entries.
 """
 from __future__ import annotations
 
@@ -241,42 +245,49 @@ class ContextIndex:
             found.update(self.keys.get(tuple(sorted(combo)), ()))
         return sorted(found)
 
-    def _match(self, probes):
+    def _match(self, probes, rows=None):
         """(defect, masses, rows, first) of a list of probes against the
         table, their blocks stacked in order, probe c's from first[c] to
         first[c + 1]: each probe frame's defect (_defect); masses[b, t],
         the computed mass r_b - tr(Q_b T_t) of block b outside table block
-        t, inf at other ranks; and the probes' blocks (_blocks)."""
+        t, inf at other ranks; and the probes' blocks, as given (from
+        _canonical_forms) or formed from their frames (_blocks)."""
         n = probes[0].dim
         if any(v.dim != n for v in probes) or (self.contexts
                                                and n != self.dim):
             raise DimMismatch("contexts live in different dimensions")
         frames = np.array([v.frame for v in probes])
-        rows = _blocks(np.swapaxes(frames, -1, -2).reshape(-1, n),
-                       np.concatenate([v.starts + c * n
-                                       for c, v in enumerate(probes)]))
+        if rows is None:
+            rows = _blocks(np.swapaxes(frames, -1, -2).reshape(-1, n),
+                           np.concatenate([v.starts + c * n
+                                           for c, v in enumerate(probes)]))
         rank = np.array([r for v in probes for r in v.ranks])[:, None]
         return (_defect(frames),
                 np.where(rank == self.ranks,
                          rank - _traces(rows, self.rows), np.inf),
                 rows, [0, *itertools.accumulate(v.k for v in probes)])
 
-    def lookup(self, candidates):
+    def lookup(self, candidates, rows=None):
         """(index, match) of a candidate, or a list of them for a list of
         candidates of one dimension: the index of the first context equal
         to the candidate (its frame test at eps_order^2 / 2), None where
-        none is, and its match against the table, for append.
+        none is, and its match against the table, for append.  rows are
+        the candidates' dense blocks in order, if _canonical_forms made
+        them, or None.
 
         A list is matched in one batch against the index as it stands:
         one product for the frame defects, one against the table, and one
         frame test (_pair_homes) per signature over the kept (candidate,
-        context) pairs.  So it returns what one lookup at a time returns
-        when no two candidates of the list are equal, as the
-        coarse-grainings of one context by distinct partitions are not;
-        append extends a match made before other contexts were added."""
+        context) pairs.  It does not compare the candidates with each
+        other: two of them may be equal, and each is then found or not
+        found in the index alone.  A caller that appends the batch in
+        order tests the candidates that were not found against each other
+        (build_poset does, one frame test per signature) to get what one
+        lookup at a time would; append extends a match made before other
+        contexts were added."""
         if not isinstance(candidates, list):
             return self.lookup([candidates])[0]
-        defect, masses, rows, first = self._match(candidates)
+        defect, masses, rows, first = self._match(candidates, rows)
         # the largest defect of the index and the batch bounds them all
         sigma, lam, alpha = self._radii(
             candidates[0].dim, max(self.defect, *defect.tolist()))

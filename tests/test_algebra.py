@@ -487,9 +487,9 @@ def test_mixed_dimensions_fail_closed(monkeypatch):
     seen = []
     match = ContextIndex._match
 
-    def recorded(self, v):
+    def recorded(self, v, rows=None):
         seen.append(self)
-        return match(self, v)
+        return match(self, v, rows)
 
     monkeypatch.setattr(ContextIndex, "_match", recorded)
     for build in (lambda: build_poset([v3, v4]),

@@ -1,7 +1,7 @@
 """The batched closure of build_poset: pinned context ids, the
 max_contexts boundary, the meet pass against the pairwise oracle, and
-the downward closure's batched canonical form and lookups against the
-one-at-a-time references."""
+the batched canonical form, lookups and in-batch duplicates of every
+closure step against the one-at-a-time references."""
 import hashlib
 import importlib
 import json
@@ -16,7 +16,7 @@ from toposkms import index as context_index
 from toposkms import scenario
 from toposkms.algebra import Context, build_poset, contexts_equal
 from toposkms.cli import main
-from toposkms.errors import PosetTooLarge, ScenarioError
+from toposkms.errors import NotUnitary, PosetTooLarge, ScenarioError
 from toposkms.scenario import load_scenario
 from toposkms.tolerances import DEFAULT_TOL
 
@@ -274,6 +274,11 @@ def _same_context(v, ref):
     assert (v.fingerprint, v.id) == (ref.fingerprint, ref.id)
 
 
+def _formed_rows(made):
+    """The dense blocks a lookup forms itself from the contexts' frames."""
+    return context_index.ContextIndex(DEFAULT_TOL)._match(made)[2]
+
+
 @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
        count=st.integers(1, 50))
 def test_batched_canonical_form_matches_the_per_block_reference(n, seed,
@@ -282,17 +287,33 @@ def test_batched_canonical_form_matches_the_per_block_reference(n, seed,
     labelings, the first with only even label values, so that some go
     unused (as meets give [0, 0, 2]): the batched canonical form gives
     each context of the per-block reference bit for bit, and so does
-    on_frame, a chunk of one."""
+    on_frame, a chunk of one.  On a stack of distinct frames, one per
+    labeling, each context and its rows are bit for bit those of one call
+    per frame.  The rows handed to lookup are, bit for bit, those it forms
+    from the canonical frames."""
     rng = np.random.default_rng(seed)
     frame = random_unitary(rng, n)
     labelings = rng.integers(0, n + 1, size=(count, n))
     labelings[0] = 2 * rng.integers(0, 2, size=n)
-    made = algebra._canonical_forms(frame, labelings)
+    made, rows = algebra._canonical_forms(frame, labelings)
     assert len(made) == count
     for v, labels in zip(made, labelings):
         _same_context(v, canonical_by_block(frame, labels))
+    assert rows.tobytes() == _formed_rows(made).tobytes()
     _same_context(Context.on_frame(frame, labelings[-1], "L"),
                   canonical_by_block(frame, labelings[-1], "L"))
+    frames = np.array([random_unitary(rng, n) for _ in range(count)])
+    made, rows = algebra._canonical_forms(frames, labelings)
+    assert len(made) == count
+    assert rows.tobytes() == _formed_rows(made).tobytes()
+    first = 0
+    for v, one, labels in zip(made, frames, labelings):
+        alone, alone_rows = algebra._canonical_forms(one, labels[None])
+        _same_context(v, alone[0])
+        _same_context(v, canonical_by_block(one, labels))
+        assert rows[first:first + v.k].tobytes() == alone_rows.tobytes()
+        first += v.k
+    assert first == len(rows)
 
 
 def _poset_state(poset):
@@ -305,9 +326,9 @@ def _poset_state(poset):
             poset.leq.tobytes(), poset.block_maps)
 
 
-def _closures(scenario_dir):
-    """(seeds, keyword arguments) of build_poset for each corpus
-    scenario, as load_scenario calls it."""
+def _closures(sources):
+    """(seeds, keyword arguments) of build_poset for each scenario (a
+    path or a raw dict), as load_scenario calls it."""
     calls = []
 
     def recorded(seeds, **kwargs):
@@ -316,9 +337,15 @@ def _closures(scenario_dir):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenario, "build_poset", recorded)
-        for path in sorted(scenario_dir.glob("*.json")):
-            load_scenario(path)
+        for source in sources:
+            load_scenario(source)
     return calls
+
+
+def _modular_dense(harness):
+    """perfbench's modular_dense scenarios, n = 4..10 at seed 1: closed
+    downward, under meets and under the flow."""
+    return [harness.modular_dense_scenario(1, n) for n in range(4, 11)]
 
 
 def _rotated_c4():
@@ -338,16 +365,18 @@ def _sharing_seeds():
 
 @pytest.mark.parametrize("entries", [context_index.PRODUCT_ENTRIES, 48])
 def test_build_poset_matches_the_one_at_a_time_reference(scenario_dir,
+                                                         harness,
                                                          monkeypatch,
                                                          entries):
-    """The corpus closures, the diagonal C^4 and C^5 and the rotated C^4
-    downward closures, and two seeds that share coarse-grainings with
-    meets: the same contexts, block table, order and restriction tables
-    as building and looking up one candidate at a time, in one chunk per
-    context or, at 48 entries, in chunks of three and products cut into
-    slices."""
-    cases = _closures(scenario_dir)
+    """The corpus closures, the benchmark's modular_dense closures, the
+    diagonal C^4 and C^5 and the rotated C^4 downward closures, and two
+    seeds that share coarse-grainings with meets: the same contexts,
+    block table, order and restriction tables as building and looking up
+    one candidate at a time, in one chunk per downward step or, at 48
+    entries, in chunks of three and products cut into slices."""
+    cases = _closures(sorted(scenario_dir.glob("*.json")))
     assert len(cases) == 7
+    cases += _closures(_modular_dense(harness))
     monkeypatch.setattr(context_index, "PRODUCT_ENTRIES", entries)
     cases += [([seed], {"downward_closure": True}) for seed in (
         diagonal_context(4, "D4"), diagonal_context(5, "D5"), _rotated_c4())]
@@ -387,12 +416,8 @@ def test_a_stale_match_is_extended(monkeypatch):
     assert all(len(held) == 1 for held in ids.values())
 
 
-def test_max_contexts_inside_a_chunk_with_duplicates(monkeypatch):
-    """Two seeds that share coarse-grainings, closed downward: the second
-    seed's chunk holds contexts the first already added.  For every
-    max_contexts from the seed count up to the closed size, the closure
-    appends the same contexts as the one-at-a-time reference and raises
-    PosetTooLarge at the same candidate, or closes in both."""
+def _recorded_appends(monkeypatch) -> list:
+    """The ids of the contexts ContextIndex.append adds, in order."""
     appended = []
     append = context_index.ContextIndex.append
 
@@ -401,15 +426,22 @@ def test_max_contexts_inside_a_chunk_with_duplicates(monkeypatch):
         return append(self, v, match)
 
     monkeypatch.setattr(context_index.ContextIndex, "append", recorded)
-    seeds = _sharing_seeds()
-    size = len(build_poset(seeds, downward_closure=True))
-    assert size < 2 * 14  # the seeds share coarse-grainings
+    return appended
+
+
+def _check_caps(monkeypatch, seeds, **kwargs) -> int:
+    """For every max_contexts from the seed count up to the closed size,
+    the closure appends the same contexts as the one-at-a-time reference
+    and raises PosetTooLarge at the same candidate, or closes in both;
+    the closed size."""
+    appended = _recorded_appends(monkeypatch)
+    size = len(build_poset(seeds, **kwargs))
     for cap in range(len(seeds), size + 1):
         runs = []
         for build in (build_poset, build_poset_one_at_a_time):
             appended.clear()
             try:
-                build(seeds, downward_closure=True, max_contexts=cap)
+                build(seeds, max_contexts=cap, **kwargs)
                 raised = False
             except PosetTooLarge:
                 raised = True
@@ -417,3 +449,127 @@ def test_max_contexts_inside_a_chunk_with_duplicates(monkeypatch):
         assert runs[0] == runs[1], cap
         assert runs[0][0] == (cap < size)
         assert len(runs[0][1]) == min(cap, size)
+    return size
+
+
+def test_max_contexts_inside_a_chunk_with_duplicates(monkeypatch):
+    """Two seeds that share coarse-grainings, closed downward: their
+    coarse-grainings are one chunk, which holds equal contexts.  For
+    every max_contexts from the seed count up to the closed size, the
+    closure appends the same contexts as the one-at-a-time reference and
+    raises PosetTooLarge at the same candidate, or closes in both."""
+    seeds = _sharing_seeds()
+    size = _check_caps(monkeypatch, seeds, downward_closure=True)
+    assert size < 2 * 14  # the seeds share coarse-grainings
+
+
+def _turned(turn, seed, context_id):
+    """The C^4 basis context of the standard basis with the vectors
+    `turn` rotated among themselves by a random unitary."""
+    inner = np.eye(4, dtype=complex)
+    inner[np.ix_(turn, turn)] = random_unitary(np.random.default_rng(seed),
+                                               len(turn))
+    return Context([np.outer(c, c.conj()) for c in inner.T], context_id)
+
+
+def _meet_twins():
+    """The diagonal C^4 context, two bases turned inside span{e0, e1}
+    and one turned inside span{e2, e3}: each pair of the first three
+    meets in the same context {e0 + e1, e2, e3}, and E1 ∧ F = E2 ∧ F."""
+    return ([diagonal_context(4, "D"), _turned([0, 1], 3, "E1"),
+             _turned([0, 1], 4, "E2"), _turned([2, 3], 5, "F")],
+            {"meet_closure": True})
+
+
+def _group_twins():
+    """Two dense C^4 bases and the phase [U, U D, U'], D diagonal in the
+    first basis: U and U D move the first to the same context, as D
+    fixes it, and the second to different ones."""
+    rng = np.random.default_rng(11)
+    w = random_unitary(rng, 4)
+    d = w @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 4))) @ w.conj().T
+    u, other = random_unitary(rng, 4), random_unitary(rng, 4)
+    return ([Context.on_frame(w, np.arange(4), "W"),
+             Context.on_frame(random_unitary(rng, 4), [0, 0, 1, 2], "R")],
+            {"unitaries": [[u, u @ d, other]]})
+
+
+def _downward_twins():
+    """_sharing_seeds closed downward: the coarse-grainings of both
+    seeds are one chunk, and some of E's equal some of D's."""
+    return _sharing_seeds(), {"downward_closure": True}
+
+
+@pytest.mark.parametrize("case", [_meet_twins, _group_twins,
+                                  _downward_twins])
+@pytest.mark.parametrize("entries", [context_index.PRODUCT_ENTRIES, 48])
+def test_in_batch_duplicates_match_the_one_at_a_time_reference(
+        monkeypatch, case, entries):
+    """A meet pass where V1 ∧ V2 = V1 ∧ V3, a group sweep where two images
+    of one context coincide, and a downward step where two contexts share
+    a coarse-graining: the in-batch frame test finds equal candidates,
+    and the closure is the one-at-a-time reference's.  At 48 entries the
+    downward step comes in chunks of three, which here split the shared
+    coarse-grainings, so only the closure is compared there."""
+    monkeypatch.setattr(context_index, "PRODUCT_ENTRIES", entries)
+    found = []
+    twins = algebra._twins
+
+    def recorded(*args):
+        out = twins(*args)
+        found.extend(out.values())
+        return out
+
+    monkeypatch.setattr(algebra, "_twins", recorded)
+    seeds, kwargs = case()
+    poset = build_poset(seeds, **kwargs)
+    assert found or (entries == 48 and case is _downward_twins)
+    assert len(poset) > len(seeds)
+    assert _poset_state(poset) == _poset_state(
+        build_poset_one_at_a_time(seeds, **kwargs))
+
+
+@pytest.mark.parametrize("case", [_meet_twins, _group_twins])
+def test_max_contexts_inside_a_meet_or_group_batch(monkeypatch, case):
+    """For every max_contexts from the seed count up to the closed size,
+    a meet pass or a group sweep with equal candidates appends the same
+    contexts as the one-at-a-time reference and raises PosetTooLarge at
+    the same candidate, or closes in both."""
+    seeds, kwargs = case()
+    assert _check_caps(monkeypatch, seeds, **kwargs) > len(seeds) + 1
+
+
+def test_a_non_unitary_phase_adds_nothing(monkeypatch):
+    """A phase whose second matrix is not unitary raises NotUnitary before
+    its sweep appends any image, though the first is unitary."""
+    appended = _recorded_appends(monkeypatch)
+    seeds, kwargs = _group_twins()
+    u = kwargs["unitaries"][0][0]
+    with pytest.raises(NotUnitary):
+        build_poset(seeds, unitaries=[[u, 1.5 * u]])
+    assert appended == [v.id for v in seeds]
+
+
+def test_one_lookup_per_batch(harness, monkeypatch):
+    """After its seeds, build_poset looks up each batch it puts in
+    canonical form in one ContextIndex.lookup call: a modular_dense
+    closure makes at most 8 calls."""
+    counts = {"lookup": 0, "forms": 0}
+    lookup, forms = context_index.ContextIndex.lookup, algebra._canonical_forms
+
+    def counted_lookup(self, candidates, rows=None):
+        counts["lookup"] += isinstance(candidates, list)
+        return lookup(self, candidates, rows)
+
+    def counted_forms(*args):
+        counts["forms"] += 1
+        return forms(*args)
+
+    for seeds, kwargs in _closures(_modular_dense(harness)):
+        with monkeypatch.context() as mp:
+            mp.setattr(context_index.ContextIndex, "lookup", counted_lookup)
+            mp.setattr(algebra, "_canonical_forms", counted_forms)
+            counts.update(lookup=0, forms=0)
+            build_poset(seeds, **kwargs)
+        assert counts["lookup"] == len(seeds) + counts["forms"]
+        assert counts["lookup"] <= 8
