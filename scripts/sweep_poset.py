@@ -2,8 +2,8 @@
 """Time each corpus scenario and the context-poset layers on the
 downward-closed diagonal C^n poset.
 
-    python3 scripts/sweep_poset.py --label change --out BENCH_27.json
-    python3 scripts/sweep_poset.py --label parent --out BENCH_27.json \
+    python3 scripts/sweep_poset.py --label change --out BENCH_28.json
+    python3 scripts/sweep_poset.py --label parent --out BENCH_28.json \
         --src /path/to/other/src
 
 For each scenario of scripts/scenarios it times `load_scenario` and each
@@ -13,7 +13,10 @@ that fails closed with a ToposKMSError is timed up to the error, as
 `toposkms run` would report it.  It times perfbench's modular_dense
 scenarios (seed 1, n = 4..10) the same way: their posets are closed
 downward, under meets and under the flow, the closure path the
-diagonal posets below do not take.
+diagonal posets below do not take.  Each modular_dense row also times
+the Tomita layer on the scenario's state, as medians over 5 runs:
+`tomita_operators` (tomita_s) and `commutant_swap_check` on its data
+(swap_s).
 
 For n = 4..7 it times `load_scenario` and the `poset`, `presheaf` and
 `external-c1` suites, as medians over 5 runs in one process per n, and
@@ -147,6 +150,28 @@ def corpus_child(source, repeats: int) -> dict:
     return out
 
 
+def dense_child(n: int, repeats: int) -> dict:
+    """corpus_child on the modular_dense scenario on C^n, with the Tomita
+    layer timed on its state: tomita_operators and commutant_swap_check
+    on that data."""
+    from toposkms.modular import commutant_swap_check, tomita_operators
+    from toposkms.scenario import load_scenario
+
+    out = corpus_child(dense_scenario(n), repeats)
+    state = load_scenario(dense_scenario(n)).state
+    tomita, swap = [], []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        data = tomita_operators(state)
+        t1 = time.perf_counter()
+        commutant_swap_check(state, data=data)
+        tomita.append(t1 - t0)
+        swap.append(time.perf_counter() - t1)
+    out["tomita_s"] = statistics.median(tomita)
+    out["swap_s"] = statistics.median(swap)
+    return out
+
+
 def measure(src: pathlib.Path, what: list, repeats: int) -> dict:
     """Run one child process with the arguments `what`: --child N (the
     diagonal C^N poset, with --load-only for its load alone), --dense N
@@ -178,8 +203,7 @@ def main(argv=None) -> int:
         print(json.dumps(corpus_child(args.scenario, args.repeats)))
         return 0
     if args.dense is not None:
-        print(json.dumps(corpus_child(dense_scenario(args.dense),
-                                      args.repeats)))
+        print(json.dumps(dense_child(args.dense, args.repeats)))
         return 0
     if args.out is None:
         p.error("--out is required")
@@ -206,7 +230,9 @@ def main(argv=None) -> int:
         "Medians over runs (runs gives the count), seconds, with each "
         "process's peak RSS in MB: under corpus, of load_scenario and of "
         "each suite a corpus scenario runs; under modular_dense, the same "
-        "for perfbench's modular_dense scenario on C^n at seed 1 (key nN); "
+        "for perfbench's modular_dense scenario on C^n at seed 1 (key nN), "
+        "with tomita_s and swap_s the medians of tomita_operators on its "
+        "state and of commutant_swap_check on that data; "
         "under diagN, of load_scenario "
         "and of the poset, presheaf and external-c1 suites on the "
         "downward-closed diagonal C^N poset; diag8_load is one load of "

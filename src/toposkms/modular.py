@@ -7,13 +7,19 @@ and the algebra acts by left multiplication.  The closure of
 A Omega -> A* Omega is solved on the matrix units, whose orbit
 [vec(E_ij Omega)] is the one matrix 1 (x) Omega^T, giving the modular
 operator Delta = S*S (= conjugation x -> rho x rho^(-1)) and the
-modular conjugation J = S Delta^(-1/2) (= adjoint x -> x*).
+modular conjugation J = S Delta^(-1/2) (= adjoint x -> x*).  Those
+closed forms are checked on every matrix unit at once: the image of
+E_ij under Delta, J or S is column (i, j) of the operator's matrix, so
+each check compares a whole matrix with one broadcast of entries.
 
 The commutant swap reads X = J pi(E_kl) J off its n x n blocks X[a, b]:
 the commutator with pi(E_ij) = E_ij (x) 1 holds the blocks X[a, i]
 (a != i), -X[j, b] (b != j) and X[i, i] - X[j, j] at disjoint positions,
-so its squared norm is a sum of block norms.  All n^4 pairs cost O(n^7)
-instead of the 2 n^9 of commuting with pi(E_ij) as a matrix.
+so its squared norm is a sum of block norms.  The (k, l) pairs run in
+batches, one stacked product each, holding at most PRODUCT_ENTRIES
+entries of X; the gaps X[i, i] - X[j, j] are formed for i < j only.
+All n^4 pairs cost O(n^7) instead of the 2 n^9 of commuting with
+pi(E_ij) as a matrix.
 
 Antilinear operators are stored as the matrix M of v -> M conj(v):
 composition of two is the linear matrix M2 conj(M1), and the adjoint is
@@ -28,24 +34,21 @@ import numpy as np
 from .errors import NotCyclicSeparating, NotFaithful
 from .kms_external import AutomorphismFlow
 from .measure import State
-from .numerics import dagger, frob, hermitian_eig, unvec, vec
+from . import index as context_index
+from .numerics import dagger, frob, hermitian_eig, vec
 
 
 class AntilinearOp:
     """v -> M conj(v) on C^(n^2), acting on matrices through row-major
     vectorization."""
 
-    __slots__ = ("m", "n")
+    __slots__ = ("m",)
 
     def __init__(self, m):
         self.m = np.asarray(m, dtype=np.complex128)
-        self.n = int(round(np.sqrt(self.m.shape[0])))
 
     def apply_vec(self, v) -> np.ndarray:
         return self.m @ np.conj(np.asarray(v, dtype=np.complex128))
-
-    def apply(self, x) -> np.ndarray:
-        return unvec(self.m @ np.conj(vec(x)), self.n)
 
     def adjoint(self) -> "AntilinearOp":
         return AntilinearOp(self.m.T)
@@ -93,6 +96,42 @@ class ModularData:
     residuals: dict
 
 
+def _sq_norms(z: np.ndarray) -> np.ndarray:
+    """Squared norms along the last axis of a complex array, one row-wise
+    dot product over its float64 view."""
+    v = np.ascontiguousarray(z).reshape(-1, z.shape[-1]).view(np.float64)
+    return np.einsum("ij,ij->i", v, v).reshape(z.shape[:-1])
+
+
+def _closed_forms(gns: GNSSpace, delta, m_j, m_s) -> tuple:
+    """Largest Frobenius distance, over the matrix units E_ij, of
+    Delta(E_ij), J(E_ij) and S(E_ij) from rho E_ij rho^(-1), E_ji and
+    rho^(-1/2) E_ji rho^(1/2).
+
+    E_ij is real and vec(E_ij) is unit vector i n + j, so the image of
+    E_ij is column i n + j of the operator's matrix, taken exactly: row
+    i n + j of the transpose is its vec.  Each closed form is one
+    broadcast product of matrix entries over [i, j, a, b], e.g.
+    rho[a, i] rho^(-1)[j, b] for Delta, in the same [ij, ab] layout, and
+    each residual is the largest of n^2 row norms."""
+    n = gns.n
+    u, wr = gns._u, gns.rho_eigvals
+    rho_inv = (u * (1.0 / wr)) @ dagger(u)
+    rho_inv_sqrt = (u * (1.0 / np.sqrt(wr))) @ dagger(u)
+    eye = np.eye(n, dtype=np.complex128)
+    forms = ((delta, gns.state.matrix.T[:, None, :, None],
+              rho_inv[None, :, None, :]),
+             (m_j, eye[:, None, None, :], eye[None, :, :, None]),
+             (m_s, gns.omega[:, None, None, :],
+              rho_inv_sqrt.T[None, :, :, None]))
+    out = []
+    for m, a, b in forms:
+        gap = (a * b).reshape(n * n, n * n)   # the closed form, [ij, ab]
+        gap -= m.T
+        out.append(float(np.sqrt(_sq_norms(gap).max())))
+    return tuple(out)
+
+
 def tomita_operators(state: State) -> ModularData:
     """Solve S(A Omega) = A* Omega on the matrix units, then split off
     Delta = S*S and J = S Delta^(-1/2).
@@ -100,8 +139,10 @@ def tomita_operators(state: State) -> ModularData:
     The construction is verified on the spot: S^2 = 1, Delta positive
     with spectrum {a_i / a_j}, J antiunitary symmetric involution fixing
     Omega, the polar identity S = J Delta^(1/2), and the closed forms
-    Delta(x) = rho x rho^(-1), J(x) = x*, S(x) = rho^(-1/2) x* rho^(1/2).
-    Residuals of all of these travel with the result.
+    Delta(x) = rho x rho^(-1), J(x) = x*, S(x) = rho^(-1/2) x* rho^(1/2),
+    read off the columns of the three matrices for all matrix units at
+    once (_closed_forms).  Residuals of all of these travel with the
+    result.
     """
     gns = GNSSpace(state)
     n = gns.n
@@ -126,12 +167,6 @@ def tomita_operators(state: State) -> ModularData:
     inv_sqrt = (u * (1.0 / np.sqrt(w))) @ dagger(u)
     j_op = s_op.after_linear(inv_sqrt)
 
-    rho = state.matrix
-    wr = gns.rho_eigvals
-    rho_inv = (gns._u * (1.0 / wr)) @ dagger(gns._u)
-    rho_sqrt = gns.omega
-    rho_inv_sqrt = (gns._u * (1.0 / np.sqrt(wr))) @ dagger(gns._u)
-
     eye2 = np.eye(n2, dtype=np.complex128)
     res = {}
     res["s_squared"] = frob(s_op.after_antilinear(s_op) - eye2)
@@ -144,20 +179,8 @@ def tomita_operators(state: State) -> ModularData:
         np.linalg.norm(j_op.apply_vec(gns.omega_vec) - gns.omega_vec))
     sqrt_delta = (u * np.sqrt(w)) @ dagger(u)
     res["polar"] = frob(m_s - j_op.after_linear(sqrt_delta).m)
-    # closed forms, checked on the matrix units
-    cf_delta = cf_j = cf_s = 0.0
-    for i in range(n):
-        for j_ in range(n):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[i, j_] = 1.0
-            cf_delta = max(cf_delta, frob(
-                unvec(delta @ vec(e), n) - rho @ e @ rho_inv))
-            cf_j = max(cf_j, frob(j_op.apply(e) - dagger(e)))
-            cf_s = max(cf_s, frob(
-                s_op.apply(e) - rho_inv_sqrt @ dagger(e) @ rho_sqrt))
-    res["closed_form_delta"] = cf_delta
-    res["closed_form_j"] = cf_j
-    res["closed_form_s"] = cf_s
+    (res["closed_form_delta"], res["closed_form_j"],
+     res["closed_form_s"]) = _closed_forms(gns, delta, j_op.m, m_s)
 
     return ModularData(
         dim=n,
@@ -165,7 +188,7 @@ def tomita_operators(state: State) -> ModularData:
         s=s_op,
         j=j_op,
         delta=delta,
-        delta_spectrum=np.sort(w),
+        delta_spectrum=w,
         residuals=res,
     )
 
@@ -209,10 +232,6 @@ class CommutantSwapReport:
         return max(self.max_commutator, self.max_right_residual)
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real ** 2 + z.imag ** 2
-
-
 def commutant_swap_check(state: State, *, data: ModularData | None = None
                          ) -> CommutantSwapReport:
     """J pi(E_kl) J lands in the commutant of the left action: for every
@@ -234,29 +253,43 @@ def commutant_swap_check(state: State, *, data: ModularData | None = None
     n^2 commutators, each a sum of non-negative terms.  C[i] is not a
     column total minus its diagonal block: the diagonal blocks are near
     E_kl, of order 1, and the subtraction would leave rounding noise.
-    The right residual subtracts E_kl from every diagonal block.  Cost:
-    n^2 products of n^5 multiply-adds, O(n^7) in all, where commuting
-    with each pi(E_ij) as a matrix would cost 2 n^9.
+    The gap ||X[i, i] - X[j, j]||_F^2 is formed for i < j and added at
+    both (i, j) and (j, i).  The right residual subtracts E_kl from every
+    diagonal block.
+
+    The pairs are taken k-major in batches of PRODUCT_ENTRIES / n^4
+    (at least one), each batch's X one stacked product, and every block
+    norm and gap is a row-wise squared norm of a contiguous segment.
+    Cost: n^2 products of n^5 multiply-adds, O(n^7) in all, where
+    commuting with each pi(E_ij) as a matrix would cost 2 n^9.
     """
     data = data or tomita_operators(state)
     n = state.dim
+    n2 = n * n
     jm = data.j.m
+    cols = jm.reshape(n2, n, n).transpose(1, 0, 2)   # cols[k] = M[:, block k]
+    rows = np.conj(jm).reshape(n, n, n2)   # rows[l] = conj(M[block l, :])
     diag = np.arange(n)
-    worst_right = 0.0
-    worst_comm = 0.0
-    for k in range(n):
-        for l in range(n):
-            x = jm[:, k * n:(k + 1) * n] @ np.conj(jm[l * n:(l + 1) * n])
-            blocks = x.reshape(n, n, n, n)    # blocks[a, :, b, :] = X[a, b]
-            norms = _abs2(blocks).sum(axis=(1, 3))
-            norms[diag, diag] = 0.0
-            d = blocks[diag, :, diag, :]      # the diagonal blocks X[a, a]
-            comm = (norms.sum(axis=0)[:, None] + norms.sum(axis=1)[None, :]
-                    + _abs2(d[:, None] - d[None, :]).sum(axis=(2, 3)))
-            worst_comm = max(worst_comm, float(np.sqrt(comm.max())))
-            d[:, k, l] -= 1.0
-            right = norms.sum() + _abs2(d).sum()
-            worst_right = max(worst_right, float(np.sqrt(right)))
-    return CommutantSwapReport(max_commutator=worst_comm,
-                               max_right_residual=worst_right,
+    iu, ju = np.triu_indices(n, 1)
+    step = max(1, context_index.PRODUCT_ENTRIES // n2 ** 2)
+    worst_comm = worst_right = 0.0
+    for start in range(0, n2, step):
+        k, l = np.divmod(np.arange(start, min(start + step, n2)), n)
+        m = len(k)
+        # x[p, a, :, b, :] = X[a, b] of pair p = (k[p], l[p])
+        x = np.matmul(cols[k], rows[l]).reshape(m, n, n, n, n)
+        norms = _sq_norms(x).sum(axis=2)           # [p, a, b]
+        norms[:, diag, diag] = 0.0
+        d = x[:, diag, :, diag, :]                 # d[a, p] = X[a, a]
+        comm = norms.sum(axis=1)[:, :, None] + norms.sum(axis=2)[:, None, :]
+        gaps = _sq_norms((d[iu] - d[ju]).reshape(len(iu), m, n2)).T
+        comm[:, iu, ju] += gaps
+        comm[:, ju, iu] += gaps
+        worst_comm = max(worst_comm, float(comm.max()))
+        d[:, np.arange(m), k, l] -= 1.0
+        right = norms.sum(axis=(1, 2)) + _sq_norms(
+            d.reshape(n, m, n2)).sum(axis=0)
+        worst_right = max(worst_right, float(right.max()))
+    return CommutantSwapReport(max_commutator=float(np.sqrt(worst_comm)),
+                               max_right_residual=float(np.sqrt(worst_right)),
                                checked=n ** 4)

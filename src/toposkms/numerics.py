@@ -137,7 +137,3 @@ def is_unitary(u, tol: float) -> bool:
 def vec(x: np.ndarray) -> np.ndarray:
     """Row-major flattening of a matrix into a column vector."""
     return np.asarray(x, dtype=np.complex128).reshape(-1)
-
-
-def unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(v, dtype=np.complex128).reshape(n, n)

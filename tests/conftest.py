@@ -1,4 +1,6 @@
-"""Shared fixtures: the three-level worked example and small reference posets."""
+"""Shared fixtures: the three-level worked example, small reference posets
+and the benchmark's scenario generator."""
+import importlib
 import math
 import pathlib
 from types import SimpleNamespace
@@ -94,6 +96,15 @@ def build_c3(state_matrix=None):
 @pytest.fixture(scope="session")
 def scenario_dir():
     return pathlib.Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
+
+
+@pytest.fixture(scope="module")
+def harness():
+    """perfbench/harness.py, which generates the benchmark's scenarios."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1]
+                               / "perfbench"))
+        yield importlib.import_module("harness")
 
 
 @pytest.fixture(scope="session")

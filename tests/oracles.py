@@ -20,7 +20,8 @@ isomorphism s_map read off dense blocks, the coarse-graining map, left
 and right multiplication as n^2 x n^2 matrices, the tensor-factor
 swap, the 2^k dense lattice elements of a context, the daseinisation
 minimum one lattice element at a time, the functoriality count one
-middle context at a time, and the meet, join and Heyting negation of
+middle context at a time, the Tomita closed forms one matrix unit at
+a time (closed_forms_by_unit), and the meet, join and Heyting negation of
 sub-objects, each built and validated on its own, with the measure
 axioms checked on them one pair at a time
 (measure_properties_by_pair).  conjugation_map checks acceptance criterion 9
@@ -67,6 +68,7 @@ from toposkms.numerics import (
     frob,
     hermitian_eig,
     proj_leq,
+    vec,
 )
 from toposkms.presheaf import ClopenSubobject, empty_subobject, full_subobject
 from toposkms.tolerances import DEFAULT_TOL, TolerancePolicy
@@ -446,6 +448,38 @@ def pi_matrix(a, n: int) -> np.ndarray:
 def right_matrix(b, n: int) -> np.ndarray:
     """Right multiplication x -> x b (row-major: 1 (x) b^T)."""
     return np.kron(np.eye(n, dtype=np.complex128), as_complex_matrix(b).T)
+
+
+def unvec(v: np.ndarray, n: int) -> np.ndarray:
+    """The inverse of numerics.vec: a vector of n^2 entries as an n x n
+    matrix, row-major."""
+    return np.asarray(v, dtype=np.complex128).reshape(n, n)
+
+
+def closed_forms_by_unit(gns, delta, m_j, m_s):
+    """The Tomita closed-form residuals one matrix unit at a time: the
+    largest Frobenius distance of Delta(E_ij), J(E_ij) and S(E_ij), each
+    applied to vec(E_ij) as a matrix-vector product (J and S through the
+    conjugate), from rho E_ij rho^(-1), E_ij* and
+    rho^(-1/2) E_ij* rho^(1/2), each formed as a product of matrices."""
+    n = gns.n
+    rho = gns.state.matrix
+    u, wr = gns._u, gns.rho_eigvals
+    rho_inv = (u * (1.0 / wr)) @ dagger(u)
+    rho_sqrt = gns.omega
+    rho_inv_sqrt = (u * (1.0 / np.sqrt(wr))) @ dagger(u)
+    cf_delta = cf_j = cf_s = 0.0
+    for i in range(n):
+        for j in range(n):
+            e = np.zeros((n, n), dtype=np.complex128)
+            e[i, j] = 1.0
+            cf_delta = max(cf_delta, frob(
+                unvec(delta @ vec(e), n) - rho @ e @ rho_inv))
+            cf_j = max(cf_j, frob(
+                unvec(m_j @ np.conj(vec(e)), n) - dagger(e)))
+            cf_s = max(cf_s, frob(unvec(m_s @ np.conj(vec(e)), n)
+                                  - rho_inv_sqrt @ dagger(e) @ rho_sqrt))
+    return cf_delta, cf_j, cf_s
 
 
 def swap_unitary(n_a: int, n_b: int) -> np.ndarray:

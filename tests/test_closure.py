@@ -3,9 +3,7 @@ max_contexts boundary, the meet pass against the pairwise oracle, and
 the batched canonical form, lookups and in-batch duplicates of every
 closure step against the one-at-a-time references."""
 import hashlib
-import importlib
 import json
-import pathlib
 
 import numpy as np
 import pytest
@@ -27,8 +25,6 @@ from oracles import (
     meet_context,
     meet_edges,
 )
-
-ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # sha256 of the newline-joined context ids of each closed poset, in index
 # order, with its size
@@ -73,14 +69,6 @@ MODULAR_DENSE_IDS = {
 def _ids(poset):
     digest = hashlib.sha256("\n".join(v.id for v in poset.contexts).encode())
     return len(poset), digest.hexdigest()
-
-
-@pytest.fixture(scope="module")
-def harness():
-    """perfbench/harness.py, which generates the benchmark's scenarios."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(ROOT / "perfbench"))
-        yield importlib.import_module("harness")
 
 
 def test_corpus_closures_are_pinned(scenario_dir):

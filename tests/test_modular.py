@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from toposkms import index as context_index
 from toposkms.algebra import (
     Context,
     build_poset,
@@ -17,15 +18,29 @@ from toposkms.measure import State
 from toposkms.modular import (
     AntilinearOp,
     GNSSpace,
+    _closed_forms,
     commutant_swap_check,
     expected_delta_spectrum,
     modular_flow,
     tomita_operators,
 )
 from toposkms.numerics import dagger, frob, vec
+from toposkms.scenario import load_scenario
 
 from conftest import random_density
-from oracles import conjugation_map, pi_matrix, right_matrix, swap_unitary
+from oracles import (
+    closed_forms_by_unit,
+    conjugation_map,
+    pi_matrix,
+    right_matrix,
+    swap_unitary,
+)
+
+CLOSED_FORMS = ("closed_form_delta", "closed_form_j", "closed_form_s")
+
+
+def faithful_state(rng, n):
+    return State(0.8 * random_density(rng, n) + 0.2 * np.eye(n) / n)
 
 
 def test_gns_representation_multiplies(rng):
@@ -109,10 +124,69 @@ def test_commutant_swap(rng):
     assert rep.checked == 81  # all ordered basis pairs
 
 
-def dense_swap_oracle(state, data):
-    """The commutant-swap residuals with pi(E_kl) = E_kl (x) 1 formed as a
-    dense n^2 x n^2 matrix and every commutator multiplied out: (max
-    commutator, max right residual, pairs checked)."""
+def assert_closed_forms_match(state, eps, delta, m_j, m_s):
+    """The closed-form residuals read off whole matrices and those of the
+    per-unit loop, with the same verdict at eps: (package, oracle)."""
+    gns = GNSSpace(state)
+    got = _closed_forms(gns, delta, m_j, m_s)
+    want = closed_forms_by_unit(gns, delta, m_j, m_s)
+    for g, w in zip(got, want):
+        assert (g <= eps) == (w <= eps)
+    return got, want
+
+
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_closed_forms_match_the_per_unit_loop(n, seed):
+    rng = np.random.default_rng(seed)
+    state = faithful_state(rng, n)
+    data = tomita_operators(state)
+    ops = (data.delta, data.j.m, data.s.m)
+    got, want = assert_closed_forms_match(state, state.tol.eps_herm, *ops)
+    assert got == tuple(data.residuals[key] for key in CLOSED_FORMS)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13
+
+    # each operator perturbed by 1e-6 on its own fails its closed form on
+    # both sides, and the other two residuals do not move
+    for which, op in enumerate(ops):
+        noise = rng.normal(size=op.shape) + 1j * rng.normal(size=op.shape)
+        bad = list(ops)
+        bad[which] = op + 1e-6 * noise
+        got_bad, want_bad = assert_closed_forms_match(
+            state, state.tol.eps_herm, *bad)
+        assert got_bad[which] > 1e-10 and want_bad[which] > 1e-10
+        assert abs(got_bad[which] - want_bad[which]) \
+            <= 1e-9 * want_bad[which]
+        for other in {0, 1, 2} - {which}:
+            assert got_bad[other] == got[other]
+
+
+def test_closed_forms_match_the_loop_on_benchmark_and_corpus_states(
+        harness, scenario_dir):
+    """perfbench's modular_dense states (seed 1, n = 4..10) and every
+    faithful corpus state (all but negative_control's) give the loop's
+    verdicts at their eps_herm."""
+    scenarios = [load_scenario(harness.modular_dense_scenario(1, n))
+                 for n in range(4, 11)]
+    scenarios += [load_scenario(path)
+                  for path in sorted(scenario_dir.glob("*.json"))]
+    checked = 0
+    for scn in scenarios:
+        if not scn.state.is_faithful():
+            continue
+        data = tomita_operators(scn.state)
+        got, _ = assert_closed_forms_match(
+            scn.state, scn.tol.eps_herm, data.delta, data.j.m, data.s.m)
+        assert got == tuple(data.residuals[key] for key in CLOSED_FORMS)
+        checked += 1
+    assert checked == 7 + 6
+
+
+def dense_swap_residuals(state, data):
+    """For each pair (k, l), k-major, the commutant-swap residuals with
+    pi(E_kl) = E_kl (x) 1 formed as a dense n^2 x n^2 matrix and every
+    commutator multiplied out: (largest commutator with any pi(E_ij),
+    right residual), each an array of n^2 entries."""
     n = state.dim
     units = []
     for k in range(n):
@@ -120,19 +194,20 @@ def dense_swap_oracle(state, data):
             e = np.zeros((n, n))
             e[k, l] = 1.0
             units.append(e)
-    swapped = []
-    worst_right = 0.0
+    comm, right = [], []
     for e in units:
-        lhs = data.j.m @ np.conj(pi_matrix(e, n) @ data.j.m)
-        worst_right = max(worst_right,
-                          frob(lhs - right_matrix(dagger(e), n)))
-        swapped.append(lhs)
-    worst_comm = 0.0
-    for sw in swapped:
-        for e in units:
-            pe = pi_matrix(e, n)
-            worst_comm = max(worst_comm, frob(sw @ pe - pe @ sw))
-    return worst_comm, worst_right, len(units) ** 2
+        swapped = data.j.m @ np.conj(pi_matrix(e, n) @ data.j.m)
+        right.append(frob(swapped - right_matrix(dagger(e), n)))
+        comm.append(max(frob(swapped @ pi_matrix(f, n)
+                             - pi_matrix(f, n) @ swapped) for f in units))
+    return np.array(comm), np.array(right)
+
+
+def dense_swap_oracle(state, data):
+    """The dense commutant-swap residuals over all pairs: (max commutator,
+    max right residual, pairs checked)."""
+    comm, right = dense_swap_residuals(state, data)
+    return float(comm.max()), float(right.max()), len(comm) ** 2
 
 
 def assert_matches_oracle(state, data):
@@ -146,10 +221,10 @@ def assert_matches_oracle(state, data):
     return rep
 
 
-@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
 def test_commutant_swap_matches_dense_oracle(n, seed):
     rng = np.random.default_rng(seed)
-    state = State(0.8 * random_density(rng, n) + 0.2 * np.eye(n) / n)
+    state = faithful_state(rng, n)
     data = tomita_operators(state)
     assert_matches_oracle(state, data)
 
@@ -170,6 +245,32 @@ def test_commutant_swap_matches_dense_oracle(n, seed):
     got = assert_matches_oracle(state, bad)
     assert got.max_commutator > 1e-10
     assert got.max_right_residual > 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_commutant_swap_batch_boundaries(n, monkeypatch):
+    """The report does not depend on how the (k, l) pairs are batched: one
+    pair per batch, all pairs in one, or all but the last in one, which
+    leaves the last pair alone in a partial batch.  A J perturbed only in
+    block (n - 1, n - 1) makes that last pair the worst on both
+    residuals, and the batched check still finds it."""
+    rng = np.random.default_rng(n)
+    state = faithful_state(rng, n)
+    data = tomita_operators(state)
+    last = slice((n - 1) * n, n * n)
+    one_block = np.zeros(data.j.m.shape, dtype=complex)
+    one_block[last, last] = (rng.normal(size=(n, n))
+                             + 1j * rng.normal(size=(n, n)))
+    bad = replace(data, j=AntilinearOp(data.j.m + 1e-6 * one_block))
+    comm, right = dense_swap_residuals(state, bad)
+    assert comm.argmax() == right.argmax() == n * n - 1
+    for d in (data, bad):
+        want = commutant_swap_check(state, data=d)
+        for entries in (1, 2**30, (n * n - 1) * n ** 4):
+            monkeypatch.setattr(context_index, "PRODUCT_ENTRIES", entries)
+            assert commutant_swap_check(state, data=d) == want
+        monkeypatch.undo()
+    assert_matches_oracle(state, bad)
 
 
 def test_modular_flow_matches_hamiltonian_flow_for_gibbs(c3_gibbs):

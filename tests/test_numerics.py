@@ -13,13 +13,12 @@ from toposkms.numerics import (
     is_hermitian,
     null_space,
     proj_leq,
-    unvec,
     vec,
 )
 from toposkms.tolerances import DEFAULT_TOL
 
 from conftest import random_projection
-from oracles import proj_join, proj_meet, zero_projection
+from oracles import proj_join, proj_meet, unvec, zero_projection
 
 
 def test_projection_validates_hermiticity():
