@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Time each corpus scenario and the context-poset layers on the
-downward-closed diagonal C^n poset.
+"""Time each corpus scenario, the context-poset layers on the
+downward-closed diagonal C^n poset, and one Tier-1 run.
 
-    python3 scripts/sweep_poset.py --label change --out BENCH_28.json
-    python3 scripts/sweep_poset.py --label parent --out BENCH_28.json \
+    python3 scripts/sweep_poset.py --label change --out BENCH_29.json
+    python3 scripts/sweep_poset.py --label parent --out BENCH_29.json \
         --src /path/to/other/src
 
 For each scenario of scripts/scenarios it times `load_scenario` and each
@@ -24,6 +24,11 @@ records that process's peak RSS.  It then times the C^8 load once, in
 a process of its own.  The scenario is perfbench's large_poset scenario
 (seed 1) with the dimension changed: the diagonal context of n rank-one
 blocks closed downward, Bell(n) - 1 contexts.
+
+Last, it runs the Tier-1 tests once, `python -m pytest -q
+--continue-on-collection-errors` in the checkout that holds --src (its
+parent directory) with that src first on PYTHONPATH, and records the
+wall time (tier1_s), the exit code and pytest's summary line.
 
 The toposkms sources are those under --src (by default this checkout's
 src/); the corpus and the scenario generator are always this checkout's
@@ -184,6 +189,20 @@ def measure(src: pathlib.Path, what: list, repeats: int) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def tier1(src: pathlib.Path) -> dict:
+    """One Tier-1 run of the tests of the checkout that holds src."""
+    env = dict(os.environ, PYTHONPATH=str(src),
+               **{var: "1" for var in BLAS_THREAD_VARS})
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors"]
+    t0 = time.perf_counter()
+    done = subprocess.run(cmd, cwd=src.parent, env=env, capture_output=True,
+                          text=True)
+    lines = done.stdout.strip().splitlines()
+    return {"tier1_s": time.perf_counter() - t0, "tier1_exit": done.returncode,
+            "tier1_summary": lines[-1] if lines else ""}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", default="change")
@@ -225,6 +244,8 @@ def main(argv=None) -> int:
         print(f"C^{n}: " + json.dumps(result[f"diag{n}"]), flush=True)
     result["diag8_load"] = measure(src, ["--child", "8", "--load-only"], 1)
     print("C^8 load: " + json.dumps(result["diag8_load"]))
+    result |= tier1(src)
+    print(f"Tier-1: {result['tier1_s']:.1f} s, {result['tier1_summary']}")
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     doc["about"] = (
         "Medians over runs (runs gives the count), seconds, with each "
@@ -236,7 +257,10 @@ def main(argv=None) -> int:
         "under diagN, of load_scenario "
         "and of the poset, presheaf and external-c1 suites on the "
         "downward-closed diagonal C^N poset; diag8_load is one load of "
-        "C^8.  Written by scripts/sweep_poset.py.")
+        "C^8; tier1_s is the wall time of one Tier-1 run of the tests of "
+        "the checkout that holds the sources, with its exit code "
+        "(tier1_exit) and pytest's summary line (tier1_summary).  Written "
+        "by scripts/sweep_poset.py.")
     doc.setdefault("labels", {})[args.label] = {
         "host": {"python": platform.python_version(),
                  "numpy": np.__version__,

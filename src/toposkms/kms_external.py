@@ -15,6 +15,20 @@ the strip 0 <= Im z <= beta and compares the upper boundary with the
 order-swapped correlation.  Gibbs states at the flow temperature satisfy
 both exactly.
 
+Both checks evaluate in bulk.  AutomorphismFlow.conjugators gives
+exp(izH) and exp(-izH) for a whole list of z as two stacks, and
+correlations evaluates F(z) = tr(rho P_T alpha_z(P_S)) on all of them,
+for one pair of components or a stack of pairs, in one product chain
+associated as (rho P_T) ((L P_S) R).  So check_C2 takes its strip
+points with z = 0 in one evaluation and its eigenfrequency series in
+one broadcast, and boundary_residuals takes every t at once, which
+internal C2 reuses over all the shared contexts and group samples
+together.  Each slice is the product one point alone would give, and
+moduli are taken by hypot as abs() takes them, so every residual is the
+one the per-point evaluation gives (tests/oracles.py keeps that loop).
+C1's consistency gap forms the dense component of each domain context
+once and moves the contexts each t reads off the poset in one product.
+
 A truth object lists its members at a stage as the rows of one mask
 stack; its twist along a flow element pulls the whole stack back in one
 gather, and the weak and strong equivalences compare the two stacks'
@@ -61,7 +75,8 @@ C2_STRIP_POINTS = 20
 
 
 class AutomorphismFlow:
-    """alpha_t = conjugation by exp(itH), extended entirely in t.
+    """alpha_t = conjugation by exp(itH), extended entirely in t:
+    alpha_z(a) = exp(izH) a exp(-izH) (conjugators).
 
     tol is the policy the generator was validated against; checks on the
     sampled group read it from here."""
@@ -87,16 +102,15 @@ class AutomorphismFlow:
         u = self._eigvecs
         return (u * np.exp(1j * float(t) * self._eigvals)) @ dagger(u)
 
-    def apply(self, t: float, a) -> np.ndarray:
-        u = self.unitary(t)
-        return u @ as_complex_matrix(a) @ dagger(u)
-
-    def apply_complex(self, z: complex, a) -> np.ndarray:
-        """Entire continuation: exp(izH) a exp(-izH)."""
-        u = self._eigvecs
-        left = (u * np.exp(1j * complex(z) * self._eigvals)) @ dagger(u)
-        right = (u * np.exp(-1j * complex(z) * self._eigvals)) @ dagger(u)
-        return left @ as_complex_matrix(a) @ right
+    def conjugators(self, zs):
+        """(L, R): exp(izH) and exp(-izH) for each z of a list, as two
+        (Z, n, n) stacks, so alpha_z(a) = L a R.  Each slice is the
+        product one z alone gives; at a real t, L is unitary(t) bit for
+        bit."""
+        u, lam = self._eigvecs, self._eigvals
+        z = np.asarray(zs, dtype=np.complex128).reshape(-1, 1)
+        return ((u * np.exp(1j * z * lam)[:, None]) @ dagger(u),
+                (u * np.exp(-1j * z * lam)[:, None]) @ dagger(u))
 
 
 def gibbs_state(h, beta: float, tol: TolerancePolicy = DEFAULT_TOL) -> State:
@@ -169,24 +183,28 @@ def check_C1(state: State, flow: AutomorphismFlow, sub: ClopenSubobject,
     families, whose flowed component is U_t P_{S_V} U_t*, rhs =
     tr(U_t* rho U_t P_{S_V}) (the "direct" path).  When both routes
     exist, the Frobenius distance between the two projections is
-    reported as the consistency gap.
+    reported as the consistency gap: the dense component of each domain
+    context is formed once, and each t moves all the contexts it reads
+    off the poset in one stacked product.
     """
     ph = sub.presheaf
     poset = ph.poset
+    ids = poset.ids(sub.domain)
     unitaries = [flow.unitary(t) for t in t_grid]
     here, rhs, on_poset = sub.orbit(state.matrix, unitaries)
 
-    def dense(j):
-        return poset.contexts[j].block_sum(
-            sub.component(poset.contexts[j].id))
-
     gap = 0.0
-    inside = np.flatnonzero(sub.domain)
-    for u, hits in zip(unitaries, on_poset & sub.flow_equivariant):
-        target = ph.action(u, sub.domain)[0]
-        for i in inside[hits]:
-            gap = max(gap, frob(dense(target[i]) - u @ dense(i) @ dagger(u)))
-    return FlowReport(t_grid, poset.ids(sub.domain), here, rhs,
+    if sub.flow_equivariant and on_poset.any():
+        dense = _projections(sub, ids)
+        # the position of each poset context among the domain's
+        at = np.cumsum(sub.domain) - 1
+        inside = np.flatnonzero(sub.domain)
+        for u, hits in zip(unitaries, on_poset):
+            if hits.any():
+                target = ph.action(u, sub.domain)[0][inside[hits]]
+                moved = (u @ dense[hits]) @ dagger(u)
+                gap = max(gap, *map(frob, dense[at[target]] - moved))
+    return FlowReport(t_grid, ids, here, rhs,
                       on_poset=on_poset, consistency_gap=gap)
 
 
@@ -217,23 +235,57 @@ def _eigenseries_coefficients(state: State, flow: AutomorphismFlow, ps, pt):
     return (lam[:, None] - lam[None, :]).ravel(), (a.T * ps_t).ravel()
 
 
-def boundary_residuals(state: State, flow: AutomorphismFlow,
-                       sub_s: ClopenSubobject, sub_t: ClopenSubobject,
-                       context_id: str, t_samples):
-    """(P_{S_V}, P_{T_V}, residuals): the two components at a context as
-    dense projections, and for each real t the gap between the two sides
-    of the boundary condition, |F(t + i beta) - tr(rho alpha_t(P_{S_V})
-    P_{T_V})| with F(z) = tr(rho P_{T_V} alpha_z(P_{S_V})).  Callers
-    refuse a state that is not faithful."""
-    v = sub_s.presheaf.poset.context(context_id)
-    ps = v.block_sum(sub_s.component(context_id))
-    pt = v.block_sum(sub_t.component(context_id))
-    rho = state.matrix
-    return ps, pt, [
-        abs(complex(np.trace(rho @ pt @ flow.apply_complex(
-            float(t) + 1j * flow.beta, ps)))
-            - complex(np.trace(rho @ flow.apply(t, ps) @ pt)))
-        for t in t_samples]
+def eigenseries(state: State, flow: AutomorphismFlow, ps, pt,
+                zs) -> np.ndarray:
+    """F at each z of a list by its eigenfrequency series, one
+    broadcast over (z, frequency)."""
+    freqs, coeffs = _eigenseries_coefficients(state, flow, ps, pt)
+    z = np.asarray(zs, dtype=np.complex128).reshape(-1, 1)
+    return (coeffs * np.exp(1j * z * freqs)).sum(axis=-1)
+
+
+def _projections(sub: ClopenSubobject, context_ids) -> np.ndarray:
+    """P_{S_V}, the dense sum of the blocks of S_V, at each context of a
+    list of ids, as one (m, n, n) stack."""
+    poset = sub.presheaf.poset
+    n = poset.index.dim
+    return np.reshape([poset.context(cid).block_sum(sub.component(cid))
+                       for cid in context_ids], (-1, n, n))
+
+
+def _modulus(d) -> np.ndarray:
+    """|d| of each complex entry by hypot, as abs() of one Python complex
+    takes it; NumPy's vectorised complex abs can differ in the last bit."""
+    return np.hypot(d.real, d.imag)
+
+
+def correlations(state: State, ps, pt, left, right) -> np.ndarray:
+    """F = tr(rho P_T L P_S R) for each pair (P_S, P_T) of two stacks
+    (..., n, n), or of one pair, and each conjugator pair of the (Z, n, n)
+    stacks of AutomorphismFlow.conjugators, as (..., Z): one product
+    chain, associated as (rho P_T) ((L P_S) R)."""
+    moved = (left @ ps[..., None, :, :]) @ right
+    return np.trace((state.matrix @ pt)[..., None, :, :] @ moved,
+                    axis1=-2, axis2=-1)
+
+
+def boundary_residuals(state: State, flow: AutomorphismFlow, ps, pt,
+                       t_samples) -> np.ndarray:
+    """For each real t of a list, the gap between the two sides of the
+    boundary condition, |F(t + i beta) - tr(rho alpha_t(P_S) P_T)| with
+    F(z) = tr(rho P_T alpha_z(P_S)), at one pair of dense projections or
+    along two stacks of them (..., n, n), as (..., T).  One conjugators
+    call gives both sides: F at every t + i beta is one stacked product
+    chain, and so is U_t P_S U_t* with U_t = exp(itH).  Callers refuse a
+    state that is not faithful."""
+    ts = np.array([float(t) for t in t_samples])
+    left, right = flow.conjugators(np.concatenate([ts + 1j * flow.beta, ts]))
+    upper = correlations(state, ps, pt, left[:len(ts)], right[:len(ts)])
+    u = left[len(ts):]
+    flowed = (u @ ps[..., None, :, :]) @ dagger(u)
+    swapped = np.trace((state.matrix @ flowed) @ pt[..., None, :, :],
+                       axis1=-2, axis2=-1)
+    return _modulus(upper - swapped)
 
 
 def check_C2(state: State, flow: AutomorphismFlow, sub_s: ClopenSubobject,
@@ -244,46 +296,40 @@ def check_C2(state: State, flow: AutomorphismFlow, sub_s: ClopenSubobject,
     F(t + i beta) against tr(rho alpha_t(P_{S_V}) P_{T_V}) on the sample
     grid (boundary_residuals), and witnesses analyticity by matching the
     matrix evaluation against the closed-form eigenfrequency series at
-    C2_STRIP_POINTS points of the strip 0 <= Im z <= beta.  The state
-    must be faithful.
+    C2_STRIP_POINTS points of the strip 0 <= Im z <= beta.  The strip
+    points and z = 0 (f_at_zero) take one stacked evaluation of F
+    (correlations), and the series one broadcast.  The state must be
+    faithful.
     """
     if not state.is_faithful():
         raise NotFaithful("boundary comparison requires a faithful state")
-    ps, pt, boundary = boundary_residuals(state, flow, sub_s, sub_t,
-                                          context_id, t_samples)
+    [ps], [pt] = (_projections(sub, [context_id]) for sub in (sub_s, sub_t))
+    boundary = boundary_residuals(state, flow, ps, pt, t_samples)
     beta = flow.beta
-    rho = state.matrix
-
-    freqs, coeffs = _eigenseries_coefficients(state, flow, ps, pt)
-
-    def f_matrix(z: complex) -> complex:
-        return complex(np.trace(rho @ pt @ flow.apply_complex(z, ps)))
-
-    def f_series(z: complex) -> complex:
-        return complex(np.sum(coeffs * np.exp(1j * complex(z) * freqs)))
 
     ts = [float(t) for t in t_samples] or [0.0]
     t_lo, t_hi = min(ts), max(ts)
     if t_hi - t_lo < 1e-12:
         t_lo, t_hi = t_lo - 1.0, t_hi + 1.0
-    gap = 0.0
     half = C2_STRIP_POINTS // 2
+    zs = []
     for i in range(C2_STRIP_POINTS):
         if i < half:
             frac = i / max(half - 1, 1)
-            z = complex(t_lo + (t_hi - t_lo) * frac, beta * frac)
+            zs.append(complex(t_lo + (t_hi - t_lo) * frac, beta * frac))
         else:
             frac = (i - half) / max(C2_STRIP_POINTS - half - 1, 1)
-            z = complex(t_lo + (t_hi - t_lo) * frac, beta / 2.0)
-        gap = max(gap, abs(f_matrix(z) - f_series(z)))
+            zs.append(complex(t_lo + (t_hi - t_lo) * frac, beta / 2.0))
+    f = correlations(state, ps, pt, *flow.conjugators(zs + [0.0]))
+    series = eigenseries(state, flow, ps, pt, zs)
 
     return C2Report(
         context_id=context_id,
         beta=beta,
         convention=flow.convention,
-        max_boundary_residual=max(boundary, default=0.0),
-        max_strip_gap=gap,
-        f_at_zero=f_matrix(0.0),
+        max_boundary_residual=float(boundary.max(initial=0.0)),
+        max_strip_gap=float(_modulus(f[:-1] - series).max(initial=0.0)),
+        f_at_zero=complex(f[-1]),
     )
 
 

@@ -13,11 +13,15 @@ The internal first condition asks this family to be constant over the
 whole sample set.  The second is the external boundary comparison
 (kms_external.boundary_residuals) read over the samples: tr(rho P_T
 alpha_{g + i beta}(P_S)) against tr(rho alpha_g(P_S) P_T) at every
-context S and T share.  At strip height 0 both sides of the defining
-diagram collapse to the measure of the same meet, and what is left is
-the first condition on S and T; its spread on the shared contexts
-(FlowReport.spread_on) must share the verdict of the spread on
-all of them.
+context S and T share.  The components at all the shared contexts are
+stacked, so every (context, sample) cell is one slice of a single
+stacked evaluation, bit for bit the value external C2 gives at that
+context.  At strip height 0 both sides of the defining diagram collapse
+to the measure of the same meet, and what is left is the first
+condition on S and T; its spread on the shared contexts
+(FlowReport.spread_on) must share the verdict of the spread on all of
+them.  A pair that shares no context has nothing to compare; the
+internal-c2 suite says so in one row instead of calling the check.
 """
 from __future__ import annotations
 
@@ -27,7 +31,11 @@ import numpy as np
 
 from .algebra import Context, ContextPoset, fixes_blocks
 from .errors import DomainMismatch, NotFaithful
-from .kms_external import AutomorphismFlow, boundary_residuals
+from .kms_external import (
+    AutomorphismFlow,
+    _projections,
+    boundary_residuals,
+)
 from .measure import FlowReport, State
 from .numerics import dagger, frob, null_space
 from .presheaf import ClopenSubobject
@@ -173,14 +181,13 @@ def check_internal_C2(state: State, group: SampledGroup,
                       sub_t: ClopenSubobject) -> InternalC2Report:
     """Boundary condition over the sampled group: at every context S and
     T share, the external C2 boundary comparison (boundary_residuals)
-    over the samples of the group.  The state must be faithful."""
+    over the samples of the group, all contexts and samples in one
+    stacked evaluation.  The state must be faithful."""
     if not state.is_faithful():
         raise NotFaithful("boundary comparison requires a faithful state")
     context_ids = sorted(sub_s.presheaf.poset.ids(sub_s.domain
                                                   & sub_t.domain))
-    worst = max((r for cid in context_ids
-                 for r in boundary_residuals(state, group.flow, sub_s, sub_t,
-                                             cid, group.samples)[2]),
-                default=0.0)
+    ps, pt = (_projections(sub, context_ids) for sub in (sub_s, sub_t))
+    worst = boundary_residuals(state, group.flow, ps, pt, group.samples)
     return InternalC2Report(context_ids=context_ids, gamma=group.flow.beta,
-                            max_residual=worst)
+                            max_residual=float(worst.max(initial=0.0)))

@@ -29,7 +29,8 @@ def frob(a: np.ndarray) -> float:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def is_hermitian(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> bool:

@@ -248,6 +248,7 @@ def run_external_c1(scn, rep):
 def run_external_c2(scn, rep):
     t_samples = scn.t_grid or [0.0]
     ok = True
+    ran = 0
     eps = max(scn.tol.eps_measure, scn.tol.eps_order)
     for a, b in scn.pairs:
         sub_s, sub_t = scn.subobjects[a], scn.subobjects[b]
@@ -257,6 +258,12 @@ def run_external_c2(scn, rep):
         else:
             maximal = set(scn.poset.maximal_ids())
             cids = [c for c in shared if c in maximal] or shared[:1]
+        if not cids:
+            rep.add("external-c2", f"({a},{b}) skipped: " + (
+                f"c2_context {scn.c2_context} is not shared" if shared
+                else "no shared context"), verdict=INFO)
+            continue
+        ran += 1
         for cid in cids:
             try:
                 c2 = check_C2(scn.state, scn.flow, sub_s, sub_t, cid,
@@ -272,7 +279,7 @@ def run_external_c2(scn, rep):
                 "external-c2", f"strip analyticity ({a},{b}) @ {cid}",
                 residual=c2.max_strip_gap, eps=scn.tol.eps_herm)
             ok = ok and e1.verdict == PASS and e2.verdict == PASS
-    return ok
+    return ok if ran else None
 
 
 @suite("truth", needs=("r_queries",))
@@ -415,10 +422,16 @@ def run_internal_c1(scn, rep):
 def run_internal_c2(scn, rep):
     eps = max(scn.tol.eps_measure, scn.tol.eps_order)
     ok = True
+    ran = 0
     c1 = functools.cache(lambda nm: check_internal_C1(
         scn.state, scn.subobjects[nm], scn.group))
     for a, b in scn.pairs:
         sub_s, sub_t = scn.subobjects[a], scn.subobjects[b]
+        if not (sub_s.domain & sub_t.domain).any():
+            rep.add("internal-c2", f"({a},{b}) skipped: no shared context",
+                    verdict=INFO)
+            continue
+        ran += 1
         try:
             c2 = check_internal_C2(scn.state, scn.group, sub_s, sub_t)
         except NotFaithful as exc:
@@ -445,7 +458,7 @@ def run_internal_c2(scn, rep):
             residual=degen,
             verdict=PASS if held == c1_held else FAIL)
         ok = ok and e.verdict == PASS
-    return ok
+    return ok if ran else None
 
 
 @suite("modular")

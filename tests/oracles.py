@@ -33,6 +33,15 @@ the closure of build_poset one candidate at a time, each looked up and
 appended on its own (build_poset_one_at_a_time); the package takes the
 coarse-grainings of a context in chunks, canonicalised and looked up in
 one batch each.
+
+A flow acts one point at a time here: flow_apply and flow_apply_complex
+conjugate one matrix at one t or z, check_C2_by_point evaluates F and
+its eigenfrequency series one strip point at a time and the boundary
+one t at a time (boundary_residuals_by_point), and
+consistency_gap_by_point forms both dense components afresh for every
+(t, V).  kms_external evaluates all the points of a check in one stacked
+product (AutomorphismFlow.conjugators, correlations) and forms each
+component once.
 """
 import functools
 import hashlib
@@ -742,3 +751,100 @@ def build_poset_one_at_a_time(seeds, *, downward_closure=False,
                     and not downward_closure and not meet_closure:
                 break
     return ContextPoset(index, tol)
+
+
+def flow_apply(flow, t, a):
+    """alpha_t(a) = U_t a U_t* at one real t."""
+    u = flow.unitary(t)
+    return u @ as_complex_matrix(a) @ dagger(u)
+
+
+def flow_apply_complex(flow, z, a):
+    """The entire continuation at one complex z: exp(izH) a exp(-izH),
+    each factor formed on its own in the eigenbasis of the generator."""
+    u = flow._eigvecs
+    left = (u * np.exp(1j * complex(z) * flow._eigvals)) @ dagger(u)
+    right = (u * np.exp(-1j * complex(z) * flow._eigvals)) @ dagger(u)
+    return left @ as_complex_matrix(a) @ right
+
+
+def f_by_point(state, flow, ps, pt, z) -> complex:
+    """F(z) = tr(rho P_T alpha_z(P_S)) at one z."""
+    return complex(np.trace(state.matrix @ pt
+                            @ flow_apply_complex(flow, z, ps)))
+
+
+def boundary_residuals_by_point(state, flow, ps, pt, t_samples) -> list:
+    """|F(t + i beta) - tr(rho alpha_t(P_S) P_T)| one real t at a time."""
+    rho = state.matrix
+    return [abs(f_by_point(state, flow, ps, pt, float(t) + 1j * flow.beta)
+                - complex(np.trace(rho @ flow_apply(flow, t, ps) @ pt)))
+            for t in t_samples]
+
+
+def series_by_point(coeffs, freqs, z) -> complex:
+    """The eigenfrequency series sum_kl c_kl exp(i z (lam_k - lam_l)) at
+    one z."""
+    return complex(np.sum(coeffs * np.exp(1j * complex(z) * freqs)))
+
+
+def check_C2_by_point(state, flow, sub_s, sub_t, context_id, t_samples):
+    """kms_external.check_C2 with F and its series evaluated one point
+    at a time, the boundary one t at a time."""
+    from toposkms.errors import NotFaithful
+    from toposkms.kms_external import (
+        C2_STRIP_POINTS,
+        C2Report,
+        _eigenseries_coefficients,
+    )
+
+    if not state.is_faithful():
+        raise NotFaithful("boundary comparison requires a faithful state")
+    v = sub_s.presheaf.poset.context(context_id)
+    ps = v.block_sum(sub_s.component(context_id))
+    pt = v.block_sum(sub_t.component(context_id))
+    boundary = boundary_residuals_by_point(state, flow, ps, pt, t_samples)
+    beta = flow.beta
+    freqs, coeffs = _eigenseries_coefficients(state, flow, ps, pt)
+    ts = [float(t) for t in t_samples] or [0.0]
+    t_lo, t_hi = min(ts), max(ts)
+    if t_hi - t_lo < 1e-12:
+        t_lo, t_hi = t_lo - 1.0, t_hi + 1.0
+    gap = 0.0
+    half = C2_STRIP_POINTS // 2
+    for i in range(C2_STRIP_POINTS):
+        if i < half:
+            frac = i / max(half - 1, 1)
+            z = complex(t_lo + (t_hi - t_lo) * frac, beta * frac)
+        else:
+            frac = (i - half) / max(C2_STRIP_POINTS - half - 1, 1)
+            z = complex(t_lo + (t_hi - t_lo) * frac, beta / 2.0)
+        gap = max(gap, abs(f_by_point(state, flow, ps, pt, z)
+                           - series_by_point(coeffs, freqs, z)))
+    return C2Report(context_id=context_id, beta=beta,
+                    convention=flow.convention,
+                    max_boundary_residual=max(boundary, default=0.0),
+                    max_strip_gap=gap,
+                    f_at_zero=f_by_point(state, flow, ps, pt, 0.0))
+
+
+def consistency_gap_by_point(state, flow, sub, t_grid) -> float:
+    """The C1 consistency gap one (t, V) at a time: where the moved
+    context is read off the poset, the Frobenius distance between its
+    dense component and U_t P_{S_V} U_t*, both formed afresh."""
+    ph = sub.presheaf
+    poset = ph.poset
+    unitaries = [flow.unitary(t) for t in t_grid]
+    _, _, on_poset = sub.orbit(state.matrix, unitaries)
+
+    def dense(j):
+        return poset.contexts[j].block_sum(
+            sub.component(poset.contexts[j].id))
+
+    gap = 0.0
+    inside = np.flatnonzero(sub.domain)
+    for u, hits in zip(unitaries, on_poset & sub.flow_equivariant):
+        target = ph.action(u, sub.domain)[0]
+        for i in inside[hits]:
+            gap = max(gap, frob(dense(target[i]) - u @ dense(i) @ dagger(u)))
+    return gap

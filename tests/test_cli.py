@@ -525,6 +525,36 @@ def test_internal_scenarios_pass(scenario_dir, tmp_path, capfd):
     assert code == 0 and "verdict: PASS" in out
 
 
+@pytest.mark.parametrize("pairs, c2_context, external, internal", [
+    ([["SD", "S1"]], "Vex", "(SD,S1) skipped: no shared context",
+     "(SD,S1) skipped: no shared context"),
+    ([["S1", "S2"]], "Vdiag",
+     "(S1,S2) skipped: c2_context Vdiag is not shared", None),
+], ids=["no-shared-context", "c2-context-not-shared"])
+def test_c2_suites_name_the_pairs_they_skip(scenario_dir, pairs, c2_context,
+                                            external, internal):
+    """A pair with no shared context, or without c2_context among its
+    shared ones, gets one INFO row and nothing else; internal C2 reads
+    every shared context and ignores c2_context."""
+    from toposkms.reports import INFO, Report
+    from toposkms.scenario import load_scenario, read_scenario
+    from toposkms.suites import SUITES
+
+    raw = read_scenario(scenario_dir / "example_c3.json")
+    raw["subobjects"]["SD"] = {"saturated": {"context": "Vdiag",
+                                             "blocks": [0]}}
+    raw.update(pairs=pairs, c2_context=c2_context)
+    scn = load_scenario(raw)
+    for name, want in (("external-c2", external), ("internal-c2", internal)):
+        rep = Report()
+        outcome = SUITES[name](scn, rep)
+        rows = [(e.check, e.location, e.verdict) for e in rep.entries]
+        if want is None:
+            assert outcome is True and len(rows) == 2
+        else:
+            assert rows == [(name, want, INFO)] and outcome is None
+
+
 def test_underdetermined_reconstruction_is_informational(scenario_dir,
                                                          tmp_path, capfd):
     code, _, _ = run_cli(

@@ -11,14 +11,19 @@ from toposkms.errors import (
     NotFaithful,
     PosetNotClosed,
 )
+from toposkms.algebra import Context, build_poset
 from toposkms.kms_external import (
     AutomorphismFlow,
     StageVR,
     TruthObject,
     TwistedTruthObject,
+    _eigenseries_coefficients,
+    boundary_residuals,
     check_C1,
     check_C2,
     check_truth_value_invariance,
+    correlations,
+    eigenseries,
     expectation_value,
     flow_saturated_family,
     gibbs_state,
@@ -26,11 +31,24 @@ from toposkms.kms_external import (
     strong_mu_equivalence,
     twist,
 )
+from toposkms.measure import State
 from toposkms.numerics import frob, is_unitary
-from toposkms.presheaf import ClopenSubobject, complete_downward
+from toposkms.presheaf import (
+    ClopenSubobject,
+    SpectralPresheaf,
+    complete_downward,
+)
+from toposkms.scenario import load_scenario
 
 import oracles
-from conftest import GIBBS_WEIGHTS, GRID5, build_c3
+from conftest import (
+    GIBBS_WEIGHTS,
+    GRID5,
+    build_c3,
+    random_density,
+    random_projection,
+    random_unitary,
+)
 
 
 def test_gibbs_weights_frozen():
@@ -71,8 +89,8 @@ def test_flow_is_a_one_parameter_group():
 def test_flow_group_law_on_operators(t, s):
     flow = AutomorphismFlow(np.diag([0.0, 1.0, 2.0]))
     a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    twice = flow.apply(t, flow.apply(s, a))
-    assert frob(twice - flow.apply(t + s, a)) < 1e-10
+    twice = oracles.flow_apply(flow, t, oracles.flow_apply(flow, s, a))
+    assert frob(twice - oracles.flow_apply(flow, t + s, a)) < 1e-10
 
 
 def test_flow_conventions_share_the_real_axis():
@@ -82,7 +100,8 @@ def test_flow_conventions_share_the_real_axis():
     fwd = AutomorphismFlow(h, convention="hamiltonian")
     rev = AutomorphismFlow(h, convention="modular")
     a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    assert frob(fwd.apply(0.7, a) - rev.apply(0.7, a)) < 1e-12
+    assert frob(oracles.flow_apply(fwd, 0.7, a)
+                - oracles.flow_apply(rev, 0.7, a)) < 1e-12
     assert fwd.convention == "hamiltonian"
     assert rev.convention == "modular"
     with pytest.raises(Exception):
@@ -92,9 +111,10 @@ def test_flow_conventions_share_the_real_axis():
 def test_complex_continuation_matches_boundary():
     flow = AutomorphismFlow(np.diag([0.0, 1.0, 2.0]), beta=1.0)
     a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    assert frob(flow.apply_complex(0.7 + 0j, a) - flow.apply(0.7, a)) < 1e-12
+    assert frob(oracles.flow_apply_complex(flow, 0.7 + 0j, a)
+                - oracles.flow_apply(flow, 0.7, a)) < 1e-12
     # analytic continuation to i*beta conjugates by the Boltzmann factor
-    shifted = flow.apply_complex(1j, a)
+    shifted = oracles.flow_apply_complex(flow, 1j, a)
     boltz = np.diag(np.exp([0.0, -1.0, -2.0]))
     expected = boltz @ a @ np.linalg.inv(boltz)
     assert frob(shifted - expected) < 1e-12
@@ -145,8 +165,6 @@ def test_c2_boundary_for_gibbs(c3_gibbs):
 def test_eigenseries_coefficients_match_the_double_loop():
     # the broadcast forms the loop's products in the loop's order; NumPy's
     # vectorised complex product may round differently from the scalar one
-    from toposkms.kms_external import _eigenseries_coefficients
-
     rng = np.random.default_rng(7)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h = (g + g.conj().T) / 2
@@ -178,6 +196,103 @@ def test_c2_requires_a_faithful_state(c3_pure):
     with pytest.raises(NotFaithful):
         check_C2(c3_pure.state, c3_pure.flow, c3_pure.subs["S1"],
                  c3_pure.subs["S2"], "Vex", [0.0, 0.5])
+
+
+# --------------------------------------------------------------------------
+# the stacked flow evaluations against the per-point oracles
+
+T_VALUES = st.floats(-4.0, 4.0)
+# empty, a single point, or a grid with its first points repeated
+T_GRIDS = st.one_of(
+    st.just([]),
+    st.lists(T_VALUES, min_size=1, max_size=1),
+    st.lists(T_VALUES, min_size=1, max_size=4).map(lambda ts: ts + ts[:2]),
+)
+
+
+def _flow_and_state(seed, n, beta, gibbs):
+    """A random generator's flow at beta and a faithful state: its Gibbs
+    state, which satisfies C2, or a random density matrix, which does
+    not."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = (g + g.conj().T) / 2
+    flow = AutomorphismFlow(h, beta=beta)
+    state = gibbs_state(h, beta) if gibbs else State(random_density(rng, n))
+    return rng, flow, state
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+       beta=st.floats(0.1, 3.0), gibbs=st.booleans(), t_grid=T_GRIDS)
+def test_stacked_flow_evaluation_matches_the_per_point_oracles(
+        seed, n, beta, gibbs, t_grid):
+    rng, flow, state = _flow_and_state(seed, n, beta, gibbs)
+    ps, pt = random_projection(rng, n), random_projection(rng, n)
+    zs = [complex(t, beta * rng.random()) for t in t_grid] + [0j, 1j * beta]
+
+    # at real t the left conjugator is the flow's unitary
+    for t, u in zip(t_grid, flow.conjugators(t_grid)[0], strict=True):
+        assert np.array_equal(u, flow.unitary(t))
+    f = correlations(state, ps, pt, *flow.conjugators(zs))
+    assert np.array_equal(
+        f, [oracles.f_by_point(state, flow, ps, pt, z) for z in zs])
+    freqs, coeffs = _eigenseries_coefficients(state, flow, ps, pt)
+    assert np.array_equal(
+        eigenseries(state, flow, ps, pt, zs),
+        [oracles.series_by_point(coeffs, freqs, z) for z in zs])
+    got = boundary_residuals(state, flow, ps, pt, t_grid)
+    assert got.shape == (len(t_grid),)
+    assert np.array_equal(got, oracles.boundary_residuals_by_point(
+        state, flow, ps, pt, t_grid))
+
+    # a stack of pairs gives each pair's values
+    stack_s, stack_t = np.stack([ps, pt, ps]), np.stack([pt, ps, ps])
+    many = boundary_residuals(state, flow, stack_s, stack_t, t_grid)
+    f_many = correlations(state, stack_s, stack_t, *flow.conjugators(zs))
+    for a, b, row, f_row in zip(stack_s, stack_t, many, f_many, strict=True):
+        assert np.array_equal(row, boundary_residuals(state, flow, a, b,
+                                                      t_grid))
+        assert np.array_equal(f_row, correlations(state, a, b,
+                                                  *flow.conjugators(zs)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+       beta=st.floats(0.1, 3.0), gibbs=st.booleans(), t_grid=T_GRIDS)
+def test_c2_report_matches_the_per_point_loop(seed, n, beta, gibbs, t_grid):
+    """Every C2Report field equals the per-point loop's, on the
+    components of a random context with a random frame."""
+    rng, flow, state = _flow_and_state(seed, n, beta, gibbs)
+    k = int(rng.integers(2, n + 1))
+    labels = rng.permutation(np.arange(n) % k)
+    q = random_unitary(rng, n)
+    v = Context([q[:, labels == b] @ q[:, labels == b].conj().T
+                 for b in range(k)], "V")
+    psh = SpectralPresheaf(build_poset([v]))
+    sub_s, sub_t = (ClopenSubobject.from_components(
+        psh, {"V": {b for b in range(k) if rng.random() < 0.5}})
+        for _ in range(2))
+    got = check_C2(state, flow, sub_s, sub_t, "V", t_grid)
+    assert got == oracles.check_C2_by_point(state, flow, sub_s, sub_t, "V",
+                                            t_grid)
+
+
+@pytest.mark.parametrize("name", ["gibbs_internal", "negative_control"])
+def test_c1_consistency_gap_matches_the_per_point_loop(name, scenario_dir):
+    scn = load_scenario(scenario_dir / f"{name}.json")
+    # the scenario's grid reads every moved context off the poset; off-grid
+    # points (one repeated, with a repeated grid point) take the direct path
+    mixed = list(scn.t_grid) + [0.3, -1.1, 0.3, scn.t_grid[1]]
+    gaps = set()
+    for sub in scn.subobjects.values():
+        assert sub.flow_equivariant
+        for grid, everywhere in ((scn.t_grid, True), (mixed, False)):
+            rep = check_C1(scn.state, scn.flow, sub, grid)
+            assert rep.on_poset.all() == everywhere and rep.on_poset.any()
+            want = oracles.consistency_gap_by_point(scn.state, scn.flow, sub,
+                                                    grid)
+            assert rep.consistency_gap == want
+            gaps.add(want)
+    assert max(gaps) > 0.0
 
 
 def test_truth_object_membership_table(c3_example):

@@ -18,7 +18,8 @@ from toposkms.kms_external import AutomorphismFlow, check_C1, check_C2
 from toposkms.presheaf import daseinisation_subobject
 from toposkms.tolerances import DEFAULT_TOL
 
-from conftest import GRID5
+import oracles
+from conftest import GRID5, build_c3, random_density
 
 TWO_PI = 2 * math.pi
 
@@ -144,6 +145,27 @@ def test_internal_c2_is_external_c2_over_the_samples(c3_gibbs):
                     for cid in rep.context_ids]
         assert rep.max_residual == max(
             c2.max_boundary_residual for c2 in external)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_internal_c2_matches_the_per_point_oracle(mixed, c3_gibbs, rng):
+    """All shared contexts and samples in one stacked evaluation give the
+    residual of the per-point loop bit for bit, for the Gibbs state and
+    for a random faithful state, which breaks the boundary condition."""
+    model = build_c3(random_density(rng, 3)) if mixed else c3_gibbs
+    worst = 0.0
+    for a, b in (("S1", "S2"), ("S2", "S12"), ("S12", "S1")):
+        s, t = model.subs[a], model.subs[b]
+        rep = check_internal_C2(model.state, model.group, s, t)
+        want = max((r for cid in rep.context_ids
+                    for r in oracles.boundary_residuals_by_point(
+                        model.state, model.flow,
+                        *(model.poset.context(cid).block_sum(x.component(cid))
+                          for x in (s, t)),
+                        model.group.samples)), default=0.0)
+        assert rep.max_residual == want
+        worst = max(worst, want)
+    assert (worst > 1e-3) == mixed
 
 
 def test_internal_c2_strip_needs_faithful_state(c3_pure):
