@@ -100,7 +100,7 @@ class Context:
         if any(b.dim != dim for b in blocks):
             raise DimMismatch("blocks have inconsistent dimensions")
         total = sum(b.matrix for b in blocks)
-        if frob(total - np.eye(dim)) > max(tol.eps_idem * 10 * len(blocks), 1e-9):
+        if frob(total - np.eye(dim)) > tol.eps_idem * 10 * len(blocks):
             raise NotInAlgebra("blocks do not sum to the identity")
         if any(b.rank == 0 for b in blocks):
             raise NotInAlgebra("a block is the zero projection")
@@ -327,7 +327,7 @@ def context_from_operators(ops, context_id: str | None = None,
         diag = np.einsum("ij,ij->j", y.conj(), a @ y)
         coeffs = np.add.reduceat(diag, ctx.starts) / np.array(ctx.ranks)
         resid = a - (y * coeffs[ctx.labels]) @ dagger(y)
-        if frob(resid) > max(tol.eps_eig * max(1.0, frob(a)) * n, 1e-8):
+        if frob(resid) > tol.eps_eig * max(1.0, frob(a)) * n:
             raise NonCommuting("refinement failed to diagonalize an operator")
     return ctx
 
@@ -462,11 +462,6 @@ class ContextPoset:
     def ids(self, inside) -> list:
         """Ids of the contexts in a boolean mask, in index order."""
         return [self.contexts[i].id for i in np.flatnonzero(inside)]
-
-    def is_lower_set(self, inside) -> bool:
-        """True iff the contexts in a boolean mask form a lower set."""
-        small, large = self.strict_pairs.T
-        return not (inside[large] & ~inside[small]).any()
 
     def maximal_ids(self):
         above = self.leq.sum(axis=1) - self.leq.diagonal()

@@ -60,6 +60,7 @@ from .presheaf import (
     ClopenSubobject,
     SpectralPresheaf,
     block_sums,
+    check_masks,
     complete_downward,
     dasein_indices,
     enumerate_subobjects,
@@ -425,7 +426,10 @@ def check_truth_value_invariance(state: State, flow: AutomorphismFlow, ps,
     tr(rho U_t d(p)_{V'} U_t*)), the table of the state U_t* rho U_t on
     the same daseinised mask (rhs, one row per t).  Each projection is
     daseinised once, and the weights of rho and of each moved state are
-    read once, on the lower sets of all the stages."""
+    read once, on the lower sets of all the stages.  The daseinised
+    masks cut to each stage's lower set are one (projection, stage,
+    characters) stack, validated by one check_masks call and measured
+    by one sections call."""
     poset = presheaf.poset
     below = poset.leq[:, [poset.index_of(stage.context_id)
                           for stage in stages]]
@@ -433,14 +437,14 @@ def check_truth_value_invariance(state: State, flow: AutomorphismFlow, ps,
         np.array([state.matrix] + [dagger(u) @ state.matrix @ u
                                    for u in map(flow.unitary, t_grid)]),
         below.any(axis=1))
+    masks = presheaf.dasein_masks(ps)[:, None] & below.T[:, presheaf.owner]
+    check_masks(presheaf, masks, below.T)
+    sections = presheaf.sections(masks[:, :, None], weights)
     reports = []
-    for mask in presheaf.dasein_masks(ps):
+    for secs in sections:
         reports.append([])
-        for stage, inside in zip(stages, below.T):
-            outer = ClopenSubobject(presheaf, mask & inside[presheaf.owner],
-                                    inside)
-            cutoffs = np.minimum(float(stage.r),
-                                 outer.measure(weights)[:, inside])
+        for stage, inside, sec in zip(stages, below.T, secs):
+            cutoffs = np.minimum(float(stage.r), sec[:, inside])
             reports[-1].append(FlowReport(t_grid, poset.ids(inside),
                                           cutoffs[0], cutoffs[1:]))
     return reports

@@ -16,11 +16,14 @@ over rho = I/n + sum_k c_k B_k: its values, the design matrix (the block
 weights of the traceless Hermitian basis B_k), the ranks and the fit
 residual are all sums over each row's bits, added as block_sums adds.
 
-The measure axioms are checked on one stacked mask array: each pair
-(S, T) is a row of S, T, S ^ T, S v T, ~S, S ^ ~S and S v ~S, the
-derived rows are checked as sub-objects in one pass (check_masks), and
-every measure comes from one SpectralPresheaf.sections call; a flow's
-moved states have their weights read in one stacked weights call.
+The measure axioms are checked on one stacked mask array: the pairs
+(S, T) come as mask and domain arrays, no pair is a ClopenSubobject,
+and each pair is a row of S, T, S ^ T, S v T, ~S, S ^ ~S and S v ~S;
+all seven rows are checked as sub-objects in one pass (check_masks),
+and every measure, the full and empty sub-objects' as an all-ones and
+an all-zeros row, comes from one SpectralPresheaf.sections call; a
+flow's moved states have their weights read in one stacked weights
+call.
 """
 from __future__ import annotations
 
@@ -44,8 +47,6 @@ from .presheaf import (
     SpectralPresheaf,
     _ragged,
     check_masks,
-    empty_subobject,
-    full_subobject,
 )
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
@@ -113,50 +114,51 @@ def _worst(values, start: float) -> float:
 
 
 def verify_measure_properties(state: State, presheaf: SpectralPresheaf,
-                              pairs) -> MeasurePropertyReport:
-    """Check the measure axioms on a list of sub-object pairs.
+                              masks, domains) -> MeasurePropertyReport:
+    """Check the measure axioms on a stack of sub-object pairs.
 
-    For each (S, T): normalization of the full/empty sub-objects on the
-    union domain, monotonicity through meet and join, the modular law
-    mu(SvT) + mu(S^T) = mu(S) + mu(T) stage-wise, order-reversal of every
-    section, and the complement laws mu(S ^ ~S) = 0, mu(S v ~S) <= 1
-    (recording how far below 1 the join gets), each within the
-    presheaf's eps_measure.  A pair's domains must be equal
-    (DomainMismatch).
+    masks (pairs, 2, characters) and domains (pairs, 2, contexts) hold
+    each pair (S, T) as two rows.  For each pair: normalization of the
+    full/empty sub-objects, monotonicity through meet and join, the
+    modular law mu(SvT) + mu(S^T) = mu(S) + mu(T) stage-wise,
+    order-reversal of every section, and the complement laws
+    mu(S ^ ~S) = 0, mu(S v ~S) <= 1 (recording how far below 1 the join
+    gets), each within the presheaf's eps_measure.  A pair's domains
+    must be equal (DomainMismatch).
 
     The pairs are one stack of masks (pairs, 7, characters): S, T, S ^ T,
     S v T, ~S, S ^ ~S and S v ~S, the Heyting negation ~S one scatter
-    over the restriction edges.  The five it derives are checked as
-    clopen sub-objects in pair order (check_masks), and every measure,
-    the full and empty sub-objects' too, is read from one sections call
-    under one set of flat block weights of the state.  Each residual is
-    one np.fmax reduction, NaN (outside a domain) ignored; the
-    normalization residual is raised to max mu(S v ~S) - 1 when some
-    pair exceeds 1 + eps_measure.
+    over the restriction edges.  All seven rows are checked as clopen
+    sub-objects in pair order (check_masks), and every measure, the full
+    and empty sub-objects' (an all-ones and an all-zeros row) too, is
+    read from one sections call under one set of flat block weights of
+    the state.  Each residual is one np.fmax reduction, NaN (outside a
+    domain) ignored; the normalization residual is raised to
+    max mu(S v ~S) - 1 when some pair exceeds 1 + eps_measure.
     """
     ph = presheaf
     eps = ph.tol.eps_measure
-    pairs = list(pairs)
-    masks = np.array([(a.mask, b.mask) for a, b in pairs], dtype=bool)
-    domains = np.array([(a.domain, b.domain) for a, b in pairs], dtype=bool)
-    s, t = masks.reshape(-1, 2, len(ph.owner)).transpose(1, 0, 2)
-    domains, other = domains.reshape(-1, 2, len(ph.poset)).transpose(1, 0, 2)
+    s, t = np.asarray(masks, dtype=bool).reshape(
+        -1, 2, len(ph.owner)).transpose(1, 0, 2)
+    domains, other = np.asarray(domains, dtype=bool).reshape(
+        -1, 2, len(ph.poset)).transpose(1, 0, 2)
+    n_pairs = len(s)
     unequal = (domains != other).any(axis=1)
     hit = s.copy()
     rows, edges = np.nonzero(s[:, ph.dst])
     hit[rows, ph.src[edges]] = True
     neg = domains[:, ph.owner] & ~hit
     stack = np.stack([s, t, s & t, s | t, neg, s & neg, s | neg], axis=1)
-    # the first pair with unequal domains, unless a derived sub-object of
-    # an earlier pair fails first
-    first = int(unequal.argmax()) if unequal.any() else len(pairs)
-    check_masks(ph, stack[:first, 2:], domains[:first, None])
-    if first < len(pairs):
+    # the first pair with unequal domains, unless a row of an earlier
+    # pair fails first
+    first = int(unequal.argmax()) if unequal.any() else n_pairs
+    check_masks(ph, stack[:first], domains[:first, None])
+    if first < n_pairs:
         raise DomainMismatch("meet needs equal domains")
 
-    whole, empty = full_subobject(ph), empty_subobject(ph)
+    whole = np.ones(len(ph.owner), dtype=bool)
     mu = ph.sections(np.concatenate([stack.reshape(-1, len(ph.owner)),
-                                     [whole.mask, empty.mask]]),
+                                     [whole, ~whole]]),
                      ph.weights(state.matrix))
     full_mu, empty_mu = mu[-2], mu[-1]
     ms, mt, mmeet, mjoin, _, mneg_meet, mneg_join = np.where(
@@ -181,7 +183,7 @@ def verify_measure_properties(state: State, presheaf: SpectralPresheaf,
         normalization=res_norm, empty=res_empty, monotonicity=res_mono,
         modularity=res_mod, order_reversal=res_rev,
         complement_meet=res_cmeet,
-        strictness_witness=strict, pairs_checked=len(pairs), passed=passed,
+        strictness_witness=strict, pairs_checked=n_pairs, passed=passed,
     )
 
 

@@ -92,7 +92,7 @@ class Projection:
             )
         tr = float(np.real(np.trace(m)))
         rank = int(round(tr))
-        if abs(tr - rank) > max(tol.eps_eig * m.shape[0], 1e-9):
+        if abs(tr - rank) > tol.eps_eig * m.shape[0]:
             raise NotProjection(f"trace {tr} is not close to an integer")
         m = m.copy()
         m.flags.writeable = False

@@ -10,10 +10,11 @@ block of the larger context.
 A clopen sub-object picks one subset of characters per context of a
 lower set, closed under restriction.  It is a boolean mask over the flat
 axis plus a boolean mask of its domain; the closure check (check_masks,
-for one mask or a stack of them) and downward completion are gathers
-and scatters over the edges, and so are the meet, join and Heyting
-negation the measure check forms on its stack of pairs.  That mask is
-the only form measure code reads:
+for one mask or a stack of them, the one validation path: a
+ClopenSubobject runs it on a stack of one) and downward completion are
+gathers and scatters over the edges, and so are the meet, join and
+Heyting negation the measure check forms on its stack of pairs.  That
+mask is the only form measure code reads:
 mu(S)(V) is a sum of block weights over S_V, for every context at once,
 and no matrix is formed; SpectralPresheaf.weights reads the weights of
 a matrix, or a stack of them, with one product per signature bucket of
@@ -25,9 +26,12 @@ dense sum is built only where a matrix is needed, for C2 and the
 daseinisation output.  Reconstruction reads block weights too.
 
 A family of sub-objects on one domain is a mask stack, one row per
-member, as enumerate_subobjects returns the members of a truth object;
-SpectralPresheaf.sections sums block weights for a whole stack at once,
-by the same cumulative rule as a single mask.
+member, as enumerate_subobjects returns the members of a truth object,
+the measure check takes its pairs and the cutoff-invariance check masks
+its daseinised projections with its stages' lower sets; no member is
+wrapped as a ClopenSubobject.  SpectralPresheaf.sections sums block
+weights for a whole stack at once, by the same cumulative rule as a
+single mask.
 
 Outer daseinisation approximates an arbitrary projection from above
 inside a context: the smallest lattice element dominating it.  The fast
@@ -425,9 +429,11 @@ class ClopenSubobject:
     the presheaf's characters and a boolean mask of its domain, a lower
     set of contexts.
 
-    Every construction checks that the mask lies on the domain, that the
-    domain is a lower set, and, in one gather over the restriction edges,
-    that the mask is closed under restriction.  from_components reads the
+    Every construction checks, by check_masks on a stack of one, that
+    the mask lies on the domain, that the domain is a lower set, and, in
+    one gather over the restriction edges, that the mask is closed under
+    restriction; a mask or domain of the wrong length raises as
+    characters outside the domain.  from_components reads the
     input format, context id -> character indices.  flow_equivariant
     marks families built by transporting a single lattice projection
     along a unitary orbit, for which the component at a conjugated
@@ -445,16 +451,10 @@ class ClopenSubobject:
         self.mask.flags.writeable = self.domain.flags.writeable = False
         self.name = name
         self.flow_equivariant = flow_equivariant
-        ph = presheaf
-        if (self.mask.shape != ph.owner.shape
-                or self.domain.shape != (len(ph.poset),)):
+        if (self.mask.shape != presheaf.owner.shape
+                or self.domain.shape != (len(presheaf.poset),)):
             raise DomainMismatch("sub-object characters outside its domain")
-        # the three tests of check_masks on one mask, at about half its
-        # cost on a stack of one; it names the failure
-        if ((self.mask & ~self.domain[ph.owner]).any()
-                or not ph.poset.is_lower_set(self.domain)
-                or (self.mask[ph.src] & ~self.mask[ph.dst]).any()):
-            check_masks(ph, self.mask, self.domain)
+        check_masks(presheaf, self.mask, self.domain)
 
     @classmethod
     def from_components(cls, presheaf: SpectralPresheaf, components: dict,
@@ -535,16 +535,6 @@ def daseinisation_subobject(p, presheaf: SpectralPresheaf,
     under the presheaf's policy (SpectralPresheaf.dasein_masks)."""
     return ClopenSubobject(presheaf, presheaf.dasein_masks([p])[0],
                            np.ones(len(presheaf.poset), dtype=bool), name=name)
-
-
-def full_subobject(presheaf: SpectralPresheaf) -> ClopenSubobject:
-    return ClopenSubobject(presheaf, np.ones(presheaf.offsets[-1], dtype=bool),
-                           np.ones(len(presheaf.poset), dtype=bool), name="Sigma")
-
-
-def empty_subobject(presheaf: SpectralPresheaf) -> ClopenSubobject:
-    return ClopenSubobject(presheaf, np.zeros(presheaf.offsets[-1], dtype=bool),
-                           np.ones(len(presheaf.poset), dtype=bool), name="0")
 
 
 def enumerate_subobjects(presheaf: SpectralPresheaf, top_context_id: str,

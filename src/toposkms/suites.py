@@ -47,7 +47,6 @@ from .modular import (
     tomita_operators,
 )
 from .presheaf import (
-    ClopenSubobject,
     complete_downward,
     outer_daseinisation_bruteforce,
 )
@@ -174,14 +173,13 @@ def run_measure(scn, rep):
     ph = scn.presheaf
     masks = np.array([sub.mask for sub in pool])
     domains = np.array([sub.domain for sub in pool])
-    first, second = np.triu_indices(len(pool), 1)
-    common = domains[first] & domains[second]
-    inside = common[:, ph.owner]
-    pairs = [tuple(ClopenSubobject(ph, masks[i] & inside[p], common[p],
-                                   name=pool[i].name)
-                   for i in (first[p], second[p]))
-             for p in np.flatnonzero(common.any(axis=1))]
-    mrep = verify_measure_properties(scn.state, ph, pairs)
+    pairs = np.transpose(np.triu_indices(len(pool), 1))
+    common = domains[pairs[:, 0]] & domains[pairs[:, 1]]
+    shared = common.any(axis=1)
+    pairs, common = pairs[shared], common[shared]
+    mrep = verify_measure_properties(
+        scn.state, ph, masks[pairs] & common[:, None, ph.owner],
+        np.repeat(common[:, None], 2, axis=1))
     eps = scn.tol.eps_measure
     for field in ("normalization", "empty", "monotonicity", "modularity",
                   "order_reversal", "complement_meet"):
@@ -282,39 +280,40 @@ def run_external_c2(scn, rep):
     return ok if ran else None
 
 
+def _stages(scn) -> list:
+    """The stages (V, r) the truth suites visit: the scenario's truth
+    stage, or else every maximal context, with every r query."""
+    cids = ([scn.truth_stage] if scn.truth_stage
+            else sorted(scn.poset.maximal_ids()))
+    return [StageVR(cid, r) for cid in cids for r in scn.r_queries]
+
+
 @suite("truth", needs=("r_queries",))
 def run_truth(scn, rep):
     truth = TruthObject(scn.state, scn.presheaf)
-    stages = ([scn.truth_stage] if scn.truth_stage
-              else sorted(scn.poset.maximal_ids()))
+    stages = _stages(scn)
     ok = True
-    for cid in stages:
-        for r in scn.r_queries:
-            stage = StageVR(cid, r)
-            members = truth.members_at(stage)
-            rep.add("truth", f"members @ ({cid}, r={fmtf(r)})",
-                    lhs=len(members), verdict=INFO)
-            for nm in sorted(scn.subobjects):
-                sub = scn.subobjects[nm]
-                if not sub.domain[scn.poset.index_of(cid)]:
-                    continue
-                inside = truth.contains(sub, stage)
-                tau = truth.tau(sub, cid)
-                rep.add("truth",
-                        f"{nm} in truth object @ ({cid}, r={fmtf(r)})",
-                        lhs=("yes" if inside else "no"), rhs=tau,
-                        verdict=INFO)
+    for stage in stages:
+        cid, r = stage.context_id, stage.r
+        rep.add("truth", f"members @ ({cid}, r={fmtf(r)})",
+                lhs=len(truth.members_at(stage)), verdict=INFO)
+        for nm in sorted(scn.subobjects):
+            sub = scn.subobjects[nm]
+            if not sub.domain[scn.poset.index_of(cid)]:
+                continue
+            tau = truth.tau(sub, cid)
+            rep.add("truth", f"{nm} in truth object @ ({cid}, r={fmtf(r)})",
+                    lhs=("yes" if tau >= r else "no"), rhs=tau, verdict=INFO)
 
     # cutoff-table invariance for every named projection
     if scn.flow is not None and scn.t_grid and scn.projections:
         eps = scn.tol.eps_measure
         names = sorted(scn.projections)
-        grid = [StageVR(cid, r) for cid in stages for r in scn.r_queries]
         reports = check_truth_value_invariance(
-            scn.state, scn.flow, [scn.projections[nm] for nm in names], grid,
-            scn.presheaf, scn.t_grid)
+            scn.state, scn.flow, [scn.projections[nm] for nm in names],
+            stages, scn.presheaf, scn.t_grid)
         for pname, invs in zip(names, reports):
-            for stage, inv in zip(grid, invs):
+            for stage, inv in zip(stages, invs):
                 e = rep.add_pass_fail(
                     "truth", f"cutoff invariance of {pname} @ "
                              f"({stage.context_id}, r={fmtf(stage.r)})",
@@ -342,18 +341,13 @@ def run_truth(scn, rep):
 @suite("equivalence", needs=("flow", "t_grid", "r_queries"))
 def run_equivalence(scn, rep):
     truth = TruthObject(scn.state, scn.presheaf)
-    stages = ([scn.truth_stage] if scn.truth_stage
-              else sorted(scn.poset.maximal_ids()))
+    stages = _stages(scn)
     ok = True
     for t in scn.t_grid:
         if t == 0.0:
             continue
         twisted = twist(truth, scn.flow, t)
-        stage_objs = []
-        for cid in stages:
-            for r in scn.r_queries:
-                stage_objs.append(StageVR(cid, r))
-        for stage in stage_objs:
+        for stage in stages:
             try:
                 res = mu_equivalent(scn.state, truth, twisted, stage)
             except ToposKMSError as exc:
@@ -370,8 +364,7 @@ def run_equivalence(scn, rep):
                 verdict=PASS if res.equivalent else FAIL)
             ok = ok and e.verdict == PASS
         try:
-            sres = strong_mu_equivalence(scn.state, truth, twisted,
-                                         stage_objs)
+            sres = strong_mu_equivalence(scn.state, truth, twisted, stages)
             e = rep.add(
                 "equivalence", f"strong matching, t={fmtf(t)}",
                 lhs=len(sres.matchings), residual=sres.naturality_gap,

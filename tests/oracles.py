@@ -21,11 +21,13 @@ and right multiplication as n^2 x n^2 matrices, the tensor-factor
 swap, the 2^k dense lattice elements of a context, the daseinisation
 minimum one lattice element at a time, the functoriality count one
 middle context at a time, the Tomita closed forms one matrix unit at
-a time (closed_forms_by_unit), and the meet, join and Heyting negation of
-sub-objects, each built and validated on its own, with the measure
-axioms checked on them one pair at a time
-(measure_properties_by_pair).  conjugation_map checks acceptance criterion 9
-on the package's frame primitives.
+a time (closed_forms_by_unit), the lower-set test read off the dense
+order (is_lower_set), the full and empty sub-objects, and the meet,
+join and Heyting negation of sub-objects, each built and validated on
+its own, with the measure axioms checked on them one pair at a time
+(measure_properties_by_pair); stack_pairs lays sub-object pairs out as
+the mask arrays the package's check takes.  conjugation_map checks
+acceptance criterion 9 on the package's frame primitives.
 
 The canonical form of a context is also built one block at a time, each
 dense block a product of its own frame columns (canonical_by_block), and
@@ -79,7 +81,7 @@ from toposkms.numerics import (
     proj_leq,
     vec,
 )
-from toposkms.presheaf import ClopenSubobject, empty_subobject, full_subobject
+from toposkms.presheaf import ClopenSubobject
 from toposkms.tolerances import DEFAULT_TOL, TolerancePolicy
 
 
@@ -500,6 +502,12 @@ def swap_unitary(n_a: int, n_b: int) -> np.ndarray:
     return w
 
 
+def is_lower_set(poset, inside) -> bool:
+    """True iff the contexts of a boolean mask form a lower set: every
+    context below one of them is one of them."""
+    return not (poset.leq[:, inside].any(axis=1) & ~inside).any()
+
+
 def conjugation_map(w, poset):
     """The map V -> J V J of the antiunitary J = W conj(.) on a context
     poset, with its two readings of 'J respects coarse-graining':
@@ -520,7 +528,7 @@ def conjugation_map(w, poset):
     for i in sorted(range(len(m)), key=lambda i: int(leq[:, i].sum())):
         below = leq[:, i] & ~eye[i]
         ideals += [s | eye[i] for s in ideals if not (below & ~s).any()]
-    continuous = all(poset.is_lower_set(s[m]) for s in ideals)
+    continuous = all(is_lower_set(poset, s[m]) for s in ideals)
     return images, preserving, continuous, len(ideals)
 
 
@@ -581,6 +589,27 @@ def broken_chains_per_middle(presheaf):
 # --------------------------------------------------------------------------
 # the sub-object lattice one object at a time, and the measure axioms one
 # pair at a time
+
+
+def full_subobject(presheaf):
+    return ClopenSubobject(presheaf, np.ones(presheaf.offsets[-1], dtype=bool),
+                           np.ones(len(presheaf.poset), dtype=bool), name="Sigma")
+
+
+def empty_subobject(presheaf):
+    return ClopenSubobject(presheaf, np.zeros(presheaf.offsets[-1], dtype=bool),
+                           np.ones(len(presheaf.poset), dtype=bool), name="0")
+
+
+def stack_pairs(presheaf, pairs):
+    """(masks, domains) of a list of sub-object pairs (S, T), the arrays
+    (pairs, 2, characters) and (pairs, 2, contexts) that
+    measure.verify_measure_properties takes."""
+    pairs = list(pairs)
+    masks = np.array([(s.mask, t.mask) for s, t in pairs], dtype=bool)
+    domains = np.array([(s.domain, t.domain) for s, t in pairs], dtype=bool)
+    return (masks.reshape(-1, 2, len(presheaf.owner)),
+            domains.reshape(-1, 2, len(presheaf.poset)))
 
 
 def subobject_meet(s, t):

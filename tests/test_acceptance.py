@@ -67,6 +67,7 @@ from oracles import (
     dict_of,
     heyting_negation,
     s_map,
+    stack_pairs,
     subobject_join,
     swap_unitary,
     table_of,
@@ -180,7 +181,8 @@ def test_criterion_05_measure_property_suite(diag4, c3_gibbs):
                     for i in range(4)]
             pairs = [(subs[i], subs[j])
                      for i in range(4) for j in range(i + 1, 4)]
-            rep = verify_measure_properties(state, diag4.presheaf, pairs)
+            rep = verify_measure_properties(
+                state, diag4.presheaf, *stack_pairs(diag4.presheaf, pairs))
             for field in ("normalization", "empty", "monotonicity",
                           "modularity", "order_reversal", "complement_meet"):
                 assert getattr(rep, field) <= 1e-10, field
@@ -193,8 +195,9 @@ def test_criterion_05_measure_property_suite(diag4, c3_gibbs):
         neg = heyting_negation(sub)
         mu = measure_of(c3_gibbs.state, subobject_join(sub, neg))
         assert min(mu.values()) < 1.0 - 1e-3
-        strict = verify_measure_properties(c3_gibbs.state, c3_gibbs.presheaf,
-                                           [(sub, neg)])
+        strict = verify_measure_properties(
+            c3_gibbs.state, c3_gibbs.presheaf,
+            *stack_pairs(c3_gibbs.presheaf, [(sub, neg)]))
         assert strict.strictness_witness < 1.0 - 1e-3
 
 

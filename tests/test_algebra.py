@@ -21,6 +21,7 @@ from toposkms.algebra import (
 from toposkms.errors import (
     ContextMissing,
     DimMismatch,
+    DomainMismatch,
     NotInAlgebra,
     NotUnitary,
     PosetTooLarge,
@@ -28,7 +29,7 @@ from toposkms.errors import (
 )
 from toposkms.kms_external import AutomorphismFlow
 from toposkms.numerics import frob
-from toposkms.presheaf import SpectralPresheaf
+from toposkms.presheaf import SpectralPresheaf, check_masks
 from toposkms.scenario import load_scenario
 from toposkms.tolerances import DEFAULT_TOL
 
@@ -162,11 +163,23 @@ def test_c3_poset_closure_shape(c3_gibbs):
     assert lower_set(poset, "Vex") == ["Vex"]
 
 
+def _is_lower_set(presheaf, inside) -> bool:
+    """The lower-set test of check_masks, on the empty mask."""
+    try:
+        check_masks(presheaf, np.zeros(len(presheaf.owner), dtype=bool),
+                    inside)
+    except DomainMismatch as exc:
+        assert str(exc) == "sub-object domain is not a lower set"
+        return False
+    return True
+
+
 def test_lower_sets_are_downward_closed(c3_gibbs):
     poset = c3_gibbs.poset
     ids = [v.id for v in poset.contexts]
     for v in poset.contexts:
-        assert poset.is_lower_set(np.isin(ids, lower_set(poset, v.id)))
+        assert _is_lower_set(c3_gibbs.presheaf,
+                             np.isin(ids, lower_set(poset, v.id)))
 
 
 def test_lower_set_test_matches_the_dense_formula(scenario_dir):
@@ -179,6 +192,7 @@ def test_lower_set_test_matches_the_dense_formula(scenario_dir):
     rng = np.random.default_rng(5)
     verdicts = set()
     for poset in posets:
+        psh = SpectralPresheaf(poset)
         n = len(poset)
         masks = [rng.random(n) < p for p in (0.1, 0.5, 0.9) for _ in range(20)]
         for _ in range(20):
@@ -188,7 +202,7 @@ def test_lower_set_test_matches_the_dense_formula(scenario_dir):
             masks += [lower, flipped]
         for inside in masks:
             dense = not (poset.leq[:, inside].any(axis=1) & ~inside).any()
-            assert poset.is_lower_set(inside) == dense
+            assert _is_lower_set(psh, inside) == dense
             verdicts.add(dense)
     assert verdicts == {True, False}
 

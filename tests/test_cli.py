@@ -208,6 +208,9 @@ D1, D2, D3 = {"diag": [1, 0, 0]}, {"diag": [0, 1, 0]}, {"diag": [0, 0, 1]}
 # the projection onto e2 + 0.005 e1: its sum with D1 and D3 is within the
 # loosened eps_idem of the identity, but it is not orthogonal to D1
 TILTED = (np.outer([0.005, 1, 0], [0.005, 1, 0]) / (1 + 0.005 ** 2)).tolist()
+# the projection onto e2 + 3e-10 e1: with D1 and D3 it sums to the
+# identity within 4.2e-10, which a tightened eps_idem rejects
+GRAZING = (np.outer([3e-10, 1, 0], [3e-10, 1, 0]) / (1 + 3e-10 ** 2)).tolist()
 
 
 @pytest.mark.parametrize("blocks, extra, message", [
@@ -215,6 +218,8 @@ TILTED = (np.outer([0.005, 1, 0], [0.005, 1, 0]) / (1 + 0.005 ** 2)).tolist()
     ([D1, D2], [], "do not sum to the identity"),
     ([D1, {"diag": [0, 0.5, 1]}], [], "not idempotent"),
     ([{"diag": [1, 1, 1]}], [], "at least two blocks"),
+    ([D1, GRAZING, D3], ["--tol", "eps_idem=1e-13"],
+     "do not sum to the identity"),
 ])
 def test_invalid_context_blocks_exit_2(tmp_path, capfd, blocks, extra, message):
     path = tmp_path / "bad.json"

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from toposkms.errors import (
     AmbiguousMatch,
     DomainMismatch,
+    NotClosedUnderRestriction,
     NotFaithful,
     PosetNotClosed,
 )
@@ -366,6 +367,37 @@ def test_cutoff_invariance_fails_for_pure(c3_pure):
     k, j = np.unravel_index(rep.residuals.argmax(), rep.residuals.shape)
     assert rep.residuals[k, j] == rep.max_residual
     assert rep.context_ids[j]
+
+
+def test_cutoff_invariance_checks_the_daseinised_masks(c3_gibbs,
+                                                      monkeypatch):
+    """A daseinised mask with one restriction dropped raises what the
+    sub-object of the first failing (projection, stage), built on its
+    own on the stage's lower set, raises."""
+    psh, poset = c3_gibbs.presheaf, c3_gibbs.poset
+    ps = [np.diag([1.0, 0.0, 0.0]),
+          np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]])]
+    stages = [StageVR(cid, r) for cid in ("Vex", "Vdiag") for r in (0.3, 0.7)]
+    masks = psh.dasein_masks(ps)
+    # drop, from the second projection's mask, the restriction of its
+    # first character on the lower set of Vdiag
+    below = poset.leq[:, poset.index_of("Vdiag")]
+    edge = int((masks[1, psh.src] & below[psh.owner[psh.src]]).argmax())
+    masks[1, psh.dst[edge]] = False
+    monkeypatch.setattr(psh, "dasein_masks", lambda ps: masks)
+    errors = []
+    for mask in masks:
+        for stage in stages:
+            inside = poset.leq[:, poset.index_of(stage.context_id)]
+            try:
+                ClopenSubobject(psh, mask & inside[psh.owner], inside)
+            except NotClosedUnderRestriction as exc:
+                errors.append(str(exc))
+    assert errors
+    with pytest.raises(NotClosedUnderRestriction) as info:
+        check_truth_value_invariance(c3_gibbs.state, c3_gibbs.flow, ps,
+                                     stages, psh, list(GRID5))
+    assert str(info.value) == errors[0]
 
 
 def test_expectation_identity(c3_gibbs):

@@ -47,8 +47,6 @@ from toposkms.presheaf import (
     SpectralPresheaf,
     complete_downward,
     daseinisation_subobject,
-    empty_subobject,
-    full_subobject,
 )
 
 from conftest import (
@@ -61,10 +59,14 @@ from conftest import (
 from oracles import (
     check_table,
     dict_of,
+    empty_subobject,
+    full_subobject,
     heyting_negation,
     measure_properties_by_pair,
     on_common_domain,
+    stack_pairs,
     subobject_join,
+    subobject_meet,
     table_of,
 )
 
@@ -120,7 +122,8 @@ def test_measure_axioms_hold_for_gibbs(c3_gibbs):
     subs = c3_gibbs.subs
     pairs = [(subs["S1"], subs["S2"]), (subs["S1"], subs["S12"]),
              (subs["S2"], subs["S12"])]
-    rep = verify_measure_properties(c3_gibbs.state, psh, pairs)
+    rep = verify_measure_properties(c3_gibbs.state, psh,
+                                    *stack_pairs(psh, pairs))
     assert rep.passed
     for field in ("normalization", "empty", "monotonicity", "modularity",
                   "order_reversal", "complement_meet"):
@@ -136,7 +139,8 @@ def test_complement_join_can_fall_short(c3_gibbs):
     j = subobject_join(sub, neg)
     mu = measure_of(c3_gibbs.state, j)
     assert min(mu.values()) < 1.0 - 1e-3
-    rep = verify_measure_properties(c3_gibbs.state, psh, [(sub, neg)])
+    rep = verify_measure_properties(c3_gibbs.state, psh,
+                                    *stack_pairs(psh, [(sub, neg)]))
     assert rep.strictness_witness < 1.0 - 1e-3
 
 
@@ -154,8 +158,8 @@ def test_measure_axioms_hold_for_random_states(seed):
     c3 = build_c3(random_density(rng, 3))
     subs = c3.subs
     rep = verify_measure_properties(
-        c3.state, c3.presheaf,
-        [(subs["S1"], subs["S2"]), (subs["S2"], subs["S12"])])
+        c3.state, c3.presheaf, *stack_pairs(
+            c3.presheaf, [(subs["S1"], subs["S2"]), (subs["S2"], subs["S12"])]))
     assert rep.passed
 
 
@@ -204,7 +208,7 @@ def test_bulk_measure_check_matches_the_pairwise_loop(measure_models, model,
     equal = [(a, b) for a in pool for b in pool
              if np.array_equal(a.domain, b.domain)]
     for pairs in (restricted, equal, []):
-        got = verify_measure_properties(state, psh, pairs)
+        got = verify_measure_properties(state, psh, *stack_pairs(psh, pairs))
         want = measure_properties_by_pair(state, psh, pairs)
         assert _fields(got) == _fields(want)
 
@@ -224,10 +228,10 @@ def _on(psh, domain, full: bool):
 def test_bulk_measure_check_fails_as_the_pairwise_loop(measure_models,
                                                        monkeypatch, entries):
     """A pair with unequal domains raises DomainMismatch, and a stacked
-    mask that a restriction edge leaves raises NotClosedUnderRestriction
-    on the first edge that the derived sub-object's own construction
-    names; the closure test takes the stack whole, or one mask at a
-    time."""
+    mask that a restriction edge leaves, S, T or derived, raises
+    NotClosedUnderRestriction on the first edge that the sub-object's
+    own construction names; the closure test takes the stack whole, or
+    one mask at a time."""
     monkeypatch.setattr(presheaf_module, "CLOSURE_ENTRIES", entries)
     rng = np.random.default_rng(9)
     kinds = set()
@@ -235,7 +239,8 @@ def test_bulk_measure_check_fails_as_the_pairwise_loop(measure_models,
         everywhere = np.ones(len(psh.poset), dtype=bool)
         a, b = _on(psh, everywhere, True), _on(psh, ~everywhere, False)
         pairs = [(a, a), (a, b), (b, b)]
-        got = _error(verify_measure_properties, state, psh, pairs)
+        got = _error(verify_measure_properties, state, psh,
+                     *stack_pairs(psh, pairs))
         assert got == _error(measure_properties_by_pair, state, psh, pairs)
         assert got == (DomainMismatch, "meet needs equal domains")
 
@@ -254,10 +259,24 @@ def test_bulk_measure_check_fails_as_the_pairwise_loop(measure_models,
         direct = _error(ClopenSubobject, psh, mask, a.domain)
         for pairs in ([(broken, a)], [(a, a), (broken, broken)],
                       [(a, a), (_on(psh, a.domain, False), broken)]):
-            got = _error(verify_measure_properties, state, psh, pairs)
+            got = _error(verify_measure_properties, state, psh,
+                         *stack_pairs(psh, pairs))
             assert got == _error(measure_properties_by_pair, state, psh,
                                  pairs) == direct
             kinds.add(got[0])
+        # a broken T row under S, the dropped character and its
+        # restrictions: S ^ T, S v T and the rows of ~S all build, so
+        # only the check of the T row itself catches it
+        below = np.zeros_like(mask)
+        below[psh.dst[edge]] = True
+        below[psh.dst[below[psh.src]]] = True
+        s = ClopenSubobject(psh, below, a.domain)
+        neg = heyting_negation(s)
+        for derived in (subobject_meet(s, broken), subobject_join(s, broken),
+                        neg, subobject_meet(s, neg), subobject_join(s, neg)):
+            assert derived.presheaf is psh
+        assert _error(verify_measure_properties, state, psh,
+                      *stack_pairs(psh, [(a, a), (s, broken)])) == direct
     assert kinds == {NotClosedUnderRestriction}
 
 

@@ -36,9 +36,7 @@ from toposkms.presheaf import (
     block_sums,
     complete_downward,
     daseinisation_subobject,
-    empty_subobject,
     enumerate_subobjects,
-    full_subobject,
     outer_daseinisation,
     outer_daseinisation_bruteforce,
     pullback,
@@ -58,6 +56,8 @@ from oracles import (
     all_subobjects,
     broken_chains_per_middle,
     dense_image,
+    empty_subobject,
+    full_subobject,
     heyting_negation,
     lattice_minimum_by_loop,
     lower_set,

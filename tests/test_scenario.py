@@ -9,6 +9,8 @@ import pytest
 
 from toposkms.cli import execute
 from toposkms.errors import ScenarioError
+from toposkms.kms_external import check_truth_value_invariance
+from toposkms.presheaf import ClopenSubobject
 from toposkms.reports import FAIL, INFO, Report
 from toposkms.scenario import (
     DEFAULT_CHECKS,
@@ -16,7 +18,7 @@ from toposkms.scenario import (
     parse_matrix,
     parse_operator,
 )
-from toposkms.suites import SUITES
+from toposkms.suites import SUITES, _stages
 from toposkms.tolerances import DEFAULT_TOL
 
 MINIMAL = {
@@ -246,3 +248,35 @@ def test_c1_suites_list_failing_rows_in_a_fixed_order(c3_pure):
     keys = [tuple(e.location.split(" @ ")) for e in _failing_rows(rep)]
     assert len(keys) > 1 and keys == sorted(keys)
     assert len({cid for _, cid in keys}) > 1
+
+
+def test_the_measure_and_truth_suites_build_no_derived_subobjects(
+        scenario_dir, monkeypatch):
+    """Counted over the corpus with a wrapped ClopenSubobject: the measure
+    suite builds only the random members of its pool of 8 (its pairs
+    and the full and empty sub-objects are mask rows), and the cutoff
+    invariance check builds none (its masks are one stack)."""
+    built = []
+    init = ClopenSubobject.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClopenSubobject, "__init__", counting)
+    checked = 0
+    for path in sorted(scenario_dir.glob("*.json")):
+        scn = load_scenario(path)
+        built.clear()
+        SUITES["measure"](scn, Report())
+        assert len(built) == max(0, 8 - len(scn.subobjects)), path.stem
+        if scn.flow is None or not (scn.t_grid and scn.projections
+                                    and scn.r_queries):
+            continue
+        built.clear()
+        check_truth_value_invariance(
+            scn.state, scn.flow, list(scn.projections.values()),
+            _stages(scn), scn.presheaf, scn.t_grid)
+        assert built == [], path.stem
+        checked += 1
+    assert checked
