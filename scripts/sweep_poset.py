@@ -2,8 +2,8 @@
 """Time each corpus scenario, the context-poset layers on the
 downward-closed diagonal C^n poset, and one Tier-1 run.
 
-    python3 scripts/sweep_poset.py --label change --out BENCH_29.json
-    python3 scripts/sweep_poset.py --label parent --out BENCH_29.json \
+    python3 scripts/sweep_poset.py --label change --out BENCH_32.json
+    python3 scripts/sweep_poset.py --label parent --out BENCH_32.json \
         --src /path/to/other/src
 
 For each scenario of scripts/scenarios it times `load_scenario` and each
@@ -18,10 +18,12 @@ the Tomita layer on the scenario's state, as medians over 5 runs:
 `tomita_operators` (tomita_s) and `commutant_swap_check` on its data
 (swap_s).
 
-For n = 4..7 it times `load_scenario` and the `poset`, `presheaf` and
-`external-c1` suites, as medians over 5 runs in one process per n, and
-records that process's peak RSS.  It then times the C^8 load once, in
-a process of its own.  The scenario is perfbench's large_poset scenario
+For n = 4..7 it times `load_scenario` and the `poset`, `presheaf`,
+`measure` and `external-c1` suites, as medians over 5 runs in one
+process per n, and records that process's peak RSS.  It then times the
+C^8 load once, in a process of its own, and each of those suites once
+on C^8, in one process per suite with its load, recording each
+process's peak RSS.  The scenario is perfbench's large_poset scenario
 (seed 1) with the dimension changed: the diagonal context of n rank-one
 blocks closed downward, Bell(n) - 1 contexts.
 
@@ -53,7 +55,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIZES = (4, 5, 6, 7)
 DENSE_SIZES = range(4, 11)
-SUITES = ("poset", "presheaf", "external-c1")
+SUITES = ("poset", "presheaf", "measure", "external-c1")
 BELL = {4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 REPEATS = 5
 CORPUS = ROOT / "scripts" / "scenarios"
@@ -94,8 +96,9 @@ def dense_scenario(n: int) -> dict:
     return harness.modular_dense_scenario(1, n)
 
 
-def child(n: int, repeats: int, suites: bool) -> dict:
-    """Time one size in this process; the package comes from sys.path."""
+def child(n: int, repeats: int, suites) -> dict:
+    """Time the load and the named suites on one size in this process; the
+    package comes from sys.path."""
     import resource
 
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -105,18 +108,16 @@ def child(n: int, repeats: int, suites: bool) -> dict:
     from toposkms.scenario import load_scenario
 
     raw = diagonal_scenario(harness, n)
-    times = {"load_s": []} | ({f"{s}_s": [] for s in SUITES} if suites
-                             else {})
+    times = {"load_s": []} | {f"{s}_s": [] for s in suites}
     for _ in range(repeats):
         t0 = time.perf_counter()
         scn = load_scenario(raw)
         times["load_s"].append(time.perf_counter() - t0)
-        if suites:
-            rep = Report(scenario=scn.resolved)
-            for name in SUITES:
-                t0 = time.perf_counter()
-                RUNNERS[name](scn, rep)
-                times[f"{name}_s"].append(time.perf_counter() - t0)
+        rep = Report(scenario=scn.resolved)
+        for name in suites:
+            t0 = time.perf_counter()
+            RUNNERS[name](scn, rep)
+            times[f"{name}_s"].append(time.perf_counter() - t0)
     out = {"contexts": len(scn.poset), "runs": repeats}
     out |= {k: statistics.median(v) for k, v in times.items()}
     out["peak_rss_mb"] = resource.getrusage(
@@ -179,8 +180,9 @@ def dense_child(n: int, repeats: int) -> dict:
 
 def measure(src: pathlib.Path, what: list, repeats: int) -> dict:
     """Run one child process with the arguments `what`: --child N (the
-    diagonal C^N poset, with --load-only for its load alone), --dense N
-    (the modular_dense scenario on C^N) or --scenario PATH."""
+    diagonal C^N poset, with --suites for a comma-separated list of the
+    suites to time, none for its load alone), --dense N (the
+    modular_dense scenario on C^N) or --scenario PATH."""
     env = dict(os.environ, PYTHONPATH=str(src),
                **{var: "1" for var in BLAS_THREAD_VARS})
     cmd = [sys.executable, __file__, *what, "--repeats", str(repeats)]
@@ -213,10 +215,12 @@ def main(argv=None) -> int:
     p.add_argument("--scenario", type=pathlib.Path, help=argparse.SUPPRESS)
     p.add_argument("--dense", type=int, help=argparse.SUPPRESS)
     p.add_argument("--repeats", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--load-only", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--suites", default=",".join(SUITES),
+                   help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.child is not None:
-        print(json.dumps(child(args.child, args.repeats, not args.load_only)))
+        print(json.dumps(child(args.child, args.repeats,
+                               [s for s in args.suites.split(",") if s])))
         return 0
     if args.scenario is not None:
         print(json.dumps(corpus_child(args.scenario, args.repeats)))
@@ -242,8 +246,13 @@ def main(argv=None) -> int:
     for n in SIZES:
         result[f"diag{n}"] = measure(src, ["--child", str(n)], REPEATS)
         print(f"C^{n}: " + json.dumps(result[f"diag{n}"]), flush=True)
-    result["diag8_load"] = measure(src, ["--child", "8", "--load-only"], 1)
+    result["diag8_load"] = measure(src, ["--child", "8", "--suites", ""], 1)
     print("C^8 load: " + json.dumps(result["diag8_load"]))
+    for name in SUITES:
+        result[f"diag8_{name}"] = measure(
+            src, ["--child", "8", "--suites", name], 1)
+        print(f"C^8 {name}: " + json.dumps(result[f"diag8_{name}"]),
+              flush=True)
     result |= tier1(src)
     print(f"Tier-1: {result['tier1_s']:.1f} s, {result['tier1_summary']}")
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
@@ -255,9 +264,10 @@ def main(argv=None) -> int:
         "with tomita_s and swap_s the medians of tomita_operators on its "
         "state and of commutant_swap_check on that data; "
         "under diagN, of load_scenario "
-        "and of the poset, presheaf and external-c1 suites on the "
+        "and of the poset, presheaf, measure and external-c1 suites on the "
         "downward-closed diagonal C^N poset; diag8_load is one load of "
-        "C^8; tier1_s is the wall time of one Tier-1 run of the tests of "
+        "C^8, and diag8_S one load and one run of suite S on C^8, each in "
+        "a process of its own; tier1_s is the wall time of one Tier-1 run of the tests of "
         "the checkout that holds the sources, with its exit code "
         "(tier1_exit) and pytest's summary line (tier1_summary).  Written "
         "by scripts/sweep_poset.py.")

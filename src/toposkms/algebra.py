@@ -530,7 +530,7 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
     are coarse-grainings of their parent.  Its batches are the proper
     coarse-grainings of those contexts in turn, each in _set_partitions
     order, cut into chunks of at most max_contexts - len(contexts) + 1
-    (and at most PRODUCT_ENTRIES / n^2, which bounds their blocks), at
+    (and at most SLICE_BYTES / (16 n^2), which bounds their blocks), at
     least one; so the candidate past max_contexts raises before the
     other partitions are built.  Distinct partitions of one context are
     never equal, so only coarse-grainings of different contexts are
@@ -572,6 +572,7 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
 
     for s in seeds:
         add([s])
+    most = context_index.SLICE_BYTES // (16 * max(index.dim, 1) ** 2)
 
     cursor = 0  # contexts before the cursor went through a downward step
     closed = set()  # indices added as coarse-grainings of an expanded context
@@ -590,7 +591,6 @@ def build_poset(seeds, *, downward_closure: bool = False, meet_closure: bool = F
                               if i not in closed
                               for rgs in _set_partitions(contexts[i].k)
                               if max(rgs) + 1 not in (1, contexts[i].k))
-                most = context_index.PRODUCT_ENTRIES // max(index.dim, 1) ** 2
                 while chunk := list(itertools.islice(partitions, max(
                         1, min(max_contexts - len(contexts) + 1, most)))):
                     parents = [i for i, _ in chunk]

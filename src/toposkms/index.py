@@ -24,8 +24,8 @@ batch is matched against the index as it stands, not against itself:
 two of its candidates may be equal, and build_poset tests the ones not
 found against each other before it appends them in order; append
 extends a match made before the table grew.  A meet pass (meets) takes
-one product per ordered pair of buckets.  Every product is sliced to
-at most PRODUCT_ENTRIES entries.
+one product per ordered pair of buckets.  Every bulk slice, a product
+tile or a run of gathered entries, holds at most SLICE_BYTES bytes.
 """
 from __future__ import annotations
 
@@ -38,11 +38,11 @@ from .errors import DimMismatch, NotUnitary
 from .numerics import is_unitary
 from .tolerances import DEFAULT_TOL, TolerancePolicy
 
-#: most complex entries one batched frame product holds (256 KB); a
-#: product of two stacks is taken in tiles of at most this many entries.
-#: A tile and its |.|^2 stay near cache size: on the diagonal C^6 and C^7
-#: posets 2^14 ran no slower than 2^15 and held about 0.4 MB less at peak
-PRODUCT_ENTRIES = 1 << 14
+#: most bytes one bulk slice holds: a product tile (16 bytes a complex
+#: entry) or a run of gathered masks and indices.  A tile and its |.|^2
+#: stay near cache size: on the diagonal C^6 and C^7 posets 2^14 complex
+#: entries ran no slower than 2^15 and held about 0.4 MB less at peak
+SLICE_BYTES = 1 << 18
 
 
 def _overlaps(rows, row_starts, frame, col_starts) -> np.ndarray:
@@ -55,23 +55,26 @@ def _overlaps(rows, row_starts, frame, col_starts) -> np.ndarray:
                            col_starts, axis=-1)
 
 
-def tiles(rows: int, cols: int, size: int):
+def tiles(rows: int, cols: int, nbytes: int):
     """(row slice, column slice) pairs that tile a rows x cols grid of
-    products of `size` entries each, every tile at most PRODUCT_ENTRIES
-    entries (or a single product), row slices in order."""
-    r = max(1, min(rows, PRODUCT_ENTRIES // size))
-    c = max(1, PRODUCT_ENTRIES // (r * size))
+    items of nbytes each, every tile at most SLICE_BYTES bytes (or a
+    single item), row slices in order; tiles(count, 1, nbytes) slices a
+    run of count items."""
+    nbytes = max(1, nbytes)
+    r = max(1, min(rows, SLICE_BYTES // nbytes))
+    c = max(1, SLICE_BYTES // (r * nbytes))
     for lo in range(0, rows, r):
         for cl in range(0, cols, c):
             yield slice(lo, lo + r), slice(cl, cl + c)
 
 
-def _runs(sizes, budget: int):
-    """Slices of consecutive items, with the given sizes, that cover them
-    in order, each summing to at most budget (or holding a single item)."""
+def _runs(sizes):
+    """Slices of consecutive items, with the given sizes in bytes, that
+    cover them in order, each summing to at most SLICE_BYTES (or holding
+    a single item)."""
     lo = total = 0
     for i, size in enumerate(np.asarray(sizes).tolist()):
-        if i > lo and total + size > budget:
+        if i > lo and total + size > SLICE_BYTES:
             yield slice(lo, i)
             lo, total = i, 0
         total += size
@@ -153,16 +156,11 @@ def _defect(frames) -> np.ndarray:
 def _pair_homes(rows, a, row_starts, cols, b, col_starts, bound: float):
     """(placed, home) of the frame pairs (rows[a[p]], cols[b[p]]): whether
     every block of cols[b[p]] has off-home mass at most bound in
-    rows[a[p]], and its homes (_homes), in slices of at most
-    PRODUCT_ENTRIES entries."""
-    step = max(1, PRODUCT_ENTRIES // rows.shape[-1] ** 2)
-    if len(a) > step:
-        parts = [_pair_homes(rows, a[lo:lo + step], row_starts,
-                             cols, b[lo:lo + step], col_starts, bound)
-                 for lo in range(0, len(a), step)]
-        return tuple(map(np.concatenate, zip(*parts)))
-    placed, home = _homes(_overlaps(rows[a], row_starts, cols[b],
-                                    col_starts), bound)
+    rows[a[p]], and its homes (_homes), in slices of pairs whose frame
+    products hold at most SLICE_BYTES (a and b not empty)."""
+    placed, home = map(np.concatenate, zip(*(
+        _homes(_overlaps(rows[a[s]], row_starts, cols[b[s]], col_starts),
+               bound) for s, _ in tiles(len(a), 1, 16 * rows.shape[-1] ** 2))))
     return placed.all(axis=-1), home
 
 
@@ -171,10 +169,10 @@ def _blocks(cols, starts) -> np.ndarray:
     block b, one flattened row each.  cols holds frame columns, one per
     row, and block b is the rows from starts[b] to the next start.  The
     outer products are taken in runs of whole blocks, each cut at the
-    first block starting at or after a multiple of PRODUCT_ENTRIES / n^2
+    first block starting at or after a multiple of SLICE_BYTES / (16 n^2)
     columns (rounded down to whole n-column frames, at least one)."""
     n = cols.shape[1]
-    width = max(1, PRODUCT_ENTRIES // n ** 3) * n
+    width = max(1, SLICE_BYTES // (16 * n ** 3)) * n
     if len(cols) > width:
         cuts = np.searchsorted(starts, np.arange(width, len(cols), width))
         return np.concatenate([
@@ -187,13 +185,11 @@ def _blocks(cols, starts) -> np.ndarray:
 def _traces(a, b) -> np.ndarray:
     """tr(P_i Q_j) = Re vec(P_i)* vec(Q_j) of the Hermitian block rows a[i]
     and b[j] (_blocks), in slices of rows of a whose product and conjugate
-    hold at most PRODUCT_ENTRIES entries; no columns where b has no
-    rows."""
+    hold at most SLICE_BYTES; no columns where b has no rows."""
     if not len(b):
         return np.zeros((len(a), 0))
-    step = max(1, PRODUCT_ENTRIES // max(len(b), a.shape[1]))
-    parts = [(a[lo:lo + step].conj() @ b.T).real
-             for lo in range(0, len(a), step)]
+    parts = [(a[s].conj() @ b.T).real
+             for s, _ in tiles(len(a), 1, 16 * max(len(b), a.shape[1]))]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -472,7 +468,7 @@ class ContextIndex:
         a superset of the pairs the order's frame test accepts.  covers[s,
         i] says that a block of context i holds table block s; the pairs
         are read off it in runs of contexts whose gathered rows hold at
-        most PRODUCT_ENTRIES entries."""
+        most SLICE_BYTES."""
         m, d = len(self.contexts), len(self.ranks)
         sigma, _, alpha = self._radii(self.dim, self.defect)
         inside = self.ranks - _traces(self.rows, self.rows) <= (
@@ -482,7 +478,7 @@ class ContextIndex:
         ids = np.fromiter(itertools.chain.from_iterable(self.block_ids),
                           dtype=np.intp, count=int(ks.sum()))
         first = np.concatenate(([0], np.cumsum(ks)))
-        runs = list(_runs(ks * max(m, d), PRODUCT_ENTRIES))
+        runs = list(_runs(ks * max(m, d)))
         covers = np.zeros((d, m), dtype=bool)
         for run in runs:
             lo = first[run.start]
@@ -518,7 +514,8 @@ class ContextIndex:
                 frames_i, frames_j = first_frames[early], second_frames[late]
                 starts = (self.contexts[lo[0]].starts,
                           self.contexts[hi[0]].starts)
-                for rows, cols in tiles(len(lo), len(hi), self.dim ** 2):
+                for rows, cols in tiles(len(lo), len(hi),
+                                        16 * self.dim ** 2):
                     a, b = np.nonzero(lo[rows, None] < hi[None, cols])
                     if not a.size:
                         continue

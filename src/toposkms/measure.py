@@ -41,6 +41,7 @@ from .errors import (
     NotAdditive,
     NotAState,
 )
+from .index import tiles
 from .numerics import as_complex_matrix, dagger, is_hermitian
 from .presheaf import (
     ClopenSubobject,
@@ -127,14 +128,16 @@ def verify_measure_properties(state: State, presheaf: SpectralPresheaf,
     must be equal (DomainMismatch).
 
     The pairs are one stack of masks (pairs, 7, characters): S, T, S ^ T,
-    S v T, ~S, S ^ ~S and S v ~S, the Heyting negation ~S one scatter
-    over the restriction edges.  All seven rows are checked as clopen
-    sub-objects in pair order (check_masks), and every measure, the full
-    and empty sub-objects' (an all-ones and an all-zeros row) too, is
-    read from one sections call under one set of flat block weights of
-    the state.  Each residual is one np.fmax reduction, NaN (outside a
-    domain) ignored; the normalization residual is raised to
-    max mu(S v ~S) - 1 when some pair exceeds 1 + eps_measure.
+    S v T, ~S, S ^ ~S and S v ~S, the Heyting negation ~S a scatter
+    over the restriction edges in slices of pairs.  All seven rows are
+    checked as clopen sub-objects in pair order (check_masks), and every
+    measure, the full and empty sub-objects' (an all-ones and an
+    all-zeros row) too, is read from one sections call under one set of
+    flat block weights of the state.  Each residual is an np.fmax
+    reduction, NaN (outside a domain) ignored, order reversal's folded
+    over slices of strict pairs; every slice holds at most SLICE_BYTES.
+    The normalization residual is raised to max mu(S v ~S) - 1 when some
+    pair exceeds 1 + eps_measure.
     """
     ph = presheaf
     eps = ph.tol.eps_measure
@@ -145,8 +148,10 @@ def verify_measure_properties(state: State, presheaf: SpectralPresheaf,
     n_pairs = len(s)
     unequal = (domains != other).any(axis=1)
     hit = s.copy()
-    rows, edges = np.nonzero(s[:, ph.dst])
-    hit[rows, ph.src[edges]] = True
+    # 25 bytes a (pair, edge): the gathered mask and three index arrays
+    for part, _ in tiles(n_pairs, 1, 25 * len(ph.dst)):
+        rows, edges = np.nonzero(s[part, ph.dst])
+        hit[part][rows, ph.src[edges]] = True
     neg = domains[:, ph.owner] & ~hit
     stack = np.stack([s, t, s & t, s | t, neg, s & neg, s | neg], axis=1)
     # the first pair with unequal domains, unless a row of an earlier
@@ -173,7 +178,11 @@ def verify_measure_properties(state: State, presheaf: SpectralPresheaf,
     res_empty = _worst(np.abs(empty_mu), 0.0)
     res_mono = _worst([mmeet - ms, mmeet - mt, ms - mjoin, mt - mjoin], 0.0)
     res_mod = _worst(np.abs(mjoin + mmeet - ms - mt), 0.0)
-    res_rev = _worst(sections[..., large] - sections[..., small], 0.0)
+    res_rev = 0.0
+    # 24 bytes a (section, strict pair): two gathers and their difference
+    for part, _ in tiles(len(large), 1, 24 * sections[..., 0].size):
+        res_rev = _worst(sections[..., large[part]]
+                         - sections[..., small[part]], res_rev)
     res_cmeet = _worst(np.abs(mneg_meet), 0.0)
     strict = _worst(1.0 - mneg_join, 0.0)
 

@@ -16,8 +16,8 @@ The commutant swap reads X = J pi(E_kl) J off its n x n blocks X[a, b]:
 the commutator with pi(E_ij) = E_ij (x) 1 holds the blocks X[a, i]
 (a != i), -X[j, b] (b != j) and X[i, i] - X[j, j] at disjoint positions,
 so its squared norm is a sum of block norms.  The (k, l) pairs run in
-batches, one stacked product each, holding at most PRODUCT_ENTRIES
-entries of X; the gaps X[i, i] - X[j, j] are formed for i < j only.
+batches, one stacked product each, whose X holds at most
+index.SLICE_BYTES; the gaps X[i, i] - X[j, j] are formed for i < j only.
 All n^4 pairs cost O(n^7) instead of the 2 n^9 of commuting with
 pi(E_ij) as a matrix.
 
@@ -257,9 +257,11 @@ def commutant_swap_check(state: State, *, data: ModularData | None = None
     both (i, j) and (j, i).  The right residual subtracts E_kl from every
     diagonal block.
 
-    The pairs are taken k-major in batches of PRODUCT_ENTRIES / n^4
-    (at least one), each batch's X one stacked product, and every block
-    norm and gap is a row-wise squared norm of a contiguous segment.
+    The pairs are taken k-major in batches whose X, one stacked product
+    of 16 n^4 bytes a pair, holds at most SLICE_BYTES (at least one
+    pair); a batch bounds X alone, and its gap temporaries d[iu], d[ju]
+    and their difference add about 1.5 times X.  Every block norm and
+    gap is a row-wise squared norm of a contiguous segment.
     Cost: n^2 products of n^5 multiply-adds, O(n^7) in all, where
     commuting with each pi(E_ij) as a matrix would cost 2 n^9.
     """
@@ -271,10 +273,9 @@ def commutant_swap_check(state: State, *, data: ModularData | None = None
     rows = np.conj(jm).reshape(n, n, n2)   # rows[l] = conj(M[block l, :])
     diag = np.arange(n)
     iu, ju = np.triu_indices(n, 1)
-    step = max(1, context_index.PRODUCT_ENTRIES // n2 ** 2)
     worst_comm = worst_right = 0.0
-    for start in range(0, n2, step):
-        k, l = np.divmod(np.arange(start, min(start + step, n2)), n)
+    for part, _ in context_index.tiles(n2, 1, 16 * n2 ** 2):
+        k, l = np.divmod(np.arange(n2)[part], n)
         m = len(k)
         # x[p, a, :, b, :] = X[a, b] of pair p = (k[p], l[p])
         x = np.matmul(cols[k], rows[l]).reshape(m, n, n, n, n)

@@ -42,7 +42,7 @@ dasein_indices to one context, which need not lie in the poset.  The
 independent oracle, outer_daseinisation_bruteforce, stays dense: for
 each context of a signature bucket it forms the dense blocks and their
 2^k subset sums L, and takes (1 - L) p for every (context, L, p) with
-one GEMM per tile of at most PRODUCT_ENTRIES entries, with proj_leq's
+one GEMM per tile of at most index.SLICE_BYTES, with proj_leq's
 threshold; a single context is a bucket of one.  The presheaf suite
 compares dasein_masks with it bucket by bucket, and checks
 functoriality with SpectralPresheaf.broken_chains, one gather over
@@ -90,15 +90,6 @@ ENUMERATION_NODE_CAP = 1_000_000
 # daseinisation oracle scans
 MAX_LATTICE_BLOCKS = 20
 
-# most (mask, edge) pairs the closure test of check_masks gathers at
-# once, about 1 MB of booleans
-CLOSURE_ENTRIES = 1 << 20
-
-# most (edge into a middle context, context below it) pairs that
-# SpectralPresheaf.broken_chains compares at once; each holds a few
-# int64 temporaries, so a run stays near 100 KB
-CHAIN_PAIRS = 1 << 12
-
 
 class SpectralPresheaf:
     """Every context's characters on one flat axis, and the restriction
@@ -138,8 +129,8 @@ class SpectralPresheaf:
         """Flat block weights Re tr(m Q_i) (Context.weights) at the
         contexts of the boolean mask `inside`, every context by default,
         and 0 elsewhere; m is a matrix or a stack of them (..., n, n).
-        One product per signature bucket of stacked frames, sliced to at
-        most PRODUCT_ENTRIES, with Context.weights' expression.  Computed
+        One product per signature bucket of stacked frames, tiled to at
+        most SLICE_BYTES, with Context.weights' expression.  Computed
         once per (m, mask), m by dtype, shape and entries, and kept on the
         presheaf as action is; the array is read-only."""
         m = np.asarray(m)
@@ -157,7 +148,7 @@ class SpectralPresheaf:
                 continue
             starts = self.poset.contexts[members[0]].starts
             chars = self.offsets[members][:, None] + np.arange(k)
-            for rows, cols in tiles(len(frames), len(stack), n * n):
+            for rows, cols in tiles(len(frames), len(stack), 16 * n * n):
                 diag = np.einsum("cij,scij->scj", frames[rows].conj(),
                                  stack[cols, None] @ frames[rows]).real
                 out[cols, chars[rows].ravel()] = np.add.reduceat(
@@ -183,7 +174,8 @@ class SpectralPresheaf:
         through `mid` lands on another character of `small` than
         restricted directly.  Every (edge into mid, context below mid)
         pair is one comparison of two gathers, taken in runs of middle
-        contexts of at most CHAIN_PAIRS pairs each."""
+        contexts whose pairs hold at most SLICE_BYTES, 64 bytes a pair
+        for its few int64 temporaries."""
         n = len(self.poset)
         strict = self.poset.leq & ~np.eye(n, dtype=bool)
         into = self.owner[self.dst]
@@ -202,7 +194,7 @@ class SpectralPresheaf:
         below_at = np.searchsorted(mids, np.arange(n + 1))
         below = np.diff(below_at)
         broken = 0
-        for run in _runs(np.diff(edges_at) * below, CHAIN_PAIRS):
+        for run in _runs(np.diff(edges_at) * below * 64):
             edges = by_mid[edges_at[run.start]:edges_at[run.stop]]
             reps = below[into[edges]]
             small = smalls[np.repeat(below_at[into[edges]], reps)
@@ -243,13 +235,13 @@ class SpectralPresheaf:
         context, as flat character masks (m, characters): block i of V is
         in the mask of p iff block_overlaps puts ||Q_i p||_F^2 above
         eps_order^2, as dasein_indices does, one product per signature
-        bucket of stacked frames, sliced to at most PRODUCT_ENTRIES."""
-        ps = np.stack([as_matrix(p) for p in ps])
+        bucket of stacked frames, tiled to at most SLICE_BYTES."""
         masks = np.zeros((len(ps), self.offsets[-1]), dtype=bool)
+        ps = np.stack([as_matrix(p) for p in ps]) if len(ps) else ps
         for (n, k, _), members, frames in self.poset.index.stacks():
             starts = self.poset.contexts[members[0]].starts
             chars = self.offsets[members][:, None] + np.arange(k)
-            for rows, cols in tiles(len(frames), len(ps), n * n):
+            for rows, cols in tiles(len(frames), len(ps), 16 * n * n):
                 over = block_overlaps(frames[rows], starts, ps[cols])
                 masks[cols, chars[rows].ravel()] = (
                     np.swapaxes(over, 0, 1).reshape(over.shape[1], -1)
@@ -340,8 +332,8 @@ def outer_daseinisation_bruteforce(ps, frames, starts,
     each context, the subset sums of its dense blocks: the fewest blocks
     among the elements that dominate p, then the smallest sorted indices.
     Domination is proj_leq's test, ||(1 - L) p||_F <= eps_order.  The
-    (context, L) pairs are taken in tiles of at most PRODUCT_ENTRIES
-    entries (tiles), each one GEMM of the rows of (1 - L), stacked
+    (context, L) pairs are taken in tiles of at most SLICE_BYTES
+    (tiles), each one GEMM of the rows of (1 - L), stacked
     (tile * n, n), by the projections side by side (n, m * n)."""
     ps = np.asarray(ps, dtype=np.complex128)
     n = np.shape(frames)[-1]
@@ -362,7 +354,7 @@ def outer_daseinisation_bruteforce(ps, frames, starts,
     side = np.swapaxes(ps, 0, 1).reshape(n, m * n)
     dominates = np.empty((len(stack), 1 << k, m), dtype=bool)
     built = None
-    for rows, cols in tiles(len(stack), 1 << k, n * m * n):
+    for rows, cols in tiles(len(stack), 1 << k, 16 * n * m * n):
         if rows != built:
             y = stack[rows]
             blocks = np.stack([y[..., a:b] @ np.swapaxes(y[..., a:b].conj(),
@@ -395,20 +387,20 @@ def check_masks(presheaf: SpectralPresheaf, masks, domains) -> None:
     outside the domain, then for a domain that is not a lower set, then
     NotClosedUnderRestriction, naming the first edge, for a mask that a
     restriction leaves.  The closure gather takes the masks in slices of
-    at most CLOSURE_ENTRIES (mask, edge) entries."""
+    at most SLICE_BYTES, one byte a (mask, edge) entry."""
     ph = presheaf
 
     def leaves(m):
-        return m[..., ph.src] & ~m[..., ph.dst]
+        # np.take keeps the gathers in C order, so any() reads rows
+        return np.take(m, ph.src, axis=-1) & ~np.take(m, ph.dst, axis=-1)
 
     small, large = ph.poset.strict_pairs.T
     outside = (masks & ~domains[..., ph.owner]).any(axis=-1)
     lower = ~(domains[..., large] & ~domains[..., small]).any(axis=-1)
     flat = masks.reshape(-1, masks.shape[-1])
     broken = np.zeros(len(flat), dtype=bool)
-    step = max(1, CLOSURE_ENTRIES // max(1, len(ph.src)))
-    for lo in range(0, len(flat), step):
-        broken[lo:lo + step] = leaves(flat[lo:lo + step]).any(axis=-1)
+    for part, _ in tiles(len(flat), 1, len(ph.src)):
+        broken[part] = leaves(flat[part]).any(axis=-1)
     bad = outside | ~lower | broken.reshape(outside.shape)
     if not bad.any():
         return

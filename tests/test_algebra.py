@@ -433,7 +433,7 @@ def test_filtered_order_matches_all_pairs_includes(n, seed, eps_order):
 
 @given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
        eps_order=st.sampled_from([DEFAULT_TOL.eps_order, 1e-3]),
-       entries=st.sampled_from([context_index.PRODUCT_ENTRIES, 48]))
+       entries=st.sampled_from([context_index.SLICE_BYTES // 16, 48]))
 def test_table_prefilter_keeps_every_frame_test_pair(n, seed, eps_order,
                                                       entries):
     """Blocks within 0.5, 1.2, 2 and 5 eps_order of one another: copies of
@@ -460,7 +460,7 @@ def test_table_prefilter_keeps_every_frame_test_pair(n, seed, eps_order,
     contexts = [contexts[i] for i in order]
     swap = _block_swap(u, fine, rng)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(context_index, "PRODUCT_ENTRIES", entries)
+        mp.setattr(context_index, "SLICE_BYTES", 16 * entries)
         for poset in (ContextPoset(contexts, tol),
                       build_poset(contexts, tol=tol)):
             pool = poset.contexts

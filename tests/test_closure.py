@@ -219,14 +219,14 @@ def _dense_contexts(rng, n):
 
 
 @given(n=st.integers(3, 7), seed=st.integers(0, 2**32 - 1),
-       entries=st.sampled_from([context_index.PRODUCT_ENTRIES, 48]))
+       entries=st.sampled_from([context_index.SLICE_BYTES // 16, 48]))
 def test_batched_meets_match_the_pairwise_oracle(n, seed, entries):
     """Dense contexts of dims 3-7, in one product per pair of buckets or
     in many slices (48 entries hold at most three 4 x 4 products): the
     same meets in the same order as the pairwise loop, the same edge
     tables bit for bit, and the same closure."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(context_index, "PRODUCT_ENTRIES", entries)
+        mp.setattr(context_index, "SLICE_BYTES", 16 * entries)
         rng = np.random.default_rng(seed)
         seeds = _dense_contexts(rng, n)
         _check_meets(seeds, DEFAULT_TOL)
@@ -236,10 +236,10 @@ def test_batched_meets_match_the_pairwise_oracle(n, seed, entries):
             v.id for v in pairwise_meet_closure(seeds, DEFAULT_TOL)]
 
 
-@pytest.mark.parametrize("entries", [context_index.PRODUCT_ENTRIES, 48])
+@pytest.mark.parametrize("entries", [context_index.SLICE_BYTES // 16, 48])
 def test_meets_on_the_corpus_and_rotated_c4(scenario_dir, monkeypatch,
                                             entries):
-    monkeypatch.setattr(context_index, "PRODUCT_ENTRIES", entries)
+    monkeypatch.setattr(context_index, "SLICE_BYTES", 16 * entries)
     rng = np.random.default_rng(7)
     w = random_unitary(rng, 4)
     rotated = build_poset([Context([np.outer(c, c.conj()) for c in w.T], "W")],
@@ -351,7 +351,7 @@ def _sharing_seeds():
             Context([np.outer(c, c.conj()) for c in turn.T], "E")]
 
 
-@pytest.mark.parametrize("entries", [context_index.PRODUCT_ENTRIES, 48])
+@pytest.mark.parametrize("entries", [context_index.SLICE_BYTES // 16, 48])
 def test_build_poset_matches_the_one_at_a_time_reference(scenario_dir,
                                                          harness,
                                                          monkeypatch,
@@ -365,7 +365,7 @@ def test_build_poset_matches_the_one_at_a_time_reference(scenario_dir,
     cases = _closures(sorted(scenario_dir.glob("*.json")))
     assert len(cases) == 7
     cases += _closures(_modular_dense(harness))
-    monkeypatch.setattr(context_index, "PRODUCT_ENTRIES", entries)
+    monkeypatch.setattr(context_index, "SLICE_BYTES", 16 * entries)
     cases += [([seed], {"downward_closure": True}) for seed in (
         diagonal_context(4, "D4"), diagonal_context(5, "D5"), _rotated_c4())]
     cases.append((_sharing_seeds(), {"downward_closure": True,
@@ -490,7 +490,7 @@ def _downward_twins():
 
 @pytest.mark.parametrize("case", [_meet_twins, _group_twins,
                                   _downward_twins])
-@pytest.mark.parametrize("entries", [context_index.PRODUCT_ENTRIES, 48])
+@pytest.mark.parametrize("entries", [context_index.SLICE_BYTES // 16, 48])
 def test_in_batch_duplicates_match_the_one_at_a_time_reference(
         monkeypatch, case, entries):
     """A meet pass where V1 ∧ V2 = V1 ∧ V3, a group sweep where two images
@@ -499,7 +499,7 @@ def test_in_batch_duplicates_match_the_one_at_a_time_reference(
     and the closure is the one-at-a-time reference's.  At 48 entries the
     downward step comes in chunks of three, which here split the shared
     coarse-grainings, so only the closure is compared there."""
-    monkeypatch.setattr(context_index, "PRODUCT_ENTRIES", entries)
+    monkeypatch.setattr(context_index, "SLICE_BYTES", 16 * entries)
     found = []
     twins = algebra._twins
 

@@ -338,6 +338,14 @@ def test_truth_value_transport(c3_gibbs):
     assert (rep.lhs == 0.3).all()
 
 
+def test_no_projections_give_no_reports(c3_gibbs):
+    psh = c3_gibbs.presheaf
+    assert psh.dasein_masks([]).shape == (0, len(psh.owner))
+    assert check_truth_value_invariance(
+        c3_gibbs.state, c3_gibbs.flow, [], [StageVR("Vdiag", 0.3)], psh,
+        [0.0]) == []
+
+
 def test_cutoff_invariance_gibbs(c3_gibbs):
     ps = [np.diag([1.0, 0.0, 0.0]),
           np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]])]

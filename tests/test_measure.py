@@ -1,6 +1,8 @@
 """State-induced measures, their axioms, and state reconstruction."""
 import dataclasses
 import itertools
+import pathlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from toposkms import index as context_index
-from toposkms import presheaf as presheaf_module
 from toposkms.algebra import (
     Context,
     apply_automorphism,
@@ -41,6 +42,7 @@ from toposkms.measure import (
     verify_measure_properties,
 )
 from toposkms.numerics import frob
+from toposkms.reports import Report
 from toposkms.scenario import load_scenario
 from toposkms.presheaf import (
     ClopenSubobject,
@@ -48,6 +50,7 @@ from toposkms.presheaf import (
     complete_downward,
     daseinisation_subobject,
 )
+from toposkms.suites import SUITES
 
 from conftest import (
     GIBBS_MU_S1,
@@ -193,22 +196,35 @@ def _fields(rep):
 
 
 @given(model=st.integers(0, 7), seed=st.integers(0, 2**32 - 1),
-       size=st.integers(1, 8))
+       size=st.integers(1, 8),
+       slice_bytes=st.sampled_from([context_index.SLICE_BYTES, 1]),
+       signed=st.booleans())
 def test_bulk_measure_check_matches_the_pairwise_loop(measure_models, model,
-                                                      seed, size):
+                                                      seed, size,
+                                                      slice_bytes, signed):
     """Every field of the report, bit for bit, against the loop that
     builds and measures each meet, join and negation on its own, on the
     pool's pairs restricted to their common domains (run_measure's
-    pairs) and on the pairs whose domains already agree."""
+    pairs) and on the pairs whose domains already agree; with the
+    negation scatter and the order-reversal residual in whole slices,
+    or one pair and one strict pair at a time.  A signed matrix in place
+    of the state breaks order reversal and monotonicity, so that every
+    slice's residual counts."""
     psh, state = measure_models[model]
     rng = np.random.default_rng(seed)
     pool = _random_pool(rng, psh, size)
+    if signed:
+        h = rng.normal(size=(state.dim, state.dim))
+        state = SimpleNamespace(matrix=h + h.T)
     restricted = [joint for i, a in enumerate(pool) for b in pool[i + 1:]
                   if (joint := on_common_domain(a, b)) is not None]
     equal = [(a, b) for a in pool for b in pool
              if np.array_equal(a.domain, b.domain)]
     for pairs in (restricted, equal, []):
-        got = verify_measure_properties(state, psh, *stack_pairs(psh, pairs))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(context_index, "SLICE_BYTES", slice_bytes)
+            got = verify_measure_properties(state, psh,
+                                            *stack_pairs(psh, pairs))
         want = measure_properties_by_pair(state, psh, pairs)
         assert _fields(got) == _fields(want)
 
@@ -224,15 +240,16 @@ def _on(psh, domain, full: bool):
     return ClopenSubobject(psh, domain[psh.owner] & full, domain)
 
 
-@pytest.mark.parametrize("entries", [presheaf_module.CLOSURE_ENTRIES, 1])
+@pytest.mark.parametrize("slice_bytes", [context_index.SLICE_BYTES, 1])
 def test_bulk_measure_check_fails_as_the_pairwise_loop(measure_models,
-                                                       monkeypatch, entries):
+                                                       monkeypatch,
+                                                       slice_bytes):
     """A pair with unequal domains raises DomainMismatch, and a stacked
     mask that a restriction edge leaves, S, T or derived, raises
     NotClosedUnderRestriction on the first edge that the sub-object's
     own construction names; the closure test takes the stack whole, or
     one mask at a time."""
-    monkeypatch.setattr(presheaf_module, "CLOSURE_ENTRIES", entries)
+    monkeypatch.setattr(context_index, "SLICE_BYTES", slice_bytes)
     rng = np.random.default_rng(9)
     kinds = set()
     for psh, state in measure_models:
@@ -496,8 +513,8 @@ def test_weights_of_a_stack_are_those_of_each_matrix(scenario_dir,
         scn = load_scenario(path)
         models.append((scn.poset, scn.state))
     for (poset, state), entries in itertools.product(
-            models, (context_index.PRODUCT_ENTRIES, 48)):
-        monkeypatch.setattr(context_index, "PRODUCT_ENTRIES", entries)
+            models, (context_index.SLICE_BYTES // 16, 48)):
+        monkeypatch.setattr(context_index, "SLICE_BYTES", 16 * entries)
         psh = SpectralPresheaf(poset)
         stack = np.array(_traceless_hermitian_basis(state.dim)
                          + [state.matrix])
@@ -723,3 +740,24 @@ def test_flow_checks_match_dense_oracle(fixture, request):
                 lambda: _internal_c1_oracle(c3.state, local, c3.group)):
         with pytest.raises(PosetNotClosed):
             run()
+
+
+def test_measure_suite_stays_small_on_the_diagonal_c7_poset(harness):
+    """The measure suite on the downward-closed diagonal C^7 poset (876
+    contexts, 28 pairs over about 100,000 restriction edges) allocates at
+    most 32 MB above what the loaded scenario holds: the Heyting negation
+    scatter and the order-reversal residual are taken in slices, not
+    over every (pair, edge) and (section, strict pair) at once."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1]
+                               / "scripts"))
+        from sweep_poset import diagonal_scenario
+    scn = load_scenario(diagonal_scenario(harness, 7))
+    rep = Report(scenario=scn.resolved)
+    tracemalloc.start()
+    try:
+        assert SUITES["measure"](scn, rep) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2 ** 20

@@ -267,7 +267,8 @@ def test_commutant_swap_batch_boundaries(n, monkeypatch):
     for d in (data, bad):
         want = commutant_swap_check(state, data=d)
         for entries in (1, 2**30, (n * n - 1) * n ** 4):
-            monkeypatch.setattr(context_index, "PRODUCT_ENTRIES", entries)
+            # entries of X, 16 bytes each
+            monkeypatch.setattr(context_index, "SLICE_BYTES", 16 * entries)
             assert commutant_swap_check(state, data=d) == want
         monkeypatch.undo()
     assert_matches_oracle(state, bad)

@@ -134,7 +134,7 @@ def test_broken_chains_counts_like_the_tables(seed):
     # runs of one middle context each, and of a few pairs each
     for pairs in (1, 48):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(presheaf_module, "CHAIN_PAIRS", pairs)
+            mp.setattr(context_index, "SLICE_BYTES", 64 * pairs)
             assert psh.broken_chains() == (chains, broken)
 
 
@@ -150,10 +150,10 @@ def reference_posets(scenario_dir):
                 Context([np.outer(c, c.conj()) for c in w.T], "W"))])
 
 
-@pytest.mark.parametrize("pairs", [presheaf_module.CHAIN_PAIRS, 48, 1])
+@pytest.mark.parametrize("pairs", [context_index.SLICE_BYTES // 64, 48, 1])
 def test_bulk_broken_chains_match_the_loop(reference_posets, monkeypatch,
                                            pairs):
-    monkeypatch.setattr(presheaf_module, "CHAIN_PAIRS", pairs)
+    monkeypatch.setattr(context_index, "SLICE_BYTES", 64 * pairs)
     for poset in reference_posets:
         psh = SpectralPresheaf(poset)
         assert psh.broken_chains() == broken_chains_per_middle(psh)
@@ -294,13 +294,13 @@ def test_batched_oracle_checks_its_stack():
                                        np.arange(21))
 
 
-@pytest.mark.parametrize("entries", [context_index.PRODUCT_ENTRIES, 48])
+@pytest.mark.parametrize("entries", [context_index.SLICE_BYTES // 16, 48])
 def test_bucket_oracle_matches_the_loop(reference_posets, monkeypatch,
                                         entries):
     """The oracle on whole signature buckets against the per-element
     loop, context by context, on random projections and on projections
     under random lattice elements, with the tiles cut small too."""
-    monkeypatch.setattr(context_index, "PRODUCT_ENTRIES", entries)
+    monkeypatch.setattr(context_index, "SLICE_BYTES", 16 * entries)
     rng = np.random.default_rng(20)
     for poset in reference_posets:
         n = poset.contexts[0].dim
@@ -323,7 +323,7 @@ def test_bucket_oracle_matches_the_loop(reference_posets, monkeypatch,
 
 def test_bucket_oracle_never_holds_a_whole_lattice():
     # the 4,096 lattice elements of a 12-block context take 9.4 MB as
-    # dense complex matrices; the tiles hold a few PRODUCT_ENTRIES
+    # dense complex matrices; the tiles hold a few SLICE_BYTES
     v = diagonal_context(12, "D12")
     rng = np.random.default_rng(3)
     ps = np.stack([random_projection(rng, 12) for _ in range(2)])
@@ -784,8 +784,8 @@ def test_batched_frame_paths_on_a_rotated_c4_poset(seed):
 def test_batched_frame_paths_across_slices(monkeypatch):
     # 48 entries hold three 4 x 4 products, so the 6-context bucket of C^4
     # is taken in several slices against every stack it meets
-    monkeypatch.setattr(context_index, "PRODUCT_ENTRIES", 48)
-    assert len(list(tiles(6, 6, 16))) > 2
+    monkeypatch.setattr(context_index, "SLICE_BYTES", 768)
+    assert len(list(tiles(6, 6, 256))) > 2
     _check_rotated_c4(7)
 
 
